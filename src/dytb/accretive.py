@@ -2,18 +2,20 @@
 
 Each b_Q is supported on Q, has integral exactly |Q|, and obeys the norm
 budget ||b_Q||_p <= A |Q|^(1/p) for the system's exponent p and declared
-constant A > 1.  Generation is deterministic per (seed, cube); materialized
-functions are cached with exclusive-fill locking so systems can be shared.
+constant A > 1.  Generation is deterministic per (seed, cube).  The cubes of
+one level tile the grid, so a system stores all b_Q of a level in one
+finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
+depth) memory.  Only the b_Q that callers ask for are copied out as full-grid
+functions and memoised.  A system is not safe to share between threads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, lp_norm
+from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sums, lp_norm
 
 __all__ = ["AccretiveSystem", "get_b", "validate", "ACCRETIVE_KINDS"]
 
@@ -45,8 +47,8 @@ class AccretiveSystem:
     A: float
     seed: int = 0
     params: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _levels: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ACCRETIVE_KINDS:
@@ -81,57 +83,80 @@ class AccretiveSystem:
         return 1.0 + float(self.params.get("amp", 0.5))
 
     def get_b(self, cube: DyadicCube) -> GridFunction:
-        """The test function attached to ``cube`` (cached, deterministic)."""
+        """The test function attached to ``cube`` (memoised, deterministic)."""
         self.spec.check(cube)
         key = (cube.level, self.spec.cube_flat(cube))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        b = self._generate(cube)
-        self._check_generated(cube, b)
-        with self._lock:
-            return self._cache.setdefault(key, b)
+        b = self._memo.get(key)
+        if b is None:
+            idx = self.spec.cell_indices(cube)
+            vals = np.zeros(self.spec.n_cells)
+            vals[idx] = self.level_values(cube.level)[idx]
+            b = self._memo[key] = GridFunction(self.spec, vals)
+        return b
+
+    def level_values(self, level: int) -> np.ndarray:
+        """Cell values of all b_Q of one level at once (read-only).
+
+        Cubes of one level tile the grid, so the value at a cell is that of
+        b_Q for the level-``level`` cube Q containing it.
+        """
+        vals = self._levels.get(level)
+        if vals is None:
+            if not 0 <= level <= self.spec.depth:
+                raise ValueError(f"level {level} outside [0, {self.spec.depth}]")
+            n = self.spec.n_cells // self.spec.n_cubes(level)
+            blocks = np.array([self._cube_values(level, flat, n)
+                               for flat in range(self.spec.n_cubes(level))])
+            vals = from_cube_blocks(self.spec, level, blocks)
+            self._check_level(level, vals, blocks)
+            vals.setflags(write=False)
+            self._levels[level] = vals
+        return vals
 
     # -- generation ---------------------------------------------------------
 
-    def _rng(self, cube: DyadicCube) -> np.random.Generator:
-        key = (cube.level, self.spec.cube_flat(cube))
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+    def _rng(self, level: int, flat: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(level, flat)))
 
-    def _generate(self, cube: DyadicCube) -> GridFunction:
-        idx = self.spec.cell_indices(cube)
-        vals = np.zeros(self.spec.n_cells)
-        n = idx.size
+    def _cube_values(self, level: int, flat: int, n: int) -> np.ndarray:
+        """b_Q on the ``n`` cells of cube (level, flat), in ``cell_indices`` order."""
         if self.kind == "constant" or n == 1:
-            vals[idx] = 1.0
-        elif self.kind == "two-value":
+            return np.ones(n)
+        if self.kind == "two-value":
             s = float(self.params.get("s", 0.5))
-            half = self._rng(cube).permutation(n)[: n // 2]
-            vals[idx] = 1.0 - s
-            vals[idx[half]] = 1.0 + s
-        elif self.kind == "signed":
-            vals[idx[n // 2 :]] = 2.0
-        else:  # random
-            amp = float(self.params.get("amp", 0.5))
-            w = self._rng(cube).uniform(-1.0, 1.0, n)
-            w -= w.mean()
-            peak = np.abs(w).max()
-            if peak > 1.0:  # keep values inside [1-amp, 1+amp] after recentring
-                w /= peak
-            vals[idx] = 1.0 + amp * w
-        return GridFunction(self.spec, vals)
+            vals = np.full(n, 1.0 - s)
+            vals[self._rng(level, flat).permutation(n)[: n // 2]] = 1.0 + s
+            return vals
+        if self.kind == "signed":
+            vals = np.zeros(n)
+            vals[n // 2 :] = 2.0
+            return vals
+        amp = float(self.params.get("amp", 0.5))
+        w = self._rng(level, flat).uniform(-1.0, 1.0, n)
+        w -= w.mean()
+        peak = np.abs(w).max()
+        if peak > 1.0:  # keep values inside [1-amp, 1+amp] after recentring
+            w /= peak
+        return 1.0 + amp * w
 
-    def _check_generated(self, cube: DyadicCube, b: GridFunction) -> None:
-        mean_err = abs(b.integral(cube) - cube.volume)
-        if mean_err > 1e-12 * cube.volume:
-            raise RuntimeError(f"generator bug: mean of b_{cube} off by {mean_err:.3e}")
-        if lp_norm(b, self.p, cube) > self.A * cube.volume ** (1.0 / self.p) * (1 + 1e-12):
-            raise RuntimeError(f"generator bug: norm budget exceeded on {cube}")
+    def _check_level(self, level: int, vals: np.ndarray, blocks: np.ndarray) -> None:
+        """The per-cube invariants of every b_Q of one level, vectorised."""
+        spec = self.spec
+        volume = 2.0 ** (-spec.dim * level)
+        mags = np.abs(blocks)
+        checks = [
+            # the same bottom-up sums that get_b(Q).integral(Q) reports
+            (np.abs(level_sums(spec, vals)[level] * spec.cell_volume - volume) > 1e-12 * volume,
+             "mean of b_Q off"),
+            ((np.sum(mags**self.p, axis=1) * spec.cell_volume) ** (1.0 / self.p)
+             > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
+        ]
         if self.kind != "signed":
-            inside = b.values[self.spec.cell_indices(cube)]
-            if np.abs(inside).min() < MIN_ABS_VALUE:
-                raise RuntimeError(f"generator bug: near-zero cell value on {cube}")
+            checks.append((mags.min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
+        for bad, what in checks:
+            if bad.any():
+                cube = spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))
+                raise RuntimeError(f"generator bug: {what} on {cube}")
 
     # -- serialization --------------------------------------------------------
 

@@ -26,7 +26,9 @@ __all__ = [
     "average",
     "lp_norm",
     "child_containing",
+    "cube_blocks",
     "dyadic_maximal",
+    "from_cube_blocks",
     "level_sums",
     "upsample",
 ]
@@ -103,16 +105,6 @@ def _child_offset(index: int, dim: int) -> tuple[int, ...]:
     if dim == 1:
         return (index,)
     return (index >> 1, index & 1)
-
-
-def child_index_of(parent: DyadicCube, child: DyadicCube) -> int:
-    """The row-major index of ``child`` among ``parent``'s children."""
-    if child.level != parent.level + 1 or child.ancestor(parent.level) != parent:
-        raise ValueError(f"{child} is not a child of {parent}")
-    offs = tuple(c - 2 * k for c, k in zip(child.coords, parent.coords))
-    if parent.dim == 1:
-        return offs[0]
-    return (offs[0] << 1) | offs[1]
 
 
 @dataclass(frozen=True)
@@ -237,12 +229,25 @@ def upsample(spec: GridSpec, level: int, values: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1).ravel()
 
 
-def cells_of(spec: GridSpec, level: int, values: np.ndarray) -> np.ndarray:
-    """Spread per-cube values at ``level`` down to one value per finest cell."""
-    cur = np.asarray(values, dtype=float)
-    for lev in range(level, spec.depth):
-        cur = upsample(spec, lev, cur)
-    return cur
+def cube_blocks(spec: GridSpec, level: int, cell_values: np.ndarray) -> np.ndarray:
+    """A finest-cell array regrouped as ``(n_cubes(level), cells per cube)``.
+
+    Row ``r`` holds the cells of the level cube with flat index ``r`` in the
+    order of ``cell_indices``; a view in 1D, a copy in 2D.
+    """
+    vals = np.asarray(cell_values)
+    if spec.dim == 1:
+        return vals.reshape(spec.n_cubes(level), -1)
+    m, s = 1 << level, 1 << (spec.depth - level)
+    return vals.reshape(m, s, m, s).transpose(0, 2, 1, 3).reshape(m * m, s * s)
+
+
+def from_cube_blocks(spec: GridSpec, level: int, blocks: np.ndarray) -> np.ndarray:
+    """Inverse of ``cube_blocks``: per-cube rows back into one finest-cell array."""
+    if spec.dim == 1:
+        return blocks.reshape(spec.n_cells)
+    m, s = 1 << level, 1 << (spec.depth - level)
+    return blocks.reshape(m, m, s, s).transpose(0, 2, 1, 3).reshape(spec.n_cells)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, upsample
+from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, level_sums, upsample
 
 __all__ = [
     "PerfectKernel",
@@ -147,20 +147,31 @@ def apply_values(kernel: PerfectKernel, values: np.ndarray) -> np.ndarray:
     kappa_{R, i(R,p), j} * int_{child_j(R)} f.  Implemented by accumulating a
     per-cube constant at each level and sweeping it down, O(cells * depth).
     """
-    spec = kernel.spec
-    from .grid import level_sums
+    return _sweep_from(kernel, values, 0)
 
+
+def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.ndarray:
+    """``apply_values`` using only the kernel entries at levels >= ``start``.
+
+    Inside each cube Q of level ``start`` the result depends only on the
+    values inside Q, and equals ``apply_values`` of those values times 1_Q bit
+    for bit: an entry at a strict ancestor R of Q pairs the child of R that
+    contains Q with a disjoint child, so inside Q it adds only exact zeros.
+    """
+    spec = kernel.spec
     sums = level_sums(spec, values)
+    if start >= spec.depth:
+        return np.zeros(spec.n_cells)
     cv = spec.cell_volume
-    contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(1, spec.depth + 1)}
+    contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
     for level, (flats, ii, jj, vals) in kernel._per_level.items():
+        if level < start:
+            continue
         src = _child_flats(spec, level, flats, jj)
         dst = _child_flats(spec, level, flats, ii)
         np.add.at(contrib[level + 1], dst, vals * sums[level + 1][src] * cv)
-    if spec.depth == 0:
-        return np.zeros(spec.n_cells)
-    cur = contrib[1]
-    for lev in range(2, spec.depth + 1):
+    cur = contrib[start + 1]
+    for lev in range(start + 2, spec.depth + 1):
         cur = upsample(spec, lev - 1, cur) + contrib[lev]
     return cur
 

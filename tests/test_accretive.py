@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -91,23 +89,6 @@ def test_determinism_and_caching():
     assert not np.array_equal(a.get_b(q).values, c.get_b(q).values)
 
 
-def test_concurrent_fill_returns_single_object():
-    spec = GridSpec(1, 8)
-    sys_ = AccretiveSystem(spec, "random", 2.0, 1.5, seed=3, params={"amp": 0.5})
-    q = spec.root()
-    seen = []
-
-    def worker():
-        seen.append(sys_.get_b(q))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(s is seen[0] for s in seen)
-
-
 def test_constant_scale_covariance():
     # restriction of b_Q to a child, renormalized, is b_child for the constant kind
     spec = GridSpec(1, 4)
@@ -157,15 +138,80 @@ def test_generator_invariant_violation_is_internal_error(monkeypatch):
     # a generator bug (not a config error) must surface as RuntimeError
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
-
-    def broken(cube):
-        vals = np.zeros(spec.n_cells)
-        vals[spec.cell_indices(cube)] = 2.0  # mean is 2|Q|, not |Q|
-        return GridFunction(spec, vals)
-
-    monkeypatch.setattr(sys_, "_generate", broken)
+    # mean is 2|Q|, not |Q|
+    monkeypatch.setattr(sys_, "_cube_values", lambda level, flat, n: np.full(n, 2.0))
     with pytest.raises(RuntimeError):
         sys_.get_b(spec.root())
+
+
+def test_one_bad_cube_fails_its_whole_level(monkeypatch):
+    spec = GridSpec(2, 4)
+    sys_ = AccretiveSystem(spec, "random", 2.0, 1.5, seed=5, params={"amp": 0.5})
+    good = sys_._cube_values
+
+    def broken(level, flat, n):
+        vals = good(level, flat, n)
+        if (level, flat) == (3, 37):
+            vals[0] = 0.0
+        return vals
+
+    monkeypatch.setattr(sys_, "_cube_values", broken)
+    sys_.get_b(DyadicCube(2, (1, 1)))  # other levels are unaffected
+    with pytest.raises(RuntimeError, match=r"generator bug: .* on Q\(3; 4,5\)"):
+        sys_.get_b(DyadicCube(3, (0, 0)))  # any cube of the bad level
+
+
+def per_cube_b(system, cube):
+    """Reference generator: b_Q drawn for one cube, written into a zero array."""
+    spec = system.spec
+    idx = spec.cell_indices(cube)
+    vals = np.zeros(spec.n_cells)
+    n = idx.size
+    rng = np.random.default_rng(
+        np.random.SeedSequence(system.seed, spawn_key=(cube.level, spec.cube_flat(cube))))
+    if system.kind == "constant" or n == 1:
+        vals[idx] = 1.0
+    elif system.kind == "two-value":
+        s = float(system.params.get("s", 0.5))
+        half = rng.permutation(n)[: n // 2]
+        vals[idx] = 1.0 - s
+        vals[idx[half]] = 1.0 + s
+    elif system.kind == "signed":
+        vals[idx[n // 2 :]] = 2.0
+    else:
+        amp = float(system.params.get("amp", 0.5))
+        w = rng.uniform(-1.0, 1.0, n)
+        w -= w.mean()
+        peak = np.abs(w).max()
+        if peak > 1.0:
+            w /= peak
+        vals[idx] = 1.0 + amp * w
+    return vals
+
+
+KIND_SETUPS = {
+    "constant": (1.5, {}),
+    "two-value": (1.9, {"s": 0.7}),
+    "signed": (1.9, {}),
+    "random": (1.7, {"amp": 0.6}),
+}
+GRIDS = [(1, d) for d in range(10)] + [(2, d) for d in range(6)]
+
+
+@pytest.mark.parametrize("dim,depth", GRIDS)
+def test_level_arrays_match_per_cube_generation(dim, depth):
+    spec = GridSpec(dim, depth)
+    for kind, (A, params) in KIND_SETUPS.items():
+        sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=11 + depth, params=params)
+        for level in range(depth + 1):
+            expected = np.zeros(spec.n_cells)
+            for cube in spec.cubes_at(level):
+                b = per_cube_b(sys_, cube)
+                assert sys_.get_b(cube).values.tobytes() == b.tobytes()
+                idx = spec.cell_indices(cube)
+                expected[idx] = b[idx]
+            assert sys_.level_values(level).tobytes() == expected.tobytes()
+        assert len(sys_._levels) == depth + 1
 
 
 def test_descriptor_roundtrip():

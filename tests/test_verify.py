@@ -6,7 +6,7 @@ import pytest
 from dytb.accretive import AccretiveSystem
 from dytb.corona import TbConfig, build_corona
 from dytb.grid import DyadicCube, GridFunction, GridSpec
-from dytb.kernels import PerfectKernel, generate_kernel
+from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import corona_delta, make_context, twisted_delta
 from dytb.verify import (
     RESIDUAL_FIELDS,
@@ -32,6 +32,7 @@ from dytb.verify import (
 from dytb.verify import testing_constant as measure_tloc
 
 from conftest import rand_signs
+from test_accretive import GRIDS, KIND_SETUPS
 from test_kernels import lca_dense_matrix
 
 
@@ -117,6 +118,44 @@ def test_tloc_matches_brute_force(rng):
             idx = spec.cell_indices(cube)
             best = max(best, float(np.mean(np.abs(tb[idx]) ** 2)) ** 0.5)
         assert measure_tloc(t, sys_, 2.0, side) == pytest.approx(best, rel=1e-12)
+
+
+def tloc_by_enumeration(kernel, system, qs, side):
+    """Reference Tloc per exponent: one full-grid apply of T b_Q per cube Q."""
+    op = kernel if side == "direct" else adjoint(kernel)
+    spec = kernel.spec
+    best = dict.fromkeys(qs, 0.0)
+    for cube in spec.all_cubes():
+        tb = apply_values(op, system.get_b(cube).values)
+        local = tb[spec.cell_indices(cube)]
+        for q in qs:
+            mean_pow = float(np.mean(np.abs(local) ** q))
+            best[q] = max(best[q], mean_pow ** (1.0 / q))
+    return best
+
+
+@pytest.mark.parametrize("dim,depth", GRIDS)
+def test_tloc_equals_per_cube_oracle(dim, depth):
+    spec = GridSpec(dim, depth)
+    kernels = [generate_kernel(kind, spec, seed=depth + 3) for kind in ("random", "haar-shift", "zero")]
+    for kind, (A, params) in KIND_SETUPS.items():
+        sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=11 + depth, params=params)
+        for kernel, side in itertools.product(kernels, ("direct", "adjoint")):
+            oracle = tloc_by_enumeration(kernel, sys_, (1.5, 2.0), side)
+            for q, expected in oracle.items():
+                assert measure_tloc(kernel, sys_, q, side) == expected
+
+
+def test_tloc_memory_stays_level_tiled():
+    # a return to one full-grid b_Q per cube would be O(cells^2) memory
+    spec = GridSpec(1, 12)
+    kernel = generate_kernel("random", spec, seed=1)
+    sys_ = AccretiveSystem(spec, "random", 2.0, 1.6, seed=2, params={"amp": 0.6})
+    measure_tloc(kernel, sys_, 2.0, "direct")
+    measure_tloc(kernel, sys_, 2.0, "adjoint")
+    assert sorted(sys_._levels) == list(range(spec.depth + 1))
+    assert all(v.shape == (spec.n_cells,) for v in sys_._levels.values())
+    assert sys_._memo == {}
 
 
 # -- bilinear expansion -----------------------------------------------------------------
@@ -456,15 +495,6 @@ def test_experiment_haar_depth1_reproduces_constants():
     assert report.operator_norm == pytest.approx(0.5)
     assert report.tloc == pytest.approx(0.5)
     assert report.ratio == pytest.approx(0.5 / 1.5)
-
-
-def test_experiment_parallel_matches_serial(monkeypatch):
-    cfg = ExperimentConfig(dim=1, depth=4, trials=4, seed=2)
-    serial = main_theorem_experiment(cfg)
-    monkeypatch.setenv("DYTB_THREADS", "4")
-    parallel = main_theorem_experiment(cfg)
-    for a, b in zip(serial, parallel):
-        assert a.trial == b.trial and a.ratio == b.ratio and a.residuals == b.residuals
 
 
 def test_forest_blocks_validate():
