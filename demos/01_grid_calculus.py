@@ -6,7 +6,7 @@ integral, average and L^p norm over a dyadic cube is a finite (exact) sum.
 
 import numpy as np
 
-from dytb import DyadicCube, GridFunction, GridSpec, average, dyadic_maximal, lp_norm
+from dytb import DyadicCube, GridFunction, GridSpec, dyadic_maximal, lp_norm
 
 # a 1D grid at depth 3: eight cells of width 1/8
 spec = GridSpec(1, 3)
@@ -15,7 +15,7 @@ f = GridFunction(spec, [1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
 root = spec.root()
 left = DyadicCube(1, (0,))
 print("integral over [0,1):", f.integral(root))
-print("average over [0,1/2):", average(f, left))
+print("average over [0,1/2):", f.average(left))
 print("L^2 norm:", lp_norm(f, 2.0))
 
 # integral additivity is exact by construction of the sum tree

@@ -15,7 +15,6 @@ from .grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
-    average,
     child_containing,
     dyadic_maximal,
     lp_norm,
@@ -32,7 +31,7 @@ from .kernels import (
     size_bound,
     validate_size,
 )
-from .accretive import AccretiveSystem, get_b, validate
+from .accretive import AccretiveSystem, validate
 from .corona import (
     ConfigError,
     CoronaForest,

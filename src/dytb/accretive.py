@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sums, lp_norm
 
-__all__ = ["AccretiveSystem", "get_b", "validate", "ACCRETIVE_KINDS"]
+__all__ = ["AccretiveSystem", "validate", "ACCRETIVE_KINDS"]
 
 ACCRETIVE_KINDS = ("constant", "two-value", "signed", "random")
 
@@ -168,10 +168,6 @@ class AccretiveSystem:
     def from_json_dict(spec: GridSpec, data: dict) -> AccretiveSystem:
         return AccretiveSystem(spec, data["kind"], float(data["p"]), float(data["A"]),
                                int(data.get("seed", 0)), dict(data.get("params", {})))
-
-
-def get_b(system: AccretiveSystem, cube: DyadicCube) -> GridFunction:
-    return system.get_b(cube)
 
 
 def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .grid import DyadicCube, GridFunction, GridSpec, level_sums, upsample
+from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from .kernels import PerfectKernel, adjoint, apply
 
 __all__ = [
@@ -125,8 +125,24 @@ def _maximal_triggered(spec, top: DyadicCube, start_level: int, trigger) -> list
         for flat in np.nonzero(hits)[0]:
             found.append(spec.cube_from_flat(level, int(flat)))
         if level < spec.depth:
-            blocked = upsample(spec, level, (blocked | hits).astype(float)) > 0.5
+            blocked = spread(spec, level, blocked | hits, level + 1)
     return found
+
+
+def _nearest_marked(spec, top: int, cubes) -> list[np.ndarray | None]:
+    """Per level from ``top`` down (None above), for every cube (row-major):
+    the level of its smallest ancestor-or-self among ``cubes``, -1 if none."""
+    flats: dict[int, list[int]] = {}
+    for c in cubes:
+        flats.setdefault(c.level, []).append(spec.cube_flat(c))
+    out: list = [None] * (spec.depth + 1)
+    cur = np.full(spec.n_cubes(top), -1)
+    for level in range(top, spec.depth + 1):
+        if level > top:
+            cur = spread(spec, level - 1, cur, level)
+        cur[flats.get(level, [])] = level
+        out[level] = cur
+    return out
 
 
 # -- terminal cubes (single function) -------------------------------------------
@@ -197,12 +213,12 @@ class TerminalFamily:
         for t in self.members:
             if not self.s0.contains(t) or t == self.s0:
                 raise ValueError(f"terminal cube {t} is not strictly inside {self.s0}")
-        for a in self.members:
-            for b in self.members:
-                if a != b and a.contains(b):
+        for b in self.members:
+            for level in range(self.s0.level + 1, b.level):
+                if (a := b.ancestor(level)) in memberset:
                     raise ValueError(f"terminal cubes {a} and {b} are nested")
         for t in self.tprime:
-            if not any(m.contains(t) for m in memberset):
+            if not any(t.ancestor(level) in memberset for level in range(t.level + 1)):
                 raise ValueError(f"maximal cube {t} is not covered by the terminal family")
         if set(self.b_for) != memberset:
             raise ValueError("b_for must carry exactly one function per terminal cube")
@@ -216,19 +232,8 @@ class TerminalFamily:
     @cached_property
     def _covered(self) -> list[np.ndarray | None]:
         """Per level, mask of cubes contained in some terminal cube."""
-        masks: list[np.ndarray | None] = [None] * (self.spec.depth + 1)
-        member_set = {(m.level, self.spec.cube_flat(m)) for m in self.members}
-        prev = None
-        for level in range(self.s0.level, self.spec.depth + 1):
-            cur = np.zeros(self.spec.n_cubes(level), dtype=bool)
-            if prev is not None:
-                cur |= upsample(self.spec, level - 1, prev.astype(float)) > 0.5
-            for lev, flat in member_set:
-                if lev == level:
-                    cur[flat] = True
-            masks[level] = cur
-            prev = cur
-        return masks
+        marked = _nearest_marked(self.spec, self.s0.level, self.members)
+        return [None if m is None else m >= 0 for m in marked]
 
     def in_q(self, cube: DyadicCube) -> bool:
         """Whether ``cube`` belongs to the derived family Q (inside s0, not
@@ -248,12 +253,8 @@ class TerminalFamily:
                 out.append(self.spec.cube_from_flat(level, int(flat)))
         return out
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def is_terminal(self, cube: DyadicCube) -> bool:
-        return cube in self._member_set
+        return cube in self.b_for
 
 
 def make_terminal_family(
@@ -281,7 +282,7 @@ class CoronaForest:
     """Stopping families S_1, S_2 below ``q0`` with their parent/child maps.
 
     Immutable once built; ``pi(j, Q)`` is the smallest member of S_j
-    containing Q (memoised walk up the dyadic tree).
+    containing Q, read from per-level owner arrays built on first use.
     """
 
     def __init__(self, spec, q0, members1, children1, members2, children2, config):
@@ -293,7 +294,7 @@ class CoronaForest:
             {s: tuple(sorted(kids)) for s, kids in children1.items()},
             {s: tuple(sorted(kids)) for s, kids in children2.items()},
         )
-        self._pi_cache: tuple[dict, dict] = ({}, {})
+        self._owners: list = [None, None]
 
     def members(self, j: int) -> frozenset:
         return self._members[_jdx(j)]
@@ -301,40 +302,33 @@ class CoronaForest:
     def stopping_children(self, j: int, member: DyadicCube) -> tuple[DyadicCube, ...]:
         return self._children[_jdx(j)][member]
 
+    def owner_levels(self, j: int) -> list[np.ndarray | None]:
+        """Per level, the level of pi_j(Q) for every cube Q of that level
+        (row-major), -1 outside q0; None above q0's level.  Built on first
+        use, so the delta search never pays for it."""
+        jj = _jdx(j)
+        if self._owners[jj] is None:
+            self._owners[jj] = _nearest_marked(self.spec, self.q0.level, self._members[jj])
+        return self._owners[jj]
+
     def pi(self, j: int, cube: DyadicCube) -> DyadicCube:
         """The smallest member of S_j containing ``cube``."""
-        jj = _jdx(j)
-        if not self.q0.contains(cube):
+        if not (self.spec.contains(cube) and self.q0.contains(cube)):
             raise ValueError(f"{cube} is not inside {self.q0}")
-        cache = self._pi_cache[jj]
-        hit = cache.get(cube)
-        if hit is not None:
-            return hit
-        members = self._members[jj]
-        chain = []
-        cur = cube
-        while cur not in members:
-            chain.append(cur)
-            cur = cur.parent()
-        for c in chain:
-            cache[c] = cur
-        return cur
+        return cube.ancestor(int(self.owner_levels(j)[cube.level][self.spec.cube_flat(cube)]))
 
-    def has_stopping_child(self, j: int, cube: DyadicCube) -> bool:
-        if cube.level >= self.spec.depth:
-            return False
-        members = self._members[_jdx(j)]
-        return any(c in members for c in cube.children())
+    def stopping_parents(self, j: int, level: int) -> np.ndarray:
+        """Mask over the cubes of ``level`` (row-major, level >= q0's level):
+        those with a member of S_j among their children."""
+        stopped = self.owner_levels(j)[level + 1] == level + 1
+        return _coarsen_step(self.spec.dim, stopped).ravel() > 0
 
     def block_cubes(self, j: int, member: DyadicCube) -> list[DyadicCube]:
         """All cubes whose S_j-parent is ``member`` (its corona block)."""
-        kids = self._children[_jdx(j)][member]
+        owners = self.owner_levels(j)
         out = []
         for level in range(member.level, self.spec.depth + 1):
-            mask = _subtree_mask(self.spec.dim, member, level)
-            for kid in kids:
-                if kid.level <= level:
-                    mask &= ~_subtree_mask(self.spec.dim, kid, level)
+            mask = (owners[level] == member.level) & _subtree_mask(self.spec.dim, member, level)
             for flat in np.nonzero(mask)[0]:
                 out.append(self.spec.cube_from_flat(level, int(flat)))
         return out

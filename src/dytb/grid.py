@@ -23,14 +23,13 @@ __all__ = [
     "GridSpec",
     "DyadicCube",
     "GridFunction",
-    "average",
     "lp_norm",
     "child_containing",
     "cube_blocks",
     "dyadic_maximal",
     "from_cube_blocks",
     "level_sums",
-    "upsample",
+    "spread",
 ]
 
 DEFAULT_CELL_CAP = 2**20
@@ -92,9 +91,6 @@ class DyadicCube:
         if other.dim != self.dim or other.level < self.level:
             return False
         return other.ancestor(self.level) == self
-
-    def lower_corner(self) -> tuple[float, ...]:
-        return tuple(k * self.side for k in self.coords)
 
     def __repr__(self) -> str:  # compact, e.g. Q(3; 5) or Q(2; 1,3)
         return f"Q({self.level}; {','.join(str(k) for k in self.coords)})"
@@ -220,13 +216,15 @@ def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def upsample(spec: GridSpec, level: int, values: np.ndarray) -> np.ndarray:
-    """Replicate per-cube values at ``level`` onto the cubes one level finer."""
+def spread(spec: GridSpec, level: int, values, to_level: int | None = None) -> np.ndarray:
+    """Replicate per-cube values at ``level`` onto the cubes of the finer
+    ``to_level`` (default: the finest cells), row-major at both levels."""
+    s = 1 << ((spec.depth if to_level is None else to_level) - level)
     if spec.dim == 1:
-        return np.repeat(values, 2)
+        return np.repeat(values, s)
     m = 1 << level
     grid = np.asarray(values).reshape(m, m)
-    return np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1).ravel()
+    return np.repeat(np.repeat(grid, s, axis=0), s, axis=1).ravel()
 
 
 def cube_blocks(spec: GridSpec, level: int, cell_values: np.ndarray) -> np.ndarray:
@@ -379,11 +377,6 @@ class GridFunction:
 # -- module-level operations --------------------------------------------------
 
 
-def average(f: GridFunction, cube: DyadicCube) -> float:
-    """The mean value of ``f`` over ``cube``: |Q|^-1 * integral of f over Q."""
-    return f.average(cube)
-
-
 def lp_norm(f: GridFunction, p: float, cube: DyadicCube | None = None) -> float:
     """(sum over cells in Q of |f|^p * cell_volume)^(1/p); Q defaults to the root.
 
@@ -421,5 +414,5 @@ def dyadic_maximal(f: GridFunction) -> GridFunction:
         else:
             best = np.maximum(best, avg)
         if level < spec.depth:
-            best = upsample(spec, level, best)
+            best = spread(spec, level, best, level + 1)
     return GridFunction(spec, best)

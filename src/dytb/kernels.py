@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, level_sums, upsample
+from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, level_sums, spread
 
 __all__ = [
     "PerfectKernel",
@@ -172,7 +172,7 @@ def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.nda
         np.add.at(contrib[level + 1], dst, vals * sums[level + 1][src] * cv)
     cur = contrib[start + 1]
     for lev in range(start + 2, spec.depth + 1):
-        cur = upsample(spec, lev - 1, cur) + contrib[lev]
+        cur = spread(spec, lev - 1, cur, lev) + contrib[lev]
     return cur
 
 

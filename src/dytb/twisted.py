@@ -23,7 +23,11 @@ children, and the finite grid makes the telescoping representation
 
     h 1_S = E_S h + sum over Q in S of Delta_Q h
 
-an exact identity.  Everything here is pure and side-effect free.
+an exact identity.  Cubes of one level are disjoint, so the corona calculus
+is computed per level (``corona_levels``): one ratio vector and one stitched
+b-array per level give every E_Q h and Delta_Q h of that level at once, and
+the per-cube functions below are slices of those level arrays.  Everything
+here is pure and side-effect free.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .accretive import AccretiveSystem
 from .corona import CoronaForest, TerminalFamily, _subtree_mask, make_terminal_family
-from .grid import DyadicCube, GridFunction, GridSpec, level_sums
+from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 
 __all__ = [
     "TwistedContext",
@@ -47,6 +51,8 @@ __all__ = [
     "transform",
     "half_transform",
     "classical_transform",
+    "CoronaLevels",
+    "corona_levels",
     "corona_expectation",
     "corona_delta",
     "expand",
@@ -142,7 +148,7 @@ class TwistedContext:
                     "the terminal family does not absorb all stopped cubes"
                 )
 
-    # cached per-level averages of b, used as denominators throughout
+    # per-level averages of b, used as denominators throughout
     @cached_property
     def b_avg(self) -> list[np.ndarray]:
         spec = self.spec
@@ -264,18 +270,94 @@ def classical_transform(eps: SignChoice, f: GridFunction, cubes) -> GridFunction
 # -- corona-adapted expectations and differences ---------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class CoronaLevels:
+    """The corona calculus of one function h against S_j, one array per level
+    from the root's level down: ``ratio[l]`` holds r_l[Q] = <h>_Q / <b_pi(Q)>_Q
+    per level-l cube Q (row-major), ``b[l]`` the cell array B_l carrying
+    b_pi(Q) on each Q, both zero outside the root.  Cubes of a level are
+    disjoint, so E_l = r_l spread over the cells times B_l holds every E_Q h
+    of the level, and D_l = E_{l+1} - E_l every Delta_Q h.
+    """
+
+    forest: CoronaForest
+    j: int
+    ratio: dict
+    b: dict
+
+    @cached_property
+    def expectations(self) -> dict[int, np.ndarray]:
+        spec = self.forest.spec
+        return {lev: spread(spec, lev, r) * self.b[lev] for lev, r in self.ratio.items()}
+
+    @cached_property
+    def deltas(self) -> dict[int, np.ndarray]:
+        e = self.expectations
+        return {lev: e[lev + 1] - e[lev] for lev in list(e)[:-1]}
+
+    @cached_property
+    def delta_sum(self) -> np.ndarray:
+        return sum(self.deltas.values(), np.zeros(self.forest.spec.n_cells))
+
+    def _stopped(self, level: int) -> np.ndarray:
+        return self.forest.owner_levels(self.j)[level] == level
+
+    @cached_property
+    def half_twisted(self) -> dict[int, np.ndarray]:
+        """``half_twisted_block`` of every level-l cube Q, one value per child
+        Q': r(Q') - r(Q), or -r(Q) when Q' is a stopping cube."""
+        return {
+            lev: np.where(self._stopped(lev + 1), 0.0, self.ratio[lev + 1])
+            - spread(self.forest.spec, lev, self.ratio[lev], lev + 1)
+            for lev in self.deltas
+        }
+
+    def box(self, level: int) -> np.ndarray:
+        """The cell array of ``box`` over every cube of the level."""
+        spec = self.forest.spec
+        diff = np.where(self._stopped(level + 1), 0.0, np.abs(self.half_twisted[level]))
+        stops = spread(spec, level, self.forest.stopping_parents(self.j, level), level + 1)
+        return spread(spec, level + 1, diff + stops)
+
+
+def corona_levels(
+    forest: CoronaForest, j: int, system: AccretiveSystem, h: GridFunction
+) -> CoronaLevels:
+    """The per-level corona calculus of h against S_j.  B_l is stitched top
+    down from the system's level arrays (a member of S_j brings its own b,
+    any other cube keeps its parent's); averages are exact tree sums."""
+    spec, owners = forest.spec, forest.owner_levels(j)
+    ratio, stitched = {}, {}
+    b = np.zeros(spec.n_cells)
+    for level in range(forest.q0.level, spec.depth + 1):
+        stopped = owners[level] == level
+        if stopped.any():
+            b = np.where(spread(spec, level, stopped), system.level_values(level), b)
+        vol = 2.0 ** (-spec.dim * level)
+        r = np.zeros(spec.n_cubes(level))
+        np.divide(h.cube_sums[level] * spec.cell_volume / vol,
+                  level_sums(spec, b)[level] * spec.cell_volume / vol,
+                  out=r, where=owners[level] >= 0)
+        ratio[level], stitched[level] = r, b
+    return CoronaLevels(forest, j, ratio, stitched)
+
+
+def _restrict(forest: CoronaForest, cube: DyadicCube, cells_of) -> GridFunction:
+    """``cells_of(cube.level)`` restricted to ``cube``, a cube inside the root."""
+    spec = forest.spec
+    if not (spec.contains(cube) and forest.q0.contains(cube)):
+        raise ValueError(f"{cube} is not inside {forest.q0}")
+    out = np.zeros(spec.n_cells)
+    idx = spec.cell_indices(cube)
+    out[idx] = cells_of(cube.level)[idx]
+    return GridFunction(spec, out)
+
+
 def corona_expectation(
     forest: CoronaForest, j: int, system: AccretiveSystem, cube: DyadicCube, h: GridFunction
 ) -> GridFunction:
     """E_Q h = (<h>_Q / <b_S>_Q) b_S 1_Q with S the corona parent of Q."""
-    spec = forest.spec
-    s = forest.pi(j, cube)
-    b = system.get_b(s)
-    coeff = h.average(cube) / b.average(cube)
-    out = np.zeros(spec.n_cells)
-    idx = spec.cell_indices(cube)
-    out[idx] = coeff * b.values[idx]
-    return GridFunction(spec, out)
+    return _restrict(forest, cube, corona_levels(forest, j, system, h).expectations.get)
 
 
 def corona_delta(
@@ -283,23 +365,9 @@ def corona_delta(
 ) -> GridFunction:
     """Delta_Q h = sum over children Q' of (E_Q' h - E_Q h) 1_Q'; mean zero,
     supported on the cube."""
-    spec = forest.spec
-    out = np.zeros(spec.n_cells)
-    if cube.level >= spec.depth:
-        return GridFunction(spec, out)
-    s = forest.pi(j, cube)
-    b = system.get_b(s)
-    base = h.average(cube) / b.average(cube)
-    for child in cube.children():
-        idx = spec.cell_indices(child)
-        sc = forest.pi(j, child)
-        if sc == s:
-            bc = b
-        else:
-            bc = system.get_b(sc)
-        coeff = h.average(child) / bc.average(child)
-        out[idx] = coeff * bc.values[idx] - base * b.values[idx]
-    return GridFunction(spec, out)
+    if cube.level >= forest.spec.depth:
+        return GridFunction.constant(forest.spec, 0.0)
+    return _restrict(forest, cube, corona_levels(forest, j, system, h).deltas.get)
 
 
 def expand(
@@ -308,14 +376,10 @@ def expand(
     """The martingale expansion of h below ``top``: returns (E_top h, list of
     (Q, Delta_Q h)); their sum reconstructs h 1_top exactly on the finite grid.
     """
-    spec = forest.spec
-    e_top = corona_expectation(forest, j, system, top, h)
-    deltas = []
-    for q in spec.all_cubes(top, max_level=spec.depth - 1 if spec.depth else 0):
-        if q.level >= spec.depth:
-            continue
-        deltas.append((q, corona_delta(forest, j, system, q, h)))
-    return e_top, deltas
+    levels = corona_levels(forest, j, system, h)
+    cubes = forest.spec.all_cubes(top, max_level=forest.spec.depth - 1)
+    return (_restrict(forest, top, levels.expectations.get),
+            [(q, _restrict(forest, q, levels.deltas.get)) for q in cubes])
 
 
 def corona_transform(
@@ -323,12 +387,13 @@ def corona_transform(
 ) -> GridFunction:
     """sum over cubes below the forest root of eps_Q * Delta_Q f."""
     spec = forest.spec
-    out = np.zeros(spec.n_cells)
-    for q in spec.all_cubes(forest.q0):
-        e = eps.get(q)
-        if e != 0.0 and q.level < spec.depth:
-            out += e * corona_delta(forest, j, system, q, f).values
-    return GridFunction(spec, out)
+    deltas = corona_levels(forest, j, system, f).deltas
+    coeffs = {lev: np.zeros(spec.n_cubes(lev)) for lev in deltas}
+    for q, e in eps.eps.items():
+        if q.level in coeffs and forest.q0.contains(q):
+            coeffs[q.level][spec.cube_flat(q)] = e
+    return GridFunction(spec, sum((spread(spec, lev, c) * deltas[lev] for lev, c in coeffs.items()),
+                                  np.zeros(spec.n_cells)))
 
 
 def box(
@@ -337,22 +402,9 @@ def box(
     """|half-twisted difference of h at the cube, within its corona block| plus
     the indicator of the cube when one of its children is a stopping cube (the
     indicator stands in for the skipped terminal children)."""
-    spec = forest.spec
-    out = np.zeros(spec.n_cells)
-    has_stop = forest.has_stopping_child(j, cube)
-    if cube.level < spec.depth:
-        s = forest.pi(j, cube)
-        b = system.get_b(s)
-        members = forest.members(j)
-        base = h.average(cube) / b.average(cube)
-        for child in cube.children():
-            if child in members:
-                continue
-            out[spec.cell_indices(child)] = h.average(child) / b.average(child) - base
-    np.abs(out, out)
-    if has_stop:
-        out[spec.cell_indices(cube)] += 1.0
-    return GridFunction(spec, out)
+    if cube.level >= forest.spec.depth:
+        return GridFunction.constant(forest.spec, 0.0)
+    return _restrict(forest, cube, corona_levels(forest, j, system, h).box)
 
 
 def half_twisted_block(
@@ -366,19 +418,10 @@ def half_twisted_block(
     with S (resp. S') the corona parents of the cube and its children.  It is
     constant on each child, which is what lets kernel pairings against
     mean-zero functions deeper inside pull it out as a number."""
-    spec = forest.spec
-    out = np.zeros(spec.n_cells)
-    if cube.level >= spec.depth:
-        return GridFunction(spec, out)
-    s = forest.pi(j, cube)
-    b = system.get_b(s)
-    members = forest.members(j)
-    out[spec.cell_indices(cube)] = -h.average(cube) / b.average(cube)
-    for child in cube.children():
-        if child in members:
-            continue
-        out[spec.cell_indices(child)] += h.average(child) / b.average(child)
-    return GridFunction(spec, out)
+    if cube.level >= forest.spec.depth:
+        return GridFunction.constant(forest.spec, 0.0)
+    half = corona_levels(forest, j, system, h).half_twisted
+    return _restrict(forest, cube, lambda lev: spread(forest.spec, lev + 1, half[lev]))
 
 
 # -- exact identities ------------------------------------------------------------

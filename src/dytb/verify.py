@@ -14,6 +14,7 @@ and reports the ratio operator_norm / (1 + Tloc) together with every residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,32 +23,30 @@ from .corona import (
     CoronaForest,
     DeltaSearch,
     TbConfig,
+    _subtree_mask,
     carleson_constant,
     choose_delta,
     conjugate,
     packing_ratio,
 )
-from .grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks
+from .grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
 from .kernels import (
     PerfectKernel,
     _sweep_from,
     adjoint,
-    apply,
     apply_values,
     bilinear,
     dense_matrix,
     generate_kernel,
 )
 from .twisted import (
+    CoronaLevels,
     SignChoice,
     TwistedContext,
     block_context,
-    corona_delta,
-    corona_expectation,
+    corona_levels,
     decomposition_identity_check,
     delta_decomp_check,
-    expand,
-    half_twisted_block,
     make_context,
     measure_comparison_check,
     transform,
@@ -171,60 +170,43 @@ def testing_constant(
 # -- expansion of the pairing ------------------------------------------------------
 
 
-def _corona_deltas(forest, j, system, h) -> dict[DyadicCube, np.ndarray]:
-    """Cell values of every corona difference of h below the forest root."""
-    spec = forest.spec
-    out = {}
-    for q in spec.all_cubes(forest.q0):
-        if q.level < spec.depth:
-            out[q] = corona_delta(forest, j, system, q, h).values
-    return out
+def _both_levels(forest, sys1, sys2, f, g, levels=None):
+    """The per-level corona calculus of f against S_1 and of g against S_2."""
+    return levels or (corona_levels(forest, 1, sys1, f), corona_levels(forest, 2, sys2, g))
 
 
-def _level_aggregates(spec, deltas: dict) -> dict[int, np.ndarray]:
-    agg: dict[int, np.ndarray] = {}
-    for q, vals in deltas.items():
-        if q.level in agg:
-            agg[q.level] = agg[q.level] + vals
-        else:
-            agg[q.level] = vals.copy()
-    return agg
-
-
-def easy_terms_check(kernel, forest, sys1, sys2, f, g, tloc) -> dict:
+def easy_terms_check(kernel, forest, sys1, sys2, f, g, tloc, _levels=None) -> dict:
     """The two rank-one pieces of the expansion with their testing bounds:
     |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|."""
-    q0 = forest.q0
-    e1f = corona_expectation(forest, 1, sys1, q0, f)
-    e2g = corona_expectation(forest, 2, sys2, q0, g)
-    sum_df = GridFunction(forest.spec, sum(_corona_deltas(forest, 1, sys1, f).values()))
+    spec, q0 = forest.spec, forest.q0
+    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
+    e1f = GridFunction(spec, lf.expectations[q0.level])
+    e2g = GridFunction(spec, lg.expectations[q0.level])
     return {
         "easy1": abs(bilinear(kernel, e1f, g)),
         "easy1_bound": tloc * q0.volume,
-        "easy2": abs(bilinear(kernel, sum_df, e2g)),
+        "easy2": abs(bilinear(kernel, GridFunction(spec, lf.delta_sum), e2g)),
         "easy2_bound": forest.config.A * tloc * q0.volume,
     }
 
 
-def bilinear_expansion_check(kernel, forest, sys1, sys2, f, g) -> tuple[float, dict]:
+def bilinear_expansion_check(
+    kernel, forest, sys1, sys2, f, g, _levels=None
+) -> tuple[float, dict]:
     """Residual of <Tf, g> = <T E f, g> + <T (sum D f), E g> + sum_{P,Q} <T D_P f, D_Q g>
     with every piece computed independently; relative to 1 + |<Tf, g>|."""
-    spec = forest.spec
-    q0 = forest.q0
+    spec, top = forest.spec, forest.q0.level
+    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
     total = bilinear(kernel, f, g)
-    e1f = corona_expectation(forest, 1, sys1, q0, f)
-    e2g = corona_expectation(forest, 2, sys2, q0, g)
-    df = _corona_deltas(forest, 1, sys1, f)
-    dg = _corona_deltas(forest, 2, sys2, g)
-    term1 = bilinear(kernel, e1f, g)
-    term2 = bilinear(kernel, GridFunction(spec, sum(df.values())), e2g)
-    fa = _level_aggregates(spec, df)
-    gb = _level_aggregates(spec, dg)
+    term1 = bilinear(kernel, GridFunction(spec, lf.expectations[top]), g)
+    term2 = bilinear(kernel, GridFunction(spec, lf.delta_sum),
+                     GridFunction(spec, lg.expectations[top]))
+    gb = [GridFunction(spec, gv) for gv in lg.deltas.values()]
     term3 = 0.0
-    for a, fv in fa.items():
+    for fv in lf.deltas.values():
         ff = GridFunction(spec, fv)
-        for b, gv in gb.items():
-            term3 += bilinear(kernel, ff, GridFunction(spec, gv))
+        for gg in gb:
+            term3 += bilinear(kernel, ff, gg)
     residual = abs(total - term1 - term2 - term3) / (1.0 + abs(total))
     return residual, {"total": total, "term1": term1, "term2": term2, "term3": term3}
 
@@ -238,7 +220,7 @@ class FormSplit:
     residual: float
 
 
-def form_split(kernel, forest, sys1, sys2, f, g) -> FormSplit:
+def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
     """Split sum_{P,Q} <T D_P f, D_Q g> by the side lengths of P and Q.
 
     Cubes P strictly bigger than Q form the nested "above" part (non-nested
@@ -248,27 +230,20 @@ def form_split(kernel, forest, sys1, sys2, f, g) -> FormSplit:
     an independently computed total.
     """
     spec = forest.spec
-    df = _corona_deltas(forest, 1, sys1, f)
-    dg = _corona_deltas(forest, 2, sys2, g)
-    fa = _level_aggregates(spec, df)
-    gb = _level_aggregates(spec, dg)
+    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
     adj = adjoint(kernel)
+    gb = {b: GridFunction(spec, gv) for b, gv in lg.deltas.items()}
     above = equal = below = 0.0
-    for a, fv in fa.items():
+    for a, fv in lf.deltas.items():
         ff = GridFunction(spec, fv)
-        for b, gv in gb.items():
-            gg = GridFunction(spec, gv)
+        for b, gg in gb.items():
             if a < b:
                 above += bilinear(kernel, ff, gg)
             elif a == b:
                 equal += bilinear(kernel, ff, gg)
             else:
                 below += bilinear(adj, gg, ff)
-    total = bilinear(
-        kernel,
-        GridFunction(spec, sum(df.values())),
-        GridFunction(spec, sum(dg.values())),
-    )
+    total = bilinear(kernel, GridFunction(spec, lf.delta_sum), GridFunction(spec, lg.delta_sum))
     residual = abs(above + equal + below - total) / (1.0 + abs(total))
     return FormSplit(above, equal, below, total, residual)
 
@@ -285,7 +260,7 @@ class PerSResult:
 
 
 def b_above_per_s_check(
-    kernel, forest, sys1, sys2, f, g, member, tloc, _dg=None
+    kernel, forest, sys1, sys2, f, g, member, tloc, _levels=None
 ) -> PerSResult:
     """One corona block's share of the nested form:
 
@@ -298,54 +273,55 @@ def b_above_per_s_check(
     mismatch reported.
     """
     spec = forest.spec
-    cv = spec.cell_volume
-    dg = _dg if _dg is not None else _corona_deltas(forest, 2, sys2, g)
-    bs = sys1.get_b(member)
-    tbs = apply_values(kernel, bs.values)
+    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
+    g_blocks = {b: cube_blocks(spec, b, lg.deltas[b]) for b in range(member.level, spec.depth)}
+
+    def pairings(u):
+        """<u, D_Q g> for every cube Q of each level, one row-wise dot per level."""
+        return {b: np.sum(cube_blocks(spec, b, u) * gv, axis=1) * spec.cell_volume
+                for b, gv in g_blocks.items()}
+
+    bs = sys1.get_b(member).values
+    tbs = pairings(apply_values(kernel, bs))
     # first piece: telescoped pairing against the block function itself
     value = 0.0
     if member != forest.q0:
-        acc = 0.0
-        for q, gv in dg.items():
-            if member.contains(q):
-                acc += float(tbs @ gv) * cv
+        acc = sum(float(v[_subtree_mask(spec.dim, member, b)].sum()) for b, v in tbs.items())
         value += f.average(member) * acc
     # second piece: per-cube differences inside the block
     pull_res = 0.0
     for p in forest.block_cubes(1, member):
         if p.level >= spec.depth:
             continue
-        wp = half_twisted_block(forest, 1, sys1, p, f)
-        u = apply_values(kernel, bs.values * wp.values)
-        for q, gv in dg.items():
-            if not (p.contains(q) and q != p):
-                continue
-            direct = float(u @ gv) * cv
-            pq = child_containing(p, q)
-            const = float(wp.values[spec.cell_indices(pq)[0]])
-            pulled = const * float(tbs @ gv) * cv
-            pull_res = max(pull_res, abs(direct - pulled) / (1.0 + abs(direct)))
-            value += direct
+        half = lf.half_twisted[p.level]
+        w = spread(spec, p.level + 1, half) * spread(spec, p.level, _subtree_mask(spec.dim, p, p.level))
+        u = pairings(apply_values(kernel, bs * w))
+        for b in range(p.level + 1, spec.depth):
+            inside = _subtree_mask(spec.dim, p, b)
+            direct = u[b][inside]
+            pulled = spread(spec, p.level + 1, half, b)[inside] * tbs[b][inside]
+            mismatch = np.abs(direct - pulled) / (1.0 + np.abs(direct))
+            pull_res = max(pull_res, float(mismatch.max()))
+            value += float(direct.sum())
     return PerSResult(member, value, tloc * member.volume, pull_res)
 
 
-def b_above_aggregation(kernel, forest, sys1, sys2, f, g, tloc):
+def b_above_aggregation(kernel, forest, sys1, sys2, f, g, tloc, _levels=None):
     """Sum the per-block contributions over all of S_1 and compare with the
     directly computed nested form sum_{P strictly above Q} <T D_P f, D_Q g>.
 
-    Returns (per-block results, reference value, relative residual)."""
-    spec = forest.spec
-    cv = spec.cell_volume
-    df = _corona_deltas(forest, 1, sys1, f)
-    dg = _corona_deltas(forest, 2, sys2, g)
+    Pairs of cubes on different levels that are not nested contribute zero
+    (perfect cancellation), so the reference is sum_{a < b} <T D_a f, D_b g>
+    over the level differences.  Returns (per-block results, reference value,
+    relative residual)."""
+    levels = lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
     reference = 0.0
-    for p, fv in df.items():
+    for a, fv in lf.deltas.items():
         u = apply_values(kernel, fv)
-        for q, gv in dg.items():
-            if p.contains(q) and q != p:
-                reference += float(u @ gv) * cv
+        reference += sum(float(u @ gv) * forest.spec.cell_volume
+                         for b, gv in lg.deltas.items() if a < b)
     results = [
-        b_above_per_s_check(kernel, forest, sys1, sys2, f, g, s, tloc, _dg=dg)
+        b_above_per_s_check(kernel, forest, sys1, sys2, f, g, s, tloc, _levels=levels)
         for s in sorted(forest.members(1))
     ]
     total = sum(r.value for r in results)
@@ -359,18 +335,30 @@ def epsilon_coefficient(forest, sys1, f, member, cube) -> float:
     block difference's constant value on the child of P towards the cube."""
     if not member.contains(cube) or member == cube:
         raise ValueError(f"{cube} is not strictly inside {member}")
-    spec = forest.spec
+    spec, owners = forest.spec, forest.owner_levels(1)
+    half = corona_levels(forest, 1, sys1, f).half_twisted
     total = 0.0
-    p = cube.parent()
-    while True:
-        if forest.pi(1, p) == member:
-            wp = half_twisted_block(forest, 1, sys1, p, f)
-            pq = child_containing(p, cube)
-            total += float(wp.values[spec.cell_indices(pq)[0]])
-        if p == forest.q0 or p == member:
-            break
-        p = p.parent()
+    for level in range(cube.level - 1, member.level - 1, -1):
+        if owners[level][spec.cube_flat(cube.ancestor(level))] == member.level:
+            total += float(half[level][spec.cube_flat(cube.ancestor(level + 1))])
     return total
+
+
+def _epsilon_max(levels) -> float:
+    """max |epsilon_coefficient| over every member S of S_1 and cube Q strictly
+    inside S, in one top-down pass over the telescoped form: the sum collapses
+    to r(Q) - r(pi(Q)) for Q in S's block, and to -r(S) for Q below a stopping
+    child T of S, where S = pi(parent of T)."""
+    spec, top = levels.forest.spec, levels.forest.q0.level
+    owners = levels.forest.owner_levels(1)
+    own = levels.ratio[top]  # r(pi(Q)) per cube of the current level
+    best = 0.0
+    for level in range(top + 1, spec.depth + 1):
+        inherited = spread(spec, level - 1, own, level)
+        r, stopped = levels.ratio[level], owners[level] == level
+        best = max(best, float(np.max(np.where(stopped, np.abs(inherited), np.abs(r - inherited)))))
+        own = np.where(stopped, r, inherited)
+    return best
 
 
 def diagonal_lemma_check(kernel, forest, sys1, sys2, cube, tloc) -> float:
@@ -392,16 +380,11 @@ def diagonal_lemma_check(kernel, forest, sys1, sys2, cube, tloc) -> float:
 
 def box_square_function_check(forest, j, system, f, q) -> float:
     """|| (sum over cubes of box-difference^2)^(1/2) ||_q / |Q0|^(1/q)."""
-    from .twisted import box
-
-    spec = forest.spec
-    sq = np.zeros(spec.n_cells)
-    for cube in spec.all_cubes(forest.q0):
-        if cube.level < spec.depth:
-            v = box(forest, j, system, cube, f).values
-            sq += v * v
-    s = GridFunction(spec, np.sqrt(sq))
-    return s.lp_norm(q) / forest.q0.volume ** (1.0 / q)
+    levels = corona_levels(forest, j, system, f)
+    sq = np.zeros(forest.spec.n_cells)
+    for level in levels.deltas:
+        sq += levels.box(level) ** 2
+    return GridFunction(forest.spec, np.sqrt(sq)).lp_norm(q) / forest.q0.volume ** (1.0 / q)
 
 
 # -- adversarial transform search ---------------------------------------------------
@@ -500,6 +483,11 @@ class Instance:
             raise RuntimeError("delta search failed; no forest on this instance")
         return self.dsearch.forest
 
+    @cached_property
+    def levels(self) -> tuple[CoronaLevels, CoronaLevels]:
+        """The per-level corona calculus of f against S_1 and of g against S_2."""
+        return _both_levels(self.forest, self.sys1, self.sys2, self.f, self.g)
+
 
 def build_instance(
     dim: int,
@@ -575,13 +563,13 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     forest = inst.forest
     spec, kernel, sys1, sys2, f, g = inst.spec, inst.kernel, inst.sys1, inst.sys2, inst.f, inst.g
     q0 = forest.q0
+    levels = lf, lg = inst.levels
     out: dict[str, float] = {}
 
     # martingale expansion reconstructs h on the nose
     rec = 0.0
-    for j, system, h in ((1, sys1, f), (2, sys2, g)):
-        e_top, deltas = expand(forest, j, system, q0, h)
-        total = e_top.values + sum(d.values for _, d in deltas)
+    for lv, h in ((lf, f), (lg, g)):
+        total = lv.expectations[q0.level] + lv.delta_sum
         rec = max(rec, float(np.max(np.abs(total - h.values))) / (1.0 + float(np.max(np.abs(h.values)))))
     out["representation"] = rec
 
@@ -599,9 +587,11 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     out["delta_decomp"] = delta_decomp_check(ctx, eps, f) / scale
     out["measure_comparison_excess"] = measure_comparison_check(ctx, eps, f)
 
-    out["bilinear_expansion"], _ = bilinear_expansion_check(kernel, forest, sys1, sys2, f, g)
-    out["form_split"] = form_split(kernel, forest, sys1, sys2, f, g).residual
-    per_s, _, agg_res = b_above_aggregation(kernel, forest, sys1, sys2, f, g, inst.tloc)
+    out["bilinear_expansion"], _ = bilinear_expansion_check(
+        kernel, forest, sys1, sys2, f, g, _levels=levels)
+    out["form_split"] = form_split(kernel, forest, sys1, sys2, f, g, _levels=levels).residual
+    per_s, _, agg_res = b_above_aggregation(
+        kernel, forest, sys1, sys2, f, g, inst.tloc, _levels=levels)
     out["b_above_aggregation"] = agg_res
     out["pullout"] = max((r.pullout_residual for r in per_s), default=0.0)
 
@@ -609,22 +599,14 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     tele = 0.0
     gmax = 1.0 + float(np.max(np.abs(g.values)))
     for s in forest.members(1):
-        e_s, deltas = expand(forest, 2, sys2, s, g)
-        total = e_s.values + sum(d.values for _, d in deltas)
-        target = np.zeros(spec.n_cells)
         idx = spec.cell_indices(s)
-        target[idx] = g.values[idx]
-        tele = max(tele, float(np.max(np.abs(total - target))) / gmax)
+        total = lg.expectations[s.level][idx] + sum(
+            lg.deltas[lev][idx] for lev in range(s.level, spec.depth))
+        tele = max(tele, float(np.max(np.abs(total - g.values[idx]))) / gmax)
     out["g_telescoping"] = tele
 
     # telescoped coefficients against the 2/delta budget
-    eps_max = 0.0
-    for s in sorted(forest.members(1)):
-        for cube in spec.all_cubes(s):
-            if cube == s:
-                continue
-            eps_max = max(eps_max, abs(epsilon_coefficient(forest, sys1, f, s, cube)))
-    out["epsilon_max"] = eps_max
+    out["epsilon_max"] = _epsilon_max(lf)
     out["epsilon_bound"] = 2.0 / inst.cfg.delta
     return out
 
@@ -655,15 +637,6 @@ class ExperimentConfig:
     A: float | None = None
     tau_target: float = 0.9
     norm_method: str = "dense-svd"
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "depth": self.depth, "trials": self.trials,
-            "p1": self.p1, "p2": self.p2, "seed": self.seed,
-            "kernel_kind": self.kernel_kind, "kernel_scale": self.kernel_scale,
-            "accretive_kind": self.accretive_kind, "amp": self.amp, "A": self.A,
-            "tau_target": self.tau_target, "norm_method": self.norm_method,
-        }
 
 
 RESIDUAL_FIELDS = (
@@ -768,7 +741,8 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     residuals = run_identity_checks(inst)
     eps_max = residuals.pop("epsilon_max")
     eps_bound = residuals.pop("epsilon_bound")
-    easy = easy_terms_check(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc)
+    easy = easy_terms_check(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc,
+                            _levels=inst.levels)
     return VerifierReport(
         trial, seed, True, norm, inst.tloc, ratio, inst.cfg.delta,
         packing, carleson, residuals, eps_max, eps_bound, easy, inst.dsearch.trace,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dytb.accretive import AccretiveSystem, get_b, validate
+from dytb.accretive import AccretiveSystem, validate
 from dytb.grid import DyadicCube, GridFunction, GridSpec, lp_norm
 
 from conftest import rand_cube
@@ -11,7 +11,7 @@ def test_constant_kind_is_indicator():
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
     q = DyadicCube(1, (1,))
-    b = get_b(sys_, q)
+    b = sys_.get_b(q)
     assert np.array_equal(b.values, GridFunction.indicator(spec, q).values)
     ok, measured = validate(sys_, q)
     assert ok and measured == pytest.approx(1.0)

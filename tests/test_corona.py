@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,30 @@ def test_coarsening_is_legal(rng):
                              {m: sys_.get_b(m) for m in members})
         for q in fam.q_cubes(active_only=False):
             assert not any(m.contains(q) for m in members)
+
+
+def test_terminal_family_rejects_nested_members():
+    spec = GridSpec(2, 4)
+    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    outer = DyadicCube(1, (1, 0))
+    inner = DyadicCube(3, (4, 1))
+    members = (outer, DyadicCube(2, (0, 3)), inner)
+    message = f"terminal cubes {outer} and {inner} are nested"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TerminalFamily(spec, spec.root(), (), members, {m: sys_.get_b(m) for m in members})
+
+
+def test_terminal_family_rejects_uncovered_maximal_cube():
+    spec = GridSpec(1, 5)
+    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    members = (DyadicCube(2, (0,)), DyadicCube(3, (4,)))
+    covered, uncovered = DyadicCube(4, (1,)), DyadicCube(4, (10,))
+    with pytest.raises(ValueError, match=re.escape(f"maximal cube {uncovered} is not covered")):
+        TerminalFamily(spec, spec.root(), (covered, uncovered), members,
+                       {m: sys_.get_b(m) for m in members})
+    # the same family accepts maximal cubes equal to or inside its members
+    TerminalFamily(spec, spec.root(), (covered, members[1]), members,
+                   {m: sys_.get_b(m) for m in members})
 
 
 # -- corona construction -----------------------------------------------------------------

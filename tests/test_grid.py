@@ -7,7 +7,6 @@ from dytb.grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
-    average,
     child_containing,
     dyadic_maximal,
     lp_norm,
@@ -61,13 +60,13 @@ def test_average_constant_one():
     f = GridFunction.constant(spec, 1.0)
     for level in range(4):
         for k in range(2**level):
-            assert average(f, DyadicCube(level, (k,))) == 1.0
+            assert f.average(DyadicCube(level, (k,))) == 1.0
 
 
 def test_average_half_mass():
     spec = GridSpec(1, 3)
     f = GridFunction.indicator(spec, DyadicCube(1, (0,)))
-    assert average(f, spec.root()) == 0.5
+    assert f.average(spec.root()) == 0.5
 
 
 def test_average_matches_direct_sum(rng):
@@ -75,16 +74,16 @@ def test_average_matches_direct_sum(rng):
     f = rand_fun(spec, rng)
     q = DyadicCube(2, (0,))
     direct = float(np.sum(f.values[:2])) * 2.0**-3 / 2.0**-2
-    assert average(f, q) == pytest.approx(direct, rel=1e-15)
+    assert f.average(q) == pytest.approx(direct, rel=1e-15)
 
 
 def test_average_outside_grid_errors():
     spec = GridSpec(1, 2)
     f = GridFunction.constant(spec, 1.0)
     with pytest.raises(ValueError):
-        average(f, DyadicCube(5, (0,)))
+        f.average(DyadicCube(5, (0,)))
     with pytest.raises(ValueError):
-        average(f, DyadicCube(1, (0, 0)))  # wrong dimension
+        f.average(DyadicCube(1, (0, 0)))  # wrong dimension
 
 
 def test_average_random_cubes_both_dims(rng):
@@ -93,7 +92,7 @@ def test_average_random_cubes_both_dims(rng):
         f = rand_fun(spec, rng)
         for _ in range(50):
             q = rand_cube(spec, rng)
-            assert average(f, q) * q.volume == pytest.approx(brute_integral(f, q), abs=1e-15)
+            assert f.average(q) * q.volume == pytest.approx(brute_integral(f, q), abs=1e-15)
 
 
 # -- lp_norm ----------------------------------------------------------------------

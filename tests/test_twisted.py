@@ -100,6 +100,78 @@ def oracle_corona_delta(forest, j, system, cube, h):
     return out
 
 
+# The per-cube enumeration bodies of the corona calculus, kept as oracles for
+# the per-level implementation in dytb.twisted: pi by walking up to a member,
+# every b_S a full-grid get_b copy, every average a GridFunction tree sum, so
+# the level arrays must match them bit for bit.
+
+
+def walk_pi(forest, j, cube):
+    members = forest.members(j)
+    while cube not in members:
+        cube = cube.parent()
+    return cube
+
+
+def enumerated_corona_expectation(forest, j, system, cube, h):
+    spec = forest.spec
+    b = system.get_b(walk_pi(forest, j, cube))
+    coeff = h.average(cube) / b.average(cube)
+    out = np.zeros(spec.n_cells)
+    idx = spec.cell_indices(cube)
+    out[idx] = coeff * b.values[idx]
+    return out
+
+
+def enumerated_corona_delta(forest, j, system, cube, h):
+    spec = forest.spec
+    out = np.zeros(spec.n_cells)
+    if cube.level >= spec.depth:
+        return out
+    s = walk_pi(forest, j, cube)
+    b = system.get_b(s)
+    base = h.average(cube) / b.average(cube)
+    for child in cube.children():
+        idx = spec.cell_indices(child)
+        bc = system.get_b(walk_pi(forest, j, child))
+        coeff = h.average(child) / bc.average(child)
+        out[idx] = coeff * bc.values[idx] - base * b.values[idx]
+    return out
+
+
+def enumerated_box(forest, j, system, cube, h):
+    spec = forest.spec
+    out = np.zeros(spec.n_cells)
+    if cube.level >= spec.depth:
+        return out
+    members = forest.members(j)
+    b = system.get_b(walk_pi(forest, j, cube))
+    base = h.average(cube) / b.average(cube)
+    for child in cube.children():
+        if child in members:
+            continue
+        out[spec.cell_indices(child)] = h.average(child) / b.average(child) - base
+    np.abs(out, out)
+    if any(c in members for c in cube.children()):
+        out[spec.cell_indices(cube)] += 1.0
+    return out
+
+
+def enumerated_half_twisted_block(forest, j, system, cube, h):
+    spec = forest.spec
+    out = np.zeros(spec.n_cells)
+    if cube.level >= spec.depth:
+        return out
+    members = forest.members(j)
+    b = system.get_b(walk_pi(forest, j, cube))
+    out[spec.cell_indices(cube)] = -h.average(cube) / b.average(cube)
+    for child in cube.children():
+        if child in members:
+            continue
+        out[spec.cell_indices(child)] += h.average(child) / b.average(child)
+    return out
+
+
 # -- twisted differences -----------------------------------------------------------
 
 

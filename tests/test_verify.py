@@ -5,7 +5,7 @@ import pytest
 
 from dytb.accretive import AccretiveSystem
 from dytb.corona import TbConfig, build_corona
-from dytb.grid import DyadicCube, GridFunction, GridSpec
+from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import corona_delta, make_context, twisted_delta
 from dytb.verify import (
@@ -34,6 +34,7 @@ from dytb.verify import testing_constant as measure_tloc
 from conftest import rand_signs
 from test_accretive import GRIDS, KIND_SETUPS
 from test_kernels import lca_dense_matrix
+from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block, walk_pi
 
 
 def classical_setup(depth=4, dim=1):
@@ -274,6 +275,36 @@ def test_per_s_aggregation_random_instances():
             inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc)
         assert residual <= 1e-9
         assert max(r.pullout_residual for r in results) <= 1e-12
+
+
+def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
+    """sum over nested pairs P strictly above Q of <T Delta_P f, Delta_Q g>, one
+    enumerated difference per cube (O(cubes^2) pairings, for small depths)."""
+    spec = forest.spec
+    cubes = list(spec.all_cubes(forest.q0, max_level=spec.depth - 1))
+    dg = {q: enumerated_corona_delta(forest, 2, sys2, q, g) for q in cubes}
+    total = 0.0
+    for p in cubes:
+        u = apply_values(kernel, enumerated_corona_delta(forest, 1, sys1, p, f))
+        for q, gv in dg.items():
+            if p.contains(q) and q != p:
+                total += float(u @ gv) * spec.cell_volume
+    return total
+
+
+def epsilon_by_walk(forest, sys1, f, member, cube):
+    """The telescoped coefficient summed ancestor by ancestor."""
+    spec = forest.spec
+    total = 0.0
+    p = cube.parent()
+    while True:
+        if walk_pi(forest, 1, p) == member:
+            wp = enumerated_half_twisted_block(forest, 1, sys1, p, f)
+            total += float(wp[spec.cell_indices(child_containing(p, cube))[0]])
+        if p == forest.q0 or p == member:
+            break
+        p = p.parent()
+    return total
 
 
 # -- telescoped coefficients ------------------------------------------------------------------
