@@ -232,12 +232,8 @@ def write_report_csv(path, config: dict, reports: list[VerifierReport]) -> None:
 
 
 def write_report_json(path, config: dict, reports: list[VerifierReport]) -> None:
-    payload = {
-        "version": __version__,
-        "config": config,
-        "reports": [r.to_json_dict() for r in reports],
-        **summarize([r.to_json_dict() for r in reports]),
-    }
+    rows = [r.to_json_dict() for r in reports]
+    payload = {"version": __version__, "config": config, "reports": rows, **summarize(rows)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 

@@ -317,12 +317,6 @@ class CoronaForest:
             raise ValueError(f"{cube} is not inside {self.q0}")
         return cube.ancestor(int(self.owner_levels(j)[cube.level][self.spec.cube_flat(cube)]))
 
-    def stopping_parents(self, j: int, level: int) -> np.ndarray:
-        """Mask over the cubes of ``level`` (row-major, level >= q0's level):
-        those with a member of S_j among their children."""
-        stopped = self.owner_levels(j)[level + 1] == level + 1
-        return _coarsen_step(self.spec.dim, stopped).ravel() > 0
-
     def block_cubes(self, j: int, member: DyadicCube) -> list[DyadicCube]:
         """All cubes whose S_j-parent is ``member`` (its corona block)."""
         owners = self.owner_levels(j)

@@ -23,22 +23,28 @@ children, and the finite grid makes the telescoping representation
 
     h 1_S = E_S h + sum over Q in S of Delta_Q h
 
-an exact identity.  Cubes of one level are disjoint, so the corona calculus
-is computed per level (``corona_levels``): one ratio vector and one stitched
-b-array per level give every E_Q h and Delta_Q h of that level at once, and
-the per-cube functions below are slices of those level arrays.  Everything
-here is pure and side-effect free.
+an exact identity.  A twisted context is a corona block whose stopping
+children are its terminal cubes, so both share one level engine: cubes of a
+level are disjoint, and owner arrays with one stitched b-array per level
+(``CoronaLevels``) give every difference, transform and splitting operator
+of that level at once.  Everything here is pure and side-effect free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, TerminalFamily, _subtree_mask, make_terminal_family
+from .corona import (
+    CoronaForest,
+    TerminalFamily,
+    _coarsen_step,
+    _nearest_marked,
+    make_terminal_family,
+)
 from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 
 __all__ = [
@@ -117,48 +123,41 @@ class TwistedContext:
         spec = self.b.spec
         if self.family.spec != spec:
             raise ValueError("grid mismatch between b and the terminal family")
-        s0 = self.family.s0
-        out = np.delete(self.b.values, spec.cell_indices(s0))
-        if np.any(out != 0.0):
+        if np.any(np.delete(self.b.values, spec.cell_indices(self.s0)) != 0.0):
             raise ValueError("b is not supported on the base cube")
-        if abs(self.b.integral(s0) - s0.volume) > 1e-12 * s0.volume:
-            raise ValueError("b does not have integral |S0|")
-        if self.b.lp_norm(self.p, s0) > self.A * s0.volume ** (1 / self.p) * (1 + 1e-12):
-            raise ValueError("b exceeds the norm budget A |S0|^(1/p)")
-        for t, bt in self.family.b_for.items():
-            if bt.lp_norm(self.p, t) > self.A * t.volume ** (1 / self.p) * (1 + 1e-12):
-                raise ValueError(f"b_T on {t} exceeds the norm budget")
-        self._check_denominators()
+        _check_blocks(self._levels, self.p, self.delta, self.A)
 
-    def _check_denominators(self) -> None:
-        spec, s0 = self.spec, self.family.s0
-        integ = [arr * spec.cell_volume for arr in self.b.cube_sums]
-        pows = [arr * spec.cell_volume for arr in level_sums(spec, np.abs(self.b.values) ** self.p)]
-        cap = self.A**self.p / self.delta
-        for level in range(s0.level, spec.depth + 1):
-            vol = 2.0 ** (-spec.dim * level)
-            mask = _subtree_mask(spec.dim, s0, level) & ~self.family._covered[level]
-            bad = mask & (
-                (np.abs(integ[level]) <= self.delta * vol) | (pows[level] >= cap * vol)
-            )
-            if bad.any():
-                flat = int(np.nonzero(bad)[0][0])
-                raise ValueError(
-                    f"denominator safety fails at {spec.cube_from_flat(level, flat)}: "
-                    "the terminal family does not absorb all stopped cubes"
-                )
-
-    # per-level averages of b, used as denominators throughout
     @cached_property
-    def b_avg(self) -> list[np.ndarray]:
-        spec = self.spec
-        return [
-            s * spec.cell_volume / 2.0 ** (-spec.dim * lev)
-            for lev, s in enumerate(self.b.cube_sums)
-        ]
+    def _levels(self) -> CoronaLevels:
+        """The level engine without a function: the owner of a cube is s0 on
+        the derived family (B_l = b) and the cube itself on a terminal cube T
+        (B_l = b_T); cubes strictly inside terminal cubes have none, because
+        the calculus takes no averages there."""
+        s0, spec = self.s0, self.spec
+        marked = _nearest_marked(spec, s0.level, (s0, *self.family.members))
+        owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
+                  for lev, m in enumerate(marked)]
+        below = sum((bt.values for bt in self.family.b_for.values()), np.zeros(spec.n_cells))
+        stitched = _stitch(spec, owners, lambda lev: self.b.values if lev == s0.level else below)
+        return CoronaLevels(spec, owners, *stitched, None)
+
+    @property
+    def b_avg(self) -> dict[int, np.ndarray]:
+        """Per level from s0's, <b>_Q on the derived family and <b_T>_T on the
+        terminal cubes: the denominators of the calculus."""
+        return self._levels.b_avg
 
     def avg_b(self, cube: DyadicCube) -> float:
         return float(self.b_avg[cube.level][self.spec.cube_flat(cube)])
+
+    def levels(self, f: GridFunction) -> CoronaLevels:
+        """The level calculus of f in this context: D_l holds every twisted
+        difference of level l."""
+        return replace(self._levels, h=f)
+
+    def coefficients(self, eps: SignChoice) -> dict[int, np.ndarray]:
+        """eps per level of the derived family (finest level excluded)."""
+        return self._levels.coefficients(eps, lambda owners: owners == self.s0.level)
 
     def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
         return self.family.q_cubes(active_only=active_only)
@@ -194,63 +193,168 @@ def block_context(
     return TwistedContext(family, system.get_b(member), p, cfg.delta, cfg.A)
 
 
+# -- the level engine -------------------------------------------------------------
+
+
+def _average(spec: GridSpec, level: int, sums: np.ndarray) -> np.ndarray:
+    return sums * spec.cell_volume / 2.0 ** (-spec.dim * level)
+
+
+def _stitch(spec: GridSpec, owners, values_at) -> tuple[dict, dict]:
+    """Per level from the top of ``owners``: the cell array B_l carrying on
+    every cube the b of its owner, stitched top down (a cube marked at its
+    own level takes ``values_at(level)`` on its cells, any other cube keeps
+    its parent's), and the averages <B_l>_Q as exact tree sums."""
+    top = next(lev for lev, o in enumerate(owners) if o is not None)
+    stitched, avg = {}, {}
+    b = np.zeros(spec.n_cells)
+    for level in range(top, spec.depth + 1):
+        marked = owners[level] == level
+        if marked.any():
+            b = np.where(spread(spec, level, marked), values_at(level), b)
+        stitched[level] = b
+        avg[level] = _average(spec, level, level_sums(spec, b)[level])
+    return stitched, avg
+
+
+def _check_blocks(levels: CoronaLevels, p: float, delta: float, A: float) -> None:
+    """Raise ValueError at the first violation (coarse to fine, row-major) of
+    the invariants that make the averages of B_l safe denominators: every
+    marked cube S carries a b with integral |S| within the norm budget
+    A |S|^(1/p), and every owned cube Q has |<B_l>_Q| > delta and
+    <|B_l|^p>_Q < A^p / delta."""
+    spec = levels.spec
+    for level, cells in levels.b.items():
+        avg, owners = levels.b_avg[level], levels.owners[level]
+        pows = _average(spec, level, level_sums(spec, np.abs(cells) ** p)[level])
+        budget = (np.abs(avg - 1.0) > 1e-12) | (pows ** (1 / p) > A * (1 + 1e-12))
+        for bad, message in (
+            (budget & (owners == level), "b on {} misses its integral |S| or norm budget"),
+            ((owners >= 0) & ((np.abs(avg) <= delta) | (pows >= A**p / delta)),
+             "denominator safety fails at {}: the terminal family does not absorb all stopped cubes"),
+        ):
+            if bad.any():
+                raise ValueError(message.format(spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))))
+
+
+@dataclass(frozen=True, eq=False)
+class CoronaLevels:
+    """The level calculus of one function h, one array per level from the top
+    level down.  ``owners[l]`` holds, per level-l cube Q (row-major), the
+    level of the marked cube whose b Q uses (-1: none), ``b[l]`` the cell
+    array B_l carrying that b on each Q, ``b_avg[l]`` and ``h_avg[l]`` the
+    averages <B_l>_Q and <h>_Q, and ``ratio[l]`` r_l[Q] = <h>_Q / <B_l>_Q
+    (zero where Q has no owner).  Cubes of a level are disjoint, so E_l = r_l
+    spread over the cells times B_l holds every E_Q h of the level, and
+    D_l = E_{l+1} - E_l every Delta_Q h.
+    """
+
+    spec: GridSpec
+    owners: list
+    b: dict
+    b_avg: dict
+    h: GridFunction | None
+
+    @cached_property
+    def h_avg(self) -> dict[int, np.ndarray]:
+        return {lev: _average(self.spec, lev, self.h.cube_sums[lev]) for lev in self.b}
+
+    @cached_property
+    def ratio(self) -> dict[int, np.ndarray]:
+        return {lev: np.divide(hv, self.b_avg[lev], out=np.zeros_like(hv), where=self.owners[lev] >= 0)
+                for lev, hv in self.h_avg.items()}
+
+    @cached_property
+    def expectations(self) -> dict[int, np.ndarray]:
+        return {lev: spread(self.spec, lev, r) * self.b[lev] for lev, r in self.ratio.items()}
+
+    @cached_property
+    def deltas(self) -> dict[int, np.ndarray]:
+        e = self.expectations
+        return {lev: e[lev + 1] - e[lev] for lev in list(e)[:-1]}
+
+    @cached_property
+    def delta_sum(self) -> np.ndarray:
+        return sum(self.deltas.values(), np.zeros(self.spec.n_cells))
+
+    def _stopped(self, level: int) -> np.ndarray:
+        return self.owners[level] == level
+
+    @cached_property
+    def half_twisted(self) -> dict[int, np.ndarray]:
+        """``half_twisted_block`` of every level-l cube Q, one value per child
+        Q': r(Q') - r(Q), or -r(Q) when Q' is a stopping cube."""
+        return {
+            lev: np.where(self._stopped(lev + 1), 0.0, self.ratio[lev + 1])
+            - spread(self.spec, lev, self.ratio[lev], lev + 1)
+            for lev in self.deltas
+        }
+
+    def box(self, level: int) -> np.ndarray:
+        """The cell array of ``box`` over every cube of the level."""
+        spec, stopped = self.spec, self._stopped(level + 1)
+        diff = np.where(stopped, 0.0, np.abs(self.half_twisted[level]))
+        parents = _coarsen_step(spec.dim, stopped).ravel() > 0
+        return spread(spec, level + 1, diff + spread(spec, level, parents, level + 1))
+
+    def coefficients(self, eps: SignChoice, inside) -> dict[int, np.ndarray]:
+        """eps as one coefficient vector per level above the finest
+        (row-major), zero where ``inside(owners[l])`` is False."""
+        spec, coeffs = self.spec, {lev: np.zeros(self.spec.n_cubes(lev)) for lev in list(self.b)[:-1]}
+        for q, e in eps.eps.items():
+            if q.level in coeffs and q.dim == spec.dim:
+                coeffs[q.level][spec.cube_flat(q)] = e
+        return {lev: np.where(inside(self.owners[lev]), c, 0.0) for lev, c in coeffs.items()}
+
+    def transform(self, coeffs: dict[int, np.ndarray]) -> np.ndarray:
+        """sum over levels of the per-cube coefficients times D_l."""
+        return sum((spread(self.spec, lev, c) * self.deltas[lev] for lev, c in coeffs.items()),
+                   np.zeros(self.spec.n_cells))
+
+    def child_rule(self, coeffs: dict[int, np.ndarray], rule) -> np.ndarray:
+        """sum over levels of rule(e, <h>_Q', <B>_Q', <h>_Q, <B>_Q) on each
+        child Q' of every cube Q with coefficient e != 0, zero on stopping
+        children: one value per child, spread over its cells."""
+        spec, out = self.spec, np.zeros(self.spec.n_cells)
+        for lev, c in coeffs.items():
+            e = spread(spec, lev, c, lev + 1)
+            keep = (e != 0.0) & ~self._stopped(lev + 1)
+            fq, bq = (spread(spec, lev, a, lev + 1)[keep] for a in (self.h_avg[lev], self.b_avg[lev]))
+            kids = np.zeros(spec.n_cubes(lev + 1))
+            kids[keep] = rule(e[keep], self.h_avg[lev + 1][keep], self.b_avg[lev + 1][keep], fq, bq)
+            out += spread(spec, lev + 1, kids)
+        return out
+
+
 # -- twisted and half-twisted differences ---------------------------------------
 
 
 def twisted_delta(ctx: TwistedContext, cube: DyadicCube, f: GridFunction) -> GridFunction:
-    """The twisted martingale difference of f at ``cube``; supported on the
-    cube and mean-zero (exactly, by the matched rescalings)."""
+    """The twisted martingale difference of f at ``cube``, the transform with
+    eps = 1 there: supported on the cube and exactly mean-zero."""
     ctx.check_in_q(cube)
-    spec = ctx.spec
-    out = np.zeros(spec.n_cells)
-    if cube.level >= spec.depth:
-        return GridFunction(spec, out)
-    base = f.average(cube) / ctx.avg_b(cube)
-    for child in cube.children():
-        idx = spec.cell_indices(child)
-        if ctx.family.is_terminal(child):
-            bt = ctx.family.b_for[child]
-            ratio = f.average(child) / bt.average(child)
-            out[idx] = ratio * bt.values[idx] - base * ctx.b.values[idx]
-        else:
-            ratio = f.average(child) / ctx.avg_b(child)
-            out[idx] = ratio * ctx.b.values[idx] - base * ctx.b.values[idx]
-    return GridFunction(spec, out)
+    return transform(ctx, SignChoice({cube: 1.0}), f)
 
 
 def half_twisted_D(ctx: TwistedContext, cube: DyadicCube, f: GridFunction) -> GridFunction:
     """The half-twisted difference: terminal children skipped, no b factor."""
     ctx.check_in_q(cube)
-    spec = ctx.spec
-    out = np.zeros(spec.n_cells)
-    if cube.level >= spec.depth:
-        return GridFunction(spec, out)
-    base = f.average(cube) / ctx.avg_b(cube)
-    for child in cube.children():
-        if ctx.family.is_terminal(child):
-            continue
-        out[spec.cell_indices(child)] = f.average(child) / ctx.avg_b(child) - base
-    return GridFunction(spec, out)
+    return half_transform(ctx, SignChoice({cube: 1.0}), f)
 
 
 def transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """sum over the derived family of eps_Q * (twisted difference at Q)."""
-    out = np.zeros(ctx.spec.n_cells)
-    for q in ctx.q_cubes():
-        e = eps.get(q)
-        if e != 0.0:
-            out += e * twisted_delta(ctx, q, f).values
-    return GridFunction(ctx.spec, out)
+    return GridFunction(ctx.spec, ctx.levels(f).transform(ctx.coefficients(eps)))
+
+
+def _context_rule(ctx: TwistedContext, eps: SignChoice, f: GridFunction, rule) -> GridFunction:
+    return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), rule))
 
 
 def half_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
-    """sum of eps_Q * (half-twisted difference at Q) over the derived family."""
-    out = np.zeros(ctx.spec.n_cells)
-    for q in ctx.q_cubes():
-        e = eps.get(q)
-        if e != 0.0:
-            out += e * half_twisted_D(ctx, q, f).values
-    return GridFunction(ctx.spec, out)
+    """sum of eps_Q * (half-twisted difference at Q) over the derived family:
+    eps_Q (<f>_Q'/<b>_Q' - <f>_Q/<b>_Q) on each non-terminal child Q'."""
+    return _context_rule(ctx, eps, f, lambda e, fc, bc, fq, bq: e * (fc / bc - fq / bq))
 
 
 def classical_transform(eps: SignChoice, f: GridFunction, cubes) -> GridFunction:
@@ -270,76 +374,13 @@ def classical_transform(eps: SignChoice, f: GridFunction, cubes) -> GridFunction
 # -- corona-adapted expectations and differences ---------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CoronaLevels:
-    """The corona calculus of one function h against S_j, one array per level
-    from the root's level down: ``ratio[l]`` holds r_l[Q] = <h>_Q / <b_pi(Q)>_Q
-    per level-l cube Q (row-major), ``b[l]`` the cell array B_l carrying
-    b_pi(Q) on each Q, both zero outside the root.  Cubes of a level are
-    disjoint, so E_l = r_l spread over the cells times B_l holds every E_Q h
-    of the level, and D_l = E_{l+1} - E_l every Delta_Q h.
-    """
-
-    forest: CoronaForest
-    j: int
-    ratio: dict
-    b: dict
-
-    @cached_property
-    def expectations(self) -> dict[int, np.ndarray]:
-        spec = self.forest.spec
-        return {lev: spread(spec, lev, r) * self.b[lev] for lev, r in self.ratio.items()}
-
-    @cached_property
-    def deltas(self) -> dict[int, np.ndarray]:
-        e = self.expectations
-        return {lev: e[lev + 1] - e[lev] for lev in list(e)[:-1]}
-
-    @cached_property
-    def delta_sum(self) -> np.ndarray:
-        return sum(self.deltas.values(), np.zeros(self.forest.spec.n_cells))
-
-    def _stopped(self, level: int) -> np.ndarray:
-        return self.forest.owner_levels(self.j)[level] == level
-
-    @cached_property
-    def half_twisted(self) -> dict[int, np.ndarray]:
-        """``half_twisted_block`` of every level-l cube Q, one value per child
-        Q': r(Q') - r(Q), or -r(Q) when Q' is a stopping cube."""
-        return {
-            lev: np.where(self._stopped(lev + 1), 0.0, self.ratio[lev + 1])
-            - spread(self.forest.spec, lev, self.ratio[lev], lev + 1)
-            for lev in self.deltas
-        }
-
-    def box(self, level: int) -> np.ndarray:
-        """The cell array of ``box`` over every cube of the level."""
-        spec = self.forest.spec
-        diff = np.where(self._stopped(level + 1), 0.0, np.abs(self.half_twisted[level]))
-        stops = spread(spec, level, self.forest.stopping_parents(self.j, level), level + 1)
-        return spread(spec, level + 1, diff + stops)
-
-
 def corona_levels(
-    forest: CoronaForest, j: int, system: AccretiveSystem, h: GridFunction
+    forest: CoronaForest, j: int, system: AccretiveSystem, h: GridFunction | None
 ) -> CoronaLevels:
-    """The per-level corona calculus of h against S_j.  B_l is stitched top
-    down from the system's level arrays (a member of S_j brings its own b,
-    any other cube keeps its parent's); averages are exact tree sums."""
-    spec, owners = forest.spec, forest.owner_levels(j)
-    ratio, stitched = {}, {}
-    b = np.zeros(spec.n_cells)
-    for level in range(forest.q0.level, spec.depth + 1):
-        stopped = owners[level] == level
-        if stopped.any():
-            b = np.where(spread(spec, level, stopped), system.level_values(level), b)
-        vol = 2.0 ** (-spec.dim * level)
-        r = np.zeros(spec.n_cubes(level))
-        np.divide(h.cube_sums[level] * spec.cell_volume / vol,
-                  level_sums(spec, b)[level] * spec.cell_volume / vol,
-                  out=r, where=owners[level] >= 0)
-        ratio[level], stitched[level] = r, b
-    return CoronaLevels(forest, j, ratio, stitched)
+    """The per-level corona calculus of h against S_j: a cube's owner is its
+    corona parent pi_j(Q), whose b the system's level arrays supply."""
+    owners = forest.owner_levels(j)
+    return CoronaLevels(forest.spec, owners, *_stitch(forest.spec, owners, system.level_values), h)
 
 
 def _restrict(forest: CoronaForest, cube: DyadicCube, cells_of) -> GridFunction:
@@ -386,14 +427,8 @@ def corona_transform(
     forest: CoronaForest, j: int, system: AccretiveSystem, eps: SignChoice, f: GridFunction
 ) -> GridFunction:
     """sum over cubes below the forest root of eps_Q * Delta_Q f."""
-    spec = forest.spec
-    deltas = corona_levels(forest, j, system, f).deltas
-    coeffs = {lev: np.zeros(spec.n_cubes(lev)) for lev in deltas}
-    for q, e in eps.eps.items():
-        if q.level in coeffs and forest.q0.contains(q):
-            coeffs[q.level][spec.cube_flat(q)] = e
-    return GridFunction(spec, sum((spread(spec, lev, c) * deltas[lev] for lev, c in coeffs.items()),
-                                  np.zeros(spec.n_cells)))
+    levels = corona_levels(forest, j, system, f)
+    return GridFunction(forest.spec, levels.transform(levels.coefficients(eps, lambda o: o >= 0)))
 
 
 def box(
@@ -460,57 +495,27 @@ def delta_decomp_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) ->
 
     with Bf the half-twisted transform; exact because the twisted difference
     equals the half-twisted one times b away from terminal children."""
+    spec, levels = ctx.spec, ctx.levels(f)
     lhs = transform(ctx, eps, f).values
-    bf = half_transform(ctx, eps, f).values
-    rhs = bf * ctx.b.values
-    spec = ctx.spec
-    for t in ctx.family.members:
-        parent = t.parent()
-        e = eps.get(parent)
-        idx = spec.cell_indices(t)
-        bt = ctx.family.b_for[t]
-        rhs[idx] += e * f.average(t) * bt.values[idx]
-        rhs[idx] -= e * (f.average(parent) / ctx.avg_b(parent)) * ctx.b.values[idx]
+    rhs = half_transform(ctx, eps, f).values * ctx.b.values
+    for lev, c in ctx.coefficients(eps).items():
+        e = np.where(levels.owners[lev + 1] == lev + 1, spread(spec, lev, c, lev + 1), 0.0)
+        rhs += spread(spec, lev + 1, e * levels.h_avg[lev + 1]) * levels.b[lev + 1]
+        rhs -= spread(spec, lev + 1, e * spread(spec, lev, levels.ratio[lev], lev + 1)) * ctx.b.values
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def pi_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """The operator behind splitting term (ii): per cube and non-terminal child,
     eps_Q (<b>_Q' - <b>_Q) <f>_Q' 1_Q', summed over the derived family."""
-    spec = ctx.spec
-    out = np.zeros(spec.n_cells)
-    for q in ctx.q_cubes():
-        e = eps.get(q)
-        if e == 0.0:
-            continue
-        bq = ctx.avg_b(q)
-        for child in q.children():
-            if ctx.family.is_terminal(child):
-                continue
-            out[spec.cell_indices(child)] += (
-                e * (ctx.avg_b(child) - bq) * f.average(child)
-            )
-    return GridFunction(spec, out)
+    return _context_rule(ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) * fc)
 
 
 def amalgam_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """The operator behind splitting term (iii): squared b-increments,
     eps_Q (<b>_Q' - <b>_Q)^2 <f>_Q' / (<b>_Q' <b>_Q^2) 1_Q'."""
-    spec = ctx.spec
-    out = np.zeros(spec.n_cells)
-    for q in ctx.q_cubes():
-        e = eps.get(q)
-        if e == 0.0:
-            continue
-        bq = ctx.avg_b(q)
-        for child in q.children():
-            if ctx.family.is_terminal(child):
-                continue
-            bc = ctx.avg_b(child)
-            out[spec.cell_indices(child)] += (
-                e * (bc - bq) ** 2 * f.average(child) / (bc * bq**2)
-            )
-    return GridFunction(spec, out)
+    return _context_rule(
+        ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) ** 2 * fc / (bc * bq**2))
 
 
 def proof_operators(ctx: TwistedContext, eps: SignChoice, test_cube: DyadicCube):

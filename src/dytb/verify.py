@@ -43,14 +43,13 @@ from .twisted import (
     CoronaLevels,
     SignChoice,
     TwistedContext,
-    block_context,
+    _check_blocks,
     corona_levels,
     decomposition_identity_check,
     delta_decomp_check,
     make_context,
     measure_comparison_check,
     transform,
-    twisted_delta,
 )
 
 __all__ = [
@@ -349,8 +348,7 @@ def _epsilon_max(levels) -> float:
     inside S, in one top-down pass over the telescoped form: the sum collapses
     to r(Q) - r(pi(Q)) for Q in S's block, and to -r(S) for Q below a stopping
     child T of S, where S = pi(parent of T)."""
-    spec, top = levels.forest.spec, levels.forest.q0.level
-    owners = levels.forest.owner_levels(1)
+    spec, owners, top = levels.spec, levels.owners, min(levels.ratio)
     own = levels.ratio[top]  # r(pi(Q)) per cube of the current level
     best = 0.0
     for level in range(top + 1, spec.depth + 1):
@@ -417,6 +415,7 @@ def adversarial_transform_search(
     spec = ctx.spec
     rng = np.random.default_rng(seed)
     cubes = ctx.q_cubes()
+    indices = [spec.cell_indices(q) for q in cubes]
     s0_idx = spec.cell_indices(ctx.s0)
     cv = spec.cell_volume
     best = None
@@ -428,14 +427,10 @@ def adversarial_transform_search(
             vals[s0_idx] = rng.choice([-1.0, 1.0], s0_idx.size)
             f = GridFunction(spec, vals)
         fnorm = f.lp_norm(p)
-        supports = []
-        for q in cubes:
-            idx = spec.cell_indices(q)
-            supports.append((idx, twisted_delta(ctx, q, f).values[idx]))
+        levels = ctx.levels(f)
+        supports = [(idx, levels.deltas[q.level][idx]) for q, idx in zip(cubes, indices)]
         eps = rng.choice([-1.0, 1.0], len(cubes))
-        cur = np.zeros(spec.n_cells)
-        for e, (idx, dv) in zip(eps, supports):
-            cur[idx] += e * dv
+        cur = levels.transform(ctx.coefficients(SignChoice(dict(zip(cubes, eps)))))
         for _ in range(max_passes):
             improved = False
             for k, (idx, dv) in enumerate(supports):
@@ -546,14 +541,13 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 
 def check_forest_blocks(forest, sys1, sys2) -> int:
-    """Build the twisted context of every corona block (which validates the
-    denominator-safety invariants); returns the number of blocks checked."""
-    count = 0
-    for j, system in ((1, sys1), (2, sys2)):
-        for member in forest.members(j):
-            block_context(forest, j, system, member)
-            count += 1
-    return count
+    """The invariants ``block_context`` validates on every corona block, in
+    one pass per family over the stitched level arrays (each cube Q against
+    b_pi(Q)); raises ValueError on a violation, returns the number of blocks."""
+    cfg = forest.config
+    for j, system, p in ((1, sys1, cfg.p1), (2, sys2, cfg.p2)):
+        _check_blocks(corona_levels(forest, j, system, None), p, cfg.delta, cfg.A)
+    return len(forest.members(1)) + len(forest.members(2))
 
 
 def run_identity_checks(inst: Instance) -> dict[str, float]:

@@ -172,6 +172,87 @@ def enumerated_half_twisted_block(forest, j, system, cube, h):
     return out
 
 
+# The per-cube bodies of the twisted-context calculus, kept as oracles for the
+# level engine: one full-grid array per cube, every average a GridFunction
+# tree sum, the coefficients applied in the same order, so the level arrays
+# must match them bit for bit.
+
+
+def enumerated_twisted_delta(ctx, cube, f):
+    spec = ctx.spec
+    out = np.zeros(spec.n_cells)
+    if cube.level >= spec.depth:
+        return out
+    base = f.average(cube) / ctx.b.average(cube)
+    for child in cube.children():
+        idx = spec.cell_indices(child)
+        bc = ctx.family.b_for[child] if ctx.family.is_terminal(child) else ctx.b
+        out[idx] = f.average(child) / bc.average(child) * bc.values[idx] - base * ctx.b.values[idx]
+    return out
+
+
+def enumerated_half_twisted_D(ctx, cube, f):
+    spec = ctx.spec
+    out = np.zeros(spec.n_cells)
+    if cube.level >= spec.depth:
+        return out
+    base = f.average(cube) / ctx.b.average(cube)
+    for child in cube.children():
+        if not ctx.family.is_terminal(child):
+            out[spec.cell_indices(child)] = f.average(child) / ctx.b.average(child) - base
+    return out
+
+
+def enumerated_transform(ctx, eps, f, difference=enumerated_twisted_delta):
+    out = np.zeros(ctx.spec.n_cells)
+    for q in ctx.q_cubes():
+        e = eps.get(q)
+        if e != 0.0:
+            out += e * difference(ctx, q, f)
+    return out
+
+
+def enumerated_half_transform(ctx, eps, f):
+    return enumerated_transform(ctx, eps, f, enumerated_half_twisted_D)
+
+
+def enumerated_splitting(ctx, eps, f, rule):
+    """sum over the derived family and non-terminal children of
+    rule(e, <f>_Q', <b>_Q', <f>_Q, <b>_Q) 1_Q'."""
+    spec = ctx.spec
+    out = np.zeros(spec.n_cells)
+    for q in ctx.q_cubes():
+        e = eps.get(q)
+        if e == 0.0:
+            continue
+        for child in q.children():
+            if not ctx.family.is_terminal(child):
+                out[spec.cell_indices(child)] += rule(
+                    e, f.average(child), ctx.b.average(child), f.average(q), ctx.b.average(q))
+    return out
+
+
+def enumerated_delta_decomp(ctx, eps, f):
+    lhs = enumerated_transform(ctx, eps, f)
+    rhs = enumerated_half_transform(ctx, eps, f) * ctx.b.values
+    for t in ctx.family.members:
+        parent = t.parent()
+        e = eps.get(parent)
+        idx = ctx.spec.cell_indices(t)
+        rhs[idx] += e * f.average(t) * ctx.family.b_for[t].values[idx]
+        rhs[idx] -= e * (f.average(parent) / ctx.b.average(parent)) * ctx.b.values[idx]
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def enumerated_pi_transform(ctx, eps, f):
+    return enumerated_splitting(ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) * fc)
+
+
+def enumerated_amalgam_transform(ctx, eps, f):
+    return enumerated_splitting(
+        ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) ** 2 * fc / (bc * bq**2))
+
+
 # -- twisted differences -----------------------------------------------------------
 
 
