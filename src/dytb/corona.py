@@ -16,6 +16,10 @@ its stopping children are the maximal descendants Q with
 
 run once with (b^1, p1, q = p2', T) and once with (b^2, p2, q = p1', T*).
 
+Both are one top-down pass over per-level owner arrays (``_owner_pass``); the
+corona reads b_S and T b_S of each cube's owner S from two cell arrays stitched
+from the system's level arrays, with no full-grid function or apply per member.
+
 Comparisons are inclusive as written, so ties stop; the positivity guard in
 (3) only matters for the zero kernel, whose testing constant is 0 and which
 must not stop anywhere.  Stopping cubes may occur down to the finest level,
@@ -32,7 +36,7 @@ import numpy as np
 
 from .accretive import AccretiveSystem
 from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
-from .kernels import PerfectKernel, adjoint, apply
+from .kernels import PerfectKernel, _sweep_from, adjoint
 
 __all__ = [
     "ConfigError",
@@ -113,36 +117,31 @@ def _subtree_mask(dim: int, top: DyadicCube, level: int) -> np.ndarray:
     return ((k0 >> shift) == top.coords[0]) & ((k1 >> shift) == top.coords[1])
 
 
-def _maximal_triggered(spec, top: DyadicCube, start_level: int, trigger) -> list[DyadicCube]:
-    """Top-down scan of ``top``'s subtree from ``start_level`` down to the
-    finest level; returns the maximal cubes where ``trigger(level)`` is True.
-    Subtrees of triggered cubes are not scanned further (first trigger wins).
-    """
-    found: list[DyadicCube] = []
-    blocked = np.zeros(spec.n_cubes(start_level), dtype=bool) if start_level <= spec.depth else None
-    for level in range(start_level, spec.depth + 1):
-        hits = trigger(level) & _subtree_mask(spec.dim, top, level) & ~blocked
-        for flat in np.nonzero(hits)[0]:
-            found.append(spec.cube_from_flat(level, int(flat)))
-        if level < spec.depth:
-            blocked = spread(spec, level, blocked | hits, level + 1)
-    return found
+def _owner_pass(spec, top: int, mark) -> list[np.ndarray | None]:
+    """Per level from ``top`` down (None above), for every cube (row-major),
+    the level of its smallest marked ancestor-or-self, -1 if none.  A level
+    inherits its parent level's owners; the cubes selected by
+    ``mark(level, inherited)`` (a mask or flat indices) then own themselves."""
+    out: list = [None] * top + [np.full(spec.n_cubes(top), -1)]
+    for level in range(top, spec.depth + 1):
+        if level > top:
+            out.append(spread(spec, level - 1, out[-1], level))
+        out[level][mark(level, out[level])] = level
+    return out
 
 
 def _nearest_marked(spec, top: int, cubes) -> list[np.ndarray | None]:
-    """Per level from ``top`` down (None above), for every cube (row-major):
-    the level of its smallest ancestor-or-self among ``cubes``, -1 if none."""
+    """``_owner_pass`` with the fixed mark set ``cubes``."""
     flats: dict[int, list[int]] = {}
     for c in cubes:
         flats.setdefault(c.level, []).append(spec.cube_flat(c))
-    out: list = [None] * (spec.depth + 1)
-    cur = np.full(spec.n_cubes(top), -1)
-    for level in range(top, spec.depth + 1):
-        if level > top:
-            cur = spread(spec, level - 1, cur, level)
-        cur[flats.get(level, [])] = level
-        out[level] = cur
-    return out
+    return _owner_pass(spec, top, lambda level, _inherited: flats.get(level, []))
+
+
+def _cubes_where(spec, masks: dict) -> list[DyadicCube]:
+    """The cubes flagged by per-level masks ``{level: mask}``, level by level, row-major."""
+    return [spec.cube_from_flat(level, int(flat)) for level, mask in masks.items()
+            for flat in np.flatnonzero(mask)]
 
 
 # -- terminal cubes (single function) -------------------------------------------
@@ -164,11 +163,13 @@ def terminal_cubes(
     pows = [s * spec.cell_volume for s in level_sums(spec, np.abs(b.values) ** p)]
     norm_cap = A**p / delta
 
-    def trigger(level: int) -> np.ndarray:
+    def mark(level: int, inherited: np.ndarray) -> np.ndarray:
         vol = 2.0 ** (-spec.dim * level)
-        return (np.abs(integ[level]) <= delta * vol) | (pows[level] >= norm_cap * vol)
+        stopped = (np.abs(integ[level]) <= delta * vol) | (pows[level] >= norm_cap * vol)
+        return stopped & _subtree_mask(spec.dim, s0, level) & (inherited < 0)
 
-    return _maximal_triggered(spec, s0, s0.level, trigger)
+    owners = _owner_pass(spec, s0.level, mark)
+    return _cubes_where(spec, {lev: owners[lev] == lev for lev in range(s0.level, len(owners))})
 
 
 def coarsen_terminals(
@@ -230,28 +231,24 @@ class TerminalFamily:
                 raise ValueError(f"b_T for {t} does not have integral |T|")
 
     @cached_property
-    def _covered(self) -> list[np.ndarray | None]:
-        """Per level, mask of cubes contained in some terminal cube."""
-        marked = _nearest_marked(self.spec, self.s0.level, self.members)
-        return [None if m is None else m >= 0 for m in marked]
+    def _owners(self) -> list[np.ndarray | None]:
+        """Per level, the level of each cube's smallest ancestor-or-self among
+        s0 and the terminal cubes; cubes of Q own s0's level."""
+        return _nearest_marked(self.spec, self.s0.level, (self.s0, *self.members))
 
     def in_q(self, cube: DyadicCube) -> bool:
         """Whether ``cube`` belongs to the derived family Q (inside s0, not
         inside any terminal cube)."""
         if not self.s0.contains(cube):
             return False
-        return not bool(self._covered[cube.level][self.spec.cube_flat(cube)])
+        return bool(self._owners[cube.level][self.spec.cube_flat(cube)] == self.s0.level)
 
     def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
         """The derived family, coarse to fine; ``active_only`` drops finest-level
         cubes (whose martingale differences are empty sums)."""
         stop = self.spec.depth - 1 if active_only else self.spec.depth
-        out = []
-        for level in range(self.s0.level, stop + 1):
-            mask = _subtree_mask(self.spec.dim, self.s0, level) & ~self._covered[level]
-            for flat in np.nonzero(mask)[0]:
-                out.append(self.spec.cube_from_flat(level, int(flat)))
-        return out
+        return _cubes_where(self.spec, {lev: self._owners[lev] == self.s0.level
+                                        for lev in range(self.s0.level, stop + 1)})
 
     def is_terminal(self, cube: DyadicCube) -> bool:
         return cube in self.b_for
@@ -319,13 +316,9 @@ class CoronaForest:
 
     def block_cubes(self, j: int, member: DyadicCube) -> list[DyadicCube]:
         """All cubes whose S_j-parent is ``member`` (its corona block)."""
-        owners = self.owner_levels(j)
-        out = []
-        for level in range(member.level, self.spec.depth + 1):
-            mask = (owners[level] == member.level) & _subtree_mask(self.spec.dim, member, level)
-            for flat in np.nonzero(mask)[0]:
-                out.append(self.spec.cube_from_flat(level, int(flat)))
-        return out
+        spec, owners, top = self.spec, self.owner_levels(j), member.level
+        return _cubes_where(spec, {lev: (owners[lev] == top) & _subtree_mask(spec.dim, member, lev)
+                                   for lev in range(top, spec.depth + 1)})
 
 
 def _jdx(j: int) -> int:
@@ -343,6 +336,9 @@ def _build_family(
     q_exp: float,
     cfg: TbConfig,
 ):
+    """One stopping family below ``q0`` with its stopping children.  A member S
+    of level m stitches that level's b-array and its sweep from level m onto its
+    cells, which equal b_S and T b_S there bit for bit (``kernels._sweep_from``)."""
     if cfg.Tloc == 0.0 and len(op) > 0:
         raise ConfigError(
             "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
@@ -350,30 +346,32 @@ def _build_family(
         )
     norm_cap = cfg.A**p_exp / cfg.delta
     test_cap = cfg.Tloc**q_exp / cfg.delta
-    members = [q0]
-    children: dict[DyadicCube, list[DyadicCube]] = {q0: []}
-    stack = [q0]
-    while stack:
-        s = stack.pop()
-        b = system.get_b(s)
-        integ = [arr * spec.cell_volume for arr in b.cube_sums]
-        pows = [arr * spec.cell_volume for arr in level_sums(spec, np.abs(b.values) ** p_exp)]
-        tb = apply(op, b)
-        tpows = [arr * spec.cell_volume for arr in level_sums(spec, np.abs(tb.values) ** q_exp)]
+    b = tb = np.zeros(spec.n_cells)
 
-        def trigger(level: int) -> np.ndarray:
+    def mark(level: int, inherited: np.ndarray) -> np.ndarray:
+        nonlocal b, tb
+        if level == q0.level:
+            hits = _subtree_mask(spec.dim, q0, level)
+        else:
+            integ, pows, tpows = (level_sums(spec, arr)[level] * spec.cell_volume
+                                  for arr in (b, np.abs(b) ** p_exp, np.abs(tb) ** q_exp))
             vol = 2.0 ** (-spec.dim * level)
-            c1 = np.abs(integ[level]) <= cfg.delta * vol
-            c2 = pows[level] >= norm_cap * vol
-            c3 = (tpows[level] >= test_cap * vol) & (tpows[level] > 0.0)
-            return c1 | c2 | c3
+            stopped = ((np.abs(integ) <= cfg.delta * vol) | (pows >= norm_cap * vol)
+                       | ((tpows >= test_cap * vol) & (tpows > 0.0)))
+            hits = (inherited >= 0) & stopped
+        if hits.any():
+            inside = spread(spec, level, hits)
+            values = system.level_values(level)
+            b = np.where(inside, values, b)
+            tb = np.where(inside, _sweep_from(op, values, level), tb)
+        return hits
 
-        kids = _maximal_triggered(spec, s, s.level + 1, trigger)
-        children[s] = kids
-        for kid in kids:
-            members.append(kid)
-            children.setdefault(kid, [])
-            stack.append(kid)
+    owners = _owner_pass(spec, q0.level, mark)
+    members = _cubes_where(spec, {lev: owners[lev] == lev for lev in range(q0.level, len(owners))})
+    children: dict[DyadicCube, list[DyadicCube]] = {m: [] for m in members}
+    for kid in members[1:]:
+        parent = kid.parent()
+        children[kid.ancestor(int(owners[parent.level][spec.cube_flat(parent)]))].append(kid)
     return members, children
 
 
@@ -450,12 +448,8 @@ def carleson_constant(members, q0: DyadicCube) -> float:
     best = 0.0
     acc = np.zeros_like(own[deepest])
     for level in range(deepest, q0.level - 1, -1):
-        acc = acc + own[level]
-        vol = 2.0 ** (-dim * level)
-        spec_mask = _subtree_mask(dim, q0, level)
-        vals = acc[spec_mask]
-        if vals.size:
-            best = max(best, float(vals.max()) / vol)
+        acc = acc + own[level]  # zero outside q0, which holds every member
+        best = max(best, float(acc.max()) / 2.0 ** (-dim * level))
         if level > q0.level:
             acc = _coarsen_step(dim, acc).ravel()
     return best

@@ -242,21 +242,24 @@ def generate_kernel(
 def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
     """Dense cell-basis matrix M with (M @ cell_values) = cell values of Tf.
 
-    M[p, q] = K(cell_p, cell_q) * cell_volume; filled rectangle by rectangle
-    from the sparse entries.  Guarded by ``max_cells`` since it is quadratic.
+    M[p, q] = K(cell_p, cell_q) * cell_volume, one indexed add per level of its
+    disjoint child_i(R) x child_j(R) rectangles.  Guarded by ``max_cells`` (quadratic).
     """
     spec = kernel.spec
     n = spec.n_cells
     if n > max_cells:
         raise ValueError(f"dense matrix with {n} cells exceeds the cap {max_cells}")
     m = np.zeros((n, n))
-    for (level, flat, i, j), v in kernel.entries.items():
-        parent = spec.cube_from_flat(level, flat)
-        kids = parent.children()
-        rows = spec.cell_indices(kids[i])
-        cols = spec.cell_indices(kids[j])
-        m[np.ix_(rows, cols)] += v
-    return m * spec.cell_volume
+    for level, (flats, ii, jj, vals) in kernel._per_level.items():
+        k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis
+        index: list = []
+        for child in (ii, jj):
+            c = _child_flats(spec, level, flats, child)
+            for axis in [c] if spec.dim == 1 else [c >> (level + 1), c & (k - 1)]:
+                index += [axis, slice(None)]
+        m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += vals.reshape((-1,) + (1,) * 2 * spec.dim)
+    m *= spec.cell_volume
+    return m
 
 
 # -- serialization -------------------------------------------------------------

@@ -42,7 +42,6 @@ from .corona import (
     CoronaForest,
     TerminalFamily,
     _coarsen_step,
-    _nearest_marked,
     make_terminal_family,
 )
 from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
@@ -134,9 +133,8 @@ class TwistedContext:
         (B_l = b_T); cubes strictly inside terminal cubes have none, because
         the calculus takes no averages there."""
         s0, spec = self.s0, self.spec
-        marked = _nearest_marked(spec, s0.level, (s0, *self.family.members))
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
-                  for lev, m in enumerate(marked)]
+                  for lev, m in enumerate(self.family._owners)]
         below = sum((bt.values for bt in self.family.b_for.values()), np.zeros(spec.n_cells))
         stitched = _stitch(spec, owners, lambda lev: self.b.values if lev == s0.level else below)
         return CoronaLevels(spec, owners, *stitched, None)

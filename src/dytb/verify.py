@@ -127,14 +127,18 @@ def power_norm(
 
 
 def operator_norm(kernel: PerfectKernel, method: str = "dense-svd", **kwargs) -> float:
-    """The L^2 -> L^2 norm of the operator (cell-basis spectral norm)."""
+    """The L^2 -> L^2 norm (cell-basis spectral norm); an unconverged power iteration raises."""
     if method == "dense-svd":
         if kernel.spec.n_cells > DENSE_CAP:
             raise ValueError(f"dense-svd only allowed up to {DENSE_CAP} cells")
         m = dense_matrix(kernel, max_cells=DENSE_CAP)
         return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
     if method == "power":
-        return power_norm(kernel, **kwargs).value
+        res = power_norm(kernel, **kwargs)
+        if not res.converged:
+            raise RuntimeError(f"power iteration did not converge in {res.iterations} iterations "
+                               f"(achieved tolerance {res.achieved_tol:.3g})")
+        return res.value
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -8,6 +8,7 @@ from dytb.corona import (
     ConfigError,
     TbConfig,
     TerminalFamily,
+    _subtree_mask,
     build_corona,
     carleson_constant,
     choose_delta,
@@ -17,8 +18,8 @@ from dytb.corona import (
     set_packing_ratio,
     terminal_cubes,
 )
-from dytb.grid import DyadicCube, GridFunction, GridSpec
-from dytb.kernels import dense_matrix, generate_kernel
+from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
+from dytb.kernels import apply, dense_matrix, generate_kernel
 from dytb.verify import testing_constant as measure_tloc
 
 # -- oracles ------------------------------------------------------------------------
@@ -64,6 +65,79 @@ def oracle_family(spec, q0, system, op_dense, p_exp, q_exp, cfg):
         members.update(maximal)
         stack.extend(maximal)
     return members
+
+
+def maximal_triggered(spec, top, start_level, trigger):
+    """The scan the owner pass replaced: the maximal cubes of ``top``'s subtree,
+    from ``start_level`` down, where ``trigger(level)`` holds."""
+    found = []
+    blocked = np.zeros(spec.n_cubes(start_level), dtype=bool) if start_level <= spec.depth else None
+    for level in range(start_level, spec.depth + 1):
+        hits = trigger(level) & _subtree_mask(spec.dim, top, level) & ~blocked
+        for flat in np.nonzero(hits)[0]:
+            found.append(spec.cube_from_flat(level, int(flat)))
+        if level < spec.depth:
+            blocked = spread(spec, level, blocked | hits, level + 1)
+    return found
+
+
+def scanned_terminal_cubes(b, s0, delta, p, A):
+    """``terminal_cubes`` as one ``maximal_triggered`` scan of b's tree sums."""
+    spec = b.spec
+    integ = [s * spec.cell_volume for s in b.cube_sums]
+    pows = [s * spec.cell_volume for s in level_sums(spec, np.abs(b.values) ** p)]
+
+    def trigger(level):
+        vol = 2.0 ** (-spec.dim * level)
+        return (np.abs(integ[level]) <= delta * vol) | (pows[level] >= A**p / delta * vol)
+
+    return maximal_triggered(spec, s0, s0.level, trigger)
+
+
+def per_member_family(spec, q0, system, op, p_exp, q_exp, cfg):
+    """The per-member construction the owner pass replaced: for every member S
+    one full-grid b_S, one apply and three level sums, then a scan of S's
+    subtree.  Returns the members and their stopping children."""
+    norm_cap = cfg.A**p_exp / cfg.delta
+    test_cap = cfg.Tloc**q_exp / cfg.delta
+    children = {q0: []}
+    stack = [q0]
+    while stack:
+        s = stack.pop()
+        b = system.get_b(s)
+        integ = [arr * spec.cell_volume for arr in b.cube_sums]
+        pows = [arr * spec.cell_volume for arr in level_sums(spec, np.abs(b.values) ** p_exp)]
+        tb = apply(op, b)
+        tpows = [arr * spec.cell_volume for arr in level_sums(spec, np.abs(tb.values) ** q_exp)]
+
+        def trigger(level):
+            vol = 2.0 ** (-spec.dim * level)
+            c1 = np.abs(integ[level]) <= cfg.delta * vol
+            c2 = pows[level] >= norm_cap * vol
+            c3 = (tpows[level] >= test_cap * vol) & (tpows[level] > 0.0)
+            return c1 | c2 | c3
+
+        children[s] = maximal_triggered(spec, s, s.level + 1, trigger)
+        for kid in children[s]:
+            children.setdefault(kid, [])
+            stack.append(kid)
+    return set(children), children
+
+
+def walked_owner_levels(spec, top, members):
+    """Per level from ``top``'s (None above), the level of each cube's smallest
+    ancestor-or-self in ``members``, -1 if none, by walking up from every cube."""
+    out = [None] * (spec.depth + 1)
+    for level in range(top.level, spec.depth + 1):
+        owners = np.full(spec.n_cubes(level), -1)
+        for cube in spec.cubes_at(level):
+            cur = cube
+            while cur not in members and cur.level > top.level:
+                cur = cur.parent()
+            if cur in members:
+                owners[spec.cube_flat(cube)] = cur.level
+        out[level] = owners
+    return out
 
 
 def derive_children(members, top):
@@ -233,6 +307,28 @@ def test_corona_random_systems_match_oracle():
     dense = dense_matrix(kernel)
     assert set(forest.members(1)) == oracle_family(spec, spec.root(), s1, dense, 2.0, 2.0, cfg)
     assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, 2.0, cfg)
+
+
+@pytest.mark.parametrize("depth,kind,params,kernel_kind,cfg,tie", [
+    # <b>_Q = 1/2 = delta on Q(3; 1)
+    (4, "two-value", {"s": 0.5}, "zero", TbConfig(2.0, 2.0, 0.5, 1.9), DyadicCube(3, (1,))),
+    # <|b|^2>_Q = 4 = A^2 / delta on the right half
+    (3, "signed", {}, "zero", TbConfig(2.0, 2.0, 1.0625**2 / 4, 1.0625), DyadicCube(1, (1,))),
+    # <|T b|^2>_Q = 1 = Tloc^2 / delta on both halves
+    (4, "constant", {}, "haar-shift", TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.5), DyadicCube(1, (1,))),
+])
+def test_stopping_ties_stop(depth, kind, params, kernel_kind, cfg, tie):
+    spec = GridSpec(1, depth)
+    root = spec.root()
+    system = AccretiveSystem(spec, kind, 2.0, 1.9, params=params)
+    kernel = generate_kernel(kernel_kind, spec)
+    forest = build_corona(root, system, system, kernel, cfg)
+    members, _ = per_member_family(spec, root, system, kernel, 2.0, 2.0, cfg)
+    assert forest.members(1) == members and tie in forest.stopping_children(1, root)
+    if kernel_kind == "zero":  # terminal cubes stop on conditions (1) and (2) alone
+        b = system.get_b(root)
+        got = terminal_cubes(b, root, cfg.delta, 2.0, cfg.A)
+        assert tie in got and got == scanned_terminal_cubes(b, root, cfg.delta, 2.0, cfg.A)
 
 
 def test_corona_pi_and_children():

@@ -4,6 +4,8 @@ Hypothesis draws seeded instances and twisted contexts (derandomized, bounded
 example counts) on 1D grids up to depth 8 and 2D grids up to depth 4, and
 every level array is compared with the enumeration it replaced, for both
 stopping families and for contexts with canonical and coarsened terminals.
+The stopping constructions themselves (one owner pass) are compared with the
+per-member construction on 1D grids up to depth 10 and 2D grids up to depth 5.
 """
 
 import re
@@ -17,9 +19,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dytb import twisted
-from dytb.accretive import AccretiveSystem
-from dytb.corona import CoronaForest, TerminalFamily
+from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
+from dytb.corona import (
+    CoronaForest,
+    TbConfig,
+    TerminalFamily,
+    build_corona,
+    conjugate,
+    terminal_cubes,
+)
 from dytb.grid import GridFunction, GridSpec, spread
+from dytb.kernels import KERNEL_KINDS, adjoint, generate_kernel
 from dytb.twisted import (
     SignChoice,
     TwistedContext,
@@ -48,6 +58,10 @@ from dytb.verify import (
     check_forest_blocks,
     epsilon_coefficient,
 )
+from dytb.verify import testing_constant as measure_tloc
+
+from test_accretive import KIND_SETUPS
+from test_corona import per_member_family, scanned_terminal_cubes, walked_owner_levels
 
 from test_twisted import (
     enumerated_amalgam_transform,
@@ -71,6 +85,7 @@ SMALL_GRIDS = [(dim, depth) for dim, depth in GRIDS if depth <= 6]
 BOUNDED = settings(max_examples=30, derandomize=True, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 SEEDS = st.integers(0, 2**32 - 1)
+STOPPING_GRIDS = [(1, depth) for depth in range(1, 11)] + [(2, depth) for depth in range(1, 6)]
 
 
 def drawn_instance(grid, seed):
@@ -279,3 +294,38 @@ def test_block_check_matches_block_contexts():
                     assert check_forest_blocks(forest, inst.sys1, inst.sys2) == len(blocks)
     assert rejected["none"] == 0
     assert all(rejected[m] > 0 for m in ("raised delta", "lowered A", "A near 1"))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(ACCRETIVE_KINDS),
+       kernel_kind=st.sampled_from(KERNEL_KINDS), ps=st.sampled_from([(2.0, 2.0), (1.5, 3.0)]),
+       halvings=st.integers(0, 5), tloc_scale=st.sampled_from([1.0, 0.25]),
+       sub=st.booleans(), seed=SEEDS)
+def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, halvings,
+                                                    tloc_scale, sub, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel(kernel_kind, spec, seed=seed)
+    A, params = KIND_SETUPS[kind]
+    p1, p2 = ps
+    sys1 = AccretiveSystem(spec, kind, p1, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, kind, p2, A, seed=seed + 1, params=params)
+    # a lowered Tloc makes condition (3) stop cubes too
+    tloc = tloc_scale * max(measure_tloc(kernel, sys1, conjugate(p2)),
+                            measure_tloc(kernel, sys2, conjugate(p1), "adjoint"))
+    delta = 0.5 / 2**halvings
+    level = int(rng.integers(1, spec.depth + 1)) if sub else 0
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    cfg = TbConfig(p1, p2, delta, A, Tloc=tloc)
+    forest = build_corona(q0, sys1, sys2, kernel, cfg)
+    for j, system, op, p_exp, q_exp in ((1, sys1, kernel, p1, cfg.p2_conj),
+                                        (2, sys2, adjoint(kernel), p2, cfg.p1_conj)):
+        members, children = per_member_family(spec, q0, system, op, p_exp, q_exp, cfg)
+        assert forest.members(j) == members
+        for s in members:
+            assert forest.stopping_children(j, s) == tuple(sorted(children[s]))
+        for got, want in zip(forest.owner_levels(j), walked_owner_levels(spec, q0, members)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+    b = sys1.get_b(q0)
+    assert terminal_cubes(b, q0, delta, p1, A) == scanned_terminal_cubes(b, q0, delta, p1, A)

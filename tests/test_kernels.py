@@ -5,10 +5,12 @@ import pytest
 
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import (
+    KERNEL_KINDS,
     PerfectKernel,
     adjoint,
     apply,
     bilinear,
+    dense_matrix,
     generate_kernel,
     kernel_from_json_dict,
     load_kernel,
@@ -45,6 +47,18 @@ def lca_dense_matrix(kernel):
             i = kids.index(p.ancestor(level + 1))
             j = kids.index(q.ancestor(level + 1))
             m[pf, qf] = kernel.value(parent, i, j)
+    return m * spec.cell_volume
+
+
+def per_entry_dense_matrix(kernel):
+    """The entry-by-entry fill ``dense_matrix`` replaced: one ``np.ix_`` block
+    per sparse entry, then one scaled copy."""
+    spec = kernel.spec
+    n = spec.n_cells
+    m = np.zeros((n, n))
+    for (level, flat, i, j), v in kernel.entries.items():
+        kids = spec.cube_from_flat(level, flat).children()
+        m[np.ix_(spec.cell_indices(kids[i]), spec.cell_indices(kids[j]))] += v
     return m * spec.cell_volume
 
 
@@ -264,6 +278,17 @@ def test_lp_boundedness_with_measured_constant(rng):
                 f, g = rand_fun(spec, rng), rand_fun(spec, rng)
                 lhs = abs(bilinear(t, f, g))
                 assert lhs <= cp * f.lp_norm(p) * g.lp_norm(q) * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("dim,depths", [(1, range(11)), (2, range(6))])
+def test_dense_matrix_equals_per_entry_fill(dim, depths):
+    # scale 0 draws signed zeros, which the level fill must add, not assign
+    for depth in depths:
+        spec = GridSpec(dim, depth)
+        for kind in KERNEL_KINDS:
+            for scale in (1.0, 0.0):
+                t = generate_kernel(kind, spec, seed=depth, scale=scale)
+                assert dense_matrix(t).tobytes() == per_entry_dense_matrix(t).tobytes()
 
 
 # -- serialization -----------------------------------------------------------------------

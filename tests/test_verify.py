@@ -82,6 +82,13 @@ def test_power_reports_nonconvergence():
     assert res.iterations == 2 and res.achieved_tol > 1e-16
 
 
+def test_unconverged_power_norm_raises():
+    t = generate_kernel("random", GridSpec(1, 5), seed=1)
+    with pytest.raises(RuntimeError, match=r"did not converge in 2 iterations"):
+        operator_norm(t, "power", tol=1e-16, max_iter=2)
+    assert operator_norm(t, "power", tol=1e-10) == power_norm(t, tol=1e-10).value
+
+
 def test_dense_norm_guard():
     spec = GridSpec(1, 13)
     t = generate_kernel("zero", spec)
