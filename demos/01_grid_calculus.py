@@ -4,6 +4,9 @@ A grid function assigns one value per finest-level cell of [0,1)^n, so every
 integral, average and L^p norm over a dyadic cube is a finite (exact) sum.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from dytb import DyadicCube, GridFunction, GridSpec, dyadic_maximal, lp_norm
@@ -34,6 +37,8 @@ print("\n2D indicator integral (expect 1/4):", g.integral())
 print("average over its own cube (expect 1):", g.average(DyadicCube(1, (0, 1))))
 
 # functions serialize to CSV (one value per line, '# dim,depth' header) and JSON
-f.save_csv("/tmp/dytb_demo_function.csv")
-back = GridFunction.load_csv("/tmp/dytb_demo_function.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "function.csv"
+    f.save_csv(path)
+    back = GridFunction.load_csv(path)
 print("\nCSV round trip exact:", bool(np.array_equal(back.values, f.values)))

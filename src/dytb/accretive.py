@@ -7,6 +7,14 @@ one level tile the grid, so a system stores all b_Q of a level in one
 finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
 depth) memory.  Only the b_Q that callers ask for are copied out as full-grid
 functions and memoised.  A system is not safe to share between threads.
+
+A level is built in one batch (``_level_blocks``).  The random and two-value
+kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
+generator per cube.  For the random kind the batch reproduces those
+generators bit for bit without building them: the seeding of every cube of
+every level is one vectorised hash, and the draws of a level are PCG
+jump-aheads from shared power tables.  The two-value kind still builds one
+generator per cube, since its permutation draws a variable number of values.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ class AccretiveSystem:
     params: dict = field(default_factory=dict)
     _levels: dict = field(default_factory=dict, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _seeds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ACCRETIVE_KINDS:
@@ -104,9 +113,7 @@ class AccretiveSystem:
         if vals is None:
             if not 0 <= level <= self.spec.depth:
                 raise ValueError(f"level {level} outside [0, {self.spec.depth}]")
-            n = self.spec.n_cells // self.spec.n_cubes(level)
-            blocks = np.array([self._cube_values(level, flat, n)
-                               for flat in range(self.spec.n_cubes(level))])
+            blocks = self._level_blocks(level, self.spec.n_cells // self.spec.n_cubes(level))
             vals = from_cube_blocks(self.spec, level, blocks)
             self._check_level(level, vals, blocks)
             vals.setflags(write=False)
@@ -115,29 +122,31 @@ class AccretiveSystem:
 
     # -- generation ---------------------------------------------------------
 
-    def _rng(self, level: int, flat: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(level, flat)))
-
-    def _cube_values(self, level: int, flat: int, n: int) -> np.ndarray:
-        """b_Q on the ``n`` cells of cube (level, flat), in ``cell_indices`` order."""
+    def _level_blocks(self, level: int, n: int) -> np.ndarray:
+        """b_Q of every cube of ``level``: row ``flat`` holds the ``n`` cells of
+        cube (level, flat) in ``cell_indices`` order."""
+        count = self.spec.n_cubes(level)
         if self.kind == "constant" or n == 1:
-            return np.ones(n)
+            return np.ones((count, n))
+        if self.kind == "signed":
+            blocks = np.zeros((count, n))
+            blocks[:, n // 2 :] = 2.0
+            return blocks
         if self.kind == "two-value":
             s = float(self.params.get("s", 0.5))
-            vals = np.full(n, 1.0 - s)
-            vals[self._rng(level, flat).permutation(n)[: n // 2]] = 1.0 + s
-            return vals
-        if self.kind == "signed":
-            vals = np.zeros(n)
-            vals[n // 2 :] = 2.0
-            return vals
-        amp = float(self.params.get("amp", 0.5))
-        w = self._rng(level, flat).uniform(-1.0, 1.0, n)
-        w -= w.mean()
-        peak = np.abs(w).max()
-        if peak > 1.0:  # keep values inside [1-amp, 1+amp] after recentring
-            w /= peak
-        return 1.0 + amp * w
+            blocks = np.full((count, n), 1.0 - s)
+            for flat, row in enumerate(blocks):
+                seeds = np.random.SeedSequence(self.seed, spawn_key=(level, flat))
+                row[np.random.default_rng(seeds).permutation(n)[: n // 2]] = 1.0 + s
+            return blocks
+        if level not in self._seeds:  # first draw, or a level that failed its check
+            self._seeds = _seed_levels(self.seed, self.spec)
+        w = _uniform_rows(*self._seeds.pop(level), n)
+        w -= w.mean(axis=1, keepdims=True)
+        # keep values inside [1-amp, 1+amp] after recentring
+        peak = np.abs(w).max(axis=1, keepdims=True)
+        np.divide(w, peak, out=w, where=peak > 1.0)
+        return 1.0 + float(self.params.get("amp", 0.5)) * w
 
     def _check_level(self, level: int, vals: np.ndarray, blocks: np.ndarray) -> None:
         """The per-cube invariants of every b_Q of one level, vectorised."""
@@ -184,3 +193,161 @@ def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
     measured = lp_norm(b, system.p, cube) / cube.volume ** (1.0 / system.p)
     ok = support_ok and mean_ok and measured <= system.A * (1 + 1e-12)
     return ok, measured
+
+
+# -- batched draws ----------------------------------------------------------------
+#
+# The random kind draws b_Q from PCG64 seeded by SeedSequence(seed,
+# spawn_key=(level, flat)).  NEP 19 fixes both streams, so the seeding and the
+# draws of all cubes can be computed in numpy arithmetic instead of one
+# generator per cube.  128-bit PCG values are held as four 32-bit limbs, least
+# significant first, in uint64 arrays, so limb products never overflow.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# (M^(k+1), G_(k+1)) for k < size as uint32 limbs of shape (4, size), with M
+# the PCG multiplier and G_j = sum_{i<j} M^i; grown by doubling on demand to
+# the largest cube drawn (32 bytes per cell) and shared by every system:
+# building them once per system costs about 1 ms at 64 cells, more than the
+# batched draws of a whole 1D depth-6 system.
+_jumps: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _limbs(x: int) -> list[int]:
+    return [(x >> (32 * i)) & _MASK32 for i in range(4)]
+
+
+def _mac128(pairs, *addends) -> list:
+    """sum of a*b over ``pairs`` plus ``addends``, mod 2^128, limb by limb;
+    every operand is four limbs (arrays or ints) below 2^32."""
+    cols: list = [0, 0, 0, 0]
+    for a, b in pairs:
+        for i in range(4):
+            for j in range(4 - i):
+                prod = a[i] * b[j]
+                if i + j < 3:
+                    cols[i + j] = cols[i + j] + (prod & _MASK32)
+                    cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
+                else:  # only its low 32 bits reach the result
+                    cols[3] = cols[3] + prod
+    for add in addends:
+        cols = [col + limb for col, limb in zip(cols, add)]
+    out, carry = [], 0
+    for col in cols:
+        col = col + carry
+        out.append(col & _MASK32)
+        carry = col >> 32
+    return out
+
+
+def _hashmix(value, hc):
+    """SeedSequence's ``hashmix`` on uint32 words: (hashed value, next constant)."""
+    value = value ^ hc
+    hc = hc * _MULT_A & _MASK32
+    value = value * hc & _MASK32
+    return value ^ value >> 16, hc
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _generate_state(seed: int, level: np.ndarray, flat: np.ndarray) -> list:
+    """``SeedSequence(seed, spawn_key=(level[i], flat[i])).generate_state(8)``
+    for every i: eight uint32 words, as uint64 arrays over i.
+
+    The entropy words are the seed's words (zero-padded to the pool size)
+    followed by the two spawn words, so the pool hash of everything but those
+    two words is shared by all i and done once with ints."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL - len(words))
+    hc, pool = _INIT_A, []
+    for word in words[:_POOL]:
+        word, hc = _hashmix(word, hc)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], word)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            mixed, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], mixed)
+    pool = [np.full(level.size, word, dtype=np.uint32) for word in pool]
+    for spawn in (level.astype(np.uint32), flat.astype(np.uint32)):
+        for dst in range(_POOL):
+            mixed, hc = _hashmix(spawn, hc)
+            pool[dst] = _mix(pool[dst], mixed)
+    hc, out = _INIT_B, []
+    for i in range(8):  # cycling through the pool
+        word = pool[i % _POOL] ^ hc
+        hc = hc * _MULT_B & _MASK32
+        word = word * hc
+        out.append((word ^ word >> 16).astype(np.uint64))
+    return out
+
+
+def _seed_levels(seed: int, spec: GridSpec) -> dict:
+    """For every cube of the levels that draw (cubes of more than one cell),
+    the ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(level,
+    flat))).state`` as limbs, keyed by level and indexed by flat: all levels
+    are seeded in one batch."""
+    counts = [spec.n_cubes(level) for level in range(spec.depth)]
+    w = _generate_state(seed, np.repeat(np.arange(spec.depth), counts),
+                        np.concatenate([np.arange(count) for count in counts]))
+    # as uint64 (w0|w1, w2|w3, w4|w5, w6|w7) = (seed hi, seed lo, seq hi, seq lo)
+    s, seq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
+    inc = [(seq[0] << 1 | 1) & _MASK32] + [
+        (seq[i] << 1 | seq[i - 1] >> 31) & _MASK32 for i in range(1, 4)]
+    # PCG64 seeding: state 0, step, add s, step; a step is x -> M x + inc
+    state = _mac128([(_mac128([], s, inc), _limbs(_PCG_MULT))], inc)
+    bounds = np.cumsum([0, *counts])
+    return {level: ([limb[lo:hi] for limb in state], [limb[lo:hi] for limb in inc])
+            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))}
+
+
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Limbs of M^(k+1) and G_(k+1) for k < at least n (see ``_jumps``)."""
+    global _jumps
+    tables = _jumps
+    if tables is None:
+        tables = (np.array(_limbs(_PCG_MULT), dtype=np.uint32)[:, None],
+                  np.array(_limbs(1), dtype=np.uint32)[:, None])
+    while tables[0].shape[1] < n:
+        # M^(size+k+1) = M^size M^(k+1), G_(size+k+1) = G_size + M^size G_(k+1)
+        powers, sums = tables
+        size = powers.shape[1]
+        jump = [np.uint64(limb) for limb in _limbs(pow(_PCG_MULT, size, 1 << 128))]
+        g_size = [np.uint64(limb) for limb in sums[:, -1]]
+        tables = tuple(np.concatenate([old, np.array(new, dtype=np.uint32)], axis=1)
+                       for old, new in ((powers, _mac128([(jump, powers)])),
+                                        (sums, _mac128([(jump, sums)], g_size))))
+        _jumps = tables
+    return tables
+
+
+def _uniform_rows(state, inc, n: int) -> np.ndarray:
+    """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` (limbs of
+    arrays over cubes), one row per cube: draw k outputs the state
+    M^(k+1) state + G_(k+1) inc by PCG's XSL-RR, then ``(out >> 11) 2^-53``."""
+    powers, sums = _jump_tables(n)
+    x = _mac128([([limb[:, None] for limb in state], powers[:, :n]),
+                 ([limb[:, None] for limb in inc], sums[:, :n])])
+    hi, lo = x[3] << 32 | x[2], x[1] << 32 | x[0]
+    xor, rot = hi ^ lo, x[3] >> 26
+    out = xor >> rot | xor << ((64 - rot) & 63)
+    return -1.0 + 2.0 * ((out >> 11) * (1.0 / 9007199254740992.0))

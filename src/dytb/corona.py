@@ -279,19 +279,18 @@ class CoronaForest:
     """Stopping families S_1, S_2 below ``q0`` with their parent/child maps.
 
     Immutable once built; ``pi(j, Q)`` is the smallest member of S_j
-    containing Q, read from per-level owner arrays built on first use.
+    containing Q, read from the per-level owner arrays of the pass that built
+    the family.  ``families`` holds one ``(members, children, owners)`` per j.
     """
 
-    def __init__(self, spec, q0, members1, children1, members2, children2, config):
+    def __init__(self, spec, q0, families, config):
         self.spec = spec
         self.q0 = q0
         self.config = config
-        self._members = (frozenset(members1), frozenset(members2))
-        self._children = (
-            {s: tuple(sorted(kids)) for s, kids in children1.items()},
-            {s: tuple(sorted(kids)) for s, kids in children2.items()},
-        )
-        self._owners: list = [None, None]
+        self._members = tuple(frozenset(members) for members, _, _ in families)
+        self._children = tuple({s: tuple(sorted(kids)) for s, kids in children.items()}
+                               for _, children, _ in families)
+        self._owners = tuple(owners for _, _, owners in families)
 
     def members(self, j: int) -> frozenset:
         return self._members[_jdx(j)]
@@ -301,12 +300,8 @@ class CoronaForest:
 
     def owner_levels(self, j: int) -> list[np.ndarray | None]:
         """Per level, the level of pi_j(Q) for every cube Q of that level
-        (row-major), -1 outside q0; None above q0's level.  Built on first
-        use, so the delta search never pays for it."""
-        jj = _jdx(j)
-        if self._owners[jj] is None:
-            self._owners[jj] = _nearest_marked(self.spec, self.q0.level, self._members[jj])
-        return self._owners[jj]
+        (row-major), -1 outside q0; None above q0's level."""
+        return self._owners[_jdx(j)]
 
     def pi(self, j: int, cube: DyadicCube) -> DyadicCube:
         """The smallest member of S_j containing ``cube``."""
@@ -336,7 +331,8 @@ def _build_family(
     q_exp: float,
     cfg: TbConfig,
 ):
-    """One stopping family below ``q0`` with its stopping children.  A member S
+    """One stopping family below ``q0``: its members, their stopping children
+    and the pass's owner arrays (``CoronaForest.owner_levels``).  A member S
     of level m stitches that level's b-array and its sweep from level m onto its
     cells, which equal b_S and T b_S there bit for bit (``kernels._sweep_from``)."""
     if cfg.Tloc == 0.0 and len(op) > 0:
@@ -372,7 +368,7 @@ def _build_family(
     for kid in members[1:]:
         parent = kid.parent()
         children[kid.ancestor(int(owners[parent.level][spec.cube_flat(parent)]))].append(kid)
-    return members, children
+    return members, children, owners
 
 
 def build_corona(
@@ -391,9 +387,9 @@ def build_corona(
     if sys2.spec != spec or kernel.spec != spec:
         raise ValueError("grid mismatch between systems and kernel")
     spec.check(q0)
-    m1, c1 = _build_family(spec, q0, sys1, kernel, cfg.p1, cfg.p2_conj, cfg)
-    m2, c2 = _build_family(spec, q0, sys2, adjoint(kernel), cfg.p2, cfg.p1_conj, cfg)
-    return CoronaForest(spec, q0, m1, c1, m2, c2, cfg)
+    families = (_build_family(spec, q0, sys1, kernel, cfg.p1, cfg.p2_conj, cfg),
+                _build_family(spec, q0, sys2, adjoint(kernel), cfg.p2, cfg.p1_conj, cfg))
+    return CoronaForest(spec, q0, families, cfg)
 
 
 # -- packing and Carleson measurements -------------------------------------------

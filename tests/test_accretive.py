@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dytb import accretive
 from dytb.accretive import AccretiveSystem, validate
 from dytb.grid import DyadicCube, GridFunction, GridSpec, lp_norm
 
@@ -139,7 +140,8 @@ def test_generator_invariant_violation_is_internal_error(monkeypatch):
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
     # mean is 2|Q|, not |Q|
-    monkeypatch.setattr(sys_, "_cube_values", lambda level, flat, n: np.full(n, 2.0))
+    monkeypatch.setattr(sys_, "_level_blocks",
+                        lambda level, n: np.full((spec.n_cubes(level), n), 2.0))
     with pytest.raises(RuntimeError):
         sys_.get_b(spec.root())
 
@@ -147,15 +149,15 @@ def test_generator_invariant_violation_is_internal_error(monkeypatch):
 def test_one_bad_cube_fails_its_whole_level(monkeypatch):
     spec = GridSpec(2, 4)
     sys_ = AccretiveSystem(spec, "random", 2.0, 1.5, seed=5, params={"amp": 0.5})
-    good = sys_._cube_values
+    good = sys_._level_blocks
 
-    def broken(level, flat, n):
-        vals = good(level, flat, n)
-        if (level, flat) == (3, 37):
-            vals[0] = 0.0
-        return vals
+    def broken(level, n):
+        blocks = good(level, n)
+        if level == 3:
+            blocks[37, 0] = 0.0
+        return blocks
 
-    monkeypatch.setattr(sys_, "_cube_values", broken)
+    monkeypatch.setattr(sys_, "_level_blocks", broken)
     sys_.get_b(DyadicCube(2, (1, 1)))  # other levels are unaffected
     with pytest.raises(RuntimeError, match=r"generator bug: .* on Q\(3; 4,5\)"):
         sys_.get_b(DyadicCube(3, (0, 0)))  # any cube of the bad level
@@ -212,6 +214,96 @@ def test_level_arrays_match_per_cube_generation(dim, depth):
                 expected[idx] = b[idx]
             assert sys_.level_values(level).tobytes() == expected.tobytes()
         assert len(sys_._levels) == depth + 1
+
+
+def stitched_per_cube(system, level):
+    """One level's cell array stitched from ``per_cube_b`` of each of its cubes."""
+    spec = system.spec
+    out = np.zeros(spec.n_cells)
+    for cube in spec.cubes_at(level):
+        idx = spec.cell_indices(cube)
+        out[idx] = per_cube_b(system, cube)[idx]
+    return out
+
+
+@pytest.mark.parametrize("dim,depth,levels", [(1, 10, 11), (1, 11, 12), (1, 12, 13), (2, 6, 7),
+                                              (1, 14, 3), (2, 7, 3)])
+def test_batched_levels_match_per_cube_generators(dim, depth, levels):
+    # the grids above GRIDS, without get_b's full-grid copy per cube; the
+    # level 0 cubes of 1D d14 and 2D d7 hold 16384 cells, past numpy's
+    # 8192-element reduction buffer, so the batch's row mean must sum like
+    # the 1-D mean there
+    spec = GridSpec(dim, depth)
+    for kind, (A, params) in KIND_SETUPS.items():
+        sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=3 * depth + dim, params=params)
+        for level in range(levels):
+            assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
+
+
+SEED_LADDER = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**128 + 7]
+
+
+@pytest.mark.parametrize("seed", SEED_LADDER)
+def test_seed_ladder_matches_seed_sequence_and_pcg64(seed):
+    # 2**128 + 7 has five entropy words: one is mixed in past the pool size
+    spec = GridSpec(2, 3)
+    levels = np.repeat(np.arange(spec.depth), [spec.n_cubes(lev) for lev in range(spec.depth)])
+    flats = np.concatenate([np.arange(spec.n_cubes(lev)) for lev in range(spec.depth)])
+    words = accretive._generate_state(seed, levels, flats)
+    seeds = accretive._seed_levels(seed, spec)
+    for i, (level, flat) in enumerate(zip(levels.tolist(), flats.tolist())):
+        ss = np.random.SeedSequence(seed, spawn_key=(level, flat))
+        want = ss.generate_state(4, np.uint64)
+        got = [int(words[2 * k][i]) | int(words[2 * k + 1][i]) << 32 for k in range(4)]
+        assert got == want.tolist()
+        state, inc = seeds[level]
+        pcg = np.random.PCG64(ss).state["state"]
+        assert sum(int(limb[flat]) << (32 * k) for k, limb in enumerate(state)) == pcg["state"]
+        assert sum(int(limb[flat]) << (32 * k) for k, limb in enumerate(inc)) == pcg["inc"]
+    sys_ = AccretiveSystem(GridSpec(1, 5), "random", 2.0, 1.7, seed=seed, params={"amp": 0.6})
+    for level in range(6):
+        assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
+
+
+def test_jump_tables_are_powers_of_the_pcg_multiplier():
+    mult, mod = accretive._PCG_MULT, 1 << 128
+    powers, sums = accretive._jump_tables(300)
+    assert powers.shape[1] >= 300 and sums.shape == powers.shape
+    as_int = lambda table, k: sum(int(table[i, k]) << (32 * i) for i in range(4))
+    g = 0
+    for k in range(powers.shape[1]):
+        g = (g + pow(mult, k, mod)) % mod  # G_(k+1) = sum_{i<=k} M^i
+        assert as_int(powers, k) == pow(mult, k + 1, mod)
+        assert as_int(sums, k) == g
+
+
+def test_recentring_divide_branch_matches_per_cube():
+    # the peak of w - mean(w) exceeds 1 on some cubes; those are rescaled
+    spec = GridSpec(1, 7)
+    rescaled = 0
+    for seed in range(3):
+        for amp in (0.1, 0.5, 1.0 - 1e-5):
+            sys_ = AccretiveSystem(spec, "random", 2.0, 2.0, seed=seed, params={"amp": amp})
+            for level in range(spec.depth):
+                assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
+                for flat in range(spec.n_cubes(level)):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(seed, spawn_key=(level, flat)))
+                    w = rng.uniform(-1.0, 1.0, spec.n_cells >> level)
+                    rescaled += np.abs(w - w.mean()).max() > 1.0
+    assert rescaled > 0
+
+
+def test_negative_seed_raises_like_seed_sequence():
+    spec = GridSpec(1, 3)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1, spawn_key=(0, 0))
+    for kind, (A, params) in KIND_SETUPS.items():
+        if kind in ("random", "two-value"):
+            sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=-1, params=params)
+            with pytest.raises(ValueError):
+                sys_.level_values(0)
+
 
 
 def test_descriptor_roundtrip():

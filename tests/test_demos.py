@@ -1,6 +1,7 @@
 """Smoke test: every script in demos/ runs to completion and prints its report."""
 
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,9 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path, capsys):
+def test_demo_runs(path, capsys, tmp_path, monkeypatch):
+    # every temporary file a demo makes lands in tmp_path and is gone afterwards
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+    assert list(tmp_path.iterdir()) == []

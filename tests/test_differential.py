@@ -241,10 +241,9 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
 
 def reconfigured(forest, **changes):
     """The same stopping families under a changed configuration."""
-    families = [(forest.members(j), {s: forest.stopping_children(j, s) for s in forest.members(j)})
-                for j in (1, 2)]
-    return CoronaForest(forest.spec, forest.q0, *families[0], *families[1],
-                        replace(forest.config, **changes))
+    families = [(forest.members(j), {s: forest.stopping_children(j, s) for s in forest.members(j)},
+                 forest.owner_levels(j)) for j in (1, 2)]
+    return CoronaForest(forest.spec, forest.q0, families, replace(forest.config, **changes))
 
 
 def enumerated_block_check(forest, j, system, member):
