@@ -6,6 +6,13 @@ rectangles are exactly child_i(R) x child_j(R) over all grid cubes R below the
 finest level and ordered pairs i != j of their children, so a kernel is the
 sparse map (R, i, j) -> kappa.
 
+Storage: one apply plan per kernel, built and validated once at construction.
+Each level holds its entries as arrays sorted by (flat, i, j), with the child
+flats every entry reads from and adds to (``LevelPlan``).  ``apply``,
+``bilinear``, ``adjoint`` and ``dense_matrix`` are whole-level array
+operations on that plan; the dict ``PerfectKernel.entries`` is built only on
+first access.
+
 Orientation: in the pairing <Tf, g> = integral K(x, y) f(y) g(x) dy dx, the
 x-variable (paired with g) ranges over child_i and the y-variable (paired
 with f) over child_j:
@@ -18,10 +25,11 @@ closure(child_j)}^(-dim) keeps the kernel dominated by |x - y|^(-dim).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,52 +74,88 @@ def size_bound(level: int, i: int, j: int, dim: int, metric: str = "euclidean") 
     return dist**-dim
 
 
-@dataclass(frozen=True)
-class PerfectKernel:
-    """Sparse perfect dyadic kernel: entries keyed by (level, flat_cube, i, j).
+class LevelPlan(NamedTuple):
+    """One level's entries, sorted by (flat, i, j), with the child flats at
+    ``level + 1`` that each entry reads f from (``src``, child_j) and adds its
+    value to (``dst``, child_i)."""
 
-    Absent entries are zero.  Immutable after construction; ``apply`` and
-    ``bilinear`` are pure functions, so kernels can be shared across threads.
+    flats: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    vals: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+
+class PerfectKernel:
+    """Sparse perfect dyadic kernel, stored as one ``LevelPlan`` per level.
+
+    ``PerfectKernel(spec, {(level, flat, i, j): kappa})`` builds it from a
+    dict; absent entries are zero and levels without entries have no plan.
+    Every entry is validated once, at construction.  Immutable afterwards (the
+    plan arrays are read-only); ``apply`` and ``bilinear`` are pure functions,
+    so kernels can be shared across threads.
     """
 
-    spec: GridSpec
-    entries: dict = field(default_factory=dict)
+    def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
+        entries = entries or {}
+        keys = np.array(list(entries), dtype=np.int64).reshape(-1, 4)
+        vals = np.array(list(entries.values()), dtype=float)
+        order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
+        keys, vals = keys[order], vals[order]
+        cuts = np.flatnonzero(np.diff(keys[:, 0])) + 1
+        levels = {int(k[0, 0]): (k[:, 1], k[:, 2], k[:, 3], v)
+                  for k, v in zip(np.split(keys, cuts), np.split(vals, cuts)) if len(v)}
+        self._build(spec, levels)
 
-    def __post_init__(self) -> None:
-        for (level, flat, i, j), v in self.entries.items():
-            if not (0 <= level < self.spec.depth):
-                raise ValueError(f"entry level {level} outside [0, {self.spec.depth})")
-            if not (0 <= flat < self.spec.n_cubes(level)):
-                raise ValueError(f"entry cube index {flat} out of range at level {level}")
-            nch = 2**self.spec.dim
-            if not (0 <= i < nch and 0 <= j < nch and i != j):
-                raise ValueError(f"bad child pair ({i}, {j})")
-            if not math.isfinite(v):
-                raise ValueError("non-finite kernel value")
+    @classmethod
+    def _from_levels(cls, spec: GridSpec, levels: dict) -> PerfectKernel:
+        """A kernel from non-empty per-level ``(flats, ii, jj, vals)``, each
+        sorted by (flat, i, j)."""
+        kernel = cls.__new__(cls)
+        kernel._build(spec, levels)
+        return kernel
+
+    def _build(self, spec: GridSpec, levels: dict) -> None:
+        self.spec = spec
+        self.plan: dict[int, LevelPlan] = {
+            level: _level_plan(spec, level, *arrays) for level, arrays in sorted(levels.items())
+        }
 
     @cached_property
-    def _per_level(self) -> dict[int, tuple[np.ndarray, ...]]:
-        """Entries grouped by level as (flat, i, j, value) arrays, sorted."""
-        grouped: dict[int, list[tuple[int, int, int, float]]] = {}
-        for (level, flat, i, j), v in self.entries.items():
-            grouped.setdefault(level, []).append((flat, i, j, v))
-        out = {}
-        for level, rows in grouped.items():
-            rows.sort()
-            arr = np.asarray(rows, dtype=float)
-            out[level] = (
-                arr[:, 0].astype(np.int64),
-                arr[:, 1].astype(np.int64),
-                arr[:, 2].astype(np.int64),
-                arr[:, 3],
-            )
+    def entries(self) -> dict:
+        """The entries as a dict {(level, flat, i, j): kappa}, built on first access."""
+        out: dict = {}
+        for level, p in self.plan.items():
+            keys = zip(itertools.repeat(level), p.flats.tolist(), p.ii.tolist(), p.jj.tolist())
+            out.update(zip(keys, p.vals.tolist()))
         return out
 
     def value(self, cube: DyadicCube, i: int, j: int) -> float:
         return self.entries.get((cube.level, self.spec.cube_flat(cube), i, j), 0.0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(p.vals) for p in self.plan.values())
+
+
+def _level_plan(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
+    """Validate one level's sorted entries and attach their child flats."""
+    if not 0 <= level < spec.depth:
+        raise ValueError(f"entry level {level} outside [0, {spec.depth})")
+    bad = np.flatnonzero((flats < 0) | (flats >= spec.n_cubes(level)))
+    if len(bad):
+        raise ValueError(f"entry cube index {flats[bad[0]]} out of range at level {level}")
+    nch = 2**spec.dim
+    bad = np.flatnonzero((ii < 0) | (ii >= nch) | (jj < 0) | (jj >= nch) | (ii == jj))
+    if len(bad):
+        raise ValueError(f"bad child pair ({ii[bad[0]]}, {jj[bad[0]]})")
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite kernel value")
+    plan = LevelPlan(flats, ii, jj, vals, _child_flats(spec, level, flats, jj),
+                     _child_flats(spec, level, flats, ii))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def _child_flats(spec: GridSpec, level: int, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
@@ -131,12 +175,10 @@ def bilinear(kernel: PerfectKernel, f: GridFunction, g: GridFunction) -> float:
         raise ValueError("grid mismatch")
     cv = kernel.spec.cell_volume
     total = 0.0
-    for level, (flats, ii, jj, vals) in kernel._per_level.items():
+    for level, p in kernel.plan.items():
         intf = f.cube_sums[level + 1]
         intg = g.cube_sums[level + 1]
-        cf = _child_flats(kernel.spec, level, flats, jj)
-        cg = _child_flats(kernel.spec, level, flats, ii)
-        total += float(np.sum(vals * intf[cf] * intg[cg])) * cv * cv
+        total += float(np.sum(p.vals * intf[p.src] * intg[p.dst])) * cv * cv
     return total
 
 
@@ -164,12 +206,11 @@ def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.nda
         return np.zeros(spec.n_cells)
     cv = spec.cell_volume
     contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
-    for level, (flats, ii, jj, vals) in kernel._per_level.items():
-        if level < start:
-            continue
-        src = _child_flats(spec, level, flats, jj)
-        dst = _child_flats(spec, level, flats, ii)
-        np.add.at(contrib[level + 1], dst, vals * sums[level + 1][src] * cv)
+    for level, p in kernel.plan.items():
+        if level >= start:
+            # bincount adds in input order into zeros, like np.add.at
+            weights = p.vals * sums[level + 1][p.src] * cv
+            contrib[level + 1] = np.bincount(p.dst, weights, spec.n_cubes(level + 1))
     cur = contrib[start + 1]
     for lev in range(start + 2, spec.depth + 1):
         cur = spread(spec, lev - 1, cur, lev) + contrib[lev]
@@ -185,14 +226,31 @@ def apply(kernel: PerfectKernel, f: GridFunction) -> GridFunction:
 
 def adjoint(kernel: PerfectKernel) -> PerfectKernel:
     """The adjoint kernel: kappa*_{R,i,j} = kappa_{R,j,i}."""
-    swapped = {(lev, flat, j, i): v for (lev, flat, i, j), v in kernel.entries.items()}
-    return PerfectKernel(kernel.spec, swapped)
+    nch = 2**kernel.spec.dim
+    levels = {}
+    for level, p in kernel.plan.items():
+        # by flat, then the swapped pair; the keys are distinct integers
+        order = np.argsort((p.flats * nch + p.jj) * nch + p.ii, kind="stable")
+        levels[level] = (p.flats[order], p.jj[order], p.ii[order], p.vals[order])
+    return PerfectKernel._from_levels(kernel.spec, levels)
+
+
+def _bound_table(level: int, dim: int, metric: str) -> np.ndarray:
+    """``size_bound`` of every child pair (i, j) of a level cube, as a table
+    indexed [i, j]; the unused diagonal is 0."""
+    nch = 2**dim
+    table = np.zeros((nch, nch))
+    for i in range(nch):
+        for j in range(nch):
+            if i != j:
+                table[i, j] = size_bound(level, i, j, dim, metric)
+    return table
 
 
 def validate_size(kernel: PerfectKernel, metric: str = "euclidean") -> bool:
     """True iff every entry obeys the size bound for its child rectangle."""
-    for (level, _flat, i, j), v in kernel.entries.items():
-        if abs(v) > size_bound(level, i, j, kernel.spec.dim, metric):
+    for level, p in kernel.plan.items():
+        if np.any(np.abs(p.vals) > _bound_table(level, kernel.spec.dim, metric)[p.ii, p.jj]):
             return False
     return True
 
@@ -211,32 +269,31 @@ def generate_kernel(
     this is +/- 1/side(R).  kind "random": every entry uniform in
     [-scale*bound, +scale*bound].  The result passes validate_size by
     construction and is a pure function of (kind, spec, seed, scale).
+
+    Each level is one (pairs x cubes) block; the random kind draws it as
+    ``rng.uniform(-1, 1, ncubes)`` per child pair, levels and pairs in order.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
     if not 0.0 <= scale <= 1.0:
         raise ValueError(f"scale must lie in [0, 1], got {scale}")
-    entries: dict = {}
     if kind == "zero":
-        return PerfectKernel(spec, entries)
+        return PerfectKernel(spec)
     nch = 2**spec.dim
-    pairs = [(i, j) for i in range(nch) for j in range(nch) if i != j]
+    pi, pj = np.array([(i, j) for i in range(nch) for j in range(nch) if i != j]).T
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    levels = {}
     for level in range(spec.depth):
         ncubes = spec.n_cubes(level)
+        bounds = _bound_table(level, spec.dim, metric)[pi, pj]
         if kind == "haar-shift":
-            for i, j in pairs:
-                bound = size_bound(level, i, j, spec.dim, metric)
-                val = bound if i < j else -bound
-                for flat in range(ncubes):
-                    entries[(level, flat, i, j)] = val
+            block = np.repeat(np.where(pi < pj, bounds, -bounds)[:, None], ncubes, axis=1)
         else:
-            for i, j in pairs:
-                bound = size_bound(level, i, j, spec.dim, metric)
-                draws = rng.uniform(-1.0, 1.0, ncubes)
-                for flat in range(ncubes):
-                    entries[(level, flat, i, j)] = scale * bound * draws[flat]
-    return PerfectKernel(spec, entries)
+            block = (scale * bounds)[:, None] * rng.uniform(-1.0, 1.0, (len(pi), ncubes))
+        # rows in (flat, i, j) order: the pair list is already in (i, j) order
+        levels[level] = (np.repeat(np.arange(ncubes), len(pi)), np.tile(pi, ncubes),
+                         np.tile(pj, ncubes), block.T.ravel())
+    return PerfectKernel._from_levels(spec, levels)
 
 
 def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
@@ -250,14 +307,13 @@ def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
     if n > max_cells:
         raise ValueError(f"dense matrix with {n} cells exceeds the cap {max_cells}")
     m = np.zeros((n, n))
-    for level, (flats, ii, jj, vals) in kernel._per_level.items():
+    for level, p in kernel.plan.items():
         k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis
         index: list = []
-        for child in (ii, jj):
-            c = _child_flats(spec, level, flats, child)
+        for c in (p.dst, p.src):  # rows on child_i, columns on child_j
             for axis in [c] if spec.dim == 1 else [c >> (level + 1), c & (k - 1)]:
                 index += [axis, slice(None)]
-        m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += vals.reshape((-1,) + (1,) * 2 * spec.dim)
+        m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += p.vals.reshape((-1,) + (1,) * 2 * spec.dim)
     m *= spec.cell_volume
     return m
 
@@ -274,11 +330,27 @@ def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
 
 
 def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
-    spec = GridSpec(int(data["dim"]), int(data["depth"]))
+    """The kernel of a ``kernel_to_json_dict`` document.  A missing field, a
+    cube of the wrong dimension or a repeated (level, coords, i, j) entry is a
+    ``ValueError``."""
+    try:
+        spec = GridSpec(int(data["dim"]), int(data["depth"]))
+        rows = data["entries"]
+    except KeyError as e:
+        raise ValueError(f"kernel file lacks {e.args[0]!r}") from None
     entries = {}
-    for e in data["entries"]:
+    for n, e in enumerate(rows):
+        missing = [name for name in ("level", "coords", "i", "j", "value") if name not in e]
+        if missing:
+            raise ValueError(f"kernel entry {n} lacks {missing[0]!r}")
         cube = DyadicCube(int(e["level"]), tuple(int(c) for c in e["coords"]))
-        entries[(cube.level, spec.cube_flat(cube), int(e["i"]), int(e["j"]))] = float(e["value"])
+        if cube.dim != spec.dim:
+            raise ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
+        key = (cube.level, spec.cube_flat(cube), int(e["i"]), int(e["j"]))
+        if key in entries:
+            raise ValueError(f"kernel entry {n} repeats level {cube.level}, coords "
+                             f"{list(cube.coords)}, pair ({key[2]}, {key[3]})")
+        entries[key] = float(e["value"])
     kernel = PerfectKernel(spec, entries)
     if check_size and not validate_size(kernel):
         raise ValueError("kernel file violates the size bound")

@@ -23,6 +23,19 @@ def test_validate_rejects_oversized_entry(tmp_path, capsys):
     assert "VIOLATED" in capsys.readouterr().out
 
 
+def test_malformed_kernel_file_is_a_config_error(tmp_path, capsys):
+    entry = {"level": 0, "coords": [0], "i": 0, "j": 1, "value": 0.5}
+    for bad, message in (([{k: v for k, v in entry.items() if k != "value"}], "lacks 'value'"),
+                         ([entry, dict(entry, value=-0.5)], "repeats level 0")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 1, "depth": 1, "entries": bad}))
+        for argv in (["corona", "--dim", "1", "--depth", "1", "--kernel", str(path)],
+                     ["validate", "--kernel", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+
+
 def test_identities_prints_residuals(capsys):
     assert main(["identities", "--dim", "1", "--depth", "5", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dytb.grid import DyadicCube, GridFunction, GridSpec
+from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import (
     KERNEL_KINDS,
     PerfectKernel,
+    _child_flats,
+    _sweep_from,
     adjoint,
     apply,
     bilinear,
@@ -60,6 +64,101 @@ def per_entry_dense_matrix(kernel):
         kids = spec.cube_from_flat(level, flat).children()
         m[np.ix_(spec.cell_indices(kids[i]), spec.cell_indices(kids[j]))] += v
     return m * spec.cell_volume
+
+
+# -- the per-entry bodies the level plan replaced, kept as oracles -----------------
+
+
+def per_entry_generate_kernel(kind, spec, seed=0, scale=1.0, metric="euclidean") -> dict:
+    """The dict loop ``generate_kernel`` replaced: one ``rng.uniform(-1, 1, ncubes)``
+    per (level, child pair), levels and pairs in order."""
+    entries: dict = {}
+    if kind == "zero":
+        return entries
+    nch = 2**spec.dim
+    pairs = [(i, j) for i in range(nch) for j in range(nch) if i != j]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for level in range(spec.depth):
+        ncubes = spec.n_cubes(level)
+        for i, j in pairs:
+            bound = size_bound(level, i, j, spec.dim, metric)
+            if kind == "haar-shift":
+                for flat in range(ncubes):
+                    entries[(level, flat, i, j)] = bound if i < j else -bound
+            else:
+                draws = rng.uniform(-1.0, 1.0, ncubes)
+                for flat in range(ncubes):
+                    entries[(level, flat, i, j)] = scale * bound * draws[flat]
+    return entries
+
+
+def dict_adjoint(entries: dict) -> dict:
+    """The dict swap ``adjoint`` replaced."""
+    return {(lev, flat, j, i): v for (lev, flat, i, j), v in entries.items()}
+
+
+def dict_levels(entries: dict) -> dict:
+    """The lazy per-level grouping the plan replaced: (flat, i, j, value)
+    arrays per level, rows sorted as tuples."""
+    grouped: dict = {}
+    for (level, flat, i, j), v in entries.items():
+        grouped.setdefault(level, []).append((flat, i, j, v))
+    out = {}
+    for level, rows in grouped.items():
+        rows.sort()
+        arr = np.asarray(rows, dtype=float)
+        out[level] = (arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64),
+                      arr[:, 2].astype(np.int64), arr[:, 3])
+    return out
+
+
+def add_at_sweep(spec, entries: dict, values, start):
+    """The ``np.add.at`` body ``kernels._sweep_from`` replaced, on a dict of entries."""
+    sums = level_sums(spec, values)
+    if start >= spec.depth:
+        return np.zeros(spec.n_cells)
+    cv = spec.cell_volume
+    contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
+    for level, (flats, ii, jj, vals) in dict_levels(entries).items():
+        if level < start:
+            continue
+        src = _child_flats(spec, level, flats, jj)
+        dst = _child_flats(spec, level, flats, ii)
+        np.add.at(contrib[level + 1], dst, vals * sums[level + 1][src] * cv)
+    cur = contrib[start + 1]
+    for lev in range(start + 2, spec.depth + 1):
+        cur = spread(spec, lev - 1, cur, lev) + contrib[lev]
+    return cur
+
+
+def per_entry_validate_size(entries: dict, dim, metric="euclidean") -> bool:
+    """The per-entry loop ``validate_size`` replaced."""
+    return all(abs(v) <= size_bound(level, i, j, dim, metric)
+               for (level, _flat, i, j), v in entries.items())
+
+
+def assert_plan_equals(kernel, oracle: dict):
+    """The kernel holds exactly the oracle's entries: ``entries == oracle``, and
+    each level plan equals the old sorted per-level arrays bit for bit
+    (signed zeros too)."""
+    assert kernel.entries == oracle
+    assert len(kernel) == len(oracle)
+    want = dict_levels(oracle)
+    assert list(kernel.plan) == sorted(want)
+    for level, p in kernel.plan.items():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(p[:4], want[level]))
+
+
+def sparse_entries(entries: dict, rng) -> dict:
+    """A hand-built variant of ``entries``: some entries and whole levels
+    missing, some explicit (signed) zeros, inserted in shuffled order."""
+    dropped_level = int(rng.integers(-1, 1 + max((lev for lev, *_ in entries), default=0)))
+    keys = [k for k in entries if k[0] != dropped_level and rng.random() < 0.7]
+    out = {}
+    for n in rng.permutation(len(keys)):
+        key = keys[n]
+        out[key] = float(rng.choice([entries[key], entries[key], 0.0, -0.0]))
+    return out
 
 
 # -- size bound --------------------------------------------------------------------
@@ -229,6 +328,95 @@ def test_validate_random_kernels_100_seeds():
         assert validate_size(generate_kernel("random", spec, seed=seed))
 
 
+def test_validate_size_matches_per_entry_loop():
+    # entries pushed one ulp over their bound, under both metrics, are caught exactly
+    for dim, depth in ((1, 6), (2, 3)):
+        spec = GridSpec(dim, depth)
+        for metric in ("euclidean", "max"):
+            haar = generate_kernel("haar-shift", spec, metric=metric)
+            for key in list(haar.entries)[:: max(1, len(haar) // 7)]:
+                entries = dict(haar.entries)
+                entries[key] = np.nextafter(entries[key], 2 * entries[key])
+                bumped = PerfectKernel(spec, entries)
+                for m in ("euclidean", "max"):
+                    assert validate_size(bumped, m) == per_entry_validate_size(entries, dim, m)
+                assert not validate_size(bumped, metric)
+            assert validate_size(haar, metric)
+    with pytest.raises(ValueError, match="unknown metric"):
+        validate_size(depth1_kernel(), "manhattan")
+    assert validate_size(generate_kernel("zero", GridSpec(1, 3)), "manhattan")
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({(1, 0, 0, 1): 1.0}, r"entry level 1 outside \[0, 1\)"),
+    ({(-1, 0, 0, 1): 1.0}, r"entry level -1 outside \[0, 1\)"),
+    ({(0, 1, 0, 1): 1.0}, "entry cube index 1 out of range at level 0"),
+    ({(0, -1, 0, 1): 1.0}, "entry cube index -1 out of range at level 0"),
+    ({(0, 0, 1, 1): 1.0}, r"bad child pair \(1, 1\)"),
+    ({(0, 0, 0, 2): 1.0}, r"bad child pair \(0, 2\)"),
+    ({(0, 0, -1, 0): 1.0}, r"bad child pair \(-1, 0\)"),
+    ({(0, 0, 0, 1): math.nan}, "non-finite kernel value"),
+    ({(0, 0, 0, 1): 1.0, (0, 0, 1, 0): -math.inf}, "non-finite kernel value"),
+])
+def test_construction_validation_messages(entries, message):
+    with pytest.raises(ValueError, match=message):
+        PerfectKernel(GridSpec(1, 1), entries)
+
+
+def test_plan_is_read_only():
+    t = generate_kernel("random", GridSpec(2, 2), seed=1)
+    for p in t.plan.values():
+        for arr in p:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+# -- the level plan against the per-entry oracles ------------------------------------------
+
+ORACLE_GRIDS = [(1, depth) for depth in range(13)] + [(2, depth) for depth in range(7)]
+SCALES = (0.0, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("dim,depth", ORACLE_GRIDS)
+def test_generate_matches_per_entry_loop(dim, depth):
+    spec = GridSpec(dim, depth)
+    for kind in KERNEL_KINDS:
+        for scale in SCALES:
+            t = generate_kernel(kind, spec, seed=depth + 3, scale=scale)
+            oracle = per_entry_generate_kernel(kind, spec, seed=depth + 3, scale=scale)
+            assert_plan_equals(t, oracle)
+            assert_plan_equals(adjoint(t), dict_adjoint(oracle))
+            assert adjoint(adjoint(t)).entries == t.entries
+    assert_plan_equals(generate_kernel("random", spec, seed=5, metric="max"),
+                           per_entry_generate_kernel("random", spec, seed=5, metric="max"))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("dim,depth", ORACLE_GRIDS)
+@settings(max_examples=6, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scale=st.sampled_from(SCALES), sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_matches_add_at_for_every_start(dim, depth, kind, scale, sparse, seed):
+    spec = GridSpec(dim, depth)
+    rng = np.random.default_rng(seed)
+    entries = per_entry_generate_kernel(kind, spec, seed=seed, scale=scale)
+    if sparse:
+        entries = sparse_entries(entries, rng)
+        t = PerfectKernel(spec, entries)
+    else:
+        t = generate_kernel(kind, spec, seed=seed, scale=scale)
+    assert_plan_equals(t, entries)
+    ts = adjoint(t)
+    assert_plan_equals(ts, dict_adjoint(entries))
+    assert_plan_equals(adjoint(ts), entries)
+    values = rng.uniform(-1.0, 1.0, spec.n_cells)
+    values[rng.random(spec.n_cells) < 0.2] = 0.0
+    for kernel, oracle in ((t, entries), (ts, dict_adjoint(entries))):
+        for start in range(spec.depth + 2):
+            want = add_at_sweep(spec, oracle, values, start)
+            assert _sweep_from(kernel, values, start).tobytes() == want.tobytes()
+
+
 # -- structural invariants ----------------------------------------------------------------
 
 
@@ -310,6 +498,24 @@ def test_kernel_json_roundtrip(tmp_path):
     back = load_kernel(path)
     assert back.spec == spec
     assert back.entries == t.entries
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"depth": 1, "entries": []}, "kernel file lacks 'dim'"),
+    ({"dim": 1, "depth": 1}, "kernel file lacks 'entries'"),
+    ({"dim": 1, "depth": 1, "entries": [{"level": 0, "coords": [0], "i": 0, "j": 1}]},
+     "kernel entry 0 lacks 'value'"),
+    ({"dim": 1, "depth": 1, "entries": [
+        {"level": 0, "coords": [0], "i": 0, "j": 1, "value": 0.5},
+        {"level": 0, "coords": [0], "i": 1, "j": 0, "value": 0.5},
+        {"level": 0, "coords": [0], "i": 0, "j": 1, "value": -0.5}]},
+     r"kernel entry 2 repeats level 0, coords \[0\], pair \(0, 1\)"),
+    ({"dim": 2, "depth": 1, "entries": [{"level": 0, "coords": [0], "i": 0, "j": 1, "value": 0.1}]},
+     "kernel entry 0 has 1 coords on a dim=2 grid"),
+])
+def test_kernel_file_errors_are_value_errors(data, message):
+    with pytest.raises(ValueError, match=message):
+        kernel_from_json_dict(data)
 
 
 def test_kernel_load_rechecks_size(tmp_path):
