@@ -33,7 +33,7 @@ print("\nbilinear vs dense quadratic form:", bilinear(kernel, f, g) - quad)
 print("apply vs dense matvec:", np.abs(apply(kernel, f).values - dense @ f.values).max())
 print("adjoint identity:", bilinear(adjoint(kernel), g, f) - bilinear(kernel, f, g))
 print("operator norm (dense svd):", operator_norm(kernel, "dense-svd"))
-print("operator norm (power):    ", operator_norm(kernel, "power"))
+print("operator norm (lanczos):  ", operator_norm(kernel, "lanczos"))
 
 # cancellation: mean-zero input on a cube pairs to zero with anything disjoint
 from dytb import DyadicCube

@@ -78,8 +78,8 @@ from .verify import (
     epsilon_coefficient,
     form_split,
     identity_suite,
+    lanczos_norm,
     main_theorem_experiment,
     operator_norm,
-    power_norm,
     testing_constant,
 )

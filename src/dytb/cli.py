@@ -1,6 +1,7 @@
 """Command-line front end: kernel generation, validation, corona inspection,
 transform-norm search, the main experiment, the identity battery, and report
-re-rendering.  Exit codes: 0 success, 1 validation failure, 2 config error.
+re-rendering.  Exit codes: 0 success, 1 validation failure, 2 config error,
+3 internal error (an invariant of the program failed, not of the input).
 
 Outputs are deterministic: identical (config, seed) produce byte-identical
 files.  Every output embeds the tool version and the resolved configuration
@@ -34,12 +35,13 @@ from .grid import GridSpec
 from .kernels import KERNEL_KINDS, generate_kernel, load_kernel, save_kernel, validate_size
 from .twisted import make_context
 from .verify import (
-    DENSE_CAP,
+    NORM_METHODS,
     ExperimentConfig,
     VerifierReport,
     adversarial_transform_search,
     identity_suite,
     main_theorem_experiment,
+    norm_method_for,
     operator_norm,
     testing_constant,
 )
@@ -47,6 +49,7 @@ from .verify import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 PLOT_KINDS = ("ratio-hist", "ratio-vs-seed", "packing-vs-delta")
 
@@ -87,9 +90,7 @@ def cmd_validate(args) -> int:
     if not validate_size(kernel):
         print(f"{args.kernel}: size condition VIOLATED")
         return EXIT_VALIDATION
-    method = args.norm_method
-    if method == "auto":
-        method = "dense-svd" if kernel.spec.n_cells <= DENSE_CAP else "power"
+    method = norm_method_for(kernel, args.norm_method)
     norm = operator_norm(kernel, method)
     print(f"{args.kernel}: size condition ok; entries={len(kernel)}; "
           f"operator norm ({method}) = {norm!r}")
@@ -137,8 +138,7 @@ def cmd_corona(args) -> int:
               f"{packing_ratio(forest, j)!r}; Carleson constant = "
               f"{carleson_constant(members, root)!r}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(forest_to_json_dict(forest), fh, indent=1, sort_keys=True)
+        _write_json(args.out, forest_to_json_dict(forest))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -200,9 +200,7 @@ def cmd_report(args) -> int:
     else:
         config, rows = read_report_csv(path)
     if args.out:
-        summary = {"version": __version__, "config": config, **summarize(rows)}
-        with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
+        _write_json(args.out, {"version": __version__, "config": config, **summarize(rows)})
         print(f"wrote {args.out}")
     else:
         print(json.dumps(summarize(rows), indent=1, sort_keys=True))
@@ -233,9 +231,15 @@ def write_report_csv(path, config: dict, reports: list[VerifierReport]) -> None:
 
 def write_report_json(path, config: dict, reports: list[VerifierReport]) -> None:
     rows = [r.to_json_dict() for r in reports]
-    payload = {"version": __version__, "config": config, "reports": rows, **summarize(rows)}
+    _write_json(path, {"version": __version__, "config": config, "reports": rows,
+                       **summarize(rows)})
+
+
+def _write_json(path, payload: dict) -> None:
+    """The bytes of ``json.dump(payload, fh, indent=1, sort_keys=True)``,
+    encoded in one call instead of streamed chunk by chunk."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def read_report_csv(path):
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="re-check a kernel file and report its norm")
     p.add_argument("--kernel", required=True)
-    p.add_argument("--norm-method", choices=("auto", "dense-svd", "power"), default="auto")
+    p.add_argument("--norm-method", choices=NORM_METHODS, default="auto")
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=cmd_validate)
 
@@ -464,6 +468,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

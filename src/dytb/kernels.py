@@ -359,7 +359,8 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
 
 def save_kernel(kernel: PerfectKernel, path) -> None:
     with open(path, "w") as fh:
-        json.dump(kernel_to_json_dict(kernel), fh)
+        # one C-encoded string: the bytes of json.dump, without its Python streaming encoder
+        fh.write(json.dumps(kernel_to_json_dict(kernel)))
 
 
 def load_kernel(path, check_size: bool = True) -> PerfectKernel:

@@ -53,8 +53,8 @@ from .twisted import (
 )
 
 __all__ = [
-    "PowerResult",
-    "power_norm",
+    "LanczosResult",
+    "lanczos_norm",
     "operator_norm",
     "testing_constant",
     "easy_terms_check",
@@ -80,66 +80,105 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
+AUTO_DENSE_CELLS = 256  # "auto" takes the dense SVD up to here, Lanczos above
+NORM_METHODS = ("auto", "dense-svd", "lanczos")
 
 
 # -- operator norm ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PowerResult:
+class LanczosResult:
     value: float
     converged: bool
-    iterations: int
-    achieved_tol: float
+    steps: int
+    residual: float
 
 
-def power_norm(
-    kernel: PerfectKernel, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0
-) -> PowerResult:
-    """L^2 operator norm by power iteration on T*T via the fast apply.
+def lanczos_norm(
+    kernel: PerfectKernel, tol: float = 1e-13, max_steps: int = 500, seed: int = 0
+) -> LanczosResult:
+    """L^2 operator norm by Golub-Kahan-Lanczos bidiagonalisation on the fast apply.
 
-    Non-convergence is reported in the result, not raised; the value is then
-    the last iterate with its achieved tolerance.
+    From a seeded random unit vector v_1, alternate T and T* with full
+    reorthogonalisation, so that T V_k = U_k B_k for the upper bidiagonal
+    B_k = bidiag(alpha; beta).  The value is sigma_1(B_k), a lower bound of
+    the norm up to rounding.  With B_k = P S Q^T the Ritz pair u = U_k p_1,
+    v = V_k q_1 has ||T* u - sigma v|| = beta_k |e_k^T p_1|; the run stops when
+    that residual is at most ``tol * sigma``, or exactly when the Krylov space
+    is invariant (a zero alpha or beta, or every cell spanned).
+    Non-convergence is reported in the result, not raised.
     """
-    spec = kernel.spec
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(spec.n_cells)
-    x /= np.linalg.norm(x)
+    n = kernel.spec.n_cells
     adj = adjoint(kernel)
-    prev = np.inf
-    sigma = 0.0
-    rel = np.inf
-    for it in range(1, max_iter + 1):
-        y = apply_values(kernel, x)
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return PowerResult(0.0, True, it, 0.0)
-        rel = abs(sigma - prev) / sigma
-        if rel <= tol:
-            return PowerResult(sigma, True, it, rel)
-        prev = sigma
-        z = apply_values(adj, y)
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return PowerResult(sigma, True, it, 0.0)
-        x = z / zn
-    return PowerResult(sigma, False, max_iter, rel)
+    steps = min(max_steps, n)
+    V = np.empty((min(steps + 1, 32), n))  # grown by doubling
+    U = np.empty_like(V)
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    v = np.random.default_rng(seed).standard_normal(n)
+    V[0] = v / np.linalg.norm(v)
+    sigma, residual = 0.0, np.inf
+    for k in range(steps):
+        if k + 1 >= len(V):
+            V, U = (np.concatenate([b, np.empty_like(b)]) for b in (V, U))
+        u = apply_values(kernel, V[k])
+        if k:
+            u -= beta[k - 1] * U[k - 1]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                u -= U[:k].T @ (U[:k] @ u)
+        alpha[k] = np.linalg.norm(u)
+        if alpha[k] == 0.0:  # T maps V_(k+1) into span U_k: B_(k+1) is exact
+            return LanczosResult(float(_bidiag_svd(alpha[: k + 1], beta[:k])[1][0]),
+                                 True, k + 1, 0.0)
+        U[k] = u / alpha[k]
+        w = apply_values(adj, U[k]) - alpha[k] * V[k]
+        for _ in range(2):
+            w -= V[: k + 1].T @ (V[: k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        left, s = _bidiag_svd(alpha[: k + 1], beta[:k])
+        sigma = float(s[0])
+        residual = float(beta[k] * abs(left[k, 0]))
+        if residual <= tol * sigma or k + 1 == n:
+            return LanczosResult(sigma, True, k + 1, residual)
+        V[k + 1] = w / beta[k]
+    return LanczosResult(sigma, False, steps, residual)
 
 
-def operator_norm(kernel: PerfectKernel, method: str = "dense-svd", **kwargs) -> float:
-    """The L^2 -> L^2 norm (cell-basis spectral norm); an unconverged power iteration raises."""
+def _bidiag_svd(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of bidiag(alpha; beta)."""
+    b = np.diag(alpha) + np.diag(beta, 1)
+    left, s, _ = np.linalg.svd(b)
+    return left, s
+
+
+def operator_norm(kernel: PerfectKernel, method: str = "auto", **kwargs) -> float:
+    """The L^2 -> L^2 norm (cell-basis spectral norm).
+
+    ``"auto"`` takes the dense SVD up to ``AUTO_DENSE_CELLS`` cells and
+    ``lanczos_norm`` above; an explicit ``"dense-svd"`` above ``DENSE_CAP``
+    cells and an unconverged Lanczos run raise.
+    """
+    method = norm_method_for(kernel, method)
     if method == "dense-svd":
         if kernel.spec.n_cells > DENSE_CAP:
             raise ValueError(f"dense-svd only allowed up to {DENSE_CAP} cells")
         m = dense_matrix(kernel, max_cells=DENSE_CAP)
         return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
-    if method == "power":
-        res = power_norm(kernel, **kwargs)
-        if not res.converged:
-            raise RuntimeError(f"power iteration did not converge in {res.iterations} iterations "
-                               f"(achieved tolerance {res.achieved_tol:.3g})")
-        return res.value
-    raise ValueError(f"unknown method {method!r}")
+    res = lanczos_norm(kernel, **kwargs)
+    if not res.converged:
+        raise RuntimeError(f"Lanczos norm did not converge in {res.steps} steps "
+                           f"(residual {res.residual:.3g} at value {res.value!r})")
+    return res.value
+
+
+def norm_method_for(kernel: PerfectKernel, method: str) -> str:
+    """The concrete method ``operator_norm`` uses for ``method`` on this kernel."""
+    if method not in NORM_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {NORM_METHODS}")
+    if method == "auto":
+        return "dense-svd" if kernel.spec.n_cells <= AUTO_DENSE_CELLS else "lanczos"
+    return method
 
 
 # -- testing constants -------------------------------------------------------------
@@ -634,7 +673,7 @@ class ExperimentConfig:
     amp: float | None = None
     A: float | None = None
     tau_target: float = 0.9
-    norm_method: str = "dense-svd"
+    norm_method: str = "auto"
 
 
 RESIDUAL_FIELDS = (
@@ -719,10 +758,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
         accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
         tau_target=config.tau_target,
     )
-    if config.norm_method == "dense-svd" and inst.spec.n_cells <= DENSE_CAP:
-        norm = operator_norm(inst.kernel, "dense-svd")
-    else:
-        norm = operator_norm(inst.kernel, "power")
+    norm = operator_norm(inst.kernel, config.norm_method)
     ratio = norm / (1.0 + inst.tloc)
     if not inst.ok:
         return VerifierReport(

@@ -1,7 +1,11 @@
+import io
 import json
 
+from dytb import cli
 from dytb.cli import main
-from dytb.kernels import load_kernel
+from dytb.grid import GridSpec
+from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
+from dytb.verify import operator_norm
 
 
 def test_gen_kernel_then_validate(tmp_path, capsys):
@@ -11,6 +15,41 @@ def test_gen_kernel_then_validate(tmp_path, capsys):
     assert main(["validate", "--kernel", str(out)]) == 0
     text = capsys.readouterr().out
     assert "operator norm" in text and "0.0" in text
+
+
+def test_validate_norm_methods(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert main(["gen-kernel", "--dim", "1", "--depth", "9", "--seed", "4",
+                 "--out", str(out)]) == 0
+    kernel = load_kernel(out)
+    for flag, method in (("auto", "lanczos"), ("lanczos", "lanczos"),
+                         ("dense-svd", "dense-svd")):
+        capsys.readouterr()
+        assert main(["validate", "--kernel", str(out), "--norm-method", flag]) == 0
+        text = capsys.readouterr().out
+        assert f"operator norm ({method}) = {operator_norm(kernel, method)!r}" in text
+    assert main(["validate", "--kernel", str(out), "--norm-method", "power"]) == 2
+
+
+def test_internal_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "k.json"
+    assert main(["gen-kernel", "--dim", "1", "--depth", "5", "--out", str(out)]) == 0
+
+    def unconverged(kernel, method):
+        return operator_norm(kernel, "lanczos", max_steps=2)
+
+    monkeypatch.setattr(cli, "operator_norm", unconverged)
+    capsys.readouterr()
+    assert main(["validate", "--kernel", str(out)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "did not converge in 2 steps" in err
+
+    def broken(args):
+        raise RuntimeError("generator bug: mean of b_Q off")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert main(["validate", "--kernel", str(out)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: generator bug: mean of b_Q off\n"
 
 
 def test_validate_rejects_oversized_entry(tmp_path, capsys):
@@ -127,6 +166,30 @@ def test_corona_forest_export(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert {"dim", "depth", "q0", "delta", "s1", "s2"} <= set(data)
     assert data["s1"][0]["parent"] is None
+
+
+def test_json_files_are_the_bytes_of_json_dump(tmp_path, monkeypatch):
+    kernel_path = tmp_path / "k.json"
+    assert main(["gen-kernel", "--dim", "2", "--depth", "3", "--seed", "6",
+                 "--out", str(kernel_path)]) == 0
+    buf = io.StringIO()
+    json.dump(kernel_to_json_dict(generate_kernel("random", GridSpec(2, 3), seed=6)), buf)
+    assert kernel_path.read_text() == buf.getvalue()
+
+    dumped = []
+    real = cli.forest_to_json_dict
+
+    def capture(forest):
+        dumped.append(real(forest))
+        return dumped[-1]
+
+    monkeypatch.setattr(cli, "forest_to_json_dict", capture)
+    forest_path = tmp_path / "forest.json"
+    assert main(["corona", "--dim", "1", "--depth", "7", "--seed", "2",
+                 "--out", str(forest_path)]) == 0
+    buf = io.StringIO()
+    json.dump(dumped[0], buf, indent=1, sort_keys=True)
+    assert forest_path.read_text() == buf.getvalue()
 
 
 def test_unknown_plot_kind_is_config_error(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import corona_delta, make_context, twisted_delta
 from dytb.verify import (
+    AUTO_DENSE_CELLS,
     RESIDUAL_FIELDS,
     ExperimentConfig,
+    LanczosResult,
     adversarial_transform_search,
     b_above_aggregation,
     b_above_per_s_check,
@@ -23,9 +26,9 @@ from dytb.verify import (
     epsilon_coefficient,
     form_split,
     identity_suite,
+    lanczos_norm,
     main_theorem_experiment,
     operator_norm,
-    power_norm,
     run_identity_checks,
     trial_seed,
 )
@@ -48,11 +51,54 @@ def classical_setup(depth=4, dim=1):
 # -- operator norm ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PowerResult:
+    value: float
+    converged: bool
+    iterations: int
+    achieved_tol: float
+
+
+def power_norm(
+    kernel: PerfectKernel, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0
+) -> PowerResult:
+    """Oracle: L^2 operator norm by power iteration on T*T via the fast apply.
+
+    It stops when the iterate stops moving, not when it is close to sigma_1,
+    so its true error can exceed ``tol`` by orders of magnitude.
+    """
+    spec = kernel.spec
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(spec.n_cells)
+    x /= np.linalg.norm(x)
+    adj = adjoint(kernel)
+    prev = np.inf
+    sigma = 0.0
+    rel = np.inf
+    for it in range(1, max_iter + 1):
+        y = apply_values(kernel, x)
+        sigma = float(np.linalg.norm(y))
+        if sigma == 0.0:
+            return PowerResult(0.0, True, it, 0.0)
+        rel = abs(sigma - prev) / sigma
+        if rel <= tol:
+            return PowerResult(sigma, True, it, rel)
+        prev = sigma
+        z = apply_values(adj, y)
+        zn = np.linalg.norm(z)
+        if zn == 0.0:
+            return PowerResult(sigma, True, it, 0.0)
+        x = z / zn
+    return PowerResult(sigma, False, max_iter, rel)
+
+
 def test_norm_zero_kernel():
     spec = GridSpec(1, 3)
     zk = generate_kernel("zero", spec)
     assert operator_norm(zk, "dense-svd") == 0.0
-    assert operator_norm(zk, "power") == 0.0
+    assert operator_norm(zk, "lanczos") == 0.0
+    res = lanczos_norm(zk)
+    assert res == LanczosResult(0.0, True, 1, 0.0)
 
 
 def test_norm_depth1_example():
@@ -62,31 +108,78 @@ def test_norm_depth1_example():
     oracle = np.linalg.svd(np.array([[0.0, 0.5], [-0.5, 0.0]]), compute_uv=False)[0]
     assert operator_norm(t, "dense-svd") == pytest.approx(oracle)
     assert oracle == pytest.approx(0.5)
+    # T*T = I/4: the first step spans an invariant pair and the run stops there
+    res = lanczos_norm(t)
+    assert res.converged and res.steps == 1
+    assert res.value == pytest.approx(0.5, rel=1e-15)
 
 
-def test_power_matches_dense_on_50_kernels():
-    spec = GridSpec(1, 5)
-    for seed in range(50):
-        t = generate_kernel("random", spec, seed=seed)
+LANCZOS_CASES = [
+    *[(1, 5, "random", seed, 1.0) for seed in range(50)],
+    *[(1, depth, "random", seed, 1.0) for depth in (8, 9, 10) for seed in range(3)],
+    *[(2, depth, "random", seed, 1.0) for depth in (3, 4, 5) for seed in range(3)],
+    *[(dim, depth, "haar-shift", 0, 1.0) for dim, depth in ((1, 5), (1, 9), (2, 3), (2, 5))],
+    *[(dim, depth, "random", 7, 0.3) for dim, depth in ((1, 8), (1, 10), (2, 4), (2, 5))],
+    *[(dim, depth, "random", 4, 1.0) for dim, depth in ((1, 1), (1, 2), (2, 1))],  # all cells spanned
+]
+
+
+def test_lanczos_matches_dense():
+    """Lanczos against dense SVD at 1e-12 relative (the power oracle met 1e-6)."""
+    for dim, depth, kind, seed, scale in LANCZOS_CASES:
+        t = generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
         dense = operator_norm(t, "dense-svd")
-        power = power_norm(t, tol=1e-10)
-        assert power.converged
-        assert power.value == pytest.approx(dense, rel=1e-6)
+        res = lanczos_norm(t)
+        assert res.converged and res.residual <= 1e-13 * res.value, (dim, depth, kind, seed)
+        assert res.value == pytest.approx(dense, rel=1e-12), (dim, depth, kind, seed)
 
 
-def test_power_reports_nonconvergence():
-    spec = GridSpec(1, 5)
-    t = generate_kernel("random", spec, seed=1)
-    res = power_norm(t, tol=1e-16, max_iter=2)
-    assert not res.converged
-    assert res.iterations == 2 and res.achieved_tol > 1e-16
+def test_lanczos_beats_the_power_oracle():
+    """At the power oracle's tolerance its true error is far above Lanczos's."""
+    t = generate_kernel("random", GridSpec(1, 9), seed=1)
+    dense = operator_norm(t, "dense-svd")
+    power = power_norm(t, tol=1e-8)
+    assert power.converged
+    assert abs(lanczos_norm(t).value - dense) <= 1e-12 * dense < abs(power.value - dense)
 
 
-def test_unconverged_power_norm_raises():
+def test_lanczos_is_deterministic():
+    t = generate_kernel("random", GridSpec(2, 5), seed=3)
+    assert lanczos_norm(t) == lanczos_norm(t)
+    assert lanczos_norm(t, seed=1).value == pytest.approx(lanczos_norm(t).value, rel=1e-12)
+
+
+def test_lanczos_reports_nonconvergence():
     t = generate_kernel("random", GridSpec(1, 5), seed=1)
-    with pytest.raises(RuntimeError, match=r"did not converge in 2 iterations"):
-        operator_norm(t, "power", tol=1e-16, max_iter=2)
-    assert operator_norm(t, "power", tol=1e-10) == power_norm(t, tol=1e-10).value
+    res = lanczos_norm(t, max_steps=2)
+    assert not res.converged
+    assert res.steps == 2 and res.residual > 1e-13 * res.value
+
+
+def test_unconverged_lanczos_norm_raises():
+    t = generate_kernel("random", GridSpec(1, 5), seed=1)
+    with pytest.raises(RuntimeError, match=r"did not converge in 2 steps"):
+        operator_norm(t, "lanczos", max_steps=2)
+    assert operator_norm(t, "lanczos") == lanczos_norm(t).value
+
+
+def test_auto_norm_dispatch():
+    for dim, depth in ((1, 8), (2, 4)):  # 256 cells: still the dense SVD
+        t = generate_kernel("random", GridSpec(dim, depth), seed=2)
+        assert t.spec.n_cells == AUTO_DENSE_CELLS
+        assert operator_norm(t) == operator_norm(t, "auto") == operator_norm(t, "dense-svd")
+    t = generate_kernel("random", GridSpec(1, 9), seed=2)
+    assert operator_norm(t) == lanczos_norm(t).value
+    with pytest.raises(ValueError, match="unknown method"):
+        operator_norm(t, "power")
+
+
+def test_trial_at_dense_size_reports_the_dense_norm():
+    for dim, depth in ((1, 8), (2, 4)):
+        config = ExperimentConfig(dim=dim, depth=depth, trials=1, seed=5)
+        [report] = main_theorem_experiment(config)
+        inst = build_instance(dim, depth, trial_seed(5, 0))
+        assert report.operator_norm == operator_norm(inst.kernel, "dense-svd")
 
 
 def test_dense_norm_guard():
@@ -94,6 +187,7 @@ def test_dense_norm_guard():
     t = generate_kernel("zero", spec)
     with pytest.raises(ValueError):
         operator_norm(t, "dense-svd")
+    assert operator_norm(t) == 0.0
 
 
 # -- testing constant ----------------------------------------------------------------
