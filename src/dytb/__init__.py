@@ -70,7 +70,6 @@ from .verify import (
     VerifierReport,
     adversarial_transform_search,
     b_above_aggregation,
-    b_above_per_s_check,
     bilinear_expansion_check,
     box_square_function_check,
     build_instance,

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -100,13 +101,7 @@ class PerfectKernel:
     def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
         entries = entries or {}
         keys = np.array(list(entries), dtype=np.int64).reshape(-1, 4)
-        vals = np.array(list(entries.values()), dtype=float)
-        order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
-        keys, vals = keys[order], vals[order]
-        cuts = np.flatnonzero(np.diff(keys[:, 0])) + 1
-        levels = {int(k[0, 0]): (k[:, 1], k[:, 2], k[:, 3], v)
-                  for k, v in zip(np.split(keys, cuts), np.split(vals, cuts)) if len(v)}
-        self._build(spec, levels)
+        self._build(spec, _split_levels(keys, np.array(list(entries.values()), dtype=float)))
 
     @classmethod
     def _from_levels(cls, spec: GridSpec, levels: dict) -> PerfectKernel:
@@ -136,6 +131,16 @@ class PerfectKernel:
 
     def __len__(self) -> int:
         return sum(len(p.vals) for p in self.plan.values())
+
+
+def _split_levels(keys: np.ndarray, vals: np.ndarray) -> dict:
+    """Distinct (level, flat, i, j) rows and their values as the per-level
+    sorted arrays of ``PerfectKernel._from_levels``."""
+    order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
+    keys, vals = keys[order], vals[order]
+    cuts = np.flatnonzero(np.diff(keys[:, 0])) + 1
+    return {int(k[0, 0]): (k[:, 1], k[:, 2], k[:, 3], v)
+            for k, v in zip(np.split(keys, cuts), np.split(vals, cuts)) if len(v)}
 
 
 def _level_plan(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
@@ -321,40 +326,81 @@ def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
 # -- serialization -------------------------------------------------------------
 
 
+_ENTRY_FIELDS = ("level", "coords", "i", "j", "value")
+
+
 def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
+    """The entries in (level, flat, i, j) order, read off the level plans."""
     entries = []
-    for (level, flat, i, j), v in sorted(kernel.entries.items()):
-        cube = kernel.spec.cube_from_flat(level, flat)
-        entries.append({"level": level, "coords": list(cube.coords), "i": i, "j": j, "value": v})
+    for level, p in kernel.plan.items():
+        coords = (p.flats[:, None] if kernel.spec.dim == 1
+                  else np.column_stack([p.flats >> level, p.flats & ((1 << level) - 1)]))
+        entries += [{"level": level, "coords": c, "i": i, "j": j, "value": v} for c, i, j, v
+                    in zip(coords.tolist(), p.ii.tolist(), p.jj.tolist(), p.vals.tolist())]
     return {"dim": kernel.spec.dim, "depth": kernel.spec.depth, "entries": entries}
 
 
 def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
     """The kernel of a ``kernel_to_json_dict`` document.  A missing field, a
     cube of the wrong dimension or a repeated (level, coords, i, j) entry is a
-    ``ValueError``."""
+    ``ValueError`` naming the first bad entry in file order."""
     try:
         spec = GridSpec(int(data["dim"]), int(data["depth"]))
         rows = data["entries"]
     except KeyError as e:
         raise ValueError(f"kernel file lacks {e.args[0]!r}") from None
-    entries = {}
-    for n, e in enumerate(rows):
-        missing = [name for name in ("level", "coords", "i", "j", "value") if name not in e]
-        if missing:
-            raise ValueError(f"kernel entry {n} lacks {missing[0]!r}")
-        cube = DyadicCube(int(e["level"]), tuple(int(c) for c in e["coords"]))
-        if cube.dim != spec.dim:
-            raise ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
-        key = (cube.level, spec.cube_flat(cube), int(e["i"]), int(e["j"]))
-        if key in entries:
-            raise ValueError(f"kernel entry {n} repeats level {cube.level}, coords "
-                             f"{list(cube.coords)}, pair ({key[2]}, {key[3]})")
-        entries[key] = float(e["value"])
-    kernel = PerfectKernel(spec, entries)
+    level, coords, ii, jj, vals, bad = _entry_arrays(spec, rows)
+    key = np.column_stack([level, coords, ii, jj])
+    order = np.lexsort(key.T[::-1])  # stable: equal keys stay in file order
+    repeats = order[1:][np.all(key[order[1:]] == key[order[:-1]], axis=1)]
+    if len(repeats):
+        n = int(repeats.min())
+        raise ValueError(f"kernel entry {n} repeats level {level[n]}, coords "
+                         f"{coords[n].tolist()}, pair ({ii[n]}, {jj[n]})")
+    if bad < len(rows):
+        raise _entry_error(spec, bad, rows[bad])
+    flats = coords[:, 0] if spec.dim == 1 else (coords[:, 0] << level) | coords[:, 1]
+    kernel = PerfectKernel._from_levels(spec, _split_levels(np.column_stack([level, flats, ii, jj]), vals))
     if check_size and not validate_size(kernel):
         raise ValueError("kernel file violates the size bound")
     return kernel
+
+
+def _entry_arrays(spec: GridSpec, rows: list) -> tuple:
+    """(level, coords, i, j, value) as arrays, one row per entry, up to the
+    first entry that lacks a field, has the wrong number of coords or names
+    no dyadic cube; and that entry's index (``len(rows)`` if there is none)."""
+    try:
+        cols = [list(map(itemgetter(name), rows)) for name in _ENTRY_FIELDS]
+        end = len(rows)
+    except KeyError:
+        fields = frozenset(_ENTRY_FIELDS)
+        end = next(n for n, e in enumerate(rows) if not fields <= e.keys())
+        cols = [list(map(itemgetter(name), rows[:end])) for name in _ENTRY_FIELDS]
+    end = _first(np.fromiter(map(len, cols[1]), np.int64, end) != spec.dim, end)
+    level, ii, jj = (np.array(c[:end], dtype=np.int64) for c in (cols[0], cols[2], cols[3]))
+    coords = np.fromiter(itertools.chain.from_iterable(cols[1][:end]), np.int64,
+                         end * spec.dim).reshape(end, spec.dim)
+    # DyadicCube's checks; every coordinate fits below 2^level once level > 62
+    top = np.left_shift(1, np.clip(level, 0, 62))[:, None]
+    end = _first((level < 0) | np.any((coords < 0) | ((coords >= top) & (level[:, None] <= 62)), axis=1),
+                 end)
+    return level[:end], coords[:end], ii[:end], jj[:end], np.array(cols[4][:end], dtype=float), end
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """The index of the first True in ``mask``, ``default`` if there is none."""
+    return int(np.argmax(mask)) if mask.any() else default
+
+
+def _entry_error(spec: GridSpec, n: int, entry: dict) -> ValueError:
+    """The error of entry ``n``, known to lack a field, to have the wrong
+    number of coords or to name no dyadic cube."""
+    missing = [name for name in _ENTRY_FIELDS if name not in entry]
+    if missing:
+        return ValueError(f"kernel entry {n} lacks {missing[0]!r}")
+    cube = DyadicCube(int(entry["level"]), tuple(int(c) for c in entry["coords"]))  # may raise
+    return ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
 
 
 def save_kernel(kernel: PerfectKernel, path) -> None:

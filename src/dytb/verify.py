@@ -6,9 +6,14 @@ operator norm on L^2, the local testing constant
     Tloc = max over cubes Q of ( |Q|^-1 int_Q |T b_Q|^q )^(1/q)
 
 (and its adjoint twin), and the exact decomposition identities that reduce
-the pairing <Tf, g> for sign functions f, g to corona blocks.  The experiment
-runner generates seeded random instances, chooses delta, builds the corona,
-and reports the ratio operator_norm / (1 + Tloc) together with every residual.
+the pairing <Tf, g> for sign functions f, g to corona blocks.  Like the
+testing constant, the nested form of those blocks is computed one level at a
+time: cubes of a level are disjoint, so one sweep of the kernel from a level
+applies T inside every cube of that level at once (``kernels._sweep_from``),
+and the form takes no apply per cube and no full-grid copy of any b_S.  The
+experiment runner generates seeded random instances, chooses delta, builds
+the corona, and reports the ratio operator_norm / (1 + Tloc) together with
+every residual.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ from .corona import (
     CoronaForest,
     DeltaSearch,
     TbConfig,
-    _subtree_mask,
     carleson_constant,
     choose_delta,
     conjugate,
     packing_ratio,
 )
-from .grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
+from .grid import GridFunction, GridSpec, cube_blocks, spread
 from .kernels import (
     PerfectKernel,
     _sweep_from,
@@ -44,6 +48,7 @@ from .twisted import (
     SignChoice,
     TwistedContext,
     _check_blocks,
+    _stitch,
     corona_levels,
     decomposition_identity_check,
     delta_decomp_check,
@@ -61,8 +66,6 @@ __all__ = [
     "bilinear_expansion_check",
     "FormSplit",
     "form_split",
-    "PerSResult",
-    "b_above_per_s_check",
     "b_above_aggregation",
     "epsilon_coefficient",
     "diagonal_lemma_check",
@@ -290,85 +293,58 @@ def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
     return FormSplit(above, equal, below, total, residual)
 
 
-# -- the nested form, block by block ----------------------------------------------
+# -- the nested form, level by level ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerSResult:
-    member: DyadicCube
-    value: float  # signed block contribution
-    bound: float  # Tloc * |S|
-    pullout_residual: float  # worst relative mismatch of the constant pull-out
+def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
+    """The nested form sum_{P strictly above Q} <T D_P f, D_Q g> summed block by
+    block over S_1, against the same form computed directly.
 
-
-def b_above_per_s_check(
-    kernel, forest, sys1, sys2, f, g, member, tloc, _levels=None
-) -> PerSResult:
-    """One corona block's share of the nested form:
+    The share of a block S is
 
         1_{S != Q0} <f>_S sum_{Q in S} <T b_S, D_Q g>
-        + sum_{P: parent(P) = S} sum_{Q strictly in P} <T (b_S w_P), D_Q g>
+        + sum_{P: pi(P) = S} sum_{Q strictly in P} <T (b_S w_P), D_Q g>
 
-    with w_P the per-cube block difference (constant on P's children).  Each
-    inner pairing is also recomputed in pulled-out form
-    <w_P>_{child of P over Q} * <T b_S, D_Q g> and the worst relative
-    mismatch reported.
-    """
-    spec = forest.spec
-    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
-    g_blocks = {b: cube_blocks(spec, b, lg.deltas[b]) for b in range(member.level, spec.depth)}
-
-    def pairings(u):
-        """<u, D_Q g> for every cube Q of each level, one row-wise dot per level."""
-        return {b: np.sum(cube_blocks(spec, b, u) * gv, axis=1) * spec.cell_volume
-                for b, gv in g_blocks.items()}
-
-    bs = sys1.get_b(member).values
-    tbs = pairings(apply_values(kernel, bs))
-    # first piece: telescoped pairing against the block function itself
-    value = 0.0
-    if member != forest.q0:
-        acc = sum(float(v[_subtree_mask(spec.dim, member, b)].sum()) for b, v in tbs.items())
-        value += f.average(member) * acc
-    # second piece: per-cube differences inside the block
-    pull_res = 0.0
-    for p in forest.block_cubes(1, member):
-        if p.level >= spec.depth:
-            continue
-        half = lf.half_twisted[p.level]
-        w = spread(spec, p.level + 1, half) * spread(spec, p.level, _subtree_mask(spec.dim, p, p.level))
-        u = pairings(apply_values(kernel, bs * w))
-        for b in range(p.level + 1, spec.depth):
-            inside = _subtree_mask(spec.dim, p, b)
-            direct = u[b][inside]
-            pulled = spread(spec, p.level + 1, half, b)[inside] * tbs[b][inside]
-            mismatch = np.abs(direct - pulled) / (1.0 + np.abs(direct))
-            pull_res = max(pull_res, float(mismatch.max()))
-            value += float(direct.sum())
-    return PerSResult(member, value, tloc * member.volume, pull_res)
-
-
-def b_above_aggregation(kernel, forest, sys1, sys2, f, g, tloc, _levels=None):
-    """Sum the per-block contributions over all of S_1 and compare with the
-    directly computed nested form sum_{P strictly above Q} <T D_P f, D_Q g>.
+    with w_P the half-twisted block difference of P (constant on P's
+    children).  All blocks are done one level a at a time: cubes of a level
+    are disjoint, so one sweep from level a of B_a w_a (every block cube's
+    b_S w_P) gives T(b_S w_P) inside every level-a cube P, and the members'
+    b, each swept from its own level and stitched like B_a, give T b_S there
+    (``kernels._sweep_from``); one row-wise dot per level b pairs either with
+    every D_Q g.  The pull-out residual compares the two routes: the swept
+    <T(b_S w_P), D_Q g> against <w_P>_{child of P over Q} <T b_S, D_Q g>.
 
     Pairs of cubes on different levels that are not nested contribute zero
     (perfect cancellation), so the reference is sum_{a < b} <T D_a f, D_b g>
-    over the level differences.  Returns (per-block results, reference value,
-    relative residual)."""
-    levels = lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
+    over the level differences.  Returns (total, pull-out residual,
+    reference, relative residual of total against reference)."""
+    spec, top, cv = forest.spec, forest.q0.level, forest.spec.cell_volume
+    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
     reference = 0.0
     for a, fv in lf.deltas.items():
         u = apply_values(kernel, fv)
-        reference += sum(float(u @ gv) * forest.spec.cell_volume
-                         for b, gv in lg.deltas.items() if a < b)
-    results = [
-        b_above_per_s_check(kernel, forest, sys1, sys2, f, g, s, tloc, _levels=levels)
-        for s in sorted(forest.members(1))
-    ]
-    total = sum(r.value for r in results)
+        reference += sum(float(u @ gv) * cv for b, gv in lg.deltas.items() if a < b)
+    g_blocks = {b: cube_blocks(spec, b, gv) for b, gv in lg.deltas.items()}
+
+    def pairings(u, first):
+        """<u, D_Q g> for every cube Q of each level from ``first``, one row-wise dot per level."""
+        return {b: np.sum(cube_blocks(spec, b, u) * g_blocks[b], axis=1) * cv
+                for b in range(first, spec.depth)}
+
+    tb, _ = _stitch(spec, lf.owners, lambda m: _sweep_from(kernel, sys1.level_values(m), m))
+    total = pullout = 0.0
+    for a, half in lf.half_twisted.items():
+        tbs = pairings(tb[a], a)
+        if a > top:  # the first piece of the members of level a
+            own = np.where(lf.owners[a] == a, lf.h_avg[a], 0.0)
+            total += sum(float(spread(spec, a, own, b) @ v) for b, v in tbs.items())
+        direct = pairings(_sweep_from(kernel, lf.b[a] * spread(spec, a + 1, half), a), a + 1)
+        for b, d in direct.items():
+            pulled = spread(spec, a + 1, half, b) * tbs[b]
+            pullout = max(pullout, float(np.max(np.abs(d - pulled) / (1.0 + np.abs(d)))))
+            total += float(d.sum())
     residual = abs(total - reference) / (1.0 + abs(reference))
-    return results, reference, residual
+    return total, pullout, reference, residual
 
 
 def epsilon_coefficient(forest, sys1, f, member, cube) -> float:
@@ -586,10 +562,15 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 def check_forest_blocks(forest, sys1, sys2) -> int:
     """The invariants ``block_context`` validates on every corona block, in
     one pass per family over the stitched level arrays (each cube Q against
-    b_pi(Q)); raises ValueError on a violation, returns the number of blocks."""
+    b_pi(Q)); returns the number of blocks.  A violation raises RuntimeError:
+    the construction guarantees these invariants on every forest it builds,
+    so a failure is a fault of the program, not of its input."""
     cfg = forest.config
     for j, system, p in ((1, sys1, cfg.p1), (2, sys2, cfg.p2)):
-        _check_blocks(corona_levels(forest, j, system, None), p, cfg.delta, cfg.A)
+        try:
+            _check_blocks(corona_levels(forest, j, system, None), p, cfg.delta, cfg.A)
+        except ValueError as e:
+            raise RuntimeError(f"corona family S_{j} breaks a block invariant: {e}") from None
     return len(forest.members(1)) + len(forest.members(2))
 
 
@@ -627,10 +608,8 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     out["bilinear_expansion"], _ = bilinear_expansion_check(
         kernel, forest, sys1, sys2, f, g, _levels=levels)
     out["form_split"] = form_split(kernel, forest, sys1, sys2, f, g, _levels=levels).residual
-    per_s, _, agg_res = b_above_aggregation(
-        kernel, forest, sys1, sys2, f, g, inst.tloc, _levels=levels)
-    out["b_above_aggregation"] = agg_res
-    out["pullout"] = max((r.pullout_residual for r in per_s), default=0.0)
+    _, out["pullout"], _, out["b_above_aggregation"] = b_above_aggregation(
+        kernel, forest, sys1, sys2, f, g, _levels=levels)
 
     # telescoping of the g-side differences over each block of S_1
     tele = 0.0

@@ -1,7 +1,7 @@
 import io
 import json
 
-from dytb import cli
+from dytb import cli, verify
 from dytb.cli import main
 from dytb.grid import GridSpec
 from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
@@ -50,6 +50,20 @@ def test_internal_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_validate", broken)
     assert main(["validate", "--kernel", str(out)]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err == "internal error: generator bug: mean of b_Q off\n"
+
+
+def test_broken_forest_invariant_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a forest the trial itself built that fails its block check is a program fault
+    def unsafe(levels, p, delta, A):
+        raise ValueError("denominator safety fails at Q(1; 0)")
+
+    monkeypatch.setattr(verify, "_check_blocks", unsafe)
+    capsys.readouterr()
+    assert main(["tb-experiment", "--trials", "1", "--dim", "1", "--depth", "3",
+                 "--out", str(tmp_path / "r.csv")]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: corona family S_1 breaks a block invariant: "
+        "denominator safety fails at Q(1; 0)\n")
 
 
 def test_validate_rejects_oversized_entry(tmp_path, capsys):

@@ -78,7 +78,7 @@ from test_twisted import (
     enumerated_twisted_delta,
     walk_pi,
 )
-from test_verify import epsilon_by_walk, quadratic_b_above_reference
+from test_verify import epsilon_by_walk, per_block_b_above_all, quadratic_b_above_reference
 
 GRIDS = [(1, depth) for depth in range(1, 9)] + [(2, depth) for depth in range(1, 5)]
 SMALL_GRIDS = [(dim, depth) for dim, depth in GRIDS if depth <= 6]
@@ -151,7 +151,7 @@ def test_nested_form_and_epsilon_match_quadratic_oracles(grid, seed):
     inst = drawn_instance(grid, seed)
     forest, spec, f = inst.forest, inst.spec, inst.f
     args = (inst.kernel, forest, inst.sys1, inst.sys2, f, inst.g)
-    _, reference, _ = b_above_aggregation(*args, inst.tloc)
+    _, _, reference, _ = b_above_aggregation(*args)
     quadratic = quadratic_b_above_reference(*args)
     assert abs(reference - quadratic) <= 1e-12 * (1.0 + abs(quadratic))
 
@@ -165,6 +165,34 @@ def test_nested_form_and_epsilon_match_quadratic_oracles(grid, seed):
         worst = max((abs(v) for v in walked.values()), default=0.0)
         telescoped = _epsilon_max(corona_levels(forest, 1, inst.sys1, h))
         assert abs(telescoped - worst) <= 1e-12 * (1.0 + worst)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(GRIDS), kind=st.sampled_from(ACCRETIVE_KINDS),
+       kernel_kind=st.sampled_from(KERNEL_KINDS), tloc_scale=st.sampled_from([1.0, 0.25]),
+       sub=st.booleans(), seed=SEEDS)
+def test_nested_form_level_sweeps_equal_per_block_oracle(grid, kind, kernel_kind, tloc_scale,
+                                                         sub, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel(kernel_kind, spec, seed=seed)
+    A, params = KIND_SETUPS[kind]
+    sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
+    # a lowered Tloc stops more cubes, so more blocks share the form
+    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    level = int(rng.integers(1, spec.depth + 1)) if sub else 0
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.25, A, Tloc=tloc))
+    f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
+    args = (kernel, forest, sys1, sys2, f, g)
+    total, pullout, reference, residual = b_above_aggregation(*args)
+    blocks = per_block_b_above_all(*args)
+    want = sum(block.value for block in blocks)
+    assert pullout == max(block.pullout_residual for block in blocks)
+    assert abs(total - want) <= 1e-12 * (1.0 + abs(want))
+    assert residual <= 1e-9
 
 
 # (kind, params, A, delta): terminal cubes from the mean condition; "signed"
@@ -287,7 +315,7 @@ def test_block_check_matches_block_contexts():
                         block_context(forest, *block)
                 if any(rejects):
                     rejected[mutation] += 1
-                    with pytest.raises(ValueError):
+                    with pytest.raises(RuntimeError, match="breaks a block invariant"):
                         check_forest_blocks(forest, inst.sys1, inst.sys2)
                 else:
                     assert check_forest_blocks(forest, inst.sys1, inst.sys2) == len(blocks)

@@ -1,8 +1,11 @@
+import copy
+import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
@@ -17,6 +20,7 @@ from dytb.kernels import (
     dense_matrix,
     generate_kernel,
     kernel_from_json_dict,
+    kernel_to_json_dict,
     load_kernel,
     save_kernel,
     size_bound,
@@ -159,6 +163,42 @@ def sparse_entries(entries: dict, rng) -> dict:
         key = keys[n]
         out[key] = float(rng.choice([entries[key], entries[key], 0.0, -0.0]))
     return out
+
+
+def per_entry_to_json_dict(kernel) -> dict:
+    """The per-entry writer ``kernel_to_json_dict`` replaced: one cube per entry."""
+    entries = []
+    for (level, flat, i, j), v in sorted(kernel.entries.items()):
+        cube = kernel.spec.cube_from_flat(level, flat)
+        entries.append({"level": level, "coords": list(cube.coords), "i": i, "j": j, "value": v})
+    return {"dim": kernel.spec.dim, "depth": kernel.spec.depth, "entries": entries}
+
+
+def per_entry_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
+    """The per-entry reader ``kernel_from_json_dict`` replaced: one
+    ``DyadicCube`` and one dict insertion per entry."""
+    try:
+        spec = GridSpec(int(data["dim"]), int(data["depth"]))
+        rows = data["entries"]
+    except KeyError as e:
+        raise ValueError(f"kernel file lacks {e.args[0]!r}") from None
+    entries = {}
+    for n, e in enumerate(rows):
+        missing = [name for name in ("level", "coords", "i", "j", "value") if name not in e]
+        if missing:
+            raise ValueError(f"kernel entry {n} lacks {missing[0]!r}")
+        cube = DyadicCube(int(e["level"]), tuple(int(c) for c in e["coords"]))
+        if cube.dim != spec.dim:
+            raise ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
+        key = (cube.level, spec.cube_flat(cube), int(e["i"]), int(e["j"]))
+        if key in entries:
+            raise ValueError(f"kernel entry {n} repeats level {cube.level}, coords "
+                             f"{list(cube.coords)}, pair ({key[2]}, {key[3]})")
+        entries[key] = float(e["value"])
+    kernel = PerfectKernel(spec, entries)
+    if check_size and not validate_size(kernel):
+        raise ValueError("kernel file violates the size bound")
+    return kernel
 
 
 # -- size bound --------------------------------------------------------------------
@@ -525,3 +565,67 @@ def test_kernel_load_rechecks_size(tmp_path):
         kernel_from_json_dict(data)
     k = kernel_from_json_dict(data, check_size=False)
     assert not validate_size(k)
+
+
+@pytest.mark.parametrize("dim,depths", [(1, range(9)), (2, range(5))])
+def test_kernel_json_matches_per_entry_oracle(dim, depths):
+    rng = np.random.default_rng(dim)
+    for depth in depths:
+        spec = GridSpec(dim, depth)
+        for kind in KERNEL_KINDS:
+            t = generate_kernel(kind, spec, seed=depth)
+            for k in (t, PerfectKernel(spec, sparse_entries(t.entries, rng))):
+                data = kernel_to_json_dict(k)
+                assert json.dumps(data) == json.dumps(per_entry_to_json_dict(k))
+                # read back in shuffled file order, with signed zeros kept
+                data["entries"] = [data["entries"][n] for n in rng.permutation(len(data["entries"]))]
+                back, want = kernel_from_json_dict(data), per_entry_from_json_dict(data)
+                assert list(back.plan) == list(want.plan)
+                for level, p in back.plan.items():
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(p, want.plan[level]))
+
+
+def kernel_file_outcome(read, data):
+    try:
+        return read(copy.deepcopy(data)).entries
+    except ValueError as e:
+        return str(e)
+
+
+FAULTS = ("drop field", "short coords", "long coords", "coords out of range", "negative coord",
+          "negative level", "repeat", "level too deep", "diagonal pair", "nan", "oversized")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grid=st.sampled_from([(1, 3), (2, 2)]), seed=st.integers(0, 2**32 - 1),
+       faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10**6)), max_size=4))
+def test_kernel_file_errors_match_per_entry_oracle(grid, seed, faults):
+    # the first bad entry in file order decides the message, whatever comes after it
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    data = kernel_to_json_dict(PerfectKernel(spec, sparse_entries(
+        generate_kernel("random", spec, seed=seed).entries, rng)))
+    rows = data["entries"] = [data["entries"][n] for n in rng.permutation(len(data["entries"]))]
+    assume(rows)
+    for fault, at in faults:
+        e = rows[at % len(rows)]
+        if fault == "drop field":
+            e.pop(("level", "coords", "i", "j", "value")[at % 5], None)
+        elif "coords" in e and fault in ("short coords", "long coords"):
+            e["coords"] = e["coords"][:-1] if fault == "short coords" else e["coords"] + [0]
+        elif "coords" in e and e["coords"] and fault in ("coords out of range", "negative coord"):
+            e["coords"][-1] = 2 ** e.get("level", 0) if fault == "coords out of range" else -1
+        elif fault == "negative level":
+            e["level"] = -1
+        elif fault == "repeat":  # a copy of one entry, anywhere in the file
+            rows.insert(at // 7 % (len(rows) + 1), dict(e, value=0.0))
+        elif fault == "level too deep":
+            e["level"] = spec.depth
+        elif fault == "diagonal pair":
+            e["j"] = e.get("i", 0)
+        else:
+            e["value"] = math.nan if fault == "nan" else 10.0
+    for check_size in (True, False):
+        read = partial(kernel_from_json_dict, check_size=check_size)
+        oracle = partial(per_entry_from_json_dict, check_size=check_size)
+        assert kernel_file_outcome(read, data) == kernel_file_outcome(oracle, data)

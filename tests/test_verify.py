@@ -4,11 +4,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dytb import kernels, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, build_corona
-from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing
+from dytb.corona import TbConfig, _subtree_mask, build_corona
+from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
-from dytb.twisted import corona_delta, make_context, twisted_delta
+from dytb.twisted import corona_delta, corona_levels, make_context, twisted_delta
 from dytb.verify import (
     AUTO_DENSE_CELLS,
     RESIDUAL_FIELDS,
@@ -16,7 +17,6 @@ from dytb.verify import (
     LanczosResult,
     adversarial_transform_search,
     b_above_aggregation,
-    b_above_per_s_check,
     bilinear_expansion_check,
     box_square_function_check,
     build_instance,
@@ -343,12 +343,71 @@ def test_form_split_matches_double_loop_oracle(rng):
 # -- nested form per block -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PerBlock:
+    value: float  # signed block contribution
+    bound: float  # Tloc * |S|
+    pullout_residual: float  # worst relative mismatch of the constant pull-out
+
+
+def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
+    """One corona block's share of the nested form, one full apply per block
+    cube P (and one for the member):
+
+        1_{S != Q0} <f>_S sum_{Q in S} <T b_S, D_Q g>
+        + sum_{P: parent(P) = S} sum_{Q strictly in P} <T (b_S w_P), D_Q g>
+
+    with w_P the per-cube block difference (constant on P's children).  Each
+    inner pairing is also recomputed in pulled-out form
+    <w_P>_{child of P over Q} * <T b_S, D_Q g> and the worst relative
+    mismatch reported."""
+    spec = forest.spec
+    lf, lg = corona_levels(forest, 1, sys1, f), corona_levels(forest, 2, sys2, g)
+    g_blocks = {b: cube_blocks(spec, b, lg.deltas[b]) for b in range(member.level, spec.depth)}
+
+    def pairings(u):
+        """<u, D_Q g> for every cube Q of each level, one row-wise dot per level."""
+        return {b: np.sum(cube_blocks(spec, b, u) * gv, axis=1) * spec.cell_volume
+                for b, gv in g_blocks.items()}
+
+    bs = sys1.get_b(member).values
+    tbs = pairings(apply_values(kernel, bs))
+    # first piece: telescoped pairing against the block function itself
+    value = 0.0
+    if member != forest.q0:
+        acc = sum(float(v[_subtree_mask(spec.dim, member, b)].sum()) for b, v in tbs.items())
+        value += f.average(member) * acc
+    # second piece: per-cube differences inside the block
+    pull_res = 0.0
+    for p in forest.block_cubes(1, member):
+        if p.level >= spec.depth:
+            continue
+        half = lf.half_twisted[p.level]
+        w = spread(spec, p.level + 1, half) * spread(spec, p.level, _subtree_mask(spec.dim, p, p.level))
+        u = pairings(apply_values(kernel, bs * w))
+        for b in range(p.level + 1, spec.depth):
+            inside = _subtree_mask(spec.dim, p, b)
+            direct = u[b][inside]
+            pulled = spread(spec, p.level + 1, half, b)[inside] * tbs[b][inside]
+            mismatch = np.abs(direct - pulled) / (1.0 + np.abs(direct))
+            pull_res = max(pull_res, float(mismatch.max()))
+            value += float(direct.sum())
+    return PerBlock(value, tloc * member.volume, pull_res)
+
+
+def per_block_b_above_all(kernel, forest, sys1, sys2, f, g, tloc=0.0):
+    """``per_block_b_above`` of every member of S_1, in sorted order."""
+    return [per_block_b_above(kernel, forest, sys1, sys2, f, g, s, tloc)
+            for s in sorted(forest.members(1))]
+
+
 def test_per_s_zero_kernel(rng):
     spec, const, forest = classical_setup()
-    res = b_above_per_s_check(generate_kernel("zero", spec), forest, const, const,
-                              rand_signs(spec, rng), rand_signs(spec, rng),
-                              spec.root(), 0.0)
+    kernel = generate_kernel("zero", spec)
+    f, g = rand_signs(spec, rng), rand_signs(spec, rng)
+    res = per_block_b_above(kernel, forest, const, const, f, g, spec.root(), 0.0)
     assert res.value == 0.0 and res.bound == 0.0
+    assert b_above_aggregation(kernel, forest, const, const, f, g) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_per_s_single_block_is_whole_form(rng):
@@ -362,20 +421,45 @@ def test_per_s_single_block_is_whole_form(rng):
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     assert set(forest.members(1)) == {spec.root()}
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    results, reference, residual = b_above_aggregation(
-        kernel, forest, const, const, f, g, tloc)
-    assert len(results) == 1
-    assert results[0].value == pytest.approx(reference, abs=1e-12)
+    total, _, reference, residual = b_above_aggregation(kernel, forest, const, const, f, g)
+    [block] = per_block_b_above_all(kernel, forest, const, const, f, g, tloc)
+    assert block.value == pytest.approx(reference, abs=1e-12)
+    assert total == pytest.approx(reference, abs=1e-12)
     assert residual <= 1e-12
 
 
 def test_per_s_aggregation_random_instances():
     for seed in (21, 22):
         inst = build_instance(1, 5, seed=seed)
-        results, reference, residual = b_above_aggregation(
-            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc)
+        _, pullout, _, residual = b_above_aggregation(
+            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g)
         assert residual <= 1e-9
-        assert max(r.pullout_residual for r in results) <= 1e-12
+        assert pullout <= 1e-12
+
+
+def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
+    # the nested form takes at most 3 (depth + 1) sweeps (the reference's
+    # applies included), however many members and block cubes there are
+    inst = build_instance(1, 12, seed=3)
+    forest, depth = inst.forest, inst.spec.depth
+    assert len(forest.members(1)) > 3 * (depth + 1)
+    sweeps = []
+    real = kernels._sweep_from
+
+    def counted(*args):
+        sweeps.append(args[2])
+        return real(*args)
+
+    def no_copies(self, cube):
+        raise AssertionError("b_above_aggregation made a full-grid b copy")
+
+    for module in (kernels, verify):
+        monkeypatch.setattr(module, "_sweep_from", counted)
+    monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
+    _, pullout, _, residual = b_above_aggregation(
+        inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g)
+    assert len(sweeps) <= 3 * (depth + 1)
+    assert residual <= 1e-9 and pullout <= 1e-12
 
 
 def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
