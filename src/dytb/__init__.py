@@ -41,6 +41,7 @@ from .corona import (
     build_corona,
     carleson_constant,
     choose_delta,
+    forest_carleson,
     forest_to_json_dict,
     make_terminal_family,
     packing_ratio,
@@ -62,6 +63,7 @@ from .twisted import (
     make_context,
     measure_comparison_check,
     proof_operators,
+    three_term_check,
     transform,
     twisted_delta,
 )

@@ -5,8 +5,9 @@ budget ||b_Q||_p <= A |Q|^(1/p) for the system's exponent p and declared
 constant A > 1.  Generation is deterministic per (seed, cube).  The cubes of
 one level tile the grid, so a system stores all b_Q of a level in one
 finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
-depth) memory.  Only the b_Q that callers ask for are copied out as full-grid
-functions and memoised.  A system is not safe to share between threads.
+depth) memory.  ``get_b`` copies one b_Q out as a full-grid function on every
+call and keeps nothing; the hot paths read the level arrays instead.  A
+system is not safe to share between threads.
 
 A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
@@ -56,7 +57,6 @@ class AccretiveSystem:
     seed: int = 0
     params: dict = field(default_factory=dict)
     _levels: dict = field(default_factory=dict, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
     _seeds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -92,16 +92,13 @@ class AccretiveSystem:
         return 1.0 + float(self.params.get("amp", 0.5))
 
     def get_b(self, cube: DyadicCube) -> GridFunction:
-        """The test function attached to ``cube`` (memoised, deterministic)."""
+        """The test function attached to ``cube``, a fresh full-grid copy
+        (deterministic, not memoised)."""
         self.spec.check(cube)
-        key = (cube.level, self.spec.cube_flat(cube))
-        b = self._memo.get(key)
-        if b is None:
-            idx = self.spec.cell_indices(cube)
-            vals = np.zeros(self.spec.n_cells)
-            vals[idx] = self.level_values(cube.level)[idx]
-            b = self._memo[key] = GridFunction(self.spec, vals)
-        return b
+        idx = self.spec.cell_indices(cube)
+        vals = np.zeros(self.spec.n_cells)
+        vals[idx] = self.level_values(cube.level)[idx]
+        return GridFunction(self.spec, vals)
 
     def level_values(self, level: int) -> np.ndarray:
         """Cell values of all b_Q of one level at once (read-only).

@@ -25,9 +25,9 @@ from .corona import (
     ConfigError,
     TbConfig,
     build_corona,
-    carleson_constant,
     choose_delta,
     conjugate,
+    forest_carleson,
     forest_to_json_dict,
     packing_ratio,
 )
@@ -133,10 +133,9 @@ def cmd_corona(args) -> int:
         forest = build_corona(root, sys1, sys2, kernel, cfg)
     print(f"Tloc = {tloc!r}")
     for j in (1, 2):
-        members = forest.members(j)
-        print(f"S_{j}: {len(members)} members; packing ratio = "
+        print(f"S_{j}: {len(forest.members(j))} members; packing ratio = "
               f"{packing_ratio(forest, j)!r}; Carleson constant = "
-              f"{carleson_constant(members, root)!r}")
+              f"{forest_carleson(forest, j)!r}")
     if args.out:
         _write_json(args.out, forest_to_json_dict(forest))
         print(f"wrote {args.out}")

@@ -29,6 +29,7 @@ which keeps every non-stopping cube's b-average strictly above delta.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -51,6 +52,7 @@ __all__ = [
     "packing_ratio",
     "set_packing_ratio",
     "carleson_constant",
+    "forest_carleson",
     "DeltaSearch",
     "choose_delta",
 ]
@@ -191,6 +193,33 @@ def coarsen_terminals(
     return members
 
 
+class SystemB(Mapping):
+    """b_T = system.get_b(T) for each terminal cube T of a family built from
+    a system's level arrays: a copy is made only when a caller indexes it."""
+
+    def __init__(self, system: AccretiveSystem, members) -> None:
+        self.system = system
+        self._members = tuple(sorted(members))
+
+    @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset(self._members)
+
+    def __contains__(self, cube) -> bool:
+        return cube in self._keys
+
+    def __getitem__(self, cube: DyadicCube) -> GridFunction:
+        if cube not in self._keys:
+            raise KeyError(cube)
+        return self.system.get_b(cube)
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+
 @dataclass(frozen=True)
 class TerminalFamily:
     """A disjoint family of terminal cubes inside ``s0`` with their local
@@ -198,31 +227,37 @@ class TerminalFamily:
 
     The derived cube family Q(s0, T) = {dyadic Q inside s0, not inside any
     terminal cube} is what the twisted calculus runs over.
+
+    ``b_for`` maps each terminal cube T to b_T.  Full-grid copies there are
+    checked cube by cube for support and integral.  ``make_terminal_family``
+    gives a ``SystemB`` instead, so every b_T is read from the system's level
+    arrays, which checked support and integral when they were built.  Nesting
+    and cover are checked on the owner arrays for every family.
     """
 
     spec: GridSpec
     s0: DyadicCube
     tprime: tuple[DyadicCube, ...]
     members: tuple[DyadicCube, ...]
-    b_for: dict
+    b_for: Mapping
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tprime", tuple(sorted(self.tprime)))
         object.__setattr__(self, "members", tuple(sorted(self.members)))
         self.spec.check(self.s0)
-        memberset = set(self.members)
         for t in self.members:
             if not self.s0.contains(t) or t == self.s0:
                 raise ValueError(f"terminal cube {t} is not strictly inside {self.s0}")
-        for b in self.members:
-            for level in range(self.s0.level + 1, b.level):
-                if (a := b.ancestor(level)) in memberset:
-                    raise ValueError(f"terminal cubes {a} and {b} are nested")
-        for t in self.tprime:
-            if not any(t.ancestor(level) in memberset for level in range(t.level + 1)):
-                raise ValueError(f"maximal cube {t} is not covered by the terminal family")
-        if set(self.b_for) != memberset:
+        self._check_nesting()
+        uncovered = [t for t in self.tprime if self._owner(t) <= self.s0.level]
+        if uncovered:
+            raise ValueError(f"maximal cube {uncovered[0]} is not covered by the terminal family")
+        if set(self.b_for) != set(self.members):
             raise ValueError("b_for must carry exactly one function per terminal cube")
+        if not isinstance(self.b_for, SystemB):
+            self._check_copies()
+
+    def _check_copies(self) -> None:
         for t, bt in self.b_for.items():
             out = np.delete(bt.values, self.spec.cell_indices(t))
             if np.any(out != 0.0):
@@ -230,28 +265,59 @@ class TerminalFamily:
             if abs(bt.integral(t) - t.volume) > 1e-12 * t.volume:
                 raise ValueError(f"b_T for {t} does not have integral |T|")
 
+    def _check_nesting(self) -> None:
+        """A terminal cube whose parent's owner is a terminal cube is nested
+        in it.  The first such cube in sorted order has exactly one terminal
+        strict ancestor (any other would be nested and come first)."""
+        spec, top, owners = self.spec, self.s0.level, self._owners
+        for level in range(top + 1, spec.depth + 1):
+            above = spread(spec, level - 1, owners[level - 1], level)
+            bad = (owners[level] == level) & (above > top)
+            if bad.any():
+                flat = int(np.flatnonzero(bad)[0])
+                inner = spec.cube_from_flat(level, flat)
+                raise ValueError(f"terminal cubes {inner.ancestor(int(above[flat]))} and {inner} are nested")
+
     @cached_property
     def _owners(self) -> list[np.ndarray | None]:
         """Per level, the level of each cube's smallest ancestor-or-self among
         s0 and the terminal cubes; cubes of Q own s0's level."""
         return _nearest_marked(self.spec, self.s0.level, (self.s0, *self.members))
 
+    def _owner(self, cube: DyadicCube) -> int:
+        """``cube``'s owner level; -1 outside s0 (the owner arrays hold -1
+        there below s0's level, and have no entries above it)."""
+        if not (self.spec.contains(cube) and cube.level >= self.s0.level):
+            return -1
+        return int(self._owners[cube.level][self.spec.cube_flat(cube)])
+
+    def b_values(self, level: int) -> np.ndarray:
+        """A cell array equal to b_T on every terminal cube T of ``level``."""
+        if isinstance(self.b_for, SystemB):
+            return self.b_for.system.level_values(level)
+        return self._copies_sum
+
+    @cached_property
+    def _copies_sum(self) -> np.ndarray:
+        return sum((bt.values for bt in self.b_for.values()), np.zeros(self.spec.n_cells))
+
     def in_q(self, cube: DyadicCube) -> bool:
         """Whether ``cube`` belongs to the derived family Q (inside s0, not
         inside any terminal cube)."""
-        if not self.s0.contains(cube):
-            return False
-        return bool(self._owners[cube.level][self.spec.cube_flat(cube)] == self.s0.level)
+        return self._owner(cube) == self.s0.level
 
     def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
         """The derived family, coarse to fine; ``active_only`` drops finest-level
         cubes (whose martingale differences are empty sums)."""
+        return _cubes_where(self.spec, self.q_masks(active_only))
+
+    def q_masks(self, active_only: bool = True) -> dict[int, np.ndarray]:
+        """``q_cubes`` as one mask per level (row-major)."""
         stop = self.spec.depth - 1 if active_only else self.spec.depth
-        return _cubes_where(self.spec, {lev: self._owners[lev] == self.s0.level
-                                        for lev in range(self.s0.level, stop + 1)})
+        return {lev: self._owners[lev] == self.s0.level for lev in range(self.s0.level, stop + 1)}
 
     def is_terminal(self, cube: DyadicCube) -> bool:
-        return cube in self.b_for
+        return cube.level > self.s0.level and self._owner(cube) == cube.level
 
 
 def make_terminal_family(
@@ -261,15 +327,15 @@ def make_terminal_family(
     coarsen_rng: np.random.Generator | None = None,
 ) -> TerminalFamily:
     """Build the terminal family of ``system``'s function on ``s0``: canonical
-    maximal cubes, optionally coarsened at random, with b_T = system.get_b(T).
+    maximal cubes, optionally coarsened at random, with b_T read from the
+    system's level arrays.
     """
-    b = system.get_b(s0)
+    b = GridFunction(system.spec, system.level_values(s0.level))  # b_{s0} on s0
     tprime = terminal_cubes(b, s0, delta, system.p, system.A)
     if any(t == s0 for t in tprime):
         raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
     members = coarsen_terminals(tprime, s0, coarsen_rng) if coarsen_rng is not None else tprime
-    b_for = {t: system.get_b(t) for t in members}
-    return TerminalFamily(system.spec, s0, tuple(tprime), tuple(members), b_for)
+    return TerminalFamily(system.spec, s0, tuple(tprime), tuple(members), SystemB(system, members))
 
 
 # -- corona forest (two systems, operator-aware) ---------------------------------
@@ -397,12 +463,19 @@ def build_corona(
 
 def packing_ratio(forest: CoronaForest, j: int) -> float:
     """max over members S of (total volume of S's stopping children) / |S|;
-    zero when no member has stopping children."""
+    zero when no member has stopping children.  Read bottom-up from the owner
+    arrays: S's stopping children are the maximal members strictly inside S,
+    so their volume is the member-covered volume of S's children.  Volumes
+    are dyadic, so every sum is exact."""
+    spec, owners, top = forest.spec, forest.owner_levels(j), forest.q0.level
     best = 0.0
-    for s in forest.members(j):
-        kids = forest.stopping_children(j, s)
-        if kids:
-            best = max(best, sum(k.volume for k in kids) / s.volume)
+    below = np.zeros(spec.n_cubes(spec.depth))  # covered volume of each cube's children
+    for level in range(spec.depth, top - 1, -1):
+        members = owners[level] == level
+        volume = 2.0 ** (-spec.dim * level)
+        best = max(best, float(below[members].max(initial=0.0)) / volume)
+        if level > top:
+            below = _coarsen_step(spec.dim, np.where(members, volume, below)).ravel()
     return best
 
 
@@ -441,12 +514,26 @@ def carleson_constant(members, q0: DyadicCube) -> float:
             raise ValueError(f"member {m} is not inside {q0}")
         flat = m.coords[0] if dim == 1 else (m.coords[0] << m.level) | m.coords[1]
         own[m.level][flat] += m.volume
+    return _carleson(dim, q0.level, own)
+
+
+def forest_carleson(forest: CoronaForest, j: int) -> float:
+    """``carleson_constant(forest.members(j), forest.q0)`` from the owner arrays."""
+    dim, owners, top = forest.spec.dim, forest.owner_levels(j), forest.q0.level
+    return _carleson(dim, top, [None if o is None else np.where(o == lev, 2.0 ** (-dim * lev), 0.0)
+                                for lev, o in enumerate(owners)])
+
+
+def _carleson(dim: int, top: int, own: list) -> float:
+    """The Carleson constant from the total member volume ``own[l]`` at each
+    cube of every level l from ``top`` to the deepest member (zero outside
+    the root q0 at level ``top``).  Volumes are dyadic, so every sum is exact."""
     best = 0.0
-    acc = np.zeros_like(own[deepest])
-    for level in range(deepest, q0.level - 1, -1):
-        acc = acc + own[level]  # zero outside q0, which holds every member
+    acc = np.zeros_like(own[-1])
+    for level in range(len(own) - 1, top - 1, -1):
+        acc = acc + own[level]
         best = max(best, float(acc.max()) / 2.0 ** (-dim * level))
-        if level > q0.level:
+        if level > top:
             acc = _coarsen_step(dim, acc).ravel()
     return best
 

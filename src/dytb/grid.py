@@ -90,7 +90,8 @@ class DyadicCube:
         """Whether ``other`` is contained in (possibly equal to) this cube."""
         if other.dim != self.dim or other.level < self.level:
             return False
-        return other.ancestor(self.level) == self
+        shift = other.level - self.level
+        return all(k >> shift == s for k, s in zip(other.coords, self.coords))
 
     def __repr__(self) -> str:  # compact, e.g. Q(3; 5) or Q(2; 1,3)
         return f"Q({self.level}; {','.join(str(k) for k in self.coords)})"

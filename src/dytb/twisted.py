@@ -65,6 +65,7 @@ __all__ = [
     "box",
     "half_twisted_block",
     "decomposition_identity_check",
+    "three_term_check",
     "delta_decomp_check",
     "pi_transform",
     "amalgam_transform",
@@ -135,9 +136,8 @@ class TwistedContext:
         s0, spec = self.s0, self.spec
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
                   for lev, m in enumerate(self.family._owners)]
-        below = sum((bt.values for bt in self.family.b_for.values()), np.zeros(spec.n_cells))
-        stitched = _stitch(spec, owners, lambda lev: self.b.values if lev == s0.level else below)
-        return CoronaLevels(spec, owners, *stitched, None)
+        values_at = lambda lev: self.b.values if lev == s0.level else self.family.b_values(lev)
+        return CoronaLevels(spec, owners, *_stitch(spec, owners, values_at), None)
 
     @property
     def b_avg(self) -> dict[int, np.ndarray]:
@@ -157,6 +157,18 @@ class TwistedContext:
         """eps per level of the derived family (finest level excluded)."""
         return self._levels.coefficients(eps, lambda owners: owners == self.s0.level)
 
+    def random_coefficients(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
+        """``coefficients(SignChoice.random_signs(self.q_cubes(), rng))``
+        without the cubes: one draw of the same size, split coarse to fine and
+        row-major by the level masks of the derived family."""
+        masks = self.family.q_masks()
+        counts = [int(m.sum()) for m in masks.values()]
+        signs = rng.choice([-1.0, 1.0], size=sum(counts))
+        coeffs = {lev: np.zeros(m.size) for lev, m in masks.items()}
+        for (lev, mask), chunk in zip(masks.items(), np.split(signs, np.cumsum(counts)[:-1])):
+            coeffs[lev][mask] = chunk
+        return coeffs
+
     def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
         return self.family.q_cubes(active_only=active_only)
 
@@ -171,9 +183,11 @@ def make_context(
     delta: float,
     coarsen_rng: np.random.Generator | None = None,
 ) -> TwistedContext:
-    """Build the twisted context of ``system``'s function on ``s0``."""
+    """Build the twisted context of ``system``'s function on ``s0``, read from
+    the system's level arrays (no per-cube copy)."""
     family = make_terminal_family(system, s0, delta, coarsen_rng)
-    return TwistedContext(family, system.get_b(s0), system.p, delta, system.A)
+    b = GridFunction(system.spec, system.level_values(s0.level)).restrict(s0)
+    return TwistedContext(family, b, system.p, delta, system.A)
 
 
 def block_context(
@@ -349,10 +363,15 @@ def _context_rule(ctx: TwistedContext, eps: SignChoice, f: GridFunction, rule) -
     return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), rule))
 
 
+def _half_step(e, fc, bc, fq, bq):
+    """The half-twisted increment on one child: e (<f>_Q'/<b>_Q' - <f>_Q/<b>_Q)."""
+    return e * (fc / bc - fq / bq)
+
+
 def half_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """sum of eps_Q * (half-twisted difference at Q) over the derived family:
     eps_Q (<f>_Q'/<b>_Q' - <f>_Q/<b>_Q) on each non-terminal child Q'."""
-    return _context_rule(ctx, eps, f, lambda e, fc, bc, fq, bq: e * (fc / bc - fq / bq))
+    return _context_rule(ctx, eps, f, _half_step)
 
 
 def classical_transform(eps: SignChoice, f: GridFunction, cubes) -> GridFunction:
@@ -460,6 +479,14 @@ def half_twisted_block(
 # -- exact identities ------------------------------------------------------------
 
 
+def _three_term(fc, bc, fq, bq):
+    """|lhs - (i) - (ii) - (iii)| of the splitting below, on floats or arrays."""
+    lhs = fc / bc - fq / bq
+    d = bq - bc
+    rhs = (fc - fq) / bq + d * fc / bq**2 + d**2 * fc / (bc * bq**2)
+    return abs(lhs - rhs)
+
+
 def decomposition_identity_check(
     ctx: TwistedContext, cube: DyadicCube, child: DyadicCube, f: GridFunction
 ) -> float:
@@ -474,14 +501,24 @@ def decomposition_identity_check(
     ctx.check_in_q(cube)
     if ctx.family.is_terminal(child) or child.parent() != cube:
         raise ValueError(f"{child} is not a non-terminal child of {cube}")
-    fq = f.average(cube)
-    fc = f.average(child)
-    bq = ctx.avg_b(cube)
-    bc = ctx.avg_b(child)
-    lhs = fc / bc - fq / bq
-    d = bq - bc
-    rhs = (fc - fq) / bq + d * fc / bq**2 + d**2 * fc / (bc * bq**2)
-    return abs(lhs - rhs)
+    return _three_term(f.average(child), ctx.avg_b(child), f.average(cube), ctx.avg_b(cube))
+
+
+def three_term_check(ctx: TwistedContext, levels: CoronaLevels) -> float:
+    """The largest ``decomposition_identity_check`` over every (derived cube,
+    non-terminal child) pair, with ``levels = ctx.levels(f)``: the
+    non-terminal children are the derived cubes below s0's level, so each
+    level pairs their averages with their parents' in one array expression.
+    numpy squares exactly where the per-pair floats go through the C
+    library's pow, so the two can differ in the last bits."""
+    spec, top = ctx.spec, ctx.s0.level
+    worst = 0.0
+    for lev in range(top + 1, spec.depth + 1):
+        kids = levels.owners[lev] == top
+        fq, bq = (spread(spec, lev - 1, a, lev)[kids] for a in (levels.h_avg[lev - 1], levels.b_avg[lev - 1]))
+        residual = _three_term(levels.h_avg[lev][kids], levels.b_avg[lev][kids], fq, bq)
+        worst = max(worst, float(np.max(residual, initial=0.0)))
+    return worst
 
 
 def delta_decomp_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> float:
@@ -493,14 +530,20 @@ def delta_decomp_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) ->
 
     with Bf the half-twisted transform; exact because the twisted difference
     equals the half-twisted one times b away from terminal children."""
-    spec, levels = ctx.spec, ctx.levels(f)
-    lhs = transform(ctx, eps, f).values
-    rhs = half_transform(ctx, eps, f).values * ctx.b.values
-    for lev, c in ctx.coefficients(eps).items():
+    return _delta_decomp(ctx, ctx.levels(f), ctx.coefficients(eps),
+                         transform(ctx, eps, f).values, half_transform(ctx, eps, f).values)
+
+
+def _delta_decomp(ctx, levels, coeffs, twisted, half) -> float:
+    """``delta_decomp_check`` from ``levels = ctx.levels(f)``, the per-level
+    coefficients and the cell arrays of both transforms they give."""
+    spec = ctx.spec
+    rhs = half * ctx.b.values
+    for lev, c in coeffs.items():
         e = np.where(levels.owners[lev + 1] == lev + 1, spread(spec, lev, c, lev + 1), 0.0)
         rhs += spread(spec, lev + 1, e * levels.h_avg[lev + 1]) * levels.b[lev + 1]
         rhs -= spread(spec, lev + 1, e * spread(spec, lev, levels.ratio[lev], lev + 1)) * ctx.b.values
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(twisted - rhs)))
 
 
 def pi_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
@@ -541,8 +584,13 @@ def measure_comparison_check(
     |b|^p mass of E_lambda = {|Bf| >= lambda} (within S0) against
     2^dim delta^-p A^p |E_lambda|.  Returns the worst excess lhs - rhs
     (non-positive when the comparison holds everywhere)."""
+    return _measure_excess(ctx, half_transform(ctx, eps, f).values, n_lambdas)
+
+
+def _measure_excess(ctx: TwistedContext, half: np.ndarray, n_lambdas: int = 32) -> float:
+    """``measure_comparison_check`` from the cell array of Bf."""
     spec = ctx.spec
-    bf = np.abs(half_transform(ctx, eps, f).values)
+    bf = np.abs(half)
     inside = np.zeros(spec.n_cells, dtype=bool)
     inside[spec.cell_indices(ctx.s0)] = True
     cap = 2.0**spec.dim * ctx.delta**-ctx.p * ctx.A**ctx.p

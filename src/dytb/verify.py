@@ -28,9 +28,9 @@ from .corona import (
     CoronaForest,
     DeltaSearch,
     TbConfig,
-    carleson_constant,
     choose_delta,
     conjugate,
+    forest_carleson,
     packing_ratio,
 )
 from .grid import GridFunction, GridSpec, cube_blocks, spread
@@ -48,13 +48,13 @@ from .twisted import (
     SignChoice,
     TwistedContext,
     _check_blocks,
+    _delta_decomp,
+    _half_step,
+    _measure_excess,
     _stitch,
     corona_levels,
-    decomposition_identity_check,
-    delta_decomp_check,
     make_context,
-    measure_comparison_check,
-    transform,
+    three_term_check,
 )
 
 __all__ = [
@@ -591,19 +591,17 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
         rec = max(rec, float(np.max(np.abs(total - h.values))) / (1.0 + float(np.max(np.abs(h.values)))))
     out["representation"] = rec
 
-    # twisted context checks at the chosen delta
+    # twisted context checks at the chosen delta, on the context's level
+    # arrays: the random signs as per-level coefficients, each transform once
     ctx = make_context(sys1, q0, inst.cfg.delta)
     rng = np.random.default_rng(np.random.SeedSequence(inst.seed, spawn_key=(17,)))
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
-    three = 0.0
-    for q in ctx.q_cubes():
-        for child in q.children():
-            if not ctx.family.is_terminal(child):
-                three = max(three, decomposition_identity_check(ctx, q, child, f))
-    out["three_term"] = three
-    scale = 1.0 + float(np.max(np.abs(transform(ctx, eps, f).values), initial=0.0))
-    out["delta_decomp"] = delta_decomp_check(ctx, eps, f) / scale
-    out["measure_comparison_excess"] = measure_comparison_check(ctx, eps, f)
+    coeffs = ctx.random_coefficients(rng)
+    tw = ctx.levels(f)
+    out["three_term"] = three_term_check(ctx, tw)
+    twisted, half = tw.transform(coeffs), tw.child_rule(coeffs, _half_step)
+    scale = 1.0 + float(np.max(np.abs(twisted), initial=0.0))
+    out["delta_decomp"] = _delta_decomp(ctx, tw, coeffs, twisted, half) / scale
+    out["measure_comparison_excess"] = _measure_excess(ctx, half)
 
     out["bilinear_expansion"], _ = bilinear_expansion_check(
         kernel, forest, sys1, sys2, f, g, _levels=levels)
@@ -746,10 +744,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
         )
     forest = inst.forest
     packing = max(packing_ratio(forest, 1), packing_ratio(forest, 2))
-    carleson = max(
-        carleson_constant(forest.members(1), forest.q0),
-        carleson_constant(forest.members(2), forest.q0),
-    )
+    carleson = max(forest_carleson(forest, 1), forest_carleson(forest, 2))
     check_forest_blocks(forest, inst.sys1, inst.sys2)
     residuals = run_identity_checks(inst)
     eps_max = residuals.pop("epsilon_max")

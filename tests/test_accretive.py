@@ -85,7 +85,9 @@ def test_determinism_and_caching():
     b = AccretiveSystem(spec, "random", 2.0, 1.5, seed=9, params={"amp": 0.5})
     q = DyadicCube(3, (5,))
     assert np.array_equal(a.get_b(q).values, b.get_b(q).values)
-    assert a.get_b(q) is a.get_b(q)  # cached object
+    assert a.level_values(q.level) is a.level_values(q.level)  # cached level array
+    assert np.array_equal(a.get_b(q).values, a.get_b(q).values)
+    assert a.get_b(q) is not a.get_b(q)  # a fresh copy per call, nothing memoised
     c = AccretiveSystem(spec, "random", 2.0, 1.5, seed=10, params={"amp": 0.5})
     assert not np.array_equal(a.get_b(q).values, c.get_b(q).values)
 

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
     TbConfig,
+    SystemB,
     TerminalFamily,
     _subtree_mask,
     build_corona,
@@ -140,6 +142,30 @@ def walked_owner_levels(spec, top, members):
     return out
 
 
+def walked_family_error(s0, tprime, members):
+    """The first nesting or cover violation of a terminal family, by ancestor
+    walks against the member set: its ``ValueError`` message, or None."""
+    memberset = set(members)
+    for b in sorted(members):
+        for level in range(s0.level + 1, b.level):
+            if (a := b.ancestor(level)) in memberset:
+                return f"terminal cubes {a} and {b} are nested"
+    for t in sorted(tprime):
+        if not any(t.ancestor(level) in memberset for level in range(t.level + 1)):
+            return f"maximal cube {t} is not covered by the terminal family"
+    return None
+
+
+def per_member_packing_ratio(forest, j):
+    """``packing_ratio`` by a loop over the members and their stopping children."""
+    best = 0.0
+    for s in forest.members(j):
+        kids = forest.stopping_children(j, s)
+        if kids:
+            best = max(best, sum(k.volume for k in kids) / s.volume)
+    return best
+
+
 def derive_children(members, top):
     ch = {m: [] for m in members}
     for m in members:
@@ -245,6 +271,55 @@ def test_terminal_family_rejects_uncovered_maximal_cube():
     # the same family accepts maximal cubes equal to or inside its members
     TerminalFamily(spec, spec.root(), (covered, members[1]), members,
                    {m: sys_.get_b(m) for m in members})
+
+
+@pytest.mark.parametrize("dim,depth,s0_level", [(1, 6, 0), (1, 7, 2), (2, 3, 0), (2, 4, 1)])
+def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
+    # random caller-supplied families, many nested or uncovered: the owner
+    # arrays reject exactly those the walks reject, with the same message
+    spec = GridSpec(dim, depth)
+    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    rng = np.random.default_rng(depth + 10 * dim)
+    s0 = spec.cube_from_flat(s0_level, int(rng.integers(spec.n_cubes(s0_level))))
+    inside = [q for q in spec.all_cubes(s0) if q != s0]
+    everywhere = list(spec.all_cubes())
+    outcomes = Counter()
+    for _ in range(150):
+        members = [inside[i] for i in rng.choice(len(inside), size=int(rng.integers(1, 6)), replace=False)]
+        tprime = [everywhere[i] for i in rng.choice(len(everywhere), size=int(rng.integers(0, 4)), replace=False)]
+        tprime += [q for m in members for q in spec.all_cubes(m) if rng.random() < 0.3]
+        want = walked_family_error(s0, tprime, members)
+        outcomes[want.split()[0] if want else None] += 1
+        b_for = {m: sys_.get_b(m) for m in members}
+        if want is None:
+            TerminalFamily(spec, s0, tuple(tprime), tuple(members), b_for)
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                TerminalFamily(spec, s0, tuple(tprime), tuple(members), b_for)
+    assert all(outcomes[k] > 0 for k in ("terminal", "maximal", None))
+
+
+def test_code_built_family_checks_its_owner_arrays():
+    # a family on level arrays finds the maximal cubes of b_{s0} and is
+    # checked for nesting and cover like one given copies
+    spec = GridSpec(1, 7)
+    sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
+    root = spec.root()
+    fam = make_terminal_family(sys_, root, 0.45)
+    assert len(fam.members) > 3
+    assert list(fam.tprime) == terminal_cubes(sys_.get_b(root), root, 0.45, sys_.p, sys_.A)
+    dropped = fam.members[len(fam.members) // 2]
+    outer = next(m for m in fam.members if m.level < spec.depth)
+    inner = outer.children()[1]
+    for members in ([m for m in fam.members if m != dropped], [*fam.members, inner]):
+        want = walked_family_error(root, fam.tprime, members)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            TerminalFamily(spec, root, fam.tprime, tuple(members), SystemB(sys_, members))
+    with pytest.raises(ValueError, match=re.escape(f"terminal cube {root} is not strictly inside {root}")):
+        TerminalFamily(spec, root, fam.tprime, (root,), SystemB(sys_, (root,)))
+    swapped = (*fam.members[1:], inner)  # as many cubes, one of them different
+    with pytest.raises(ValueError, match="exactly one function per terminal cube"):
+        TerminalFamily(spec, root, fam.tprime, fam.members, SystemB(sys_, swapped))
 
 
 # -- corona construction -----------------------------------------------------------------

@@ -25,13 +25,17 @@ from dytb.corona import (
     TbConfig,
     TerminalFamily,
     build_corona,
+    carleson_constant,
     conjugate,
+    forest_carleson,
+    packing_ratio,
     terminal_cubes,
 )
 from dytb.grid import GridFunction, GridSpec, spread
 from dytb.kernels import KERNEL_KINDS, adjoint, generate_kernel
 from dytb.twisted import (
     SignChoice,
+    _three_term,
     TwistedContext,
     amalgam_transform,
     block_context,
@@ -40,6 +44,7 @@ from dytb.twisted import (
     corona_expectation,
     corona_levels,
     corona_transform,
+    decomposition_identity_check,
     delta_decomp_check,
     expand,
     half_transform,
@@ -48,6 +53,7 @@ from dytb.twisted import (
     make_context,
     measure_comparison_check,
     pi_transform,
+    three_term_check,
     transform,
     twisted_delta,
 )
@@ -61,7 +67,12 @@ from dytb.verify import (
 from dytb.verify import testing_constant as measure_tloc
 
 from test_accretive import KIND_SETUPS
-from test_corona import per_member_family, scanned_terminal_cubes, walked_owner_levels
+from test_corona import (
+    per_member_family,
+    per_member_packing_ratio,
+    scanned_terminal_cubes,
+    walked_owner_levels,
+)
 
 from test_twisted import (
     enumerated_amalgam_transform,
@@ -201,15 +212,16 @@ CONTEXT_KINDS = [("two-value", {"s": 0.8}, 1.5, 0.45), ("random", {"amp": 0.9}, 
                  ("signed", {}, 1.5, 0.45)]
 
 
-def drawn_context(grid, seed, kind, coarsen):
+def drawn_context(grid, seed, kind, coarsen, sub=False):
+    """A context on the root, or with ``sub`` on a cube below it."""
     spec = GridSpec(*grid)
     name, params, a_const, delta = kind
     system = AccretiveSystem(spec, name, 2.0, a_const, seed=seed, params=params)
-    try:
-        return make_context(system, spec.root(), delta,
-                            coarsen_rng=np.random.default_rng(seed) if coarsen else None)
-    except ValueError:  # the base cube itself triggers the stopping conditions
-        assume(False)
+    level = 1 + seed % spec.depth if sub else 0
+    s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
+    # b_{s0} has average 1 and norm at most A on s0, so s0 never stops and
+    # a ValueError here is a fault
+    return make_context(system, s0, delta, coarsen_rng=np.random.default_rng(seed) if coarsen else None)
 
 
 def unsafe_cube(b, family, p, delta, a_const):
@@ -265,6 +277,107 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
         want = unsafe_cube(ctx.b, family, ctx.p, ctx.delta, ctx.A)
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {want}:")):
             TwistedContext(family, ctx.b, ctx.p, ctx.delta, ctx.A)
+
+
+@BOUNDED
+@given(grid=st.sampled_from(GRIDS), seed=SEEDS, kind=st.sampled_from(CONTEXT_KINDS),
+       coarsen=st.booleans(), sub=st.booleans())
+def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
+    # the context read from level arrays against one built from get_b copies
+    ctx = drawn_context(grid, seed, kind, coarsen, sub)
+    spec, family, system = ctx.spec, ctx.family, ctx.family.b_for.system
+    copies = TwistedContext(
+        TerminalFamily(spec, ctx.s0, family.tprime, family.members,
+                       {m: system.get_b(m) for m in family.members}),
+        system.get_b(ctx.s0), ctx.p, ctx.delta, ctx.A)
+    assert np.array_equal(ctx.b.values, copies.b.values)
+    for lev, owners in enumerate(family._owners):
+        want = copies.family._owners[lev]
+        assert (owners is None and want is None) or np.array_equal(owners, want)
+    for name in ("b", "b_avg"):
+        got, want = getattr(ctx._levels, name), getattr(copies._levels, name)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[lev], want[lev]) for lev in got)
+    cubes = list(spec.all_cubes())
+    for fam in (family, copies.family):
+        assert [fam.is_terminal(q) for q in cubes] == [q in family.b_for for q in cubes]
+        assert [fam.in_q(q) for q in cubes] == [
+            ctx.s0.contains(q) and not any(m.contains(q) for m in family.members) for q in cubes]
+    assert ctx.q_cubes(active_only=False) == copies.q_cubes(active_only=False)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
+    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+    for fast in (transform, half_transform):
+        assert np.array_equal(fast(ctx, eps, f).values, fast(copies, eps, f).values)
+
+
+def check_three_term_and_signs(ctx, f, seed):
+    """The level ``three_term_check`` against the per-pair oracle, and the
+    split sign draw against ``SignChoice.random_signs``, bit for bit."""
+    pairs = [(q, child) for q in ctx.q_cubes() for child in q.children()
+             if not ctx.family.is_terminal(child)]
+    per_pair = max((decomposition_identity_check(ctx, *pair, f) for pair in pairs), default=0.0)
+    level = three_term_check(ctx, ctx.levels(f))
+    # the per-pair floats square through the C library's pow, the level
+    # arrays through numpy's exact square: equal up to the last bits
+    assert per_pair <= 1e-9 and level <= 1e-9
+    assert abs(level - per_pair) <= 1e-14
+    # the per-pair formula on numpy values squares like the level arrays
+    averages = lambda q, c: (f.average(c), ctx.avg_b(c), f.average(q), ctx.avg_b(q))
+    exact = max((float(_three_term(*np.array([averages(*pair)]).T)[0]) for pair in pairs), default=0.0)
+    assert level == exact
+    seq = np.random.SeedSequence(seed)
+    drawn, oracle = np.random.default_rng(seq), np.random.default_rng(seq)
+    got = ctx.random_coefficients(drawn)
+    want = ctx.coefficients(SignChoice.random_signs(ctx.q_cubes(), oracle))
+    assert list(got) == list(want)
+    assert all(got[lev].tobytes() == want[lev].tobytes() for lev in got)
+    assert drawn.random() == oracle.random()
+
+
+@BOUNDED
+@given(grid=st.sampled_from(GRIDS), seed=SEEDS, kind=st.sampled_from(CONTEXT_KINDS),
+       coarsen=st.booleans(), sub=st.booleans())
+def test_three_term_and_signs_on_level_arrays(grid, seed, kind, coarsen, sub):
+    ctx = drawn_context(grid, seed, kind, coarsen, sub)
+    f = GridFunction(ctx.spec, np.random.default_rng(seed).uniform(-1.0, 1.0, ctx.spec.n_cells))
+    check_three_term_and_signs(ctx, f, seed)
+
+
+@pytest.mark.parametrize("grid", [(1, 6), (1, 9), (2, 4), (2, 5)])
+def test_trial_contexts_three_term_and_signs(grid):
+    # the contexts the identity battery builds, canonical and coarsened
+    terminal = 0
+    for seed in range(4):
+        inst = build_instance(*grid, seed=seed)
+        if not inst.ok:
+            continue
+        for coarsen in (None, np.random.default_rng(seed)):
+            ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta, coarsen)
+            terminal += len(ctx.family.members)
+            check_three_term_and_signs(ctx, inst.f, seed)
+    assert terminal > 0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(ACCRETIVE_KINDS),
+       halvings=st.integers(0, 4), tloc_scale=st.sampled_from([1.0, 0.25]),
+       sub=st.booleans(), seed=SEEDS)
+def test_packing_and_carleson_equal_per_member_loops(grid, kind, halvings, tloc_scale, sub, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel("random", spec, seed=seed)
+    A, params = KIND_SETUPS[kind]
+    sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
+    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    level = int(rng.integers(1, spec.depth + 1)) if sub else 0
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
+    for j in (1, 2):
+        assert packing_ratio(forest, j) == per_member_packing_ratio(forest, j)
+        assert forest_carleson(forest, j) == carleson_constant(forest.members(j), q0)
 
 
 def reconfigured(forest, **changes):

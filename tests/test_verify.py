@@ -4,9 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dytb import kernels, verify
+from dytb import kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, _subtree_mask, build_corona
+from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona
 from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import corona_delta, corona_levels, make_context, twisted_delta
@@ -248,16 +248,20 @@ def test_tloc_equals_per_cube_oracle(dim, depth):
                 assert measure_tloc(kernel, sys_, q, side) == expected
 
 
-def test_tloc_memory_stays_level_tiled():
+def test_tloc_memory_stays_level_tiled(monkeypatch):
     # a return to one full-grid b_Q per cube would be O(cells^2) memory
     spec = GridSpec(1, 12)
     kernel = generate_kernel("random", spec, seed=1)
     sys_ = AccretiveSystem(spec, "random", 2.0, 1.6, seed=2, params={"amp": 0.6})
+
+    def no_copies(self, cube):
+        raise AssertionError("testing_constant made a full-grid b copy")
+
+    monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
     measure_tloc(kernel, sys_, 2.0, "direct")
     measure_tloc(kernel, sys_, 2.0, "adjoint")
     assert sorted(sys_._levels) == list(range(spec.depth + 1))
     assert all(v.shape == (spec.n_cells,) for v in sys_._levels.values())
-    assert sys_._memo == {}
 
 
 # -- bilinear expansion -----------------------------------------------------------------
@@ -460,6 +464,28 @@ def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
         inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g)
     assert len(sweeps) <= 3 * (depth + 1)
     assert residual <= 1e-9 and pullout <= 1e-12
+
+
+def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
+    # the twisted context, its signs and the three-term check come from level
+    # arrays: no get_b copy, no per-pair check and no list of derived cubes
+    inst = build_instance(1, 12, seed=3)
+    ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
+    assert len(ctx.family.members) > 3 * (inst.spec.depth + 1)
+
+    def forbidden(what):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"the identity battery called {what}")
+        return raise_
+
+    monkeypatch.setattr(AccretiveSystem, "get_b", forbidden("get_b"))
+    monkeypatch.setattr(TerminalFamily, "q_cubes", forbidden("q_cubes"))
+    for module in (twisted, verify):
+        monkeypatch.setattr(module, "decomposition_identity_check", forbidden("the per-pair check"),
+                            raising=False)
+    residuals = run_identity_checks(inst)
+    assert max(residuals[name] for name in verify.RESIDUAL_FIELDS) <= 1e-9
+    assert residuals["measure_comparison_excess"] <= 0.0
 
 
 def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
