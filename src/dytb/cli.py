@@ -133,7 +133,7 @@ def cmd_corona(args) -> int:
         forest = build_corona(root, sys1, sys2, kernel, cfg)
     print(f"Tloc = {tloc!r}")
     for j in (1, 2):
-        print(f"S_{j}: {len(forest.members(j))} members; packing ratio = "
+        print(f"S_{j}: {forest.member_count(j)} members; packing ratio = "
               f"{packing_ratio(forest, j)!r}; Carleson constant = "
               f"{forest_carleson(forest, j)!r}")
     if args.out:

@@ -180,16 +180,27 @@ def coarsen_terminals(
     """A random legal coarsening: disjoint cubes strictly inside ``s0`` such
     that every input cube lies inside some output cube."""
     members: list[DyadicCube] = []
+    taken: set[DyadicCube] = set()  # the members
+    above: set[DyadicCube] = set()  # the members' ancestors-or-self
+
+    def inside_member(cube: DyadicCube) -> bool:
+        return any(cube.ancestor(lev) in taken for lev in range(cube.level + 1))
+
+    def add(cube: DyadicCube) -> None:
+        members.append(cube)
+        taken.add(cube)
+        above.update(cube.ancestor(lev) for lev in range(cube.level + 1))
+
     for t in sorted(tprime):
-        if any(m.contains(t) for m in members):
+        if inside_member(t):
             continue
         if t.level > s0.level + 1 and rng.random() < prob:
             lev = int(rng.integers(s0.level + 1, t.level + 1))
             anc = t.ancestor(lev)
-            if all(not anc.contains(m) and not m.contains(anc) for m in members):
-                members.append(anc)
+            if anc not in above and not inside_member(anc):
+                add(anc)
                 continue
-        members.append(t)
+        add(t)
     return members
 
 
@@ -342,32 +353,51 @@ def make_terminal_family(
 
 
 class CoronaForest:
-    """Stopping families S_1, S_2 below ``q0`` with their parent/child maps.
+    """Stopping families S_1, S_2 below ``q0``, held as the per-level owner
+    arrays of the pass that built each one (``owner_levels``).
 
-    Immutable once built; ``pi(j, Q)`` is the smallest member of S_j
-    containing Q, read from the per-level owner arrays of the pass that built
-    the family.  ``families`` holds one ``(members, children, owners)`` per j.
+    Immutable once built.  S_j's members are the cubes that own themselves
+    (``owners[l] == l``); ``pi(j, Q)`` is the smallest member containing Q.
+    ``members`` and ``stopping_children`` are views of the owner arrays as
+    ``DyadicCube``s, built on their first call.
     """
 
-    def __init__(self, spec, q0, families, config):
+    def __init__(self, spec, q0, owners, config):
         self.spec = spec
         self.q0 = q0
         self.config = config
-        self._members = tuple(frozenset(members) for members, _, _ in families)
-        self._children = tuple({s: tuple(sorted(kids)) for s, kids in children.items()}
-                               for _, children, _ in families)
-        self._owners = tuple(owners for _, _, owners in families)
-
-    def members(self, j: int) -> frozenset:
-        return self._members[_jdx(j)]
-
-    def stopping_children(self, j: int, member: DyadicCube) -> tuple[DyadicCube, ...]:
-        return self._children[_jdx(j)][member]
+        self._owners = tuple(owners)
+        self._views: dict[int, tuple[frozenset, dict]] = {}
 
     def owner_levels(self, j: int) -> list[np.ndarray | None]:
         """Per level, the level of pi_j(Q) for every cube Q of that level
         (row-major), -1 outside q0; None above q0's level."""
         return self._owners[_jdx(j)]
+
+    def member_count(self, j: int) -> int:
+        """The number of members of S_j."""
+        owners = self.owner_levels(j)
+        return sum(int(np.count_nonzero(owners[lev] == lev))
+                   for lev in range(self.q0.level, self.spec.depth + 1))
+
+    def members(self, j: int) -> frozenset:
+        return self._view(j)[0]
+
+    def stopping_children(self, j: int, member: DyadicCube) -> tuple[DyadicCube, ...]:
+        return self._view(j)[1][member]
+
+    def _view(self, j: int) -> tuple[frozenset, dict]:
+        """S_j's members and their sorted stopping children as cubes."""
+        if j not in self._views:
+            children: dict[DyadicCube, list[DyadicCube]] = {}
+            for level, coords, parent_level, parent_coords in _member_links(self, j):
+                for c, pl, pc in zip(coords.tolist(), parent_level.tolist(), parent_coords.tolist()):
+                    cube = DyadicCube(level, tuple(c))
+                    children[cube] = []
+                    if pl >= 0:  # parents come first: they are coarser
+                        children[DyadicCube(pl, tuple(pc))].append(cube)
+            self._views[j] = (frozenset(children), {s: tuple(kids) for s, kids in children.items()})
+        return self._views[j]
 
     def pi(self, j: int, cube: DyadicCube) -> DyadicCube:
         """The smallest member of S_j containing ``cube``."""
@@ -380,6 +410,24 @@ class CoronaForest:
         spec, owners, top = self.spec, self.owner_levels(j), member.level
         return _cubes_where(spec, {lev: (owners[lev] == top) & _subtree_mask(spec.dim, member, lev)
                                    for lev in range(top, spec.depth + 1)})
+
+
+def _member_links(forest: CoronaForest, j: int):
+    """S_j's members level by level from q0's, row-major (the sorted
+    ``DyadicCube`` order), as per-level arrays ``(level, coords,
+    parent_level, parent_coords)`` with one row per member.  A member's
+    corona parent is the member at level ``owners[l-1][parent flat]``
+    containing it; q0 has parent level -1 (and meaningless parent coords)."""
+    spec, owners, top = forest.spec, forest.owner_levels(j), forest.q0.level
+    for level in range(top, spec.depth + 1):
+        coords = spec.coords_from_flats(level, np.flatnonzero(owners[level] == level))
+        if level == top:
+            parent_level = np.full(len(coords), -1)
+        else:
+            up = coords >> 1
+            flats = up[:, 0] if spec.dim == 1 else (up[:, 0] << (level - 1)) | up[:, 1]
+            parent_level = owners[level - 1][flats]
+        yield level, coords, parent_level, coords >> (level - parent_level)[:, None]
 
 
 def _jdx(j: int) -> int:
@@ -397,10 +445,10 @@ def _build_family(
     q_exp: float,
     cfg: TbConfig,
 ):
-    """One stopping family below ``q0``: its members, their stopping children
-    and the pass's owner arrays (``CoronaForest.owner_levels``).  A member S
-    of level m stitches that level's b-array and its sweep from level m onto its
-    cells, which equal b_S and T b_S there bit for bit (``kernels._sweep_from``)."""
+    """One stopping family below ``q0`` as the owner arrays of its pass
+    (``CoronaForest.owner_levels``).  A member S of level m stitches that
+    level's b-array and its sweep from level m onto its cells, which equal b_S
+    and T b_S there bit for bit (``kernels._sweep_from``)."""
     if cfg.Tloc == 0.0 and len(op) > 0:
         raise ConfigError(
             "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
@@ -428,13 +476,7 @@ def _build_family(
             tb = np.where(inside, _sweep_from(op, values, level), tb)
         return hits
 
-    owners = _owner_pass(spec, q0.level, mark)
-    members = _cubes_where(spec, {lev: owners[lev] == lev for lev in range(q0.level, len(owners))})
-    children: dict[DyadicCube, list[DyadicCube]] = {m: [] for m in members}
-    for kid in members[1:]:
-        parent = kid.parent()
-        children[kid.ancestor(int(owners[parent.level][spec.cube_flat(parent)]))].append(kid)
-    return members, children, owners
+    return _owner_pass(spec, q0.level, mark)
 
 
 def build_corona(
@@ -453,9 +495,9 @@ def build_corona(
     if sys2.spec != spec or kernel.spec != spec:
         raise ValueError("grid mismatch between systems and kernel")
     spec.check(q0)
-    families = (_build_family(spec, q0, sys1, kernel, cfg.p1, cfg.p2_conj, cfg),
-                _build_family(spec, q0, sys2, adjoint(kernel), cfg.p2, cfg.p1_conj, cfg))
-    return CoronaForest(spec, q0, families, cfg)
+    owners = (_build_family(spec, q0, sys1, kernel, cfg.p1, cfg.p2_conj, cfg),
+              _build_family(spec, q0, sys2, adjoint(kernel), cfg.p2, cfg.p1_conj, cfg))
+    return CoronaForest(spec, q0, owners, cfg)
 
 
 # -- packing and Carleson measurements -------------------------------------------
@@ -539,29 +581,21 @@ def _carleson(dim: int, top: int, own: list) -> float:
 
 
 def forest_to_json_dict(forest: CoronaForest) -> dict:
-    """Serializable view of a corona forest: per family, the member cubes with
-    links to their corona parents."""
-
-    def cube_dict(c: DyadicCube) -> dict:
-        return {"level": c.level, "coords": list(c.coords)}
+    """Serializable view of a corona forest: per family, the member cubes in
+    sorted order with links to their corona parents."""
 
     def family(j: int) -> list[dict]:
-        parent_of = {}
-        for s in forest.members(j):
-            for kid in forest.stopping_children(j, s):
-                parent_of[kid] = s
         rows = []
-        for m in sorted(forest.members(j)):
-            rows.append({
-                **cube_dict(m),
-                "parent": cube_dict(parent_of[m]) if m in parent_of else None,
-            })
+        for level, coords, parent_level, parent_coords in _member_links(forest, j):
+            for c, pl, pc in zip(coords.tolist(), parent_level.tolist(), parent_coords.tolist()):
+                rows.append({"level": level, "coords": c,
+                             "parent": {"level": pl, "coords": pc} if pl >= 0 else None})
         return rows
 
     return {
         "dim": forest.spec.dim,
         "depth": forest.spec.depth,
-        "q0": cube_dict(forest.q0),
+        "q0": {"level": forest.q0.level, "coords": list(forest.q0.coords)},
         "delta": forest.config.delta,
         "s1": family(1),
         "s2": family(2),

@@ -157,6 +157,13 @@ class GridSpec:
             return DyadicCube(level, (flat,))
         return DyadicCube(level, (flat >> level, flat & ((1 << level) - 1)))
 
+    def coords_from_flats(self, level: int, flats: np.ndarray) -> np.ndarray:
+        """``cube_from_flat`` for an array of flat indices: one row of integer
+        coordinates per index."""
+        if self.dim == 1:
+            return flats[:, None]
+        return np.column_stack([flats >> level, flats & ((1 << level) - 1)])
+
     def cubes_at(self, level: int) -> list[DyadicCube]:
         return [self.cube_from_flat(level, r) for r in range(self.n_cubes(level))]
 

@@ -126,6 +126,17 @@ class PerfectKernel:
             out.update(zip(keys, p.vals.tolist()))
         return out
 
+    @cached_property
+    def _adjoint(self) -> PerfectKernel:
+        """The adjoint kernel, built on the first ``adjoint`` call."""
+        nch = 2**self.spec.dim
+        levels = {}
+        for level, p in self.plan.items():
+            # by flat, then the swapped pair; the keys are distinct integers
+            order = np.argsort((p.flats * nch + p.jj) * nch + p.ii, kind="stable")
+            levels[level] = (p.flats[order], p.jj[order], p.ii[order], p.vals[order])
+        return PerfectKernel._from_levels(self.spec, levels)
+
     def value(self, cube: DyadicCube, i: int, j: int) -> float:
         return self.entries.get((cube.level, self.spec.cube_flat(cube), i, j), 0.0)
 
@@ -230,14 +241,9 @@ def apply(kernel: PerfectKernel, f: GridFunction) -> GridFunction:
 
 
 def adjoint(kernel: PerfectKernel) -> PerfectKernel:
-    """The adjoint kernel: kappa*_{R,i,j} = kappa_{R,j,i}."""
-    nch = 2**kernel.spec.dim
-    levels = {}
-    for level, p in kernel.plan.items():
-        # by flat, then the swapped pair; the keys are distinct integers
-        order = np.argsort((p.flats * nch + p.jj) * nch + p.ii, kind="stable")
-        levels[level] = (p.flats[order], p.jj[order], p.ii[order], p.vals[order])
-    return PerfectKernel._from_levels(kernel.spec, levels)
+    """The adjoint kernel: kappa*_{R,i,j} = kappa_{R,j,i}.  Built on the first
+    call and shared by later ones (kernels are immutable)."""
+    return kernel._adjoint
 
 
 def _bound_table(level: int, dim: int, metric: str) -> np.ndarray:
@@ -333,8 +339,7 @@ def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
     """The entries in (level, flat, i, j) order, read off the level plans."""
     entries = []
     for level, p in kernel.plan.items():
-        coords = (p.flats[:, None] if kernel.spec.dim == 1
-                  else np.column_stack([p.flats >> level, p.flats & ((1 << level) - 1)]))
+        coords = kernel.spec.coords_from_flats(level, p.flats)
         entries += [{"level": level, "coords": c, "i": i, "j": j, "value": v} for c, i, j, v
                     in zip(coords.tolist(), p.ii.tolist(), p.jj.tolist(), p.vals.tolist())]
     return {"dim": kernel.spec.dim, "depth": kernel.spec.depth, "entries": entries}

@@ -1,11 +1,15 @@
 import io
 import json
 
+import pytest
+
 from dytb import cli, verify
 from dytb.cli import main
+from dytb.corona import CoronaForest
 from dytb.grid import GridSpec
 from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
-from dytb.verify import operator_norm
+from dytb.verify import ExperimentConfig, _run_trial, operator_norm
+from make_cli_golden import GOLDEN_PATH, cli_hashes
 
 
 def test_gen_kernel_then_validate(tmp_path, capsys):
@@ -253,3 +257,22 @@ def test_tloc_zero_guard_maps_to_config_error(tmp_path, capsys):
     # this succeeds; force the guard through a zero testing constant instead
     assert main(["corona", "--dim", "1", "--depth", "3", "--kernel-kind", "zero",
                  "--accretive-kind", "constant", "--delta", "0.25"]) == 0
+
+
+def test_cli_outputs_match_golden_bytes(tmp_path):
+    # tb-experiment CSV/JSON and dytb corona stdout/forest JSON, hashed
+    assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
+
+
+def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
+    # the trial and dytb corona read the forest from its owner arrays only
+    def forbidden(*args):
+        raise AssertionError("a hot path built the forest's member cubes")
+
+    monkeypatch.setattr(CoronaForest, "members", forbidden)
+    monkeypatch.setattr(CoronaForest, "stopping_children", forbidden)
+    assert _run_trial(ExperimentConfig(dim=2, depth=4, trials=1), 0).ok
+    assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
+    forest = verify.build_instance(1, 4, seed=1).forest
+    with pytest.raises(AssertionError, match="member cubes"):
+        forest.members(1)

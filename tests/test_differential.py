@@ -8,6 +8,7 @@ The stopping constructions themselves (one owner pass) are compared with the
 per-member construction on 1D grids up to depth 10 and 2D grids up to depth 5.
 """
 
+import json
 import re
 from collections import Counter
 from dataclasses import replace
@@ -26,8 +27,10 @@ from dytb.corona import (
     TerminalFamily,
     build_corona,
     carleson_constant,
+    coarsen_terminals,
     conjugate,
     forest_carleson,
+    forest_to_json_dict,
     packing_ratio,
     terminal_cubes,
 )
@@ -59,6 +62,7 @@ from dytb.twisted import (
 )
 from dytb.verify import (
     _epsilon_max,
+    _g_telescoping,
     b_above_aggregation,
     build_instance,
     check_forest_blocks,
@@ -380,11 +384,107 @@ def test_packing_and_carleson_equal_per_member_loops(grid, kind, halvings, tloc_
         assert forest_carleson(forest, j) == carleson_constant(forest.members(j), q0)
 
 
+def owner_walk_children(forest, j):
+    """The children map the owner pass used to build per member: each member
+    after q0, in sorted order, is a child of the member its parent's owner
+    level names, found by ``parent``/``ancestor`` walks."""
+    spec, owners = forest.spec, forest.owner_levels(j)
+    members = sorted(spec.cube_from_flat(lev, int(flat))
+                     for lev in range(forest.q0.level, spec.depth + 1)
+                     for flat in np.flatnonzero(owners[lev] == lev))
+    children = {m: [] for m in members}
+    for kid in members[1:]:
+        parent = kid.parent()
+        children[kid.ancestor(int(owners[parent.level][spec.cube_flat(parent)]))].append(kid)
+    return children
+
+
+def per_member_forest_json(forest):
+    """``forest_to_json_dict`` built from the member cubes and their stopping
+    children, one row per sorted member."""
+
+    def cube_dict(c):
+        return {"level": c.level, "coords": list(c.coords)}
+
+    def family(j):
+        parent_of = {kid: s for s in forest.members(j) for kid in forest.stopping_children(j, s)}
+        return [{**cube_dict(m), "parent": cube_dict(parent_of[m]) if m in parent_of else None}
+                for m in sorted(forest.members(j))]
+
+    return {"dim": forest.spec.dim, "depth": forest.spec.depth, "q0": cube_dict(forest.q0),
+            "delta": forest.config.delta, "s1": family(1), "s2": family(2)}
+
+
+def per_member_g_telescoping(forest, lg, g):
+    """``_g_telescoping`` as a loop over the members of S_1 and their cells."""
+    spec = forest.spec
+    tele = 0.0
+    gmax = 1.0 + float(np.max(np.abs(g.values)))
+    for s in forest.members(1):
+        idx = spec.cell_indices(s)
+        total = lg.expectations[s.level][idx] + sum(
+            lg.deltas[lev][idx] for lev in range(s.level, spec.depth))
+        tele = max(tele, float(np.max(np.abs(total - g.values[idx]))) / gmax)
+    return tele
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(ACCRETIVE_KINDS),
+       halvings=st.integers(0, 4), sub=st.booleans(), seed=SEEDS)
+def test_g_telescoping_equals_per_member_loop(grid, kind, halvings, sub, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel("random", spec, seed=seed)
+    A, params = KIND_SETUPS[kind]
+    sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    level = int(rng.integers(1, spec.depth + 1)) if sub else 0
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
+    for g in (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)),
+              GridFunction(spec, rng.uniform(-3.0, 3.0, spec.n_cells))):
+        lg = corona_levels(forest, 2, sys2, g)
+        assert _g_telescoping(forest, lg, g) == per_member_g_telescoping(forest, lg, g)
+
+
+def quadratic_coarsen_terminals(tprime, s0, rng, prob=0.3):
+    """``coarsen_terminals`` with a scan over the members for every cube."""
+    members = []
+    for t in sorted(tprime):
+        if any(m.contains(t) for m in members):
+            continue
+        if t.level > s0.level + 1 and rng.random() < prob:
+            lev = int(rng.integers(s0.level + 1, t.level + 1))
+            anc = t.ancestor(lev)
+            if all(not anc.contains(m) and not m.contains(anc) for m in members):
+                members.append(anc)
+                continue
+        members.append(t)
+    return members
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(CONTEXT_KINDS),
+       prob=st.sampled_from([0.3, 0.7, 1.0]), sub=st.booleans(), seed=SEEDS)
+def test_coarsen_terminals_equals_quadratic_scan(grid, kind, prob, sub, seed):
+    spec = GridSpec(*grid)
+    name, params, a_const, delta = kind
+    system = AccretiveSystem(spec, name, 2.0, a_const, seed=seed, params=params)
+    level = 1 + seed % spec.depth if sub else 0
+    s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
+    tprime = terminal_cubes(GridFunction(spec, system.level_values(s0.level)), s0, delta, 2.0, a_const)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert coarsen_terminals(tprime, s0, fast, prob) == quadratic_coarsen_terminals(tprime, s0, slow, prob)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def reconfigured(forest, **changes):
     """The same stopping families under a changed configuration."""
-    families = [(forest.members(j), {s: forest.stopping_children(j, s) for s in forest.members(j)},
-                 forest.owner_levels(j)) for j in (1, 2)]
-    return CoronaForest(forest.spec, forest.q0, families, replace(forest.config, **changes))
+    owners = [forest.owner_levels(j) for j in (1, 2)]
+    return CoronaForest(forest.spec, forest.q0, owners, replace(forest.config, **changes))
 
 
 def enumerated_block_check(forest, j, system, member):
@@ -462,10 +562,12 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     for j, system, op, p_exp, q_exp in ((1, sys1, kernel, p1, cfg.p2_conj),
                                         (2, sys2, adjoint(kernel), p2, cfg.p1_conj)):
         members, children = per_member_family(spec, q0, system, op, p_exp, q_exp, cfg)
-        assert forest.members(j) == members
+        assert forest.members(j) == members and forest.member_count(j) == len(members)
+        walked = owner_walk_children(forest, j)
         for s in members:
-            assert forest.stopping_children(j, s) == tuple(sorted(children[s]))
+            assert forest.stopping_children(j, s) == tuple(sorted(children[s])) == tuple(walked[s])
         for got, want in zip(forest.owner_levels(j), walked_owner_levels(spec, q0, members)):
             assert (got is None and want is None) or np.array_equal(got, want)
+    assert json.dumps(forest_to_json_dict(forest)) == json.dumps(per_member_forest_json(forest))
     b = sys1.get_b(q0)
     assert terminal_cubes(b, q0, delta, p1, A) == scanned_terminal_cubes(b, q0, delta, p1, A)

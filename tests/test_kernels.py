@@ -318,6 +318,23 @@ def test_adjoint_identity_50_pairs(rng):
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
+def plans_equal(a: PerfectKernel, b: PerfectKernel) -> bool:
+    return list(a.plan) == list(b.plan) and all(
+        x.tobytes() == y.tobytes() for level, p in a.plan.items() for x, y in zip(p, b.plan[level]))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 0), (1, 1), (1, 7), (2, 1), (2, 4)])
+def test_adjoint_is_built_once_per_kernel(dim, depth, rng):
+    spec = GridSpec(dim, depth)
+    for t in (generate_kernel("random", spec, seed=depth),
+              PerfectKernel(spec, sparse_entries(generate_kernel("random", spec).entries, rng))):
+        ts = adjoint(t)
+        assert adjoint(t) is ts
+        fresh = adjoint(PerfectKernel(spec, t.entries))  # a new kernel's first build
+        assert fresh is not ts and plans_equal(ts, fresh)
+        assert plans_equal(adjoint(ts), t)
+
+
 # -- generation and validation ----------------------------------------------------------
 
 
