@@ -5,9 +5,10 @@ budget ||b_Q||_p <= A |Q|^(1/p) for the system's exponent p and declared
 constant A > 1.  Generation is deterministic per (seed, cube).  The cubes of
 one level tile the grid, so a system stores all b_Q of a level in one
 finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
-depth) memory.  ``get_b`` copies one b_Q out as a full-grid function on every
-call and keeps nothing; the hot paths read the level arrays instead.  A
-system is not safe to share between threads.
+depth) memory.  The corona forest, the twisted calculus and every trial read
+b from these arrays.  ``get_b`` copies one b_Q out as a full-grid function on
+every call and keeps nothing; only ``validate``, ``diagonal_lemma_check``, the
+demos and the tests call it.  A system is not safe to share between threads.
 
 A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``

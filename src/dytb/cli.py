@@ -328,9 +328,12 @@ def emit_plot_data(rows: list[dict], config: dict, kind: str, out_path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: _merge_config_file reads explicit flags from argv
+    # by their full names
     parser = argparse.ArgumentParser(
         prog="dytb",
         description="dyadic singular-operator laboratory",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"dytb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of defaults for this subcommand")
 
-    p = sub.add_parser("gen-kernel", help="generate a kernel file")
+    p = sub.add_parser("gen-kernel", help="generate a kernel file", allow_abbrev=False)
     add_common(p)
     p.add_argument("--kind", choices=KERNEL_KINDS, default="random")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_kernel)
 
-    p = sub.add_parser("validate", help="re-check a kernel file and report its norm")
+    p = sub.add_parser("validate", help="re-check a kernel file and report its norm", allow_abbrev=False)
     p.add_argument("--kernel", required=True)
     p.add_argument("--norm-method", choices=NORM_METHODS, default="auto")
     p.add_argument("--config", type=str, default=None)
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--tau-target", type=float, default=0.9)
 
-    p = sub.add_parser("corona", help="build the stopping families and measure them")
+    p = sub.add_parser("corona", help="build the stopping families and measure them", allow_abbrev=False)
     add_common(p)
     add_tb_options(p)
     p.add_argument("--kernel", default=None, help="kernel file (overrides --kernel-kind)")
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the forest as JSON")
     p.set_defaults(func=cmd_corona)
 
-    p = sub.add_parser("transform-norm", help="adversarial twisted-transform search")
+    p = sub.add_parser("transform-norm", help="adversarial twisted-transform search", allow_abbrev=False)
     add_common(p)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--A", type=float, default=1.5)
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", type=int, default=50)
     p.set_defaults(func=cmd_transform_norm)
 
-    p = sub.add_parser("identities", help="run every exact-identity checker once")
+    p = sub.add_parser("identities", help="run every exact-identity checker once", allow_abbrev=False)
     add_common(p, depth=5)
     p.add_argument("--p1", type=float, default=2.0)
     p.add_argument("--p2", type=float, default=2.0)
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("tb-experiment", help="run the seeded ratio experiment")
+    p = sub.add_parser("tb-experiment", help="run the seeded ratio experiment", allow_abbrev=False)
     add_common(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p1", type=float, default=2.0)
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tb_experiment)
 
-    p = sub.add_parser("report", help="re-render a report CSV/JSON into a summary")
+    p = sub.add_parser("report", help="re-render a report CSV/JSON into a summary", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None, help=f"one of {PLOT_KINDS}")

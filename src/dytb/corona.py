@@ -28,15 +28,13 @@ which keeps every non-stopping cube's b-average strictly above delta.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
 from .kernels import PerfectKernel, _sweep_from, adjoint
 
 __all__ = [
@@ -204,53 +202,28 @@ def coarsen_terminals(
     return members
 
 
-class SystemB(Mapping):
-    """b_T = system.get_b(T) for each terminal cube T of a family built from
-    a system's level arrays: a copy is made only when a caller indexes it."""
-
-    def __init__(self, system: AccretiveSystem, members) -> None:
-        self.system = system
-        self._members = tuple(sorted(members))
-
-    @cached_property
-    def _keys(self) -> frozenset:
-        return frozenset(self._members)
-
-    def __contains__(self, cube) -> bool:
-        return cube in self._keys
-
-    def __getitem__(self, cube: DyadicCube) -> GridFunction:
-        if cube not in self._keys:
-            raise KeyError(cube)
-        return self.system.get_b(cube)
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-
 @dataclass(frozen=True)
 class TerminalFamily:
-    """A disjoint family of terminal cubes inside ``s0`` with their local
-    test functions, together with the canonical maximal family it covers.
+    """A disjoint family of terminal cubes inside ``s0``, together with the
+    canonical maximal family it covers; each terminal cube T uses the
+    system's b_T.
 
     The derived cube family Q(s0, T) = {dyadic Q inside s0, not inside any
     terminal cube} is what the twisted calculus runs over.
 
-    ``b_for`` maps each terminal cube T to b_T.  Full-grid copies there are
-    checked cube by cube for support and integral.  ``make_terminal_family``
-    gives a ``SystemB`` instead, so every b_T is read from the system's level
-    arrays, which checked support and integral when they were built.  Nesting
-    and cover are checked on the owner arrays for every family.
+    Every b_T is read from the system's level arrays, which checked support
+    and integral when they were built.  Nesting and cover are checked on the
+    owner arrays.
     """
 
-    spec: GridSpec
+    system: AccretiveSystem
     s0: DyadicCube
     tprime: tuple[DyadicCube, ...]
     members: tuple[DyadicCube, ...]
-    b_for: Mapping
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.system.spec
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tprime", tuple(sorted(self.tprime)))
@@ -263,18 +236,6 @@ class TerminalFamily:
         uncovered = [t for t in self.tprime if self._owner(t) <= self.s0.level]
         if uncovered:
             raise ValueError(f"maximal cube {uncovered[0]} is not covered by the terminal family")
-        if set(self.b_for) != set(self.members):
-            raise ValueError("b_for must carry exactly one function per terminal cube")
-        if not isinstance(self.b_for, SystemB):
-            self._check_copies()
-
-    def _check_copies(self) -> None:
-        for t, bt in self.b_for.items():
-            out = np.delete(bt.values, self.spec.cell_indices(t))
-            if np.any(out != 0.0):
-                raise ValueError(f"b_T for {t} is not supported on {t}")
-            if abs(bt.integral(t) - t.volume) > 1e-12 * t.volume:
-                raise ValueError(f"b_T for {t} does not have integral |T|")
 
     def _check_nesting(self) -> None:
         """A terminal cube whose parent's owner is a terminal cube is nested
@@ -301,16 +262,6 @@ class TerminalFamily:
         if not (self.spec.contains(cube) and cube.level >= self.s0.level):
             return -1
         return int(self._owners[cube.level][self.spec.cube_flat(cube)])
-
-    def b_values(self, level: int) -> np.ndarray:
-        """A cell array equal to b_T on every terminal cube T of ``level``."""
-        if isinstance(self.b_for, SystemB):
-            return self.b_for.system.level_values(level)
-        return self._copies_sum
-
-    @cached_property
-    def _copies_sum(self) -> np.ndarray:
-        return sum((bt.values for bt in self.b_for.values()), np.zeros(self.spec.n_cells))
 
     def in_q(self, cube: DyadicCube) -> bool:
         """Whether ``cube`` belongs to the derived family Q (inside s0, not
@@ -346,7 +297,7 @@ def make_terminal_family(
     if any(t == s0 for t in tprime):
         raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
     members = coarsen_terminals(tprime, s0, coarsen_rng) if coarsen_rng is not None else tprime
-    return TerminalFamily(system.spec, s0, tuple(tprime), tuple(members), SystemB(system, members))
+    return TerminalFamily(system, s0, tuple(tprime), tuple(members))
 
 
 # -- corona forest (two systems, operator-aware) ---------------------------------
@@ -517,7 +468,7 @@ def packing_ratio(forest: CoronaForest, j: int) -> float:
         volume = 2.0 ** (-spec.dim * level)
         best = max(best, float(below[members].max(initial=0.0)) / volume)
         if level > top:
-            below = _coarsen_step(spec.dim, np.where(members, volume, below)).ravel()
+            below = coarsen_step(spec.dim, np.where(members, volume, below))
     return best
 
 
@@ -533,14 +484,6 @@ def set_packing_ratio(members, top: DyadicCube) -> float:
             cur = cur.parent()
         mass[cur] += m.volume
     return max((v / s.volume for s, v in mass.items()), default=0.0)
-
-
-def _coarsen_step(dim: int, fine: np.ndarray) -> np.ndarray:
-    """Sum per-cube values one level up."""
-    if dim == 1:
-        return fine[0::2] + fine[1::2]
-    m = int(math.isqrt(fine.size)) // 2
-    return fine.reshape(m, 2, m, 2).sum(axis=(1, 3))
 
 
 def carleson_constant(members, q0: DyadicCube) -> float:
@@ -576,7 +519,7 @@ def _carleson(dim: int, top: int, own: list) -> float:
         acc = acc + own[level]
         best = max(best, float(acc.max()) / 2.0 ** (-dim * level))
         if level > top:
-            acc = _coarsen_step(dim, acc).ravel()
+            acc = coarsen_step(dim, acc)
     return best
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "GridFunction",
     "lp_norm",
     "child_containing",
+    "coarsen_step",
     "cube_blocks",
     "dyadic_maximal",
     "from_cube_blocks",
@@ -198,6 +199,15 @@ class GridSpec:
         return (rows[:, None] * side + cols[None, :]).ravel()
 
 
+def coarsen_step(dim: int, fine: np.ndarray) -> np.ndarray:
+    """Sum per-cube values one level up: the flat row-major array of a level
+    in, that of the level above out."""
+    if dim == 1:
+        return fine[0::2] + fine[1::2]
+    m = math.isqrt(fine.size) // 2
+    return fine.reshape(m, 2, m, 2).sum(axis=(1, 3)).ravel()
+
+
 def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
     """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``.
 
@@ -208,18 +218,8 @@ def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
     if vals.shape != (spec.n_cells,):
         raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
     out = [vals]
-    cur = vals
-    if spec.dim == 1:
-        for _ in range(spec.depth):
-            cur = cur[0::2] + cur[1::2]
-            out.append(cur)
-    else:
-        m = 1 << spec.depth
-        cur2 = cur.reshape(m, m)
-        for _ in range(spec.depth):
-            m //= 2
-            cur2 = cur2.reshape(m, 2, m, 2).sum(axis=(1, 3))
-            out.append(cur2.ravel())
+    for _ in range(spec.depth):
+        out.append(coarsen_step(spec.dim, out[-1]))
     out.reverse()
     return out
 

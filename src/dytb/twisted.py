@@ -38,13 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import (
-    CoronaForest,
-    TerminalFamily,
-    _coarsen_step,
-    make_terminal_family,
-)
-from .grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
+from .corona import CoronaForest, TerminalFamily, make_terminal_family
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
 
 __all__ = [
     "TwistedContext",
@@ -101,31 +96,31 @@ class SignChoice:
 
 @dataclass(frozen=True)
 class TwistedContext:
-    """Base cube, function b, terminal family and constants, validated so the
-    twisted calculus is well defined (all averages used as denominators are
-    bounded away from zero by failure of the stopping conditions)."""
+    """A terminal family and constants, validated so the twisted calculus is
+    well defined (all averages used as denominators are bounded away from
+    zero by failure of the stopping conditions).  The function b of the base
+    cube and every b_T come from the family's system."""
 
     family: TerminalFamily
-    b: GridFunction
     p: float
     delta: float
     A: float
 
     @property
     def spec(self) -> GridSpec:
-        return self.b.spec
+        return self.family.spec
 
     @property
     def s0(self) -> DyadicCube:
         return self.family.s0
 
     def __post_init__(self) -> None:
-        spec = self.b.spec
-        if self.family.spec != spec:
-            raise ValueError("grid mismatch between b and the terminal family")
-        if np.any(np.delete(self.b.values, spec.cell_indices(self.s0)) != 0.0):
-            raise ValueError("b is not supported on the base cube")
         _check_blocks(self._levels, self.p, self.delta, self.A)
+
+    @cached_property
+    def b(self) -> GridFunction:
+        """b = b_{s0}, read from the system's level array at s0's level."""
+        return GridFunction(self.spec, self.family.system.level_values(self.s0.level)).restrict(self.s0)
 
     @cached_property
     def _levels(self) -> CoronaLevels:
@@ -136,8 +131,7 @@ class TwistedContext:
         s0, spec = self.s0, self.spec
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
                   for lev, m in enumerate(self.family._owners)]
-        values_at = lambda lev: self.b.values if lev == s0.level else self.family.b_values(lev)
-        return CoronaLevels(spec, owners, *_stitch(spec, owners, values_at), None)
+        return CoronaLevels(spec, owners, *_stitch(spec, owners, self.family.system.level_values), None)
 
     @property
     def b_avg(self) -> dict[int, np.ndarray]:
@@ -185,9 +179,7 @@ def make_context(
 ) -> TwistedContext:
     """Build the twisted context of ``system``'s function on ``s0``, read from
     the system's level arrays (no per-cube copy)."""
-    family = make_terminal_family(system, s0, delta, coarsen_rng)
-    b = GridFunction(system.spec, system.level_values(s0.level)).restrict(s0)
-    return TwistedContext(family, b, system.p, delta, system.A)
+    return TwistedContext(make_terminal_family(system, s0, delta, coarsen_rng), system.p, delta, system.A)
 
 
 def block_context(
@@ -195,14 +187,14 @@ def block_context(
 ) -> TwistedContext:
     """The corona block of a stopping cube S as a twisted context: base cube S,
     function b_S, terminal cubes = S's stopping children with their own b."""
+    if system.spec != forest.spec:
+        raise ValueError("grid mismatch between the system and the forest")
     if member not in forest.members(j):
         raise ValueError(f"{member} is not a member of S_{j}")
     kids = forest.stopping_children(j, member)
-    b_for = {k: system.get_b(k) for k in kids}
-    family = TerminalFamily(forest.spec, member, tuple(kids), tuple(kids), b_for)
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
-    return TwistedContext(family, system.get_b(member), p, cfg.delta, cfg.A)
+    return TwistedContext(TerminalFamily(system, member, kids, kids), p, cfg.delta, cfg.A)
 
 
 # -- the level engine -------------------------------------------------------------
@@ -306,7 +298,7 @@ class CoronaLevels:
         """The cell array of ``box`` over every cube of the level."""
         spec, stopped = self.spec, self._stopped(level + 1)
         diff = np.where(stopped, 0.0, np.abs(self.half_twisted[level]))
-        parents = _coarsen_step(spec.dim, stopped).ravel() > 0
+        parents = coarsen_step(spec.dim, stopped) > 0
         return spread(spec, level + 1, diff + spread(spec, level, parents, level + 1))
 
     def coefficients(self, eps: SignChoice, inside) -> dict[int, np.ndarray]:

@@ -229,6 +229,14 @@ def test_config_file_merge_and_rejection(tmp_path, capsys):
     assert main(["gen-kernel", "--kind", "random", "--depth", "2", "--out", str(out),
                  "--config", str(cfg)]) == 0
     assert load_kernel(out).spec.depth == 2
+    # flags are never abbreviated, so the explicit-flag set is exact: a
+    # prefix is rejected instead of losing to the file
+    cfg.write_text(json.dumps({"trials": 5}))
+    report = tmp_path / "a.csv"
+    run = ["tb-experiment", "--depth", "3", "--config", str(cfg), "--out", str(report)]
+    assert main([*run, "--tri", "2"]) == 2
+    assert main([*run, "--trials", "2"]) == 0
+    assert len(json.loads(report.with_suffix(".json").read_text())["reports"]) == 2
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dephth": 3}))

@@ -8,7 +8,6 @@ from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
     TbConfig,
-    SystemB,
     TerminalFamily,
     _subtree_mask,
     build_corona,
@@ -243,8 +242,7 @@ def test_coarsening_is_legal(rng):
             for c in members:
                 assert a == c or not a.contains(c)
         # family construction revalidates everything
-        fam = TerminalFamily(spec, root, tuple(tprime), tuple(members),
-                             {m: sys_.get_b(m) for m in members})
+        fam = TerminalFamily(sys_, root, tuple(tprime), tuple(members))
         for q in fam.q_cubes(active_only=False):
             assert not any(m.contains(q) for m in members)
 
@@ -257,7 +255,7 @@ def test_terminal_family_rejects_nested_members():
     members = (outer, DyadicCube(2, (0, 3)), inner)
     message = f"terminal cubes {outer} and {inner} are nested"
     with pytest.raises(ValueError, match=re.escape(message)):
-        TerminalFamily(spec, spec.root(), (), members, {m: sys_.get_b(m) for m in members})
+        TerminalFamily(sys_, spec.root(), (), members)
 
 
 def test_terminal_family_rejects_uncovered_maximal_cube():
@@ -266,11 +264,9 @@ def test_terminal_family_rejects_uncovered_maximal_cube():
     members = (DyadicCube(2, (0,)), DyadicCube(3, (4,)))
     covered, uncovered = DyadicCube(4, (1,)), DyadicCube(4, (10,))
     with pytest.raises(ValueError, match=re.escape(f"maximal cube {uncovered} is not covered")):
-        TerminalFamily(spec, spec.root(), (covered, uncovered), members,
-                       {m: sys_.get_b(m) for m in members})
+        TerminalFamily(sys_, spec.root(), (covered, uncovered), members)
     # the same family accepts maximal cubes equal to or inside its members
-    TerminalFamily(spec, spec.root(), (covered, members[1]), members,
-                   {m: sys_.get_b(m) for m in members})
+    TerminalFamily(sys_, spec.root(), (covered, members[1]), members)
 
 
 @pytest.mark.parametrize("dim,depth,s0_level", [(1, 6, 0), (1, 7, 2), (2, 3, 0), (2, 4, 1)])
@@ -290,18 +286,17 @@ def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
         tprime += [q for m in members for q in spec.all_cubes(m) if rng.random() < 0.3]
         want = walked_family_error(s0, tprime, members)
         outcomes[want.split()[0] if want else None] += 1
-        b_for = {m: sys_.get_b(m) for m in members}
         if want is None:
-            TerminalFamily(spec, s0, tuple(tprime), tuple(members), b_for)
+            TerminalFamily(sys_, s0, tuple(tprime), tuple(members))
         else:
             with pytest.raises(ValueError, match=re.escape(want)):
-                TerminalFamily(spec, s0, tuple(tprime), tuple(members), b_for)
+                TerminalFamily(sys_, s0, tuple(tprime), tuple(members))
     assert all(outcomes[k] > 0 for k in ("terminal", "maximal", None))
 
 
 def test_code_built_family_checks_its_owner_arrays():
-    # a family on level arrays finds the maximal cubes of b_{s0} and is
-    # checked for nesting and cover like one given copies
+    # a code-built family finds the maximal cubes of b_{s0}; a caller's
+    # family over the same system is checked for nesting and cover
     spec = GridSpec(1, 7)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
     root = spec.root()
@@ -314,12 +309,9 @@ def test_code_built_family_checks_its_owner_arrays():
     for members in ([m for m in fam.members if m != dropped], [*fam.members, inner]):
         want = walked_family_error(root, fam.tprime, members)
         with pytest.raises(ValueError, match=re.escape(want)):
-            TerminalFamily(spec, root, fam.tprime, tuple(members), SystemB(sys_, members))
+            TerminalFamily(sys_, root, fam.tprime, tuple(members))
     with pytest.raises(ValueError, match=re.escape(f"terminal cube {root} is not strictly inside {root}")):
-        TerminalFamily(spec, root, fam.tprime, (root,), SystemB(sys_, (root,)))
-    swapped = (*fam.members[1:], inner)  # as many cubes, one of them different
-    with pytest.raises(ValueError, match="exactly one function per terminal cube"):
-        TerminalFamily(spec, root, fam.tprime, fam.members, SystemB(sys_, swapped))
+        TerminalFamily(sys_, root, fam.tprime, (root,))
 
 
 # -- corona construction -----------------------------------------------------------------
@@ -551,7 +543,7 @@ def test_make_terminal_family_default_is_canonical(rng):
     fam = make_terminal_family(sys_, spec.root(), 0.4)
     assert fam.members == fam.tprime
     for t in fam.members:
-        assert abs(fam.b_for[t].average(t) - 1.0) <= 1e-12
+        assert abs(fam.system.get_b(t).average(t) - 1.0) <= 1e-12
 
 
 def test_forest_json_export():

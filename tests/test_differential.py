@@ -277,42 +277,40 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     if members:
         dropped = members[int(rng.integers(len(members)))]
         rest = tuple(m for m in members if m != dropped)
-        family = TerminalFamily(spec, ctx.s0, (), rest, {m: ctx.family.b_for[m] for m in rest})
+        family = TerminalFamily(ctx.family.system, ctx.s0, (), rest)
         want = unsafe_cube(ctx.b, family, ctx.p, ctx.delta, ctx.A)
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {want}:")):
-            TwistedContext(family, ctx.b, ctx.p, ctx.delta, ctx.A)
+            TwistedContext(family, ctx.p, ctx.delta, ctx.A)
 
 
 @BOUNDED
 @given(grid=st.sampled_from(GRIDS), seed=SEEDS, kind=st.sampled_from(CONTEXT_KINDS),
        coarsen=st.booleans(), sub=st.booleans())
 def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
-    # the context read from level arrays against one built from get_b copies
+    # the context read from level arrays against B_l stitched from get_b
+    # copies: b_{s0} at s0's level, the sum of the b_T copies below it
     ctx = drawn_context(grid, seed, kind, coarsen, sub)
-    spec, family, system = ctx.spec, ctx.family, ctx.family.b_for.system
-    copies = TwistedContext(
-        TerminalFamily(spec, ctx.s0, family.tprime, family.members,
-                       {m: system.get_b(m) for m in family.members}),
-        system.get_b(ctx.s0), ctx.p, ctx.delta, ctx.A)
-    assert np.array_equal(ctx.b.values, copies.b.values)
-    for lev, owners in enumerate(family._owners):
-        want = copies.family._owners[lev]
-        assert (owners is None and want is None) or np.array_equal(owners, want)
-    for name in ("b", "b_avg"):
-        got, want = getattr(ctx._levels, name), getattr(copies._levels, name)
+    spec, family, system = ctx.spec, ctx.family, ctx.family.system
+    b0 = system.get_b(ctx.s0)
+    copies = sum((system.get_b(m).values for m in family.members), np.zeros(spec.n_cells))
+    assert np.array_equal(ctx.b.values, b0.values)
+    owners = ctx._levels.owners
+    b, b_avg = twisted._stitch(spec, owners, lambda lev: b0.values if lev == ctx.s0.level else copies)
+    for got, want in ((ctx._levels.b, b), (ctx._levels.b_avg, b_avg)):
         assert list(got) == list(want)
         assert all(np.array_equal(got[lev], want[lev]) for lev in got)
-    cubes = list(spec.all_cubes())
-    for fam in (family, copies.family):
-        assert [fam.is_terminal(q) for q in cubes] == [q in family.b_for for q in cubes]
-        assert [fam.in_q(q) for q in cubes] == [
-            ctx.s0.contains(q) and not any(m.contains(q) for m in family.members) for q in cubes]
-    assert ctx.q_cubes(active_only=False) == copies.q_cubes(active_only=False)
     rng = np.random.default_rng(seed)
     f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
     eps = SignChoice.random_signs(ctx.q_cubes(), rng)
-    for fast in (transform, half_transform):
-        assert np.array_equal(fast(ctx, eps, f).values, fast(copies, eps, f).values)
+    oracle = twisted.CoronaLevels(spec, owners, b, b_avg, f)
+    coeffs = ctx.coefficients(eps)
+    assert np.array_equal(transform(ctx, eps, f).values, oracle.transform(coeffs))
+    assert np.array_equal(half_transform(ctx, eps, f).values, oracle.child_rule(coeffs, twisted._half_step))
+    cubes, terminal = list(spec.all_cubes()), set(family.members)
+    assert [family.is_terminal(q) for q in cubes] == [q in terminal for q in cubes]
+    derived = [ctx.s0.contains(q) and not any(m.contains(q) for m in family.members) for q in cubes]
+    assert [family.in_q(q) for q in cubes] == derived
+    assert ctx.q_cubes(active_only=False) == [q for q, d in zip(cubes, derived) if d]
 
 
 def check_three_term_and_signs(ctx, f, seed):
@@ -494,9 +492,9 @@ def enumerated_block_check(forest, j, system, member):
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
     kids = forest.stopping_children(j, member)
-    family = TerminalFamily(forest.spec, member, kids, kids, {k: system.get_b(k) for k in kids})
+    family = TerminalFamily(system, member, kids, kids)
     b = system.get_b(member)
-    for cube, g in ((member, b), *family.b_for.items()):
+    for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
         if (abs(g.integral(cube) - cube.volume) > 1e-12 * cube.volume
                 or g.lp_norm(p, cube) > cfg.A * cube.volume ** (1 / p) * (1 + 1e-12)):
             return cube

@@ -57,7 +57,7 @@ def oracle_twisted(ctx, cube, f):
     base = np.mean(f.values[qidx]) / np.mean(ctx.b.values[qidx])
     for child in cube.children():
         idx = spec.cell_indices(child)
-        bq = ctx.family.b_for[child] if ctx.family.is_terminal(child) else ctx.b
+        bq = ctx.family.system.get_b(child) if ctx.family.is_terminal(child) else ctx.b
         ratio = np.mean(f.values[idx]) / np.mean(bq.values[idx])
         out[idx] = ratio * bq.values[idx] - base * ctx.b.values[idx]
     return out
@@ -186,7 +186,7 @@ def enumerated_twisted_delta(ctx, cube, f):
     base = f.average(cube) / ctx.b.average(cube)
     for child in cube.children():
         idx = spec.cell_indices(child)
-        bc = ctx.family.b_for[child] if ctx.family.is_terminal(child) else ctx.b
+        bc = ctx.family.system.get_b(child) if ctx.family.is_terminal(child) else ctx.b
         out[idx] = f.average(child) / bc.average(child) * bc.values[idx] - base * ctx.b.values[idx]
     return out
 
@@ -239,7 +239,7 @@ def enumerated_delta_decomp(ctx, eps, f):
         parent = t.parent()
         e = eps.get(parent)
         idx = ctx.spec.cell_indices(t)
-        rhs[idx] += e * f.average(t) * ctx.family.b_for[t].values[idx]
+        rhs[idx] += e * f.average(t) * ctx.family.system.get_b(t).values[idx]
         rhs[idx] -= e * (f.average(parent) / ctx.b.average(parent)) * ctx.b.values[idx]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -303,11 +303,10 @@ def test_half_twisted_all_children_terminal_is_zero():
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
     members = tuple(root.children())
-    fam_b = {m: sys_.get_b(m) for m in members}
     from dytb.corona import TerminalFamily
 
-    fam = TerminalFamily(spec, root, (), members, fam_b)
-    ctx = TwistedContext(fam, sys_.get_b(root), 2.0, 0.4, 1.5)
+    fam = TerminalFamily(sys_, root, (), members)
+    ctx = TwistedContext(fam, 2.0, 0.4, 1.5)
     assert np.all(half_twisted_D(ctx, root, sys_.get_b(root)).values == 0.0)
 
 
@@ -685,3 +684,26 @@ def test_block_context_roundtrip():
             a = twisted_delta(ctx, q, inst.f)
             b = corona_delta(forest, 1, inst.sys1, q, inst.f)
             assert np.allclose(a.values, b.values, atol=1e-12)
+    finer = AccretiveSystem(GridSpec(1, 6), "constant", 2.0, 1.5)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        block_context(forest, 1, finer, forest.q0)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
+def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
+    # every b of a context, the base cube's included, is read from the
+    # system's level arrays
+    inst = build_instance(dim, depth, seed=1)
+    assert inst.ok
+    blocks = [(j, system, s) for j, system in ((1, inst.sys1), (2, inst.sys2))
+              for s in sorted(inst.forest.members(j))]
+    want = [system.get_b(s).values for _, system, s in blocks]
+
+    def no_copies(self, cube):
+        raise AssertionError("a twisted context made a full-grid b copy")
+
+    monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
+    for (j, system, s), b in zip(blocks, want):
+        assert np.array_equal(block_context(inst.forest, j, system, s).b.values, b)
+    for system in (inst.sys1, inst.sys2):
+        make_context(system, inst.forest.q0, inst.cfg.delta, coarsen_rng=np.random.default_rng(depth))
