@@ -22,7 +22,7 @@ from dytb.cli import main as cli_main
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
 
 # tb-experiment cases: (dim, depth), 3 trials at the default master seed
-TB_CASES = ((1, 6), (2, 4))
+TB_CASES = ((1, 6), (2, 4), (2, 5))  # 2D d5 takes the Lanczos norm
 TB_TRIALS = 3
 # corona cases: (dim, depth, seeds); each seed drives the systems and the kernel
 CORONA_CASES = ((1, 10, (3, 5)), (2, 5, (4, 6)))
