@@ -8,7 +8,10 @@ finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
 depth) memory.  The corona forest, the twisted calculus and every trial read
 b from these arrays.  ``get_b`` copies one b_Q out as a full-grid function on
 every call and keeps nothing; only ``validate``, ``diagonal_lemma_check``, the
-demos and the tests call it.  A system is not safe to share between threads.
+demos and the tests call it.  ``level_sweep`` gives T b_Q on every cube of a
+level at once, swept once per (operator, level) and kept while the operator
+lives: (depth+1) more arrays per operator.  A system is not safe to share
+between threads.
 
 A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
@@ -21,10 +24,12 @@ generator per cube, since its permutation draws a variable number of values.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sums, lp_norm
 
 __all__ = ["AccretiveSystem", "validate", "ACCRETIVE_KINDS"]
@@ -59,6 +64,8 @@ class AccretiveSystem:
     params: dict = field(default_factory=dict)
     _levels: dict = field(default_factory=dict, repr=False, compare=False)
     _seeds: dict = field(default_factory=dict, repr=False, compare=False)
+    _sweeps: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
+                                               repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ACCRETIVE_KINDS:
@@ -117,6 +124,19 @@ class AccretiveSystem:
             vals.setflags(write=False)
             self._levels[level] = vals
         return vals
+
+    def level_sweep(self, op: kernels.PerfectKernel, level: int) -> np.ndarray:
+        """``op`` applied to ``level_values(level)`` with its entries above the
+        level dropped, which on every cube Q of the level is T b_Q
+        (``kernels._sweep_from``); read-only.  Swept on the first call per
+        operator and level, and kept while the operator lives."""
+        memo = self._sweeps.setdefault(op, {})
+        tb = memo.get(level)
+        if tb is None:
+            tb = kernels._sweep_from(op, self.level_values(level), level)
+            tb.setflags(write=False)
+            memo[level] = tb
+        return tb
 
     # -- generation ---------------------------------------------------------
 

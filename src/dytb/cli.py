@@ -426,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args, argv) -> None:
+def _merge_config_file(args, argv, dests: dict) -> None:
     """Apply a JSON config file beneath explicit flags; unknown keys rejected
-    with a line-referenced message on malformed JSON."""
+    with a line-referenced message on malformed JSON.  ``dests`` maps the
+    subcommand's option strings to their dests (``--in`` to ``infile``)."""
     if getattr(args, "config", None) is None:
         return
     try:
@@ -440,9 +441,7 @@ def _merge_config_file(args, argv) -> None:
         raise ConfigError(f"cannot read config file: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    explicit = {
-        a[2:].split("=", 1)[0].replace("-", "_") for a in argv if a.startswith("--")
-    }
+    explicit = {dests[a.split("=", 1)[0]] for a in argv if a.split("=", 1)[0] in dests}
     known = {k for k in vars(args) if k not in ("func", "command", "config")}
     for key, value in data.items():
         dest = key.replace("-", "_")
@@ -450,6 +449,13 @@ def _merge_config_file(args, argv) -> None:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         if dest not in explicit:
             setattr(args, dest, value)
+
+
+def _option_dests(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Option string -> dest over the actions of one subcommand's parser."""
+    [subparsers] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: action.dest for action in subparsers.choices[command]._actions
+            for opt in action.option_strings}
 
 
 def main(argv=None) -> int:
@@ -462,7 +468,7 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else EXIT_CONFIG
         return code
     try:
-        _merge_config_file(args, argv)
+        _merge_config_file(args, argv, _option_dests(parser, args.command))
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

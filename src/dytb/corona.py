@@ -35,7 +35,7 @@ import numpy as np
 
 from .accretive import AccretiveSystem
 from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
-from .kernels import PerfectKernel, _sweep_from, adjoint
+from .kernels import PerfectKernel, adjoint
 
 __all__ = [
     "ConfigError",
@@ -399,7 +399,9 @@ def _build_family(
     """One stopping family below ``q0`` as the owner arrays of its pass
     (``CoronaForest.owner_levels``).  A member S of level m stitches that
     level's b-array and its sweep from level m onto its cells, which equal b_S
-    and T b_S there bit for bit (``kernels._sweep_from``)."""
+    and T b_S there bit for bit (``kernels._sweep_from``).  The sweeps are the
+    system's memo (``AccretiveSystem.level_sweep``): ``testing_constant`` has
+    already made them, and every ``choose_delta`` attempt reads them again."""
     if cfg.Tloc == 0.0 and len(op) > 0:
         raise ConfigError(
             "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
@@ -422,9 +424,8 @@ def _build_family(
             hits = (inherited >= 0) & stopped
         if hits.any():
             inside = spread(spec, level, hits)
-            values = system.level_values(level)
-            b = np.where(inside, values, b)
-            tb = np.where(inside, _sweep_from(op, values, level), tb)
+            b = np.where(inside, system.level_values(level), b)
+            tb = np.where(inside, system.level_sweep(op, level), tb)
         return hits
 
     return _owner_pass(spec, q0.level, mark)

@@ -27,6 +27,7 @@ __all__ = [
     "child_containing",
     "coarsen_step",
     "cube_blocks",
+    "cube_sum_vector",
     "dyadic_maximal",
     "from_cube_blocks",
     "level_sums",
@@ -147,6 +148,29 @@ class GridSpec:
     def n_cubes(self, level: int) -> int:
         return 2 ** (self.dim * level)
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each level starts in a vector holding the cubes of every
+        level, coarse to fine and row-major within a level: level ``l`` is
+        ``[offsets[l], offsets[l + 1])``, for ``l`` in ``0..depth``."""
+        return tuple((self.n_cubes(level) - 1) // (2**self.dim - 1)
+                     for level in range(self.depth + 2))
+
+    @cached_property
+    def parents(self) -> tuple[np.ndarray, ...]:
+        """``parents[l][flat]``: the flat index at level ``l - 1`` of the
+        parent of cube ``flat`` of level ``l`` (read-only; empty at level 0)."""
+        out = [np.zeros(0, dtype=np.int64)]
+        for level in range(1, self.depth + 1):
+            flats = np.arange(self.n_cubes(level))
+            if self.dim == 1:
+                up = flats >> 1
+            else:
+                up = ((flats >> (level + 1)) << (level - 1)) | ((flats & ((1 << level) - 1)) >> 1)
+            up.setflags(write=False)
+            out.append(up)
+        return tuple(out)
+
     def cube_flat(self, cube: DyadicCube) -> int:
         """Row-major flat index of ``cube`` among cubes of its level."""
         if self.dim == 1:
@@ -199,17 +223,21 @@ class GridSpec:
         return (rows[:, None] * side + cols[None, :]).ravel()
 
 
-def coarsen_step(dim: int, fine: np.ndarray) -> np.ndarray:
+def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum per-cube values one level up: the flat row-major array of a level
-    in, that of the level above out."""
+    in, that of the level above out (written into ``out`` if given)."""
     if dim == 1:
-        return fine[0::2] + fine[1::2]
+        return np.add(fine[0::2], fine[1::2], out=out)
     m = math.isqrt(fine.size) // 2
-    return fine.reshape(m, 2, m, 2).sum(axis=(1, 3)).ravel()
+    # the reduction of ndarray.sum, without its Python wrappers
+    summed = np.add.reduce(fine.reshape(m, 2, m, 2), axis=(1, 3),
+                           out=None if out is None else out.reshape(m, m))
+    return summed.ravel() if out is None else out
 
 
-def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
-    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``.
+def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
+    """Cube sums of a finest-cell array for every level in one vector, level
+    ``l`` at ``spec.offsets[l]:spec.offsets[l + 1]``.
 
     Built bottom-up: a parent's entry is the exact float sum of its children's
     entries, so the additivity of the tree is bit-exact by construction.
@@ -217,11 +245,23 @@ def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
     vals = np.asarray(cell_values, dtype=float)
     if vals.shape != (spec.n_cells,):
         raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
-    out = [vals]
-    for _ in range(spec.depth):
-        out.append(coarsen_step(spec.dim, out[-1]))
-    out.reverse()
+    off = spec.offsets
+    out = np.empty(off[-1])
+    out[off[-2]:] = fine = vals
+    for level in range(spec.depth - 1, -1, -1):
+        fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
     return out
+
+
+def _level_views(spec: GridSpec, vector: np.ndarray) -> list[np.ndarray]:
+    off = spec.offsets
+    return [vector[off[level]:off[level + 1]] for level in range(spec.depth + 1)]
+
+
+def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
+    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``:
+    views of its ``cube_sum_vector``."""
+    return _level_views(spec, cube_sum_vector(spec, cell_values))
 
 
 def spread(spec: GridSpec, level: int, values, to_level: int | None = None) -> np.ndarray:
@@ -291,9 +331,17 @@ class GridFunction:
     # -- calculus ----------------------------------------------------------
 
     @cached_property
+    def sum_vector(self) -> np.ndarray:
+        """Cell-value sums over every cube in one vector (``cube_sum_vector``;
+        cached, read-only)."""
+        sums = cube_sum_vector(self.spec, self.values)
+        sums.setflags(write=False)
+        return sums
+
+    @cached_property
     def cube_sums(self) -> list[np.ndarray]:
-        """Cell-value sums over every cube, per level (cached; exact tree)."""
-        return level_sums(self.spec, self.values)
+        """Cell-value sums over every cube, per level: views of ``sum_vector``."""
+        return _level_views(self.spec, self.sum_vector)
 
     def integral(self, cube: DyadicCube | None = None) -> float:
         """Integral over ``cube`` (default: the whole grid)."""

@@ -6,12 +6,15 @@ rectangles are exactly child_i(R) x child_j(R) over all grid cubes R below the
 finest level and ordered pairs i != j of their children, so a kernel is the
 sparse map (R, i, j) -> kappa.
 
-Storage: one apply plan per kernel, built and validated once at construction.
-Each level holds its entries as arrays sorted by (flat, i, j), with the child
-flats every entry reads from and adds to (``LevelPlan``).  ``apply``,
-``bilinear``, ``adjoint`` and ``dense_matrix`` are whole-level array
-operations on that plan; the dict ``PerfectKernel.entries`` is built only on
-first access.
+Storage: one whole-plan set of entry arrays per kernel, built and validated
+once at construction.  The entries of all levels sit in level order, each
+level sorted by (flat, i, j), with the entry bounds of every level.  Beside
+(flat, i, j, kappa), each entry holds where its child_j (read from) and
+child_i (added to) sit in one vector of the cubes of every level
+(``GridSpec.offsets``), so a sweep is one gather-multiply and one bincount
+over a slice of the plan, and ``bilinear`` one product.  ``plan`` views the
+arrays per level for ``validate_size``, ``dense_matrix`` and the file
+writer; the dict ``PerfectKernel.entries`` is built only on first access.
 
 Orientation: in the pairing <Tf, g> = integral K(x, y) f(y) g(x) dy dx, the
 x-variable (paired with g) ranges over child_i and the y-variable (paired
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, cube_sum_vector
 
 __all__ = [
     "PerfectKernel",
@@ -76,9 +79,10 @@ def size_bound(level: int, i: int, j: int, dim: int, metric: str = "euclidean") 
 
 
 class LevelPlan(NamedTuple):
-    """One level's entries, sorted by (flat, i, j), with the child flats at
-    ``level + 1`` that each entry reads f from (``src``, child_j) and adds its
-    value to (``dst``, child_i)."""
+    """One level's entries, sorted by (flat, i, j): views of the kernel's
+    whole-plan arrays.  ``src`` (child_j, where f is read) and ``dst``
+    (child_i, where the value is added) index the cubes at ``level + 1`` in
+    the all-level vector of ``GridSpec.offsets``."""
 
     flats: np.ndarray
     ii: np.ndarray
@@ -89,13 +93,16 @@ class LevelPlan(NamedTuple):
 
 
 class PerfectKernel:
-    """Sparse perfect dyadic kernel, stored as one ``LevelPlan`` per level.
+    """Sparse perfect dyadic kernel, stored as whole-plan entry arrays.
 
     ``PerfectKernel(spec, {(level, flat, i, j): kappa})`` builds it from a
-    dict; absent entries are zero and levels without entries have no plan.
-    Every entry is validated once, at construction.  Immutable afterwards (the
-    plan arrays are read-only); ``apply`` and ``bilinear`` are pure functions,
-    so kernels can be shared across threads.
+    dict; absent entries are zero.  The entries of every level sit in level
+    order in ``flats``, ``ii``, ``jj``, ``vals``, ``src`` and ``dst`` (the
+    fields of ``LevelPlan``); level ``l`` holds ``starts[l]:starts[l + 1]``
+    and ``plan`` views them per non-empty level.  Every entry is validated
+    once, at construction.  Immutable afterwards (the arrays are read-only);
+    ``apply`` and ``bilinear`` are pure functions, so kernels can be shared
+    across threads.
     """
 
     def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
@@ -112,36 +119,59 @@ class PerfectKernel:
         return kernel
 
     def _build(self, spec: GridSpec, levels: dict) -> None:
+        counts = [0] * (spec.depth + 1)
+        empty = np.zeros(0, dtype=np.int64)
+        parts = [(empty, empty, empty, np.zeros(0), empty, empty)]  # dtypes of a kernel without entries
+        for level, arrays in sorted(levels.items()):
+            parts.append(_level_entries(spec, level, *arrays))
+            counts[level + 1] = len(arrays[3])
+        self._set(spec, itertools.accumulate(counts), *map(np.concatenate, zip(*parts)))
+
+    def _set(self, spec: GridSpec, starts, *arrays: np.ndarray) -> None:
+        """Install whole-plan arrays in ``LevelPlan`` field order, read-only."""
         self.spec = spec
-        self.plan: dict[int, LevelPlan] = {
-            level: _level_plan(spec, level, *arrays) for level, arrays in sorted(levels.items())
-        }
+        self.starts = tuple(starts)
+        for name, arr in zip(LevelPlan._fields, arrays):
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+
+    @cached_property
+    def plan(self) -> dict[int, LevelPlan]:
+        """Per non-empty level, views of its entries."""
+        arrays = [getattr(self, name) for name in LevelPlan._fields]
+        return {level: LevelPlan(*(a[lo:hi] for a in arrays))
+                for level, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])) if hi > lo}
+
+    def _entry_levels(self) -> np.ndarray:
+        """The level of every entry."""
+        return np.repeat(np.arange(self.spec.depth), np.diff(self.starts))
 
     @cached_property
     def entries(self) -> dict:
         """The entries as a dict {(level, flat, i, j): kappa}, built on first access."""
-        out: dict = {}
-        for level, p in self.plan.items():
-            keys = zip(itertools.repeat(level), p.flats.tolist(), p.ii.tolist(), p.jj.tolist())
-            out.update(zip(keys, p.vals.tolist()))
-        return out
+        keys = zip(self._entry_levels().tolist(), self.flats.tolist(), self.ii.tolist(),
+                   self.jj.tolist())
+        return dict(zip(keys, self.vals.tolist()))
 
     @cached_property
     def _adjoint(self) -> PerfectKernel:
-        """The adjoint kernel, built on the first ``adjoint`` call."""
+        """The adjoint kernel, built on the first ``adjoint`` call: the entries
+        with i and j (so ``src`` and ``dst``) swapped, re-sorted by cube, then
+        the swapped pair.  The keys are distinct integers, increasing with the
+        level, so each level keeps its place."""
         nch = 2**self.spec.dim
-        levels = {}
-        for level, p in self.plan.items():
-            # by flat, then the swapped pair; the keys are distinct integers
-            order = np.argsort((p.flats * nch + p.jj) * nch + p.ii, kind="stable")
-            levels[level] = (p.flats[order], p.jj[order], p.ii[order], p.vals[order])
-        return PerfectKernel._from_levels(self.spec, levels)
+        cubes = np.array(self.spec.offsets, dtype=np.int64)[self._entry_levels()] + self.flats
+        o = np.argsort((cubes * nch + self.jj) * nch + self.ii, kind="stable")
+        adj = PerfectKernel.__new__(PerfectKernel)
+        adj._set(self.spec, self.starts, self.flats[o], self.jj[o], self.ii[o], self.vals[o],
+                 self.dst[o], self.src[o])
+        return adj
 
     def value(self, cube: DyadicCube, i: int, j: int) -> float:
         return self.entries.get((cube.level, self.spec.cube_flat(cube), i, j), 0.0)
 
     def __len__(self) -> int:
-        return sum(len(p.vals) for p in self.plan.values())
+        return len(self.vals)
 
 
 def _split_levels(keys: np.ndarray, vals: np.ndarray) -> dict:
@@ -154,8 +184,9 @@ def _split_levels(keys: np.ndarray, vals: np.ndarray) -> dict:
             for k, v in zip(np.split(keys, cuts), np.split(vals, cuts)) if len(v)}
 
 
-def _level_plan(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
-    """Validate one level's sorted entries and attach their child flats."""
+def _level_entries(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
+    """Validate one level's sorted entries and attach the places of their
+    children in the all-level vector."""
     if not 0 <= level < spec.depth:
         raise ValueError(f"entry level {level} outside [0, {spec.depth})")
     bad = np.flatnonzero((flats < 0) | (flats >= spec.n_cubes(level)))
@@ -167,11 +198,9 @@ def _level_plan(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
         raise ValueError(f"bad child pair ({ii[bad[0]]}, {jj[bad[0]]})")
     if not np.isfinite(vals).all():
         raise ValueError("non-finite kernel value")
-    plan = LevelPlan(flats, ii, jj, vals, _child_flats(spec, level, flats, jj),
-                     _child_flats(spec, level, flats, ii))
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+    off = spec.offsets[level + 1]
+    return LevelPlan(flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
+                     off + _child_flats(spec, level, flats, ii))
 
 
 def _child_flats(spec: GridSpec, level: int, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
@@ -186,15 +215,18 @@ def _child_flats(spec: GridSpec, level: int, flats: np.ndarray, child: np.ndarra
 
 
 def bilinear(kernel: PerfectKernel, f: GridFunction, g: GridFunction) -> float:
-    """<Tf, g> via the bottom-up integral tree; exact tiling of the off-diagonal."""
+    """<Tf, g> via the bottom-up integral tree; exact tiling of the off-diagonal.
+
+    One product over the whole plan, read from the cached cube-sum vectors of
+    f and g, then one sum per level, added coarse to fine."""
     if f.spec != kernel.spec or g.spec != kernel.spec:
         raise ValueError("grid mismatch")
     cv = kernel.spec.cell_volume
+    terms = kernel.vals * f.sum_vector[kernel.src] * g.sum_vector[kernel.dst]
     total = 0.0
-    for level, p in kernel.plan.items():
-        intf = f.cube_sums[level + 1]
-        intg = g.cube_sums[level + 1]
-        total += float(np.sum(p.vals * intf[p.src] * intg[p.dst])) * cv * cv
+    for lo, hi in zip(kernel.starts, kernel.starts[1:]):
+        if hi > lo:
+            total += float(np.sum(terms[lo:hi])) * cv * cv
     return total
 
 
@@ -202,8 +234,10 @@ def apply_values(kernel: PerfectKernel, values: np.ndarray) -> np.ndarray:
     """Cell values of T applied to the function with the given cell values.
 
     Per finest cell p: sum over ancestors R and children j != i(R, p) of
-    kappa_{R, i(R,p), j} * int_{child_j(R)} f.  Implemented by accumulating a
-    per-cube constant at each level and sweeping it down, O(cells * depth).
+    kappa_{R, i(R,p), j} * int_{child_j(R)} f.  One gather-multiply over the
+    whole plan and one ``np.bincount`` give a constant per cube of every
+    level, which is swept down to the cells: O(cells * depth) in total, and
+    a fixed number of numpy calls per level.
     """
     return _sweep_from(kernel, values, 0)
 
@@ -215,22 +249,24 @@ def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.nda
     values inside Q, and equals ``apply_values`` of those values times 1_Q bit
     for bit: an entry at a strict ancestor R of Q pairs the child of R that
     contains Q with a disjoint child, so inside Q it adds only exact zeros.
+
+    The cube sums of every level sit in one vector (``cube_sum_vector``);
+    the entries from ``start`` on are one contiguous slice of the plan, so
+    their products land on the cubes of every level in one bincount, which
+    adds in input order into zeros as ``np.add.at`` would.  Going down, each
+    level adds its parent's running value, read by one gather.
     """
     spec = kernel.spec
-    sums = level_sums(spec, values)
+    sums = cube_sum_vector(spec, values)
     if start >= spec.depth:
         return np.zeros(spec.n_cells)
-    cv = spec.cell_volume
-    contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
-    for level, p in kernel.plan.items():
-        if level >= start:
-            # bincount adds in input order into zeros, like np.add.at
-            weights = p.vals * sums[level + 1][p.src] * cv
-            contrib[level + 1] = np.bincount(p.dst, weights, spec.n_cubes(level + 1))
-    cur = contrib[start + 1]
+    off, k = spec.offsets, kernel.starts[start]
+    contrib = np.bincount(kernel.dst[k:], kernel.vals[k:] * sums[kernel.src[k:]] * spec.cell_volume,
+                          off[-1])
+    cur = contrib[off[start + 1]:off[start + 2]]
     for lev in range(start + 2, spec.depth + 1):
-        cur = spread(spec, lev - 1, cur, lev) + contrib[lev]
-    return cur
+        cur = cur[spec.parents[lev]] + contrib[off[lev]:off[lev + 1]]
+    return cur if start + 2 <= spec.depth else cur.copy()
 
 
 def apply(kernel: PerfectKernel, f: GridFunction) -> GridFunction:
@@ -322,6 +358,7 @@ def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
         k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis
         index: list = []
         for c in (p.dst, p.src):  # rows on child_i, columns on child_j
+            c = c - spec.offsets[level + 1]
             for axis in [c] if spec.dim == 1 else [c >> (level + 1), c & (k - 1)]:
                 index += [axis, slice(None)]
         m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += p.vals.reshape((-1,) + (1,) * 2 * spec.dim)

@@ -195,7 +195,9 @@ def testing_constant(
 
     One apply per level: on each cube Q of a level, T of that level's tiled
     b-array equals T b_Q once the entries above the level are dropped (see
-    ``kernels._sweep_from``).  Taking the max before the root is exact, since
+    ``kernels._sweep_from``).  The sweeps are the system's memo
+    (``AccretiveSystem.level_sweep``), which the corona construction and the
+    nested form read again.  Taking the max before the root is exact, since
     the power is monotone.
     """
     if not q > 1.0:
@@ -206,7 +208,7 @@ def testing_constant(
     spec = kernel.spec
     best = 0.0
     for level in range(spec.depth + 1):
-        tb = _sweep_from(op, system.level_values(level), level)
+        tb = system.level_sweep(op, level)
         mean_pow = np.mean(np.abs(cube_blocks(spec, level, tb)) ** q, axis=1)
         best = max(best, float(mean_pow.max()))
     return best ** (1.0 / q)
@@ -331,7 +333,7 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
         return {b: np.sum(cube_blocks(spec, b, u) * g_blocks[b], axis=1) * cv
                 for b in range(first, spec.depth)}
 
-    tb, _ = _stitch(spec, lf.owners, lambda m: _sweep_from(kernel, sys1.level_values(m), m))
+    tb, _ = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))
     total = pullout = 0.0
     for a, half in lf.half_twisted.items():
         tbs = pairings(tb[a], a)

@@ -237,6 +237,17 @@ def test_config_file_merge_and_rejection(tmp_path, capsys):
     assert main([*run, "--tri", "2"]) == 2
     assert main([*run, "--trials", "2"]) == 0
     assert len(json.loads(report.with_suffix(".json").read_text())["reports"]) == 2
+    # explicit flags are matched by dest, not by spelling: --in stores infile
+    other = tmp_path / "b.csv"
+    assert main(["tb-experiment", "--depth", "3", "--trials", "3", "--out", str(other)]) == 0
+    cfg.write_text(json.dumps({"infile": str(other)}))
+    capsys.readouterr()
+    assert main(["report", "--in", str(report), "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_trials"] == 2
+    assert main(["report", f"--in={report}", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_trials"] == 2
+    assert main(["report", "--config", str(cfg), "--in", str(report)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_trials"] == 2
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dephth": 3}))

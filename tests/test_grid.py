@@ -223,6 +223,16 @@ def test_maximal_dominates(rng):
     assert np.all(mf.values >= np.abs(f.values) - 1e-15)
 
 
+@pytest.mark.parametrize("dim,depth", [(1, 0), (1, 5), (2, 0), (2, 3)])
+def test_level_offsets_and_parents_match_cubes(dim, depth):
+    spec = GridSpec(dim, depth)
+    assert spec.offsets == tuple(sum(spec.n_cubes(k) for k in range(level))
+                                 for level in range(depth + 2))
+    for level in range(1, depth + 1):
+        assert spec.parents[level].tolist() == [
+            spec.cube_flat(cube.parent()) for cube in spec.cubes_at(level)]
+
+
 # -- exactness invariants --------------------------------------------------------------
 
 

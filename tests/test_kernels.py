@@ -135,6 +135,54 @@ def add_at_sweep(spec, entries: dict, values, start):
     return cur
 
 
+def per_level_sums(spec, values) -> list:
+    """The per-level list ``level_sums`` built before the cube-sum vector:
+    one coarsening expression per level, finest first."""
+    out = [np.asarray(values, dtype=float)]
+    for _ in range(spec.depth):
+        fine = out[-1]
+        if spec.dim == 1:
+            out.append(fine[0::2] + fine[1::2])
+        else:
+            m = math.isqrt(fine.size) // 2
+            out.append(fine.reshape(m, 2, m, 2).sum(axis=(1, 3)).ravel())
+    return out[::-1]
+
+
+def per_level_sweep(kernel, values, start):
+    """The per-level body ``kernels._sweep_from`` had before the whole plan: a
+    dict of zero arrays, one bincount per level and a ``spread`` per level."""
+    spec = kernel.spec
+    sums = per_level_sums(spec, values)
+    if start >= spec.depth:
+        return np.zeros(spec.n_cells)
+    cv = spec.cell_volume
+    contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
+    for level, p in kernel.plan.items():
+        if level >= start:
+            src = _child_flats(spec, level, p.flats, p.jj)
+            dst = _child_flats(spec, level, p.flats, p.ii)
+            weights = p.vals * sums[level + 1][src] * cv
+            contrib[level + 1] = np.bincount(dst, weights, spec.n_cubes(level + 1))
+    cur = contrib[start + 1]
+    for lev in range(start + 2, spec.depth + 1):
+        cur = spread(spec, lev - 1, cur, lev) + contrib[lev]
+    return cur
+
+
+def per_level_bilinear(kernel, f, g) -> float:
+    """The per-level body ``bilinear`` had before the whole plan."""
+    spec = kernel.spec
+    cv = spec.cell_volume
+    intf, intg = per_level_sums(spec, f.values), per_level_sums(spec, g.values)
+    total = 0.0
+    for level, p in kernel.plan.items():
+        src = _child_flats(spec, level, p.flats, p.jj)
+        dst = _child_flats(spec, level, p.flats, p.ii)
+        total += float(np.sum(p.vals * intf[level + 1][src] * intg[level + 1][dst])) * cv * cv
+    return total
+
+
 def per_entry_validate_size(entries: dict, dim, metric="euclidean") -> bool:
     """The per-entry loop ``validate_size`` replaced."""
     return all(abs(v) <= size_bound(level, i, j, dim, metric)
@@ -472,6 +520,49 @@ def test_sweep_matches_add_at_for_every_start(dim, depth, kind, scale, sparse, s
         for start in range(spec.depth + 2):
             want = add_at_sweep(spec, oracle, values, start)
             assert _sweep_from(kernel, values, start).tobytes() == want.tobytes()
+
+
+def gapped_kernel(spec, seed):
+    """A random kernel read from a file that has no entries on every other
+    level, the finest included when the depth is even."""
+    data = kernel_to_json_dict(generate_kernel("random", spec, seed=seed))
+    data["entries"] = [e for e in data["entries"] if e["level"] % 2 == 1]
+    return kernel_from_json_dict(data)
+
+
+WHOLE_PLAN_GRIDS = [(1, depth) for depth in range(1, 11)] + [(2, depth) for depth in range(1, 7)]
+
+
+@pytest.mark.parametrize("dim,depth", WHOLE_PLAN_GRIDS)
+def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
+    spec = GridSpec(dim, depth)
+    rng = np.random.default_rng(100 * dim + depth)
+    ts = [generate_kernel(kind, spec, seed=depth) for kind in ("random", "haar-shift", "zero")]
+    ts.append(gapped_kernel(spec, depth))
+    assert len(ts[-1].plan) == depth // 2 and not len(ts[2])
+    values = rng.uniform(-1.0, 1.0, spec.n_cells)
+    values[rng.random(spec.n_cells) < 0.2] = 0.0
+    f, g = GridFunction(spec, values), rand_fun(spec, rng)
+    assert np.concatenate(per_level_sums(spec, values)).tobytes() == f.sum_vector.tobytes()
+    for t in ts:
+        for kernel in (t, adjoint(t)):
+            for start in range(spec.depth + 2):
+                want = per_level_sweep(kernel, values, start)
+                assert _sweep_from(kernel, values, start).tobytes() == want.tobytes()
+            for a, b in ((f, g), (g, f), (f, f)):
+                assert np.float64(bilinear(kernel, a, b)).tobytes() == \
+                    np.float64(per_level_bilinear(kernel, a, b)).tobytes()
+
+
+def test_plan_views_the_whole_plan_arrays():
+    # the entries are stored once: each level's plan is a slice of the whole
+    t = gapped_kernel(GridSpec(2, 4), 1)
+    for level, p in t.plan.items():
+        lo, hi = t.starts[level], t.starts[level + 1]
+        for name, arr in zip(p._fields, p):
+            whole = getattr(t, name)
+            assert np.shares_memory(arr, whole) and arr.tobytes() == whole[lo:hi].tobytes()
+    assert sorted(t.plan) == [1, 3] and t.starts == (0, 0, 48, 48, 48 + 12 * 64)
 
 
 # -- structural invariants ----------------------------------------------------------------

@@ -1,10 +1,11 @@
+import gc
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dytb import kernels, twisted, verify
+from dytb import cli, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
 from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona
 from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
@@ -262,6 +263,44 @@ def test_tloc_memory_stays_level_tiled(monkeypatch):
     measure_tloc(kernel, sys_, 2.0, "adjoint")
     assert sorted(sys_._levels) == list(range(spec.depth + 1))
     assert all(v.shape == (spec.n_cells,) for v in sys_._levels.values())
+
+
+def test_each_level_array_is_swept_once(monkeypatch, capsys):
+    # testing_constant, the corona's stopping rule (3) in every choose_delta
+    # attempt and the nested form read T b from the system's memo: no
+    # (operator, values, start) is swept twice in a trial or a corona run
+    real = kernels._sweep_from
+    seen = []  # holds every swept array, so no id is reused within a run
+
+    def counted(op, values, start):
+        seen.append((op, values, start))
+        return real(op, values, start)
+
+    for module in (kernels, verify):
+        monkeypatch.setattr(module, "_sweep_from", counted)
+    for run in (lambda: verify._run_trial(ExperimentConfig(dim=2, depth=5, trials=1, seed=1), 0),
+                lambda: cli.main(["corona", "--dim", "1", "--depth", "10"])):
+        seen.clear()
+        run()
+        keys = [(id(op), id(values), start) for op, values, start in seen]
+        assert len(keys) == len(set(keys))
+        assert sum(start > 0 for *_, start in seen) >= 10  # the level arrays went through
+    capsys.readouterr()
+
+
+def test_sweep_memo_is_read_only_and_weak():
+    inst = build_instance(2, 4, seed=3)
+    for system, op in ((inst.sys1, inst.kernel), (inst.sys2, adjoint(inst.kernel))):
+        memo = system._sweeps[op]
+        assert sorted(memo) == list(range(inst.spec.depth + 1))
+        for level, tb in memo.items():
+            assert not tb.flags.writeable and system.level_sweep(op, level) is tb
+            fresh = kernels._sweep_from(op, system.level_values(level), level)
+            assert tb.tobytes() == fresh.tobytes()
+    sys1 = inst.sys1
+    del inst
+    gc.collect()
+    assert len(sys1._sweeps) == 0  # kept only while the operator lives
 
 
 # -- bilinear expansion -----------------------------------------------------------------
