@@ -235,33 +235,36 @@ def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> n
     return summed.ravel() if out is None else out
 
 
-def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
-    """Cube sums of a finest-cell array for every level in one vector, level
-    ``l`` at ``spec.offsets[l]:spec.offsets[l + 1]``.
+def _cell_values(spec: GridSpec, cell_values) -> np.ndarray:
+    vals = np.asarray(cell_values, dtype=float)
+    if vals.shape != (spec.n_cells,):
+        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
+    return vals
+
+
+def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
+    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``.
 
     Built bottom-up: a parent's entry is the exact float sum of its children's
     entries, so the additivity of the tree is bit-exact by construction.
     """
-    vals = np.asarray(cell_values, dtype=float)
-    if vals.shape != (spec.n_cells,):
-        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
+    out = [_cell_values(spec, cell_values)]
+    for _ in range(spec.depth):
+        out.append(coarsen_step(spec.dim, out[-1]))
+    out.reverse()
+    return out
+
+
+def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
+    """``level_sums`` in one vector, level ``l`` at ``spec.offsets[l]:spec.offsets[l + 1]``,
+    the same sums bit for bit."""
+    vals = _cell_values(spec, cell_values)
     off = spec.offsets
     out = np.empty(off[-1])
     out[off[-2]:] = fine = vals
     for level in range(spec.depth - 1, -1, -1):
         fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
     return out
-
-
-def _level_views(spec: GridSpec, vector: np.ndarray) -> list[np.ndarray]:
-    off = spec.offsets
-    return [vector[off[level]:off[level + 1]] for level in range(spec.depth + 1)]
-
-
-def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
-    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``:
-    views of its ``cube_sum_vector``."""
-    return _level_views(spec, cube_sum_vector(spec, cell_values))
 
 
 def spread(spec: GridSpec, level: int, values, to_level: int | None = None) -> np.ndarray:
@@ -341,7 +344,8 @@ class GridFunction:
     @cached_property
     def cube_sums(self) -> list[np.ndarray]:
         """Cell-value sums over every cube, per level: views of ``sum_vector``."""
-        return _level_views(self.spec, self.sum_vector)
+        off = self.spec.offsets
+        return [self.sum_vector[off[level]:off[level + 1]] for level in range(self.spec.depth + 1)]
 
     def integral(self, cube: DyadicCube | None = None) -> float:
         """Integral over ``cube`` (default: the whole grid)."""
