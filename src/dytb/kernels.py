@@ -266,7 +266,7 @@ def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.nda
     cur = contrib[off[start + 1]:off[start + 2]]
     for lev in range(start + 2, spec.depth + 1):
         cur = cur[spec.parents[lev]] + contrib[off[lev]:off[lev + 1]]
-    return cur if start + 2 <= spec.depth else cur.copy()
+    return cur if start + 2 <= spec.depth else cur.copy()  # not a view of the whole buffer
 
 
 def apply(kernel: PerfectKernel, f: GridFunction) -> GridFunction:
