@@ -328,8 +328,7 @@ def emit_plot_data(rows: list[dict], config: dict, kind: str, out_path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: _merge_config_file reads explicit flags from argv
-    # by their full names
+    # no prefix matching: every flag is spelled in full
     parser = argparse.ArgumentParser(
         prog="dytb",
         description="dyadic singular-operator laboratory",
@@ -337,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dytb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser, for _parse_args
 
     def add_common(p, depth=6):
         p.add_argument("--dim", type=int, default=1, choices=(1, 2))
@@ -426,12 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args, argv, dests: dict) -> None:
-    """Apply a JSON config file beneath explicit flags; unknown keys rejected
-    with a line-referenced message on malformed JSON.  ``dests`` maps the
-    subcommand's option strings to their dests (``--in`` to ``infile``)."""
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; the values of a JSON ``--config`` file become the
+    subcommand's defaults, so explicit flags beat the file.  Unknown keys are
+    rejected, malformed JSON with a line-referenced message."""
+    args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
-        return
+        return args
     try:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -441,21 +442,15 @@ def _merge_config_file(args, argv, dests: dict) -> None:
         raise ConfigError(f"cannot read config file: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    explicit = {dests[a.split("=", 1)[0]] for a in argv if a.split("=", 1)[0] in dests}
     known = {k for k in vars(args) if k not in ("func", "command", "config")}
+    defaults = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
-
-
-def _option_dests(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Option string -> dest over the actions of one subcommand's parser."""
-    [subparsers] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt: action.dest for action in subparsers.choices[command]._actions
-            for opt in action.option_strings}
+        defaults[dest] = value
+    parser.subcommands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -463,13 +458,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else EXIT_CONFIG
-        return code
-    try:
-        _merge_config_file(args, argv, _option_dests(parser, args.command))
+        args = _parse_args(parser, argv)
         return args.func(args)
+    except SystemExit as e:  # argparse: bad flags or config values, --help, --version
+        return e.code if isinstance(e.code, int) else EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -171,6 +171,11 @@ class GridSpec:
             out.append(up)
         return tuple(out)
 
+    def level_views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """An all-level vector (``offsets``) as one view per level, coarse to fine."""
+        off = self.offsets
+        return [vector[off[level]:off[level + 1]] for level in range(self.depth + 1)]
+
     def cube_flat(self, cube: DyadicCube) -> int:
         """Row-major flat index of ``cube`` among cubes of its level."""
         if self.dim == 1:
@@ -229,42 +234,33 @@ def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> n
     if dim == 1:
         return np.add(fine[0::2], fine[1::2], out=out)
     m = math.isqrt(fine.size) // 2
-    # the reduction of ndarray.sum, without its Python wrappers
-    summed = np.add.reduce(fine.reshape(m, 2, m, 2), axis=(1, 3),
-                           out=None if out is None else out.reshape(m, m))
+    summed = fine.reshape(m, 2, m, 2).sum(axis=(1, 3),
+                                          out=None if out is None else out.reshape(m, m))
     return summed.ravel() if out is None else out
 
 
-def _cell_values(spec: GridSpec, cell_values) -> np.ndarray:
-    vals = np.asarray(cell_values, dtype=float)
-    if vals.shape != (spec.n_cells,):
-        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
-    return vals
-
-
-def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
-    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``.
+def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
+    """Cube sums of a finest-cell array over every level in one vector, level
+    ``l`` at ``spec.offsets[l]:spec.offsets[l + 1]`` indexed by flat cube.
 
     Built bottom-up: a parent's entry is the exact float sum of its children's
     entries, so the additivity of the tree is bit-exact by construction.
     """
-    out = [_cell_values(spec, cell_values)]
-    for _ in range(spec.depth):
-        out.append(coarsen_step(spec.dim, out[-1]))
-    out.reverse()
-    return out
-
-
-def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
-    """``level_sums`` in one vector, level ``l`` at ``spec.offsets[l]:spec.offsets[l + 1]``,
-    the same sums bit for bit."""
-    vals = _cell_values(spec, cell_values)
+    vals = np.asarray(cell_values, dtype=float)
+    if vals.shape != (spec.n_cells,):
+        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
     off = spec.offsets
     out = np.empty(off[-1])
     out[off[-2]:] = fine = vals
     for level in range(spec.depth - 1, -1, -1):
         fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
     return out
+
+
+def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:
+    """Per-level cube sums of a finest-cell array, index ``[level][flat_cube]``:
+    views of its ``cube_sum_vector``."""
+    return spec.level_views(cube_sum_vector(spec, cell_values))
 
 
 def spread(spec: GridSpec, level: int, values, to_level: int | None = None) -> np.ndarray:
@@ -344,8 +340,7 @@ class GridFunction:
     @cached_property
     def cube_sums(self) -> list[np.ndarray]:
         """Cell-value sums over every cube, per level: views of ``sum_vector``."""
-        off = self.spec.offsets
-        return [self.sum_vector[off[level]:off[level + 1]] for level in range(self.spec.depth + 1)]
+        return self.spec.level_views(self.sum_vector)
 
     def integral(self, cube: DyadicCube | None = None) -> float:
         """Integral over ``cube`` (default: the whole grid)."""

@@ -544,6 +544,8 @@ def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
     values[rng.random(spec.n_cells) < 0.2] = 0.0
     f, g = GridFunction(spec, values), rand_fun(spec, rng)
     assert np.concatenate(per_level_sums(spec, values)).tobytes() == f.sum_vector.tobytes()
+    assert [a.tobytes() for a in level_sums(spec, values)] == [
+        a.tobytes() for a in per_level_sums(spec, values)]
     for t in ts:
         for kernel in (t, adjoint(t)):
             for start in range(spec.depth + 2):
