@@ -229,15 +229,14 @@ def test_config_file_merge_and_rejection(tmp_path, capsys):
     assert main(["gen-kernel", "--kind", "random", "--depth", "2", "--out", str(out),
                  "--config", str(cfg)]) == 0
     assert load_kernel(out).spec.depth == 2
-    # flags are never abbreviated, so the explicit-flag set is exact: a
-    # prefix is rejected instead of losing to the file
+    # flags are never abbreviated: a prefix is rejected
     cfg.write_text(json.dumps({"trials": 5}))
     report = tmp_path / "a.csv"
     run = ["tb-experiment", "--depth", "3", "--config", str(cfg), "--out", str(report)]
     assert main([*run, "--tri", "2"]) == 2
     assert main([*run, "--trials", "2"]) == 0
     assert len(json.loads(report.with_suffix(".json").read_text())["reports"]) == 2
-    # explicit flags are matched by dest, not by spelling: --in stores infile
+    # an explicit flag beats the file under any spelling: --in stores infile
     other = tmp_path / "b.csv"
     assert main(["tb-experiment", "--depth", "3", "--trials", "3", "--out", str(other)]) == 0
     cfg.write_text(json.dumps({"infile": str(other)}))
@@ -254,6 +253,12 @@ def test_config_file_merge_and_rejection(tmp_path, capsys):
     assert main(["gen-kernel", "--kind", "zero", "--out", str(out),
                  "--config", str(bad)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # a string in the file is converted like a flag value: an invalid one is a
+    # config error
+    bad.write_text(json.dumps({"depth": "x"}))
+    assert main(["gen-kernel", "--kind", "zero", "--out", str(out),
+                 "--config", str(bad)]) == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):
