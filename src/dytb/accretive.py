@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sums, lp_norm
+from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sum, lp_norm
 
 __all__ = ["AccretiveSystem", "validate", "ACCRETIVE_KINDS"]
 
@@ -173,7 +173,7 @@ class AccretiveSystem:
         mags = np.abs(blocks)
         checks = [
             # the same bottom-up sums that get_b(Q).integral(Q) reports
-            (np.abs(level_sums(spec, vals)[level] * spec.cell_volume - volume) > 1e-12 * volume,
+            (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
              "mean of b_Q off"),
             ((np.sum(mags**self.p, axis=1) * spec.cell_volume) ** (1.0 / self.p)
              > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -198,18 +200,16 @@ def cmd_report(args) -> int:
         config, rows = data["config"], data["reports"]
     else:
         config, rows = read_report_csv(path)
+    if args.plot:  # every plot argument is checked before any file is written
+        _check_plot(rows, args.plot)
+        if not args.plot_out:
+            raise ConfigError("--plot requires --plot-out")
     if args.out:
         _write_json(args.out, {"version": __version__, "config": config, **summarize(rows)})
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(summarize(rows), indent=1, sort_keys=True))
+        print(_json_text(summarize(rows)))
     if args.plot:
-        if args.plot not in PLOT_KINDS:
-            print(f"unknown plot kind {args.plot!r}; expected one of {PLOT_KINDS}")
-            return EXIT_CONFIG
-        if not args.plot_out:
-            print("--plot requires --plot-out")
-            return EXIT_CONFIG
         emit_plot_data(rows, config, args.plot, args.plot_out)
         print(f"wrote {args.plot_out}")
     return EXIT_OK
@@ -235,10 +235,73 @@ def write_report_json(path, config: dict, reports: list[VerifierReport]) -> None
 
 
 def _write_json(path, payload: dict) -> None:
-    """The bytes of ``json.dump(payload, fh, indent=1, sort_keys=True)``,
-    encoded in one call instead of streamed chunk by chunk."""
+    """Write ``payload`` as the bytes of ``json.dump(payload, fh, indent=1,
+    sort_keys=True)`` (``_json_text``)."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True))
+        fh.write(_json_text(payload))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte, without
+    the json module's pure-Python encoder (the only one honouring ``indent``).
+    Dict keys must be ``str``; like json, any other type raises TypeError."""
+    parts = []
+    _encode(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(o, newline: str, emit) -> None:
+    # the type tests in json's own order (bool before int); float covers
+    # subclasses such as numpy.float64, as in json
+    if isinstance(o, str):
+        emit(_encode_str(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, float):
+        emit(_float_text(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            emit("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = newline + " "
+        comma = "," + inner  # one string for all items: a copy per item costs peak memory
+        if isinstance(o, dict):
+            for key in o:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            sep = "{" + inner
+            for key in sorted(o):
+                emit(sep)
+                emit(_encode_str(key))
+                emit(": ")
+                _encode(o[key], inner, emit)
+                sep = comma
+            emit(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in o:
+                emit(sep)
+                _encode(item, inner, emit)
+                sep = comma
+            emit(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def read_report_csv(path):
@@ -291,10 +354,18 @@ def summarize(rows: list[dict]) -> dict:
     }
 
 
+def _check_plot(rows: list[dict], kind: str) -> None:
+    """Raise ConfigError unless ``emit_plot_data`` can draw ``kind`` from ``rows``."""
+    if kind not in PLOT_KINDS:
+        raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    if kind == "packing-vs-delta" and any("delta_trace" not in r for r in rows):
+        raise ConfigError("packing-vs-delta needs the JSON report (the CSV does not "
+                          "carry the delta traces)")
+
+
 def emit_plot_data(rows: list[dict], config: dict, kind: str, out_path) -> None:
     """Plain (x, y) CSV series for external plotting tools."""
-    if kind not in PLOT_KINDS:
-        raise ConfigError(f"unknown plot kind {kind!r}")
+    _check_plot(rows, kind)
     with open(out_path, "w", newline="") as fh:
         for line in _header_lines(config):
             fh.write(line + "\n")
@@ -311,14 +382,8 @@ def emit_plot_data(rows: list[dict], config: dict, kind: str, out_path) -> None:
                 counts, _ = np.histogram(ratios, bins=edges)
                 for lo, hi, c in zip(edges[:-1], edges[1:], counts):
                     writer.writerow([repr(float(lo)), repr(float(hi)), int(c)])
-        else:  # packing-vs-delta, needs traces (JSON reports only)
+        else:  # packing-vs-delta: traces, from JSON reports only
             writer.writerow(["trial", "delta", "packing_s1", "packing_s2"])
-            missing = [r for r in rows if "delta_trace" not in r]
-            if missing:
-                raise ConfigError(
-                    "packing-vs-delta needs the JSON report (the CSV does not "
-                    "carry the delta traces)"
-                )
             for r in rows:
                 for delta, t1, t2 in r["delta_trace"]:
                     writer.writerow([r["trial"], repr(delta), repr(t1), repr(t2)])
@@ -350,13 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KERNEL_KINDS, default="random")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_kernel)
 
     p = sub.add_parser("validate", help="re-check a kernel file and report its norm", allow_abbrev=False)
     p.add_argument("--kernel", required=True)
     p.add_argument("--norm-method", choices=NORM_METHODS, default="auto")
     p.add_argument("--config", type=str, default=None)
-    p.set_defaults(func=cmd_validate)
 
     def add_tb_options(p):
         p.add_argument("--p1", type=float, default=2.0)
@@ -376,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-scale", type=float, default=1.0)
     p.add_argument("--delta", default="auto", help='stopping parameter or "auto"')
     p.add_argument("--out", default=None, help="write the forest as JSON")
-    p.set_defaults(func=cmd_corona)
 
     p = sub.add_parser("transform-norm", help="adversarial twisted-transform search", allow_abbrev=False)
     add_common(p)
@@ -388,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--passes", type=int, default=50)
-    p.set_defaults(func=cmd_transform_norm)
 
     p = sub.add_parser("identities", help="run every exact-identity checker once", allow_abbrev=False)
     add_common(p, depth=5)
@@ -399,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default="random")
     p.add_argument("--kernel-scale", type=float, default=1.0)
     p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("tb-experiment", help="run the seeded ratio experiment", allow_abbrev=False)
     add_common(p)
@@ -413,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
     p.add_argument("--tau-target", type=float, default=0.9)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tb_experiment)
 
     p = sub.add_parser("report", help="re-render a report CSV/JSON into a summary", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True)
@@ -421,17 +480,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help=f"one of {PLOT_KINDS}")
     p.add_argument("--plot-out", default=None)
     p.add_argument("--config", type=str, default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every run without ``--config``, built on first use and
+    never mutated (a ``--config`` run sets defaults on a parser of its own)."""
+    return build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
     """Parse ``argv``; the values of a JSON ``--config`` file become the
     subcommand's defaults, so explicit flags beat the file.  Unknown keys are
     rejected, malformed JSON with a line-referenced message."""
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
+    args = _shared_parser().parse_args(argv)
+    if args.config is None:
         return args
     try:
         with open(args.config) as fh:
@@ -442,13 +507,14 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         raise ConfigError(f"cannot read config file: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    known = {k for k in vars(args) if k not in ("func", "command", "config")}
+    known = {k for k in vars(args) if k not in ("command", "config")}
     defaults = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         defaults[dest] = value
+    parser = build_parser()
     parser.subcommands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -456,10 +522,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
-        return args.func(args)
+        args = _parse_args(argv)
+        # "tb-experiment" runs cmd_tb_experiment, looked up at call time
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as e:  # argparse: bad flags or config values, --help, --version
         return e.code if isinstance(e.code, int) else EXIT_CONFIG
     except ConfigError as e:

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, level_sums, spread
 from .kernels import PerfectKernel, adjoint
 
 __all__ = [
@@ -416,7 +416,7 @@ def _build_family(
         if level == q0.level:
             hits = _subtree_mask(spec.dim, q0, level)
         else:
-            integ, pows, tpows = (level_sums(spec, arr)[level] * spec.cell_volume
+            integ, pows, tpows = (level_sum(spec, arr, level) * spec.cell_volume
                                   for arr in (b, np.abs(b) ** p_exp, np.abs(tb) ** q_exp))
             vol = 2.0 ** (-spec.dim * level)
             stopped = ((np.abs(integ) <= cfg.delta * vol) | (pows >= norm_cap * vol)

@@ -30,6 +30,7 @@ __all__ = [
     "cube_sum_vector",
     "dyadic_maximal",
     "from_cube_blocks",
+    "level_sum",
     "level_sums",
     "spread",
 ]
@@ -255,6 +256,21 @@ def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
     for level in range(spec.depth - 1, -1, -1):
         fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
     return out
+
+
+def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray:
+    """Cube sums of a finest-cell array at one ``level``, indexed by flat cube:
+    the ``coarsen_step`` passes of ``cube_sum_vector`` from the finest level
+    up to ``level`` only, so bit-identical to ``level_sums(...)[level]``.  At
+    ``level == depth`` that is the cell array itself (as floats, not copied)."""
+    vals = np.asarray(cell_values, dtype=float)
+    if vals.shape != (spec.n_cells,):
+        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
+    if not 0 <= level <= spec.depth:
+        raise ValueError(f"level {level} is outside 0..{spec.depth}")
+    for _ in range(spec.depth - level):
+        vals = coarsen_step(spec.dim, vals)
+    return vals
 
 
 def level_sums(spec: GridSpec, cell_values: np.ndarray) -> list[np.ndarray]:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .accretive import AccretiveSystem
 from .corona import CoronaForest, TerminalFamily, make_terminal_family
-from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, spread
 
 __all__ = [
     "TwistedContext",
@@ -217,7 +217,7 @@ def _stitch(spec: GridSpec, owners, values_at) -> tuple[dict, dict]:
         if marked.any():
             b = np.where(spread(spec, level, marked), values_at(level), b)
         stitched[level] = b
-        avg[level] = _average(spec, level, level_sums(spec, b)[level])
+        avg[level] = _average(spec, level, level_sum(spec, b, level))
     return stitched, avg
 
 
@@ -230,7 +230,7 @@ def _check_blocks(levels: CoronaLevels, p: float, delta: float, A: float) -> Non
     spec = levels.spec
     for level, cells in levels.b.items():
         avg, owners = levels.b_avg[level], levels.owners[level]
-        pows = _average(spec, level, level_sums(spec, np.abs(cells) ** p)[level])
+        pows = _average(spec, level, level_sum(spec, np.abs(cells) ** p, level))
         budget = (np.abs(avg - 1.0) > 1e-12) | (pows ** (1 / p) > A * (1 + 1e-12))
         for bad, message in (
             (budget & (owners == level), "b on {} misses its integral |S| or norm budget"),

@@ -1,9 +1,13 @@
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dytb import cli, verify
+from dytb import cli, grid, kernels, verify
 from dytb.cli import main
 from dytb.corona import CoronaForest
 from dytb.grid import GridSpec
@@ -218,6 +222,75 @@ def test_unknown_plot_kind_is_config_error(tmp_path):
                  "--plot-out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_report_config_errors_write_nothing(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    assert main(["tb-experiment", "--trials", "1", "--dim", "1", "--depth", "3",
+                 "--seed", "1", "--out", str(report)]) == 0
+    summary, plot = tmp_path / "summary.json", tmp_path / "plot.csv"
+    capsys.readouterr()
+    for flags, message in (
+        (["--plot", "packing-vs-delta", "--plot-out", str(plot)], "needs the JSON report"),
+        (["--plot", "nope", "--plot-out", str(plot)], "unknown plot kind 'nope'"),
+        (["--plot", "ratio-hist"], "--plot requires --plot-out"),
+    ):
+        assert main(["report", "--in", str(report), "--out", str(summary), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and message in err
+        assert not summary.exists() and not plot.exists()
+
+
+def test_shared_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    built, trials = [], []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "cmd_tb_experiment", lambda args: trials.append(args.trials) or 0)
+    cli._shared_parser.cache_clear()
+    run = ["tb-experiment", "--out", str(tmp_path / "r.csv")]
+    for _ in range(5):
+        assert main(run) == 0
+    assert len(built) == 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"trials": 5}))
+    assert main([*run, "--config", str(cfg)]) == 0
+    # the config file's defaults stay on the parser of that run
+    assert main(run) == 0
+    assert trials == [100] * 5 + [5, 100]
+    assert len(built) == 2
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(2**200), 2**200)
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
+                | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600')
+                          | st.characters(exclude_categories=())))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(obj=JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+def test_json_writer_rejects_what_json_rejects(tmp_path):
+    path = tmp_path / "x.json"
+    payload = {"b": [np.float64(0.1), {}, []], "a": {"é": (1, -0.0)}}
+    cli._write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True)
+    for bad in ({1: 2}, {"a": [{"b": 0, None: 1}]}, {1, 2}, [np.int64(3)]):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
 def test_config_file_merge_and_rejection(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"depth": 3, "seed": 5}))
@@ -300,3 +373,18 @@ def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
     forest = verify.build_instance(1, 4, seed=1).forest
     with pytest.raises(AssertionError, match="member cubes"):
         forest.members(1)
+
+
+def test_one_level_reads_build_no_cube_sum_tree(tmp_path, monkeypatch):
+    # a read of one level coarsens to that level only (grid.level_sum)
+    trees = []
+    for module in (grid, kernels):
+        real = module.cube_sum_vector
+        monkeypatch.setattr(module, "cube_sum_vector",
+                            lambda spec, cells, real=real: trees.append(1) or real(spec, cells))
+    assert _run_trial(ExperimentConfig(dim=2, depth=5, trials=1, seed=1), 0).ok
+    assert len(trees) == 122
+    trees.clear()
+    assert main(["corona", "--dim", "1", "--depth", "12",
+                 "--out", str(tmp_path / "forest.json")]) == 0
+    assert len(trees) == 26

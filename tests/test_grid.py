@@ -9,6 +9,8 @@ from dytb.grid import (
     GridSpec,
     child_containing,
     dyadic_maximal,
+    level_sum,
+    level_sums,
     lp_norm,
 )
 
@@ -231,6 +233,19 @@ def test_level_offsets_and_parents_match_cubes(dim, depth):
     for level in range(1, depth + 1):
         assert spec.parents[level].tolist() == [
             spec.cube_flat(cube.parent()) for cube in spec.cubes_at(level)]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 0), (1, 9), (2, 0), (2, 5)])
+def test_level_sum_is_exact(dim, depth, rng):
+    # mixed magnitudes make the float sums depend on the order of additions
+    spec = GridSpec(dim, depth)
+    x = rng.standard_normal(spec.n_cells) * 10.0 ** rng.integers(-12, 13, spec.n_cells)
+    tree = level_sums(spec, x)
+    for level in range(depth + 1):
+        got = level_sum(spec, x, level)
+        assert np.array_equal(got, tree[level]) and got.tobytes() == tree[level].tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        level_sum(spec, x, depth + 1)
 
 
 # -- exactness invariants --------------------------------------------------------------
