@@ -175,13 +175,7 @@ def cmd_tb_experiment(args) -> int:
     keys = ("dim", "depth", "trials", "p1", "p2", "seed", "kernel_kind",
             "kernel_scale", "accretive_kind", "amp", "A", "tau_target")
     config = _resolved(args, keys)
-    exp = ExperimentConfig(
-        dim=args.dim, depth=args.depth, trials=args.trials, p1=args.p1, p2=args.p2,
-        seed=args.seed, kernel_kind=args.kernel_kind, kernel_scale=args.kernel_scale,
-        accretive_kind=args.accretive_kind, amp=args.amp, A=args.A,
-        tau_target=args.tau_target,
-    )
-    reports = main_theorem_experiment(exp)
+    reports = main_theorem_experiment(ExperimentConfig(**config))
     out = Path(args.out)
     write_report_csv(out, config, reports)
     write_report_json(out.with_suffix(".json"), config, reports)
@@ -528,10 +522,7 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as e:  # argparse: bad flags or config values, --help, --version
         return e.code if isinstance(e.code, int) else EXIT_CONFIG
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as e:

@@ -11,9 +11,13 @@ testing constant, the nested form of those blocks is computed one level at a
 time: cubes of a level are disjoint, so one sweep of the kernel from a level
 applies T inside every cube of that level at once (``kernels._sweep_from``),
 and the form takes no apply per cube and no full-grid copy of any b_S.  The
-experiment runner generates seeded random instances, chooses delta, builds
-the corona, and reports the ratio operator_norm / (1 + Tloc) together with
-every residual.
+pairings <T D_a f, D_b g> of the corona differences of every two levels are
+one table per instance (one sweep per level a, then one matrix product), and
+a second table holds <T* D_b g, D_a f>: the expansion, the split by side
+lengths and the nested form's reference all read them.  The experiment
+runner generates seeded random instances, chooses delta, builds the corona,
+and reports the ratio operator_norm / (1 + Tloc) together with every
+residual.
 """
 
 from __future__ import annotations
@@ -217,43 +221,64 @@ def testing_constant(
 # -- expansion of the pairing ------------------------------------------------------
 
 
-def _both_levels(forest, sys1, sys2, f, g, levels=None):
-    """The per-level corona calculus of f against S_1 and of g against S_2."""
-    return levels or (corona_levels(forest, 1, sys1, f), corona_levels(forest, 2, sys2, g))
+@dataclass(frozen=True, eq=False)
+class _Pairings:
+    """The corona calculus of f against S_1 (``lf``) and of g against S_2
+    (``lg``), and what the battery pairs from it, each built on first read:
+    over the difference levels a, b of Q0 and below, ``table[a, b]`` is
+    <T D_a f, D_b g> and ``adjoint_table[b, a]`` is <T* D_b g, D_a f>."""
+
+    kernel: PerfectKernel
+    lf: CoronaLevels
+    lg: CoronaLevels
+
+    @cached_property
+    def rank_one(self) -> tuple[float, float]:
+        """<T E f, g> and <T (sum D f), E g>, with E the expectation on Q0."""
+        spec, top = self.lf.spec, min(self.lf.b)
+        return (bilinear(self.kernel, GridFunction(spec, self.lf.expectations[top]), self.lg.h),
+                bilinear(self.kernel, GridFunction(spec, self.lf.delta_sum),
+                         GridFunction(spec, self.lg.expectations[top])))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _pairing_table(self.kernel, self.lf.deltas, self.lg.deltas)
+
+    @cached_property
+    def adjoint_table(self) -> np.ndarray:
+        return _pairing_table(adjoint(self.kernel), self.lg.deltas, self.lf.deltas)
+
+
+def _pairing_table(op, rows: dict, cols: dict) -> np.ndarray:
+    """<op u, v> for every u in ``rows`` and v in ``cols``: one sweep per row,
+    then one product of the stacked rows and columns (either may be empty)."""
+    n = op.spec.n_cells
+    swept = np.reshape([apply_values(op, u) for u in rows.values()], (-1, n))
+    return swept @ np.reshape(list(cols.values()), (-1, n)).T * op.spec.cell_volume
+
+
+def _both_levels(kernel, forest, sys1, sys2, f, g, levels=None) -> _Pairings:
+    return levels or _Pairings(kernel, corona_levels(forest, 1, sys1, f),
+                               corona_levels(forest, 2, sys2, g))
 
 
 def easy_terms_check(kernel, forest, sys1, sys2, f, g, tloc, _levels=None) -> dict:
     """The two rank-one pieces of the expansion with their testing bounds:
     |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|."""
-    spec, q0 = forest.spec, forest.q0
-    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
-    e1f = GridFunction(spec, lf.expectations[q0.level])
-    e2g = GridFunction(spec, lg.expectations[q0.level])
-    return {
-        "easy1": abs(bilinear(kernel, e1f, g)),
-        "easy1_bound": tloc * q0.volume,
-        "easy2": abs(bilinear(kernel, GridFunction(spec, lf.delta_sum), e2g)),
-        "easy2_bound": forest.config.A * tloc * q0.volume,
-    }
+    easy1, easy2 = _both_levels(kernel, forest, sys1, sys2, f, g, _levels).rank_one
+    volume = forest.q0.volume
+    return {"easy1": abs(easy1), "easy1_bound": tloc * volume,
+            "easy2": abs(easy2), "easy2_bound": forest.config.A * tloc * volume}
 
 
-def bilinear_expansion_check(
-    kernel, forest, sys1, sys2, f, g, _levels=None
-) -> tuple[float, dict]:
+def bilinear_expansion_check(kernel, forest, sys1, sys2, f, g, _levels=None) -> tuple[float, dict]:
     """Residual of <Tf, g> = <T E f, g> + <T (sum D f), E g> + sum_{P,Q} <T D_P f, D_Q g>
-    with every piece computed independently; relative to 1 + |<Tf, g>|."""
-    spec, top = forest.spec, forest.q0.level
-    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
+    with every piece computed independently (the last one as the sum of the
+    pairing table); relative to 1 + |<Tf, g>|."""
+    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
     total = bilinear(kernel, f, g)
-    term1 = bilinear(kernel, GridFunction(spec, lf.expectations[top]), g)
-    term2 = bilinear(kernel, GridFunction(spec, lf.delta_sum),
-                     GridFunction(spec, lg.expectations[top]))
-    gb = [GridFunction(spec, gv) for gv in lg.deltas.values()]
-    term3 = 0.0
-    for fv in lf.deltas.values():
-        ff = GridFunction(spec, fv)
-        for gg in gb:
-            term3 += bilinear(kernel, ff, gg)
+    term1, term2 = levels.rank_one
+    term3 = float(levels.table.sum())
     residual = abs(total - term1 - term2 - term3) / (1.0 + abs(total))
     return residual, {"total": total, "term1": term1, "term2": term2, "term3": term3}
 
@@ -277,20 +302,11 @@ def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
     an independently computed total.
     """
     spec = forest.spec
-    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
-    adj = adjoint(kernel)
-    gb = {b: GridFunction(spec, gv) for b, gv in lg.deltas.items()}
-    above = equal = below = 0.0
-    for a, fv in lf.deltas.items():
-        ff = GridFunction(spec, fv)
-        for b, gg in gb.items():
-            if a < b:
-                above += bilinear(kernel, ff, gg)
-            elif a == b:
-                equal += bilinear(kernel, ff, gg)
-            else:
-                below += bilinear(adj, gg, ff)
-    total = bilinear(kernel, GridFunction(spec, lf.delta_sum), GridFunction(spec, lg.delta_sum))
+    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
+    above, below = (float(np.triu(t, 1).sum()) for t in (levels.table, levels.adjoint_table))
+    equal = float(np.trace(levels.table))
+    total = bilinear(kernel, GridFunction(spec, levels.lf.delta_sum),
+                     GridFunction(spec, levels.lg.delta_sum))
     residual = abs(above + equal + below - total) / (1.0 + abs(total))
     return FormSplit(above, equal, below, total, residual)
 
@@ -318,14 +334,13 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
 
     Pairs of cubes on different levels that are not nested contribute zero
     (perfect cancellation), so the reference is sum_{a < b} <T D_a f, D_b g>
-    over the level differences.  Returns (total, pull-out residual,
-    reference, relative residual of total against reference)."""
+    over the level differences, the strict upper triangle of the pairing
+    table.  Returns (total, pull-out residual, reference, relative residual
+    of total against reference)."""
     spec, top, cv = forest.spec, forest.q0.level, forest.spec.cell_volume
-    lf, lg = _both_levels(forest, sys1, sys2, f, g, _levels)
-    reference = 0.0
-    for a, fv in lf.deltas.items():
-        u = apply_values(kernel, fv)
-        reference += sum(float(u @ gv) * cv for b, gv in lg.deltas.items() if a < b)
+    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
+    lf, lg = levels.lf, levels.lg
+    reference = float(np.triu(levels.table, 1).sum())
     g_blocks = {b: cube_blocks(spec, b, gv) for b, gv in lg.deltas.items()}
 
     def pairings(u, first):
@@ -517,9 +532,10 @@ class Instance:
         return self.dsearch.forest
 
     @cached_property
-    def levels(self) -> tuple[CoronaLevels, CoronaLevels]:
-        """The per-level corona calculus of f against S_1 and of g against S_2."""
-        return _both_levels(self.forest, self.sys1, self.sys2, self.f, self.g)
+    def levels(self) -> _Pairings:
+        """The per-level corona calculus of f against S_1 and of g against S_2,
+        with the pairings the identity battery reads from it."""
+        return _both_levels(self.kernel, self.forest, self.sys1, self.sys2, self.f, self.g)
 
 
 def build_instance(
@@ -584,10 +600,17 @@ def check_forest_blocks(forest, sys1, sys2) -> int:
     b_pi(Q)); returns the number of blocks.  A violation raises RuntimeError:
     the construction guarantees these invariants on every forest it builds,
     so a failure is a fault of the program, not of its input."""
+    return _check_families(forest, corona_levels(forest, 1, sys1, None),
+                           corona_levels(forest, 2, sys2, None))
+
+
+def _check_families(forest, lf: CoronaLevels, lg: CoronaLevels) -> int:
+    """``check_forest_blocks`` on both families' level calculus, for any h:
+    the invariants read only the owners and the stitched b."""
     cfg = forest.config
-    for j, system, p in ((1, sys1, cfg.p1), (2, sys2, cfg.p2)):
+    for j, levels, p in ((1, lf, cfg.p1), (2, lg, cfg.p2)):
         try:
-            _check_blocks(corona_levels(forest, j, system, None), p, cfg.delta, cfg.A)
+            _check_blocks(levels, p, cfg.delta, cfg.A)
         except ValueError as e:
             raise RuntimeError(f"corona family S_{j} breaks a block invariant: {e}") from None
     return forest.member_count(1) + forest.member_count(2)
@@ -597,10 +620,10 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     """Every exact identity of the construction on one instance, as relative
     residuals, plus the telescoped-coefficient and measure-comparison margins.
     """
-    forest = inst.forest
-    kernel, sys1, sys2, f, g = inst.kernel, inst.sys1, inst.sys2, inst.f, inst.g
-    q0 = forest.q0
-    levels = lf, lg = inst.levels
+    forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
+    q0, levels = forest.q0, inst.levels
+    lf, lg = levels.lf, levels.lg
+    args = (inst.kernel, forest, sys1, inst.sys2, f, g)
     out: dict[str, float] = {}
 
     # martingale expansion reconstructs h on the nose
@@ -622,11 +645,9 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     out["delta_decomp"] = _delta_decomp(ctx, tw, coeffs, twisted, half) / scale
     out["measure_comparison_excess"] = _measure_excess(ctx, half)
 
-    out["bilinear_expansion"], _ = bilinear_expansion_check(
-        kernel, forest, sys1, sys2, f, g, _levels=levels)
-    out["form_split"] = form_split(kernel, forest, sys1, sys2, f, g, _levels=levels).residual
-    _, out["pullout"], _, out["b_above_aggregation"] = b_above_aggregation(
-        kernel, forest, sys1, sys2, f, g, _levels=levels)
+    out["bilinear_expansion"], _ = bilinear_expansion_check(*args, _levels=levels)
+    out["form_split"] = form_split(*args, _levels=levels).residual
+    _, out["pullout"], _, out["b_above_aggregation"] = b_above_aggregation(*args, _levels=levels)
 
     # telescoping of the g-side differences over each block of S_1
     out["g_telescoping"] = _g_telescoping(forest, lg, g)
@@ -706,21 +727,13 @@ class VerifierReport:
 
     def csv_row(self) -> list:
         def num(x):
-            return repr(float(x))
+            return "" if x is None else repr(float(x))
 
-        base = [self.trial, self.seed, int(self.ok), num(self.operator_norm),
-                num(self.tloc), num(self.ratio),
-                num(self.delta) if self.delta is not None else "",
-                num(self.packing), num(self.carleson)]
-        for name in RESIDUAL_FIELDS:
-            base.append(num(self.residuals[name]) if name in self.residuals else "")
-        mce = self.residuals.get("measure_comparison_excess")
-        base.append(num(mce) if mce is not None else "")
-        base.append(num(self.epsilon_max))
-        base.append(num(self.epsilon_bound))
-        for name in ("easy1", "easy1_bound", "easy2", "easy2_bound"):
-            base.append(num(self.easy[name]) if name in self.easy else "")
-        return base
+        return [self.trial, self.seed, int(self.ok), *map(num, (
+            self.operator_norm, self.tloc, self.ratio, self.delta, self.packing, self.carleson,
+            *map(self.residuals.get, (*RESIDUAL_FIELDS, "measure_comparison_excess")),
+            self.epsilon_max, self.epsilon_bound,
+            *map(self.easy.get, ("easy1", "easy1_bound", "easy2", "easy2_bound"))))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -740,33 +753,26 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     seed = trial_seed(config.seed, trial)
-    inst = build_instance(
-        config.dim, config.depth, seed,
-        p1=config.p1, p2=config.p2,
-        kernel_kind=config.kernel_kind, kernel_scale=config.kernel_scale,
-        accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
-        tau_target=config.tau_target,
-    )
+    inst = build_instance(config.dim, config.depth, seed, p1=config.p1, p2=config.p2,
+                          kernel_kind=config.kernel_kind, kernel_scale=config.kernel_scale,
+                          accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
+                          tau_target=config.tau_target)
     norm = operator_norm(inst.kernel, config.norm_method)
     ratio = norm / (1.0 + inst.tloc)
     if not inst.ok:
-        return VerifierReport(
-            trial, seed, False, norm, inst.tloc, ratio, None,
-            float("nan"), float("nan"), delta_trace=inst.dsearch.trace,
-        )
+        return VerifierReport(trial, seed, False, norm, inst.tloc, ratio, None,
+                              float("nan"), float("nan"), delta_trace=inst.dsearch.trace)
     forest = inst.forest
     packing = max(packing_ratio(forest, 1), packing_ratio(forest, 2))
     carleson = max(forest_carleson(forest, 1), forest_carleson(forest, 2))
-    check_forest_blocks(forest, inst.sys1, inst.sys2)
+    _check_families(forest, inst.levels.lf, inst.levels.lg)
     residuals = run_identity_checks(inst)
-    eps_max = residuals.pop("epsilon_max")
-    eps_bound = residuals.pop("epsilon_bound")
+    eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
+    # the rank-one pairings were made by the expansion check: no bilinear call here
     easy = easy_terms_check(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc,
                             _levels=inst.levels)
-    return VerifierReport(
-        trial, seed, True, norm, inst.tloc, ratio, inst.cfg.delta,
-        packing, carleson, residuals, eps_max, eps_bound, easy, inst.dsearch.trace,
-    )
+    return VerifierReport(trial, seed, True, norm, inst.tloc, ratio, inst.cfg.delta, packing,
+                          carleson, residuals, eps_max, eps_bound, easy, inst.dsearch.trace)
 
 
 def main_theorem_experiment(config: ExperimentConfig) -> list[VerifierReport]:

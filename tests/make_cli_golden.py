@@ -5,7 +5,9 @@ The fixture holds the SHA-256 of CLI outputs that must stay byte-identical
 across refactors: the ``tb-experiment`` CSV and JSON reports, and the
 ``dytb corona`` stdout and ``--out`` forest JSON.  ``cli_hashes`` is also what
 the tier-1 test recomputes, so the recorded and the checked outputs come from
-the same runs.  Regenerate only when an output is meant to change.
+the same runs.  Regenerate only when an output is meant to change; the
+script then names every hash that changed against the file it overwrites
+(or prints "no change").
 
 Usage: python tests/make_cli_golden.py
 """
@@ -73,14 +75,22 @@ def cli_hashes(workdir) -> dict[str, str]:
     return out
 
 
+def changed_names(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """The names whose hash differs between two fixtures, added and dropped
+    names included."""
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         hashes = cli_hashes(tmp)
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(hashes, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}: {len(hashes)} hashes")
+    print("\n".join(f"changed: {name}" for name in changed_names(old, hashes)) or "no change")
 
 
 if __name__ == "__main__":

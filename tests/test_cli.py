@@ -13,7 +13,8 @@ from dytb.corona import CoronaForest
 from dytb.grid import GridSpec
 from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
 from dytb.verify import ExperimentConfig, _run_trial, operator_norm
-from make_cli_golden import GOLDEN_PATH, cli_hashes
+import make_cli_golden
+from make_cli_golden import GOLDEN_PATH, changed_names, cli_hashes
 
 
 def test_gen_kernel_then_validate(tmp_path, capsys):
@@ -361,6 +362,20 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
 
 
+def test_golden_tool_names_the_changed_hashes(tmp_path, monkeypatch, capsys):
+    old = {"a": "1", "b": "2", "c": "3"}
+    assert changed_names(old, dict(old)) == []
+    assert changed_names(old, {"a": "1", "b": "9", "d": "4"}) == ["b", "c", "d"]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(old))
+    monkeypatch.setattr(make_cli_golden, "GOLDEN_PATH", path)
+    for hashes, printed in ((old, ["no change"]), ({"a": "1", "b": "9"}, ["changed: b", "changed: c"])):
+        monkeypatch.setattr(make_cli_golden, "cli_hashes", lambda workdir, hashes=hashes: hashes)
+        make_cli_golden.main()
+        assert capsys.readouterr().out.splitlines()[1:] == printed
+        assert json.loads(path.read_text()) == hashes
+
+
 def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
     # the trial and dytb corona read the forest from its owner arrays only
     def forbidden(*args):
@@ -383,7 +398,7 @@ def test_one_level_reads_build_no_cube_sum_tree(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "cube_sum_vector",
                             lambda spec, cells, real=real: trees.append(1) or real(spec, cells))
     assert _run_trial(ExperimentConfig(dim=2, depth=5, trials=1, seed=1), 0).ok
-    assert len(trees) == 122
+    assert len(trees) == 104
     trees.clear()
     assert main(["corona", "--dim", "1", "--depth", "12",
                  "--out", str(tmp_path / "forest.json")]) == 0

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dytb import twisted
+from dytb import twisted, verify
 from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
     CoronaForest,
@@ -35,7 +35,7 @@ from dytb.corona import (
     terminal_cubes,
 )
 from dytb.grid import GridFunction, GridSpec, spread
-from dytb.kernels import KERNEL_KINDS, adjoint, generate_kernel
+from dytb.kernels import KERNEL_KINDS, adjoint, bilinear, generate_kernel
 from dytb.twisted import (
     SignChoice,
     _three_term,
@@ -208,6 +208,44 @@ def test_nested_form_level_sweeps_equal_per_block_oracle(grid, kind, kernel_kind
     assert pullout == max(block.pullout_residual for block in blocks)
     assert abs(total - want) <= 1e-12 * (1.0 + abs(want))
     assert residual <= 1e-9
+
+
+def per_pair_tables(kernel, forest, sys1, sys2, f, g):
+    """<T D_a f, D_b g> (rows a) and <T* D_b g, D_a f> (rows b) over the
+    difference levels, one ``bilinear`` call per pair of levels."""
+    spec, adj = forest.spec, adjoint(kernel)
+    df = [GridFunction(spec, v) for v in corona_levels(forest, 1, sys1, f).deltas.values()]
+    dg = [GridFunction(spec, v) for v in corona_levels(forest, 2, sys2, g).deltas.values()]
+    table = [[bilinear(kernel, ff, gg) for gg in dg] for ff in df]
+    adjoint_table = [[bilinear(adj, gg, ff) for ff in df] for gg in dg]
+    return (np.reshape(table, (len(df), len(dg))), np.reshape(adjoint_table, (len(dg), len(df))))
+
+
+@BOUNDED
+@given(grid=st.sampled_from(SMALL_GRIDS), root=st.sampled_from(("top", "sub", "finest")),
+       kernel_kind=st.sampled_from(KERNEL_KINDS), seed=SEEDS)
+def test_pairing_tables_equal_per_pair_oracle(grid, root, kernel_kind, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel(kernel_kind, spec, seed=seed)
+    A, params = KIND_SETUPS["random"]
+    sys1 = AccretiveSystem(spec, "random", 2.0, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, "random", 2.0, A, seed=seed + 1, params=params)
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    # a root on the finest level has no differences: both tables are empty
+    level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.25, A, Tloc=tloc))
+    f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
+    args = (kernel, forest, sys1, sys2, f, g)
+    pairings = verify._both_levels(*args)
+    n = spec.depth - level
+    for got, want in zip((pairings.table, pairings.adjoint_table), per_pair_tables(*args)):
+        assert got.shape == want.shape == (n, n)
+        scale = float(np.max(np.abs(want), initial=0.0))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        if kernel_kind == "zero":
+            assert not got.any()
 
 
 # (kind, params, A, delta): terminal cubes from the mean condition; "signed"

@@ -288,6 +288,22 @@ def test_each_level_array_is_swept_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_trial_pairs_each_pair_of_levels_once(monkeypatch):
+    # the battery reads every <T D_a f, D_b g> from one table: four bilinear
+    # calls per trial (total, the two rank-one terms, the split's total), and
+    # the block invariants are checked on the trial's own level calculus
+    calls = []
+    for module, name in ((kernels, "bilinear"), (verify, "bilinear"),
+                         (twisted, "corona_levels"), (verify, "corona_levels")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for dim, depth in ((1, 6), (2, 5)):
+        calls.clear()
+        assert verify._run_trial(ExperimentConfig(dim=dim, depth=depth, trials=1, seed=1), 0).ok
+        assert (calls.count("bilinear"), calls.count("corona_levels")) == (4, 2)
+
+
 def test_sweep_memo_is_read_only_and_weak():
     inst = build_instance(2, 4, seed=3)
     for system, op in ((inst.sys1, inst.kernel), (inst.sys2, adjoint(inst.kernel))):
