@@ -18,8 +18,11 @@ kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
 generator per cube.  For the random kind the batch reproduces those
 generators bit for bit without building them: the seeding of every cube of
 every level is one vectorised hash, and the draws of a level are PCG
-jump-aheads from shared power tables.  The two-value kind still builds one
-generator per cube, since its permutation draws a variable number of values.
+jump-aheads from shared power tables.  Each 128-bit PCG value is a pair of
+uint64 halves (hi, lo), multiplied by (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo
++ a_lo b_hi) mod 2^64) 2^64 on numpy's wrapping uint64 products.  The
+two-value kind still builds one generator per cube, since its permutation
+draws a variable number of values.
 """
 
 from __future__ import annotations
@@ -218,8 +221,11 @@ def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
 # The random kind draws b_Q from PCG64 seeded by SeedSequence(seed,
 # spawn_key=(level, flat)).  NEP 19 fixes both streams, so the seeding and the
 # draws of all cubes can be computed in numpy arithmetic instead of one
-# generator per cube.  128-bit PCG values are held as four 32-bit limbs, least
-# significant first, in uint64 arrays, so limb products never overflow.
+# generator per cube.  A 128-bit PCG value is a pair (hi, lo) of uint64 words
+# (arrays or numpy scalars).  numpy's uint64 array multiply wraps mod 2^64, so
+# (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 leaves
+# only the high word of a_lo b_lo to compute, from 32-bit halves.  At least one
+# operand of every product is an array: a numpy scalar product warns on wrap.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
@@ -228,39 +234,33 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# (M^(k+1), G_(k+1)) for k < size as uint32 limbs of shape (4, size), with M
-# the PCG multiplier and G_j = sum_{i<j} M^i; grown by doubling on demand to
-# the largest cube drawn (32 bytes per cell) and shared by every system:
-# building them once per system costs about 1 ms at 64 cells, more than the
-# batched draws of a whole 1D depth-6 system.
+# (M^(k+1), G_(k+1)) for k < size as uint64 (hi, lo) rows of shape (2, size),
+# with M the PCG multiplier and G_j = sum_{i<j} M^i; grown by doubling on
+# demand to the largest cube drawn (32 bytes per cell) and shared by every
+# system: building them once per system would cost about 0.2 ms at 64 cells,
+# near the 0.3 ms of the batched draws of a whole 1D depth-6 system.
 _jumps: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _limbs(x: int) -> list[int]:
-    return [(x >> (32 * i)) & _MASK32 for i in range(4)]
+def _halves(x: int) -> tuple:
+    """The (hi, lo) pair of a 128-bit int, as numpy uint64 scalars."""
+    return np.uint64(x >> 64), np.uint64(x & 0xFFFFFFFFFFFFFFFF)
 
 
-def _mac128(pairs, *addends) -> list:
-    """sum of a*b over ``pairs`` plus ``addends``, mod 2^128, limb by limb;
-    every operand is four limbs (arrays or ints) below 2^32."""
-    cols: list = [0, 0, 0, 0]
-    for a, b in pairs:
-        for i in range(4):
-            for j in range(4 - i):
-                prod = a[i] * b[j]
-                if i + j < 3:
-                    cols[i + j] = cols[i + j] + (prod & _MASK32)
-                    cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
-                else:  # only its low 32 bits reach the result
-                    cols[3] = cols[3] + prod
-    for add in addends:
-        cols = [col + limb for col, limb in zip(cols, add)]
-    out, carry = [], 0
-    for col in cols:
-        col = col + carry
-        out.append(col & _MASK32)
-        carry = col >> 32
-    return out
+def _mul128(a, b) -> tuple:
+    """(a b) mod 2^128 of (hi, lo) pairs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _MASK32, b_lo >> 32, b_lo & _MASK32
+    mid = a1 * b0 + (a0 * b0 >> 32)  # each sum stays below 2^64
+    mid2 = a0 * b1 + (mid & _MASK32)
+    top = a1 * b1 + (mid >> 32) + (mid2 >> 32)  # high word of a_lo b_lo
+    return top + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a, b) -> tuple:
+    """(a + b) mod 2^128 of (hi, lo) pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
 
 
 def _hashmix(value, hc):
@@ -322,50 +322,46 @@ def _generate_state(seed: int, level: np.ndarray, flat: np.ndarray) -> list:
 def _seed_levels(seed: int, spec: GridSpec) -> dict:
     """For every cube of the levels that draw (cubes of more than one cell),
     the ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(level,
-    flat))).state`` as limbs, keyed by level and indexed by flat: all levels
-    are seeded in one batch."""
+    flat))).state`` as (hi, lo) pairs, keyed by level and indexed by flat:
+    all levels are seeded in one batch."""
     counts = [spec.n_cubes(level) for level in range(spec.depth)]
     w = _generate_state(seed, np.repeat(np.arange(spec.depth), counts),
                         np.concatenate([np.arange(count) for count in counts]))
     # as uint64 (w0|w1, w2|w3, w4|w5, w6|w7) = (seed hi, seed lo, seq hi, seq lo)
-    s, seq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
-    inc = [(seq[0] << 1 | 1) & _MASK32] + [
-        (seq[i] << 1 | seq[i - 1] >> 31) & _MASK32 for i in range(1, 4)]
+    s = (w[0] | w[1] << 32, w[2] | w[3] << 32)
+    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
     # PCG64 seeding: state 0, step, add s, step; a step is x -> M x + inc
-    state = _mac128([(_mac128([], s, inc), _limbs(_PCG_MULT))], inc)
+    state = _add128(_mul128(_add128(s, inc), _halves(_PCG_MULT)), inc)
     bounds = np.cumsum([0, *counts])
-    return {level: ([limb[lo:hi] for limb in state], [limb[lo:hi] for limb in inc])
-            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))}
+    return {level: tuple(tuple(word[start:stop] for word in pair) for pair in (state, inc))
+            for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))}
 
 
 def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Limbs of M^(k+1) and G_(k+1) for k < at least n (see ``_jumps``)."""
+    """M^(k+1) and G_(k+1) for k < at least n (see ``_jumps``)."""
     global _jumps
     tables = _jumps
     if tables is None:
-        tables = (np.array(_limbs(_PCG_MULT), dtype=np.uint32)[:, None],
-                  np.array(_limbs(1), dtype=np.uint32)[:, None])
+        tables = tuple(np.array(_halves(x), dtype=np.uint64)[:, None] for x in (_PCG_MULT, 1))
     while tables[0].shape[1] < n:
         # M^(size+k+1) = M^size M^(k+1), G_(size+k+1) = G_size + M^size G_(k+1)
         powers, sums = tables
-        size = powers.shape[1]
-        jump = [np.uint64(limb) for limb in _limbs(pow(_PCG_MULT, size, 1 << 128))]
-        g_size = [np.uint64(limb) for limb in sums[:, -1]]
-        tables = tuple(np.concatenate([old, np.array(new, dtype=np.uint32)], axis=1)
-                       for old, new in ((powers, _mac128([(jump, powers)])),
-                                        (sums, _mac128([(jump, sums)], g_size))))
+        jump = _halves(pow(_PCG_MULT, powers.shape[1], 1 << 128))
+        grown = (_mul128(jump, powers), _add128(sums[:, -1], _mul128(jump, sums)))
+        tables = tuple(np.concatenate([old, np.array(new)], axis=1)
+                       for old, new in zip(tables, grown))
         _jumps = tables
     return tables
 
 
 def _uniform_rows(state, inc, n: int) -> np.ndarray:
-    """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` (limbs of
-    arrays over cubes), one row per cube: draw k outputs the state
+    """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` ((hi, lo)
+    pairs of arrays over cubes), one row per cube: draw k outputs the state
     M^(k+1) state + G_(k+1) inc by PCG's XSL-RR, then ``(out >> 11) 2^-53``."""
     powers, sums = _jump_tables(n)
-    x = _mac128([([limb[:, None] for limb in state], powers[:, :n]),
-                 ([limb[:, None] for limb in inc], sums[:, :n])])
-    hi, lo = x[3] << 32 | x[2], x[1] << 32 | x[0]
-    xor, rot = hi ^ lo, x[3] >> 26
+    hi, lo = _add128(_mul128([word[:, None] for word in state], powers[:, :n]),
+                     _mul128([word[:, None] for word in inc], sums[:, :n]))
+    xor, rot = hi ^ lo, hi >> 58
     out = xor >> rot | xor << ((64 - rot) & 63)
     return -1.0 + 2.0 * ((out >> 11) * (1.0 / 9007199254740992.0))

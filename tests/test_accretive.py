@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dytb import accretive
 from dytb.accretive import AccretiveSystem, validate
@@ -260,8 +264,8 @@ def test_seed_ladder_matches_seed_sequence_and_pcg64(seed):
         assert got == want.tolist()
         state, inc = seeds[level]
         pcg = np.random.PCG64(ss).state["state"]
-        assert sum(int(limb[flat]) << (32 * k) for k, limb in enumerate(state)) == pcg["state"]
-        assert sum(int(limb[flat]) << (32 * k) for k, limb in enumerate(inc)) == pcg["inc"]
+        assert int(state[0][flat]) << 64 | int(state[1][flat]) == pcg["state"]
+        assert int(inc[0][flat]) << 64 | int(inc[1][flat]) == pcg["inc"]
     sys_ = AccretiveSystem(GridSpec(1, 5), "random", 2.0, 1.7, seed=seed, params={"amp": 0.6})
     for level in range(6):
         assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
@@ -271,12 +275,71 @@ def test_jump_tables_are_powers_of_the_pcg_multiplier():
     mult, mod = accretive._PCG_MULT, 1 << 128
     powers, sums = accretive._jump_tables(300)
     assert powers.shape[1] >= 300 and sums.shape == powers.shape
-    as_int = lambda table, k: sum(int(table[i, k]) << (32 * i) for i in range(4))
+    as_int = lambda table, k: int(table[0, k]) << 64 | int(table[1, k])
     g = 0
     for k in range(powers.shape[1]):
         g = (g + pow(mult, k, mod)) % mod  # G_(k+1) = sum_{i<=k} M^i
         assert as_int(powers, k) == pow(mult, k + 1, mod)
         assert as_int(sums, k) == g
+
+
+def test_jump_tables_grow_by_doubling_from_a_small_size(monkeypatch):
+    # a 3-cell draw builds the tables to size 4; a 4097-cell draw doubles
+    # them to 8192; every row must still be numpy's per-cube stream
+    monkeypatch.setattr(accretive, "_jumps", None)
+    seed, spec = 5, GridSpec(2, 2)
+    seeds = accretive._seed_levels(seed, spec)
+    for n, size in ((3, 4), (4097, 8192)):
+        for level, (state, inc) in seeds.items():
+            rows = accretive._uniform_rows(state, inc, n)
+            assert accretive._jumps[0].shape == (2, size)
+            for flat, row in enumerate(rows):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))
+                assert row.tobytes() == rng.uniform(-1.0, 1.0, n).tobytes()
+
+
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+words = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**64 - 1))
+u128 = st.builds(lambda hi, lo: hi << 64 | lo, words, words)
+
+
+def as_pair(values):
+    return (np.array([x >> 64 for x in values], dtype=np.uint64),
+            np.array([x & (2**64 - 1) for x in values], dtype=np.uint64))
+
+
+def as_ints(pair):
+    return [int(hi) << 64 | int(lo) for hi, lo in zip(*pair)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(u128, u128, u128), min_size=1, max_size=8), u128)
+def test_128_bit_product_and_sum_match_python_ints(triples, scalar):
+    a, b, c = (list(col) for col in zip(*triples))
+    mod = 2**128
+    assert as_ints(accretive._mul128(as_pair(a), as_pair(b))) == [x * y % mod for x, y in zip(a, b)]
+    assert as_ints(accretive._add128(as_pair(a), as_pair(c))) == [(x + z) % mod for x, z in zip(a, c)]
+    got = accretive._add128(accretive._mul128(as_pair(a), as_pair(b)), as_pair(c))
+    assert as_ints(got) == [(x * y + z) % mod for x, y, z in zip(a, b, c)]
+    # a numpy-scalar operand on either side, as in the seeding and the tables
+    half = accretive._halves(scalar)
+    assert as_ints(accretive._mul128(half, as_pair(b))) == [scalar * y % mod for y in b]
+    assert as_ints(accretive._mul128(as_pair(a), half)) == [x * scalar % mod for x in a]
+    assert as_ints(accretive._add128(half, as_pair(c))) == [(scalar + z) % mod for z in c]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 12), (2, 6)])
+def test_random_levels_build_without_warnings(dim, depth, monkeypatch):
+    # the uint64 products wrap on purpose; a numpy-scalar product on the
+    # draw path would warn of overflow instead
+    monkeypatch.setattr(accretive, "_jumps", None)
+    spec = GridSpec(dim, depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**64 + 5):
+            sys_ = AccretiveSystem(spec, "random", 2.0, 1.7, seed=seed, params={"amp": 0.6})
+            for level in range(depth + 1):
+                sys_.level_values(level)
 
 
 def test_recentring_divide_branch_matches_per_cube():
