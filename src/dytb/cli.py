@@ -26,11 +26,11 @@ from .accretive import ACCRETIVE_KINDS, AccretiveSystem
 from .corona import (
     ConfigError,
     TbConfig,
+    _member_links,
     build_corona,
     choose_delta,
     conjugate,
     forest_carleson,
-    forest_to_json_dict,
     packing_ratio,
 )
 from .grid import GridSpec
@@ -128,18 +128,20 @@ def cmd_corona(args) -> int:
             print(f"delta search FAILED (floor reached); trace={search.trace}")
             return EXIT_VALIDATION
         forest, delta = search.forest, search.delta
+        ratios = search.trace[-1][1:]  # the packing ratios of this forest
         print(f"chosen delta = {delta!r} after {len(search.trace)} attempts")
     else:
         delta = float(args.delta)
         cfg = TbConfig(args.p1, args.p2, delta, args.A, tloc, args.tau_target)
         forest = build_corona(root, sys1, sys2, kernel, cfg)
+        ratios = packing_ratio(forest, 1), packing_ratio(forest, 2)
     print(f"Tloc = {tloc!r}")
-    for j in (1, 2):
+    for j, ratio in zip((1, 2), ratios):
         print(f"S_{j}: {forest.member_count(j)} members; packing ratio = "
-              f"{packing_ratio(forest, j)!r}; Carleson constant = "
-              f"{forest_carleson(forest, j)!r}")
+              f"{ratio!r}; Carleson constant = {forest_carleson(forest, j)!r}")
     if args.out:
-        _write_json(args.out, forest_to_json_dict(forest))
+        with open(args.out, "w") as fh:
+            fh.write(_forest_json_text(forest))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -286,6 +288,35 @@ def _encode(o, newline: str, emit) -> None:
             emit(newline + "]")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _forest_json_text(forest) -> str:
+    """``_json_text(forest_to_json_dict(forest))``, byte for byte: the header
+    keys through ``_json_text``, then each family's rows from its
+    ``_member_links`` arrays, one ``%`` format per row of one of two row
+    templates, q0's (``"parent": null``) and the linked one.  The templates
+    are ``_json_text`` of a row with a ``%d`` for every integer, two spaces
+    deeper (the family list's items); every family holds q0."""
+    spec, q0 = forest.spec, forest.q0
+    header = _json_text({"delta": forest.config.delta, "depth": spec.depth, "dim": spec.dim,
+                         "q0": {"coords": list(q0.coords), "level": q0.level}})
+    cube = {"coords": ["%d"] * spec.dim, "level": "%d"}
+    root, linked = (_json_text({**cube, "parent": parent}).replace("\n", "\n  ").replace('"%d"', "%d")
+                    for parent in (None, cube))
+    parts = [header[:-2]]  # without the closing "\n}"
+    for key, j in (("s1", 1), ("s2", 2)):
+        rows = []
+        for level, coords, parent_level, parent_coords in _member_links(forest, j):
+            # the sorted keys' order: coords, level, then the parent's coords and level
+            cols = [*coords.T.tolist(), [level] * len(coords)]
+            if level == q0.level:  # q0 alone
+                rows += map(root.__mod__, zip(*cols))
+            else:
+                cols += [*parent_coords.T.tolist(), parent_level.tolist()]
+                rows += map(linked.__mod__, zip(*cols))
+        parts.append(f',\n "{key}": [\n  ' + ",\n  ".join(rows) + "\n ]")
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _float_text(x: float) -> str:

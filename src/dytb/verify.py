@@ -114,7 +114,10 @@ def lanczos_norm(
     v = V_k q_1 has ||T* u - sigma v|| = beta_k |e_k^T p_1|; the run stops when
     that residual is at most ``tol * sigma``, or exactly when the Krylov space
     is invariant (a zero alpha or beta, or every cell spanned).
-    Non-convergence is reported in the result, not raised.
+    Non-convergence is reported in the result, not raised.  The last bit of
+    the value follows the BLAS thread count (the reorthogonalisation's
+    products sum in the order of the thread split), so a result reproduces
+    byte for byte only at a fixed count, such as ``OPENBLAS_NUM_THREADS=1``.
     """
     n = kernel.spec.n_cells
     adj = adjoint(kernel)

@@ -169,6 +169,66 @@ def test_one_bad_cube_fails_its_whole_level(monkeypatch):
         sys_.get_b(DyadicCube(3, (0, 0)))  # any cube of the bad level
 
 
+LEVEL_CHECKS = ("mean of b_Q off", "norm budget exceeded", "near-zero cell value")
+
+
+def plant(row, check):
+    """Break a row of ones (a constant-kind b_Q of at least two cells, A =
+    1.5, p = 2) for the one ``_check_level`` check ``check`` only."""
+    if check == "mean of b_Q off":
+        row[0] += 0.5
+    elif check == "norm budget exceeded":  # mean 1 exactly, mean square 3.25 > A^2
+        row[0::2], row[1::2] = 2.5, -0.5
+    else:  # every partial sum is exact, so the mean stays |Q|
+        row[0], row[1] = 2.0**-30, 2.0 - 2.0**-30
+
+
+@pytest.mark.parametrize("check", LEVEL_CHECKS)
+@pytest.mark.parametrize("fine", [True, False], ids=["fine", "coarse"])
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3)])
+def test_each_level_check_names_the_first_bad_cube(monkeypatch, dim, depth, fine, check):
+    spec = GridSpec(dim, depth)
+    level = depth - 1 if fine else 1
+    count = spec.n_cubes(level)
+    bad = sorted({max(1, count // 3), count - 1})  # the first bad cube is not flat 0
+    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+
+    def planted(lev, n):
+        blocks = np.ones((spec.n_cubes(lev), n))
+        for flat in bad if lev == level else ():
+            plant(blocks[flat], check)
+        return blocks
+
+    monkeypatch.setattr(sys_, "_level_blocks", planted)
+    assert sys_.level_values(level - 1).min() == 1.0  # the other levels build
+    with pytest.raises(RuntimeError) as err:
+        sys_.level_values(level)
+    assert str(err.value) == f"generator bug: {check} on {spec.cube_from_flat(level, bad[0])}"
+    assert level not in sys_._levels
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3)])
+def test_level_checks_run_in_order(monkeypatch, dim, depth):
+    # the checks run in LEVEL_CHECKS order, each planted first on an earlier
+    # cube than the one before it: the first failing check names its cube
+    spec = GridSpec(dim, depth)
+    level = depth - 1
+    flats = dict(zip(LEVEL_CHECKS, (4, 3, 2)))
+    for start, check in enumerate(LEVEL_CHECKS):
+        sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+
+        def planted(lev, n, checks=LEVEL_CHECKS[start:]):
+            blocks = np.ones((spec.n_cubes(lev), n))
+            for c in checks:
+                plant(blocks[flats[c]], c)
+            return blocks
+
+        monkeypatch.setattr(sys_, "_level_blocks", planted)
+        with pytest.raises(RuntimeError) as err:
+            sys_.level_values(level)
+        assert str(err.value) == f"generator bug: {check} on {spec.cube_from_flat(level, flats[check])}"
+
+
 def per_cube_b(system, cube):
     """Reference generator: b_Q drawn for one cube, written into a zero array."""
     spec = system.spec

@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 
 from dytb import cli, grid, kernels, verify
 from dytb.cli import main
-from dytb.corona import CoronaForest
+from dytb.accretive import AccretiveSystem
+from dytb.corona import (
+    CoronaForest,
+    TbConfig,
+    build_corona,
+    choose_delta,
+    forest_to_json_dict,
+    packing_ratio,
+)
 from dytb.grid import GridSpec
 from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
 from dytb.verify import ExperimentConfig, _run_trial, operator_norm
+from dytb.verify import testing_constant as measure_tloc
 import make_cli_golden
 from make_cli_golden import GOLDEN_PATH, changed_names, cli_hashes
 
@@ -191,7 +200,25 @@ def test_corona_forest_export(tmp_path, capsys):
     assert data["s1"][0]["parent"] is None
 
 
-def test_json_files_are_the_bytes_of_json_dump(tmp_path, monkeypatch):
+def rebuilt_corona(dim, depth, seed, delta="auto", tau_target=0.9):
+    """The forest of ``dytb corona --dim dim --depth depth --seed seed --delta
+    delta --tau-target tau_target``, rebuilt from the same seeds and the CLI's
+    defaults without the CLI: (forest, delta search), the search None for an
+    explicit delta."""
+    spec = GridSpec(dim, depth)
+    kernel = generate_kernel("random", spec, seed=0)
+    sys1, sys2 = (AccretiveSystem(spec, "random", 2.0, 1.5, seed=2 * seed + k, params={"amp": 0.4})
+                  for k in (1, 2))
+    tloc = max(measure_tloc(kernel, sys1, 2.0, "direct"), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    if delta == "auto":
+        cfg = TbConfig(2.0, 2.0, 0.5, 1.5, tloc, tau_target)
+        search = choose_delta(spec.root(), sys1, sys2, kernel, cfg)
+        return search.forest, search
+    cfg = TbConfig(2.0, 2.0, delta, 1.5, tloc, tau_target)
+    return build_corona(spec.root(), sys1, sys2, kernel, cfg), None
+
+
+def test_json_files_are_the_bytes_of_json_dump(tmp_path):
     kernel_path = tmp_path / "k.json"
     assert main(["gen-kernel", "--dim", "2", "--depth", "3", "--seed", "6",
                  "--out", str(kernel_path)]) == 0
@@ -199,20 +226,29 @@ def test_json_files_are_the_bytes_of_json_dump(tmp_path, monkeypatch):
     json.dump(kernel_to_json_dict(generate_kernel("random", GridSpec(2, 3), seed=6)), buf)
     assert kernel_path.read_text() == buf.getvalue()
 
-    dumped = []
-    real = cli.forest_to_json_dict
-
-    def capture(forest):
-        dumped.append(real(forest))
-        return dumped[-1]
-
-    monkeypatch.setattr(cli, "forest_to_json_dict", capture)
     forest_path = tmp_path / "forest.json"
     assert main(["corona", "--dim", "1", "--depth", "7", "--seed", "2",
                  "--out", str(forest_path)]) == 0
+    forest, _ = rebuilt_corona(1, 7, 2)
     buf = io.StringIO()
-    json.dump(dumped[0], buf, indent=1, sort_keys=True)
+    json.dump(forest_to_json_dict(forest), buf, indent=1, sort_keys=True)
     assert forest_path.read_text() == buf.getvalue()
+
+
+@pytest.mark.parametrize("delta", ["0.25", "auto"])
+def test_corona_prints_the_forest_packing_ratios(capsys, delta):
+    # a low packing target makes the search take more than one attempt
+    assert main(["corona", "--dim", "2", "--depth", "4", "--seed", "3", "--delta", delta,
+                 "--tau-target", "0.1"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("S_")]
+    printed = [line.split("packing ratio = ")[1].split(";")[0] for line in lines]
+    forest, search = rebuilt_corona(2, 4, 3, delta if delta == "auto" else float(delta),
+                                    tau_target=0.1)
+    assert printed == [repr(packing_ratio(forest, j)) for j in (1, 2)]
+    assert printed[0] != printed[1]
+    if search is not None:  # the search's last attempt measured this forest
+        assert len(search.trace) > 1
+        assert printed == [repr(ratio) for ratio in search.trace[-1][1:]]
 
 
 def test_unknown_plot_kind_is_config_error(tmp_path):

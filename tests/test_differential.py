@@ -16,10 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dytb import twisted, verify
+from dytb import cli, twisted, verify
 from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
     CoronaForest,
@@ -27,6 +27,7 @@ from dytb.corona import (
     TerminalFamily,
     build_corona,
     carleson_constant,
+    choose_delta,
     coarsen_terminals,
     conjugate,
     forest_carleson,
@@ -246,6 +247,35 @@ def test_pairing_tables_equal_per_pair_oracle(grid, root, kernel_kind, seed):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         if kernel_kind == "zero":
             assert not got.any()
+
+
+@BOUNDED
+@given(grid=st.sampled_from(SMALL_GRIDS), root=st.sampled_from(("top", "sub", "finest")),
+       kernel_kind=st.sampled_from(KERNEL_KINDS), delta=st.sampled_from(("auto", 0.25, 0.3)),
+       seed=SEEDS)
+@example(grid=(2, 3), root="finest", kernel_kind="zero", delta=0.3, seed=1)
+@example(grid=(1, 6), root="top", kernel_kind="zero", delta="auto", seed=2)
+def test_forest_rows_from_templates_equal_json_dumps(grid, root, kernel_kind, delta, seed):
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    kernel = generate_kernel(kernel_kind, spec, seed=seed)
+    A, params = KIND_SETUPS["random"]
+    sys1 = AccretiveSystem(spec, "random", 2.0, A, seed=seed, params=params)
+    sys2 = AccretiveSystem(spec, "random", 2.0, A, seed=seed + 1, params=params)
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
+    q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
+    if delta == "auto":
+        search = choose_delta(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5, A, Tloc=tloc))
+        assume(search.ok)
+        forest = search.forest
+    else:
+        forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, delta, A, Tloc=tloc))
+    payload = forest_to_json_dict(forest)
+    text = cli._forest_json_text(forest)
+    assert text == cli._json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+    if root == "finest":  # a root on the finest level holds no other member
+        assert len(payload["s1"]) == len(payload["s2"]) == 1
 
 
 # (kind, params, A, delta): terminal cubes from the mean condition; "signed"
