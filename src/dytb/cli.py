@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +160,8 @@ def cmd_transform_norm(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    residuals = identity_suite(
-        args.dim, args.depth, args.seed,
-        p1=args.p1, p2=args.p2,
-        kernel_kind=args.kernel_kind, kernel_scale=args.kernel_scale,
-        accretive_kind=args.accretive_kind, amp=args.amp, A=args.A,
-    )
+    keys = ("p1", "p2", "kernel_kind", "kernel_scale", "accretive_kind", "amp", "A")
+    residuals = identity_suite(args.dim, args.depth, args.seed, **_resolved(args, keys))
     width = max(len(k) for k in residuals)
     for name, value in residuals.items():
         print(f"{name:<{width}}  {value!r}")
@@ -231,63 +226,13 @@ def write_report_json(path, config: dict, reports: list[VerifierReport]) -> None
 
 
 def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` as the bytes of ``json.dump(payload, fh, indent=1,
-    sort_keys=True)`` (``_json_text``)."""
     with open(path, "w") as fh:
         fh.write(_json_text(payload))
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte, without
-    the json module's pure-Python encoder (the only one honouring ``indent``).
-    Dict keys must be ``str``; like json, any other type raises TypeError."""
-    parts = []
-    _encode(obj, "\n", parts.append)
-    return "".join(parts)
-
-
-def _encode(o, newline: str, emit) -> None:
-    # the type tests in json's own order (bool before int); float covers
-    # subclasses such as numpy.float64, as in json
-    if isinstance(o, str):
-        emit(_encode_str(o))
-    elif o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
-    elif isinstance(o, int):
-        emit(int.__repr__(o))
-    elif isinstance(o, float):
-        emit(_float_text(o))
-    elif isinstance(o, (list, tuple, dict)):
-        if not o:
-            emit("{}" if isinstance(o, dict) else "[]")
-            return
-        inner = newline + " "
-        comma = "," + inner  # one string for all items: a copy per item costs peak memory
-        if isinstance(o, dict):
-            for key in o:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            sep = "{" + inner
-            for key in sorted(o):
-                emit(sep)
-                emit(_encode_str(key))
-                emit(": ")
-                _encode(o[key], inner, emit)
-                sep = comma
-            emit(newline + "}")
-        else:
-            sep = "[" + inner
-            for item in o:
-                emit(sep)
-                _encode(item, inner, emit)
-                sep = comma
-            emit(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    """The text of every ``indent=1`` JSON the CLI writes or prints."""
+    return json.dumps(obj, indent=1, sort_keys=True)
 
 
 def _forest_json_text(forest) -> str:
@@ -317,16 +262,6 @@ def _forest_json_text(forest) -> str:
         parts.append(f',\n "{key}": [\n  ' + ",\n  ".join(rows) + "\n ]")
     parts.append("\n}")
     return "".join(parts)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def read_report_csv(path):
@@ -476,26 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--passes", type=int, default=50)
 
+    def add_instance_options(p):
+        # build_instance's options; None leaves A and amp to build_instance
+        p.add_argument("--p1", type=float, default=2.0)
+        p.add_argument("--p2", type=float, default=2.0)
+        p.add_argument("--A", type=float, default=None)
+        p.add_argument("--amp", type=float, default=None)
+        p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default="random")
+        p.add_argument("--kernel-scale", type=float, default=1.0)
+        p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
+
     p = sub.add_parser("identities", help="run every exact-identity checker once", allow_abbrev=False)
     add_common(p, depth=5)
-    p.add_argument("--p1", type=float, default=2.0)
-    p.add_argument("--p2", type=float, default=2.0)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default="random")
-    p.add_argument("--kernel-scale", type=float, default=1.0)
-    p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
+    add_instance_options(p)
 
     p = sub.add_parser("tb-experiment", help="run the seeded ratio experiment", allow_abbrev=False)
     add_common(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--p1", type=float, default=2.0)
-    p.add_argument("--p2", type=float, default=2.0)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default="random")
-    p.add_argument("--kernel-scale", type=float, default=1.0)
-    p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
+    add_instance_options(p)
     p.add_argument("--tau-target", type=float, default=0.9)
     p.add_argument("--out", required=True)
 

@@ -35,7 +35,7 @@ __all__ = [
     "spread",
 ]
 
-DEFAULT_CELL_CAP = 2**20
+CELL_CAP = 2**20  # the most finest-level cells a GridSpec may have
 
 
 @dataclass(frozen=True, order=True)
@@ -111,21 +111,20 @@ def _child_offset(index: int, dim: int) -> tuple[int, ...]:
 class GridSpec:
     """Grid geometry: dimension (1 or 2) and finest level ``depth``.
 
-    Rejects grids whose finest-cell count 2^(dim*depth) exceeds ``cell_cap``.
+    Rejects grids whose finest-cell count 2^(dim*depth) exceeds ``CELL_CAP``.
     """
 
     dim: int
     depth: int
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.depth < 0:
             raise ValueError(f"depth must be non-negative, got {self.depth}")
-        if 2 ** (self.dim * self.depth) > self.cell_cap:
+        if 2 ** (self.dim * self.depth) > CELL_CAP:
             raise ValueError(
-                f"2^({self.dim}*{self.depth}) cells exceed the cell cap {self.cell_cap}"
+                f"2^({self.dim}*{self.depth}) cells exceed the cell cap {CELL_CAP}"
             )
 
     @property

@@ -569,17 +569,18 @@ def proof_operators(ctx: TwistedContext, eps: SignChoice, test_cube: DyadicCube)
     return pi_img, am_img, norms
 
 
-def measure_comparison_check(
-    ctx: TwistedContext, eps: SignChoice, f: GridFunction, n_lambdas: int = 32
-) -> float:
+_N_LAMBDAS = 32  # the levels lambda the measure comparison sweeps, from 0 to max |Bf|
+
+
+def measure_comparison_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> float:
     """Sweep level sets of the half-twisted transform Bf and compare the
     |b|^p mass of E_lambda = {|Bf| >= lambda} (within S0) against
     2^dim delta^-p A^p |E_lambda|.  Returns the worst excess lhs - rhs
     (non-positive when the comparison holds everywhere)."""
-    return _measure_excess(ctx, half_transform(ctx, eps, f).values, n_lambdas)
+    return _measure_excess(ctx, half_transform(ctx, eps, f).values)
 
 
-def _measure_excess(ctx: TwistedContext, half: np.ndarray, n_lambdas: int = 32) -> float:
+def _measure_excess(ctx: TwistedContext, half: np.ndarray) -> float:
     """``measure_comparison_check`` from the cell array of Bf."""
     spec = ctx.spec
     bf = np.abs(half)
@@ -589,7 +590,7 @@ def _measure_excess(ctx: TwistedContext, half: np.ndarray, n_lambdas: int = 32) 
     bp = np.abs(ctx.b.values) ** ctx.p
     cv = spec.cell_volume
     worst = -np.inf
-    for lam in np.linspace(0.0, float(bf[inside].max(initial=0.0)), n_lambdas):
+    for lam in np.linspace(0.0, float(bf[inside].max(initial=0.0)), _N_LAMBDAS):
         e_lam = inside & (bf >= lam)
         lhs = float(np.sum(bp[e_lam]) * cv)
         rhs = cap * float(np.count_nonzero(e_lam)) * cv

@@ -35,7 +35,6 @@ from .corona import (
     choose_delta,
     conjugate,
     forest_carleson,
-    packing_ratio,
 )
 from .grid import GridFunction, GridSpec, cube_blocks, spread
 from .kernels import (
@@ -686,7 +685,6 @@ class ExperimentConfig:
     amp: float | None = None
     A: float | None = None
     tau_target: float = 0.9
-    norm_method: str = "auto"
 
 
 RESIDUAL_FIELDS = (
@@ -760,13 +758,13 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
                           kernel_kind=config.kernel_kind, kernel_scale=config.kernel_scale,
                           accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
                           tau_target=config.tau_target)
-    norm = operator_norm(inst.kernel, config.norm_method)
+    norm = operator_norm(inst.kernel)
     ratio = norm / (1.0 + inst.tloc)
     if not inst.ok:
         return VerifierReport(trial, seed, False, norm, inst.tloc, ratio, None,
                               float("nan"), float("nan"), delta_trace=inst.dsearch.trace)
     forest = inst.forest
-    packing = max(packing_ratio(forest, 1), packing_ratio(forest, 2))
+    packing = max(inst.dsearch.trace[-1][1:])  # the search measured this forest last
     carleson = max(forest_carleson(forest, 1), forest_carleson(forest, 2))
     _check_families(forest, inst.levels.lf, inst.levels.lg)
     residuals = run_identity_checks(inst)

@@ -1,11 +1,7 @@
 import io
 import json
-import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dytb import cli, grid, kernels, verify
 from dytb.cli import main
@@ -234,6 +230,15 @@ def test_json_files_are_the_bytes_of_json_dump(tmp_path):
     json.dump(forest_to_json_dict(forest), buf, indent=1, sort_keys=True)
     assert forest_path.read_text() == buf.getvalue()
 
+    # the tb-experiment report JSON and the report summary
+    report, summary = tmp_path / "r.csv", tmp_path / "summary.json"
+    assert main(["tb-experiment", "--trials", "2", "--depth", "4", "--seed", "3",
+                 "--out", str(report)]) == 0
+    assert main(["report", "--in", str(report), "--out", str(summary)]) == 0
+    for path in (report.with_suffix(".json"), summary):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+
 
 @pytest.mark.parametrize("delta", ["0.25", "auto"])
 def test_corona_prints_the_forest_packing_ratios(capsys, delta):
@@ -300,32 +305,16 @@ def test_shared_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     assert len(built) == 2
 
 
-JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(2**200), 2**200)
-                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
-                | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600')
-                          | st.characters(exclude_categories=())))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
-                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(obj=JSON_VALUES)
-def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=1, sort_keys=True)
-
-
-def test_json_writer_rejects_what_json_rejects(tmp_path):
-    path = tmp_path / "x.json"
-    payload = {"b": [np.float64(0.1), {}, []], "a": {"é": (1, -0.0)}}
-    cli._write_json(path, payload)
-    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True)
-    for bad in ({1: 2}, {"a": [{"b": 0, None: 1}]}, {1, 2}, [np.int64(3)]):
-        with pytest.raises(TypeError):
-            cli._json_text(bad)
+def test_shared_instance_options_keep_their_order_and_defaults():
+    parser = cli.build_parser()
+    instance = [("p1", 2.0), ("p2", 2.0), ("A", None), ("amp", None), ("kernel_kind", "random"),
+                ("kernel_scale", 1.0), ("accretive_kind", "random")]
+    assert list(vars(parser.parse_args(["identities"])).items()) == [
+        ("command", "identities"), ("dim", 1), ("depth", 5), ("seed", 0), ("config", None),
+        *instance]
+    assert list(vars(parser.parse_args(["tb-experiment", "--out", "r.csv"])).items()) == [
+        ("command", "tb-experiment"), ("dim", 1), ("depth", 6), ("seed", 0), ("config", None),
+        ("trials", 100), *instance, ("tau_target", 0.9), ("out", "r.csv")]
 
 
 def test_config_file_merge_and_rejection(tmp_path, capsys):

@@ -273,7 +273,7 @@ def test_forest_rows_from_templates_equal_json_dumps(grid, root, kernel_kind, de
         forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, delta, A, Tloc=tloc))
     payload = forest_to_json_dict(forest)
     text = cli._forest_json_text(forest)
-    assert text == cli._json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+    assert text == json.dumps(payload, indent=1, sort_keys=True)
     if root == "finest":  # a root on the finest level holds no other member
         assert len(payload["s1"]) == len(payload["s2"]) == 1
 

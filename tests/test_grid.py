@@ -30,9 +30,11 @@ def test_gridspec_rejects_bad_dims_and_cap():
         GridSpec(3, 2)
     with pytest.raises(ValueError):
         GridSpec(1, -1)
-    with pytest.raises(ValueError):
-        GridSpec(2, 11)  # 4^11 > 2^20
-    GridSpec(2, 10)  # exactly at the cap
+    # exactly at the cap of 2^20 cells, then one level over; specs allocate no arrays
+    for dim, depth in ((1, 20), (2, 10)):
+        assert GridSpec(dim, depth).n_cells == 2**20
+        with pytest.raises(ValueError, match=rf"^2\^\({dim}\*{depth + 1}\) cells exceed the cell cap 1048576$"):
+            GridSpec(dim, depth + 1)
 
 
 def test_cube_geometry():

@@ -7,7 +7,7 @@ import pytest
 
 from dytb import cli, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona
+from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import corona_delta, corona_levels, make_context, twisted_delta
@@ -181,6 +181,19 @@ def test_trial_at_dense_size_reports_the_dense_norm():
         [report] = main_theorem_experiment(config)
         inst = build_instance(dim, depth, trial_seed(5, 0))
         assert report.operator_norm == operator_norm(inst.kernel, "dense-svd")
+
+
+def test_trial_packing_is_the_max_of_both_packing_ratios():
+    attempts = []
+    for dim, depth, tau_target in ((1, 5, 0.9), (1, 6, 0.3), (2, 3, 0.9), (2, 4, 0.3)):
+        config = ExperimentConfig(dim=dim, depth=depth, trials=3, seed=11, tau_target=tau_target)
+        for trial, report in enumerate(main_theorem_experiment(config)):
+            inst = build_instance(dim, depth, trial_seed(11, trial), tau_target=tau_target)
+            assert report.ok and inst.ok
+            forest = inst.forest
+            assert report.packing == max(packing_ratio(forest, 1), packing_ratio(forest, 2))
+            attempts.append(len(report.delta_trace))
+    assert max(attempts) > 1  # some search kept the last of several forests
 
 
 def test_dense_norm_guard():
