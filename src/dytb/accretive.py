@@ -21,8 +21,12 @@ every level is one vectorised hash, and the draws of a level are PCG
 jump-aheads from shared power tables.  Each 128-bit PCG value is a pair of
 uint64 halves (hi, lo), multiplied by (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo
 + a_lo b_hi) mod 2^64) 2^64 on numpy's wrapping uint64 products.  The
-two-value kind still builds one generator per cube, since its permutation
-draws a variable number of values.
+draws run along the longer of (cubes, cells per cube): fine levels, with
+many cubes of a few cells, compute cubes-innermost and transpose once into
+contiguous per-cube rows.  The row means, maxima and norms then go through
+``grid.row_reduce``, which sums short rows column by column in numpy's own
+order.  The two-value kind still builds one generator per cube, since its
+permutation draws a variable number of values.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .grid import DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sum, lp_norm
+from .grid import (DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sum, lp_norm,
+                   row_reduce)
 
 __all__ = ["AccretiveSystem", "validate", "ACCRETIVE_KINDS"]
 
@@ -163,9 +168,9 @@ class AccretiveSystem:
         if level not in self._seeds:  # first draw, or a level that failed its check
             self._seeds = _seed_levels(self.seed, self.spec)
         w = _uniform_rows(*self._seeds.pop(level), n)
-        w -= w.mean(axis=1, keepdims=True)
+        w -= (row_reduce(np.add, w) / n)[:, None]  # w.mean(axis=1, keepdims=True)
         # keep values inside [1-amp, 1+amp] after recentring
-        peak = np.abs(w).max(axis=1, keepdims=True)
+        peak = row_reduce(np.maximum, np.abs(w))[:, None]
         np.divide(w, peak, out=w, where=peak > 1.0)
         return 1.0 + float(self.params.get("amp", 0.5)) * w
 
@@ -184,7 +189,7 @@ class AccretiveSystem:
             # the same bottom-up sums that get_b(Q).integral(Q) reports
             (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
              "mean of b_Q off"),
-            ((np.sum(mags**self.p, axis=1) * spec.cell_volume) ** (1.0 / self.p)
+            ((row_reduce(np.add, mags**self.p) * spec.cell_volume) ** (1.0 / self.p)
              > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
         ]
         if self.kind != "signed" and mags.min() < MIN_ABS_VALUE:
@@ -363,11 +368,23 @@ def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _uniform_rows(state, inc, n: int) -> np.ndarray:
     """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` ((hi, lo)
-    pairs of arrays over cubes), one row per cube: draw k outputs the state
-    M^(k+1) state + G_(k+1) inc by PCG's XSL-RR, then ``(out >> 11) 2^-53``."""
-    powers, sums = _jump_tables(n)
-    hi, lo = _add128(_mul128([word[:, None] for word in state], powers[:, :n]),
-                     _mul128([word[:, None] for word in inc], sums[:, :n]))
+    pairs of arrays over cubes), one C-contiguous row per cube: draw k outputs
+    the state M^(k+1) state + G_(k+1) inc by PCG's XSL-RR, then ``(out >> 11)
+    2^-53``.
+
+    Every step is elementwise, so it runs with the longer of (cubes, draws)
+    as the inner axis: a fine level of many small cubes computes a
+    ``(draws, cubes)`` array and copies its transpose once into rows, which
+    the row reductions of ``_level_blocks`` need contiguous."""
+    powers, sums = (table[:, :n] for table in _jump_tables(n))
+    wide = state[0].size > n  # more cubes than draws: cubes along the inner axis
+    if wide:
+        state, inc = ([word[None, :] for word in pair] for pair in (state, inc))
+        powers, sums = powers[:, :, None], sums[:, :, None]
+    else:
+        state, inc = ([word[:, None] for word in pair] for pair in (state, inc))
+    hi, lo = _add128(_mul128(state, powers), _mul128(inc, sums))
     xor, rot = hi ^ lo, hi >> 58
     out = xor >> rot | xor << ((64 - rot) & 63)
-    return -1.0 + 2.0 * ((out >> 11) * (1.0 / 9007199254740992.0))
+    draws = -1.0 + 2.0 * ((out >> 11) * (1.0 / 9007199254740992.0))
+    return np.ascontiguousarray(draws.T) if wide else draws

@@ -32,6 +32,7 @@ __all__ = [
     "from_cube_blocks",
     "level_sum",
     "level_sums",
+    "row_reduce",
     "spread",
 ]
 
@@ -230,13 +231,47 @@ class GridSpec:
 
 def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum per-cube values one level up: the flat row-major array of a level
-    in, that of the level above out (written into ``out`` if given)."""
+    in, that of the level above out (written into ``out`` if given).
+
+    The addition order is part of the contract, since every cube sum of the
+    package and its frozen constants are built from these steps.  In 1D a
+    parent is ``a0 + a1``.  In 2D it is the order of numpy's
+    ``fine.reshape(m, 2, m, 2).sum(axis=(1, 3))``, which for ``m >= 2`` is
+    ``(0.0 + (a00 + a01)) + (a10 + a11)`` with ``a_ij`` the child in row
+    ``i``, column ``j`` (the leading ``0.0`` is numpy's identity; it only
+    turns four ``-0.0`` children into ``0.0``), and on the last step (``m ==
+    1``) the four children added in row-major order.  For ``m >= 2`` that is
+    computed with no short inner loop: one strided add of the column pairs,
+    then numpy's reduction over each row pair, whose inner axis has length
+    ``m``."""
     if dim == 1:
         return np.add(fine[0::2], fine[1::2], out=out)
     m = math.isqrt(fine.size) // 2
-    summed = fine.reshape(m, 2, m, 2).sum(axis=(1, 3),
-                                          out=None if out is None else out.reshape(m, m))
+    if m == 1:
+        return np.add.reduce(fine, keepdims=True, out=out)
+    pairs = (fine[0::2] + fine[1::2]).reshape(m, 2, m)
+    summed = np.add.reduce(pairs, axis=1, out=None if out is None else out.reshape(m, m))
     return summed.ravel() if out is None else out
+
+
+def row_reduce(op: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """``op.reduce(rows, axis=1)`` for ``op`` ``np.add`` or ``np.maximum``, bit
+    for bit: the sums or maxima of the rows of a C-contiguous 2D array.
+
+    numpy reduces each row on its own, so rows of a few cells cost a call of
+    the inner loop each.  Rows shorter than 8, which numpy adds in order from
+    its identity ``0.0``, are reduced column by column over all rows at once;
+    longer rows, which numpy adds pairwise, keep numpy's own reduction.  A
+    reduction of a non-contiguous view would not be in that order, so such
+    input raises ``ValueError``."""
+    if not rows.flags.c_contiguous:
+        raise ValueError("row_reduce needs C-contiguous rows")
+    if rows.shape[1] >= 8:
+        return op.reduce(rows, axis=1)
+    acc = rows[:, 0] + 0.0 if op is np.add else rows[:, 0].copy()
+    for col in range(1, rows.shape[1]):
+        op(acc, rows[:, col], out=acc)
+    return acc
 
 
 def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .corona import (
     conjugate,
     forest_carleson,
 )
-from .grid import GridFunction, GridSpec, cube_blocks, spread
+from .grid import GridFunction, GridSpec, cube_blocks, row_reduce, spread
 from .kernels import (
     PerfectKernel,
     _sweep_from,
@@ -215,7 +215,8 @@ def testing_constant(
     best = 0.0
     for level in range(spec.depth + 1):
         tb = system.level_sweep(op, level)
-        mean_pow = np.mean(np.abs(cube_blocks(spec, level, tb)) ** q, axis=1)
+        powers = np.abs(cube_blocks(spec, level, tb)) ** q
+        mean_pow = row_reduce(np.add, powers) / powers.shape[1]
         best = max(best, float(mean_pow.max()))
     return best ** (1.0 / q)
 
@@ -347,7 +348,7 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
 
     def pairings(u, first):
         """<u, D_Q g> for every cube Q of each level from ``first``, one row-wise dot per level."""
-        return {b: np.sum(cube_blocks(spec, b, u) * g_blocks[b], axis=1) * cv
+        return {b: row_reduce(np.add, cube_blocks(spec, b, u) * g_blocks[b]) * cv
                 for b in range(first, spec.depth)}
 
     tb, _ = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dytb import cli, twisted, verify
+from dytb import accretive, cli, twisted, verify
 from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
     CoronaForest,
@@ -35,7 +35,15 @@ from dytb.corona import (
     packing_ratio,
     terminal_cubes,
 )
-from dytb.grid import GridFunction, GridSpec, spread
+from dytb.grid import (
+    GridFunction,
+    GridSpec,
+    coarsen_step,
+    cube_blocks,
+    from_cube_blocks,
+    row_reduce,
+    spread,
+)
 from dytb.kernels import KERNEL_KINDS, adjoint, bilinear, generate_kernel
 from dytb.twisted import (
     SignChoice,
@@ -637,3 +645,90 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     assert json.dumps(forest_to_json_dict(forest)) == json.dumps(per_member_forest_json(forest))
     b = sys1.get_b(q0)
     assert terminal_cubes(b, q0, delta, p1, A) == scanned_terminal_cubes(b, q0, delta, p1, A)
+
+
+# -- reductions along the long axis -------------------------------------------------
+#
+# ``coarsen_step``, ``row_reduce`` and ``_uniform_rows`` reproduce numpy's own
+# reductions and draws in another loop order.  The oracles are the numpy calls
+# they replaced; a failure names the numpy version, since a numpy whose
+# reduction order changed fails here first, and not only as a moved hash.
+
+NUMPY = f"numpy {np.__version__}"
+
+
+def spread_magnitudes(rng, shape):
+    """Signed values over 1e-16..1e16, with some signed zeros: any other
+    addition order shows in the last bits."""
+    x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-16.0, 16.0, shape)
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_coarsen_step_2d_equals_reshape_sum(m):
+    rng = np.random.default_rng(m)
+    for fine in (spread_magnitudes(rng, 4 * m * m), np.full(4 * m * m, -0.0)):
+        want = fine.reshape(m, 2, m, 2).sum(axis=(1, 3)).ravel()
+        got = coarsen_step(2, fine)
+        assert got.tobytes() == want.tobytes(), f"m={m}, {NUMPY}"
+        out = np.full(m * m, np.nan)
+        assert coarsen_step(2, fine, out) is out
+        assert out.tobytes() == want.tobytes(), f"m={m} with out=, {NUMPY}"
+
+
+@pytest.mark.parametrize("n", range(1, 131))
+def test_row_reduce_equals_numpy_row_reductions(n):
+    rng = np.random.default_rng(1000 + n)
+    for count in (1, 3, 97):
+        x = spread_magnitudes(rng, (count, n))
+        x[0] = -0.0  # numpy's sum starts from 0.0: a row of -0.0 sums to 0.0
+        msg = f"{count} rows of {n}, {NUMPY}"
+        assert row_reduce(np.add, x).tobytes() == x.sum(axis=1).tobytes(), msg
+        assert row_reduce(np.maximum, x).tobytes() == x.max(axis=1).tobytes(), msg
+        assert (row_reduce(np.add, x) / n).tobytes() == x.mean(axis=1).tobytes(), msg
+    with pytest.raises(ValueError, match="C-contiguous"):
+        row_reduce(np.add, np.ones((4, n))[::2])
+
+
+def per_cube_draws(seed, level, count, n):
+    """The rows of numpy's own per-cube generators, stacked contiguously."""
+    return np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))
+                     .uniform(-1.0, 1.0, n) for flat in range(count)])
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 12), (2, 6)])
+def test_uniform_rows_and_levels_equal_per_cube_generators(dim, depth):
+    # both orientations: coarse levels draw more cells than they have cubes,
+    # fine ones (1D levels 7-11, 2D levels 4-5) have more cubes than cells,
+    # among them levels whose rows reach numpy's pairwise sums (n >= 8)
+    spec, seed, amp = GridSpec(dim, depth), 7 * depth + dim, 0.6
+    system = AccretiveSystem(spec, "random", 2.0, 1.7, seed=seed, params={"amp": amp})
+    seeds = accretive._seed_levels(seed, spec)
+    wide_pairwise = 0
+    for level in range(depth):
+        count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
+        wide_pairwise += count > n >= 8
+        rows = accretive._uniform_rows(*seeds[level], n)
+        want = per_cube_draws(seed, level, count, n)
+        assert rows.tobytes() == want.tobytes(), f"level {level}, {NUMPY}"
+        # the batch normalisation _level_blocks had before row_reduce
+        want -= want.mean(axis=1, keepdims=True)
+        peak = np.abs(want).max(axis=1, keepdims=True)
+        np.divide(want, peak, out=want, where=peak > 1.0)
+        want = from_cube_blocks(spec, level, 1.0 + amp * want)
+        assert system.level_values(level).tobytes() == want.tobytes(), f"level {level}, {NUMPY}"
+        assert rows.flags.c_contiguous, f"level {level}"
+    assert wide_pairwise >= 1
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 9), (2, 5)])
+def test_testing_constant_equals_row_mean_oracle(dim, depth):
+    spec = GridSpec(dim, depth)
+    kernel = generate_kernel("random", spec, seed=depth)
+    for side, op in (("direct", kernel), ("adjoint", adjoint(kernel))):
+        system = AccretiveSystem(spec, "random", 2.0, 1.7, seed=dim, params={"amp": 0.6})
+        best = max(float(np.mean(np.abs(cube_blocks(spec, level, system.level_sweep(op, level)))
+                                 ** 3.0, axis=1).max()) for level in range(depth + 1))
+        assert measure_tloc(kernel, system, 3.0, side) == best ** (1.0 / 3.0), f"{side}, {NUMPY}"

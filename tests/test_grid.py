@@ -8,7 +8,9 @@ from dytb.grid import (
     GridFunction,
     GridSpec,
     child_containing,
+    cube_blocks,
     dyadic_maximal,
+    from_cube_blocks,
     level_sum,
     level_sums,
     lp_norm,
@@ -248,6 +250,22 @@ def test_level_sum_is_exact(dim, depth, rng):
         assert np.array_equal(got, tree[level]) and got.tobytes() == tree[level].tobytes()
     with pytest.raises(ValueError, match="outside"):
         level_sum(spec, x, depth + 1)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 0), (1, 6), (2, 0), (2, 4)])
+def test_from_cube_blocks_inverts_cube_blocks(dim, depth, rng):
+    spec = GridSpec(dim, depth)
+    x = rng.standard_normal(spec.n_cells)
+    for level in range(depth + 1):
+        blocks = cube_blocks(spec, level, x)
+        assert blocks.shape == (spec.n_cubes(level), spec.n_cells // spec.n_cubes(level))
+        for cube in spec.cubes_at(level):  # row flat is the cube's cells in cell_indices order
+            assert blocks[spec.cube_flat(cube)].tolist() == x[spec.cell_indices(cube)].tolist()
+        back = from_cube_blocks(spec, level, blocks)
+        assert back.shape == (spec.n_cells,) and back.tobytes() == x.tobytes()
+        # the other way round: rows in, the same rows out
+        rows = rng.standard_normal(blocks.shape)
+        assert cube_blocks(spec, level, from_cube_blocks(spec, level, rows)).tobytes() == rows.tobytes()
 
 
 # -- exactness invariants --------------------------------------------------------------
