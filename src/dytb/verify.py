@@ -88,6 +88,8 @@ __all__ = [
 DENSE_CAP = 4096
 AUTO_DENSE_CELLS = 256  # "auto" takes the dense SVD up to here, Lanczos above
 NORM_METHODS = ("auto", "dense-svd", "lanczos")
+BASIS_BLOCK = 32  # rows per block of the Lanczos basis
+RITZ_EVERY = 4  # Lanczos steps per bidiagonal SVD
 
 
 # -- operator norm ----------------------------------------------------------------
@@ -106,59 +108,94 @@ def lanczos_norm(
 ) -> LanczosResult:
     """L^2 operator norm by Golub-Kahan-Lanczos bidiagonalisation on the fast apply.
 
-    From a seeded random unit vector v_1, alternate T and T* with full
-    reorthogonalisation, so that T V_k = U_k B_k for the upper bidiagonal
+    ``_golub_kahan`` gives T V_k = U_k B_k for the upper bidiagonal
     B_k = bidiag(alpha; beta).  The value is sigma_1(B_k), a lower bound of
     the norm up to rounding.  With B_k = P S Q^T the Ritz pair u = U_k p_1,
-    v = V_k q_1 has ||T* u - sigma v|| = beta_k |e_k^T p_1|; the run stops when
-    that residual is at most ``tol * sigma``, or exactly when the Krylov space
-    is invariant (a zero alpha or beta, or every cell spanned).
-    Non-convergence is reported in the result, not raised.  The last bit of
-    the value follows the BLAS thread count (the reorthogonalisation's
-    products sum in the order of the thread split), so a result reproduces
-    byte for byte only at a fixed count, such as ``OPENBLAS_NUM_THREADS=1``.
+    v = V_k q_1 has ||T* u - sigma v|| = beta_k |e_k^T p_1|; the run stops at
+    the first step whose residual is at most ``tol * sigma``, or exactly when
+    the Krylov space is invariant (a zero alpha or beta, or every cell
+    spanned).  Non-convergence is reported in the result, not raised.
+
+    The SVD of B_k runs every ``RITZ_EVERY`` steps, at the last step and on a
+    zero alpha or beta.  When such a check stops the run, the steps since the
+    previous check are examined in order and the first that converged is
+    returned, so the result is that of a check at every step unless a residual
+    falls to ``tol * sigma`` at a skipped step and rises above it again by the
+    next check.  No BLAS call touches a cell-length array (see
+    ``_golub_kahan``); the one LAPACK call is the SVD of the small B_k.
     """
     n = kernel.spec.n_cells
-    adj = adjoint(kernel)
     steps = min(max_steps, n)
-    V = np.empty((min(steps + 1, 32), n))  # grown by doubling
-    U = np.empty_like(V)
-    alpha = np.zeros(steps)
-    beta = np.zeros(steps)
-    v = np.random.default_rng(seed).standard_normal(n)
-    V[0] = v / np.linalg.norm(v)
     sigma, residual = 0.0, np.inf
-    for k in range(steps):
-        if k + 1 >= len(V):
-            V, U = (np.concatenate([b, np.empty_like(b)]) for b in (V, U))
-        u = apply_values(kernel, V[k])
-        if k:
-            u -= beta[k - 1] * U[k - 1]
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                u -= U[:k].T @ (U[:k] @ u)
-        alpha[k] = np.linalg.norm(u)
-        if alpha[k] == 0.0:  # T maps V_(k+1) into span U_k: B_(k+1) is exact
-            return LanczosResult(float(_bidiag_svd(alpha[: k + 1], beta[:k])[1][0]),
-                                 True, k + 1, 0.0)
-        U[k] = u / alpha[k]
-        w = apply_values(adj, U[k]) - alpha[k] * V[k]
-        for _ in range(2):
-            w -= V[: k + 1].T @ (V[: k + 1] @ w)
-        beta[k] = np.linalg.norm(w)
-        left, s = _bidiag_svd(alpha[: k + 1], beta[:k])
-        sigma = float(s[0])
-        residual = float(beta[k] * abs(left[k, 0]))
+    checked = 0  # the steps before this one have had their Ritz check
+    for k, alpha, beta in _golub_kahan(kernel, steps, seed):
+        if (k + 1) % RITZ_EVERY and k + 1 < steps and alpha[k] and beta[k]:
+            continue
+        sigma, residual = _ritz(alpha, beta, k)
         if residual <= tol * sigma or k + 1 == n:
+            for j in range(checked, k):
+                s, r = _ritz(alpha, beta, j)
+                if r <= tol * s:
+                    return LanczosResult(s, True, j + 1, r)
             return LanczosResult(sigma, True, k + 1, residual)
-        V[k + 1] = w / beta[k]
+        checked = k + 1
     return LanczosResult(sigma, False, steps, residual)
 
 
-def _bidiag_svd(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values of bidiag(alpha; beta)."""
-    b = np.diag(alpha) + np.diag(beta, 1)
-    left, s, _ = np.linalg.svd(b)
-    return left, s
+def _golub_kahan(kernel: PerfectKernel, steps: int, seed: int):
+    """Golub-Kahan bidiagonalisation of T from a seeded random unit vector
+    v_1: T V_k = U_k B_k for the upper bidiagonal B_k = bidiag(alpha; beta).
+
+    Yields ``(k, alpha, beta)`` once alpha[k] and beta[k] are set (both of
+    length ``steps``, zero past k), up to ``steps`` times; it stops after a
+    zero alpha or beta.  Each right vector is reorthogonalised against all of
+    V_k by classical Gram-Schmidt, twice; the left vectors are not, and only
+    the last one is kept, which leaves the singular values of B_k accurate
+    (Simon-Zha, SIAM J. Sci. Comput. 21, 2000).  V_k grows in blocks of
+    ``BASIS_BLOCK`` rows, so no filled row is copied.  Every product and norm
+    on a cell array is an ``np.einsum`` without ``optimize``, which does not
+    call BLAS, so it sums in the same order at any BLAS thread count.
+    """
+    n = kernel.spec.n_cells
+    adj = adjoint(kernel)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    blocks: list[np.ndarray] = []
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= _norm(v)
+    for k in range(steps):
+        row = k % BASIS_BLOCK
+        if row == 0:
+            blocks.append(np.empty((min(BASIS_BLOCK, steps - k), n)))
+        blocks[-1][row] = v
+        tv = apply_values(kernel, v)
+        if k:
+            tv -= beta[k - 1] * u
+        alpha[k] = _norm(tv)
+        if alpha[k]:
+            u = tv / alpha[k]
+            w = apply_values(adj, u) - alpha[k] * v
+            basis = [*blocks[:-1], blocks[-1][: row + 1]]
+            for _ in range(2):
+                coeffs = [np.einsum("ij,j->i", b, w) for b in basis]
+                for b, c in zip(basis, coeffs):
+                    w -= np.einsum("ij,i->j", b, c)
+            beta[k] = _norm(w)
+        yield k, alpha, beta
+        if not (alpha[k] and beta[k]):
+            return
+        v = w / beta[k]
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, summed without BLAS."""
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
+def _ritz(alpha: np.ndarray, beta: np.ndarray, k: int) -> tuple[float, float]:
+    """sigma_1 of B_(k+1) = bidiag(alpha[:k+1]; beta[:k]) and the residual
+    beta[k] |e_(k+1)^T p_1| of its Ritz pair."""
+    left, s, _ = np.linalg.svd(np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1))
+    return float(s[0]), float(beta[k] * abs(left[k, 0]))
 
 
 def operator_norm(kernel: PerfectKernel, method: str = "auto", **kwargs) -> float:

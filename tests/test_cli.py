@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +391,22 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
 
 
+def test_lanczos_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 1D depth 14 takes the Lanczos norm; each run writes report.csv in its own directory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "dytb.cli", "tb-experiment", "--dim", "1", "--depth", "14",
+            "--trials", "1", "--seed", "1", "--out", "report.csv"]
+    reports = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(argv, cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
+        reports.append([(cwd / name).read_bytes() for name in ("report.csv", "report.json")])
+    assert reports[0] == reports[1]
+
+
 def test_golden_tool_names_the_changed_hashes(tmp_path, monkeypatch, capsys):
     old = {"a": "1", "b": "2", "c": "3"}
     assert changed_names(old, dict(old)) == []
@@ -423,7 +443,9 @@ def test_one_level_reads_build_no_cube_sum_tree(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "cube_sum_vector",
                             lambda spec, cells, real=real: trees.append(1) or real(spec, cells))
     assert _run_trial(ExperimentConfig(dim=2, depth=5, trials=1, seed=1), 0).ok
-    assert len(trees) == 104
+    # 36 outside the norm; the Lanczos norm applies T and T* once per step and
+    # runs 36 steps (converged at the 34th, seen at the Ritz check of the 36th)
+    assert len(trees) == 36 + 2 * 36
     trees.clear()
     assert main(["corona", "--dim", "1", "--depth", "12",
                  "--out", str(tmp_path / "forest.json")]) == 0

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from dytb.verify import (
 from dytb.verify import testing_constant as measure_tloc
 
 from conftest import rand_signs
+import make_cli_golden
 from test_accretive import GRIDS, KIND_SETUPS
 from test_kernels import lca_dense_matrix
 from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block, walk_pi
@@ -125,6 +127,51 @@ LANCZOS_CASES = [
 ]
 
 
+def every_step_lanczos(kernel, tol=1e-13, max_steps=500, seed=0) -> LanczosResult:
+    """Oracle: ``lanczos_norm`` with a Ritz check at every step of the same
+    recurrence."""
+    n = kernel.spec.n_cells
+    steps = min(max_steps, n)
+    sigma, residual = 0.0, np.inf
+    for k, alpha, beta in verify._golub_kahan(kernel, steps, seed):
+        sigma, residual = verify._ritz(alpha, beta, k)
+        if residual <= tol * sigma or k + 1 == n:
+            return LanczosResult(sigma, True, k + 1, residual)
+    return LanczosResult(sigma, False, steps, residual)
+
+
+def two_sided_lanczos(kernel, tol=1e-13, seed=0) -> LanczosResult:
+    """Oracle: Golub-Kahan-Lanczos with both bases kept and reorthogonalised
+    (classical Gram-Schmidt, twice, through BLAS) and a Ritz check at every
+    step."""
+    n = kernel.spec.n_cells
+    adj = adjoint(kernel)
+    steps = min(500, n)
+    V, U = np.zeros((steps + 1, n)), np.zeros((steps, n))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    v = np.random.default_rng(seed).standard_normal(n)
+    V[0] = v / np.linalg.norm(v)
+    for k in range(steps):
+        u = apply_values(kernel, V[k])
+        if k:
+            u -= beta[k - 1] * U[k - 1]
+            for _ in range(2):
+                u -= U[:k].T @ (U[:k] @ u)
+        alpha[k] = np.linalg.norm(u)
+        if alpha[k] == 0.0:
+            return LanczosResult(verify._ritz(alpha, beta, k)[0], True, k + 1, 0.0)
+        U[k] = u / alpha[k]
+        w = apply_values(adj, U[k]) - alpha[k] * V[k]
+        for _ in range(2):
+            w -= V[: k + 1].T @ (V[: k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        sigma, residual = verify._ritz(alpha, beta, k)
+        if residual <= tol * sigma or k + 1 == n:
+            return LanczosResult(sigma, True, k + 1, residual)
+        V[k + 1] = w / beta[k]
+    return LanczosResult(sigma, False, steps, residual)
+
+
 def test_lanczos_matches_dense():
     """Lanczos against dense SVD at 1e-12 relative (the power oracle met 1e-6)."""
     for dim, depth, kind, seed, scale in LANCZOS_CASES:
@@ -155,6 +202,61 @@ def test_lanczos_reports_nonconvergence():
     res = lanczos_norm(t, max_steps=2)
     assert not res.converged
     assert res.steps == 2 and res.residual > 1e-13 * res.value
+
+
+def test_scheduled_ritz_checks_match_a_check_at_every_step():
+    kernels_ = [generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
+                for dim, depth, kind, seed, scale in LANCZOS_CASES]
+    kernels_ += [build_instance(2, 5, trial_seed(0, trial)).kernel  # the 2D d5 golden trials
+                 for trial in range(make_cli_golden.TB_TRIALS)]
+    for t in kernels_:
+        assert lanczos_norm(t) == every_step_lanczos(t), t.spec
+    zk = generate_kernel("zero", GridSpec(1, 3))
+    assert lanczos_norm(zk) == every_step_lanczos(zk) == LanczosResult(0.0, True, 1, 0.0)
+    t = PerfectKernel(GridSpec(1, 1), {(0, 0, 0, 1): 1.0, (0, 0, 1, 0): -1.0})
+    assert lanczos_norm(t) == every_step_lanczos(t) and lanczos_norm(t).steps == 1
+    t = generate_kernel("random", GridSpec(1, 5), seed=1)
+    assert lanczos_norm(t, max_steps=2) == every_step_lanczos(t, max_steps=2)
+    assert not lanczos_norm(t, max_steps=2).converged
+
+
+def test_ritz_svd_runs_on_the_schedule(monkeypatch):
+    t = build_instance(2, 5, trial_seed(0, 0)).kernel
+    res = lanczos_norm(t)
+    checks = []
+    real = verify._ritz
+    monkeypatch.setattr(verify, "_ritz", lambda *a: checks.append(a[2]) or real(*a))
+    assert lanczos_norm(t) == res and res.steps == 35
+    # every 4th step (0-based k = 3, 7, ...) up to the check that passes at
+    # k = 35, then the skipped steps in order up to the first that converged
+    assert checks == [*range(3, 36, 4), 32, 33, 34]
+
+
+def test_one_sided_reorthogonalisation_keeps_the_two_sided_steps():
+    """Reorthogonalising only V takes the same number of steps as both bases
+    and moves the value only by rounding."""
+    for depth in (10, 12, 14):
+        for seed in range(3):
+            t = generate_kernel("random", GridSpec(1, depth), seed=seed)
+            res, ref = lanczos_norm(t), two_sided_lanczos(t)
+            assert res.converged and res.steps == ref.steps, (depth, seed)
+            assert res.value == pytest.approx(ref.value, rel=1e-14), (depth, seed)
+
+
+def test_lanczos_memory_is_the_basis_blocks():
+    """The norm keeps V in blocks of BASIS_BLOCK rows and no left basis: its
+    tracemalloc peak is the filled rows plus one block, plus O(n)
+    temporaries (a run passes a converged step by at most RITZ_EVERY - 1)."""
+    t = generate_kernel("random", GridSpec(1, 12), seed=0)
+    adjoint(t)  # built once per kernel, outside the measured run
+    tracemalloc.start()
+    try:
+        res = lanczos_norm(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = res.steps + verify.RITZ_EVERY + verify.BASIS_BLOCK
+    assert res.converged and peak <= (rows + 16) * t.spec.n_cells * 8
 
 
 def test_unconverged_lanczos_norm_raises():
