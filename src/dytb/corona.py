@@ -42,7 +42,6 @@ __all__ = [
     "TbConfig",
     "TerminalFamily",
     "terminal_cubes",
-    "coarsen_terminals",
     "make_terminal_family",
     "CoronaForest",
     "build_corona",
@@ -147,14 +146,12 @@ def _cubes_where(spec, masks: dict) -> list[DyadicCube]:
 # -- terminal cubes (single function) -------------------------------------------
 
 
-def terminal_cubes(
-    b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float
-) -> list[DyadicCube]:
-    """Maximal cubes T inside ``s0`` (including s0 itself) with
-    |int_T b| <= delta |T| or int_T |b|^p >= delta^-1 A^p |T|.
-
-    Finest cells may be returned but are never subdivided further.
-    """
+def _terminal_owners(b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float):
+    """The owner pass of the terminal construction: per level from s0's (None
+    above), the level of each cube's smallest ancestor-or-self among s0 and
+    the maximal cubes strictly inside s0 with |int_T b| <= delta |T| or
+    int_T |b|^p >= delta^-1 A^p |T|; -1 outside s0.  None when s0 itself
+    meets a stopping condition."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     spec = b.spec
@@ -163,85 +160,74 @@ def terminal_cubes(
     pows = [s * spec.cell_volume for s in level_sums(spec, np.abs(b.values) ** p)]
     norm_cap = A**p / delta
 
-    def mark(level: int, inherited: np.ndarray) -> np.ndarray:
+    def stopped(level: int) -> np.ndarray:
         vol = 2.0 ** (-spec.dim * level)
-        stopped = (np.abs(integ[level]) <= delta * vol) | (pows[level] >= norm_cap * vol)
-        return stopped & _subtree_mask(spec.dim, s0, level) & (inherited < 0)
+        return (np.abs(integ[level]) <= delta * vol) | (pows[level] >= norm_cap * vol)
 
-    owners = _owner_pass(spec, s0.level, mark)
-    return _cubes_where(spec, {lev: owners[lev] == lev for lev in range(s0.level, len(owners))})
+    top, flat = s0.level, spec.cube_flat(s0)
+    if stopped(top)[flat]:
+        return None
+    return _owner_pass(spec, top, lambda level, inherited:
+                       [flat] if level == top else stopped(level) & (inherited == top))
 
 
-def coarsen_terminals(
-    tprime, s0: DyadicCube, rng: np.random.Generator, prob: float = 0.3
+def terminal_cubes(
+    b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float
 ) -> list[DyadicCube]:
-    """A random legal coarsening: disjoint cubes strictly inside ``s0`` such
-    that every input cube lies inside some output cube."""
-    members: list[DyadicCube] = []
-    taken: set[DyadicCube] = set()  # the members
-    above: set[DyadicCube] = set()  # the members' ancestors-or-self
+    """Maximal cubes T inside ``s0`` (including s0 itself) with
+    |int_T b| <= delta |T| or int_T |b|^p >= delta^-1 A^p |T|.
 
-    def inside_member(cube: DyadicCube) -> bool:
-        return any(cube.ancestor(lev) in taken for lev in range(cube.level + 1))
-
-    def add(cube: DyadicCube) -> None:
-        members.append(cube)
-        taken.add(cube)
-        above.update(cube.ancestor(lev) for lev in range(cube.level + 1))
-
-    for t in sorted(tprime):
-        if inside_member(t):
-            continue
-        if t.level > s0.level + 1 and rng.random() < prob:
-            lev = int(rng.integers(s0.level + 1, t.level + 1))
-            anc = t.ancestor(lev)
-            if anc not in above and not inside_member(anc):
-                add(anc)
-                continue
-        add(t)
-    return members
+    Finest cells may be returned but are never subdivided further.
+    """
+    owners = _terminal_owners(b, s0, delta, p, A)
+    if owners is None:
+        return [s0]
+    return _cubes_where(b.spec, {lev: owners[lev] == lev for lev in range(s0.level + 1, len(owners))})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TerminalFamily:
-    """A disjoint family of terminal cubes inside ``s0``, together with the
-    canonical maximal family it covers; each terminal cube T uses the
-    system's b_T.
+    """A disjoint family of terminal cubes strictly inside ``s0``, held as
+    per-level owner arrays ``owners``: from s0's level down (None above), the
+    level of each cube's smallest ancestor-or-self among s0 and the terminal
+    cubes, -1 outside s0.  Each terminal cube T uses the system's b_T.
 
     The derived cube family Q(s0, T) = {dyadic Q inside s0, not inside any
-    terminal cube} is what the twisted calculus runs over.
+    terminal cube} is what the twisted calculus runs over: the cubes that
+    own s0's level.  ``members`` is a view of the terminal cubes as
+    ``DyadicCube``s, built on first read.
 
     Every b_T is read from the system's level arrays, which checked support
-    and integral when they were built.  Nesting and cover are checked on the
-    owner arrays.
+    and integral when they were built.  The owner arrays are checked for s0
+    owning itself, every owned cube lying inside s0, and nesting.
     """
 
     system: AccretiveSystem
     s0: DyadicCube
-    tprime: tuple[DyadicCube, ...]
-    members: tuple[DyadicCube, ...]
+    owners: tuple
 
     @property
     def spec(self) -> GridSpec:
         return self.system.spec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tprime", tuple(sorted(self.tprime)))
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        self.spec.check(self.s0)
-        for t in self.members:
-            if not self.s0.contains(t) or t == self.s0:
-                raise ValueError(f"terminal cube {t} is not strictly inside {self.s0}")
+        object.__setattr__(self, "owners", tuple(self.owners))
+        spec, s0, owners = self.spec, self.s0, self.owners
+        spec.check(s0)
+        if owners[s0.level][spec.cube_flat(s0)] != s0.level:
+            raise ValueError(f"base cube {s0} does not own itself")
+        for level in range(s0.level, spec.depth + 1):
+            outside = (owners[level] >= 0) & ~_subtree_mask(spec.dim, s0, level)
+            if outside.any():
+                cube = spec.cube_from_flat(level, int(np.flatnonzero(outside)[0]))
+                raise ValueError(f"owned cube {cube} is not inside {s0}")
         self._check_nesting()
-        uncovered = [t for t in self.tprime if self._owner(t) <= self.s0.level]
-        if uncovered:
-            raise ValueError(f"maximal cube {uncovered[0]} is not covered by the terminal family")
 
     def _check_nesting(self) -> None:
         """A terminal cube whose parent's owner is a terminal cube is nested
         in it.  The first such cube in sorted order has exactly one terminal
         strict ancestor (any other would be nested and come first)."""
-        spec, top, owners = self.spec, self.s0.level, self._owners
+        spec, top, owners = self.spec, self.s0.level, self.owners
         for level in range(top + 1, spec.depth + 1):
             above = spread(spec, level - 1, owners[level - 1], level)
             bad = (owners[level] == level) & (above > top)
@@ -251,53 +237,46 @@ class TerminalFamily:
                 raise ValueError(f"terminal cubes {inner.ancestor(int(above[flat]))} and {inner} are nested")
 
     @cached_property
-    def _owners(self) -> list[np.ndarray | None]:
-        """Per level, the level of each cube's smallest ancestor-or-self among
-        s0 and the terminal cubes; cubes of Q own s0's level."""
-        return _nearest_marked(self.spec, self.s0.level, (self.s0, *self.members))
+    def members(self) -> tuple[DyadicCube, ...]:
+        """The terminal cubes, coarse to fine and row-major (sorted)."""
+        owners = self.owners
+        return tuple(_cubes_where(self.spec, {lev: owners[lev] == lev
+                                              for lev in range(self.s0.level + 1, len(owners))}))
 
     def _owner(self, cube: DyadicCube) -> int:
         """``cube``'s owner level; -1 outside s0 (the owner arrays hold -1
         there below s0's level, and have no entries above it)."""
         if not (self.spec.contains(cube) and cube.level >= self.s0.level):
             return -1
-        return int(self._owners[cube.level][self.spec.cube_flat(cube)])
+        return int(self.owners[cube.level][self.spec.cube_flat(cube)])
 
     def in_q(self, cube: DyadicCube) -> bool:
         """Whether ``cube`` belongs to the derived family Q (inside s0, not
         inside any terminal cube)."""
         return self._owner(cube) == self.s0.level
 
-    def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
-        """The derived family, coarse to fine; ``active_only`` drops finest-level
-        cubes (whose martingale differences are empty sums)."""
-        return _cubes_where(self.spec, self.q_masks(active_only))
+    def q_cubes(self) -> list[DyadicCube]:
+        """The derived family, coarse to fine, without its finest-level cubes
+        (whose martingale differences are empty sums)."""
+        return _cubes_where(self.spec, self.q_masks())
 
-    def q_masks(self, active_only: bool = True) -> dict[int, np.ndarray]:
+    def q_masks(self) -> dict[int, np.ndarray]:
         """``q_cubes`` as one mask per level (row-major)."""
-        stop = self.spec.depth - 1 if active_only else self.spec.depth
-        return {lev: self._owners[lev] == self.s0.level for lev in range(self.s0.level, stop + 1)}
+        return {lev: self.owners[lev] == self.s0.level for lev in range(self.s0.level, self.spec.depth)}
 
     def is_terminal(self, cube: DyadicCube) -> bool:
         return cube.level > self.s0.level and self._owner(cube) == cube.level
 
 
-def make_terminal_family(
-    system: AccretiveSystem,
-    s0: DyadicCube,
-    delta: float,
-    coarsen_rng: np.random.Generator | None = None,
-) -> TerminalFamily:
-    """Build the terminal family of ``system``'s function on ``s0``: canonical
-    maximal cubes, optionally coarsened at random, with b_T read from the
-    system's level arrays.
-    """
+def make_terminal_family(system: AccretiveSystem, s0: DyadicCube, delta: float) -> TerminalFamily:
+    """The terminal family of ``system``'s function on ``s0``: the maximal
+    stopped cubes, held as the owner arrays of the pass that found them, with
+    b_T read from the system's level arrays."""
     b = GridFunction(system.spec, system.level_values(s0.level))  # b_{s0} on s0
-    tprime = terminal_cubes(b, s0, delta, system.p, system.A)
-    if any(t == s0 for t in tprime):
+    owners = _terminal_owners(b, s0, delta, system.p, system.A)
+    if owners is None:
         raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
-    members = coarsen_terminals(tprime, s0, coarsen_rng) if coarsen_rng is not None else tprime
-    return TerminalFamily(system, s0, tuple(tprime), tuple(members))
+    return TerminalFamily(system, s0, owners)
 
 
 # -- corona forest (two systems, operator-aware) ---------------------------------

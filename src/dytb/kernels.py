@@ -56,12 +56,12 @@ __all__ = [
 KERNEL_KINDS = ("zero", "haar-shift", "random")
 
 
-def size_bound(level: int, i: int, j: int, dim: int, metric: str = "euclidean") -> float:
+def size_bound(level: int, i: int, j: int, dim: int) -> float:
     """Upper bound for |kappa| on the rectangle child_i(R) x child_j(R).
 
-    Equals (sup distance between the closed child boxes)^(-dim); per axis the
-    sup distance is h*(|o_i - o_j| + 1) with h the child side length.  The
-    metric combining axes is configurable ("euclidean" or "max").
+    Equals (sup Euclidean distance between the closed child boxes)^(-dim);
+    per axis the sup distance is h*(|o_i - o_j| + 1) with h the child side
+    length.
     """
     if i == j:
         raise ValueError("diagonal child pairs carry no kernel value")
@@ -69,13 +69,7 @@ def size_bound(level: int, i: int, j: int, dim: int, metric: str = "euclidean") 
     oi = _child_offset(i, dim)
     oj = _child_offset(j, dim)
     gaps = [abs(a - b) + 1 for a, b in zip(oi, oj)]
-    if metric == "euclidean":
-        dist = h * math.sqrt(sum(g * g for g in gaps))
-    elif metric == "max":
-        dist = h * max(gaps)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return dist**-dim
+    return (h * math.sqrt(sum(g * g for g in gaps))) ** -dim
 
 
 class LevelPlan(NamedTuple):
@@ -282,7 +276,7 @@ def adjoint(kernel: PerfectKernel) -> PerfectKernel:
     return kernel._adjoint
 
 
-def _bound_table(level: int, dim: int, metric: str) -> np.ndarray:
+def _bound_table(level: int, dim: int) -> np.ndarray:
     """``size_bound`` of every child pair (i, j) of a level cube, as a table
     indexed [i, j]; the unused diagonal is 0."""
     nch = 2**dim
@@ -290,25 +284,19 @@ def _bound_table(level: int, dim: int, metric: str) -> np.ndarray:
     for i in range(nch):
         for j in range(nch):
             if i != j:
-                table[i, j] = size_bound(level, i, j, dim, metric)
+                table[i, j] = size_bound(level, i, j, dim)
     return table
 
 
-def validate_size(kernel: PerfectKernel, metric: str = "euclidean") -> bool:
+def validate_size(kernel: PerfectKernel) -> bool:
     """True iff every entry obeys the size bound for its child rectangle."""
     for level, p in kernel.plan.items():
-        if np.any(np.abs(p.vals) > _bound_table(level, kernel.spec.dim, metric)[p.ii, p.jj]):
+        if np.any(np.abs(p.vals) > _bound_table(level, kernel.spec.dim)[p.ii, p.jj]):
             return False
     return True
 
 
-def generate_kernel(
-    kind: str,
-    spec: GridSpec,
-    seed: int = 0,
-    scale: float = 1.0,
-    metric: str = "euclidean",
-) -> PerfectKernel:
+def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0) -> PerfectKernel:
     """Deterministic kernel factory.
 
     kind "zero": no entries.  kind "haar-shift": antisymmetric entries at the
@@ -332,7 +320,7 @@ def generate_kernel(
     levels = {}
     for level in range(spec.depth):
         ncubes = spec.n_cubes(level)
-        bounds = _bound_table(level, spec.dim, metric)[pi, pj]
+        bounds = _bound_table(level, spec.dim)[pi, pj]
         if kind == "haar-shift":
             block = np.repeat(np.where(pi < pj, bounds, -bounds)[:, None], ncubes, axis=1)
         else:

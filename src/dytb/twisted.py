@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, TerminalFamily, make_terminal_family
+from .corona import CoronaForest, TerminalFamily, _nearest_marked, make_terminal_family
 from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, spread
 
 __all__ = [
@@ -130,7 +130,7 @@ class TwistedContext:
         the calculus takes no averages there."""
         s0, spec = self.s0, self.spec
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
-                  for lev, m in enumerate(self.family._owners)]
+                  for lev, m in enumerate(self.family.owners)]
         return CoronaLevels(spec, owners, *_stitch(spec, owners, self.family.system.level_values), None)
 
     @property
@@ -163,23 +163,18 @@ class TwistedContext:
             coeffs[lev][mask] = chunk
         return coeffs
 
-    def q_cubes(self, active_only: bool = True) -> list[DyadicCube]:
-        return self.family.q_cubes(active_only=active_only)
+    def q_cubes(self) -> list[DyadicCube]:
+        return self.family.q_cubes()
 
     def check_in_q(self, cube: DyadicCube) -> None:
         if not self.family.in_q(cube):
             raise ValueError(f"{cube} is not in the derived cube family of this context")
 
 
-def make_context(
-    system: AccretiveSystem,
-    s0: DyadicCube,
-    delta: float,
-    coarsen_rng: np.random.Generator | None = None,
-) -> TwistedContext:
+def make_context(system: AccretiveSystem, s0: DyadicCube, delta: float) -> TwistedContext:
     """Build the twisted context of ``system``'s function on ``s0``, read from
     the system's level arrays (no per-cube copy)."""
-    return TwistedContext(make_terminal_family(system, s0, delta, coarsen_rng), system.p, delta, system.A)
+    return TwistedContext(make_terminal_family(system, s0, delta), system.p, delta, system.A)
 
 
 def block_context(
@@ -191,10 +186,10 @@ def block_context(
         raise ValueError("grid mismatch between the system and the forest")
     if member not in forest.members(j):
         raise ValueError(f"{member} is not a member of S_{j}")
-    kids = forest.stopping_children(j, member)
+    owners = _nearest_marked(forest.spec, member.level, (member, *forest.stopping_children(j, member)))
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
-    return TwistedContext(TerminalFamily(system, member, kids, kids), p, cfg.delta, cfg.A)
+    return TwistedContext(TerminalFamily(system, member, owners), p, cfg.delta, cfg.A)
 
 
 # -- the level engine -------------------------------------------------------------

@@ -3,7 +3,8 @@
 
 The fixture holds the SHA-256 of CLI outputs that must stay byte-identical
 across refactors: the ``tb-experiment`` CSV and JSON reports, and the
-``dytb corona`` stdout and ``--out`` forest JSON.  ``cli_hashes`` is also what
+``dytb corona`` stdout and ``--out`` forest JSON, and the ``dytb
+transform-norm`` stdout (its sign draws follow the derived family's order).  ``cli_hashes`` is also what
 the tier-1 test recomputes, so the recorded and the checked outputs come from
 the same runs.  Regenerate only when an output is meant to change; the
 script then names every hash that changed against the file it overwrites
@@ -28,6 +29,10 @@ TB_CASES = ((1, 6), (2, 4), (2, 5))  # 2D d5 takes the Lanczos norm
 TB_TRIALS = 3
 # corona cases: (dim, depth, seeds); each seed drives the systems and the kernel
 CORONA_CASES = ((1, 10, (3, 5)), (2, 5, (4, 6)))
+# transform-norm cases: (dim, depth, name suffix, extra options) at the default seed;
+# the two-value case at delta 0.45 has terminal cubes
+TRANSFORM_CASES = ((1, 8, "", ()), (2, 4, "", ()),
+                   (1, 10, "-two-value", ("--accretive-kind", "two-value", "--s", "0.9", "--delta", "0.45")))
 OUT_PLACEHOLDER = "<out>"
 
 
@@ -72,6 +77,9 @@ def cli_hashes(workdir) -> dict[str, str]:
             key = f"corona|{dim}d-d{depth}|seed{seed}"
             out[f"{key}|stdout"] = _sha(stdout.replace(str(forest_path), OUT_PLACEHOLDER).encode())
             out[f"{key}|forest"] = _sha(forest_path.read_bytes())
+    for dim, depth, suffix, extra in TRANSFORM_CASES:
+        stdout = _run(["transform-norm", "--dim", str(dim), "--depth", str(depth), *extra])
+        out[f"transform-norm|{dim}d-d{depth}{suffix}|stdout"] = _sha(stdout.encode())
     return out
 
 

@@ -9,11 +9,11 @@ from dytb.corona import (
     ConfigError,
     TbConfig,
     TerminalFamily,
+    _nearest_marked,
     _subtree_mask,
     build_corona,
     carleson_constant,
     choose_delta,
-    coarsen_terminals,
     make_terminal_family,
     packing_ratio,
     set_packing_ratio,
@@ -21,6 +21,7 @@ from dytb.corona import (
 )
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import apply, dense_matrix, generate_kernel
+from dytb.twisted import TwistedContext
 from dytb.verify import testing_constant as measure_tloc
 
 # -- oracles ------------------------------------------------------------------------
@@ -141,18 +142,46 @@ def walked_owner_levels(spec, top, members):
     return out
 
 
-def walked_family_error(s0, tprime, members):
-    """The first nesting or cover violation of a terminal family, by ancestor
-    walks against the member set: its ``ValueError`` message, or None."""
+def walked_family_error(s0, members):
+    """The first nesting violation of a terminal family, by ancestor walks
+    against the member set: its ``ValueError`` message, or None."""
     memberset = set(members)
     for b in sorted(members):
         for level in range(s0.level + 1, b.level):
             if (a := b.ancestor(level)) in memberset:
                 return f"terminal cubes {a} and {b} are nested"
-    for t in sorted(tprime):
-        if not any(t.ancestor(level) in memberset for level in range(t.level + 1)):
-            return f"maximal cube {t} is not covered by the terminal family"
     return None
+
+
+def family_of(system, s0, members):
+    """The terminal family of the cubes ``members``, through their owner arrays."""
+    return TerminalFamily(system, s0, _nearest_marked(system.spec, s0.level, (s0, *members)))
+
+
+def quadratic_coarsen_terminals(tprime, s0, rng, prob=0.3):
+    """A random legal coarsening of the maximal cubes ``tprime``: disjoint
+    cubes strictly inside ``s0``, each input cube inside one of them, found
+    with a scan over the members for every cube."""
+    members = []
+    for t in sorted(tprime):
+        if any(m.contains(t) for m in members):
+            continue
+        if t.level > s0.level + 1 and rng.random() < prob:
+            lev = int(rng.integers(s0.level + 1, t.level + 1))
+            anc = t.ancestor(lev)
+            if all(not anc.contains(m) and not m.contains(anc) for m in members):
+                members.append(anc)
+                continue
+        members.append(t)
+    return members
+
+
+def coarsened_context(system, s0, delta, rng):
+    """The twisted context of ``system``'s function on ``s0`` with its maximal
+    cubes coarsened at random by ``quadratic_coarsen_terminals``."""
+    b = GridFunction(system.spec, system.level_values(s0.level))
+    members = quadratic_coarsen_terminals(terminal_cubes(b, s0, delta, system.p, system.A), s0, rng)
+    return TwistedContext(family_of(system, s0, members), system.p, delta, system.A)
 
 
 def per_member_packing_ratio(forest, j):
@@ -233,18 +262,24 @@ def test_coarsening_is_legal(rng):
     b = sys_.get_b(root)
     tprime = terminal_cubes(b, root, 0.45, 2.0, 1.7)
     assert tprime
+    coarsened = 0
     for k in range(20):
-        members = coarsen_terminals(tprime, root, np.random.default_rng(k))
+        members = quadratic_coarsen_terminals(tprime, root, np.random.default_rng(k))
+        coarsened += members != tprime
         for t in tprime:
             assert any(m.contains(t) for m in members)
         for a in members:
             assert root.contains(a) and a != root
             for c in members:
                 assert a == c or not a.contains(c)
-        # family construction revalidates everything
-        fam = TerminalFamily(sys_, root, tuple(tprime), tuple(members))
-        for q in fam.q_cubes(active_only=False):
-            assert not any(m.contains(q) for m in members)
+        # the family of its owner arrays holds exactly these cubes, and every
+        # derived cube (the finest level's included) keeps safe denominators
+        fam = family_of(sys_, root, members)
+        assert fam.members == tuple(sorted(members))
+        for q in spec.all_cubes(root):
+            assert fam.in_q(q) == (not any(m.contains(q) for m in members))
+        TwistedContext(fam, 2.0, 0.45, 1.7)
+    assert coarsened > 0
 
 
 def test_terminal_family_rejects_nested_members():
@@ -255,63 +290,65 @@ def test_terminal_family_rejects_nested_members():
     members = (outer, DyadicCube(2, (0, 3)), inner)
     message = f"terminal cubes {outer} and {inner} are nested"
     with pytest.raises(ValueError, match=re.escape(message)):
-        TerminalFamily(sys_, spec.root(), (), members)
+        family_of(sys_, spec.root(), members)
 
 
-def test_terminal_family_rejects_uncovered_maximal_cube():
-    spec = GridSpec(1, 5)
-    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    members = (DyadicCube(2, (0,)), DyadicCube(3, (4,)))
-    covered, uncovered = DyadicCube(4, (1,)), DyadicCube(4, (10,))
-    with pytest.raises(ValueError, match=re.escape(f"maximal cube {uncovered} is not covered")):
-        TerminalFamily(sys_, spec.root(), (covered, uncovered), members)
-    # the same family accepts maximal cubes equal to or inside its members
-    TerminalFamily(sys_, spec.root(), (covered, members[1]), members)
+def test_context_rejects_uncovered_maximal_cube():
+    # a family that leaves a maximal stopped cube uncovered is a family; the
+    # context's denominator check rejects it at exactly that cube, because a
+    # dyadic volume is a power of 2 and the two stopping tests then agree
+    spec = GridSpec(1, 7)
+    sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
+    root = spec.root()
+    members = make_terminal_family(sys_, root, 0.45).members
+    assert len(members) > 3
+    for dropped in members:
+        fam = family_of(sys_, root, [m for m in members if m != dropped])
+        with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {dropped}:")):
+            TwistedContext(fam, sys_.p, 0.45, sys_.A)
 
 
 @pytest.mark.parametrize("dim,depth,s0_level", [(1, 6, 0), (1, 7, 2), (2, 3, 0), (2, 4, 1)])
 def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
-    # random caller-supplied families, many nested or uncovered: the owner
-    # arrays reject exactly those the walks reject, with the same message
+    # random caller-supplied families, many nested: the owner arrays reject
+    # exactly those the walks reject, with the same message
     spec = GridSpec(dim, depth)
     sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
     rng = np.random.default_rng(depth + 10 * dim)
     s0 = spec.cube_from_flat(s0_level, int(rng.integers(spec.n_cubes(s0_level))))
     inside = [q for q in spec.all_cubes(s0) if q != s0]
-    everywhere = list(spec.all_cubes())
     outcomes = Counter()
     for _ in range(150):
         members = [inside[i] for i in rng.choice(len(inside), size=int(rng.integers(1, 6)), replace=False)]
-        tprime = [everywhere[i] for i in rng.choice(len(everywhere), size=int(rng.integers(0, 4)), replace=False)]
-        tprime += [q for m in members for q in spec.all_cubes(m) if rng.random() < 0.3]
-        want = walked_family_error(s0, tprime, members)
-        outcomes[want.split()[0] if want else None] += 1
+        want = walked_family_error(s0, members)
+        outcomes["accepted" if want is None else "nested"] += 1
         if want is None:
-            TerminalFamily(sys_, s0, tuple(tprime), tuple(members))
+            assert family_of(sys_, s0, members).members == tuple(sorted(members))
         else:
             with pytest.raises(ValueError, match=re.escape(want)):
-                TerminalFamily(sys_, s0, tuple(tprime), tuple(members))
-    assert all(outcomes[k] > 0 for k in ("terminal", "maximal", None))
+                family_of(sys_, s0, members)
+    assert outcomes["accepted"] > 0 and outcomes["nested"] > 0
 
 
 def test_code_built_family_checks_its_owner_arrays():
     # a code-built family finds the maximal cubes of b_{s0}; a caller's
-    # family over the same system is checked for nesting and cover
+    # family over the same system is checked for nesting, for s0 owning
+    # itself and for every owned cube lying inside s0
     spec = GridSpec(1, 7)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
     root = spec.root()
     fam = make_terminal_family(sys_, root, 0.45)
     assert len(fam.members) > 3
-    assert list(fam.tprime) == terminal_cubes(sys_.get_b(root), root, 0.45, sys_.p, sys_.A)
-    dropped = fam.members[len(fam.members) // 2]
+    assert list(fam.members) == terminal_cubes(sys_.get_b(root), root, 0.45, sys_.p, sys_.A)
     outer = next(m for m in fam.members if m.level < spec.depth)
     inner = outer.children()[1]
-    for members in ([m for m in fam.members if m != dropped], [*fam.members, inner]):
-        want = walked_family_error(root, fam.tprime, members)
-        with pytest.raises(ValueError, match=re.escape(want)):
-            TerminalFamily(sys_, root, fam.tprime, tuple(members))
-    with pytest.raises(ValueError, match=re.escape(f"terminal cube {root} is not strictly inside {root}")):
-        TerminalFamily(sys_, root, fam.tprime, (root,))
+    with pytest.raises(ValueError, match=re.escape(walked_family_error(root, [*fam.members, inner]))):
+        family_of(sys_, root, [*fam.members, inner])
+    s0, outside = DyadicCube(2, (1,)), DyadicCube(4, (2,))
+    with pytest.raises(ValueError, match=re.escape(f"owned cube {outside} is not inside {s0}")):
+        family_of(sys_, s0, [DyadicCube(4, (5,)), outside])
+    with pytest.raises(ValueError, match=re.escape(f"base cube {s0} does not own itself")):
+        TerminalFamily(sys_, s0, _nearest_marked(spec, s0.level, [DyadicCube(4, (5,))]))
 
 
 # -- corona construction -----------------------------------------------------------------
@@ -541,7 +578,7 @@ def test_make_terminal_family_default_is_canonical(rng):
     spec = GridSpec(1, 5)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=2, params={"s": 0.9})
     fam = make_terminal_family(sys_, spec.root(), 0.4)
-    assert fam.members == fam.tprime
+    assert list(fam.members) == terminal_cubes(sys_.get_b(spec.root()), spec.root(), 0.4, sys_.p, sys_.A)
     for t in fam.members:
         assert abs(fam.system.get_b(t).average(t) - 1.0) <= 1e-12
 

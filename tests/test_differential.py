@@ -24,14 +24,14 @@ from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
     CoronaForest,
     TbConfig,
-    TerminalFamily,
+    _nearest_marked,
     build_corona,
     carleson_constant,
     choose_delta,
-    coarsen_terminals,
     conjugate,
     forest_carleson,
     forest_to_json_dict,
+    make_terminal_family,
     packing_ratio,
     terminal_cubes,
 )
@@ -81,6 +81,8 @@ from dytb.verify import testing_constant as measure_tloc
 
 from test_accretive import KIND_SETUPS
 from test_corona import (
+    coarsened_context,
+    family_of,
     per_member_family,
     per_member_packing_ratio,
     scanned_terminal_cubes,
@@ -301,7 +303,9 @@ def drawn_context(grid, seed, kind, coarsen, sub=False):
     s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
     # b_{s0} has average 1 and norm at most A on s0, so s0 never stops and
     # a ValueError here is a fault
-    return make_context(system, s0, delta, coarsen_rng=np.random.default_rng(seed) if coarsen else None)
+    if coarsen:
+        return coarsened_context(system, s0, delta, np.random.default_rng(seed))
+    return make_context(system, s0, delta)
 
 
 def unsafe_cube(b, family, p, delta, a_const):
@@ -322,7 +326,8 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     ctx = drawn_context(grid, seed, kind, coarsen)
     spec, rng = ctx.spec, np.random.default_rng(seed)
     f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
-    for q in ctx.q_cubes(active_only=False):
+    finest = np.flatnonzero(ctx.family.owners[spec.depth] == ctx.s0.level)
+    for q in ctx.q_cubes() + [spec.cube_from_flat(spec.depth, int(k)) for k in finest]:
         assert ctx.avg_b(q) == ctx.b.average(q)
         assert np.array_equal(twisted_delta(ctx, q, f).values, enumerated_twisted_delta(ctx, q, f))
         assert np.array_equal(half_twisted_D(ctx, q, f).values, enumerated_half_twisted_D(ctx, q, f))
@@ -353,7 +358,7 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     if members:
         dropped = members[int(rng.integers(len(members)))]
         rest = tuple(m for m in members if m != dropped)
-        family = TerminalFamily(ctx.family.system, ctx.s0, (), rest)
+        family = family_of(ctx.family.system, ctx.s0, rest)
         want = unsafe_cube(ctx.b, family, ctx.p, ctx.delta, ctx.A)
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {want}:")):
             TwistedContext(family, ctx.p, ctx.delta, ctx.A)
@@ -386,7 +391,7 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
     assert [family.is_terminal(q) for q in cubes] == [q in terminal for q in cubes]
     derived = [ctx.s0.contains(q) and not any(m.contains(q) for m in family.members) for q in cubes]
     assert [family.in_q(q) for q in cubes] == derived
-    assert ctx.q_cubes(active_only=False) == [q for q, d in zip(cubes, derived) if d]
+    assert ctx.q_cubes() == [q for q, d in zip(cubes, derived) if d and q.level < spec.depth]
 
 
 def check_three_term_and_signs(ctx, f, seed):
@@ -430,8 +435,9 @@ def test_trial_contexts_three_term_and_signs(grid):
         inst = build_instance(*grid, seed=seed)
         if not inst.ok:
             continue
-        for coarsen in (None, np.random.default_rng(seed)):
-            ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta, coarsen)
+        q0, delta = inst.forest.q0, inst.cfg.delta
+        for ctx in (make_context(inst.sys1, q0, delta),
+                    coarsened_context(inst.sys1, q0, delta, np.random.default_rng(seed))):
             terminal += len(ctx.family.members)
             check_three_term_and_signs(ctx, inst.f, seed)
     assert terminal > 0
@@ -523,36 +529,23 @@ def test_g_telescoping_equals_per_member_loop(grid, kind, halvings, sub, seed):
         assert _g_telescoping(forest, lg, g) == per_member_g_telescoping(forest, lg, g)
 
 
-def quadratic_coarsen_terminals(tprime, s0, rng, prob=0.3):
-    """``coarsen_terminals`` with a scan over the members for every cube."""
-    members = []
-    for t in sorted(tprime):
-        if any(m.contains(t) for m in members):
-            continue
-        if t.level > s0.level + 1 and rng.random() < prob:
-            lev = int(rng.integers(s0.level + 1, t.level + 1))
-            anc = t.ancestor(lev)
-            if all(not anc.contains(m) and not m.contains(anc) for m in members):
-                members.append(anc)
-                continue
-        members.append(t)
-    return members
-
-
 @settings(max_examples=80, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(CONTEXT_KINDS),
-       prob=st.sampled_from([0.3, 0.7, 1.0]), sub=st.booleans(), seed=SEEDS)
-def test_coarsen_terminals_equals_quadratic_scan(grid, kind, prob, sub, seed):
+@given(grid=st.sampled_from(STOPPING_GRIDS), kind=st.sampled_from(ACCRETIVE_KINDS),
+       delta=st.sampled_from([0.5, 0.45, 0.3, 0.1]), sub=st.booleans(), seed=SEEDS)
+def test_terminal_owner_pass_equals_scan(grid, kind, delta, sub, seed):
+    # the owner arrays of the one terminal pass against the owner arrays of
+    # the maximal cubes that the scan finds
     spec = GridSpec(*grid)
-    name, params, a_const, delta = kind
-    system = AccretiveSystem(spec, name, 2.0, a_const, seed=seed, params=params)
+    A, params = KIND_SETUPS[kind]
+    system = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
     level = 1 + seed % spec.depth if sub else 0
     s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
-    tprime = terminal_cubes(GridFunction(spec, system.level_values(s0.level)), s0, delta, 2.0, a_const)
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert coarsen_terminals(tprime, s0, fast, prob) == quadratic_coarsen_terminals(tprime, s0, slow, prob)
-    assert fast.bit_generator.state == slow.bit_generator.state
+    b = GridFunction(spec, system.level_values(s0.level))
+    want = _nearest_marked(spec, s0.level, (s0, *scanned_terminal_cubes(b, s0, delta, 2.0, A)))
+    got = make_terminal_family(system, s0, delta).owners
+    assert len(got) == len(want) == spec.depth + 1
+    assert all((g is None and w is None) or np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def reconfigured(forest, **changes):
@@ -568,7 +561,7 @@ def enumerated_block_check(forest, j, system, member):
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
     kids = forest.stopping_children(j, member)
-    family = TerminalFamily(system, member, kids, kids)
+    family = family_of(system, member, kids)
     b = system.get_b(member)
     for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
         if (abs(g.integral(cube) - cube.volume) > 1e-12 * cube.volume

@@ -73,7 +73,7 @@ def per_entry_dense_matrix(kernel):
 # -- the per-entry bodies the level plan replaced, kept as oracles -----------------
 
 
-def per_entry_generate_kernel(kind, spec, seed=0, scale=1.0, metric="euclidean") -> dict:
+def per_entry_generate_kernel(kind, spec, seed=0, scale=1.0) -> dict:
     """The dict loop ``generate_kernel`` replaced: one ``rng.uniform(-1, 1, ncubes)``
     per (level, child pair), levels and pairs in order."""
     entries: dict = {}
@@ -85,7 +85,7 @@ def per_entry_generate_kernel(kind, spec, seed=0, scale=1.0, metric="euclidean")
     for level in range(spec.depth):
         ncubes = spec.n_cubes(level)
         for i, j in pairs:
-            bound = size_bound(level, i, j, spec.dim, metric)
+            bound = size_bound(level, i, j, spec.dim)
             if kind == "haar-shift":
                 for flat in range(ncubes):
                     entries[(level, flat, i, j)] = bound if i < j else -bound
@@ -183,9 +183,9 @@ def per_level_bilinear(kernel, f, g) -> float:
     return total
 
 
-def per_entry_validate_size(entries: dict, dim, metric="euclidean") -> bool:
+def per_entry_validate_size(entries: dict, dim) -> bool:
     """The per-entry loop ``validate_size`` replaced."""
-    return all(abs(v) <= size_bound(level, i, j, dim, metric)
+    return all(abs(v) <= size_bound(level, i, j, dim)
                for (level, _flat, i, j), v in entries.items())
 
 
@@ -263,11 +263,8 @@ def test_size_bound_2d_values():
     h = 0.5
     assert size_bound(0, 0, 1, 2) == pytest.approx((h * math.sqrt(5)) ** -2)
     assert size_bound(0, 0, 3, 2) == pytest.approx((h * math.sqrt(8)) ** -2)
-    assert size_bound(0, 0, 3, 2, metric="max") == pytest.approx((h * 2) ** -2)
     with pytest.raises(ValueError):
         size_bound(0, 1, 1, 2)
-    with pytest.raises(ValueError):
-        size_bound(0, 0, 1, 2, metric="manhattan")
 
 
 # -- bilinear ----------------------------------------------------------------------
@@ -434,22 +431,18 @@ def test_validate_random_kernels_100_seeds():
 
 
 def test_validate_size_matches_per_entry_loop():
-    # entries pushed one ulp over their bound, under both metrics, are caught exactly
+    # entries pushed one ulp over their bound are caught exactly
     for dim, depth in ((1, 6), (2, 3)):
         spec = GridSpec(dim, depth)
-        for metric in ("euclidean", "max"):
-            haar = generate_kernel("haar-shift", spec, metric=metric)
-            for key in list(haar.entries)[:: max(1, len(haar) // 7)]:
-                entries = dict(haar.entries)
-                entries[key] = np.nextafter(entries[key], 2 * entries[key])
-                bumped = PerfectKernel(spec, entries)
-                for m in ("euclidean", "max"):
-                    assert validate_size(bumped, m) == per_entry_validate_size(entries, dim, m)
-                assert not validate_size(bumped, metric)
-            assert validate_size(haar, metric)
-    with pytest.raises(ValueError, match="unknown metric"):
-        validate_size(depth1_kernel(), "manhattan")
-    assert validate_size(generate_kernel("zero", GridSpec(1, 3)), "manhattan")
+        haar = generate_kernel("haar-shift", spec)
+        for key in list(haar.entries)[:: max(1, len(haar) // 7)]:
+            entries = dict(haar.entries)
+            entries[key] = np.nextafter(entries[key], 2 * entries[key])
+            bumped = PerfectKernel(spec, entries)
+            assert validate_size(bumped) == per_entry_validate_size(entries, dim)
+            assert not validate_size(bumped)
+        assert validate_size(haar)
+    assert validate_size(generate_kernel("zero", GridSpec(1, 3)))
 
 
 @pytest.mark.parametrize("entries,message", [
@@ -492,8 +485,6 @@ def test_generate_matches_per_entry_loop(dim, depth):
             assert_plan_equals(t, oracle)
             assert_plan_equals(adjoint(t), dict_adjoint(oracle))
             assert adjoint(adjoint(t)).entries == t.entries
-    assert_plan_equals(generate_kernel("random", spec, seed=5, metric="max"),
-                           per_entry_generate_kernel("random", spec, seed=5, metric="max"))
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)

@@ -27,6 +27,7 @@ from dytb.twisted import (
 from dytb.verify import build_instance
 
 from conftest import rand_fun, rand_signs
+from test_corona import coarsened_context, family_of
 
 
 def classical_ctx(depth=2, dim=1):
@@ -302,11 +303,7 @@ def test_half_twisted_all_children_terminal_is_zero():
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
-    members = tuple(root.children())
-    from dytb.corona import TerminalFamily
-
-    fam = TerminalFamily(sys_, root, (), members)
-    ctx = TwistedContext(fam, 2.0, 0.4, 1.5)
+    ctx = TwistedContext(family_of(sys_, root, root.children()), 2.0, 0.4, 1.5)
     assert np.all(half_twisted_D(ctx, root, sys_.get_b(root)).values == 0.0)
 
 
@@ -404,7 +401,7 @@ def test_delta_decomp_with_terminals(rng):
 def test_delta_decomp_with_coarsened_terminals(rng):
     spec = GridSpec(1, 6)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=5, params={"s": 0.8})
-    ctx = make_context(sys_, spec.root(), 0.45, coarsen_rng=np.random.default_rng(1))
+    ctx = coarsened_context(sys_, spec.root(), 0.45, np.random.default_rng(1))
     f = rand_fun(spec, rng)
     eps = SignChoice.random_signs(ctx.q_cubes(), rng)
     assert delta_decomp_check(ctx, eps, f) <= 1e-11
@@ -663,10 +660,8 @@ def test_finest_cell_bound(rng):
     for seed in range(10):
         ctx = terminal_ctx(depth=6, seed=seed)
         cap = ctx.delta ** (-1.0 / ctx.p) * ctx.A
-        for q in ctx.family.q_cubes(active_only=False):
-            if q.level == ctx.spec.depth:
-                val = abs(float(ctx.b.values[ctx.spec.cell_indices(q)[0]]))
-                assert val < cap
+        finest = ctx.family.owners[ctx.spec.depth] == ctx.s0.level
+        assert finest.any() and np.all(np.abs(ctx.b.values[finest]) < cap)
 
 
 # -- block contexts -----------------------------------------------------------------------
@@ -706,4 +701,5 @@ def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
     for (j, system, s), b in zip(blocks, want):
         assert np.array_equal(block_context(inst.forest, j, system, s).b.values, b)
     for system in (inst.sys1, inst.sys2):
-        make_context(system, inst.forest.q0, inst.cfg.delta, coarsen_rng=np.random.default_rng(depth))
+        make_context(system, inst.forest.q0, inst.cfg.delta)
+        coarsened_context(system, inst.forest.q0, inst.cfg.delta, np.random.default_rng(depth))

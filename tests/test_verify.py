@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dytb import cli, kernels, twisted, verify
+from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
 from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
@@ -656,6 +656,22 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
     residuals = run_identity_checks(inst)
     assert max(residuals[name] for name in verify.RESIDUAL_FIELDS) <= 1e-9
     assert residuals["measure_comparison_excess"] <= 0.0
+
+
+@pytest.mark.parametrize("grid", [(1, 12), (2, 5)])
+def test_context_path_builds_no_cubes(grid, monkeypatch):
+    # a trial's context is its owner arrays: neither the terminal pass nor
+    # the family and context checks turn a cube index into a DyadicCube
+    inst = build_instance(*grid, seed=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("make_context built a DyadicCube")
+
+    monkeypatch.setattr(corona, "_cubes_where", forbidden)
+    monkeypatch.setattr(GridSpec, "cube_from_flat", forbidden)
+    ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
+    monkeypatch.undo()
+    assert len(ctx.family.members) > 3 * (inst.spec.depth + 1)
 
 
 def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
