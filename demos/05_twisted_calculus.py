@@ -27,14 +27,14 @@ print("full transform telescopes to f - mean:",
 # a rough function produces terminal cubes; the calculus switches to b_T there
 rough = AccretiveSystem(spec, "two-value", p=2.0, A=1.5, seed=5, params={"s": 0.8})
 ctx = make_context(rough, spec.root(), delta=0.45)
-print("\nterminal cubes:", list(ctx.family.members))
+print("\nterminal cubes:", list(ctx.members))
 
 d = twisted_delta(ctx, spec.root(), f)
 print("difference at the root is mean zero:", d.integral())
 
 # the three-term splitting of an increment is an exact rational identity
 q = ctx.q_cubes()[0]
-child = next(c for c in q.children() if not ctx.family.is_terminal(c))
+child = next(c for c in q.children() if not ctx.is_terminal(c))
 print("three-term residual:", decomposition_identity_check(ctx, q, child, f))
 
 # the transform factors through the half-twisted one plus terminal corrections

@@ -37,13 +37,11 @@ from .corona import (
     CoronaForest,
     DeltaSearch,
     TbConfig,
-    TerminalFamily,
     build_corona,
     carleson_constant,
     choose_delta,
     forest_carleson,
     forest_to_json_dict,
-    make_terminal_family,
     packing_ratio,
     terminal_cubes,
 )

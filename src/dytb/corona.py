@@ -29,7 +29,6 @@ which keeps every non-stopping cube's b-average strictly above delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +39,7 @@ from .kernels import PerfectKernel, adjoint
 __all__ = [
     "ConfigError",
     "TbConfig",
-    "TerminalFamily",
     "terminal_cubes",
-    "make_terminal_family",
     "CoronaForest",
     "build_corona",
     "forest_to_json_dict",
@@ -183,100 +180,6 @@ def terminal_cubes(
     if owners is None:
         return [s0]
     return _cubes_where(b.spec, {lev: owners[lev] == lev for lev in range(s0.level + 1, len(owners))})
-
-
-@dataclass(frozen=True, eq=False)
-class TerminalFamily:
-    """A disjoint family of terminal cubes strictly inside ``s0``, held as
-    per-level owner arrays ``owners``: from s0's level down (None above), the
-    level of each cube's smallest ancestor-or-self among s0 and the terminal
-    cubes, -1 outside s0.  Each terminal cube T uses the system's b_T.
-
-    The derived cube family Q(s0, T) = {dyadic Q inside s0, not inside any
-    terminal cube} is what the twisted calculus runs over: the cubes that
-    own s0's level.  ``members`` is a view of the terminal cubes as
-    ``DyadicCube``s, built on first read.
-
-    Every b_T is read from the system's level arrays, which checked support
-    and integral when they were built.  The owner arrays are checked for s0
-    owning itself, every owned cube lying inside s0, and nesting.
-    """
-
-    system: AccretiveSystem
-    s0: DyadicCube
-    owners: tuple
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.system.spec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "owners", tuple(self.owners))
-        spec, s0, owners = self.spec, self.s0, self.owners
-        spec.check(s0)
-        if owners[s0.level][spec.cube_flat(s0)] != s0.level:
-            raise ValueError(f"base cube {s0} does not own itself")
-        for level in range(s0.level, spec.depth + 1):
-            outside = (owners[level] >= 0) & ~_subtree_mask(spec.dim, s0, level)
-            if outside.any():
-                cube = spec.cube_from_flat(level, int(np.flatnonzero(outside)[0]))
-                raise ValueError(f"owned cube {cube} is not inside {s0}")
-        self._check_nesting()
-
-    def _check_nesting(self) -> None:
-        """A terminal cube whose parent's owner is a terminal cube is nested
-        in it.  The first such cube in sorted order has exactly one terminal
-        strict ancestor (any other would be nested and come first)."""
-        spec, top, owners = self.spec, self.s0.level, self.owners
-        for level in range(top + 1, spec.depth + 1):
-            above = spread(spec, level - 1, owners[level - 1], level)
-            bad = (owners[level] == level) & (above > top)
-            if bad.any():
-                flat = int(np.flatnonzero(bad)[0])
-                inner = spec.cube_from_flat(level, flat)
-                raise ValueError(f"terminal cubes {inner.ancestor(int(above[flat]))} and {inner} are nested")
-
-    @cached_property
-    def members(self) -> tuple[DyadicCube, ...]:
-        """The terminal cubes, coarse to fine and row-major (sorted)."""
-        owners = self.owners
-        return tuple(_cubes_where(self.spec, {lev: owners[lev] == lev
-                                              for lev in range(self.s0.level + 1, len(owners))}))
-
-    def _owner(self, cube: DyadicCube) -> int:
-        """``cube``'s owner level; -1 outside s0 (the owner arrays hold -1
-        there below s0's level, and have no entries above it)."""
-        if not (self.spec.contains(cube) and cube.level >= self.s0.level):
-            return -1
-        return int(self.owners[cube.level][self.spec.cube_flat(cube)])
-
-    def in_q(self, cube: DyadicCube) -> bool:
-        """Whether ``cube`` belongs to the derived family Q (inside s0, not
-        inside any terminal cube)."""
-        return self._owner(cube) == self.s0.level
-
-    def q_cubes(self) -> list[DyadicCube]:
-        """The derived family, coarse to fine, without its finest-level cubes
-        (whose martingale differences are empty sums)."""
-        return _cubes_where(self.spec, self.q_masks())
-
-    def q_masks(self) -> dict[int, np.ndarray]:
-        """``q_cubes`` as one mask per level (row-major)."""
-        return {lev: self.owners[lev] == self.s0.level for lev in range(self.s0.level, self.spec.depth)}
-
-    def is_terminal(self, cube: DyadicCube) -> bool:
-        return cube.level > self.s0.level and self._owner(cube) == cube.level
-
-
-def make_terminal_family(system: AccretiveSystem, s0: DyadicCube, delta: float) -> TerminalFamily:
-    """The terminal family of ``system``'s function on ``s0``: the maximal
-    stopped cubes, held as the owner arrays of the pass that found them, with
-    b_T read from the system's level arrays."""
-    b = GridFunction(system.spec, system.level_values(s0.level))  # b_{s0} on s0
-    owners = _terminal_owners(b, s0, delta, system.p, system.A)
-    if owners is None:
-        raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
-    return TerminalFamily(system, s0, owners)
 
 
 # -- corona forest (two systems, operator-aware) ---------------------------------

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("zero", "haar-shift", "random")
+DENSE_CAP = 4096  # most cells of a dense matrix (its size is quadratic in cells)
 
 
 def size_bound(level: int, i: int, j: int, dim: int) -> float:
@@ -331,16 +332,16 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
     return PerfectKernel._from_levels(spec, levels)
 
 
-def dense_matrix(kernel: PerfectKernel, max_cells: int = 4096) -> np.ndarray:
+def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
     """Dense cell-basis matrix M with (M @ cell_values) = cell values of Tf.
 
     M[p, q] = K(cell_p, cell_q) * cell_volume, one indexed add per level of its
-    disjoint child_i(R) x child_j(R) rectangles.  Guarded by ``max_cells`` (quadratic).
+    disjoint child_i(R) x child_j(R) rectangles.  Guarded by ``DENSE_CAP`` (quadratic).
     """
     spec = kernel.spec
     n = spec.n_cells
-    if n > max_cells:
-        raise ValueError(f"dense matrix with {n} cells exceeds the cap {max_cells}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense matrix with {n} cells exceeds the cap {DENSE_CAP}")
     m = np.zeros((n, n))
     for level, p in kernel.plan.items():
         k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis

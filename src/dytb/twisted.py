@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, TerminalFamily, _nearest_marked, make_terminal_family
+from .corona import CoronaForest, _cubes_where, _nearest_marked, _subtree_mask, _terminal_owners
 from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, spread
 
 __all__ = [
@@ -94,33 +94,43 @@ class SignChoice:
         return SignChoice(dict(zip(cubes, signs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedContext:
-    """A terminal family and constants, validated so the twisted calculus is
-    well defined (all averages used as denominators are bounded away from
-    zero by failure of the stopping conditions).  The function b of the base
-    cube and every b_T come from the family's system."""
+    """A base cube s0 of ``system``, its terminal cubes and constants,
+    validated so the twisted calculus is well defined (all averages used as
+    denominators are bounded away from zero by failure of the stopping
+    conditions).
 
-    family: TerminalFamily
+    The terminal cubes are held as per-level owner arrays ``owners``: from
+    s0's level down (None above), the level of each cube's smallest
+    ancestor-or-self among s0 and the terminal cubes, -1 outside s0.  The
+    derived family Q(s0, T) = {dyadic Q inside s0, not inside any terminal
+    cube} is what the calculus runs over: the cubes that own s0's level.
+    b = b_{s0} and every b_T are read from the system's level arrays, which
+    checked support and integral when they were built.  ``members`` is a
+    view of the terminal cubes as ``DyadicCube``s, built on first read.
+    """
+
+    system: AccretiveSystem
+    s0: DyadicCube
+    owners: tuple
     p: float
     delta: float
     A: float
 
     @property
     def spec(self) -> GridSpec:
-        return self.family.spec
-
-    @property
-    def s0(self) -> DyadicCube:
-        return self.family.s0
+        return self.system.spec
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "owners", tuple(self.owners))
+        _check_owners(self.spec, self.s0, self.owners)
         _check_blocks(self._levels, self.p, self.delta, self.A)
 
     @cached_property
     def b(self) -> GridFunction:
-        """b = b_{s0}, read from the system's level array at s0's level."""
-        return GridFunction(self.spec, self.family.system.level_values(self.s0.level)).restrict(self.s0)
+        """b = b_{s0} on s0 and 0 elsewhere: the stitched array of s0's level."""
+        return GridFunction(self.spec, self._levels.b[self.s0.level])
 
     @cached_property
     def _levels(self) -> CoronaLevels:
@@ -130,8 +140,8 @@ class TwistedContext:
         the calculus takes no averages there."""
         s0, spec = self.s0, self.spec
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
-                  for lev, m in enumerate(self.family.owners)]
-        return CoronaLevels(spec, owners, *_stitch(spec, owners, self.family.system.level_values), None)
+                  for lev, m in enumerate(self.owners)]
+        return CoronaLevels(spec, owners, *_stitch(spec, owners, self.system.level_values), None)
 
     @property
     def b_avg(self) -> dict[int, np.ndarray]:
@@ -155,7 +165,7 @@ class TwistedContext:
         """``coefficients(SignChoice.random_signs(self.q_cubes(), rng))``
         without the cubes: one draw of the same size, split coarse to fine and
         row-major by the level masks of the derived family."""
-        masks = self.family.q_masks()
+        masks = self.q_masks()
         counts = [int(m.sum()) for m in masks.values()]
         signs = rng.choice([-1.0, 1.0], size=sum(counts))
         coeffs = {lev: np.zeros(m.size) for lev, m in masks.items()}
@@ -163,18 +173,45 @@ class TwistedContext:
             coeffs[lev][mask] = chunk
         return coeffs
 
+    @cached_property
+    def members(self) -> tuple[DyadicCube, ...]:
+        """The terminal cubes, coarse to fine and row-major (sorted)."""
+        return tuple(_cubes_where(self.spec, {lev: self.owners[lev] == lev
+                                              for lev in range(self.s0.level + 1, len(self.owners))}))
+
+    def q_masks(self) -> dict[int, np.ndarray]:
+        """``q_cubes`` as one mask per level (row-major)."""
+        return {lev: self.owners[lev] == self.s0.level for lev in range(self.s0.level, self.spec.depth)}
+
     def q_cubes(self) -> list[DyadicCube]:
-        return self.family.q_cubes()
+        """The derived family, coarse to fine, without its finest-level cubes
+        (whose martingale differences are empty sums)."""
+        return _cubes_where(self.spec, self.q_masks())
+
+    def _owner(self, cube: DyadicCube) -> int:
+        """``cube``'s owner level; -1 outside s0 (the owner arrays hold -1
+        there below s0's level, and have no entries above it)."""
+        if not (self.spec.contains(cube) and cube.level >= self.s0.level):
+            return -1
+        return int(self.owners[cube.level][self.spec.cube_flat(cube)])
+
+    def is_terminal(self, cube: DyadicCube) -> bool:
+        return cube.level > self.s0.level and self._owner(cube) == cube.level
 
     def check_in_q(self, cube: DyadicCube) -> None:
-        if not self.family.in_q(cube):
+        if self._owner(cube) != self.s0.level:
             raise ValueError(f"{cube} is not in the derived cube family of this context")
 
 
 def make_context(system: AccretiveSystem, s0: DyadicCube, delta: float) -> TwistedContext:
-    """Build the twisted context of ``system``'s function on ``s0``, read from
-    the system's level arrays (no per-cube copy)."""
-    return TwistedContext(make_terminal_family(system, s0, delta), system.p, delta, system.A)
+    """The twisted context of ``system``'s function on ``s0``: the maximal
+    stopped cubes, held as the owner arrays of the terminal pass that found
+    them, with b and every b_T read from the system's level arrays."""
+    b = GridFunction(system.spec, system.level_values(s0.level))  # b_{s0} on s0
+    owners = _terminal_owners(b, s0, delta, system.p, system.A)
+    if owners is None:
+        raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
+    return TwistedContext(system, s0, owners, system.p, delta, system.A)
 
 
 def block_context(
@@ -188,8 +225,7 @@ def block_context(
         raise ValueError(f"{member} is not a member of S_{j}")
     owners = _nearest_marked(forest.spec, member.level, (member, *forest.stopping_children(j, member)))
     cfg = forest.config
-    p = cfg.p1 if j == 1 else cfg.p2
-    return TwistedContext(TerminalFamily(system, member, owners), p, cfg.delta, cfg.A)
+    return TwistedContext(system, member, owners, cfg.p1 if j == 1 else cfg.p2, cfg.delta, cfg.A)
 
 
 # -- the level engine -------------------------------------------------------------
@@ -214,6 +250,29 @@ def _stitch(spec: GridSpec, owners, values_at) -> tuple[dict, dict]:
         stitched[level] = b
         avg[level] = _average(spec, level, level_sum(spec, b, level))
     return stitched, avg
+
+
+def _check_owners(spec: GridSpec, s0: DyadicCube, owners) -> None:
+    """Raise ValueError unless s0 owns itself, every owned cube lies inside
+    s0 and no two terminal cubes nest.  A terminal cube whose parent's owner
+    is a terminal cube is nested in it; the first such cube in sorted order
+    has exactly one terminal strict ancestor (any other would be nested and
+    come first)."""
+    spec.check(s0)
+    if owners[s0.level][spec.cube_flat(s0)] != s0.level:
+        raise ValueError(f"base cube {s0} does not own itself")
+    for level in range(s0.level, spec.depth + 1):
+        outside = (owners[level] >= 0) & ~_subtree_mask(spec.dim, s0, level)
+        if outside.any():
+            cube = spec.cube_from_flat(level, int(np.flatnonzero(outside)[0]))
+            raise ValueError(f"owned cube {cube} is not inside {s0}")
+    for level in range(s0.level + 1, spec.depth + 1):
+        above = spread(spec, level - 1, owners[level - 1], level)
+        bad = (owners[level] == level) & (above > s0.level)
+        if bad.any():
+            flat = int(np.flatnonzero(bad)[0])
+            inner = spec.cube_from_flat(level, flat)
+            raise ValueError(f"terminal cubes {inner.ancestor(int(above[flat]))} and {inner} are nested")
 
 
 def _check_blocks(levels: CoronaLevels, p: float, delta: float, A: float) -> None:
@@ -486,7 +545,7 @@ def decomposition_identity_check(
 
     an exact rational identity; returns |lhs - (i)-(ii)-(iii)| as floats."""
     ctx.check_in_q(cube)
-    if ctx.family.is_terminal(child) or child.parent() != cube:
+    if ctx.is_terminal(child) or child.parent() != cube:
         raise ValueError(f"{child} is not a non-terminal child of {cube}")
     return _three_term(f.average(child), ctx.avg_b(child), f.average(cube), ctx.avg_b(cube))
 

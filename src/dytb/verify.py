@@ -85,11 +85,11 @@ __all__ = [
     "main_theorem_experiment",
 ]
 
-DENSE_CAP = 4096
 AUTO_DENSE_CELLS = 256  # "auto" takes the dense SVD up to here, Lanczos above
 NORM_METHODS = ("auto", "dense-svd", "lanczos")
 BASIS_BLOCK = 32  # rows per block of the Lanczos basis
 RITZ_EVERY = 4  # Lanczos steps per bidiagonal SVD
+RITZ_TOL = 1e-13  # Lanczos stops at a Ritz residual of RITZ_TOL * sigma
 
 
 # -- operator norm ----------------------------------------------------------------
@@ -103,25 +103,23 @@ class LanczosResult:
     residual: float
 
 
-def lanczos_norm(
-    kernel: PerfectKernel, tol: float = 1e-13, max_steps: int = 500, seed: int = 0
-) -> LanczosResult:
+def lanczos_norm(kernel: PerfectKernel, max_steps: int = 500, seed: int = 0) -> LanczosResult:
     """L^2 operator norm by Golub-Kahan-Lanczos bidiagonalisation on the fast apply.
 
     ``_golub_kahan`` gives T V_k = U_k B_k for the upper bidiagonal
     B_k = bidiag(alpha; beta).  The value is sigma_1(B_k), a lower bound of
     the norm up to rounding.  With B_k = P S Q^T the Ritz pair u = U_k p_1,
     v = V_k q_1 has ||T* u - sigma v|| = beta_k |e_k^T p_1|; the run stops at
-    the first step whose residual is at most ``tol * sigma``, or exactly when
-    the Krylov space is invariant (a zero alpha or beta, or every cell
+    the first step whose residual is at most ``RITZ_TOL * sigma``, or exactly
+    when the Krylov space is invariant (a zero alpha or beta, or every cell
     spanned).  Non-convergence is reported in the result, not raised.
 
     The SVD of B_k runs every ``RITZ_EVERY`` steps, at the last step and on a
     zero alpha or beta.  When such a check stops the run, the steps since the
     previous check are examined in order and the first that converged is
     returned, so the result is that of a check at every step unless a residual
-    falls to ``tol * sigma`` at a skipped step and rises above it again by the
-    next check.  No BLAS call touches a cell-length array (see
+    falls to ``RITZ_TOL * sigma`` at a skipped step and rises above it again
+    by the next check.  No BLAS call touches a cell-length array (see
     ``_golub_kahan``); the one LAPACK call is the SVD of the small B_k.
     """
     n = kernel.spec.n_cells
@@ -132,10 +130,10 @@ def lanczos_norm(
         if (k + 1) % RITZ_EVERY and k + 1 < steps and alpha[k] and beta[k]:
             continue
         sigma, residual = _ritz(alpha, beta, k)
-        if residual <= tol * sigma or k + 1 == n:
+        if residual <= RITZ_TOL * sigma or k + 1 == n:
             for j in range(checked, k):
                 s, r = _ritz(alpha, beta, j)
-                if r <= tol * s:
+                if r <= RITZ_TOL * s:
                     return LanczosResult(s, True, j + 1, r)
             return LanczosResult(sigma, True, k + 1, residual)
         checked = k + 1
@@ -202,14 +200,12 @@ def operator_norm(kernel: PerfectKernel, method: str = "auto", **kwargs) -> floa
     """The L^2 -> L^2 norm (cell-basis spectral norm).
 
     ``"auto"`` takes the dense SVD up to ``AUTO_DENSE_CELLS`` cells and
-    ``lanczos_norm`` above; an explicit ``"dense-svd"`` above ``DENSE_CAP``
-    cells and an unconverged Lanczos run raise.
+    ``lanczos_norm`` above; an explicit ``"dense-svd"`` above
+    ``kernels.DENSE_CAP`` cells and an unconverged Lanczos run raise.
     """
     method = norm_method_for(kernel, method)
     if method == "dense-svd":
-        if kernel.spec.n_cells > DENSE_CAP:
-            raise ValueError(f"dense-svd only allowed up to {DENSE_CAP} cells")
-        m = dense_matrix(kernel, max_cells=DENSE_CAP)
+        m = dense_matrix(kernel)
         return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
     res = lanczos_norm(kernel, **kwargs)
     if not res.converged:
@@ -659,10 +655,13 @@ def _check_families(forest, lf: CoronaLevels, lg: CoronaLevels) -> int:
 def run_identity_checks(inst: Instance) -> dict[str, float]:
     """Every exact identity of the construction on one instance, as relative
     residuals, plus the telescoped-coefficient and measure-comparison margins.
+    The corona's block invariants are checked first: a forest that breaks one
+    raises RuntimeError (``check_forest_blocks``) before any residual.
     """
     forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
     q0, levels = forest.q0, inst.levels
     lf, lg = levels.lf, levels.lg
+    _check_families(forest, lf, lg)
     args = (inst.kernel, forest, sys1, inst.sys2, f, g)
     out: dict[str, float] = {}
 
@@ -804,7 +803,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     forest = inst.forest
     packing = max(inst.dsearch.trace[-1][1:])  # the search measured this forest last
     carleson = max(forest_carleson(forest, 1), forest_carleson(forest, 2))
-    _check_families(forest, inst.levels.lf, inst.levels.lg)
     residuals = run_identity_checks(inst)
     eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
     # the rank-one pairings were made by the expansion check: no bilinear call here

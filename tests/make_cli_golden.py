@@ -3,12 +3,14 @@
 
 The fixture holds the SHA-256 of CLI outputs that must stay byte-identical
 across refactors: the ``tb-experiment`` CSV and JSON reports, and the
-``dytb corona`` stdout and ``--out`` forest JSON, and the ``dytb
-transform-norm`` stdout (its sign draws follow the derived family's order).  ``cli_hashes`` is also what
-the tier-1 test recomputes, so the recorded and the checked outputs come from
-the same runs.  Regenerate only when an output is meant to change; the
-script then names every hash that changed against the file it overwrites
-(or prints "no change").
+``dytb corona`` stdout and ``--out`` forest JSON, the ``dytb
+transform-norm`` stdout (its sign draws follow the derived family's order),
+and the ``dytb identities`` stdout (every residual of the battery, the
+twisted-context ones included).  ``cli_hashes`` is also what the tier-1 test
+recomputes, so the recorded and the checked outputs come from the same runs.
+Regenerate only when an output is meant to change; the script then names
+every hash that changed against the file it overwrites (or prints "no
+change").
 
 Usage: python tests/make_cli_golden.py
 """
@@ -33,6 +35,8 @@ CORONA_CASES = ((1, 10, (3, 5)), (2, 5, (4, 6)))
 # the two-value case at delta 0.45 has terminal cubes
 TRANSFORM_CASES = ((1, 8, "", ()), (2, 4, "", ()),
                    (1, 10, "-two-value", ("--accretive-kind", "two-value", "--s", "0.9", "--delta", "0.45")))
+# identities cases: (dim, depth) at the default seed
+IDENTITY_CASES = ((1, 7), (2, 4))
 OUT_PLACEHOLDER = "<out>"
 
 
@@ -80,6 +84,9 @@ def cli_hashes(workdir) -> dict[str, str]:
     for dim, depth, suffix, extra in TRANSFORM_CASES:
         stdout = _run(["transform-norm", "--dim", str(dim), "--depth", str(depth), *extra])
         out[f"transform-norm|{dim}d-d{depth}{suffix}|stdout"] = _sha(stdout.encode())
+    for dim, depth in IDENTITY_CASES:
+        stdout = _run(["identities", "--dim", str(dim), "--depth", str(depth)])
+        out[f"identities|{dim}d-d{depth}|stdout"] = _sha(stdout.encode())
     return out
 
 

@@ -82,6 +82,12 @@ def test_broken_forest_invariant_is_an_internal_error(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == (
         "internal error: corona family S_1 breaks a block invariant: "
         "denominator safety fails at Q(1; 0)\n")
+    # dytb identities checks the same invariants before it prints a residual
+    assert main(["identities", "--dim", "1", "--depth", "3"]) == cli.EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "internal error: corona family S_1 breaks a block invariant: "
+        "denominator safety fails at Q(1; 0)\n")
 
 
 def test_validate_rejects_oversized_entry(tmp_path, capsys):

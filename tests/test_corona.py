@@ -8,20 +8,18 @@ from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
     TbConfig,
-    TerminalFamily,
     _nearest_marked,
     _subtree_mask,
     build_corona,
     carleson_constant,
     choose_delta,
-    make_terminal_family,
     packing_ratio,
     set_packing_ratio,
     terminal_cubes,
 )
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import apply, dense_matrix, generate_kernel
-from dytb.twisted import TwistedContext
+from dytb.twisted import TwistedContext, _check_owners, make_context
 from dytb.verify import testing_constant as measure_tloc
 
 # -- oracles ------------------------------------------------------------------------
@@ -153,9 +151,18 @@ def walked_family_error(s0, members):
     return None
 
 
-def family_of(system, s0, members):
-    """The terminal family of the cubes ``members``, through their owner arrays."""
-    return TerminalFamily(system, s0, _nearest_marked(system.spec, s0.level, (s0, *members)))
+def family_of(spec, s0, members):
+    """The owner arrays of the terminal family ``members`` below ``s0``."""
+    return _nearest_marked(spec, s0.level, (s0, *members))
+
+
+def in_q(ctx, cube):
+    """Whether ``cube`` lies in the derived family of ``ctx``."""
+    try:
+        ctx.check_in_q(cube)
+    except ValueError:
+        return False
+    return True
 
 
 def quadratic_coarsen_terminals(tprime, s0, rng, prob=0.3):
@@ -181,7 +188,7 @@ def coarsened_context(system, s0, delta, rng):
     cubes coarsened at random by ``quadratic_coarsen_terminals``."""
     b = GridFunction(system.spec, system.level_values(s0.level))
     members = quadratic_coarsen_terminals(terminal_cubes(b, s0, delta, system.p, system.A), s0, rng)
-    return TwistedContext(family_of(system, s0, members), system.p, delta, system.A)
+    return TwistedContext(system, s0, family_of(system.spec, s0, members), system.p, delta, system.A)
 
 
 def per_member_packing_ratio(forest, j):
@@ -272,25 +279,23 @@ def test_coarsening_is_legal(rng):
             assert root.contains(a) and a != root
             for c in members:
                 assert a == c or not a.contains(c)
-        # the family of its owner arrays holds exactly these cubes, and every
+        # the context of its owner arrays holds exactly these cubes, and every
         # derived cube (the finest level's included) keeps safe denominators
-        fam = family_of(sys_, root, members)
-        assert fam.members == tuple(sorted(members))
+        ctx = TwistedContext(sys_, root, family_of(spec, root, members), 2.0, 0.45, 1.7)
+        assert ctx.members == tuple(sorted(members))
         for q in spec.all_cubes(root):
-            assert fam.in_q(q) == (not any(m.contains(q) for m in members))
-        TwistedContext(fam, 2.0, 0.45, 1.7)
+            assert in_q(ctx, q) == (not any(m.contains(q) for m in members))
     assert coarsened > 0
 
 
 def test_terminal_family_rejects_nested_members():
     spec = GridSpec(2, 4)
-    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
     outer = DyadicCube(1, (1, 0))
     inner = DyadicCube(3, (4, 1))
     members = (outer, DyadicCube(2, (0, 3)), inner)
     message = f"terminal cubes {outer} and {inner} are nested"
     with pytest.raises(ValueError, match=re.escape(message)):
-        family_of(sys_, spec.root(), members)
+        _check_owners(spec, spec.root(), family_of(spec, spec.root(), members))
 
 
 def test_context_rejects_uncovered_maximal_cube():
@@ -300,18 +305,19 @@ def test_context_rejects_uncovered_maximal_cube():
     spec = GridSpec(1, 7)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
     root = spec.root()
-    members = make_terminal_family(sys_, root, 0.45).members
+    members = make_context(sys_, root, 0.45).members
     assert len(members) > 3
     for dropped in members:
-        fam = family_of(sys_, root, [m for m in members if m != dropped])
+        owners = family_of(spec, root, [m for m in members if m != dropped])
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {dropped}:")):
-            TwistedContext(fam, sys_.p, 0.45, sys_.A)
+            TwistedContext(sys_, root, owners, sys_.p, 0.45, sys_.A)
 
 
 @pytest.mark.parametrize("dim,depth,s0_level", [(1, 6, 0), (1, 7, 2), (2, 3, 0), (2, 4, 1)])
 def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
-    # random caller-supplied families, many nested: the owner arrays reject
-    # exactly those the walks reject, with the same message
+    # random caller-supplied families, many nested: the owner checks reject
+    # exactly those the walks reject, with the same message, and a context
+    # of an accepted family holds exactly its cubes
     spec = GridSpec(dim, depth)
     sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
     rng = np.random.default_rng(depth + 10 * dim)
@@ -322,33 +328,35 @@ def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
         members = [inside[i] for i in rng.choice(len(inside), size=int(rng.integers(1, 6)), replace=False)]
         want = walked_family_error(s0, members)
         outcomes["accepted" if want is None else "nested"] += 1
+        owners = family_of(spec, s0, members)
         if want is None:
-            assert family_of(sys_, s0, members).members == tuple(sorted(members))
+            _check_owners(spec, s0, owners)
+            assert TwistedContext(sys_, s0, owners, 2.0, 0.5, 1.5).members == tuple(sorted(members))
         else:
             with pytest.raises(ValueError, match=re.escape(want)):
-                family_of(sys_, s0, members)
+                _check_owners(spec, s0, owners)
     assert outcomes["accepted"] > 0 and outcomes["nested"] > 0
 
 
 def test_code_built_family_checks_its_owner_arrays():
-    # a code-built family finds the maximal cubes of b_{s0}; a caller's
-    # family over the same system is checked for nesting, for s0 owning
-    # itself and for every owned cube lying inside s0
+    # a code-built context finds the maximal cubes of b_{s0}; a caller's
+    # owner arrays are checked for nesting, for s0 owning itself and for
+    # every owned cube lying inside s0
     spec = GridSpec(1, 7)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=5, params={"s": 0.9})
     root = spec.root()
-    fam = make_terminal_family(sys_, root, 0.45)
-    assert len(fam.members) > 3
-    assert list(fam.members) == terminal_cubes(sys_.get_b(root), root, 0.45, sys_.p, sys_.A)
-    outer = next(m for m in fam.members if m.level < spec.depth)
+    members = make_context(sys_, root, 0.45).members
+    assert len(members) > 3
+    assert list(members) == terminal_cubes(sys_.get_b(root), root, 0.45, sys_.p, sys_.A)
+    outer = next(m for m in members if m.level < spec.depth)
     inner = outer.children()[1]
-    with pytest.raises(ValueError, match=re.escape(walked_family_error(root, [*fam.members, inner]))):
-        family_of(sys_, root, [*fam.members, inner])
+    with pytest.raises(ValueError, match=re.escape(walked_family_error(root, [*members, inner]))):
+        _check_owners(spec, root, family_of(spec, root, [*members, inner]))
     s0, outside = DyadicCube(2, (1,)), DyadicCube(4, (2,))
     with pytest.raises(ValueError, match=re.escape(f"owned cube {outside} is not inside {s0}")):
-        family_of(sys_, s0, [DyadicCube(4, (5,)), outside])
+        _check_owners(spec, s0, family_of(spec, s0, [DyadicCube(4, (5,)), outside]))
     with pytest.raises(ValueError, match=re.escape(f"base cube {s0} does not own itself")):
-        TerminalFamily(sys_, s0, _nearest_marked(spec, s0.level, [DyadicCube(4, (5,))]))
+        _check_owners(spec, s0, _nearest_marked(spec, s0.level, [DyadicCube(4, (5,))]))
 
 
 # -- corona construction -----------------------------------------------------------------
@@ -574,13 +582,13 @@ def test_tbconfig_conjugates_and_validation():
             TbConfig(**bad)
 
 
-def test_make_terminal_family_default_is_canonical(rng):
+def test_make_context_terminals_are_canonical(rng):
     spec = GridSpec(1, 5)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.7, seed=2, params={"s": 0.9})
-    fam = make_terminal_family(sys_, spec.root(), 0.4)
-    assert list(fam.members) == terminal_cubes(sys_.get_b(spec.root()), spec.root(), 0.4, sys_.p, sys_.A)
-    for t in fam.members:
-        assert abs(fam.system.get_b(t).average(t) - 1.0) <= 1e-12
+    ctx = make_context(sys_, spec.root(), 0.4)
+    assert list(ctx.members) == terminal_cubes(sys_.get_b(spec.root()), spec.root(), 0.4, sys_.p, sys_.A)
+    for t in ctx.members:
+        assert abs(ctx.system.get_b(t).average(t) - 1.0) <= 1e-12
 
 
 def test_forest_json_export():

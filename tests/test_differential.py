@@ -31,7 +31,6 @@ from dytb.corona import (
     conjugate,
     forest_carleson,
     forest_to_json_dict,
-    make_terminal_family,
     packing_ratio,
     terminal_cubes,
 )
@@ -83,6 +82,7 @@ from test_accretive import KIND_SETUPS
 from test_corona import (
     coarsened_context,
     family_of,
+    in_q,
     per_member_family,
     per_member_packing_ratio,
     scanned_terminal_cubes,
@@ -308,13 +308,15 @@ def drawn_context(grid, seed, kind, coarsen, sub=False):
     return make_context(system, s0, delta)
 
 
-def unsafe_cube(b, family, p, delta, a_const):
-    """The first cube of the derived family (coarse to fine, row-major) whose
-    averages fail the denominator bounds, by enumeration."""
-    pows = GridFunction(b.spec, np.abs(b.values) ** p)
-    for q in b.spec.all_cubes(family.s0):
-        if family.in_q(q) and (abs(b.integral(q)) <= delta * q.volume
-                               or pows.integral(q) >= a_const**p / delta * q.volume):
+def unsafe_cube(b, s0, owners, p, delta, a_const):
+    """The first cube of the derived family of the owner arrays ``owners``
+    below ``s0`` (coarse to fine, row-major) whose averages fail the
+    denominator bounds, by enumeration."""
+    spec = b.spec
+    pows = GridFunction(spec, np.abs(b.values) ** p)
+    for q in spec.all_cubes(s0):
+        if owners[q.level][spec.cube_flat(q)] == s0.level and (
+                abs(b.integral(q)) <= delta * q.volume or pows.integral(q) >= a_const**p / delta * q.volume):
             return q
     return None
 
@@ -326,7 +328,7 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     ctx = drawn_context(grid, seed, kind, coarsen)
     spec, rng = ctx.spec, np.random.default_rng(seed)
     f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
-    finest = np.flatnonzero(ctx.family.owners[spec.depth] == ctx.s0.level)
+    finest = np.flatnonzero(ctx.owners[spec.depth] == ctx.s0.level)
     for q in ctx.q_cubes() + [spec.cube_from_flat(spec.depth, int(k)) for k in finest]:
         assert ctx.avg_b(q) == ctx.b.average(q)
         assert np.array_equal(twisted_delta(ctx, q, f).values, enumerated_twisted_delta(ctx, q, f))
@@ -354,14 +356,13 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
         per_cube = measure_comparison_check(ctx, eps, f)
     assert measure_comparison_check(ctx, eps, f) == per_cube
     # a context missing one terminal cube fails at the first unabsorbed cube
-    members = ctx.family.members
+    members = ctx.members
     if members:
         dropped = members[int(rng.integers(len(members)))]
-        rest = tuple(m for m in members if m != dropped)
-        family = family_of(ctx.family.system, ctx.s0, rest)
-        want = unsafe_cube(ctx.b, family, ctx.p, ctx.delta, ctx.A)
+        owners = family_of(spec, ctx.s0, tuple(m for m in members if m != dropped))
+        want = unsafe_cube(ctx.b, ctx.s0, owners, ctx.p, ctx.delta, ctx.A)
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {want}:")):
-            TwistedContext(family, ctx.p, ctx.delta, ctx.A)
+            TwistedContext(ctx.system, ctx.s0, owners, ctx.p, ctx.delta, ctx.A)
 
 
 @BOUNDED
@@ -371,9 +372,9 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
     # the context read from level arrays against B_l stitched from get_b
     # copies: b_{s0} at s0's level, the sum of the b_T copies below it
     ctx = drawn_context(grid, seed, kind, coarsen, sub)
-    spec, family, system = ctx.spec, ctx.family, ctx.family.system
+    spec, system = ctx.spec, ctx.system
     b0 = system.get_b(ctx.s0)
-    copies = sum((system.get_b(m).values for m in family.members), np.zeros(spec.n_cells))
+    copies = sum((system.get_b(m).values for m in ctx.members), np.zeros(spec.n_cells))
     assert np.array_equal(ctx.b.values, b0.values)
     owners = ctx._levels.owners
     b, b_avg = twisted._stitch(spec, owners, lambda lev: b0.values if lev == ctx.s0.level else copies)
@@ -387,10 +388,10 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
     coeffs = ctx.coefficients(eps)
     assert np.array_equal(transform(ctx, eps, f).values, oracle.transform(coeffs))
     assert np.array_equal(half_transform(ctx, eps, f).values, oracle.child_rule(coeffs, twisted._half_step))
-    cubes, terminal = list(spec.all_cubes()), set(family.members)
-    assert [family.is_terminal(q) for q in cubes] == [q in terminal for q in cubes]
-    derived = [ctx.s0.contains(q) and not any(m.contains(q) for m in family.members) for q in cubes]
-    assert [family.in_q(q) for q in cubes] == derived
+    cubes, terminal = list(spec.all_cubes()), set(ctx.members)
+    assert [ctx.is_terminal(q) for q in cubes] == [q in terminal for q in cubes]
+    derived = [ctx.s0.contains(q) and not any(m.contains(q) for m in ctx.members) for q in cubes]
+    assert [in_q(ctx, q) for q in cubes] == derived
     assert ctx.q_cubes() == [q for q, d in zip(cubes, derived) if d and q.level < spec.depth]
 
 
@@ -398,7 +399,7 @@ def check_three_term_and_signs(ctx, f, seed):
     """The level ``three_term_check`` against the per-pair oracle, and the
     split sign draw against ``SignChoice.random_signs``, bit for bit."""
     pairs = [(q, child) for q in ctx.q_cubes() for child in q.children()
-             if not ctx.family.is_terminal(child)]
+             if not ctx.is_terminal(child)]
     per_pair = max((decomposition_identity_check(ctx, *pair, f) for pair in pairs), default=0.0)
     level = three_term_check(ctx, ctx.levels(f))
     # the per-pair floats square through the C library's pow, the level
@@ -438,7 +439,7 @@ def test_trial_contexts_three_term_and_signs(grid):
         q0, delta = inst.forest.q0, inst.cfg.delta
         for ctx in (make_context(inst.sys1, q0, delta),
                     coarsened_context(inst.sys1, q0, delta, np.random.default_rng(seed))):
-            terminal += len(ctx.family.members)
+            terminal += len(ctx.members)
             check_three_term_and_signs(ctx, inst.f, seed)
     assert terminal > 0
 
@@ -543,7 +544,7 @@ def test_terminal_owner_pass_equals_scan(grid, kind, delta, sub, seed):
     s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
     b = GridFunction(spec, system.level_values(s0.level))
     want = _nearest_marked(spec, s0.level, (s0, *scanned_terminal_cubes(b, s0, delta, 2.0, A)))
-    got = make_terminal_family(system, s0, delta).owners
+    got = make_context(system, s0, delta).owners
     assert len(got) == len(want) == spec.depth + 1
     assert all((g is None and w is None) or np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -561,13 +562,12 @@ def enumerated_block_check(forest, j, system, member):
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
     kids = forest.stopping_children(j, member)
-    family = family_of(system, member, kids)
     b = system.get_b(member)
     for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
         if (abs(g.integral(cube) - cube.volume) > 1e-12 * cube.volume
                 or g.lp_norm(p, cube) > cfg.A * cube.volume ** (1 / p) * (1 + 1e-12)):
             return cube
-    return unsafe_cube(b, family, p, cfg.delta, cfg.A)
+    return unsafe_cube(b, member, family_of(system.spec, member, kids), p, cfg.delta, cfg.A)
 
 
 def test_block_check_matches_block_contexts():

@@ -58,7 +58,7 @@ def oracle_twisted(ctx, cube, f):
     base = np.mean(f.values[qidx]) / np.mean(ctx.b.values[qidx])
     for child in cube.children():
         idx = spec.cell_indices(child)
-        bq = ctx.family.system.get_b(child) if ctx.family.is_terminal(child) else ctx.b
+        bq = ctx.system.get_b(child) if ctx.is_terminal(child) else ctx.b
         ratio = np.mean(f.values[idx]) / np.mean(bq.values[idx])
         out[idx] = ratio * bq.values[idx] - base * ctx.b.values[idx]
     return out
@@ -70,7 +70,7 @@ def oracle_half_twisted(ctx, cube, f):
     qidx = spec.cell_indices(cube)
     base = np.mean(f.values[qidx]) / np.mean(ctx.b.values[qidx])
     for child in cube.children():
-        if ctx.family.is_terminal(child):
+        if ctx.is_terminal(child):
             continue
         idx = spec.cell_indices(child)
         out[idx] = np.mean(f.values[idx]) / np.mean(ctx.b.values[idx]) - base
@@ -187,7 +187,7 @@ def enumerated_twisted_delta(ctx, cube, f):
     base = f.average(cube) / ctx.b.average(cube)
     for child in cube.children():
         idx = spec.cell_indices(child)
-        bc = ctx.family.system.get_b(child) if ctx.family.is_terminal(child) else ctx.b
+        bc = ctx.system.get_b(child) if ctx.is_terminal(child) else ctx.b
         out[idx] = f.average(child) / bc.average(child) * bc.values[idx] - base * ctx.b.values[idx]
     return out
 
@@ -199,7 +199,7 @@ def enumerated_half_twisted_D(ctx, cube, f):
         return out
     base = f.average(cube) / ctx.b.average(cube)
     for child in cube.children():
-        if not ctx.family.is_terminal(child):
+        if not ctx.is_terminal(child):
             out[spec.cell_indices(child)] = f.average(child) / ctx.b.average(child) - base
     return out
 
@@ -227,7 +227,7 @@ def enumerated_splitting(ctx, eps, f, rule):
         if e == 0.0:
             continue
         for child in q.children():
-            if not ctx.family.is_terminal(child):
+            if not ctx.is_terminal(child):
                 out[spec.cell_indices(child)] += rule(
                     e, f.average(child), ctx.b.average(child), f.average(q), ctx.b.average(q))
     return out
@@ -236,11 +236,11 @@ def enumerated_splitting(ctx, eps, f, rule):
 def enumerated_delta_decomp(ctx, eps, f):
     lhs = enumerated_transform(ctx, eps, f)
     rhs = enumerated_half_transform(ctx, eps, f) * ctx.b.values
-    for t in ctx.family.members:
+    for t in ctx.members:
         parent = t.parent()
         e = eps.get(parent)
         idx = ctx.spec.cell_indices(t)
-        rhs[idx] += e * f.average(t) * ctx.family.system.get_b(t).values[idx]
+        rhs[idx] += e * f.average(t) * ctx.system.get_b(t).values[idx]
         rhs[idx] -= e * (f.average(parent) / ctx.b.average(parent)) * ctx.b.values[idx]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -272,7 +272,7 @@ def test_twisted_of_b_vanishes_without_terminals():
 
 def test_twisted_requires_q_membership():
     ctx = terminal_ctx()
-    t = ctx.family.members[0]
+    t = ctx.members[0]
     with pytest.raises(ValueError):
         twisted_delta(ctx, t.children()[0] if t.level < ctx.spec.depth else t, ctx.b)
 
@@ -303,7 +303,7 @@ def test_half_twisted_all_children_terminal_is_zero():
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
-    ctx = TwistedContext(family_of(sys_, root, root.children()), 2.0, 0.4, 1.5)
+    ctx = TwistedContext(sys_, root, family_of(spec, root, root.children()), 2.0, 0.4, 1.5)
     assert np.all(half_twisted_D(ctx, root, sys_.get_b(root)).values == 0.0)
 
 
@@ -360,7 +360,7 @@ def test_three_term_f_equals_b(rng):
     ctx = terminal_ctx(depth=5, seed=11)
     for q in ctx.q_cubes()[:10]:
         for child in q.children():
-            if not ctx.family.is_terminal(child):
+            if not ctx.is_terminal(child):
                 assert decomposition_identity_check(ctx, q, child, ctx.b) <= 1e-13
 
 
@@ -370,7 +370,7 @@ def test_three_term_random(rng):
     for q in ctx.q_cubes():
         fq = f.average(q)
         for child in q.children():
-            if ctx.family.is_terminal(child):
+            if ctx.is_terminal(child):
                 continue
             lhs = f.average(child) / ctx.avg_b(child) - fq / ctx.avg_b(q)
             assert decomposition_identity_check(ctx, q, child, f) <= 1e-12 * max(1.0, abs(lhs))
@@ -391,7 +391,7 @@ def test_delta_decomp_zero_eps(rng):
 def test_delta_decomp_with_terminals(rng):
     for seed in range(5):
         ctx = terminal_ctx(depth=6, seed=seed)
-        assert ctx.family.members  # want actual terminals in this class
+        assert ctx.members  # want actual terminals in this class
         f = rand_fun(ctx.spec, rng)
         eps = SignChoice.random_signs(ctx.q_cubes(), rng)
         scale = 1.0 + np.abs(transform(ctx, eps, f).values).max()
@@ -605,7 +605,7 @@ def oracle_operator_matrix(ctx, eps, which):
             qidx = spec.cell_indices(q)
             bq = np.mean(ctx.b.values[qidx])
             for child in q.children():
-                if ctx.family.is_terminal(child):
+                if ctx.is_terminal(child):
                     continue
                 idx = spec.cell_indices(child)
                 bc = np.mean(ctx.b.values[idx])
@@ -660,7 +660,7 @@ def test_finest_cell_bound(rng):
     for seed in range(10):
         ctx = terminal_ctx(depth=6, seed=seed)
         cap = ctx.delta ** (-1.0 / ctx.p) * ctx.A
-        finest = ctx.family.owners[ctx.spec.depth] == ctx.s0.level
+        finest = ctx.owners[ctx.spec.depth] == ctx.s0.level
         assert finest.any() and np.all(np.abs(ctx.b.values[finest]) < cap)
 
 
@@ -673,7 +673,7 @@ def test_block_context_roundtrip():
     for member in forest.members(1):
         ctx = block_context(forest, 1, inst.sys1, member)
         assert ctx.s0 == member
-        assert set(ctx.family.members) == set(forest.stopping_children(1, member))
+        assert set(ctx.members) == set(forest.stopping_children(1, member))
         # block twisted differences agree with corona differences inside the block
         for q in ctx.q_cubes():
             a = twisted_delta(ctx, q, inst.f)

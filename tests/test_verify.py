@@ -8,10 +8,10 @@ import pytest
 
 from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, TerminalFamily, _subtree_mask, build_corona, packing_ratio
+from dytb.corona import TbConfig, _subtree_mask, build_corona, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
-from dytb.twisted import corona_delta, corona_levels, make_context, twisted_delta
+from dytb.twisted import TwistedContext, corona_delta, corona_levels, make_context, twisted_delta
 from dytb.verify import (
     AUTO_DENSE_CELLS,
     RESIDUAL_FIELDS,
@@ -127,7 +127,7 @@ LANCZOS_CASES = [
 ]
 
 
-def every_step_lanczos(kernel, tol=1e-13, max_steps=500, seed=0) -> LanczosResult:
+def every_step_lanczos(kernel, tol=verify.RITZ_TOL, max_steps=500, seed=0) -> LanczosResult:
     """Oracle: ``lanczos_norm`` with a Ritz check at every step of the same
     recurrence."""
     n = kernel.spec.n_cells
@@ -140,7 +140,7 @@ def every_step_lanczos(kernel, tol=1e-13, max_steps=500, seed=0) -> LanczosResul
     return LanczosResult(sigma, False, steps, residual)
 
 
-def two_sided_lanczos(kernel, tol=1e-13, seed=0) -> LanczosResult:
+def two_sided_lanczos(kernel, tol=verify.RITZ_TOL, seed=0) -> LanczosResult:
     """Oracle: Golub-Kahan-Lanczos with both bases kept and reorthogonalised
     (classical Gram-Schmidt, twice, through BLAS) and a Ritz check at every
     step."""
@@ -641,7 +641,7 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
     # arrays: no get_b copy, no per-pair check and no list of derived cubes
     inst = build_instance(1, 12, seed=3)
     ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
-    assert len(ctx.family.members) > 3 * (inst.spec.depth + 1)
+    assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
     def forbidden(what):
         def raise_(*args, **kwargs):
@@ -649,7 +649,7 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
         return raise_
 
     monkeypatch.setattr(AccretiveSystem, "get_b", forbidden("get_b"))
-    monkeypatch.setattr(TerminalFamily, "q_cubes", forbidden("q_cubes"))
+    monkeypatch.setattr(TwistedContext, "q_cubes", forbidden("q_cubes"))
     for module in (twisted, verify):
         monkeypatch.setattr(module, "decomposition_identity_check", forbidden("the per-pair check"),
                             raising=False)
@@ -661,17 +661,18 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
 @pytest.mark.parametrize("grid", [(1, 12), (2, 5)])
 def test_context_path_builds_no_cubes(grid, monkeypatch):
     # a trial's context is its owner arrays: neither the terminal pass nor
-    # the family and context checks turn a cube index into a DyadicCube
+    # the owner and block checks turn a cube index into a DyadicCube
     inst = build_instance(*grid, seed=3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("make_context built a DyadicCube")
 
-    monkeypatch.setattr(corona, "_cubes_where", forbidden)
+    for module in (corona, twisted):
+        monkeypatch.setattr(module, "_cubes_where", forbidden)
     monkeypatch.setattr(GridSpec, "cube_from_flat", forbidden)
     ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
     monkeypatch.undo()
-    assert len(ctx.family.members) > 3 * (inst.spec.depth + 1)
+    assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
 
 def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
