@@ -15,7 +15,6 @@ from .grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
-    child_containing,
     dyadic_maximal,
     lp_norm,
 )
@@ -49,18 +48,11 @@ from .twisted import (
     SignChoice,
     TwistedContext,
     block_context,
-    box,
-    classical_transform,
-    corona_delta,
-    corona_expectation,
-    corona_transform,
     delta_decomp_check,
     decomposition_identity_check,
     expand,
-    half_twisted_D,
     make_context,
     measure_comparison_check,
-    proof_operators,
     three_term_check,
     transform,
     twisted_delta,
@@ -71,9 +63,7 @@ from .verify import (
     adversarial_transform_search,
     b_above_aggregation,
     bilinear_expansion_check,
-    box_square_function_check,
     build_instance,
-    diagonal_lemma_check,
     epsilon_coefficient,
     form_split,
     identity_suite,

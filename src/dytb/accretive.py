@@ -7,8 +7,8 @@ one level tile the grid, so a system stores all b_Q of a level in one
 finest-cell array, built and checked on first use: depth+1 arrays, O(cells *
 depth) memory.  The corona forest, the twisted calculus and every trial read
 b from these arrays.  ``get_b`` copies one b_Q out as a full-grid function on
-every call and keeps nothing; only ``validate``, ``diagonal_lemma_check``, the
-demos and the tests call it.  ``level_sweep`` gives T b_Q on every cube of a
+every call and keeps nothing; only ``validate``, the demos and the tests
+call it.  ``level_sweep`` gives T b_Q on every cube of a
 level at once, swept once per (operator, level) and kept while the operator
 lives: (depth+1) more arrays per operator.  A system is not safe to share
 between threads.

@@ -1,7 +1,8 @@
 """Command-line front end: kernel generation, validation, corona inspection,
 transform-norm search, the main experiment, the identity battery, and report
-re-rendering.  Exit codes: 0 success, 1 validation failure, 2 config error,
-3 internal error (an invariant of the program failed, not of the input).
+re-rendering.  Exit codes: 0 success, 1 validation failure, 2 config error
+(a file that cannot be read or written included), 3 internal error (an
+invariant of the program failed, not of the input).
 
 Outputs are deterministic: identical (config, seed) produce byte-identical
 files.  Every output embeds the tool version and the resolved configuration
@@ -488,6 +489,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_CONFIG
     except ValueError as e:  # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:  # the message names the path
+        print(f"file error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as e:
         print(f"internal error: {e}", file=sys.stderr)

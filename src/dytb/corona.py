@@ -44,7 +44,6 @@ __all__ = [
     "build_corona",
     "forest_to_json_dict",
     "packing_ratio",
-    "set_packing_ratio",
     "carleson_constant",
     "forest_carleson",
     "DeltaSearch",
@@ -190,9 +189,9 @@ class CoronaForest:
     arrays of the pass that built each one (``owner_levels``).
 
     Immutable once built.  S_j's members are the cubes that own themselves
-    (``owners[l] == l``); ``pi(j, Q)`` is the smallest member containing Q.
-    ``members`` and ``stopping_children`` are views of the owner arrays as
-    ``DyadicCube``s, built on their first call.
+    (``owners[l] == l``), and a cube's owner level is that of pi_j(Q), the
+    smallest member containing it.  ``members`` and ``stopping_children`` are
+    views of the owner arrays as ``DyadicCube``s, built on their first call.
     """
 
     def __init__(self, spec, q0, owners, config):
@@ -231,18 +230,6 @@ class CoronaForest:
                         children[DyadicCube(pl, tuple(pc))].append(cube)
             self._views[j] = (frozenset(children), {s: tuple(kids) for s, kids in children.items()})
         return self._views[j]
-
-    def pi(self, j: int, cube: DyadicCube) -> DyadicCube:
-        """The smallest member of S_j containing ``cube``."""
-        if not (self.spec.contains(cube) and self.q0.contains(cube)):
-            raise ValueError(f"{cube} is not inside {self.q0}")
-        return cube.ancestor(int(self.owner_levels(j)[cube.level][self.spec.cube_flat(cube)]))
-
-    def block_cubes(self, j: int, member: DyadicCube) -> list[DyadicCube]:
-        """All cubes whose S_j-parent is ``member`` (its corona block)."""
-        spec, owners, top = self.spec, self.owner_levels(j), member.level
-        return _cubes_where(spec, {lev: (owners[lev] == top) & _subtree_mask(spec.dim, member, lev)
-                                   for lev in range(top, spec.depth + 1)})
 
 
 def _member_links(forest: CoronaForest, j: int):
@@ -353,20 +340,6 @@ def packing_ratio(forest: CoronaForest, j: int) -> float:
         if level > top:
             below = coarsen_step(spec.dim, np.where(members, volume, below))
     return best
-
-
-def set_packing_ratio(members, top: DyadicCube) -> float:
-    """Packing ratio of a bare stopping set (children derived by tree walks)."""
-    memberset = set(members)
-    mass: dict[DyadicCube, float] = {m: 0.0 for m in memberset}
-    for m in memberset:
-        if m == top:
-            continue
-        cur = m.parent()
-        while cur not in memberset:
-            cur = cur.parent()
-        mass[cur] += m.volume
-    return max((v / s.volume for s, v in mass.items()), default=0.0)
 
 
 def carleson_constant(members, q0: DyadicCube) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "DyadicCube",
     "GridFunction",
     "lp_norm",
-    "child_containing",
     "coarsen_step",
     "cube_blocks",
     "cube_sum_vector",
@@ -495,15 +494,6 @@ def lp_norm(f: GridFunction, p: float, cube: DyadicCube | None = None) -> float:
         f.spec.check(cube)
         vals = f.values[f.spec.cell_indices(cube)]
     return float(np.sum(np.abs(vals) ** p) * f.spec.cell_volume) ** (1.0 / p)
-
-
-def child_containing(parent: DyadicCube, inner: DyadicCube) -> DyadicCube:
-    """The unique child of ``parent`` containing the strictly smaller ``inner``."""
-    if inner.dim != parent.dim or inner.level <= parent.level:
-        raise ValueError(f"{inner} is not strictly contained in {parent}")
-    if inner.ancestor(parent.level) != parent:
-        raise ValueError(f"{inner} is not strictly contained in {parent}")
-    return inner.ancestor(parent.level + 1)
 
 
 def dyadic_maximal(f: GridFunction) -> GridFunction:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .accretive import AccretiveSystem
 from .corona import CoronaForest, _cubes_where, _nearest_marked, _subtree_mask, _terminal_owners
-from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, spread
+from .grid import DyadicCube, GridFunction, GridSpec, level_sum, spread
 
 __all__ = [
     "TwistedContext",
@@ -47,24 +47,14 @@ __all__ = [
     "make_context",
     "block_context",
     "twisted_delta",
-    "half_twisted_D",
     "transform",
     "half_transform",
-    "classical_transform",
     "CoronaLevels",
     "corona_levels",
-    "corona_expectation",
-    "corona_delta",
     "expand",
-    "corona_transform",
-    "box",
-    "half_twisted_block",
     "decomposition_identity_check",
     "three_term_check",
     "delta_decomp_check",
-    "pi_transform",
-    "amalgam_transform",
-    "proof_operators",
     "measure_comparison_check",
 ]
 
@@ -158,8 +148,14 @@ class TwistedContext:
         return replace(self._levels, h=f)
 
     def coefficients(self, eps: SignChoice) -> dict[int, np.ndarray]:
-        """eps per level of the derived family (finest level excluded)."""
-        return self._levels.coefficients(eps, lambda owners: owners == self.s0.level)
+        """eps as one coefficient vector per level of the derived family
+        (row-major, finest level excluded), zero off the family."""
+        spec, masks = self.spec, self.q_masks()
+        coeffs = {lev: np.zeros(m.size) for lev, m in masks.items()}
+        for q, e in eps.eps.items():
+            if q.level in coeffs and q.dim == spec.dim:
+                coeffs[q.level][spec.cube_flat(q)] = e
+        return {lev: np.where(masks[lev], c, 0.0) for lev, c in coeffs.items()}
 
     def random_coefficients(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
         """``coefficients(SignChoice.random_signs(self.q_cubes(), rng))``
@@ -340,29 +336,14 @@ class CoronaLevels:
 
     @cached_property
     def half_twisted(self) -> dict[int, np.ndarray]:
-        """``half_twisted_block`` of every level-l cube Q, one value per child
-        Q': r(Q') - r(Q), or -r(Q) when Q' is a stopping cube."""
+        """The half-twisted block difference of every level-l cube Q within
+        its corona block, one value per child Q': r(Q') - r(Q), or -r(Q) when
+        Q' is a stopping cube."""
         return {
             lev: np.where(self._stopped(lev + 1), 0.0, self.ratio[lev + 1])
             - spread(self.spec, lev, self.ratio[lev], lev + 1)
             for lev in self.deltas
         }
-
-    def box(self, level: int) -> np.ndarray:
-        """The cell array of ``box`` over every cube of the level."""
-        spec, stopped = self.spec, self._stopped(level + 1)
-        diff = np.where(stopped, 0.0, np.abs(self.half_twisted[level]))
-        parents = coarsen_step(spec.dim, stopped) > 0
-        return spread(spec, level + 1, diff + spread(spec, level, parents, level + 1))
-
-    def coefficients(self, eps: SignChoice, inside) -> dict[int, np.ndarray]:
-        """eps as one coefficient vector per level above the finest
-        (row-major), zero where ``inside(owners[l])`` is False."""
-        spec, coeffs = self.spec, {lev: np.zeros(self.spec.n_cubes(lev)) for lev in list(self.b)[:-1]}
-        for q, e in eps.eps.items():
-            if q.level in coeffs and q.dim == spec.dim:
-                coeffs[q.level][spec.cube_flat(q)] = e
-        return {lev: np.where(inside(self.owners[lev]), c, 0.0) for lev, c in coeffs.items()}
 
     def transform(self, coeffs: dict[int, np.ndarray]) -> np.ndarray:
         """sum over levels of the per-cube coefficients times D_l."""
@@ -394,19 +375,9 @@ def twisted_delta(ctx: TwistedContext, cube: DyadicCube, f: GridFunction) -> Gri
     return transform(ctx, SignChoice({cube: 1.0}), f)
 
 
-def half_twisted_D(ctx: TwistedContext, cube: DyadicCube, f: GridFunction) -> GridFunction:
-    """The half-twisted difference: terminal children skipped, no b factor."""
-    ctx.check_in_q(cube)
-    return half_transform(ctx, SignChoice({cube: 1.0}), f)
-
-
 def transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """sum over the derived family of eps_Q * (twisted difference at Q)."""
     return GridFunction(ctx.spec, ctx.levels(f).transform(ctx.coefficients(eps)))
-
-
-def _context_rule(ctx: TwistedContext, eps: SignChoice, f: GridFunction, rule) -> GridFunction:
-    return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), rule))
 
 
 def _half_step(e, fc, bc, fq, bq):
@@ -417,21 +388,7 @@ def _half_step(e, fc, bc, fq, bq):
 def half_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
     """sum of eps_Q * (half-twisted difference at Q) over the derived family:
     eps_Q (<f>_Q'/<b>_Q' - <f>_Q/<b>_Q) on each non-terminal child Q'."""
-    return _context_rule(ctx, eps, f, _half_step)
-
-
-def classical_transform(eps: SignChoice, f: GridFunction, cubes) -> GridFunction:
-    """sum_Q eps_Q sum_{Q' child of Q} (<f>_Q' - <f>_Q) 1_Q'."""
-    spec = f.spec
-    out = np.zeros(spec.n_cells)
-    for q in cubes:
-        e = eps.get(q)
-        if e == 0.0 or q.level >= spec.depth:
-            continue
-        base = f.average(q)
-        for child in q.children():
-            out[spec.cell_indices(child)] += e * (f.average(child) - base)
-    return GridFunction(spec, out)
+    return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), _half_step))
 
 
 # -- corona-adapted expectations and differences ---------------------------------
@@ -446,80 +403,19 @@ def corona_levels(
     return CoronaLevels(forest.spec, owners, *_stitch(forest.spec, owners, system.level_values), h)
 
 
-def _restrict(forest: CoronaForest, cube: DyadicCube, cells_of) -> GridFunction:
-    """``cells_of(cube.level)`` restricted to ``cube``, a cube inside the root."""
-    spec = forest.spec
-    if not (spec.contains(cube) and forest.q0.contains(cube)):
-        raise ValueError(f"{cube} is not inside {forest.q0}")
-    out = np.zeros(spec.n_cells)
-    idx = spec.cell_indices(cube)
-    out[idx] = cells_of(cube.level)[idx]
-    return GridFunction(spec, out)
-
-
-def corona_expectation(
-    forest: CoronaForest, j: int, system: AccretiveSystem, cube: DyadicCube, h: GridFunction
-) -> GridFunction:
-    """E_Q h = (<h>_Q / <b_S>_Q) b_S 1_Q with S the corona parent of Q."""
-    return _restrict(forest, cube, corona_levels(forest, j, system, h).expectations.get)
-
-
-def corona_delta(
-    forest: CoronaForest, j: int, system: AccretiveSystem, cube: DyadicCube, h: GridFunction
-) -> GridFunction:
-    """Delta_Q h = sum over children Q' of (E_Q' h - E_Q h) 1_Q'; mean zero,
-    supported on the cube."""
-    if cube.level >= forest.spec.depth:
-        return GridFunction.constant(forest.spec, 0.0)
-    return _restrict(forest, cube, corona_levels(forest, j, system, h).deltas.get)
-
-
 def expand(
     forest: CoronaForest, j: int, system: AccretiveSystem, top: DyadicCube, h: GridFunction
 ):
     """The martingale expansion of h below ``top``: returns (E_top h, list of
     (Q, Delta_Q h)); their sum reconstructs h 1_top exactly on the finite grid.
     """
+    spec = forest.spec
+    if not (spec.contains(top) and forest.q0.contains(top)):
+        raise ValueError(f"{top} is not inside {forest.q0}")
     levels = corona_levels(forest, j, system, h)
-    cubes = forest.spec.all_cubes(top, max_level=forest.spec.depth - 1)
-    return (_restrict(forest, top, levels.expectations.get),
-            [(q, _restrict(forest, q, levels.deltas.get)) for q in cubes])
-
-
-def corona_transform(
-    forest: CoronaForest, j: int, system: AccretiveSystem, eps: SignChoice, f: GridFunction
-) -> GridFunction:
-    """sum over cubes below the forest root of eps_Q * Delta_Q f."""
-    levels = corona_levels(forest, j, system, f)
-    return GridFunction(forest.spec, levels.transform(levels.coefficients(eps, lambda o: o >= 0)))
-
-
-def box(
-    forest: CoronaForest, j: int, system: AccretiveSystem, cube: DyadicCube, h: GridFunction
-) -> GridFunction:
-    """|half-twisted difference of h at the cube, within its corona block| plus
-    the indicator of the cube when one of its children is a stopping cube (the
-    indicator stands in for the skipped terminal children)."""
-    if cube.level >= forest.spec.depth:
-        return GridFunction.constant(forest.spec, 0.0)
-    return _restrict(forest, cube, corona_levels(forest, j, system, h).box)
-
-
-def half_twisted_block(
-    forest: CoronaForest, j: int, system: AccretiveSystem, cube: DyadicCube, h: GridFunction
-) -> GridFunction:
-    """The per-cube building block of the nested-form analysis:
-
-        sum over non-stopping children P' of (<h>_P' / <b_S'>_P') 1_P'
-        minus (<h>_P / <b_S>_P) 1_P,
-
-    with S (resp. S') the corona parents of the cube and its children.  It is
-    constant on each child, which is what lets kernel pairings against
-    mean-zero functions deeper inside pull it out as a number."""
-    if cube.level >= forest.spec.depth:
-        return GridFunction.constant(forest.spec, 0.0)
-    half = corona_levels(forest, j, system, h).half_twisted
-    return _restrict(forest, cube, lambda lev: spread(forest.spec, lev + 1, half[lev]))
+    cubes = spec.all_cubes(top, max_level=spec.depth - 1)
+    return (GridFunction(spec, levels.expectations[top.level]).restrict(top),
+            [(q, GridFunction(spec, levels.deltas[q.level]).restrict(q)) for q in cubes])
 
 
 # -- exact identities ------------------------------------------------------------
@@ -590,37 +486,6 @@ def _delta_decomp(ctx, levels, coeffs, twisted, half) -> float:
         rhs += spread(spec, lev + 1, e * levels.h_avg[lev + 1]) * levels.b[lev + 1]
         rhs -= spread(spec, lev + 1, e * spread(spec, lev, levels.ratio[lev], lev + 1)) * ctx.b.values
     return float(np.max(np.abs(twisted - rhs)))
-
-
-def pi_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
-    """The operator behind splitting term (ii): per cube and non-terminal child,
-    eps_Q (<b>_Q' - <b>_Q) <f>_Q' 1_Q', summed over the derived family."""
-    return _context_rule(ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) * fc)
-
-
-def amalgam_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
-    """The operator behind splitting term (iii): squared b-increments,
-    eps_Q (<b>_Q' - <b>_Q)^2 <f>_Q' / (<b>_Q' <b>_Q^2) 1_Q'."""
-    return _context_rule(
-        ctx, eps, f, lambda e, fc, bc, fq, bq: e * (bc - bq) ** 2 * fc / (bc * bq**2))
-
-
-def proof_operators(ctx: TwistedContext, eps: SignChoice, test_cube: DyadicCube):
-    """Both splitting operators applied to the indicator of ``test_cube``,
-    plus their L^1 norms over the cube (the local testing quantities that are
-    compared against a constant times |F|)."""
-    if not ctx.s0.contains(test_cube):
-        raise ValueError(f"{test_cube} is not inside the base cube")
-    ind = GridFunction.indicator(ctx.spec, test_cube)
-    pi_img = pi_transform(ctx, eps, ind)
-    am_img = amalgam_transform(ctx, eps, ind)
-    idx = ctx.spec.cell_indices(test_cube)
-    cv = ctx.spec.cell_volume
-    norms = (
-        float(np.sum(np.abs(pi_img.values[idx])) * cv),
-        float(np.sum(np.abs(am_img.values[idx])) * cv),
-    )
-    return pi_img, am_img, norms
 
 
 _N_LAMBDAS = 32  # the levels lambda the measure comparison sweeps, from 0 to max |Bf|

@@ -71,15 +71,12 @@ __all__ = [
     "form_split",
     "b_above_aggregation",
     "epsilon_coefficient",
-    "diagonal_lemma_check",
-    "box_square_function_check",
     "SearchResult",
     "adversarial_transform_search",
     "Instance",
     "build_instance",
     "run_identity_checks",
     "identity_suite",
-    "check_forest_blocks",
     "ExperimentConfig",
     "VerifierReport",
     "main_theorem_experiment",
@@ -239,6 +236,8 @@ def testing_constant(
     nested form read again.  Taking the max before the root is exact, since
     the power is monotone.
     """
+    if system.spec != kernel.spec:
+        raise ValueError("grid mismatch between the system and the kernel")
     if not q > 1.0:
         raise ValueError(f"exponent must exceed 1, got {q}")
     if side not in ("direct", "adjoint"):
@@ -448,32 +447,6 @@ def _g_telescoping(forest, lg, g: GridFunction) -> float:
     return best
 
 
-def diagonal_lemma_check(kernel, forest, sys1, sys2, cube, tloc) -> float:
-    """max over ordered child pairs (Q1, Q2) and the four test-function choices
-    of |<T(b1 1_Q1), b2 1_Q2>| / ((1 + Tloc) |Q|)."""
-    if cube.level >= forest.spec.depth:
-        raise ValueError("diagonal check needs a cube with children")
-    b1_choices = lambda q1: (sys1.get_b(forest.pi(1, cube)), sys1.get_b(q1))
-    b2_choices = lambda q2: (sys2.get_b(forest.pi(2, cube)), sys2.get_b(q2))
-    best = 0.0
-    for q1 in cube.children():
-        for q2 in cube.children():
-            for b1 in b1_choices(q1):
-                for b2 in b2_choices(q2):
-                    val = abs(bilinear(kernel, b1.restrict(q1), b2.restrict(q2)))
-                    best = max(best, val / ((1.0 + tloc) * cube.volume))
-    return best
-
-
-def box_square_function_check(forest, j, system, f, q) -> float:
-    """|| (sum over cubes of box-difference^2)^(1/2) ||_q / |Q0|^(1/q)."""
-    levels = corona_levels(forest, j, system, f)
-    sq = np.zeros(forest.spec.n_cells)
-    for level in levels.deltas:
-        sq += levels.box(level) ** 2
-    return GridFunction(forest.spec, np.sqrt(sq)).lp_norm(q) / forest.q0.volume ** (1.0 / q)
-
-
 # -- adversarial transform search ---------------------------------------------------
 
 
@@ -501,6 +474,9 @@ def adversarial_transform_search(
     restart draws a fresh random sign function f on the base cube unless a
     fixed list is supplied.
     """
+    if n_restarts < 1 or max_passes < 0:
+        raise ValueError(f"need n_restarts >= 1 and max_passes >= 0, "
+                         f"got {n_restarts} and {max_passes}")
     spec = ctx.spec
     rng = np.random.default_rng(seed)
     cubes = ctx.q_cubes()
@@ -630,19 +606,14 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def check_forest_blocks(forest, sys1, sys2) -> int:
-    """The invariants ``block_context`` validates on every corona block, in
-    one pass per family over the stitched level arrays (each cube Q against
-    b_pi(Q)); returns the number of blocks.  A violation raises RuntimeError:
-    the construction guarantees these invariants on every forest it builds,
-    so a failure is a fault of the program, not of its input."""
-    return _check_families(forest, corona_levels(forest, 1, sys1, None),
-                           corona_levels(forest, 2, sys2, None))
-
-
 def _check_families(forest, lf: CoronaLevels, lg: CoronaLevels) -> int:
-    """``check_forest_blocks`` on both families' level calculus, for any h:
-    the invariants read only the owners and the stitched b."""
+    """The invariants ``block_context`` validates on every corona block, in
+    one pass per family over the stitched level arrays of both families'
+    level calculus (each cube Q against b_pi(Q); any h, since the invariants
+    read only the owners and the stitched b); returns the number of blocks.
+    A violation raises RuntimeError: the construction guarantees these
+    invariants on every forest it builds, so a failure is a fault of the
+    program, not of its input."""
     cfg = forest.config
     for j, levels, p in ((1, lf, cfg.p1), (2, lg, cfg.p2)):
         try:
@@ -656,7 +627,7 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     """Every exact identity of the construction on one instance, as relative
     residuals, plus the telescoped-coefficient and measure-comparison margins.
     The corona's block invariants are checked first: a forest that breaks one
-    raises RuntimeError (``check_forest_blocks``) before any residual.
+    raises RuntimeError (``_check_families``) before any residual.
     """
     forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
     q0, levels = forest.q0, inst.levels
@@ -722,6 +693,10 @@ class ExperimentConfig:
     amp: float | None = None
     A: float | None = None
     tau_target: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, got {self.trials}")
 
 
 RESIDUAL_FIELDS = (

@@ -22,12 +22,12 @@ from dytb.twisted import make_context, twisted_delta
 from dytb.verify import (
     ExperimentConfig,
     adversarial_transform_search,
-    box_square_function_check,
     build_instance,
-    diagonal_lemma_check,
     main_theorem_experiment,
     trial_seed,
 )
+
+from oracles import box_square_function_check, diagonal_lemma_check
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "frozen_constants.json"
 

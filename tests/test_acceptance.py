@@ -19,7 +19,7 @@ from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import apply, bilinear, dense_matrix, generate_kernel
 from dytb.twisted import (
     SignChoice,
-    corona_delta,
+    corona_levels,
     make_context,
     measure_comparison_check,
     transform,
@@ -30,7 +30,6 @@ from dytb.verify import (
     ExperimentConfig,
     adversarial_transform_search,
     build_instance,
-    check_forest_blocks,
     epsilon_coefficient,
     main_theorem_experiment,
     lanczos_norm,
@@ -38,6 +37,8 @@ from dytb.verify import (
     run_identity_checks,
     trial_seed,
 )
+
+from oracles import check_forest_blocks, on_cube
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "frozen_constants.json").read_text())
 
@@ -144,6 +145,7 @@ def test_criterion_4_classical_reductions():
     forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     rng = np.random.default_rng(444)
     f = GridFunction(spec, rng.uniform(-1, 1, spec.n_cells))
+    deltas = corona_levels(forest, 1, const, f).deltas
     cellwise = 0.0
     for q in ctx.q_cubes():
         classical = np.zeros(spec.n_cells)
@@ -151,8 +153,7 @@ def test_criterion_4_classical_reductions():
         for child in q.children():
             classical[spec.cell_indices(child)] = f.average(child) - base
         cellwise = max(cellwise, float(np.max(np.abs(twisted_delta(ctx, q, f).values - classical))))
-        cellwise = max(cellwise, float(np.max(np.abs(
-            corona_delta(forest, 1, const, q, f).values - classical))))
+        cellwise = max(cellwise, float(np.max(np.abs(on_cube(spec, q, deltas[q.level]) - classical))))
     ratio_worst = 0.0
     for _ in range(200):
         signs = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))

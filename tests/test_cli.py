@@ -113,6 +113,38 @@ def test_malformed_kernel_file_is_a_config_error(tmp_path, capsys):
             assert err.startswith("config error:") and message in err
 
 
+def test_unreadable_or_unwritable_paths_are_config_errors(tmp_path, capsys):
+    missing, nodir = tmp_path / "missing.json", tmp_path / "nodir" / "out.json"
+    for argv, path in ((["report", "--in", str(missing.with_suffix(".csv"))], missing.with_suffix(".csv")),
+                       (["validate", "--kernel", str(missing)], missing),
+                       (["corona", "--kernel", str(missing)], missing),
+                       (["gen-kernel", "--depth", "3", "--out", str(nodir)], nodir),
+                       (["tb-experiment", "--depth", "3", "--trials", "1", "--out", str(nodir)], nodir)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and str(path) in err, argv
+
+
+def test_counts_are_validated(tmp_path, capsys):
+    for argv in (["transform-norm", "--depth", "3", "--restarts", "0"],
+                 ["transform-norm", "--depth", "3", "--restarts", "-1"],
+                 ["transform-norm", "--depth", "3", "--passes", "-1"],
+                 ["tb-experiment", "--depth", "3", "--trials", "-1", "--out", str(tmp_path / "r.csv")]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_file_for_another_grid_is_a_config_error(tmp_path, capsys):
+    # 1D d8 has the cells of 2D d4, 1D d6 a level too few: both are other grids
+    for depth in (8, 6):
+        path = tmp_path / f"k{depth}.json"
+        assert main(["gen-kernel", "--depth", str(depth), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["corona", "--dim", "2", "--depth", "4", "--kernel", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid mismatch")
+
+
 def test_identities_prints_residuals(capsys):
     assert main(["identities", "--dim", "1", "--depth", "5", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -14,13 +14,14 @@ from dytb.corona import (
     carleson_constant,
     choose_delta,
     packing_ratio,
-    set_packing_ratio,
     terminal_cubes,
 )
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import apply, dense_matrix, generate_kernel
 from dytb.twisted import TwistedContext, _check_owners, make_context
 from dytb.verify import testing_constant as measure_tloc
+
+from oracles import corona_parent, set_packing_ratio
 
 # -- oracles ------------------------------------------------------------------------
 
@@ -453,9 +454,9 @@ def test_corona_pi_and_children():
     ch = derive_children(members, root)
     for m in members:
         assert sorted(forest.stopping_children(1, m)) == sorted(ch[m])
-    # pi of a non-member is its nearest stopping ancestor
+    # the owner arrays name a non-member's nearest stopping ancestor
     for cube in spec.all_cubes(root):
-        pi = forest.pi(1, cube)
+        pi = corona_parent(forest, 1, cube)
         assert pi.contains(cube)
         cur = cube
         while cur != pi:

@@ -1,12 +1,17 @@
-"""Smoke test: every script in demos/ runs to completion and prints its report."""
+"""Smoke test: every script in demos/ runs to completion and prints its
+report, and README's examples run as written."""
 
 import runpy
+import shlex
 import tempfile
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from dytb import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -20,3 +25,23 @@ def test_demo_runs(path, capsys, tmp_path, monkeypatch):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
     assert list(tmp_path.iterdir()) == []
+
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block under README's ``## heading``."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(readme_block("Quick start", "python"), {})
+    assert len(capsys.readouterr().out.split()) == 3
+
+
+def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the commands read and write files by relative path
+    lines = [line for line in readme_block("Command line", "sh").splitlines() if line.startswith("dytb ")]
+    assert len(lines) == 8
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()

@@ -48,22 +48,14 @@ from dytb.twisted import (
     SignChoice,
     _three_term,
     TwistedContext,
-    amalgam_transform,
     block_context,
-    box,
-    corona_delta,
-    corona_expectation,
     corona_levels,
-    corona_transform,
     decomposition_identity_check,
     delta_decomp_check,
     expand,
     half_transform,
-    half_twisted_block,
-    half_twisted_D,
     make_context,
     measure_comparison_check,
-    pi_transform,
     three_term_check,
     transform,
     twisted_delta,
@@ -73,11 +65,11 @@ from dytb.verify import (
     _g_telescoping,
     b_above_aggregation,
     build_instance,
-    check_forest_blocks,
     epsilon_coefficient,
 )
 from dytb.verify import testing_constant as measure_tloc
 
+from oracles import amalgam_transform, box, check_forest_blocks, corona_parent, pi_transform
 from test_accretive import KIND_SETUPS
 from test_corona import (
     coarsened_context,
@@ -135,7 +127,7 @@ def test_level_arrays_equal_enumeration(grid, seed):
     for j, system in ((1, inst.sys1), (2, inst.sys2)):
         levels = corona_levels(forest, j, system, h)
         for q in cubes:
-            assert forest.pi(j, q) == walk_pi(forest, j, q)
+            assert corona_parent(forest, j, q) == walk_pi(forest, j, q)
             idx = spec.cell_indices(q)
             want = enumerated_corona_expectation(forest, j, system, q, h)
             assert np.array_equal(levels.expectations[q.level][idx], want[idx])
@@ -147,28 +139,12 @@ def test_level_arrays_equal_enumeration(grid, seed):
             got = spread(spec, q.level + 1, levels.half_twisted[q.level])
             assert np.array_equal(got[idx], want[idx])
             want = enumerated_box(forest, j, system, q, h)
-            assert np.array_equal(levels.box(q.level)[idx], want[idx])
-        # the public per-cube functions are slices of the same arrays
-        for q in sample(cubes, rng, 6):
-            for fast, oracle in ((corona_expectation, enumerated_corona_expectation),
-                                 (corona_delta, enumerated_corona_delta),
-                                 (half_twisted_block, enumerated_half_twisted_block),
-                                 (box, enumerated_box)):
-                assert np.array_equal(fast(forest, j, system, q, h).values,
-                                      oracle(forest, j, system, q, h))
-        for s in forest.members(j):
-            block = [q for q in spec.all_cubes(s) if walk_pi(forest, j, q) == s]
-            assert forest.block_cubes(j, s) == block
+            assert np.array_equal(box(levels, q.level)[idx], want[idx])
         [top] = sample(sorted(forest.members(j)), rng, 1)
         e_top, deltas = expand(forest, j, system, top, h)
         assert np.array_equal(e_top.values, enumerated_corona_expectation(forest, j, system, top, h))
         for q, d in deltas:
             assert np.array_equal(d.values, enumerated_corona_delta(forest, j, system, q, h))
-        eps = SignChoice.random_signs(cubes, rng)
-        want = np.zeros(spec.n_cells)
-        for q in cubes:
-            want += eps.get(q) * enumerated_corona_delta(forest, j, system, q, h)
-        assert np.array_equal(corona_transform(forest, j, system, eps, h).values, want)
 
 
 @BOUNDED
@@ -332,7 +308,8 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     for q in ctx.q_cubes() + [spec.cube_from_flat(spec.depth, int(k)) for k in finest]:
         assert ctx.avg_b(q) == ctx.b.average(q)
         assert np.array_equal(twisted_delta(ctx, q, f).values, enumerated_twisted_delta(ctx, q, f))
-        assert np.array_equal(half_twisted_D(ctx, q, f).values, enumerated_half_twisted_D(ctx, q, f))
+        assert np.array_equal(half_transform(ctx, SignChoice({q: 1.0}), f).values,
+                              enumerated_half_twisted_D(ctx, q, f))
     # coefficients on every cube of the grid: those off the derived family
     # (inside terminal cubes, finest level) must not count
     cubes = list(spec.all_cubes())

@@ -7,7 +7,6 @@ from dytb.grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
-    child_containing,
     cube_blocks,
     dyadic_maximal,
     from_cube_blocks,
@@ -146,43 +145,6 @@ def test_lp_norm_monotone(rng):
     g = GridFunction(spec, f.values * rng.uniform(0.0, 1.0, spec.n_cells))
     for p in (1.5, 2.0, 4.0):
         assert lp_norm(g, p) <= lp_norm(f, p) + 1e-15
-
-
-# -- child_containing ---------------------------------------------------------------
-
-
-def test_child_containing_examples():
-    # [0,1) over [1/4, 3/8) -> [0, 1/2);  [0,1/2) over it -> [1/4, 1/2)
-    q = DyadicCube(3, (2,))
-    assert child_containing(DyadicCube(0, (0,)), q) == DyadicCube(1, (0,))
-    assert child_containing(DyadicCube(1, (0,)), q) == DyadicCube(2, (1,))
-
-
-def test_child_containing_rejects_non_nested():
-    with pytest.raises(ValueError):
-        child_containing(DyadicCube(1, (0,)), DyadicCube(1, (1,)))
-    with pytest.raises(ValueError):
-        child_containing(DyadicCube(1, (1,)), DyadicCube(2, (0,)))
-    with pytest.raises(ValueError):
-        child_containing(DyadicCube(1, (0,)), DyadicCube(1, (0,)))  # not strict
-
-
-def test_child_containing_matches_scan(rng):
-    spec = GridSpec(2, 6)
-    for _ in range(100):
-        parent = rand_cube(spec, rng, max_level=5)
-        inner = parent
-        while inner.level <= parent.level:
-            inner = rand_cube(spec, rng, min_level=parent.level + 1)
-            shift = inner.level - parent.level
-            inner = DyadicCube(
-                inner.level,
-                tuple((p << shift) | (c & ((1 << shift) - 1))
-                      for p, c in zip(parent.coords, inner.coords)),
-            )
-        found = child_containing(parent, inner)
-        scan = [c for c in parent.children() if c.contains(inner)]
-        assert scan == [found]
 
 
 # -- dyadic maximal function ---------------------------------------------------------

@@ -9,24 +9,20 @@ from dytb.twisted import (
     SignChoice,
     TwistedContext,
     block_context,
-    box,
-    classical_transform,
-    corona_delta,
-    corona_transform,
+    corona_levels,
     decomposition_identity_check,
     delta_decomp_check,
     expand,
-    half_twisted_D,
-    half_twisted_block,
+    half_transform,
     make_context,
     measure_comparison_check,
-    proof_operators,
     transform,
     twisted_delta,
 )
 from dytb.verify import build_instance
 
 from conftest import rand_fun, rand_signs
+from oracles import box, classical_transform, on_cube, proof_operators
 from test_corona import coarsened_context, family_of
 
 
@@ -294,7 +290,7 @@ def test_half_twisted_matches_direct_evaluation(rng):
     ctx = terminal_ctx(depth=5, seed=9)
     f = rand_fun(ctx.spec, rng)
     for q in ctx.q_cubes():
-        got = half_twisted_D(ctx, q, f)
+        got = half_transform(ctx, SignChoice({q: 1.0}), f)
         assert np.allclose(got.values, oracle_half_twisted(ctx, q, f), atol=1e-12)
 
 
@@ -304,7 +300,7 @@ def test_half_twisted_all_children_terminal_is_zero():
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
     ctx = TwistedContext(sys_, root, family_of(spec, root, root.children()), 2.0, 0.4, 1.5)
-    assert np.all(half_twisted_D(ctx, root, sys_.get_b(root)).values == 0.0)
+    assert np.all(half_transform(ctx, SignChoice({root: 1.0}), sys_.get_b(root)).values == 0.0)
 
 
 # -- transforms ----------------------------------------------------------------------
@@ -414,47 +410,45 @@ def test_corona_delta_classical_case(rng):
     spec = GridSpec(1, 4)
     forest, const = classical_forest(spec)
     h = rand_fun(spec, rng)
-    for q in spec.all_cubes(spec.root()):
-        if q.level >= spec.depth:
-            continue
-        d = corona_delta(forest, 1, const, q, h)
+    deltas = corona_levels(forest, 1, const, h).deltas
+    for q in spec.all_cubes(spec.root(), max_level=spec.depth - 1):
         want = np.zeros(spec.n_cells)
         base = h.average(q)
         for child in q.children():
             want[spec.cell_indices(child)] = h.average(child) - base
-        assert np.allclose(d.values, want, atol=1e-14)
+        assert np.allclose(on_cube(spec, q, deltas[q.level]), want, atol=1e-14)
 
 
 def test_corona_delta_annihilates_block_function():
     spec = GridSpec(1, 4)
     forest, const = classical_forest(spec)
     b0 = const.get_b(spec.root())
-    for q in spec.all_cubes(spec.root()):
-        if q.level < spec.depth:
-            assert np.all(corona_delta(forest, 1, const, q, b0).values == 0.0)
+    # the root's block is the whole grid: every level array is zero
+    assert all(np.all(d == 0.0) for d in corona_levels(forest, 1, const, b0).deltas.values())
 
 
 def test_corona_delta_matches_oracle_on_random_instance(rng):
     inst = build_instance(1, 5, seed=31)
     forest = inst.forest
     h = rand_fun(inst.spec, rng)
+    spec = inst.spec
     for j, system in ((1, inst.sys1), (2, inst.sys2)):
         assert len(forest.members(j)) > 1  # exercise real stopping structure
-        for q in inst.spec.all_cubes(forest.q0):
-            if q.level >= inst.spec.depth:
-                continue
-            got = corona_delta(forest, j, system, q, h)
+        deltas = corona_levels(forest, j, system, h).deltas
+        for q in spec.all_cubes(forest.q0, max_level=spec.depth - 1):
+            got = on_cube(spec, q, deltas[q.level])
             want = oracle_corona_delta(forest, j, system, q, h)
-            assert np.allclose(got.values, want, atol=1e-11)
-            assert abs(got.integral()) <= 1e-12 * (1 + np.abs(h.values).max())
+            assert np.allclose(got, want, atol=1e-11)
+            assert abs(got.sum() * spec.cell_volume) <= 1e-12 * (1 + np.abs(h.values).max())
 
 
 def test_corona_orthogonality_classical(rng):
     spec = GridSpec(1, 4)
     forest, const = classical_forest(spec)
     h = rand_fun(spec, rng)
-    cubes = [q for q in spec.all_cubes(spec.root()) if q.level < spec.depth]
-    deltas = [corona_delta(forest, 1, const, q, h).values for q in cubes]
+    levels = corona_levels(forest, 1, const, h)
+    deltas = [on_cube(spec, q, levels.deltas[q.level])
+              for q in spec.all_cubes(spec.root(), max_level=spec.depth - 1)]
     for a in range(len(deltas)):
         for b in range(a + 1, len(deltas)):
             dot = float(np.sum(deltas[a] * deltas[b])) * spec.cell_volume
@@ -498,12 +492,12 @@ def test_expand_random_reconstruction_all_members(rng):
 
 
 def test_corona_transform_classical_telescopes(rng):
+    # the corona transform with every sign 1 is the sum of the level differences
     spec = GridSpec(1, 4)
     forest, const = classical_forest(spec)
     f = rand_fun(spec, rng)
-    eps = SignChoice.constant([q for q in spec.all_cubes(spec.root())])
-    out = corona_transform(forest, 1, const, eps, f)
-    assert np.allclose(out.values, f.values - f.average(), atol=1e-13)
+    out = corona_levels(forest, 1, const, f).delta_sum
+    assert np.allclose(out, f.values - f.average(), atol=1e-13)
 
 
 # -- box differences ------------------------------------------------------------------------
@@ -514,12 +508,12 @@ def test_box_classical_case(rng):
     forest, const = classical_forest(spec)
     h = rand_fun(spec, rng)
     q = DyadicCube(1, (0,))
-    got = box(forest, 1, const, q, h)
+    got = on_cube(spec, q, box(corona_levels(forest, 1, const, h), q.level))
     want = np.zeros(spec.n_cells)
     base = h.average(q)
     for child in q.children():
         want[spec.cell_indices(child)] = abs(h.average(child) - base)
-    assert np.allclose(got.values, want, atol=1e-14)
+    assert np.allclose(got, want, atol=1e-14)
 
 
 def test_box_indicator_on_stopping_child(rng):
@@ -528,9 +522,9 @@ def test_box_indicator_on_stopping_child(rng):
     stopped = [s for s in forest.members(1) if s != forest.q0]
     assert stopped
     parent = stopped[0].parent()
-    got = box(forest, 1, inst.sys1, parent, inst.f)
+    got = box(corona_levels(forest, 1, inst.sys1, inst.f), parent.level)
     idx = inst.spec.cell_indices(parent)
-    assert np.all(got.values[idx] >= 1.0)
+    assert np.all(got[idx] >= 1.0)
 
 
 def test_box_matches_componentwise_recomputation(rng):
@@ -539,10 +533,9 @@ def test_box_matches_componentwise_recomputation(rng):
     spec = inst.spec
     members = set(forest.members(1))
     h = rand_fun(spec, rng)
-    for q in spec.all_cubes(forest.q0):
-        if q.level >= spec.depth:
-            continue
-        got = box(forest, 1, system, q, h).values
+    levels = corona_levels(forest, 1, system, h)
+    for q in spec.all_cubes(forest.q0, max_level=spec.depth - 1):
+        got = on_cube(spec, q, box(levels, q.level))
         pi = q
         while pi not in members:
             pi = pi.parent()
@@ -558,19 +551,6 @@ def test_box_matches_componentwise_recomputation(rng):
         if any(c in members for c in q.children()):
             want[qidx] += 1.0
         assert np.allclose(got, want, atol=1e-11)
-
-
-def test_half_twisted_block_constant_on_children(rng):
-    inst = build_instance(1, 5, seed=31)
-    spec = inst.spec
-    f = rand_fun(spec, rng)
-    for p in list(spec.all_cubes(inst.forest.q0))[:20]:
-        if p.level >= spec.depth:
-            continue
-        w = half_twisted_block(inst.forest, 1, inst.sys1, p, f)
-        for child in p.children():
-            vals = w.values[spec.cell_indices(child)]
-            assert np.ptp(vals) == 0.0
 
 
 # -- splitting operators ---------------------------------------------------------------------
@@ -670,6 +650,7 @@ def test_finest_cell_bound(rng):
 def test_block_context_roundtrip():
     inst = build_instance(1, 5, seed=31)
     forest = inst.forest
+    deltas = corona_levels(forest, 1, inst.sys1, inst.f).deltas
     for member in forest.members(1):
         ctx = block_context(forest, 1, inst.sys1, member)
         assert ctx.s0 == member
@@ -677,8 +658,7 @@ def test_block_context_roundtrip():
         # block twisted differences agree with corona differences inside the block
         for q in ctx.q_cubes():
             a = twisted_delta(ctx, q, inst.f)
-            b = corona_delta(forest, 1, inst.sys1, q, inst.f)
-            assert np.allclose(a.values, b.values, atol=1e-12)
+            assert np.allclose(a.values, on_cube(ctx.spec, q, deltas[q.level]), atol=1e-12)
     finer = AccretiveSystem(GridSpec(1, 6), "constant", 2.0, 1.5)
     with pytest.raises(ValueError, match="grid mismatch"):
         block_context(forest, 1, finer, forest.q0)

@@ -9,9 +9,9 @@ import pytest
 from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
 from dytb.corona import TbConfig, _subtree_mask, build_corona, packing_ratio
-from dytb.grid import DyadicCube, GridFunction, GridSpec, child_containing, cube_blocks, spread
+from dytb.grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
-from dytb.twisted import TwistedContext, corona_delta, corona_levels, make_context, twisted_delta
+from dytb.twisted import TwistedContext, corona_levels, make_context, twisted_delta
 from dytb.verify import (
     AUTO_DENSE_CELLS,
     RESIDUAL_FIELDS,
@@ -20,10 +20,7 @@ from dytb.verify import (
     adversarial_transform_search,
     b_above_aggregation,
     bilinear_expansion_check,
-    box_square_function_check,
     build_instance,
-    check_forest_blocks,
-    diagonal_lemma_check,
     easy_terms_check,
     epsilon_coefficient,
     form_split,
@@ -38,6 +35,7 @@ from dytb.verify import testing_constant as measure_tloc
 
 from conftest import rand_signs
 import make_cli_golden
+from oracles import box_square_function_check, check_forest_blocks, diagonal_lemma_check, on_cube
 from test_accretive import GRIDS, KIND_SETUPS
 from test_kernels import lca_dense_matrix
 from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block, walk_pi
@@ -496,9 +494,10 @@ def test_form_split_matches_double_loop_oracle(rng):
     assert fs.residual <= 1e-9
     dense = lca_dense_matrix(inst.kernel)
     cv = spec.cell_volume
-    cubes = [q for q in spec.all_cubes(forest.q0) if q.level < spec.depth]
-    df = {q: corona_delta(forest, 1, inst.sys1, q, inst.f).values for q in cubes}
-    dg = {q: corona_delta(forest, 2, inst.sys2, q, inst.g).values for q in cubes}
+    cubes = list(spec.all_cubes(forest.q0, max_level=spec.depth - 1))
+    lf, lg = corona_levels(forest, 1, inst.sys1, inst.f), corona_levels(forest, 2, inst.sys2, inst.g)
+    df = {q: on_cube(spec, q, lf.deltas[q.level]) for q in cubes}
+    dg = {q: on_cube(spec, q, lg.deltas[q.level]) for q in cubes}
     above = equal = below = 0.0
     for p, fv in df.items():
         for q, gv in dg.items():
@@ -553,8 +552,8 @@ def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
         value += f.average(member) * acc
     # second piece: per-cube differences inside the block
     pull_res = 0.0
-    for p in forest.block_cubes(1, member):
-        if p.level >= spec.depth:
+    for p in spec.all_cubes(member, max_level=spec.depth - 1):
+        if walk_pi(forest, 1, p) != member:
             continue
         half = lf.half_twisted[p.level]
         w = spread(spec, p.level + 1, half) * spread(spec, p.level, _subtree_mask(spec.dim, p, p.level))
@@ -698,7 +697,7 @@ def epsilon_by_walk(forest, sys1, f, member, cube):
     while True:
         if walk_pi(forest, 1, p) == member:
             wp = enumerated_half_twisted_block(forest, 1, sys1, p, f)
-            total += float(wp[spec.cell_indices(child_containing(p, cube))[0]])
+            total += float(wp[spec.cell_indices(cube.ancestor(p.level + 1))[0]])
         if p == forest.q0 or p == member:
             break
         p = p.parent()
@@ -762,8 +761,8 @@ def test_diagonal_matches_dense_oracle():
         best = 0.0
         for q1 in cube.children():
             for q2 in cube.children():
-                for b1 in (const.get_b(forest.pi(1, cube)), const.get_b(q1)):
-                    for b2 in (const.get_b(forest.pi(2, cube)), const.get_b(q2)):
+                for b1 in (const.get_b(walk_pi(forest, 1, cube)), const.get_b(q1)):
+                    for b2 in (const.get_b(walk_pi(forest, 2, cube)), const.get_b(q2)):
                         h1 = b1.restrict(q1).values
                         h2 = b2.restrict(q2).values
                         val = abs(float(h2 @ dense @ h1)) * cv
