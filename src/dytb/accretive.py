@@ -16,14 +16,18 @@ between threads.
 A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
 generator per cube.  For the random kind the batch reproduces those
-generators bit for bit without building them: the seeding of every cube of
-every level is one vectorised hash, and the draws of a level are PCG
-jump-aheads from shared power tables.  Each 128-bit PCG value is a pair of
-uint64 halves (hi, lo), multiplied by (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo
-+ a_lo b_hi) mod 2^64) 2^64 on numpy's wrapping uint64 products.  The
-draws run along the longer of (cubes, cells per cube): fine levels, with
-many cubes of a few cells, compute cubes-innermost and transpose once into
-contiguous per-cube rows.  The row means, maxima and norms then go through
+generators bit for bit without building them: the seeding of many cubes is
+one vectorised hash (a system drawn level by level seeds every level on its
+first draw and keeps the states), and the draws of a level are PCG
+jump-aheads from shared power tables.  An instance's two systems are drawn
+together (``draw_levels``): one seeding pass for the cubes of both, then one
+batch of rows per level for both, up to a size that still fits the core's
+cache.
+Each 128-bit PCG value is a pair of uint64 halves (hi, lo), multiplied by
+(a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 on
+numpy's wrapping uint64 products.  The draws run along the longer of
+(cubes, cells per cube): fine levels, with many cubes of a few cells,
+compute cubes-innermost and transpose once into contiguous per-cube rows.  The row means, maxima and norms then go through
 ``grid.row_reduce``, which sums short rows column by column in numpy's own
 order.  The two-value kind still builds one generator per cube, since its
 permutation draws a variable number of values.
@@ -32,6 +36,7 @@ permutation draws a variable number of values.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +45,7 @@ from . import kernels
 from .grid import (DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_sum, lp_norm,
                    row_reduce)
 
-__all__ = ["AccretiveSystem", "validate", "ACCRETIVE_KINDS"]
+__all__ = ["AccretiveSystem", "draw_levels", "validate", "ACCRETIVE_KINDS"]
 
 ACCRETIVE_KINDS = ("constant", "two-value", "signed", "random")
 
@@ -126,11 +131,8 @@ class AccretiveSystem:
         if vals is None:
             if not 0 <= level <= self.spec.depth:
                 raise ValueError(f"level {level} outside [0, {self.spec.depth}]")
-            blocks = self._level_blocks(level, self.spec.n_cells // self.spec.n_cubes(level))
-            vals = from_cube_blocks(self.spec, level, blocks)
-            self._check_level(level, vals, blocks)
-            vals.setflags(write=False)
-            self._levels[level] = vals
+            n = self.spec.n_cells // self.spec.n_cubes(level)
+            vals = self._store(level, self._level_blocks(level, n))
         return vals
 
     def level_sweep(self, op: kernels.PerfectKernel, level: int) -> np.ndarray:
@@ -166,13 +168,21 @@ class AccretiveSystem:
                 row[np.random.default_rng(seeds).permutation(n)[: n // 2]] = 1.0 + s
             return blocks
         if level not in self._seeds:  # first draw, or a level that failed its check
-            self._seeds = _seed_levels(self.seed, self.spec)
-        w = _uniform_rows(*self._seeds.pop(level), n)
-        w -= (row_reduce(np.add, w) / n)[:, None]  # w.mean(axis=1, keepdims=True)
-        # keep values inside [1-amp, 1+amp] after recentring
-        peak = row_reduce(np.maximum, np.abs(w))[:, None]
-        np.divide(w, peak, out=w, where=peak > 1.0)
-        return 1.0 + float(self.params.get("amp", 0.5)) * w
+            groups = [(self, lev) for lev in range(self.spec.depth)]
+            state, inc, bounds = _seed_groups(groups)
+            self._seeds = {lev: [[word[lo:hi] for word in pair] for pair in (state, inc)]
+                           for (_, lev), lo, hi in zip(groups, bounds, bounds[1:])}
+        (blocks,) = _draw_rows(self.spec, level, [self], *self._seeds.pop(level))
+        return blocks
+
+    def _store(self, level: int, blocks: np.ndarray) -> np.ndarray:
+        """Check one level's blocks (``_level_blocks``) and keep them as that
+        level's read-only cell array."""
+        vals = from_cube_blocks(self.spec, level, blocks)
+        self._check_level(level, vals, blocks)
+        vals.setflags(write=False)
+        self._levels[level] = vals
+        return vals
 
     def _check_level(self, level: int, vals: np.ndarray, blocks: np.ndarray) -> None:
         """The per-cube invariants of every b_Q of one level, vectorised: mean,
@@ -211,6 +221,25 @@ class AccretiveSystem:
                                int(data.get("seed", 0)), dict(data.get("params", {})))
 
 
+def draw_levels(systems) -> None:
+    """Build every level of every system in ``systems`` (all on one grid),
+    level by level.  The levels of the random kind not built yet are drawn
+    for all systems together (``_draw_random``), bit for bit as
+    ``level_values`` draws them one system and one level at a time, and with
+    the same check per system and level; the other kinds build as in
+    ``level_values``."""
+    spec = systems[0].spec
+    if any(system.spec != spec for system in systems):
+        raise ValueError("grid mismatch between systems")
+    groups = [(system, level) for level in range(spec.depth) for system in systems
+              if system.kind == "random" and level not in system._levels]
+    for system, level, blocks in _draw_random(groups) if groups else ():
+        system._store(level, blocks)
+    for level in range(spec.depth + 1):
+        for system in systems:
+            system.level_values(level)
+
+
 def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
     """Check the per-cube invariants; returns (ok, measured constant).
 
@@ -244,6 +273,13 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state hash
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# The most cubes one seeding pass and the most values one draw of
+# ``_draw_random`` take.  Batching saves numpy calls, which matters on small
+# grids only.  Past this size the dozen arrays of a draw's 128-bit products
+# (8 bytes a value each) outgrow a 2 MB L2 cache, and a batch of two systems
+# draws slower than each system alone (1D depth 14 and 16, measured).
+_BATCH = 1 << 14
 
 # (M^(k+1), G_(k+1)) for k < size as uint64 (hi, lo) rows of shape (2, size),
 # with M the PCG multiplier and G_j = sum_{i<j} M^i; grown by doubling on
@@ -287,13 +323,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _generate_state(seed: int, level: np.ndarray, flat: np.ndarray) -> list:
-    """``SeedSequence(seed, spawn_key=(level[i], flat[i])).generate_state(8)``
-    for every i: eight uint32 words, as uint64 arrays over i.
-
-    The entropy words are the seed's words (zero-padded to the pool size)
-    followed by the two spawn words, so the pool hash of everything but those
-    two words is shared by all i and done once with ints."""
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's entropy pool for ``seed`` before the spawn key is mixed
+    in, and the hash constant it reaches, in int arithmetic.  The entropy
+    words are the seed's words (zero-padded to the pool size) followed by the
+    two spawn words, so this part is shared by every cube of the seed."""
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = []
@@ -316,7 +350,21 @@ def _generate_state(seed: int, level: np.ndarray, flat: np.ndarray) -> list:
         for dst in range(_POOL):
             mixed, hc = _hashmix(word, hc)
             pool[dst] = _mix(pool[dst], mixed)
-    pool = [np.full(level.size, word, dtype=np.uint32) for word in pool]
+    return pool, hc
+
+
+def _generate_state(seeds: list[int], which: np.ndarray, level: np.ndarray,
+                    flat: np.ndarray) -> list:
+    """``SeedSequence(seeds[which[i]], spawn_key=(level[i], flat[i]))
+    .generate_state(8)`` for every i: eight uint32 words, as uint64 arrays
+    over i.  One pool per seed (``_seed_pool``), gathered onto its cubes; the
+    spawn words of all cubes are then mixed in one pass."""
+    pools = [_seed_pool(seed) for seed in seeds]
+    table = np.array([pool for pool, _ in pools], dtype=np.uint32)
+    pool = [table[:, dst][which] for dst in range(_POOL)]
+    hcs = [hc for _, hc in pools]
+    # the constant depends on the seed's word count only: one int unless seeds mix counts
+    hc = hcs[0] if len(set(hcs)) == 1 else np.array(hcs, dtype=np.uint32)[which]
     for spawn in (level.astype(np.uint32), flat.astype(np.uint32)):
         for dst in range(_POOL):
             mixed, hc = _hashmix(spawn, hc)
@@ -330,23 +378,80 @@ def _generate_state(seed: int, level: np.ndarray, flat: np.ndarray) -> list:
     return out
 
 
-def _seed_levels(seed: int, spec: GridSpec) -> dict:
-    """For every cube of the levels that draw (cubes of more than one cell),
-    the ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(level,
-    flat))).state`` as (hi, lo) pairs, keyed by level and indexed by flat:
-    all levels are seeded in one batch."""
-    counts = [spec.n_cubes(level) for level in range(spec.depth)]
-    w = _generate_state(seed, np.repeat(np.arange(spec.depth), counts),
-                        np.concatenate([np.arange(count) for count in counts]))
+def _pcg_states(seeds: list[int], which: np.ndarray, level: np.ndarray,
+                flat: np.ndarray) -> tuple:
+    """The ``(state, inc)`` of ``PCG64(SeedSequence(seeds[which[i]],
+    spawn_key=(level[i], flat[i]))).state`` for every i, as (hi, lo) pairs of
+    arrays over i."""
+    w = _generate_state(seeds, which, level, flat)
     # as uint64 (w0|w1, w2|w3, w4|w5, w6|w7) = (seed hi, seed lo, seq hi, seq lo)
     s = (w[0] | w[1] << 32, w[2] | w[3] << 32)
     seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
     # PCG64 seeding: state 0, step, add s, step; a step is x -> M x + inc
-    state = _add128(_mul128(_add128(s, inc), _halves(_PCG_MULT)), inc)
-    bounds = np.cumsum([0, *counts])
-    return {level: tuple(tuple(word[start:stop] for word in pair) for pair in (state, inc))
-            for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))}
+    return _add128(_mul128(_add128(s, inc), _halves(_PCG_MULT)), inc), inc
+
+
+def _seed_groups(groups: list) -> tuple:
+    """The PCG64 ``(state, inc)`` of every cube of every ``(system, level)``
+    of ``groups``, seeded in one ``_pcg_states`` pass: (hi, lo) pairs of
+    arrays over the cubes, group after group, and the bounds of each group."""
+    spec = groups[0][0].spec
+    seeds = list(dict.fromkeys(system.seed for system, _ in groups))
+    counts = [spec.n_cubes(level) for _, level in groups]
+    state, inc = _pcg_states(
+        seeds, np.repeat([seeds.index(system.seed) for system, _ in groups], counts),
+        np.repeat([level for _, level in groups], counts),
+        np.concatenate([np.arange(count) for count in counts]))
+    return state, inc, np.cumsum([0, *counts]).tolist()
+
+
+def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> list[np.ndarray]:
+    """The blocks of b_Q (as ``_level_blocks`` gives them) of ``systems`` at
+    ``level``, from the PCG64 ``(state, inc)`` of their cubes, system after
+    system: one ``_uniform_rows`` call, recentred as one block of rows.
+    Every step is per row, so each row is that of its cube's own generator,
+    bit for bit."""
+    n = spec.n_cells // spec.n_cubes(level)
+    w = _uniform_rows(state, inc, n)
+    w -= (row_reduce(np.add, w) / n)[:, None]  # w.mean(axis=1, keepdims=True)
+    # keep values inside [1-amp, 1+amp] after recentring
+    peak = row_reduce(np.maximum, np.abs(w))[:, None]
+    np.divide(w, peak, out=w, where=peak > 1.0)
+    count = spec.n_cubes(level)
+    out = [w[k * count:(k + 1) * count] for k in range(len(systems))]
+    for system, blocks in zip(systems, out):
+        blocks *= float(system.params.get("amp", 0.5))  # 1 + amp w, in place
+        blocks += 1.0
+    return out
+
+
+def _draw_random(groups: list) -> Iterator[tuple]:
+    """b_Q of the random kind for every ``(system, level)`` of ``groups`` (in
+    level order, levels below the finest), yielded as ``(system, level,
+    blocks)``.  The groups are seeded in passes of up to ``_BATCH`` cubes,
+    and the groups of one level drawn together, up to ``_BATCH`` values a
+    draw (each pass and draw takes at least one group)."""
+    spec = groups[0][0].spec
+    ends = np.cumsum([0] + [spec.n_cubes(level) for _, level in groups])
+    per_draw = max(1, _BATCH // spec.n_cells)  # every group draws n_cells values
+    start = 0
+    while start < len(groups):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _BATCH, side="right")) - 1)
+        batch = groups[start:stop]
+        state, inc, bounds = _seed_groups(batch)
+        first = 0
+        while first < len(batch):
+            level, last = batch[first][1], first + 1
+            while last < min(len(batch), first + per_draw) and batch[last][1] == level:
+                last += 1
+            systems = [system for system, _ in batch[first:last]]
+            lo, hi = bounds[first], bounds[last]
+            words = ([word[lo:hi] for word in pair] for pair in (state, inc))
+            for system, blocks in zip(systems, _draw_rows(spec, level, systems, *words)):
+                yield system, level, blocks
+            first = last
+        start = stop
 
 
 def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:

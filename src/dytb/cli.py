@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accretive import ACCRETIVE_KINDS, AccretiveSystem
+from .accretive import ACCRETIVE_KINDS, AccretiveSystem, draw_levels
 from .corona import (
     ConfigError,
     TbConfig,
@@ -116,6 +116,7 @@ def cmd_corona(args) -> int:
         kernel = generate_kernel(args.kernel_kind, spec, seed=args.kernel_seed,
                                  scale=args.kernel_scale)
     sys1, sys2 = _build_systems(args, spec)
+    draw_levels((sys1, sys2))
     tloc = max(
         testing_constant(kernel, sys1, conjugate(args.p2), "direct"),
         testing_constant(kernel, sys2, conjugate(args.p1), "adjoint"),
@@ -173,8 +174,11 @@ def cmd_tb_experiment(args) -> int:
     keys = ("dim", "depth", "trials", "p1", "p2", "seed", "kernel_kind",
             "kernel_scale", "accretive_kind", "amp", "A", "tau_target")
     config = _resolved(args, keys)
-    reports = main_theorem_experiment(ExperimentConfig(**config))
+    experiment = ExperimentConfig(**config)
     out = Path(args.out)
+    for path in (out, out.with_suffix(".json")):  # before the trials, not after them
+        _check_writable(path)
+    reports = main_theorem_experiment(experiment)
     write_report_csv(out, config, reports)
     write_report_json(out.with_suffix(".json"), config, reports)
     ok = [r for r in reports if r.ok]
@@ -224,6 +228,16 @@ def write_report_json(path, config: dict, reports: list[VerifierReport]) -> None
     rows = [r.to_json_dict() for r in reports]
     _write_json(path, {"version": __version__, "config": config, "reports": rows,
                        **summarize(rows)})
+
+
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing ``path`` would raise, such as a missing
+    directory: opened for appending, so an existing file keeps its bytes, and
+    removed again if the open created it."""
+    existed = path.exists()
+    open(path, "a").close()
+    if not existed:
+        path.unlink()
 
 
 def _write_json(path, payload: dict) -> None:

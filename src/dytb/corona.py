@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sum, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
 from .kernels import PerfectKernel, adjoint
 
 __all__ = [
@@ -268,7 +268,8 @@ def _build_family(
     """One stopping family below ``q0`` as the owner arrays of its pass
     (``CoronaForest.owner_levels``).  A member S of level m stitches that
     level's b-array and its sweep from level m onto its cells, which equal b_S
-    and T b_S there bit for bit (``kernels._sweep_from``).  The sweeps are the
+    and T b_S there bit for bit (``kernels._sweep_from``); only those cells
+    take the powers |b|^p and |T b|^q.  The sweeps are the
     system's memo (``AccretiveSystem.level_sweep``): ``testing_constant`` has
     already made them, and every ``choose_delta`` attempt reads them again."""
     if cfg.Tloc == 0.0 and len(op) > 0:
@@ -278,23 +279,38 @@ def _build_family(
         )
     norm_cap = cfg.A**p_exp / cfg.delta
     test_cap = cfg.Tloc**q_exp / cfg.delta
-    b = tb = np.zeros(spec.n_cells)
+    stitched = [np.zeros(spec.n_cells) for _ in range(3)]  # b, |b|^p and |T b|^q
+
+    def sums(level: int):
+        """The cube sums at ``level`` of the three stitched arrays, coarsened as
+        one stack after a first step per array.  glibc lifts its mmap
+        threshold to the largest array freed so far; freeing a (3, cells)
+        stack lifted it past the trial's cell arrays, and the peak RSS of a
+        1D depth-18 trial rose by 10 MB."""
+        if level == spec.depth:
+            return stitched
+        stack = np.empty((3, spec.n_cubes(spec.depth - 1)))
+        for cells, row in zip(stitched, stack):
+            coarsen_step(spec.dim, cells, out=row)
+        for _ in range(spec.depth - 1 - level):
+            stack = coarsen_step(spec.dim, stack)
+        return stack
 
     def mark(level: int, inherited: np.ndarray) -> np.ndarray:
-        nonlocal b, tb
         if level == q0.level:
             hits = _subtree_mask(spec.dim, q0, level)
         else:
-            integ, pows, tpows = (level_sum(spec, arr, level) * spec.cell_volume
-                                  for arr in (b, np.abs(b) ** p_exp, np.abs(tb) ** q_exp))
+            integ, pows, tpows = (row * spec.cell_volume for row in sums(level))
             vol = 2.0 ** (-spec.dim * level)
             stopped = ((np.abs(integ) <= cfg.delta * vol) | (pows >= norm_cap * vol)
                        | ((tpows >= test_cap * vol) & (tpows > 0.0)))
             hits = (inherited >= 0) & stopped
-        if hits.any():
+        if hits.any():  # only the newly marked cells change
             inside = spread(spec, level, hits)
-            b = np.where(inside, system.level_values(level), b)
-            tb = np.where(inside, system.level_sweep(op, level), tb)
+            b = system.level_values(level)[inside]
+            stitched[0][inside] = b
+            stitched[1][inside] = np.abs(b) ** p_exp
+            stitched[2][inside] = np.abs(system.level_sweep(op, level)[inside]) ** q_exp
         return hits
 
     return _owner_pass(spec, q0.level, mark)

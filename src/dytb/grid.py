@@ -242,15 +242,19 @@ def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> n
     1``) the four children added in row-major order.  For ``m >= 2`` that is
     computed with no short inner loop: one strided add of the column pairs,
     then numpy's reduction over each row pair, whose inner axis has length
-    ``m``."""
+    ``m``.
+
+    Leading axes are a stack of level arrays, each coarsened as on its own,
+    bit for bit."""
     if dim == 1:
-        return np.add(fine[0::2], fine[1::2], out=out)
-    m = math.isqrt(fine.size) // 2
+        return np.add(fine[..., 0::2], fine[..., 1::2], out=out)
+    lead = fine.shape[:-1]
+    m = math.isqrt(fine.shape[-1]) // 2
     if m == 1:
-        return np.add.reduce(fine, keepdims=True, out=out)
-    pairs = (fine[0::2] + fine[1::2]).reshape(m, 2, m)
-    summed = np.add.reduce(pairs, axis=1, out=None if out is None else out.reshape(m, m))
-    return summed.ravel() if out is None else out
+        return np.add.reduce(fine, axis=-1, keepdims=True, out=out)
+    pairs = (fine[..., 0::2] + fine[..., 1::2]).reshape(*lead, m, 2, m)
+    summed = np.add.reduce(pairs, axis=-2, out=None if out is None else out.reshape(*lead, m, m))
+    return summed.reshape(*lead, m * m) if out is None else out
 
 
 def row_reduce(op: np.ufunc, rows: np.ndarray) -> np.ndarray:
@@ -295,9 +299,11 @@ def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray
     """Cube sums of a finest-cell array at one ``level``, indexed by flat cube:
     the ``coarsen_step`` passes of ``cube_sum_vector`` from the finest level
     up to ``level`` only, so bit-identical to ``level_sums(...)[level]``.  At
-    ``level == depth`` that is the cell array itself (as floats, not copied)."""
+    ``level == depth`` that is the cell array itself (as floats, not copied).
+    A stack of cell arrays (leading axes) is summed row by row, as each row
+    on its own."""
     vals = np.asarray(cell_values, dtype=float)
-    if vals.shape != (spec.n_cells,):
+    if vals.shape[-1:] != (spec.n_cells,):
         raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
     if not 0 <= level <= spec.depth:
         raise ValueError(f"level {level} is outside 0..{spec.depth}")

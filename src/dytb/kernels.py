@@ -66,11 +66,14 @@ def size_bound(level: int, i: int, j: int, dim: int) -> float:
     """
     if i == j:
         raise ValueError("diagonal child pairs carry no kernel value")
-    h = 2.0 ** (-(level + 1))
-    oi = _child_offset(i, dim)
-    oj = _child_offset(j, dim)
-    gaps = [abs(a - b) + 1 for a, b in zip(oi, oj)]
-    return (h * math.sqrt(sum(g * g for g in gaps))) ** -dim
+    return (2.0 ** (-(level + 1)) * _pair_radius(i, j, dim)) ** -dim
+
+
+def _pair_radius(i: int, j: int, dim: int) -> float:
+    """The sup distance between the closed boxes of children i and j of a
+    cube of side 2, so that of a level-l cube times 2^-(l+1)."""
+    gaps = [abs(a - b) + 1 for a, b in zip(_child_offset(i, dim), _child_offset(j, dim))]
+    return math.sqrt(sum(g * g for g in gaps))
 
 
 class LevelPlan(NamedTuple):
@@ -103,24 +106,15 @@ class PerfectKernel:
     def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
         entries = entries or {}
         keys = np.array(list(entries), dtype=np.int64).reshape(-1, 4)
-        self._build(spec, _split_levels(keys, np.array(list(entries.values()), dtype=float)))
+        self._set(spec, *_sorted_plan(spec, keys, np.array(list(entries.values()), dtype=float)))
 
     @classmethod
-    def _from_levels(cls, spec: GridSpec, levels: dict) -> PerfectKernel:
-        """A kernel from non-empty per-level ``(flats, ii, jj, vals)``, each
-        sorted by (flat, i, j)."""
+    def _from(cls, spec: GridSpec, plan: tuple) -> PerfectKernel:
+        """A kernel from a validated plan: ``starts`` and the ``LevelPlan``
+        arrays, as ``_plan`` gives them."""
         kernel = cls.__new__(cls)
-        kernel._build(spec, levels)
+        kernel._set(spec, *plan)
         return kernel
-
-    def _build(self, spec: GridSpec, levels: dict) -> None:
-        counts = [0] * (spec.depth + 1)
-        empty = np.zeros(0, dtype=np.int64)
-        parts = [(empty, empty, empty, np.zeros(0), empty, empty)]  # dtypes of a kernel without entries
-        for level, arrays in sorted(levels.items()):
-            parts.append(_level_entries(spec, level, *arrays))
-            counts[level + 1] = len(arrays[3])
-        self._set(spec, itertools.accumulate(counts), *map(np.concatenate, zip(*parts)))
 
     def _set(self, spec: GridSpec, starts, *arrays: np.ndarray) -> None:
         """Install whole-plan arrays in ``LevelPlan`` field order, read-only."""
@@ -169,41 +163,70 @@ class PerfectKernel:
         return len(self.vals)
 
 
-def _split_levels(keys: np.ndarray, vals: np.ndarray) -> dict:
-    """Distinct (level, flat, i, j) rows and their values as the per-level
-    sorted arrays of ``PerfectKernel._from_levels``."""
+def _sorted_plan(spec: GridSpec, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """``_plan`` of distinct (level, flat, i, j) rows and their values, in any
+    order.  A level outside the grid is reported where a level-by-level check
+    would meet it: a negative one first, one past the finest only after every
+    entry of the levels in range has passed."""
     order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
-    keys, vals = keys[order], vals[order]
-    cuts = np.flatnonzero(np.diff(keys[:, 0])) + 1
-    return {int(k[0, 0]): (k[:, 1], k[:, 2], k[:, 3], v)
-            for k, v in zip(np.split(keys, cuts), np.split(vals, cuts)) if len(v)}
+    level, flats, ii, jj = (keys[order, column] for column in range(4))
+    inside = 0 if len(level) and level[0] < 0 else int(np.searchsorted(level, spec.depth))
+    plan = _plan(spec, np.bincount(level[:inside], minlength=spec.depth), flats[:inside],
+                 ii[:inside], jj[:inside], vals[order[:inside]])
+    if inside < len(level):
+        raise ValueError(f"entry level {level[inside]} outside [0, {spec.depth})")
+    return plan
 
 
-def _level_entries(spec: GridSpec, level: int, flats, ii, jj, vals) -> LevelPlan:
-    """Validate one level's sorted entries and attach the places of their
-    children in the all-level vector."""
-    if not 0 <= level < spec.depth:
-        raise ValueError(f"entry level {level} outside [0, {spec.depth})")
-    bad = np.flatnonzero((flats < 0) | (flats >= spec.n_cubes(level)))
+def _plan(spec: GridSpec, counts, flats, ii, jj, vals) -> tuple:
+    """Validate whole-plan entries sorted by (level, flat, i, j), ``counts[l]``
+    of them at level l, and attach the places of their children in the
+    all-level vector: the ``starts`` and ``LevelPlan`` arrays of the kernel.
+
+    Each check runs once on the whole plan; a failure names the first bad
+    entry of the first level that has one, the checks of a level taken in
+    the order cube index, child pair, finite value.  Flats are sorted within
+    a level, so its cube indices are in range when its first and last are."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    faults = []  # (level, check, message) of the first bad entry of each check
+    levels = np.flatnonzero(counts)
+    first, last = flats[starts[levels]], flats[starts[levels + 1] - 1]
+    ncubes = np.left_shift(1, spec.dim * levels)
+    bad = np.flatnonzero((first < 0) | (last >= ncubes))
     if len(bad):
-        raise ValueError(f"entry cube index {flats[bad[0]]} out of range at level {level}")
-    nch = 2**spec.dim
-    bad = np.flatnonzero((ii < 0) | (ii >= nch) | (jj < 0) | (jj >= nch) | (ii == jj))
-    if len(bad):
-        raise ValueError(f"bad child pair ({ii[bad[0]]}, {jj[bad[0]]})")
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite kernel value")
-    off = spec.offsets[level + 1]
-    return LevelPlan(flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
-                     off + _child_flats(spec, level, flats, ii))
+        level, top = int(levels[bad[0]]), ncubes[bad[0]]
+        run = flats[starts[level]:starts[level + 1]]
+        flat = run[0] if run[0] < 0 else run[np.searchsorted(run, top)]
+        faults.append((level, 0, f"entry cube index {flat} out of range at level {level}"))
+    nch = np.uint64(2**spec.dim)
+    bad = (ii.view(np.uint64) >= nch) | (jj.view(np.uint64) >= nch) | (ii == jj)  # negatives wrap
+    if bad.any():
+        n = int(np.argmax(bad))
+        faults.append((_level_of(starts, n), 1, f"bad child pair ({ii[n]}, {jj[n]})"))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        faults.append((_level_of(starts, int(np.argmin(finite))), 2, "non-finite kernel value"))
+    if faults:
+        raise ValueError(min(faults)[2])
+    off = np.repeat(np.array(spec.offsets[1:spec.depth + 1], dtype=np.int64), counts)
+    level = np.repeat(np.arange(spec.depth), counts) if spec.dim > 1 else None
+    return (starts.tolist(), flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
+            off + _child_flats(spec, level, flats, ii))
 
 
-def _child_flats(spec: GridSpec, level: int, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
-    """Flat indices at level+1 of the given children of cubes ``flats`` at ``level``."""
+def _level_of(starts: np.ndarray, n: int) -> int:
+    """The level of entry ``n`` of a plan with level bounds ``starts``."""
+    return int(np.searchsorted(starts, n, side="right")) - 1
+
+
+def _child_flats(spec: GridSpec, level, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
+    """Flat indices at level+1 of the given children of cubes ``flats`` at
+    ``level`` (one level, or one per cube; 1D does not read it)."""
     if spec.dim == 1:
         return 2 * flats + child
     k0 = flats >> level
-    k1 = flats & ((1 << level) - 1)
+    k1 = flats & (np.left_shift(1, level) - 1)
     o0 = child >> 1
     o1 = child & 1
     return ((2 * k0 + o0) << (level + 1)) | (2 * k1 + o1)
@@ -277,22 +300,24 @@ def adjoint(kernel: PerfectKernel) -> PerfectKernel:
     return kernel._adjoint
 
 
-def _bound_table(level: int, dim: int) -> np.ndarray:
-    """``size_bound`` of every child pair (i, j) of a level cube, as a table
-    indexed [i, j]; the unused diagonal is 0."""
+def _bound_tables(depth: int, dim: int) -> np.ndarray:
+    """``size_bound`` of every child pair (i, j) of a cube at every level below
+    ``depth``, as tables indexed [level, i, j]; the unused diagonal is 0."""
     nch = 2**dim
-    table = np.zeros((nch, nch))
-    for i in range(nch):
-        for j in range(nch):
-            if i != j:
-                table[i, j] = size_bound(level, i, j, dim)
-    return table
+    radii = [(i, j, _pair_radius(i, j, dim)) for i in range(nch) for j in range(nch) if i != j]
+    tables = np.zeros((depth, nch, nch))
+    for level in range(depth):
+        h = 2.0 ** (-(level + 1))
+        for i, j, r in radii:
+            tables[level, i, j] = (h * r) ** -dim
+    return tables
 
 
 def validate_size(kernel: PerfectKernel) -> bool:
     """True iff every entry obeys the size bound for its child rectangle."""
+    tables = _bound_tables(kernel.spec.depth, kernel.spec.dim)
     for level, p in kernel.plan.items():
-        if np.any(np.abs(p.vals) > _bound_table(level, kernel.spec.dim)[p.ii, p.jj]):
+        if np.any(np.abs(p.vals) > tables[level][p.ii, p.jj]):
             return False
     return True
 
@@ -306,8 +331,11 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
     [-scale*bound, +scale*bound].  The result passes validate_size by
     construction and is a pure function of (kind, spec, seed, scale).
 
-    Each level is one (pairs x cubes) block; the random kind draws it as
-    ``rng.uniform(-1, 1, ncubes)`` per child pair, levels and pairs in order.
+    The plan is built in one pass: every cube below the finest level, level
+    by level, holds one entry per child pair.  The random kind draws all
+    values in one ``rng.uniform(-1, 1, entries)`` call, the stream of one
+    ``(pairs x cubes)`` block per level in level order, each block then laid
+    out cube by cube.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
@@ -317,19 +345,25 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
         return PerfectKernel(spec)
     nch = 2**spec.dim
     pi, pj = np.array([(i, j) for i in range(nch) for j in range(nch) if i != j]).T
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    levels = {}
-    for level in range(spec.depth):
-        ncubes = spec.n_cubes(level)
-        bounds = _bound_table(level, spec.dim)[pi, pj]
-        if kind == "haar-shift":
-            block = np.repeat(np.where(pi < pj, bounds, -bounds)[:, None], ncubes, axis=1)
-        else:
-            block = (scale * bounds)[:, None] * rng.uniform(-1.0, 1.0, (len(pi), ncubes))
-        # rows in (flat, i, j) order: the pair list is already in (i, j) order
-        levels[level] = (np.repeat(np.arange(ncubes), len(pi)), np.tile(pi, ncubes),
-                         np.tile(pj, ncubes), block.T.ravel())
-    return PerfectKernel._from_levels(spec, levels)
+    ncubes = [spec.n_cubes(level) for level in range(spec.depth)]
+    cubes = np.concatenate([np.arange(0), *map(np.arange, ncubes)])  # flat of every cube, level by level
+    bounds = _bound_tables(spec.depth, spec.dim)[:, pi, pj]  # [level, pair]
+    if kind == "haar-shift":
+        vals = np.repeat(np.where(pi < pj, bounds, -bounds), ncubes, axis=0).ravel()
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        draws = rng.uniform(-1.0, 1.0, len(pi) * len(cubes))
+        vals = np.empty_like(draws)
+        lo = 0
+        for level, count in enumerate(ncubes):
+            hi = lo + len(pi) * count
+            # the level's (pairs x cubes) block, rows in (flat, i, j) order
+            vals[lo:hi].reshape(count, len(pi))[...] = (
+                (scale * bounds[level])[:, None] * draws[lo:hi].reshape(len(pi), count)).T
+            lo = hi
+    return PerfectKernel._from(spec, _plan(spec, [len(pi) * count for count in ncubes],
+                                           np.repeat(cubes, len(pi)), np.tile(pi, len(cubes)),
+                                           np.tile(pj, len(cubes)), vals))
 
 
 def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
@@ -391,7 +425,7 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
     if bad < len(rows):
         raise _entry_error(spec, bad, rows[bad])
     flats = coords[:, 0] if spec.dim == 1 else (coords[:, 0] << level) | coords[:, 1]
-    kernel = PerfectKernel._from_levels(spec, _split_levels(np.column_stack([level, flats, ii, jj]), vals))
+    kernel = PerfectKernel._from(spec, _sorted_plan(spec, np.column_stack([level, flats, ii, jj]), vals))
     if check_size and not validate_size(kernel):
         raise ValueError("kernel file violates the size bound")
     return kernel

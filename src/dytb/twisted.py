@@ -131,7 +131,7 @@ class TwistedContext:
         s0, spec = self.s0, self.spec
         owners = [None if m is None else np.where((m == s0.level) | (m == lev), m, -1)
                   for lev, m in enumerate(self.owners)]
-        return CoronaLevels(spec, owners, *_stitch(spec, owners, self.system.level_values), None)
+        return CoronaLevels(spec, owners, _stitch(spec, owners, self.system.level_values), None)
 
     @property
     def b_avg(self) -> dict[int, np.ndarray]:
@@ -145,7 +145,7 @@ class TwistedContext:
     def levels(self, f: GridFunction) -> CoronaLevels:
         """The level calculus of f in this context: D_l holds every twisted
         difference of level l."""
-        return replace(self._levels, h=f)
+        return self._levels.of(f)
 
     def coefficients(self, eps: SignChoice) -> dict[int, np.ndarray]:
         """eps as one coefficient vector per level of the derived family
@@ -231,21 +231,20 @@ def _average(spec: GridSpec, level: int, sums: np.ndarray) -> np.ndarray:
     return sums * spec.cell_volume / 2.0 ** (-spec.dim * level)
 
 
-def _stitch(spec: GridSpec, owners, values_at) -> tuple[dict, dict]:
+def _stitch(spec: GridSpec, owners, values_at) -> dict:
     """Per level from the top of ``owners``: the cell array B_l carrying on
     every cube the b of its owner, stitched top down (a cube marked at its
     own level takes ``values_at(level)`` on its cells, any other cube keeps
-    its parent's), and the averages <B_l>_Q as exact tree sums."""
+    its parent's)."""
     top = next(lev for lev, o in enumerate(owners) if o is not None)
-    stitched, avg = {}, {}
+    stitched = {}
     b = np.zeros(spec.n_cells)
     for level in range(top, spec.depth + 1):
         marked = owners[level] == level
         if marked.any():
             b = np.where(spread(spec, level, marked), values_at(level), b)
         stitched[level] = b
-        avg[level] = _average(spec, level, level_sum(spec, b, level))
-    return stitched, avg
+    return stitched
 
 
 def _check_owners(spec: GridSpec, s0: DyadicCube, owners) -> None:
@@ -297,17 +296,28 @@ class CoronaLevels:
     level down.  ``owners[l]`` holds, per level-l cube Q (row-major), the
     level of the marked cube whose b Q uses (-1: none), ``b[l]`` the cell
     array B_l carrying that b on each Q, ``b_avg[l]`` and ``h_avg[l]`` the
-    averages <B_l>_Q and <h>_Q, and ``ratio[l]`` r_l[Q] = <h>_Q / <B_l>_Q
-    (zero where Q has no owner).  Cubes of a level are disjoint, so E_l = r_l
-    spread over the cells times B_l holds every E_Q h of the level, and
-    D_l = E_{l+1} - E_l every Delta_Q h.
+    averages <B_l>_Q (exact tree sums, taken on first read) and <h>_Q, and
+    ``ratio[l]`` r_l[Q] = <h>_Q / <B_l>_Q (zero where Q has no owner).
+    Cubes of a level are disjoint, so E_l = r_l spread over the cells times
+    B_l holds every E_Q h of the level, and D_l = E_{l+1} - E_l every
+    Delta_Q h.
     """
 
     spec: GridSpec
     owners: list
     b: dict
-    b_avg: dict
     h: GridFunction | None
+
+    def of(self, h: GridFunction) -> CoronaLevels:
+        """The calculus of ``h`` on the same stitched arrays, sharing their averages."""
+        levels = replace(self, h=h)
+        vars(levels)["b_avg"] = self.b_avg
+        return levels
+
+    @cached_property
+    def b_avg(self) -> dict[int, np.ndarray]:
+        return {lev: _average(self.spec, lev, level_sum(self.spec, cells, lev))
+                for lev, cells in self.b.items()}
 
     @cached_property
     def h_avg(self) -> dict[int, np.ndarray]:
@@ -400,7 +410,7 @@ def corona_levels(
     """The per-level corona calculus of h against S_j: a cube's owner is its
     corona parent pi_j(Q), whose b the system's level arrays supply."""
     owners = forest.owner_levels(j)
-    return CoronaLevels(forest.spec, owners, *_stitch(forest.spec, owners, system.level_values), h)
+    return CoronaLevels(forest.spec, owners, _stitch(forest.spec, owners, system.level_values), h)
 
 
 def expand(

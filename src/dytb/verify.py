@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accretive import AccretiveSystem
+from .accretive import AccretiveSystem, draw_levels
 from .corona import (
     CoronaForest,
     DeltaSearch,
@@ -383,7 +383,7 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
         return {b: row_reduce(np.add, cube_blocks(spec, b, u) * g_blocks[b]) * cv
                 for b in range(first, spec.depth)}
 
-    tb, _ = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))
+    tb = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))
     total = pullout = 0.0
     for a, half in lf.half_twisted.items():
         tbs = pairings(tb[a], a)
@@ -587,6 +587,7 @@ def build_instance(
         A = 1.5
     sys1 = AccretiveSystem(spec, accretive_kind, p1, A, seed=_seed_int(k_sys1), params=params)
     sys2 = AccretiveSystem(spec, accretive_kind, p2, A, seed=_seed_int(k_sys2), params=params)
+    draw_levels((sys1, sys2))
     tloc = max(
         testing_constant(kernel, sys1, conjugate(p2), "direct"),
         testing_constant(kernel, sys2, conjugate(p1), "adjoint"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dytb import accretive
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 
 
@@ -17,6 +18,14 @@ def rand_cube(spec: GridSpec, rng: np.random.Generator, min_level=0, max_level=N
     level = int(rng.integers(min_level, max_level + 1))
     coords = tuple(int(rng.integers(0, 2**level)) for _ in range(spec.dim))
     return DyadicCube(level, coords)
+
+
+def level_states(seed: int, spec: GridSpec, level: int) -> tuple:
+    """The PCG64 ``(state, inc)`` of every cube of one level of a random-kind
+    system with ``seed``, as ``accretive._uniform_rows`` takes them."""
+    count = spec.n_cubes(level)
+    return accretive._pcg_states([seed], np.zeros(count, dtype=np.int64), np.full(count, level),
+                                 np.arange(count))
 
 
 @pytest.fixture

@@ -7,13 +7,17 @@ martingale transform, the box differences and their square function, the
 diagonal lemma's pairings, the block invariants of a whole forest and the
 packing ratio of a bare stopping set.  Each reads the package's level engine
 and gives the floats the package once gave; the frozen box and diagonal
-constants come from here (``make_fixtures.py``).
+constants come from here (``make_fixtures.py``).  The level-by-level kernel
+plan builder, which the whole-plan build replaced, is kept here as the
+reference for it.
 """
+
+import itertools
 
 import numpy as np
 
 from dytb.grid import GridFunction, coarsen_step, spread
-from dytb.kernels import bilinear
+from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
 from dytb.twisted import corona_levels
 from dytb.verify import _check_families
 
@@ -145,3 +149,68 @@ def set_packing_ratio(members, top) -> float:
             cur = cur.parent()
         mass[cur] += m.volume
     return max((v / s.volume for s, v in mass.items()), default=0.0)
+
+
+# -- the kernel plan, level by level ----------------------------------------------------
+
+
+def per_level_kernel(spec, entries) -> PerfectKernel:
+    """``PerfectKernel(spec, entries)`` built level by level: the dict split
+    into sorted per-level arrays, each level validated and placed on its own."""
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, 4)
+    vals = np.array(list(entries.values()), dtype=float)
+    order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
+    keys, vals = keys[order], vals[order]
+    cuts = np.flatnonzero(np.diff(keys[:, 0])) + 1
+    return _per_level_build(spec, {int(k[0, 0]): (k[:, 1], k[:, 2], k[:, 3], v)
+                                   for k, v in zip(np.split(keys, cuts), np.split(vals, cuts))
+                                   if len(v)})
+
+
+def per_level_generate_kernel(kind, spec, seed=0, scale=1.0) -> PerfectKernel:
+    """``generate_kernel`` built level by level: one (pairs x cubes) block per
+    level, the random kind drawn as ``rng.uniform(-1, 1, (pairs, cubes))``
+    per level in level order, bounds from ``size_bound``."""
+    if kind == "zero":
+        return per_level_kernel(spec, {})
+    nch = 2**spec.dim
+    pi, pj = np.array([(i, j) for i in range(nch) for j in range(nch) if i != j]).T
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    levels = {}
+    for level in range(spec.depth):
+        ncubes = spec.n_cubes(level)
+        bounds = np.array([size_bound(level, i, j, spec.dim) for i, j in zip(pi.tolist(), pj.tolist())])
+        if kind == "haar-shift":
+            block = np.repeat(np.where(pi < pj, bounds, -bounds)[:, None], ncubes, axis=1)
+        else:
+            block = (scale * bounds)[:, None] * rng.uniform(-1.0, 1.0, (len(pi), ncubes))
+        levels[level] = (np.repeat(np.arange(ncubes), len(pi)), np.tile(pi, ncubes),
+                         np.tile(pj, ncubes), block.T.ravel())
+    return _per_level_build(spec, levels)
+
+
+def _per_level_build(spec, levels) -> PerfectKernel:
+    """A kernel from non-empty per-level ``(flats, ii, jj, vals)``, each sorted
+    by (flat, i, j), validated level by level in level order."""
+    counts = [0] * (spec.depth + 1)
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.zeros(0), empty, empty)]
+    for level, (flats, ii, jj, vals) in sorted(levels.items()):
+        if not 0 <= level < spec.depth:
+            raise ValueError(f"entry level {level} outside [0, {spec.depth})")
+        bad = np.flatnonzero((flats < 0) | (flats >= spec.n_cubes(level)))
+        if len(bad):
+            raise ValueError(f"entry cube index {flats[bad[0]]} out of range at level {level}")
+        nch = 2**spec.dim
+        bad = np.flatnonzero((ii < 0) | (ii >= nch) | (jj < 0) | (jj >= nch) | (ii == jj))
+        if len(bad):
+            raise ValueError(f"bad child pair ({ii[bad[0]]}, {jj[bad[0]]})")
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite kernel value")
+        off = spec.offsets[level + 1]
+        parts.append((flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
+                      off + _child_flats(spec, level, flats, ii)))
+        counts[level + 1] = len(vals)
+    kernel = PerfectKernel.__new__(PerfectKernel)
+    kernel._set(spec, itertools.accumulate(counts), *map(np.concatenate, zip(*parts)))
+    return kernel

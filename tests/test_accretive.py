@@ -9,7 +9,7 @@ from dytb import accretive
 from dytb.accretive import AccretiveSystem, validate
 from dytb.grid import DyadicCube, GridFunction, GridSpec, lp_norm
 
-from conftest import rand_cube
+from conftest import level_states, rand_cube
 
 
 def test_constant_kind_is_indicator():
@@ -309,23 +309,110 @@ def test_batched_levels_match_per_cube_generators(dim, depth, levels):
 SEED_LADDER = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**128 + 7]
 
 
+def system_pair(spec, kind, seed, amps=(0.6, 0.6)):
+    """Two systems of one kind as an instance has them: p1 != p2, seeds apart;
+    the random kind may take a different amplitude per side."""
+    A, params = KIND_SETUPS[kind]
+    return tuple(AccretiveSystem(spec, kind, p, A, seed=s, params=dict(params, amp=amp)
+                                 if kind == "random" else params)
+                 for p, s, amp in zip((2.0, 3.0), (seed, 2 * seed + 1), amps))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, d) for d in (0, 1, 2, 6, 9)] + [(2, d) for d in (1, 3, 5)])
+@pytest.mark.parametrize("kind", accretive.ACCRETIVE_KINDS)
+def test_draw_levels_equals_each_system_drawn_alone(monkeypatch, dim, depth, kind):
+    spec = GridSpec(dim, depth)
+    # small batches cut the seeding passes and the draws of one level apart
+    for batch in (1, 5, 64, accretive._BATCH) if kind == "random" else (accretive._BATCH,):
+        monkeypatch.setattr(accretive, "_BATCH", batch)
+        for seed in (0, 5, 2**63 - 1, 2**128 + 7):
+            for amps in ((0.6, 0.6), (0.3, 0.6)):
+                pair, alone = system_pair(spec, kind, seed, amps), system_pair(spec, kind, seed, amps)
+                accretive.draw_levels(pair)
+                for together, single in zip(pair, alone):
+                    assert sorted(together._levels) == list(range(depth + 1))
+                    for level in range(depth + 1):
+                        got, want = together.level_values(level), single.level_values(level)
+                        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
+def test_draw_levels_mixes_kinds_and_keeps_built_levels():
+    # a level built before the batch is kept as it is, and kinds mix freely
+    spec = GridSpec(2, 4)
+    first, second = system_pair(spec, "random", 9)
+    other = system_pair(spec, "two-value", 9)[0]
+    kept = first.level_values(2)
+    accretive.draw_levels((first, other, second))
+    assert first.level_values(2) is kept
+    for system in (first, other, second):
+        clone = AccretiveSystem.from_json_dict(spec, system.to_json_dict())
+        for level in range(spec.depth + 1):
+            assert system.level_values(level).tobytes() == clone.level_values(level).tobytes()
+    with pytest.raises(ValueError, match="grid mismatch"):
+        accretive.draw_levels((first, AccretiveSystem(GridSpec(1, 4), "constant", 2.0, 1.5)))
+
+
+def plant_random(row, check):
+    """Break a random-kind b_Q row for the one ``_check_level`` check
+    ``check`` only: the cell sum is kept (up to rounding) unless the mean is
+    the check."""
+    if check == "mean of b_Q off":
+        row[0] += 0.5
+    elif check == "norm budget exceeded":
+        row[0], row[1] = row[0] + 10.0, row[1] - 10.0
+    else:
+        row[0], row[1] = 2.0**-30, row[1] + row[0] - 2.0**-30
+
+
+@pytest.mark.parametrize("check", LEVEL_CHECKS)
+@pytest.mark.parametrize("dim,depth,level", [(1, 6, 0), (1, 6, 4), (2, 4, 3)])
+def test_planted_bad_level_fails_alike_drawn_together_or_alone(monkeypatch, dim, depth, level, check):
+    spec = GridSpec(dim, depth)
+    flat = spec.n_cubes(level) // 2
+    store = AccretiveSystem._store
+
+    def planted(system, lev, blocks):
+        if system.seed == 3 and lev == level:  # the second system of the pair only
+            blocks = blocks.copy()
+            plant_random(blocks[flat], check)
+        return store(system, lev, blocks)
+
+    monkeypatch.setattr(AccretiveSystem, "_store", planted)
+    want = f"generator bug: {check} on {spec.cube_from_flat(level, flat)}"
+    first, second = system_pair(spec, "random", 1)
+    with pytest.raises(RuntimeError) as together:
+        accretive.draw_levels((first, second))
+    assert str(together.value) == want
+    # the first system's level passed its own check; the second keeps no bad level
+    assert level in first._levels and level not in second._levels
+    assert sorted(second._levels) == list(range(level))
+    alone = system_pair(spec, "random", 1)[1]
+    for lev in range(level):
+        alone.level_values(lev)
+    with pytest.raises(RuntimeError) as single:
+        alone.level_values(level)
+    assert str(single.value) == want
+
+
 @pytest.mark.parametrize("seed", SEED_LADDER)
 def test_seed_ladder_matches_seed_sequence_and_pcg64(seed):
-    # 2**128 + 7 has five entropy words: one is mixed in past the pool size
+    # 2**128 + 7 has five entropy words: one is mixed in past the pool size,
+    # so beside seed 3 (one word) the two pools end on different constants
     spec = GridSpec(2, 3)
+    seeds = [seed, 3]
     levels = np.repeat(np.arange(spec.depth), [spec.n_cubes(lev) for lev in range(spec.depth)])
     flats = np.concatenate([np.arange(spec.n_cubes(lev)) for lev in range(spec.depth)])
-    words = accretive._generate_state(seed, levels, flats)
-    seeds = accretive._seed_levels(seed, spec)
-    for i, (level, flat) in enumerate(zip(levels.tolist(), flats.tolist())):
-        ss = np.random.SeedSequence(seed, spawn_key=(level, flat))
+    which, levels, flats = np.repeat([0, 1], len(levels)), np.tile(levels, 2), np.tile(flats, 2)
+    words = accretive._generate_state(seeds, which, levels, flats)
+    state, inc = accretive._pcg_states(seeds, which, levels, flats)
+    for i, (k, level, flat) in enumerate(zip(which.tolist(), levels.tolist(), flats.tolist())):
+        ss = np.random.SeedSequence(seeds[k], spawn_key=(level, flat))
         want = ss.generate_state(4, np.uint64)
-        got = [int(words[2 * k][i]) | int(words[2 * k + 1][i]) << 32 for k in range(4)]
+        got = [int(words[2 * w][i]) | int(words[2 * w + 1][i]) << 32 for w in range(4)]
         assert got == want.tolist()
-        state, inc = seeds[level]
         pcg = np.random.PCG64(ss).state["state"]
-        assert int(state[0][flat]) << 64 | int(state[1][flat]) == pcg["state"]
-        assert int(inc[0][flat]) << 64 | int(inc[1][flat]) == pcg["inc"]
+        assert int(state[0][i]) << 64 | int(state[1][i]) == pcg["state"]
+        assert int(inc[0][i]) << 64 | int(inc[1][i]) == pcg["inc"]
     sys_ = AccretiveSystem(GridSpec(1, 5), "random", 2.0, 1.7, seed=seed, params={"amp": 0.6})
     for level in range(6):
         assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
@@ -348,10 +435,9 @@ def test_jump_tables_grow_by_doubling_from_a_small_size(monkeypatch):
     # them to 8192; every row must still be numpy's per-cube stream
     monkeypatch.setattr(accretive, "_jumps", None)
     seed, spec = 5, GridSpec(2, 2)
-    seeds = accretive._seed_levels(seed, spec)
     for n, size in ((3, 4), (4097, 8192)):
-        for level, (state, inc) in seeds.items():
-            rows = accretive._uniform_rows(state, inc, n)
+        for level in range(spec.depth):
+            rows = accretive._uniform_rows(*level_states(seed, spec, level), n)
             assert accretive._jumps[0].shape == (2, size)
             for flat, row in enumerate(rows):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))

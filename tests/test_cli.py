@@ -125,6 +125,26 @@ def test_unreadable_or_unwritable_paths_are_config_errors(tmp_path, capsys):
         assert err.startswith("file error:") and str(path) in err, argv
 
 
+def test_unwritable_report_path_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the report and its JSON sibling are checked before the first trial
+    def no_trials(config):
+        raise AssertionError("a trial ran before the report paths were checked")
+
+    monkeypatch.setattr(cli, "main_theorem_experiment", no_trials)
+    (tmp_path / "taken.json").mkdir()
+    for out in (tmp_path / "nodir" / "r.csv", tmp_path / "taken.csv"):
+        assert main(["tb-experiment", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.json"]  # no file left behind
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    (tmp_path / "kept.json").mkdir()
+    assert main(["tb-experiment", "--out", str(kept)]) == 2
+    assert kept.read_text() == "old"
+    capsys.readouterr()
+
+
 def test_counts_are_validated(tmp_path, capsys):
     for argv in (["transform-norm", "--depth", "3", "--restarts", "0"],
                  ["transform-norm", "--depth", "3", "--restarts", "-1"],

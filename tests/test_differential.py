@@ -40,6 +40,7 @@ from dytb.grid import (
     coarsen_step,
     cube_blocks,
     from_cube_blocks,
+    level_sum,
     row_reduce,
     spread,
 )
@@ -69,6 +70,7 @@ from dytb.verify import (
 )
 from dytb.verify import testing_constant as measure_tloc
 
+from conftest import level_states
 from oracles import amalgam_transform, box, check_forest_blocks, corona_parent, pi_transform
 from test_accretive import KIND_SETUPS
 from test_corona import (
@@ -354,14 +356,14 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
     copies = sum((system.get_b(m).values for m in ctx.members), np.zeros(spec.n_cells))
     assert np.array_equal(ctx.b.values, b0.values)
     owners = ctx._levels.owners
-    b, b_avg = twisted._stitch(spec, owners, lambda lev: b0.values if lev == ctx.s0.level else copies)
-    for got, want in ((ctx._levels.b, b), (ctx._levels.b_avg, b_avg)):
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[lev], want[lev]) for lev in got)
+    b = twisted._stitch(spec, owners, lambda lev: b0.values if lev == ctx.s0.level else copies)
     rng = np.random.default_rng(seed)
     f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
+    oracle = twisted.CoronaLevels(spec, owners, b, f)
+    for got, want in ((ctx._levels.b, b), (ctx._levels.b_avg, oracle.b_avg)):
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[lev], want[lev]) for lev in got)
     eps = SignChoice.random_signs(ctx.q_cubes(), rng)
-    oracle = twisted.CoronaLevels(spec, owners, b, b_avg, f)
     coeffs = ctx.coefficients(eps)
     assert np.array_equal(transform(ctx, eps, f).values, oracle.transform(coeffs))
     assert np.array_equal(half_transform(ctx, eps, f).values, oracle.child_rule(coeffs, twisted._half_step))
@@ -648,6 +650,35 @@ def test_coarsen_step_2d_equals_reshape_sum(m):
         assert out.tobytes() == want.tobytes(), f"m={m} with out=, {NUMPY}"
 
 
+@pytest.mark.parametrize("m", range(1, 65))
+def test_stacked_coarsen_step_equals_each_row_alone(m):
+    # a leading axis of level arrays (the corona's stitched b, |b|^p and
+    # |T b|^q) coarsens each row as it would alone, with out= too
+    rng = np.random.default_rng(500 + m)
+    for dim, size in ((1, 2 * m), (2, 4 * m * m)):
+        for rows in (1, 3):
+            fine = spread_magnitudes(rng, (rows, size))
+            fine[0] = -0.0
+            got = coarsen_step(dim, fine)
+            msg = f"dim={dim}, {rows} rows of {size}, {NUMPY}"
+            for row, cells in zip(got, fine):
+                assert row.tobytes() == coarsen_step(dim, cells).tobytes(), msg
+            out = np.full(got.shape, np.nan)
+            assert coarsen_step(dim, fine, out) is out and out.tobytes() == got.tobytes(), msg
+
+
+@pytest.mark.parametrize("dim,depth", [(1, d) for d in (0, 1, 5, 9)] + [(2, d) for d in (0, 1, 3, 5)])
+def test_stacked_level_sum_equals_each_row_alone(dim, depth):
+    spec = GridSpec(dim, depth)
+    stack = spread_magnitudes(np.random.default_rng(10 * dim + depth), (3, spec.n_cells))
+    stack[1] = -0.0
+    for level in range(depth + 1):
+        got = level_sum(spec, stack, level)
+        assert got.shape == (3, spec.n_cubes(level))
+        for row, cells in zip(got, stack):
+            assert row.tobytes() == level_sum(spec, cells, level).tobytes(), f"level {level}, {NUMPY}"
+
+
 @pytest.mark.parametrize("n", range(1, 131))
 def test_row_reduce_equals_numpy_row_reductions(n):
     rng = np.random.default_rng(1000 + n)
@@ -675,12 +706,11 @@ def test_uniform_rows_and_levels_equal_per_cube_generators(dim, depth):
     # among them levels whose rows reach numpy's pairwise sums (n >= 8)
     spec, seed, amp = GridSpec(dim, depth), 7 * depth + dim, 0.6
     system = AccretiveSystem(spec, "random", 2.0, 1.7, seed=seed, params={"amp": amp})
-    seeds = accretive._seed_levels(seed, spec)
     wide_pairwise = 0
     for level in range(depth):
         count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
         wide_pairwise += count > n >= 8
-        rows = accretive._uniform_rows(*seeds[level], n)
+        rows = accretive._uniform_rows(*level_states(seed, spec, level), n)
         want = per_cube_draws(seed, level, count, n)
         assert rows.tobytes() == want.tobytes(), f"level {level}, {NUMPY}"
         # the batch normalisation _level_blocks had before row_reduce

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import (
     KERNEL_KINDS,
+    LevelPlan,
     PerfectKernel,
     _child_flats,
     _sweep_from,
@@ -28,6 +29,7 @@ from dytb.kernels import (
 )
 
 from conftest import rand_fun
+from oracles import per_level_generate_kernel, per_level_kernel
 
 
 def depth1_kernel():
@@ -545,6 +547,68 @@ def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
             for a, b in ((f, g), (g, f), (f, f)):
                 assert np.float64(bilinear(kernel, a, b)).tobytes() == \
                     np.float64(per_level_bilinear(kernel, a, b)).tobytes()
+
+
+def assert_same_kernel(got, want):
+    """Equal starts and plan arrays, dtypes and bits (signed zeros too)."""
+    assert got.spec == want.spec and got.starts == want.starts
+    for name in LevelPlan._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous and not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("dim,depth", [(1, depth) for depth in range(11)] + [(2, depth) for depth in range(7)])
+def test_whole_plan_generate_equals_per_level_builder(dim, depth):
+    spec = GridSpec(dim, depth)
+    for kind in ("random", "haar-shift", "zero"):
+        for scale in (0.0, 1.0):
+            for seed in (depth, 2**40 + 3):
+                got = generate_kernel(kind, spec, seed=seed, scale=scale)
+                assert_same_kernel(got, per_level_generate_kernel(kind, spec, seed=seed, scale=scale))
+                assert_same_kernel(PerfectKernel(spec, got.entries), got)
+
+
+PLAN_FAULTS = ("level -1", "level past the finest", "cube -1", "cube past the level", "pair i == j",
+               "child too large", "child -1", "nan", "inf")
+
+
+def plant_entry(spec, entries, fault, at):
+    """One planted fault on entry ``at`` (a dict key order position) of ``entries``."""
+    (level, flat, i, j), value = list(entries.items())[at % len(entries)]
+    key = {"level -1": (-1, flat, i, j), "level past the finest": (spec.depth, flat, i, j),
+           "cube -1": (level, -1, i, j), "cube past the level": (level, spec.n_cubes(level), i, j),
+           "pair i == j": (level, flat, i, i), "child too large": (level, flat, i, 2**spec.dim),
+           "child -1": (level, flat, -1, j)}.get(fault, (level, flat, i, j))
+    entries.pop((level, flat, i, j))
+    entries[key] = {"nan": math.nan, "inf": -math.inf}.get(fault, value)
+
+
+def construction_outcome(build, spec, entries):
+    try:
+        return build(spec, entries)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (1, 4), (2, 1), (2, 3)]), seed=st.integers(0, 2**32 - 1),
+       faults=st.lists(st.tuples(st.sampled_from(PLAN_FAULTS), st.integers(0, 10**6)), max_size=3))
+def test_plan_checks_fail_like_the_per_level_builder(grid, seed, faults):
+    # every check runs on the whole plan, yet the error is the one a
+    # level-by-level build meets first: lowest level, then the check order
+    spec = GridSpec(*grid)
+    rng = np.random.default_rng(seed)
+    entries = sparse_entries(generate_kernel("random", spec, seed=seed).entries, rng)
+    assume(entries)
+    for fault, at in faults:
+        plant_entry(spec, entries, fault, at)
+    got = construction_outcome(PerfectKernel, spec, entries)
+    want = construction_outcome(per_level_kernel, spec, entries)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_kernel(got, want)
 
 
 def test_plan_views_the_whole_plan_arrays():
