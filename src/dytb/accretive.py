@@ -185,25 +185,29 @@ class AccretiveSystem:
         return vals
 
     def _check_level(self, level: int, vals: np.ndarray, blocks: np.ndarray) -> None:
-        """The per-cube invariants of every b_Q of one level, vectorised: mean,
-        norm budget, and (for every kind but ``signed``) no cell below
-        ``MIN_ABS_VALUE``, checked in that order.  A failure raises RuntimeError
-        naming the first bad cube (row-major) of the first failed check.  The
-        near-zero check is one minimum over the whole level; the per-cube
-        minima, a slow row-wise reduction on rows of a few cells, are taken
-        only when it fails, to name the cube."""
+        """The per-cube invariants of every b_Q of one level, vectorised: finite
+        cells, mean, norm budget, and (for every kind but ``signed``) no cell
+        below ``MIN_ABS_VALUE``, checked in that order.  A failure raises
+        RuntimeError naming the first bad cube (row-major) of the first failed
+        check.  The finite and near-zero checks are one maximum and one minimum
+        over the whole level; the per-cube reductions, slow row-wise on rows of
+        a few cells, are taken only when one fails, to name the cube.  The
+        finite check comes first because NaN compares False in every other."""
         spec = self.spec
         volume = 2.0 ** (-spec.dim * level)
         mags = np.abs(blocks)
-        checks = [
-            # the same bottom-up sums that get_b(Q).integral(Q) reports
-            (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
-             "mean of b_Q off"),
-            ((row_reduce(np.add, mags**self.p) * spec.cell_volume) ** (1.0 / self.p)
-             > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
-        ]
-        if self.kind != "signed" and mags.min() < MIN_ABS_VALUE:
-            checks.append((mags.min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
+        if not np.isfinite(mags.max()):
+            checks = [(~np.isfinite(mags).all(axis=1), "non-finite cell value")]
+        else:
+            checks = [
+                # the same bottom-up sums that get_b(Q).integral(Q) reports
+                (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
+                 "mean of b_Q off"),
+                ((row_reduce(np.add, mags**self.p) * spec.cell_volume) ** (1.0 / self.p)
+                 > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
+            ]
+            if self.kind != "signed" and mags.min() < MIN_ABS_VALUE:
+                checks.append((mags.min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
         for bad, what in checks:
             if bad.any():
                 cube = spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))

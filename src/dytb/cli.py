@@ -156,8 +156,9 @@ def cmd_transform_norm(args) -> int:
     result = adversarial_transform_search(
         ctx, args.p, n_restarts=args.restarts, max_passes=args.passes, seed=args.seed
     )
+    family = sum(int(mask.sum()) for mask in ctx.q_masks().values())
     print(f"worst transform ratio = {result.ratio!r} "
-          f"(|Q family| = {len(ctx.q_cubes())}, restarts = {result.restarts})")
+          f"(|Q family| = {family}, restarts = {result.restarts})")
     return EXIT_OK
 
 

@@ -67,7 +67,7 @@ class SignChoice:
 
     def __post_init__(self) -> None:
         for q, e in self.eps.items():
-            if abs(e) > 1.0:
+            if not abs(e) <= 1.0:  # NaN too
                 raise ValueError(f"|eps| must be <= 1, got {e} at {q}")
 
     def get(self, cube: DyadicCube) -> float:

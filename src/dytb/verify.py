@@ -470,19 +470,21 @@ def adversarial_transform_search(
 
     The transform is affine in each eps_Q, so the maximum over the solid box
     [-1, 1]^Q sits at a corner; greedy single-flip ascent from random corners
-    with random restarts finds it (deterministically for a fixed seed).  Each
-    restart draws a fresh random sign function f on the base cube unless a
-    fixed list is supplied.
+    and random sign functions f on the base cube (unless a list is supplied)
+    finds it, deterministically for a fixed seed.  Cubes of a level are
+    disjoint, so a pass, coarse to fine, flips each level's gaining cubes at once.
     """
     if n_restarts < 1 or max_passes < 0:
         raise ValueError(f"need n_restarts >= 1 and max_passes >= 0, "
                          f"got {n_restarts} and {max_passes}")
-    spec = ctx.spec
+    spec, s0_idx = ctx.spec, ctx.spec.cell_indices(ctx.s0)
+    if functions is not None and len(functions) == 0:
+        raise ValueError("functions must hold at least one function")
+    for i, f in enumerate(functions or ()):
+        if f.spec != spec or not np.any(f.values[s0_idx]):
+            problem = f"lives on {f.spec}, not {spec}" if f.spec != spec else f"is zero on {ctx.s0}"
+            raise ValueError(f"functions[{i}] {problem}")
     rng = np.random.default_rng(seed)
-    cubes = ctx.q_cubes()
-    indices = [spec.cell_indices(q) for q in cubes]
-    s0_idx = spec.cell_indices(ctx.s0)
-    cv = spec.cell_volume
     best = None
     for r in range(n_restarts):
         if functions is not None:
@@ -491,27 +493,25 @@ def adversarial_transform_search(
             vals = np.zeros(spec.n_cells)
             vals[s0_idx] = rng.choice([-1.0, 1.0], s0_idx.size)
             f = GridFunction(spec, vals)
-        fnorm = f.lp_norm(p)
-        levels = ctx.levels(f)
-        supports = [(idx, levels.deltas[q.level][idx]) for q, idx in zip(cubes, indices)]
-        eps = rng.choice([-1.0, 1.0], len(cubes))
-        cur = levels.transform(ctx.coefficients(SignChoice(dict(zip(cubes, eps)))))
+        levels, coeffs = ctx.levels(f), ctx.random_coefficients(rng)
+        cur = levels.transform(coeffs)
         for _ in range(max_passes):
             improved = False
-            for k, (idx, dv) in enumerate(supports):
-                local = cur[idx]
-                cand = local - 2.0 * eps[k] * dv
-                gain = np.sum(np.abs(cand) ** p) - np.sum(np.abs(local) ** p)
-                if gain > 1e-14 * (1.0 + np.sum(np.abs(local) ** p)):
-                    cur[idx] = cand
-                    eps[k] = -eps[k]
-                    improved = True
+            for lev, c in coeffs.items():
+                cand = cur - spread(spec, lev, 2.0 * c) * levels.deltas[lev]
+                before, after = (row_reduce(np.add, cube_blocks(spec, lev, np.abs(x) ** p)) for x in (cur, cand))
+                flip = after - before > 1e-14 * (1.0 + before)
+                np.copyto(cur, cand, where=spread(spec, lev, flip))
+                c[flip] = -c[flip]
+                improved |= bool(flip.any())
             if not improved:
                 break
-        ratio = float(np.sum(np.abs(cur) ** p) * cv) ** (1.0 / p) / fnorm
-        if best is None or ratio > best.ratio:
-            best = SearchResult(ratio, SignChoice(dict(zip(cubes, eps))), f, r + 1)
-    return best
+        ratio = float(np.sum(np.abs(cur) ** p) * spec.cell_volume) ** (1.0 / p) / f.lp_norm(p)
+        if best is None or ratio > best[0]:
+            best = (ratio, coeffs, f, r + 1)
+    ratio, coeffs, f, restarts = best
+    signs = (e for (lev, c), m in zip(coeffs.items(), ctx.q_masks().values()) for e in c[m])
+    return SearchResult(ratio, SignChoice(dict(zip(ctx.q_cubes(), signs))), f, restarts)
 
 
 # -- instances and the identity battery ---------------------------------------------

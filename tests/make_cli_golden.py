@@ -32,9 +32,10 @@ TB_TRIALS = 3
 # corona cases: (dim, depth, seeds); each seed drives the systems and the kernel
 CORONA_CASES = ((1, 10, (3, 5)), (2, 5, (4, 6)))
 # transform-norm cases: (dim, depth, name suffix, extra options) at the default seed;
-# the two-value case at delta 0.45 has terminal cubes
-TRANSFORM_CASES = ((1, 8, "", ()), (2, 4, "", ()),
-                   (1, 10, "-two-value", ("--accretive-kind", "two-value", "--s", "0.9", "--delta", "0.45")))
+# the two-value cases at delta 0.45 have terminal cubes
+_TWO_VALUE = ("--accretive-kind", "two-value", "--s", "0.9", "--delta", "0.45")
+TRANSFORM_CASES = ((1, 8, "", ()), (2, 4, "", ()), (1, 10, "-two-value", _TWO_VALUE),
+                   (1, 12, "-two-value", _TWO_VALUE), (2, 6, "-two-value", _TWO_VALUE))
 # identities cases: (dim, depth) at the default seed
 IDENTITY_CASES = ((1, 7), (2, 4))
 OUT_PLACEHOLDER = "<out>"

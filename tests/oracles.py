@@ -7,9 +7,10 @@ martingale transform, the box differences and their square function, the
 diagonal lemma's pairings, the block invariants of a whole forest and the
 packing ratio of a bare stopping set.  Each reads the package's level engine
 and gives the floats the package once gave; the frozen box and diagonal
-constants come from here (``make_fixtures.py``).  The level-by-level kernel
-plan builder, which the whole-plan build replaced, is kept here as the
-reference for it.
+constants come from here (``make_fixtures.py``).  Two references for product
+paths that replaced them are kept here too: the level-by-level kernel plan
+builder, for the whole-plan build, and the cube-by-cube adversarial transform
+search, for the level-by-level one.
 """
 
 import itertools
@@ -18,8 +19,8 @@ import numpy as np
 
 from dytb.grid import GridFunction, coarsen_step, spread
 from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
-from dytb.twisted import corona_levels
-from dytb.verify import _check_families
+from dytb.twisted import SignChoice, corona_levels
+from dytb.verify import SearchResult, _check_families
 
 
 def on_cube(spec, cube, cells) -> np.ndarray:
@@ -87,6 +88,47 @@ def proof_operators(ctx, eps, test_cube):
         float(np.sum(np.abs(am_img.values[idx])) * cv),
     )
     return pi_img, am_img, norms
+
+
+def per_cube_transform_search(ctx, p, n_restarts=8, max_passes=50, seed=0, functions=None):
+    """``verify.adversarial_transform_search`` one derived cube at a time: each
+    pass visits the cubes coarse to fine and row-major, and flips a cube's
+    sign when that raises the p-th power of the transform's norm on its cells."""
+    spec = ctx.spec
+    rng = np.random.default_rng(seed)
+    cubes = ctx.q_cubes()
+    indices = [spec.cell_indices(q) for q in cubes]
+    s0_idx = spec.cell_indices(ctx.s0)
+    cv = spec.cell_volume
+    best = None
+    for r in range(n_restarts):
+        if functions is not None:
+            f = functions[r % len(functions)]
+        else:
+            vals = np.zeros(spec.n_cells)
+            vals[s0_idx] = rng.choice([-1.0, 1.0], s0_idx.size)
+            f = GridFunction(spec, vals)
+        fnorm = f.lp_norm(p)
+        levels = ctx.levels(f)
+        supports = [(idx, levels.deltas[q.level][idx]) for q, idx in zip(cubes, indices)]
+        eps = rng.choice([-1.0, 1.0], len(cubes))
+        cur = levels.transform(ctx.coefficients(SignChoice(dict(zip(cubes, eps)))))
+        for _ in range(max_passes):
+            improved = False
+            for k, (idx, dv) in enumerate(supports):
+                local = cur[idx]
+                cand = local - 2.0 * eps[k] * dv
+                gain = np.sum(np.abs(cand) ** p) - np.sum(np.abs(local) ** p)
+                if gain > 1e-14 * (1.0 + np.sum(np.abs(local) ** p)):
+                    cur[idx] = cand
+                    eps[k] = -eps[k]
+                    improved = True
+            if not improved:
+                break
+        ratio = float(np.sum(np.abs(cur) ** p) * cv) ** (1.0 / p) / fnorm
+        if best is None or ratio > best.ratio:
+            best = SearchResult(ratio, SignChoice(dict(zip(cubes, eps))), f, r + 1)
+    return best
 
 
 # -- the corona calculus ------------------------------------------------------------

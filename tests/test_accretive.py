@@ -229,6 +229,34 @@ def test_level_checks_run_in_order(monkeypatch, dim, depth):
         assert str(err.value) == f"generator bug: {check} on {spec.cube_from_flat(level, flats[check])}"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["constant", "signed", "random"])
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3)])
+def test_non_finite_cell_fails_its_level_first(monkeypatch, dim, depth, kind, value):
+    # NaN compares False in every other check and +inf would read as a mean
+    # off: the finite check runs first and names the first non-finite cube,
+    # though cube 0 has a mean off as well
+    spec = GridSpec(dim, depth)
+    A, params = KIND_SETUPS[kind]
+    sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=5, params=params)
+    level, good = depth - 1, sys_._level_blocks
+    bad = sorted({2, spec.n_cubes(level) - 1})
+
+    def planted(lev, n):
+        blocks = good(lev, n)
+        if lev == level:
+            blocks[0, -1] += 0.5
+            for flat in bad:
+                blocks[flat, flat % n] = value
+        return blocks
+
+    monkeypatch.setattr(sys_, "_level_blocks", planted)
+    with pytest.raises(RuntimeError) as err:
+        sys_.level_values(level)
+    assert str(err.value) == f"generator bug: non-finite cell value on {spec.cube_from_flat(level, bad[0])}"
+    assert level not in sys_._levels
+
+
 def per_cube_b(system, cube):
     """Reference generator: b_Q drawn for one cube, written into a zero array."""
     spec = system.spec

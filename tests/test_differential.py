@@ -5,7 +5,9 @@ example counts) on 1D grids up to depth 8 and 2D grids up to depth 4, and
 every level array is compared with the enumeration it replaced, for both
 stopping families and for contexts with canonical and coarsened terminals.
 The stopping constructions themselves (one owner pass) are compared with the
-per-member construction on 1D grids up to depth 10 and 2D grids up to depth 5.
+per-member construction on 1D grids up to depth 10 and 2D grids up to depth 5,
+and the adversarial transform search with the cube-by-cube search it replaced
+on 1D grids up to depth 12 and 2D grids up to depth 6.
 """
 
 import json
@@ -64,6 +66,7 @@ from dytb.twisted import (
 from dytb.verify import (
     _epsilon_max,
     _g_telescoping,
+    adversarial_transform_search,
     b_above_aggregation,
     build_instance,
     epsilon_coefficient,
@@ -71,7 +74,14 @@ from dytb.verify import (
 from dytb.verify import testing_constant as measure_tloc
 
 from conftest import level_states
-from oracles import amalgam_transform, box, check_forest_blocks, corona_parent, pi_transform
+from oracles import (
+    amalgam_transform,
+    box,
+    check_forest_blocks,
+    corona_parent,
+    per_cube_transform_search,
+    pi_transform,
+)
 from test_accretive import KIND_SETUPS
 from test_corona import (
     coarsened_context,
@@ -617,6 +627,52 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     assert json.dumps(forest_to_json_dict(forest)) == json.dumps(per_member_forest_json(forest))
     b = sys1.get_b(q0)
     assert terminal_cubes(b, q0, delta, p1, A) == scanned_terminal_cubes(b, q0, delta, p1, A)
+
+
+# -- the adversarial transform search ------------------------------------------------
+#
+# The level-by-level search flips every gaining cube of a level at once; the
+# cube-by-cube search it replaced (``oracles.per_cube_transform_search``)
+# flips them one at a time.  Cubes of a level are disjoint, so both must give
+# the same ratio, signs, function and restart count, compared with ``==``.
+
+SEARCH_GRIDS = [(1, depth) for depth in range(13)] + [(2, depth) for depth in range(7)]
+
+
+def search_context(grid, kind, delta, A=None, params=None):
+    spec = GridSpec(*grid)
+    kind_A, kind_params = KIND_SETUPS[kind]
+    system = AccretiveSystem(spec, kind, 2.0, A or kind_A, seed=sum(grid), params=params or kind_params)
+    return make_context(system, spec.root(), delta)
+
+
+def assert_same_search(ctx, p, **kwargs):
+    got = adversarial_transform_search(ctx, p, **kwargs)
+    want = per_cube_transform_search(ctx, p, **kwargs)
+    assert (got.ratio, got.restarts) == (want.ratio, want.restarts)
+    assert got.eps == want.eps and list(got.eps.eps) == ctx.q_cubes()
+    assert got.f.values.tobytes() == want.f.values.tobytes()
+
+
+@pytest.mark.parametrize("grid", SEARCH_GRIDS)
+@pytest.mark.parametrize("kind", ACCRETIVE_KINDS)
+def test_level_search_equals_per_cube_search(grid, kind):
+    ctx = search_context(grid, kind, 0.3)
+    restarts = 2 if ctx.spec.n_cells <= 512 else 1  # the per-cube oracle is slow above
+    for p in (1.5, 2.0, 3.0):
+        assert_same_search(ctx, p, n_restarts=restarts, seed=grid[1])
+
+
+@pytest.mark.parametrize("grid", [(1, 10), (2, 5)])
+def test_level_search_equals_per_cube_search_with_terminal_cubes(grid):
+    ctx = search_context(grid, "two-value", 0.45, A=2.0, params={"s": 0.9})
+    assert ctx.members  # the delta leaves terminal cubes
+    spec, rng = ctx.spec, np.random.default_rng(grid[1])
+    functions = [GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells)) for _ in range(2)]
+    for p in (1.5, 2.0, 3.0):
+        assert_same_search(ctx, p, n_restarts=3, seed=1)
+        assert_same_search(ctx, p, n_restarts=3, seed=1, functions=functions)
+        assert_same_search(ctx, p, n_restarts=3, seed=1, max_passes=0)
 
 
 # -- reductions along the long axis -------------------------------------------------

@@ -340,6 +340,9 @@ def test_classical_transform_matches_twisted_at_b_one(rng):
 def test_sign_choice_validation():
     with pytest.raises(ValueError):
         SignChoice({DyadicCube(0, (0,)): 1.5})
+    for bad in (float("nan"), np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\|eps\| must be <= 1, got -?(nan|inf) at Q\(0; 0\)"):
+            SignChoice({DyadicCube(0, (0,)): bad})
 
 
 # -- three-term decomposition and the factorization ------------------------------------

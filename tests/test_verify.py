@@ -844,6 +844,28 @@ def test_search_matches_exhaustive_corners(rng):
     assert res.ratio == pytest.approx(best, rel=1e-12)
 
 
+def test_search_rejects_bad_functions():
+    spec = GridSpec(1, 4)
+    sys_ = AccretiveSystem(spec, "two-value", 2.0, 2.0, seed=3, params={"s": 0.9})
+    ctx = make_context(sys_, spec.root(), 0.45)
+    sub = make_context(sys_, DyadicCube(1, (1,)), 0.45)
+    ones = GridFunction.constant(spec, 1.0)
+    left = GridFunction(spec, np.where(np.arange(spec.n_cells) < 8, 1.0, 0.0))
+    cases = [
+        (ctx, [], r"functions must hold at least one function"),
+        (ctx, (), r"functions must hold at least one function"),
+        (ctx, [ones, GridFunction.constant(GridSpec(1, 3), 1.0)],
+         r"functions\[1\] lives on GridSpec\(dim=1, depth=3\), not GridSpec\(dim=1, depth=4\)"),
+        (ctx, [GridFunction.constant(spec, 0.0)], r"functions\[0\] is zero on Q\(0; 0\)"),
+        (sub, [ones, left], r"functions\[1\] is zero on Q\(1; 1\)"),  # nonzero off s0 only
+    ]
+    for context, functions, message in cases:
+        with pytest.raises(ValueError, match=message):
+            adversarial_transform_search(context, 2.0, functions=functions)
+    # a function that is nonzero on s0 passes them
+    assert adversarial_transform_search(sub, 2.0, n_restarts=2, functions=[ones]).ratio > 0.0
+
+
 def test_search_deterministic():
     spec = GridSpec(1, 4)
     sys_ = AccretiveSystem(spec, "random", 2.0, 1.6, seed=5, params={"amp": 0.6})
