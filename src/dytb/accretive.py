@@ -17,12 +17,12 @@ A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
 generator per cube.  For the random kind the batch reproduces those
 generators bit for bit without building them: the seeding of many cubes is
-one vectorised hash (a system drawn level by level seeds every level on its
-first draw and keeps the states), and the draws of a level are PCG
-jump-aheads from shared power tables.  An instance's two systems are drawn
-together (``draw_levels``): one seeding pass for the cubes of both, then one
-batch of rows per level for both, up to a size that still fits the core's
-cache.
+one vectorised hash, and the draws of a level are PCG jump-aheads from
+shared power tables.  Every random level goes through one drawer
+(``_draw_random``): a level read on its own is a batch of one, and an
+instance's two systems are drawn together (``draw_levels``), one seeding
+pass for the cubes of both, then one batch of rows per level for both, up
+to a size that still fits the core's cache.
 Each 128-bit PCG value is a pair of uint64 halves (hi, lo), multiplied by
 (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 on
 numpy's wrapping uint64 products.  The draws run along the longer of
@@ -35,6 +35,7 @@ permutation draws a variable number of values.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -75,16 +76,17 @@ class AccretiveSystem:
     A: float
     seed: int = 0
     params: dict = field(default_factory=dict)
-    _levels: dict = field(default_factory=dict, repr=False, compare=False)
-    _seeds: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _sweeps: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
-                                               repr=False, compare=False)
+                                               init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ACCRETIVE_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {ACCRETIVE_KINDS}")
         if not self.p > 1.0:
             raise ValueError(f"p must be > 1, got {self.p}")
+        if self.p == math.inf:
+            raise ValueError(f"p must be finite, got {self.p}")
         if not self.A > 1.0:
             raise ValueError(f"A must be > 1, got {self.A}")
         if self.kind == "two-value":
@@ -95,6 +97,10 @@ class AccretiveSystem:
             amp = float(self.params.get("amp", 0.5))
             if not 0.0 < amp <= 1.0 - 1e-5:
                 raise ValueError(f"random parameter amp={amp} out of range")
+        try:
+            math.pow(self.A, self.p)  # the budget of every |b_Q|^p, a cap of the stopping rule
+        except OverflowError:
+            raise _overflow(self.p) from None
         worst = self.worst_constant()
         if worst > self.A * (1 + 1e-9):
             raise ValueError(
@@ -105,11 +111,11 @@ class AccretiveSystem:
         """Largest value validate() can measure for this kind and parameters."""
         if self.kind == "constant":
             return 1.0
-        if self.kind == "two-value":
+        if self.kind == "two-value":  # ((1+s)^p/2 + (1-s)^p/2)^(1/p), with no overflow
             s = float(self.params.get("s", 0.5))
-            return (((1 + s) ** self.p + (1 - s) ** self.p) / 2.0) ** (1.0 / self.p)
+            return (1 + s) * ((1 + ((1 - s) / (1 + s)) ** self.p) / 2.0) ** (1.0 / self.p)
         if self.kind == "signed":
-            return (2.0**self.p / 2.0) ** (1.0 / self.p)
+            return 2.0 ** (1.0 - 1.0 / self.p)  # (2^p / 2)^(1/p)
         return 1.0 + float(self.params.get("amp", 0.5))
 
     def get_b(self, cube: DyadicCube) -> GridFunction:
@@ -167,12 +173,7 @@ class AccretiveSystem:
                 seeds = np.random.SeedSequence(self.seed, spawn_key=(level, flat))
                 row[np.random.default_rng(seeds).permutation(n)[: n // 2]] = 1.0 + s
             return blocks
-        if level not in self._seeds:  # first draw, or a level that failed its check
-            groups = [(self, lev) for lev in range(self.spec.depth)]
-            state, inc, bounds = _seed_groups(groups)
-            self._seeds = {lev: [[word[lo:hi] for word in pair] for pair in (state, inc)]
-                           for (_, lev), lo, hi in zip(groups, bounds, bounds[1:])}
-        (blocks,) = _draw_rows(self.spec, level, [self], *self._seeds.pop(level))
+        ((_, _, blocks),) = _draw_random([(self, level)])
         return blocks
 
     def _store(self, level: int, blocks: np.ndarray) -> np.ndarray:
@@ -189,49 +190,52 @@ class AccretiveSystem:
         cells, mean, norm budget, and (for every kind but ``signed``) no cell
         below ``MIN_ABS_VALUE``, checked in that order.  A failure raises
         RuntimeError naming the first bad cube (row-major) of the first failed
-        check.  The finite and near-zero checks are one maximum and one minimum
-        over the whole level; the per-cube reductions, slow row-wise on rows of
-        a few cells, are taken only when one fails, to name the cube.  The
-        finite check comes first because NaN compares False in every other."""
+        check, except a norm budget failed by sums of |b_Q|^p that overflow
+        float64 while the budget A^p |Q| / cell_volume overflows too: that is
+        the exponent's fault, a ValueError.  The finite and near-zero checks
+        are one maximum and one minimum over the whole level; the per-cube
+        reductions, slow row-wise on rows of a few cells, are taken only when
+        one fails, to name the cube.  The finite check comes first because NaN
+        compares False in every other."""
         spec = self.spec
         volume = 2.0 ** (-spec.dim * level)
         mags = np.abs(blocks)
+        overflow = False
         if not np.isfinite(mags.max()):
             checks = [(~np.isfinite(mags).all(axis=1), "non-finite cell value")]
         else:
+            with np.errstate(over="ignore"):
+                powers = row_reduce(np.add, mags**self.p)
+                budget = np.float64(self.A) ** self.p * mags.shape[1]
+            overflow = powers.max() == np.inf and budget == np.inf
             checks = [
                 # the same bottom-up sums that get_b(Q).integral(Q) reports
                 (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
                  "mean of b_Q off"),
-                ((row_reduce(np.add, mags**self.p) * spec.cell_volume) ** (1.0 / self.p)
+                ((powers * spec.cell_volume) ** (1.0 / self.p)
                  > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
             ]
             if self.kind != "signed" and mags.min() < MIN_ABS_VALUE:
                 checks.append((mags.min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
         for bad, what in checks:
             if bad.any():
+                if what == "norm budget exceeded" and overflow:
+                    raise _overflow(self.p)
                 cube = spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))
                 raise RuntimeError(f"generator bug: {what} on {cube}")
 
-    # -- serialization --------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "A": self.A, "seed": self.seed,
-                "params": dict(self.params)}
-
-    @staticmethod
-    def from_json_dict(spec: GridSpec, data: dict) -> AccretiveSystem:
-        return AccretiveSystem(spec, data["kind"], float(data["p"]), float(data["A"]),
-                               int(data.get("seed", 0)), dict(data.get("params", {})))
+def _overflow(p: float) -> ValueError:
+    """The error of an exponent whose powers A^p or |b_Q|^p overflow float64."""
+    return ValueError(f"exponent p={p!r} is too large for float64 powers")
 
 
 def draw_levels(systems) -> None:
     """Build every level of every system in ``systems`` (all on one grid),
     level by level.  The levels of the random kind not built yet are drawn
-    for all systems together (``_draw_random``), bit for bit as
-    ``level_values`` draws them one system and one level at a time, and with
-    the same check per system and level; the other kinds build as in
-    ``level_values``."""
+    for all systems together, through the drawer ``level_values`` uses for
+    one level (``_draw_random``) and with the same check per system and
+    level; the other kinds build as in ``level_values``."""
     spec = systems[0].spec
     if any(system.spec != spec for system in systems):
         raise ValueError("grid mismatch between systems")
@@ -396,20 +400,6 @@ def _pcg_states(seeds: list[int], which: np.ndarray, level: np.ndarray,
     return _add128(_mul128(_add128(s, inc), _halves(_PCG_MULT)), inc), inc
 
 
-def _seed_groups(groups: list) -> tuple:
-    """The PCG64 ``(state, inc)`` of every cube of every ``(system, level)``
-    of ``groups``, seeded in one ``_pcg_states`` pass: (hi, lo) pairs of
-    arrays over the cubes, group after group, and the bounds of each group."""
-    spec = groups[0][0].spec
-    seeds = list(dict.fromkeys(system.seed for system, _ in groups))
-    counts = [spec.n_cubes(level) for _, level in groups]
-    state, inc = _pcg_states(
-        seeds, np.repeat([seeds.index(system.seed) for system, _ in groups], counts),
-        np.repeat([level for _, level in groups], counts),
-        np.concatenate([np.arange(count) for count in counts]))
-    return state, inc, np.cumsum([0, *counts]).tolist()
-
-
 def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> list[np.ndarray]:
     """The blocks of b_Q (as ``_level_blocks`` gives them) of ``systems`` at
     ``level``, from the PCG64 ``(state, inc)`` of their cubes, system after
@@ -442,8 +432,14 @@ def _draw_random(groups: list) -> Iterator[tuple]:
     start = 0
     while start < len(groups):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _BATCH, side="right")) - 1)
-        batch = groups[start:stop]
-        state, inc, bounds = _seed_groups(batch)
+        batch, bounds = groups[start:stop], (ends[start:stop + 1] - ends[start]).tolist()
+        # the PCG64 (state, inc) of every cube of the batch, group after group
+        seeds = list(dict.fromkeys(system.seed for system, _ in batch))
+        counts = np.diff(bounds)
+        state, inc = _pcg_states(
+            seeds, np.repeat([seeds.index(system.seed) for system, _ in batch], counts),
+            np.repeat([level for _, level in batch], counts),
+            np.concatenate([np.arange(count) for count in counts]))
         first = 0
         while first < len(batch):
             level, last = batch[first][1], first + 1

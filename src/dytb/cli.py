@@ -460,37 +460,48 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every run without ``--config``, built on first use and
-    never mutated (a ``--config`` run sets defaults on a parser of its own)."""
+    """The parser of every run, built on first use and never mutated."""
     return build_parser()
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv``; the values of a JSON ``--config`` file become the
-    subcommand's defaults, so explicit flags beat the file.  Unknown keys are
-    rejected, malformed JSON with a line-referenced message."""
-    args = _shared_parser().parse_args(argv)
-    if args.config is None:
-        return args
+    """Parse ``argv``.  The values of a JSON ``--config`` file are parsed as
+    flags placed right after the subcommand, so the command line's own flags,
+    which come later, beat the file, and a required flag may come from the
+    file.  Each value but null (which keeps the flag's default) becomes
+    ``--flag=text``: a string as it is, anything else its JSON text.  Unknown
+    keys are rejected, malformed JSON with a line-referenced message."""
+    parser = _shared_parser()
+    # the subcommand and the file, before the parse that may need the file
+    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    finder.add_argument("command", nargs="?")
+    finder.add_argument("--config")
     try:
-        with open(args.config) as fh:
+        found, _ = finder.parse_known_args(argv)
+    except argparse.ArgumentError:  # "--config" with no file: the full parse says so
+        return parser.parse_args(argv)
+    sub = parser.subcommands.get(found.command)
+    if found.config is None or sub is None:
+        return parser.parse_args(argv)
+    try:
+        with open(found.config) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{args.config}:{e.lineno}:{e.colno}: {e.msg}") from e
+        raise ConfigError(f"{found.config}:{e.lineno}:{e.colno}: {e.msg}") from e
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
     if not isinstance(data, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object")
-    known = {k for k in vars(args) if k not in ("command", "config")}
-    defaults = {}
+        raise ConfigError(f"{found.config}: config must be a JSON object")
+    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.dest not in ("help", "config")}
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        defaults[dest] = value
-    parser = build_parser()
-    parser.subcommands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ConfigError(f"{found.config}: unknown config key {key!r}")
+        if value is not None:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    at = argv.index(found.command) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def main(argv=None) -> int:

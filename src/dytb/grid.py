@@ -12,7 +12,6 @@ threads for read-only use.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -299,11 +298,9 @@ def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray
     """Cube sums of a finest-cell array at one ``level``, indexed by flat cube:
     the ``coarsen_step`` passes of ``cube_sum_vector`` from the finest level
     up to ``level`` only, so bit-identical to ``level_sums(...)[level]``.  At
-    ``level == depth`` that is the cell array itself (as floats, not copied).
-    A stack of cell arrays (leading axes) is summed row by row, as each row
-    on its own."""
+    ``level == depth`` that is the cell array itself (as floats, not copied)."""
     vals = np.asarray(cell_values, dtype=float)
-    if vals.shape[-1:] != (spec.n_cells,):
+    if vals.shape != (spec.n_cells,):
         raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
     if not 0 <= level <= spec.depth:
         raise ValueError(f"level {level} is outside 0..{spec.depth}")
@@ -419,52 +416,7 @@ class GridFunction:
         vals[idx] = self.values[idx]
         return GridFunction(self.spec, vals)
 
-    # -- arithmetic (pointwise) ---------------------------------------------
-
-    def _match(self, other: GridFunction) -> None:
-        if other.spec != self.spec:
-            raise ValueError("grid mismatch")
-
-    def __add__(self, other: GridFunction) -> GridFunction:
-        self._match(other)
-        return GridFunction(self.spec, self.values + other.values)
-
-    def __sub__(self, other: GridFunction) -> GridFunction:
-        self._match(other)
-        return GridFunction(self.spec, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._match(other)
-            return GridFunction(self.spec, self.values * other.values)
-        return GridFunction(self.spec, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> GridFunction:
-        return GridFunction(self.spec, -self.values)
-
-    def abs(self) -> GridFunction:
-        return GridFunction(self.spec, np.abs(self.values))
-
     # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.spec.dim, "depth": self.spec.depth, "values": self.values.tolist()}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> GridFunction:
-        spec = GridSpec(int(data["dim"]), int(data["depth"]))
-        return GridFunction(spec, np.asarray(data["values"], dtype=float))
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @staticmethod
-    def load_json(path) -> GridFunction:
-        with open(path) as fh:
-            return GridFunction.from_json_dict(json.load(fh))
 
     def save_csv(self, path) -> None:
         """One value per line; leading comment line carries ``# dim,depth``."""

@@ -12,9 +12,9 @@ level sorted by (flat, i, j), with the entry bounds of every level.  Beside
 (flat, i, j, kappa), each entry holds where its child_j (read from) and
 child_i (added to) sit in one vector of the cubes of every level
 (``GridSpec.offsets``), so a sweep is one gather-multiply and one bincount
-over a slice of the plan, and ``bilinear`` one product.  ``plan`` views the
-arrays per level for ``validate_size``, ``dense_matrix`` and the file
-writer; the dict ``PerfectKernel.entries`` is built only on first access.
+over a slice of the plan, ``bilinear`` one product and ``validate_size`` one
+comparison; ``dense_matrix`` and the file writer slice the arrays by level.
+The dict ``PerfectKernel.entries`` is built only on first access.
 
 Orientation: in the pairing <Tf, g> = integral K(x, y) f(y) g(x) dy dx, the
 x-variable (paired with g) ranges over child_i and the y-variable (paired
@@ -33,7 +33,6 @@ import json
 import math
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +75,9 @@ def _pair_radius(i: int, j: int, dim: int) -> float:
     return math.sqrt(sum(g * g for g in gaps))
 
 
-class LevelPlan(NamedTuple):
-    """One level's entries, sorted by (flat, i, j): views of the kernel's
-    whole-plan arrays.  ``src`` (child_j, where f is read) and ``dst``
-    (child_i, where the value is added) index the cubes at ``level + 1`` in
-    the all-level vector of ``GridSpec.offsets``."""
-
-    flats: np.ndarray
-    ii: np.ndarray
-    jj: np.ndarray
-    vals: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+# A kernel's whole-plan entry arrays in ``_plan`` order.  ``src`` (child_j, where f is read)
+# and ``dst`` (child_i, where the value is added) index the all-level vector of cubes.
+_PLAN_FIELDS = ("flats", "ii", "jj", "vals", "src", "dst")
 
 
 class PerfectKernel:
@@ -95,12 +85,11 @@ class PerfectKernel:
 
     ``PerfectKernel(spec, {(level, flat, i, j): kappa})`` builds it from a
     dict; absent entries are zero.  The entries of every level sit in level
-    order in ``flats``, ``ii``, ``jj``, ``vals``, ``src`` and ``dst`` (the
-    fields of ``LevelPlan``); level ``l`` holds ``starts[l]:starts[l + 1]``
-    and ``plan`` views them per non-empty level.  Every entry is validated
-    once, at construction.  Immutable afterwards (the arrays are read-only);
-    ``apply`` and ``bilinear`` are pure functions, so kernels can be shared
-    across threads.
+    order in ``flats``, ``ii``, ``jj``, ``vals``, ``src`` and ``dst``, level
+    ``l`` at ``starts[l]:starts[l + 1]`` sorted by (flat, i, j).  Every entry
+    is validated once, at construction.  Immutable afterwards (the arrays are
+    read-only); ``apply`` and ``bilinear`` are pure functions, so kernels can
+    be shared across threads.
     """
 
     def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
@@ -110,26 +99,19 @@ class PerfectKernel:
 
     @classmethod
     def _from(cls, spec: GridSpec, plan: tuple) -> PerfectKernel:
-        """A kernel from a validated plan: ``starts`` and the ``LevelPlan``
-        arrays, as ``_plan`` gives them."""
+        """A kernel from a validated plan: ``starts`` and the entry arrays, as
+        ``_plan`` gives them."""
         kernel = cls.__new__(cls)
         kernel._set(spec, *plan)
         return kernel
 
     def _set(self, spec: GridSpec, starts, *arrays: np.ndarray) -> None:
-        """Install whole-plan arrays in ``LevelPlan`` field order, read-only."""
+        """Install whole-plan arrays in ``_PLAN_FIELDS`` order, read-only."""
         self.spec = spec
         self.starts = tuple(starts)
-        for name, arr in zip(LevelPlan._fields, arrays):
+        for name, arr in zip(_PLAN_FIELDS, arrays):
             arr.flags.writeable = False
             setattr(self, name, arr)
-
-    @cached_property
-    def plan(self) -> dict[int, LevelPlan]:
-        """Per non-empty level, views of its entries."""
-        arrays = [getattr(self, name) for name in LevelPlan._fields]
-        return {level: LevelPlan(*(a[lo:hi] for a in arrays))
-                for level, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])) if hi > lo}
 
     def _entry_levels(self) -> np.ndarray:
         """The level of every entry."""
@@ -151,10 +133,8 @@ class PerfectKernel:
         nch = 2**self.spec.dim
         cubes = np.array(self.spec.offsets, dtype=np.int64)[self._entry_levels()] + self.flats
         o = np.argsort((cubes * nch + self.jj) * nch + self.ii, kind="stable")
-        adj = PerfectKernel.__new__(PerfectKernel)
-        adj._set(self.spec, self.starts, self.flats[o], self.jj[o], self.ii[o], self.vals[o],
-                 self.dst[o], self.src[o])
-        return adj
+        return PerfectKernel._from(self.spec, (self.starts, self.flats[o], self.jj[o], self.ii[o],
+                                               self.vals[o], self.dst[o], self.src[o]))
 
     def value(self, cube: DyadicCube, i: int, j: int) -> float:
         return self.entries.get((cube.level, self.spec.cube_flat(cube), i, j), 0.0)
@@ -181,7 +161,7 @@ def _sorted_plan(spec: GridSpec, keys: np.ndarray, vals: np.ndarray) -> tuple:
 def _plan(spec: GridSpec, counts, flats, ii, jj, vals) -> tuple:
     """Validate whole-plan entries sorted by (level, flat, i, j), ``counts[l]``
     of them at level l, and attach the places of their children in the
-    all-level vector: the ``starts`` and ``LevelPlan`` arrays of the kernel.
+    all-level vector: the ``starts`` and ``_PLAN_FIELDS`` arrays of the kernel.
 
     Each check runs once on the whole plan; a failure names the first bad
     entry of the first level that has one, the checks of a level taken in
@@ -316,10 +296,7 @@ def _bound_tables(depth: int, dim: int) -> np.ndarray:
 def validate_size(kernel: PerfectKernel) -> bool:
     """True iff every entry obeys the size bound for its child rectangle."""
     tables = _bound_tables(kernel.spec.depth, kernel.spec.dim)
-    for level, p in kernel.plan.items():
-        if np.any(np.abs(p.vals) > tables[level][p.ii, p.jj]):
-            return False
-    return True
+    return not np.any(np.abs(kernel.vals) > tables[kernel._entry_levels(), kernel.ii, kernel.jj])
 
 
 def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0) -> PerfectKernel:
@@ -377,14 +354,14 @@ def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
     if n > DENSE_CAP:
         raise ValueError(f"dense matrix with {n} cells exceeds the cap {DENSE_CAP}")
     m = np.zeros((n, n))
-    for level, p in kernel.plan.items():
+    for level, (lo, hi) in enumerate(zip(kernel.starts, kernel.starts[1:])):
         k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis
         index: list = []
-        for c in (p.dst, p.src):  # rows on child_i, columns on child_j
+        for c in (kernel.dst[lo:hi], kernel.src[lo:hi]):  # rows on child_i, columns on child_j
             c = c - spec.offsets[level + 1]
             for axis in [c] if spec.dim == 1 else [c >> (level + 1), c & (k - 1)]:
                 index += [axis, slice(None)]
-        m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += p.vals.reshape((-1,) + (1,) * 2 * spec.dim)
+        m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += kernel.vals[lo:hi].reshape((-1,) + (1,) * 2 * spec.dim)
     m *= spec.cell_volume
     return m
 
@@ -396,12 +373,13 @@ _ENTRY_FIELDS = ("level", "coords", "i", "j", "value")
 
 
 def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
-    """The entries in (level, flat, i, j) order, read off the level plans."""
+    """The entries in (level, flat, i, j) order, sliced by level off the plan."""
     entries = []
-    for level, p in kernel.plan.items():
-        coords = kernel.spec.coords_from_flats(level, p.flats)
+    for level, (lo, hi) in enumerate(zip(kernel.starts, kernel.starts[1:])):
+        coords = kernel.spec.coords_from_flats(level, kernel.flats[lo:hi])
         entries += [{"level": level, "coords": c, "i": i, "j": j, "value": v} for c, i, j, v
-                    in zip(coords.tolist(), p.ii.tolist(), p.jj.tolist(), p.vals.tolist())]
+                    in zip(coords.tolist(), kernel.ii[lo:hi].tolist(), kernel.jj[lo:hi].tolist(),
+                           kernel.vals[lo:hi].tolist())]
     return {"dim": kernel.spec.dim, "depth": kernel.spec.depth, "entries": entries}
 
 

@@ -48,7 +48,6 @@ from .kernels import (
 )
 from .twisted import (
     CoronaLevels,
-    SignChoice,
     TwistedContext,
     _check_blocks,
     _delta_decomp,
@@ -65,6 +64,7 @@ __all__ = [
     "lanczos_norm",
     "operator_norm",
     "testing_constant",
+    "Pairings",
     "easy_terms_check",
     "bilinear_expansion_check",
     "FormSplit",
@@ -247,9 +247,13 @@ def testing_constant(
     best = 0.0
     for level in range(spec.depth + 1):
         tb = system.level_sweep(op, level)
-        powers = np.abs(cube_blocks(spec, level, tb)) ** q
-        mean_pow = row_reduce(np.add, powers) / powers.shape[1]
+        with np.errstate(over="ignore"):
+            powers = np.abs(cube_blocks(spec, level, tb)) ** q
+            mean_pow = row_reduce(np.add, powers) / powers.shape[1]
         best = max(best, float(mean_pow.max()))
+    if best == np.inf:
+        raise ValueError(f"exponent q={q!r} (conjugate to {conjugate(q)!r}) is too large "
+                         f"for float64 powers")
     return best ** (1.0 / q)
 
 
@@ -257,15 +261,28 @@ def testing_constant(
 
 
 @dataclass(frozen=True, eq=False)
-class _Pairings:
-    """The corona calculus of f against S_1 (``lf``) and of g against S_2
-    (``lg``), and what the battery pairs from it, each built on first read:
-    over the difference levels a, b of Q0 and below, ``table[a, b]`` is
-    <T D_a f, D_b g> and ``adjoint_table[b, a]`` is <T* D_b g, D_a f>."""
+class Pairings:
+    """The one input of the battery checks: a kernel, a forest, its two
+    systems and the sign functions f, g.  The corona calculus of f against
+    S_1 (``lf``) and of g against S_2 (``lg``), and what the battery pairs
+    from it, are each built on first read: over the difference levels a, b
+    of Q0 and below, ``table[a, b]`` is <T D_a f, D_b g> and
+    ``adjoint_table[b, a]`` is <T* D_b g, D_a f>."""
 
     kernel: PerfectKernel
-    lf: CoronaLevels
-    lg: CoronaLevels
+    forest: CoronaForest
+    sys1: AccretiveSystem
+    sys2: AccretiveSystem
+    f: GridFunction
+    g: GridFunction
+
+    @cached_property
+    def lf(self) -> CoronaLevels:
+        return corona_levels(self.forest, 1, self.sys1, self.f)
+
+    @cached_property
+    def lg(self) -> CoronaLevels:
+        return corona_levels(self.forest, 2, self.sys2, self.g)
 
     @cached_property
     def rank_one(self) -> tuple[float, float]:
@@ -292,28 +309,22 @@ def _pairing_table(op, rows: dict, cols: dict) -> np.ndarray:
     return swept @ np.reshape(list(cols.values()), (-1, n)).T * op.spec.cell_volume
 
 
-def _both_levels(kernel, forest, sys1, sys2, f, g, levels=None) -> _Pairings:
-    return levels or _Pairings(kernel, corona_levels(forest, 1, sys1, f),
-                               corona_levels(forest, 2, sys2, g))
-
-
-def easy_terms_check(kernel, forest, sys1, sys2, f, g, tloc, _levels=None) -> dict:
+def easy_terms_check(pairings: Pairings, tloc: float) -> dict:
     """The two rank-one pieces of the expansion with their testing bounds:
     |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|."""
-    easy1, easy2 = _both_levels(kernel, forest, sys1, sys2, f, g, _levels).rank_one
+    (easy1, easy2), forest = pairings.rank_one, pairings.forest
     volume = forest.q0.volume
     return {"easy1": abs(easy1), "easy1_bound": tloc * volume,
             "easy2": abs(easy2), "easy2_bound": forest.config.A * tloc * volume}
 
 
-def bilinear_expansion_check(kernel, forest, sys1, sys2, f, g, _levels=None) -> tuple[float, dict]:
+def bilinear_expansion_check(pairings: Pairings) -> tuple[float, dict]:
     """Residual of <Tf, g> = <T E f, g> + <T (sum D f), E g> + sum_{P,Q} <T D_P f, D_Q g>
     with every piece computed independently (the last one as the sum of the
     pairing table); relative to 1 + |<Tf, g>|."""
-    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
-    total = bilinear(kernel, f, g)
-    term1, term2 = levels.rank_one
-    term3 = float(levels.table.sum())
+    total = bilinear(pairings.kernel, pairings.f, pairings.g)
+    term1, term2 = pairings.rank_one
+    term3 = float(pairings.table.sum())
     residual = abs(total - term1 - term2 - term3) / (1.0 + abs(total))
     return residual, {"total": total, "term1": term1, "term2": term2, "term3": term3}
 
@@ -327,7 +338,7 @@ class FormSplit:
     residual: float
 
 
-def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
+def form_split(pairings: Pairings) -> FormSplit:
     """Split sum_{P,Q} <T D_P f, D_Q g> by the side lengths of P and Q.
 
     Cubes P strictly bigger than Q form the nested "above" part (non-nested
@@ -336,12 +347,11 @@ def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
     part contains the diagonal.  The residual compares the three parts with
     an independently computed total.
     """
-    spec = forest.spec
-    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
-    above, below = (float(np.triu(t, 1).sum()) for t in (levels.table, levels.adjoint_table))
-    equal = float(np.trace(levels.table))
-    total = bilinear(kernel, GridFunction(spec, levels.lf.delta_sum),
-                     GridFunction(spec, levels.lg.delta_sum))
+    spec = pairings.forest.spec
+    above, below = (float(np.triu(t, 1).sum()) for t in (pairings.table, pairings.adjoint_table))
+    equal = float(np.trace(pairings.table))
+    total = bilinear(pairings.kernel, GridFunction(spec, pairings.lf.delta_sum),
+                     GridFunction(spec, pairings.lg.delta_sum))
     residual = abs(above + equal + below - total) / (1.0 + abs(total))
     return FormSplit(above, equal, below, total, residual)
 
@@ -349,7 +359,7 @@ def form_split(kernel, forest, sys1, sys2, f, g, _levels=None) -> FormSplit:
 # -- the nested form, level by level ----------------------------------------------
 
 
-def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
+def b_above_aggregation(pairings: Pairings):
     """The nested form sum_{P strictly above Q} <T D_P f, D_Q g> summed block by
     block over S_1, against the same form computed directly.
 
@@ -372,13 +382,13 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
     over the level differences, the strict upper triangle of the pairing
     table.  Returns (total, pull-out residual, reference, relative residual
     of total against reference)."""
+    kernel, forest, sys1 = pairings.kernel, pairings.forest, pairings.sys1
     spec, top, cv = forest.spec, forest.q0.level, forest.spec.cell_volume
-    levels = _both_levels(kernel, forest, sys1, sys2, f, g, _levels)
-    lf, lg = levels.lf, levels.lg
-    reference = float(np.triu(levels.table, 1).sum())
+    lf, lg = pairings.lf, pairings.lg
+    reference = float(np.triu(pairings.table, 1).sum())
     g_blocks = {b: cube_blocks(spec, b, gv) for b, gv in lg.deltas.items()}
 
-    def pairings(u, first):
+    def paired(u, first):
         """<u, D_Q g> for every cube Q of each level from ``first``, one row-wise dot per level."""
         return {b: row_reduce(np.add, cube_blocks(spec, b, u) * g_blocks[b]) * cv
                 for b in range(first, spec.depth)}
@@ -386,11 +396,11 @@ def b_above_aggregation(kernel, forest, sys1, sys2, f, g, _levels=None):
     tb = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))
     total = pullout = 0.0
     for a, half in lf.half_twisted.items():
-        tbs = pairings(tb[a], a)
+        tbs = paired(tb[a], a)
         if a > top:  # the first piece of the members of level a
             own = np.where(lf.owners[a] == a, lf.h_avg[a], 0.0)
             total += sum(float(spread(spec, a, own, b) @ v) for b, v in tbs.items())
-        direct = pairings(_sweep_from(kernel, lf.b[a] * spread(spec, a + 1, half), a), a + 1)
+        direct = paired(_sweep_from(kernel, lf.b[a] * spread(spec, a + 1, half), a), a + 1)
         for b, d in direct.items():
             pulled = spread(spec, a + 1, half, b) * tbs[b]
             pullout = max(pullout, float(np.max(np.abs(d - pulled) / (1.0 + np.abs(d)))))
@@ -452,8 +462,12 @@ def _g_telescoping(forest, lg, g: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best restart of a search: its ratio, its signs as one coefficient
+    array per level (``TwistedContext.random_coefficients``: zero off the
+    derived family), its f, and the restart it came from (counted from 1)."""
+
     ratio: float
-    eps: SignChoice
+    coeffs: dict[int, np.ndarray]
     f: GridFunction
     restarts: int
 
@@ -509,9 +523,7 @@ def adversarial_transform_search(
         ratio = float(np.sum(np.abs(cur) ** p) * spec.cell_volume) ** (1.0 / p) / f.lp_norm(p)
         if best is None or ratio > best[0]:
             best = (ratio, coeffs, f, r + 1)
-    ratio, coeffs, f, restarts = best
-    signs = (e for (lev, c), m in zip(coeffs.items(), ctx.q_masks().values()) for e in c[m])
-    return SearchResult(ratio, SignChoice(dict(zip(ctx.q_cubes(), signs))), f, restarts)
+    return SearchResult(*best)
 
 
 # -- instances and the identity battery ---------------------------------------------
@@ -544,10 +556,9 @@ class Instance:
         return self.dsearch.forest
 
     @cached_property
-    def levels(self) -> _Pairings:
-        """The per-level corona calculus of f against S_1 and of g against S_2,
-        with the pairings the identity battery reads from it."""
-        return _both_levels(self.kernel, self.forest, self.sys1, self.sys2, self.f, self.g)
+    def pairings(self) -> Pairings:
+        """The identity battery's input on this instance, built once."""
+        return Pairings(self.kernel, self.forest, self.sys1, self.sys2, self.f, self.g)
 
 
 def build_instance(
@@ -631,10 +642,9 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     raises RuntimeError (``_check_families``) before any residual.
     """
     forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
-    q0, levels = forest.q0, inst.levels
-    lf, lg = levels.lf, levels.lg
+    q0, pairings = forest.q0, inst.pairings
+    lf, lg = pairings.lf, pairings.lg
     _check_families(forest, lf, lg)
-    args = (inst.kernel, forest, sys1, inst.sys2, f, g)
     out: dict[str, float] = {}
 
     # martingale expansion reconstructs h on the nose
@@ -656,9 +666,9 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     out["delta_decomp"] = _delta_decomp(ctx, tw, coeffs, twisted, half) / scale
     out["measure_comparison_excess"] = _measure_excess(ctx, half)
 
-    out["bilinear_expansion"], _ = bilinear_expansion_check(*args, _levels=levels)
-    out["form_split"] = form_split(*args, _levels=levels).residual
-    _, out["pullout"], _, out["b_above_aggregation"] = b_above_aggregation(*args, _levels=levels)
+    out["bilinear_expansion"], _ = bilinear_expansion_check(pairings)
+    out["form_split"] = form_split(pairings).residual
+    _, out["pullout"], _, out["b_above_aggregation"] = b_above_aggregation(pairings)
 
     # telescoping of the g-side differences over each block of S_1
     out["g_telescoping"] = _g_telescoping(forest, lg, g)
@@ -782,8 +792,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     residuals = run_identity_checks(inst)
     eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
     # the rank-one pairings were made by the expansion check: no bilinear call here
-    easy = easy_terms_check(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g, inst.tloc,
-                            _levels=inst.levels)
+    easy = easy_terms_check(inst.pairings, inst.tloc)
     return VerifierReport(trial, seed, True, norm, inst.tloc, ratio, inst.cfg.delta, packing,
                           carleson, residuals, eps_max, eps_bound, easy, inst.dsearch.trace)
 

@@ -49,11 +49,12 @@ BOX_EXPONENTS = (1.5, 2.0, 3.0)
 DIAGONAL_INSTANCE_SEEDS = (41, 42, 43)
 
 
-def naive_transform_ratio(ctx, eps, f, p):
-    """Independent evaluation of the achieved ratio: plain per-cube summation."""
+def naive_transform_ratio(ctx, coeffs, f, p):
+    """Independent evaluation of the achieved ratio: plain per-cube summation
+    of the per-level coefficients."""
     total = np.zeros(ctx.spec.n_cells)
     for q in ctx.q_cubes():
-        total += eps.get(q) * twisted_delta(ctx, q, f).values
+        total += coeffs[q.level][ctx.spec.cube_flat(q)] * twisted_delta(ctx, q, f).values
     return GridFunction(ctx.spec, total).lp_norm(p) / f.lp_norm(p)
 
 
@@ -67,7 +68,7 @@ def freeze_search_constants():
                 system = AccretiveSystem(spec, kind, p, a_const, seed=seed, params=params)
                 ctx = make_context(system, spec.root(), delta)
                 res = adversarial_transform_search(ctx, p, n_restarts=8, seed=seed)
-                check = naive_transform_ratio(ctx, res.eps, res.f, p)
+                check = naive_transform_ratio(ctx, res.coeffs, res.f, p)
                 assert abs(res.ratio - check) <= 1e-10 * (1 + check), (name, p, seed)
                 worst = max(worst, res.ratio)
             out[f"{name}|p{p}"] = worst

@@ -14,13 +14,14 @@ search, for the level-by-level one.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from dytb.grid import GridFunction, coarsen_step, spread
 from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
 from dytb.twisted import SignChoice, corona_levels
-from dytb.verify import SearchResult, _check_families
+from dytb.verify import _check_families
 
 
 def on_cube(spec, cube, cells) -> np.ndarray:
@@ -90,6 +91,15 @@ def proof_operators(ctx, eps, test_cube):
     return pi_img, am_img, norms
 
 
+class PerCubeSearch(NamedTuple):
+    """The best restart of ``per_cube_transform_search``, signs per cube."""
+
+    ratio: float
+    eps: SignChoice
+    f: GridFunction
+    restarts: int
+
+
 def per_cube_transform_search(ctx, p, n_restarts=8, max_passes=50, seed=0, functions=None):
     """``verify.adversarial_transform_search`` one derived cube at a time: each
     pass visits the cubes coarse to fine and row-major, and flips a cube's
@@ -127,7 +137,7 @@ def per_cube_transform_search(ctx, p, n_restarts=8, max_passes=50, seed=0, funct
                 break
         ratio = float(np.sum(np.abs(cur) ** p) * cv) ** (1.0 / p) / fnorm
         if best is None or ratio > best.ratio:
-            best = SearchResult(ratio, SignChoice(dict(zip(cubes, eps))), f, r + 1)
+            best = PerCubeSearch(ratio, SignChoice(dict(zip(cubes, eps))), f, r + 1)
     return best
 
 

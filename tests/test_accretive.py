@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ def test_constant_scale_covariance():
     q = DyadicCube(1, (0,))
     child = q.children()[1]
     restricted = sys_.get_b(q).restrict(child)
-    renormalized = restricted * (child.volume / restricted.integral(child))
-    assert np.array_equal(renormalized.values, sys_.get_b(child).values)
+    renormalized = restricted.values * (child.volume / restricted.integral(child))
+    assert np.array_equal(renormalized, sys_.get_b(child).values)
 
 
 def test_signed_mean_normalization_exact(rng):
@@ -141,6 +142,37 @@ def test_parameter_validation():
         AccretiveSystem(spec, "signed", 2.0, 1.01)
 
 
+def test_exponents_past_float64_are_config_errors():
+    spec = GridSpec(1, 3)
+    with pytest.raises(ValueError, match=r"^p must be finite, got inf$"):
+        AccretiveSystem(spec, "constant", np.inf, 1.5)
+    # A^p, the budget of every |b_Q|^p, overflows
+    with pytest.raises(ValueError, match=r"^exponent p=2000.0 is too large for float64 powers$"):
+        AccretiveSystem(spec, "signed", 2000.0, 1.9)
+    # the budget A^p = 2^1023.6 fits, the cells' powers 2^p = 2^1024.5 do not
+    sys_ = AccretiveSystem(spec, "signed", 1024.5, 2.0 ** (1023.6 / 1024.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^exponent p=1024.5 is too large for float64 powers$"):
+            sys_.level_values(0)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 7.5, 40.0])
+@pytest.mark.parametrize("kind, params", [("two-value", {"s": 0.0}), ("two-value", {"s": 0.7}),
+                                          ("signed", {})])
+def test_worst_constant_closed_forms(kind, params, p):
+    # the forms that cannot overflow equal the powers they replace, and bound
+    # what validate() measures
+    spec = GridSpec(1, 4)
+    sys_ = AccretiveSystem(spec, kind, p, 2.0, seed=3, params=params)
+    s = params.get("s", 0.5)
+    direct = (((1 + s) ** p + (1 - s) ** p) / 2.0) ** (1 / p) if kind == "two-value" else (2.0**p / 2.0) ** (1 / p)
+    assert sys_.worst_constant() == pytest.approx(direct, rel=1e-15)
+    assert validate(sys_, spec.root())[1] <= sys_.worst_constant() * (1 + 1e-12)
+    sys_.p = 1e6  # past the powers of a constructible system
+    assert 1.0 <= sys_.worst_constant() <= 2.0
+
+
 def test_generator_invariant_violation_is_internal_error(monkeypatch):
     # a generator bug (not a config error) must surface as RuntimeError
     spec = GridSpec(1, 3)
@@ -150,6 +182,15 @@ def test_generator_invariant_violation_is_internal_error(monkeypatch):
                         lambda level, n: np.full((spec.n_cubes(level), n), 2.0))
     with pytest.raises(RuntimeError):
         sys_.get_b(spec.root())
+    # a huge cell overflows |b_Q|^p while the budget A^p |Q| fits: still the
+    # generator's fault, not the exponent's
+    sys_ = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    monkeypatch.setattr(sys_, "_level_blocks",
+                        lambda level, n: np.full((spec.n_cubes(level), n), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^generator bug: "):
+            sys_.get_b(spec.root())
 
 
 def test_one_bad_cube_fails_its_whole_level(monkeypatch):
@@ -349,7 +390,10 @@ def system_pair(spec, kind, seed, amps=(0.6, 0.6)):
 @pytest.mark.parametrize("dim,depth", [(1, d) for d in (0, 1, 2, 6, 9)] + [(2, d) for d in (1, 3, 5)])
 @pytest.mark.parametrize("kind", accretive.ACCRETIVE_KINDS)
 def test_draw_levels_equals_each_system_drawn_alone(monkeypatch, dim, depth, kind):
+    # every level read lazily, in shuffled order, and each level read on its
+    # own by a fresh system, equal the levels drawn together
     spec = GridSpec(dim, depth)
+    rng = np.random.default_rng(10 * dim + depth)
     # small batches cut the seeding passes and the draws of one level apart
     for batch in (1, 5, 64, accretive._BATCH) if kind == "random" else (accretive._BATCH,):
         monkeypatch.setattr(accretive, "_BATCH", batch)
@@ -359,9 +403,13 @@ def test_draw_levels_equals_each_system_drawn_alone(monkeypatch, dim, depth, kin
                 accretive.draw_levels(pair)
                 for together, single in zip(pair, alone):
                     assert sorted(together._levels) == list(range(depth + 1))
-                    for level in range(depth + 1):
+                    for level in rng.permutation(depth + 1).tolist():
                         got, want = together.level_values(level), single.level_values(level)
                         assert got.tobytes() == want.tobytes() and not got.flags.writeable
+                for level in range(depth + 1):
+                    for together, single in zip(pair, system_pair(spec, kind, seed, amps)):
+                        assert single.level_values(level).tobytes() == together.level_values(level).tobytes()
+                        assert list(single._levels) == [level]
 
 
 def test_draw_levels_mixes_kinds_and_keeps_built_levels():
@@ -373,7 +421,7 @@ def test_draw_levels_mixes_kinds_and_keeps_built_levels():
     accretive.draw_levels((first, other, second))
     assert first.level_values(2) is kept
     for system in (first, other, second):
-        clone = AccretiveSystem.from_json_dict(spec, system.to_json_dict())
+        clone = replace(system)
         for level in range(spec.depth + 1):
             assert system.level_values(level).tobytes() == clone.level_values(level).tobytes()
     with pytest.raises(ValueError, match="grid mismatch"):
@@ -543,13 +591,3 @@ def test_negative_seed_raises_like_seed_sequence():
             with pytest.raises(ValueError):
                 sys_.level_values(0)
 
-
-
-def test_descriptor_roundtrip():
-    spec = GridSpec(1, 4)
-    sys_ = AccretiveSystem(spec, "two-value", 2.5, 1.4, seed=8, params={"s": 0.25})
-    data = sys_.to_json_dict()
-    assert data == {"kind": "two-value", "p": 2.5, "A": 1.4, "seed": 8, "params": {"s": 0.25}}
-    clone = AccretiveSystem.from_json_dict(spec, data)
-    q = DyadicCube(2, (1,))
-    assert np.array_equal(clone.get_b(q).values, sys_.get_b(q).values)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,65 @@ def test_kernel_file_for_another_grid_is_a_config_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(["corona", "--dim", "2", "--depth", "4", "--kernel", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: grid mismatch")
+
+
+@pytest.mark.parametrize("argv, exponent", [
+    (["corona", "--p1", "1.0000000001"], "1.0000000001"),  # |T b|^q at q = p1' ~ 1e10
+    (["identities", "--p1", "1e6"], "p=1000000.0"),
+    (["transform-norm", "--p", "1e308"], "p=1e+308"),
+    (["corona", "--accretive-kind", "signed", "--p1", "2000"], "p=2000.0"),
+    (["corona", "--accretive-kind", "two-value", "--p1", "1e6"], "p=1000000.0"),
+    (["identities", "--accretive-kind", "signed", "--p1", "2000", "--A", "1.9"], "p=2000.0"),
+    (["identities", "--accretive-kind", "two-value", "--p1", "1e6", "--A", "1.9"], "p=1000000.0"),
+    (["corona", "--accretive-kind", "constant", "--p1", "1e6"], "p=1000000.0"),
+    (["corona", "--p1", "inf"], "got inf"),
+    (["identities", "--p2", "inf"], "got inf"),
+])
+def test_overflowing_exponents_are_config_errors(argv, exponent, capsys):
+    # a power of the exponent past float64 is named, with no warning printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--depth", "4"]) == 2, argv
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and exponent in err and "Warning" not in out + err, err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["corona"], {"depth": 3.5}, "argument --depth: invalid int value: '3.5'"),
+    (["corona"], {"depth": True}, "argument --depth: invalid int value: 'true'"),
+    (["tb-experiment", "--out", "r.csv"], {"trials": 2.7}, "argument --trials: invalid int value: '2.7'"),
+    (["transform-norm"], {"restarts": 1.5}, "argument --restarts: invalid int value: '1.5'"),
+    (["corona"], {"dim": 3}, "argument --dim: invalid choice: 3 (choose from 1, 2)"),
+])
+def test_config_values_parse_like_flags(tmp_path, command, config, message, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.endswith(f"dytb {command[0]}: error: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_satisfies_required_flags(tmp_path, capsys):
+    cfg, report = tmp_path / "c.json", tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"out": str(report), "trials": 1, "depth": 3}))
+    assert main(["tb-experiment", "--config", str(cfg)]) == 0
+    assert report.exists() and report.with_suffix(".json").exists()
+    cfg.write_text(json.dumps({"out": None, "depth": 3}))
+    assert main(["tb-experiment", "--config", str(cfg)]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_config_null_keeps_the_default_and_numbers_convert_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    for config, flags in (({"depth": None, "trials": 1}, ["--trials", "1"]),
+                          ({"p1": 2, "depth": "4", "trials": 1}, ["--p1", "2", "--depth", "4", "--trials", "1"])):
+        cfg.write_text(json.dumps(config))
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["tb-experiment", "--config", str(cfg), "--out", str(by_file)]) == 0
+        assert main(["tb-experiment", *flags, "--out", str(by_flags)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+    assert '"p1": 2.0' in by_file.read_text().splitlines()[1]
+    capsys.readouterr()
 
 
 def test_identities_prints_residuals(capsys):
@@ -361,10 +421,10 @@ def test_shared_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"trials": 5}))
     assert main([*run, "--config", str(cfg)]) == 0
-    # the config file's defaults stay on the parser of that run
+    # the config file's values are parsed as flags: the parser keeps none
     assert main(run) == 0
     assert trials == [100] * 5 + [5, 100]
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_shared_instance_options_keep_their_order_and_defaults():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import (
     KERNEL_KINDS,
-    LevelPlan,
+    _PLAN_FIELDS,
     PerfectKernel,
     _child_flats,
     _sweep_from,
@@ -151,6 +151,12 @@ def per_level_sums(spec, values) -> list:
     return out[::-1]
 
 
+def level_slices(kernel) -> dict:
+    """Per non-empty level, its slice of the kernel's whole-plan arrays."""
+    return {level: slice(lo, hi)
+            for level, (lo, hi) in enumerate(zip(kernel.starts, kernel.starts[1:])) if hi > lo}
+
+
 def per_level_sweep(kernel, values, start):
     """The per-level body ``kernels._sweep_from`` had before the whole plan: a
     dict of zero arrays, one bincount per level and a ``spread`` per level."""
@@ -160,11 +166,11 @@ def per_level_sweep(kernel, values, start):
         return np.zeros(spec.n_cells)
     cv = spec.cell_volume
     contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
-    for level, p in kernel.plan.items():
+    for level, s in level_slices(kernel).items():
         if level >= start:
-            src = _child_flats(spec, level, p.flats, p.jj)
-            dst = _child_flats(spec, level, p.flats, p.ii)
-            weights = p.vals * sums[level + 1][src] * cv
+            src = _child_flats(spec, level, kernel.flats[s], kernel.jj[s])
+            dst = _child_flats(spec, level, kernel.flats[s], kernel.ii[s])
+            weights = kernel.vals[s] * sums[level + 1][src] * cv
             contrib[level + 1] = np.bincount(dst, weights, spec.n_cubes(level + 1))
     cur = contrib[start + 1]
     for lev in range(start + 2, spec.depth + 1):
@@ -178,10 +184,10 @@ def per_level_bilinear(kernel, f, g) -> float:
     cv = spec.cell_volume
     intf, intg = per_level_sums(spec, f.values), per_level_sums(spec, g.values)
     total = 0.0
-    for level, p in kernel.plan.items():
-        src = _child_flats(spec, level, p.flats, p.jj)
-        dst = _child_flats(spec, level, p.flats, p.ii)
-        total += float(np.sum(p.vals * intf[level + 1][src] * intg[level + 1][dst])) * cv * cv
+    for level, s in level_slices(kernel).items():
+        src = _child_flats(spec, level, kernel.flats[s], kernel.jj[s])
+        dst = _child_flats(spec, level, kernel.flats[s], kernel.ii[s])
+        total += float(np.sum(kernel.vals[s] * intf[level + 1][src] * intg[level + 1][dst])) * cv * cv
     return total
 
 
@@ -193,14 +199,15 @@ def per_entry_validate_size(entries: dict, dim) -> bool:
 
 def assert_plan_equals(kernel, oracle: dict):
     """The kernel holds exactly the oracle's entries: ``entries == oracle``, and
-    each level plan equals the old sorted per-level arrays bit for bit
-    (signed zeros too)."""
+    each level's slice of the plan equals the old sorted per-level arrays
+    bit for bit (signed zeros too)."""
     assert kernel.entries == oracle
     assert len(kernel) == len(oracle)
     want = dict_levels(oracle)
-    assert list(kernel.plan) == sorted(want)
-    for level, p in kernel.plan.items():
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(p[:4], want[level]))
+    assert list(level_slices(kernel)) == sorted(want)
+    for level, s in level_slices(kernel).items():
+        got = (kernel.flats[s], kernel.ii[s], kernel.jj[s], kernel.vals[s])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[level]))
 
 
 def sparse_entries(entries: dict, rng) -> dict:
@@ -366,8 +373,8 @@ def test_adjoint_identity_50_pairs(rng):
 
 
 def plans_equal(a: PerfectKernel, b: PerfectKernel) -> bool:
-    return list(a.plan) == list(b.plan) and all(
-        x.tobytes() == y.tobytes() for level, p in a.plan.items() for x, y in zip(p, b.plan[level]))
+    return a.starts == b.starts and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in _PLAN_FIELDS)
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 1), (1, 7), (2, 1), (2, 4)])
@@ -465,10 +472,10 @@ def test_construction_validation_messages(entries, message):
 
 def test_plan_is_read_only():
     t = generate_kernel("random", GridSpec(2, 2), seed=1)
-    for p in t.plan.values():
-        for arr in p:
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
+    for name in _PLAN_FIELDS:
+        arr = getattr(t, name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 # -- the level plan against the per-entry oracles ------------------------------------------
@@ -532,7 +539,9 @@ def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
     rng = np.random.default_rng(100 * dim + depth)
     ts = [generate_kernel(kind, spec, seed=depth) for kind in ("random", "haar-shift", "zero")]
     ts.append(gapped_kernel(spec, depth))
-    assert len(ts[-1].plan) == depth // 2 and not len(ts[2])
+    pairs = 2**dim * (2**dim - 1)
+    assert np.diff(ts[-1].starts).tolist() == [pairs * spec.n_cubes(level) if level % 2 else 0
+                                               for level in range(depth)] and not len(ts[2])
     values = rng.uniform(-1.0, 1.0, spec.n_cells)
     values[rng.random(spec.n_cells) < 0.2] = 0.0
     f, g = GridFunction(spec, values), rand_fun(spec, rng)
@@ -552,7 +561,7 @@ def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
 def assert_same_kernel(got, want):
     """Equal starts and plan arrays, dtypes and bits (signed zeros too)."""
     assert got.spec == want.spec and got.starts == want.starts
-    for name in LevelPlan._fields:
+    for name in _PLAN_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert a.flags.c_contiguous and not a.flags.writeable, name
@@ -609,17 +618,6 @@ def test_plan_checks_fail_like_the_per_level_builder(grid, seed, faults):
         assert got == want
     else:
         assert_same_kernel(got, want)
-
-
-def test_plan_views_the_whole_plan_arrays():
-    # the entries are stored once: each level's plan is a slice of the whole
-    t = gapped_kernel(GridSpec(2, 4), 1)
-    for level, p in t.plan.items():
-        lo, hi = t.starts[level], t.starts[level + 1]
-        for name, arr in zip(p._fields, p):
-            whole = getattr(t, name)
-            assert np.shares_memory(arr, whole) and arr.tobytes() == whole[lo:hi].tobytes()
-    assert sorted(t.plan) == [1, 3] and t.starts == (0, 0, 48, 48, 48 + 12 * 64)
 
 
 # -- structural invariants ----------------------------------------------------------------
@@ -745,9 +743,7 @@ def test_kernel_json_matches_per_entry_oracle(dim, depths):
                 # read back in shuffled file order, with signed zeros kept
                 data["entries"] = [data["entries"][n] for n in rng.permutation(len(data["entries"]))]
                 back, want = kernel_from_json_dict(data), per_entry_from_json_dict(data)
-                assert list(back.plan) == list(want.plan)
-                for level, p in back.plan.items():
-                    assert all(a.tobytes() == b.tobytes() for a, b in zip(p, want.plan[level]))
+                assert plans_equal(back, want)
 
 
 def kernel_file_outcome(read, data):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from dytb.verify import (
     RESIDUAL_FIELDS,
     ExperimentConfig,
     LanczosResult,
+    Pairings,
     adversarial_transform_search,
     b_above_aggregation,
     bilinear_expansion_check,
@@ -321,6 +323,18 @@ def test_tloc_depth1_haar_shift():
     assert measure_tloc(hs, const, 2.0, "adjoint") == pytest.approx(0.5)
 
 
+def test_tloc_overflowing_exponent_is_a_config_error():
+    spec = GridSpec(1, 4)
+    const = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    kernel = generate_kernel("random", spec, seed=0)
+    assert max(np.abs(const.level_sweep(adjoint(kernel), level)).max() for level in range(5)) > 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^exponent q=10000000000.0 \(conjugate to 1.0000000001"
+                                             r"\d*\) is too large for float64 powers$"):
+            measure_tloc(kernel, const, 1e10, "adjoint")
+
+
 def test_tloc_matches_brute_force(rng):
     spec = GridSpec(1, 4)
     t = generate_kernel("random", spec, seed=12)
@@ -437,9 +451,9 @@ def test_sweep_memo_is_read_only_and_weak():
 
 def test_expansion_zero_kernel(rng):
     spec, const, forest = classical_setup()
-    residual, parts = bilinear_expansion_check(
+    residual, parts = bilinear_expansion_check(Pairings(
         generate_kernel("zero", spec), forest, const, const,
-        rand_signs(spec, rng), rand_signs(spec, rng))
+        rand_signs(spec, rng), rand_signs(spec, rng)))
     assert parts["total"] == 0.0 and residual == 0.0
 
 
@@ -452,15 +466,15 @@ def test_expansion_classical_ones():
     cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     ones = GridFunction.constant(spec, 1.0)
-    residual, _ = bilinear_expansion_check(kernel, forest, const, const, ones, ones)
+    residual, _ = bilinear_expansion_check(Pairings(kernel, forest, const, const, ones, ones))
     assert residual <= 1e-10
 
 
 def test_expansion_random_instances():
     for seed in (5, 6, 7):
         inst = build_instance(1, 5, seed=seed)
-        residual, _ = bilinear_expansion_check(
-            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g)
+        residual, _ = bilinear_expansion_check(Pairings(
+            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
         assert residual <= 1e-9
 
 
@@ -469,8 +483,8 @@ def test_expansion_random_instances():
 
 def test_form_split_zero_kernel(rng):
     spec, const, forest = classical_setup()
-    fs = form_split(generate_kernel("zero", spec), forest, const, const,
-                    rand_signs(spec, rng), rand_signs(spec, rng))
+    fs = form_split(Pairings(generate_kernel("zero", spec), forest, const, const,
+                             rand_signs(spec, rng), rand_signs(spec, rng)))
     assert fs.b_above == fs.b_equal == fs.b_below == fs.total == 0.0
 
 
@@ -482,7 +496,7 @@ def test_form_split_depth1_all_in_equal(rng):
     cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    fs = form_split(kernel, forest, const, const, f, g)
+    fs = form_split(Pairings(kernel, forest, const, const, f, g))
     assert fs.b_above == 0.0 and fs.b_below == 0.0
     assert fs.b_equal == pytest.approx(fs.total, abs=1e-15)
 
@@ -490,7 +504,7 @@ def test_form_split_depth1_all_in_equal(rng):
 def test_form_split_matches_double_loop_oracle(rng):
     inst = build_instance(1, 5, seed=9)
     spec, forest = inst.spec, inst.forest
-    fs = form_split(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g)
+    fs = form_split(Pairings(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g))
     assert fs.residual <= 1e-9
     dense = lca_dense_matrix(inst.kernel)
     cv = spec.cell_volume
@@ -580,7 +594,7 @@ def test_per_s_zero_kernel(rng):
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
     res = per_block_b_above(kernel, forest, const, const, f, g, spec.root(), 0.0)
     assert res.value == 0.0 and res.bound == 0.0
-    assert b_above_aggregation(kernel, forest, const, const, f, g) == (0.0, 0.0, 0.0, 0.0)
+    assert b_above_aggregation(Pairings(kernel, forest, const, const, f, g)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_per_s_single_block_is_whole_form(rng):
@@ -594,7 +608,7 @@ def test_per_s_single_block_is_whole_form(rng):
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     assert set(forest.members(1)) == {spec.root()}
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    total, _, reference, residual = b_above_aggregation(kernel, forest, const, const, f, g)
+    total, _, reference, residual = b_above_aggregation(Pairings(kernel, forest, const, const, f, g))
     [block] = per_block_b_above_all(kernel, forest, const, const, f, g, tloc)
     assert block.value == pytest.approx(reference, abs=1e-12)
     assert total == pytest.approx(reference, abs=1e-12)
@@ -604,8 +618,8 @@ def test_per_s_single_block_is_whole_form(rng):
 def test_per_s_aggregation_random_instances():
     for seed in (21, 22):
         inst = build_instance(1, 5, seed=seed)
-        _, pullout, _, residual = b_above_aggregation(
-            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g)
+        _, pullout, _, residual = b_above_aggregation(Pairings(
+            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
         assert residual <= 1e-9
         assert pullout <= 1e-12
 
@@ -629,8 +643,8 @@ def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
     for module in (kernels, verify):
         monkeypatch.setattr(module, "_sweep_from", counted)
     monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
-    _, pullout, _, residual = b_above_aggregation(
-        inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g)
+    _, pullout, _, residual = b_above_aggregation(Pairings(
+        inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g))
     assert len(sweeps) <= 3 * (depth + 1)
     assert residual <= 1e-9 and pullout <= 1e-12
 
@@ -873,7 +887,8 @@ def test_search_deterministic():
     a = adversarial_transform_search(ctx, 2.0, n_restarts=4, seed=7)
     b = adversarial_transform_search(ctx, 2.0, n_restarts=4, seed=7)
     assert a.ratio == b.ratio
-    assert all(a.eps.get(q) == b.eps.get(q) for q in ctx.q_cubes())
+    assert list(a.coeffs) == list(b.coeffs)
+    assert all(a.coeffs[lev].tobytes() == b.coeffs[lev].tobytes() for lev in a.coeffs)
 
 
 # -- instances, identity battery, experiment ----------------------------------------------------
@@ -924,8 +939,8 @@ def test_identity_battery_with_asymmetric_exponents():
 def test_easy_terms_bounds_hold():
     for seed in (61, 62, 63):
         inst = build_instance(1, 5, seed=seed)
-        easy = easy_terms_check(inst.kernel, inst.forest, inst.sys1, inst.sys2,
-                                inst.f, inst.g, inst.tloc)
+        easy = easy_terms_check(Pairings(inst.kernel, inst.forest, inst.sys1, inst.sys2,
+                                         inst.f, inst.g), inst.tloc)
         assert easy["easy1"] <= easy["easy1_bound"] * (1 + 1e-12)
         assert easy["easy2"] <= easy["easy2_bound"] * (1 + 1e-12)
 
