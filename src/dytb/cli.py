@@ -242,8 +242,9 @@ def _check_writable(path: Path) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
+    """``_json_text(payload)`` to ``path``, streamed: the whole text is never held."""
     with open(path, "w") as fh:
-        fh.write(_json_text(payload))
+        json.dump(payload, fh, indent=1, sort_keys=True)
 
 
 def _json_text(obj) -> str:

@@ -17,17 +17,28 @@ a second table holds <T* D_b g, D_a f>: the expansion, the split by side
 lengths and the nested form's reference all read them.  The experiment
 runner generates seeded random instances, chooses delta, builds the corona,
 and reports the ratio operator_norm / (1 + Tloc) together with every
-residual.
+residual.  A trial's Lanczos norm needs only the kernel, so when a second
+CPU is free it runs in a helper interpreter (``_NormHelper``) while the
+trial builds its instance and runs the battery.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
-from .accretive import AccretiveSystem, draw_levels
+from .accretive import AccretiveSystem, _overflow, draw_levels
 from .corona import (
     CoronaForest,
     DeltaSearch,
@@ -487,6 +498,7 @@ def adversarial_transform_search(
     and random sign functions f on the base cube (unless a list is supplied)
     finds it, deterministically for a fixed seed.  Cubes of a level are
     disjoint, so a pass, coarse to fine, flips each level's gaining cubes at once.
+    An exponent whose powers |transform|^p overflow float64 is a ValueError.
     """
     if n_restarts < 1 or max_passes < 0:
         raise ValueError(f"need n_restarts >= 1 and max_passes >= 0, "
@@ -513,17 +525,28 @@ def adversarial_transform_search(
             improved = False
             for lev, c in coeffs.items():
                 cand = cur - spread(spec, lev, 2.0 * c) * levels.deltas[lev]
-                before, after = (row_reduce(np.add, cube_blocks(spec, lev, np.abs(x) ** p)) for x in (cur, cand))
+                with np.errstate(over="ignore"):
+                    before, after = (_fits(p, row_reduce(np.add, cube_blocks(spec, lev, np.abs(x) ** p)))
+                                     for x in (cur, cand))
                 flip = after - before > 1e-14 * (1.0 + before)
                 np.copyto(cur, cand, where=spread(spec, lev, flip))
                 c[flip] = -c[flip]
                 improved |= bool(flip.any())
             if not improved:
                 break
-        ratio = float(np.sum(np.abs(cur) ** p) * spec.cell_volume) ** (1.0 / p) / f.lp_norm(p)
+        with np.errstate(over="ignore"):
+            total = _fits(p, np.sum(np.abs(cur) ** p))
+        ratio = float(total * spec.cell_volume) ** (1.0 / p) / f.lp_norm(p)
         if best is None or ratio > best[0]:
             best = (ratio, coeffs, f, r + 1)
     return SearchResult(*best)
+
+
+def _fits(p: float, sums):
+    """Sums of |x|^p, unless one overflowed float64: then the exponent's ValueError."""
+    if np.max(sums) == np.inf:
+        raise _overflow(p)
+    return sums
 
 
 # -- instances and the identity battery ---------------------------------------------
@@ -776,16 +799,50 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
+    """One trial: its instance, its norm, then the rest of its report.
+
+    The norm needs only the kernel, so a trial that ``_helper_for`` sends to
+    the helper hands it the kernel's parameters first, builds the instance
+    and runs the battery meanwhile, and reads the norm last.  Failures keep
+    the in-process order: the instance's comes first, then the norm's, then
+    the battery's."""
     seed = trial_seed(config.seed, trial)
-    inst = build_instance(config.dim, config.depth, seed, p1=config.p1, p2=config.p2,
+    helper = _helper_for(GridSpec(config.dim, config.depth))
+    if helper is None:
+        inst = _trial_instance(config, seed)
+        norm = operator_norm(inst.kernel)
+        return _trial_report(trial, inst, norm, _after_norm(inst))
+    helper.submit((config.kernel_kind, config.dim, config.depth, seed, config.kernel_scale))
+    inst = None
+    try:
+        inst = _trial_instance(config, seed)
+        rest = _after_norm(inst)
+    except Exception:
+        failure = helper.reply()[1]  # read before raising, so the next trial reads its own
+        if inst is not None and failure is not None:
+            raise failure from None
+        raise
+    except BaseException:  # an interrupt does not wait for the norm
+        helper.stop(kill=True)
+        raise
+    norm, failure = helper.reply()
+    if failure is not None:
+        raise failure
+    return _trial_report(trial, inst, norm, rest)
+
+
+def _trial_instance(config: ExperimentConfig, seed: int) -> Instance:
+    return build_instance(config.dim, config.depth, seed, p1=config.p1, p2=config.p2,
                           kernel_kind=config.kernel_kind, kernel_scale=config.kernel_scale,
                           accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
                           tau_target=config.tau_target)
-    norm = operator_norm(inst.kernel)
-    ratio = norm / (1.0 + inst.tloc)
+
+
+def _after_norm(inst: Instance) -> dict | None:
+    """The report fields a trial measures after its norm; None after a failed
+    delta search, which ends the trial."""
     if not inst.ok:
-        return VerifierReport(trial, seed, False, norm, inst.tloc, ratio, None,
-                              float("nan"), float("nan"), delta_trace=inst.dsearch.trace)
+        return None
     forest = inst.forest
     packing = max(inst.dsearch.trace[-1][1:])  # the search measured this forest last
     carleson = max(forest_carleson(forest, 1), forest_carleson(forest, 2))
@@ -793,10 +850,146 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
     # the rank-one pairings were made by the expansion check: no bilinear call here
     easy = easy_terms_check(inst.pairings, inst.tloc)
-    return VerifierReport(trial, seed, True, norm, inst.tloc, ratio, inst.cfg.delta, packing,
-                          carleson, residuals, eps_max, eps_bound, easy, inst.dsearch.trace)
+    return {"delta": inst.cfg.delta, "packing": packing, "carleson": carleson,
+            "residuals": residuals, "epsilon_max": eps_max, "epsilon_bound": eps_bound,
+            "easy": easy}
+
+
+def _trial_report(trial: int, inst: Instance, norm: float, rest: dict | None) -> VerifierReport:
+    ratio = norm / (1.0 + inst.tloc)
+    if rest is None:
+        return VerifierReport(trial, inst.seed, False, norm, inst.tloc, ratio, None,
+                              float("nan"), float("nan"), delta_trace=inst.dsearch.trace)
+    return VerifierReport(trial, inst.seed, True, norm, inst.tloc, ratio,
+                          delta_trace=inst.dsearch.trace, **rest)
 
 
 def main_theorem_experiment(config: ExperimentConfig) -> list[VerifierReport]:
     """Run the seeded trials in trial-index order."""
     return [_run_trial(config, t) for t in range(config.trials)]
+
+
+# -- the norm helper ------------------------------------------------------------------
+
+
+class _NormHelper:
+    """A second interpreter that computes trial norms while the trials go on.
+
+    One per process, started by the first trial that can use it and kept
+    until this process exits.  It is a fresh ``sys.executable`` (a fork after
+    BLAS has started can deadlock, and ``multiprocessing``'s spawn imports
+    the caller's ``__main__``) that imports dytb from this package's
+    directory and inherits the environment, in a session of its own, so a
+    terminal's interrupt reaches only this process.  It sends one reply once
+    imported, then answers each request ``(kernel_kind, dim, depth, seed,
+    kernel_scale)`` with ``(norm, None)`` or ``(None, exception)``, pickled on
+    its stdout: the kernel is a pure function of the request, so ``norm`` is
+    the float ``operator_norm`` gives here.  It exits at EOF of its stdin,
+    when ``stop`` closes it or this process dies.
+    """
+
+    def __init__(self) -> None:
+        self.proc: subprocess.Popen | None = None
+        self.owner = 0  # the pid that started proc; a forked child starts its own
+        self.ready = False
+
+    def poll(self) -> bool:
+        """Start the helper if this process has none; True once it has sent its first reply."""
+        if self.proc is None or self.owner != os.getpid():
+            self.proc = subprocess.Popen(_helper_argv(), stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, start_new_session=True)
+            self.owner, self.ready = os.getpid(), False
+        if not self.ready and select.select([self.proc.stdout], [], [], 0)[0]:
+            self.reply()
+            self.ready = True
+        return self.ready
+
+    def submit(self, request: tuple) -> None:
+        try:
+            self.proc.stdin.write(pickle.dumps(request))
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            self._died()
+
+    def reply(self) -> tuple:
+        """The next reply.  A dead helper raises RuntimeError; an interrupt
+        while waiting stops the helper, whose replies would be out of step."""
+        try:
+            return pickle.load(self.proc.stdout)
+        except EOFError:
+            self._died()
+        except BaseException:
+            self.stop(kill=True)
+            raise
+
+    def _died(self) -> NoReturn:
+        proc = self.proc
+        self.stop()
+        raise RuntimeError(f"the norm helper exited with code {proc.returncode}") from None
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the helper's stdin and wait for it to exit; kill it first
+        when asked to, or while it is still starting, so that no run waits
+        for its imports.  The next ``poll`` starts a new one."""
+        proc, ready, self.proc, self.ready = self.proc, self.ready, None, False
+        if proc is None or self.owner != os.getpid():
+            return
+        if kill or not ready:
+            proc.kill()
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:  # the request a dead helper did not read
+            pass
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+_HELPER = _NormHelper()
+atexit.register(_HELPER.stop)
+
+
+def _helper_for(spec: GridSpec) -> _NormHelper | None:
+    """The helper, when it takes the norm of a trial on ``spec``: the norm is a
+    Lanczos run, a second CPU is free for it and the helper has reported
+    ready (the first such trial starts it).  None runs the norm here."""
+    if spec.n_cells <= AUTO_DENSE_CELLS or not _spare_cpu():
+        return None
+    return _HELPER if _HELPER.poll() else None
+
+
+def _spare_cpu() -> bool:
+    """More than one CPU is usable (on systems that report affinity), and this
+    is the main thread, the one that owns the helper's pipes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (affinity is not None and len(affinity(0)) > 1
+            and threading.current_thread() is threading.main_thread())
+
+
+def _helper_argv() -> list[str]:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [sys.executable, "-c", f"import sys; sys.path.insert(0, {root!r}); "
+            "from dytb.verify import _serve_norms; _serve_norms()"]
+
+
+def _serve_norms() -> None:
+    """The helper's loop (see ``_NormHelper``).  A write to a parent that has
+    died ends the helper quietly, as SIGPIPE does any filter."""
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    requests, replies = sys.stdin.buffer, sys.stdout.buffer
+    reply = (None, None)
+    while True:
+        replies.write(pickle.dumps(reply))
+        replies.flush()
+        try:
+            kind, dim, depth, seed, scale = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            kernel = generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
+            reply = (operator_norm(kernel), None)
+        except Exception as e:
+            reply = (None, e)

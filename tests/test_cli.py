@@ -246,6 +246,16 @@ def test_transform_norm_subcommand(capsys):
     assert "worst transform ratio" in capsys.readouterr().out
 
 
+def test_transform_norm_overflowing_exponent_is_a_config_error(capsys):
+    # the constant system's own powers fit (cells are 1, A^p = 1.5^1000); |transform|^p does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["transform-norm", "--depth", "4", "--accretive-kind", "constant",
+                     "--p", "1000"]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "config error: exponent p=1000.0 is too large for float64 powers\n")
+
+
 def test_experiment_deterministic_and_report(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -360,6 +370,15 @@ def test_json_files_are_the_bytes_of_json_dump(tmp_path):
     for path in (report.with_suffix(".json"), summary):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+
+
+def test_report_json_is_streamed_with_the_bytes_of_json_text(tmp_path):
+    reports = verify.main_theorem_experiment(ExperimentConfig(dim=1, depth=4, trials=3, seed=2))
+    rows = [r.to_json_dict() for r in reports]
+    payload = {"version": "0", "config": {"depth": 4}, "reports": rows, **cli.summarize(rows)}
+    path = tmp_path / "r.json"
+    cli._write_json(path, payload)
+    assert path.read_bytes() == cli._json_text(payload).encode()
 
 
 @pytest.mark.parametrize("delta", ["0.25", "auto"])

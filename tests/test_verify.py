@@ -880,6 +880,18 @@ def test_search_rejects_bad_functions():
     assert adversarial_transform_search(sub, 2.0, n_restarts=2, functions=[ones]).ratio > 0.0
 
 
+@pytest.mark.parametrize("p, passes", [(1000.0, 50), (3000.0, 0)])
+def test_search_overflowing_exponent_is_a_config_error(p, passes):
+    # |transform|^p overflows in a pass's gains (at p = 1000 the random
+    # corners fit, the ascent outgrows float64), or with no pass in the ratio
+    spec = GridSpec(1, 4)
+    ctx = make_context(AccretiveSystem(spec, "constant", 1000.0, 1.5), spec.root(), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^exponent p={p!r} is too large for float64 powers$"):
+            adversarial_transform_search(ctx, p, n_restarts=2, max_passes=passes)
+
+
 def test_search_deterministic():
     spec = GridSpec(1, 4)
     sys_ = AccretiveSystem(spec, "random", 2.0, 1.6, seed=5, params={"amp": 0.6})
