@@ -8,7 +8,7 @@ the Carleson constant quantify how thin.
 """
 
 from dytb import AccretiveSystem, GridSpec, TbConfig, build_corona, carleson_constant
-from dytb import choose_delta, generate_kernel, packing_ratio, terminal_cubes, testing_constant
+from dytb import adjoint, choose_delta, generate_kernel, packing_ratio, terminal_cubes, testing_constant
 
 spec = GridSpec(1, 6)
 root = spec.root()
@@ -25,8 +25,7 @@ for delta in (0.45, 0.2, 0.05):
 kernel = generate_kernel("random", spec, seed=11)
 sys1 = AccretiveSystem(spec, "random", p=2.0, A=1.6, seed=1, params={"amp": 0.6})
 sys2 = AccretiveSystem(spec, "random", p=2.0, A=1.6, seed=2, params={"amp": 0.6})
-tloc = max(testing_constant(kernel, sys1, 2.0, "direct"),
-           testing_constant(kernel, sys2, 2.0, "adjoint"))
+tloc = max(testing_constant(kernel, sys1, 2.0), testing_constant(adjoint(kernel), sys2, 2.0))
 print("\ntesting constant:", tloc)
 
 cfg = TbConfig(p1=2.0, p2=2.0, delta=0.5, A=1.6, Tloc=tloc, tau_target=0.9)

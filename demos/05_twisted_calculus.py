@@ -8,7 +8,7 @@ collapses to the classical Haar differences.
 
 import numpy as np
 
-from dytb import AccretiveSystem, GridFunction, GridSpec, SignChoice
+from dytb import AccretiveSystem, GridFunction, GridSpec
 from dytb import build_instance, delta_decomp_check, decomposition_identity_check
 from dytb import expand, make_context, measure_comparison_check, transform, twisted_delta
 
@@ -19,7 +19,7 @@ spec = GridSpec(1, 4)
 const = AccretiveSystem(spec, "constant", p=2.0, A=1.5)
 ctx = make_context(const, spec.root(), delta=0.5)
 f = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
-eps = SignChoice.constant(ctx.q_cubes())
+eps = {lev: m.astype(float) for lev, m in ctx.q_masks().items()}  # eps_Q = 1 on every cube
 full = transform(ctx, eps, f)
 print("full transform telescopes to f - mean:",
       np.abs(full.values - (f.values - f.average())).max())
@@ -38,7 +38,7 @@ child = next(c for c in q.children() if not ctx.is_terminal(c))
 print("three-term residual:", decomposition_identity_check(ctx, q, child, f))
 
 # the transform factors through the half-twisted one plus terminal corrections
-eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+eps = ctx.random_coefficients(rng)  # a random sign per cube, one array per level
 print("factorization residual:", delta_decomp_check(ctx, eps, f))
 
 # level sets of the half-twisted transform respect the |b|^p measure budget

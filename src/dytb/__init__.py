@@ -45,7 +45,6 @@ from .corona import (
     terminal_cubes,
 )
 from .twisted import (
-    SignChoice,
     TwistedContext,
     block_context,
     delta_decomp_check,

@@ -34,7 +34,7 @@ from .corona import (
     packing_ratio,
 )
 from .grid import GridSpec
-from .kernels import KERNEL_KINDS, generate_kernel, load_kernel, save_kernel, validate_size
+from .kernels import KERNEL_KINDS, adjoint, generate_kernel, load_kernel, save_kernel, validate_size
 from .twisted import make_context
 from .verify import (
     NORM_METHODS,
@@ -118,8 +118,8 @@ def cmd_corona(args) -> int:
     sys1, sys2 = _build_systems(args, spec)
     draw_levels((sys1, sys2))
     tloc = max(
-        testing_constant(kernel, sys1, conjugate(args.p2), "direct"),
-        testing_constant(kernel, sys2, conjugate(args.p1), "adjoint"),
+        testing_constant(kernel, sys1, conjugate(args.p2)),
+        testing_constant(adjoint(kernel), sys2, conjugate(args.p1)),
     )
     root = spec.root()
     if args.delta == "auto":
@@ -473,6 +473,8 @@ def _parse_args(argv) -> argparse.Namespace:
     ``--flag=text``: a string as it is, anything else its JSON text.  Unknown
     keys are rejected, malformed JSON with a line-referenced message."""
     parser = _shared_parser()
+    if not any(t == "--config" or t.startswith("--config=") for t in argv):
+        return parser.parse_args(argv)
     # the subcommand and the file, before the parse that may need the file
     finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     finder.add_argument("command", nargs="?")

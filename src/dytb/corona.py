@@ -436,16 +436,15 @@ def choose_delta(
     sys2: AccretiveSystem,
     kernel: PerfectKernel,
     cfg: TbConfig,
-    floor: float = DELTA_FLOOR,
 ) -> DeltaSearch:
     """Halve delta from 1/2 until both packing ratios drop to cfg.tau_target.
 
-    Reaching the floor is reported as a structured failure, not an exception,
-    so experiment runners can flag the instance and move on.
+    Reaching ``DELTA_FLOOR`` is reported as a structured failure, not an
+    exception, so experiment runners can flag the instance and move on.
     """
     trace = []
     delta = 0.5
-    while delta >= floor:
+    while delta >= DELTA_FLOOR:
         forest = build_corona(q0, sys1, sys2, kernel, replace(cfg, delta=delta))
         t1 = packing_ratio(forest, 1)
         t2 = packing_ratio(forest, 2)

@@ -193,9 +193,6 @@ class GridSpec:
             return flats[:, None]
         return np.column_stack([flats >> level, flats & ((1 << level) - 1)])
 
-    def cubes_at(self, level: int) -> list[DyadicCube]:
-        return [self.cube_from_flat(level, r) for r in range(self.n_cubes(level))]
-
     def all_cubes(self, top: DyadicCube | None = None, max_level: int | None = None):
         """Iterate cubes contained in ``top`` (default the root), coarse to fine."""
         if top is None:
@@ -283,15 +280,26 @@ def cube_sum_vector(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
     Built bottom-up: a parent's entry is the exact float sum of its children's
     entries, so the additivity of the tree is bit-exact by construction.
     """
+    return _sum_tree(spec, cell_values, 0)
+
+
+def _sum_tree(spec: GridSpec, cell_values: np.ndarray, top: int) -> np.ndarray:
+    """``cube_sum_vector`` coarsened from the finest level up to level ``top``
+    only: the entries of the levels above ``top`` are left unset."""
+    off = spec.offsets
+    out = np.empty(off[-1])
+    out[off[-2]:] = fine = _cells(spec, cell_values)
+    for level in range(spec.depth - 1, top - 1, -1):
+        fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
+    return out
+
+
+def _cells(spec: GridSpec, cell_values: np.ndarray) -> np.ndarray:
+    """``cell_values`` as floats, checked to hold one value per finest cell."""
     vals = np.asarray(cell_values, dtype=float)
     if vals.shape != (spec.n_cells,):
         raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
-    off = spec.offsets
-    out = np.empty(off[-1])
-    out[off[-2]:] = fine = vals
-    for level in range(spec.depth - 1, -1, -1):
-        fine = coarsen_step(spec.dim, fine, out[off[level]:off[level + 1]])
-    return out
+    return vals
 
 
 def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray:
@@ -299,9 +307,7 @@ def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray
     the ``coarsen_step`` passes of ``cube_sum_vector`` from the finest level
     up to ``level`` only, so bit-identical to ``level_sums(...)[level]``.  At
     ``level == depth`` that is the cell array itself (as floats, not copied)."""
-    vals = np.asarray(cell_values, dtype=float)
-    if vals.shape != (spec.n_cells,):
-        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
+    vals = _cells(spec, cell_values)
     if not 0 <= level <= spec.depth:
         raise ValueError(f"level {level} is outside 0..{spec.depth}")
     for _ in range(spec.depth - level):

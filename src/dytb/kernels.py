@@ -36,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _child_offset, cube_sum_vector
+from .grid import DyadicCube, GridFunction, GridSpec, _cells, _child_offset, _sum_tree
 
 __all__ = [
     "PerfectKernel",
@@ -248,16 +248,19 @@ def _sweep_from(kernel: PerfectKernel, values: np.ndarray, start: int) -> np.nda
     for bit: an entry at a strict ancestor R of Q pairs the child of R that
     contains Q with a disjoint child, so inside Q it adds only exact zeros.
 
-    The cube sums of every level sit in one vector (``cube_sum_vector``);
-    the entries from ``start`` on are one contiguous slice of the plan, so
-    their products land on the cubes of every level in one bincount, which
-    adds in input order into zeros as ``np.add.at`` would.  Going down, each
-    level adds its parent's running value, read by one gather.
+    The entries from ``start`` on are one contiguous slice of the plan and
+    read the cube sums of the levels below ``start`` only, so the sums sit in
+    the layout of ``cube_sum_vector`` coarsened up to level ``start + 1``
+    (``grid._sum_tree``), and the products land on the cubes of every level
+    in one bincount, which adds in input order into zeros as ``np.add.at``
+    would.  Going down, each level adds its parent's running value, read by
+    one gather.  From the finest level on there are no entries and no sums.
     """
     spec = kernel.spec
-    sums = cube_sum_vector(spec, values)
     if start >= spec.depth:
+        _cells(spec, values)  # the shape check of every start
         return np.zeros(spec.n_cells)
+    sums = _sum_tree(spec, values, start + 1)
     off, k = spec.offsets, kernel.starts[start]
     contrib = np.bincount(kernel.dst[k:], kernel.vals[k:] * sums[kernel.src[k:]] * spec.cell_volume,
                           off[-1])

@@ -43,7 +43,6 @@ from .grid import DyadicCube, GridFunction, GridSpec, level_sum, spread
 
 __all__ = [
     "TwistedContext",
-    "SignChoice",
     "make_context",
     "block_context",
     "twisted_delta",
@@ -57,31 +56,6 @@ __all__ = [
     "delta_decomp_check",
     "measure_comparison_check",
 ]
-
-
-@dataclass(frozen=True)
-class SignChoice:
-    """A bounded multiplier per cube; missing cubes count as 0."""
-
-    eps: dict
-
-    def __post_init__(self) -> None:
-        for q, e in self.eps.items():
-            if not abs(e) <= 1.0:  # NaN too
-                raise ValueError(f"|eps| must be <= 1, got {e} at {q}")
-
-    def get(self, cube: DyadicCube) -> float:
-        return self.eps.get(cube, 0.0)
-
-    @staticmethod
-    def constant(cubes, value: float = 1.0) -> SignChoice:
-        return SignChoice({q: value for q in cubes})
-
-    @staticmethod
-    def random_signs(cubes, rng: np.random.Generator) -> SignChoice:
-        cubes = list(cubes)
-        signs = rng.choice([-1.0, 1.0], size=len(cubes))
-        return SignChoice(dict(zip(cubes, signs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +121,10 @@ class TwistedContext:
         difference of level l."""
         return self._levels.of(f)
 
-    def coefficients(self, eps: SignChoice) -> dict[int, np.ndarray]:
-        """eps as one coefficient vector per level of the derived family
-        (row-major, finest level excluded), zero off the family."""
-        spec, masks = self.spec, self.q_masks()
-        coeffs = {lev: np.zeros(m.size) for lev, m in masks.items()}
-        for q, e in eps.eps.items():
-            if q.level in coeffs and q.dim == spec.dim:
-                coeffs[q.level][spec.cube_flat(q)] = e
-        return {lev: np.where(masks[lev], c, 0.0) for lev, c in coeffs.items()}
-
     def random_coefficients(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
-        """``coefficients(SignChoice.random_signs(self.q_cubes(), rng))``
-        without the cubes: one draw of the same size, split coarse to fine and
-        row-major by the level masks of the derived family."""
+        """Random signs on the derived family as per-level coefficients, zero
+        off it: one draw ``rng.choice([-1.0, 1.0])`` of one sign per cube of
+        ``q_cubes()``, split coarse to fine and row-major by the level masks."""
         masks = self.q_masks()
         counts = [int(m.sum()) for m in masks.values()]
         signs = rng.choice([-1.0, 1.0], size=sum(counts))
@@ -378,16 +342,45 @@ class CoronaLevels:
 # -- twisted and half-twisted differences ---------------------------------------
 
 
+def _coefficients(ctx: TwistedContext, coeffs: dict) -> dict[int, np.ndarray]:
+    """A public call's coefficients eps_Q, one array per level (row-major by
+    flat cube; a missing level counts as zero), zeroed off the derived family.
+    Raises ValueError at the first key that is not a level of the family, then
+    coarse to fine at the first array of the wrong length or entry that is not
+    a finite value with |eps_Q| <= 1."""
+    masks = ctx.q_masks()
+    for lev in coeffs:
+        if lev not in masks:
+            raise ValueError(f"coefficient level {lev!r} is not a level of the derived family "
+                             f"({ctx.s0.level}..{ctx.spec.depth - 1})")
+    out = {}
+    for lev in [lev for lev in masks if lev in coeffs]:  # coarse to fine
+        c, mask = np.asarray(coeffs[lev], dtype=float), masks[lev]
+        if c.shape != mask.shape:
+            raise ValueError(f"level {lev} needs {mask.size} coefficients, got shape {c.shape}")
+        bad = np.flatnonzero(~(np.abs(c) <= 1.0))  # NaN too
+        if bad.size:
+            raise ValueError(f"|eps| must be <= 1, got {float(c[bad[0]])!r} at level {lev}, "
+                             f"flat index {int(bad[0])}")
+        out[lev] = np.where(mask, c, 0.0)
+    return out
+
+
 def twisted_delta(ctx: TwistedContext, cube: DyadicCube, f: GridFunction) -> GridFunction:
     """The twisted martingale difference of f at ``cube``, the transform with
     eps = 1 there: supported on the cube and exactly mean-zero."""
     ctx.check_in_q(cube)
-    return transform(ctx, SignChoice({cube: 1.0}), f)
+    coeffs = {}
+    if cube.level < ctx.spec.depth:  # a finest cell's difference is an empty sum
+        coeffs[cube.level] = np.zeros(ctx.spec.n_cubes(cube.level))
+        coeffs[cube.level][ctx.spec.cube_flat(cube)] = 1.0
+    return transform(ctx, coeffs, f)
 
 
-def transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
-    """sum over the derived family of eps_Q * (twisted difference at Q)."""
-    return GridFunction(ctx.spec, ctx.levels(f).transform(ctx.coefficients(eps)))
+def transform(ctx: TwistedContext, coeffs: dict, f: GridFunction) -> GridFunction:
+    """sum over the derived family of eps_Q * (twisted difference at Q), with
+    ``coeffs[level][flat]`` = eps_Q (see ``_coefficients``)."""
+    return GridFunction(ctx.spec, ctx.levels(f).transform(_coefficients(ctx, coeffs)))
 
 
 def _half_step(e, fc, bc, fq, bq):
@@ -395,10 +388,10 @@ def _half_step(e, fc, bc, fq, bq):
     return e * (fc / bc - fq / bq)
 
 
-def half_transform(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> GridFunction:
+def half_transform(ctx: TwistedContext, coeffs: dict, f: GridFunction) -> GridFunction:
     """sum of eps_Q * (half-twisted difference at Q) over the derived family:
     eps_Q (<f>_Q'/<b>_Q' - <f>_Q/<b>_Q) on each non-terminal child Q'."""
-    return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), _half_step))
+    return GridFunction(ctx.spec, ctx.levels(f).child_rule(_coefficients(ctx, coeffs), _half_step))
 
 
 # -- corona-adapted expectations and differences ---------------------------------
@@ -473,7 +466,7 @@ def three_term_check(ctx: TwistedContext, levels: CoronaLevels) -> float:
     return worst
 
 
-def delta_decomp_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> float:
+def delta_decomp_check(ctx: TwistedContext, coeffs: dict, f: GridFunction) -> float:
     """Max pointwise residual of the terminal-corrected factorization
 
         sum eps_Q D~_Q f = (Bf) b
@@ -482,8 +475,9 @@ def delta_decomp_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) ->
 
     with Bf the half-twisted transform; exact because the twisted difference
     equals the half-twisted one times b away from terminal children."""
-    return _delta_decomp(ctx, ctx.levels(f), ctx.coefficients(eps),
-                         transform(ctx, eps, f).values, half_transform(ctx, eps, f).values)
+    coeffs, levels = _coefficients(ctx, coeffs), ctx.levels(f)
+    return _delta_decomp(ctx, levels, coeffs, levels.transform(coeffs),
+                         levels.child_rule(coeffs, _half_step))
 
 
 def _delta_decomp(ctx, levels, coeffs, twisted, half) -> float:
@@ -501,12 +495,12 @@ def _delta_decomp(ctx, levels, coeffs, twisted, half) -> float:
 _N_LAMBDAS = 32  # the levels lambda the measure comparison sweeps, from 0 to max |Bf|
 
 
-def measure_comparison_check(ctx: TwistedContext, eps: SignChoice, f: GridFunction) -> float:
+def measure_comparison_check(ctx: TwistedContext, coeffs: dict, f: GridFunction) -> float:
     """Sweep level sets of the half-twisted transform Bf and compare the
     |b|^p mass of E_lambda = {|Bf| >= lambda} (within S0) against
     2^dim delta^-p A^p |E_lambda|.  Returns the worst excess lhs - rhs
     (non-positive when the comparison holds everywhere)."""
-    return _measure_excess(ctx, half_transform(ctx, eps, f).values)
+    return _measure_excess(ctx, half_transform(ctx, coeffs, f).values)
 
 
 def _measure_excess(ctx: TwistedContext, half: np.ndarray) -> float:

@@ -27,12 +27,9 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-import select
-import signal
-import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import NoReturn
 
@@ -234,11 +231,9 @@ def norm_method_for(kernel: PerfectKernel, method: str) -> str:
 # -- testing constants -------------------------------------------------------------
 
 
-def testing_constant(
-    kernel: PerfectKernel, system: AccretiveSystem, q: float, side: str = "direct"
-) -> float:
-    """max over all cubes Q of (|Q|^-1 int_Q |T b_Q|^q)^(1/q); side "adjoint"
-    tests T* instead.
+def testing_constant(op: PerfectKernel, system: AccretiveSystem, q: float) -> float:
+    """max over all cubes Q of (|Q|^-1 int_Q |T b_Q|^q)^(1/q) for the operator
+    T = ``op``: the kernel, or ``adjoint(kernel)`` for the adjoint side.
 
     One apply per level: on each cube Q of a level, T of that level's tiled
     b-array equals T b_Q once the entries above the level are dropped (see
@@ -247,14 +242,11 @@ def testing_constant(
     nested form read again.  Taking the max before the root is exact, since
     the power is monotone.
     """
-    if system.spec != kernel.spec:
+    if system.spec != op.spec:
         raise ValueError("grid mismatch between the system and the kernel")
     if not q > 1.0:
         raise ValueError(f"exponent must exceed 1, got {q}")
-    if side not in ("direct", "adjoint"):
-        raise ValueError(f"side must be 'direct' or 'adjoint', got {side!r}")
-    op = kernel if side == "direct" else adjoint(kernel)
-    spec = kernel.spec
+    spec = op.spec
     best = 0.0
     for level in range(spec.depth + 1):
         tb = system.level_sweep(op, level)
@@ -623,8 +615,8 @@ def build_instance(
     sys2 = AccretiveSystem(spec, accretive_kind, p2, A, seed=_seed_int(k_sys2), params=params)
     draw_levels((sys1, sys2))
     tloc = max(
-        testing_constant(kernel, sys1, conjugate(p2), "direct"),
-        testing_constant(kernel, sys2, conjugate(p1), "adjoint"),
+        testing_constant(kernel, sys1, conjugate(p2)),
+        testing_constant(adjoint(kernel), sys2, conjugate(p1)),
     )
     cfg = TbConfig(p1=p1, p2=p2, delta=0.5, A=A, Tloc=tloc, tau_target=tau_target)
     q0 = spec.root()
@@ -773,24 +765,17 @@ class VerifierReport:
     )
 
     def csv_row(self) -> list:
+        """``CSV_FIELDS`` read from the fields, the residuals and the easy
+        terms: the three integers as they are, each other value as its float
+        repr, and a missing one or None as an empty cell."""
         def num(x):
             return "" if x is None else repr(float(x))
 
-        return [self.trial, self.seed, int(self.ok), *map(num, (
-            self.operator_norm, self.tloc, self.ratio, self.delta, self.packing, self.carleson,
-            *map(self.residuals.get, (*RESIDUAL_FIELDS, "measure_comparison_excess")),
-            self.epsilon_max, self.epsilon_bound,
-            *map(self.easy.get, ("easy1", "easy1_bound", "easy2", "easy2_bound"))))]
+        values = {**vars(self), **self.residuals, **self.easy}
+        return [self.trial, self.seed, int(self.ok), *(num(values.get(k)) for k in self.CSV_FIELDS[3:])]
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial, "seed": self.seed, "ok": self.ok,
-            "operator_norm": self.operator_norm, "tloc": self.tloc,
-            "ratio": self.ratio, "delta": self.delta, "packing": self.packing,
-            "carleson": self.carleson, "residuals": dict(self.residuals),
-            "epsilon_max": self.epsilon_max, "epsilon_bound": self.epsilon_bound,
-            "easy": dict(self.easy), "delta_trace": [list(t) for t in self.delta_trace],
-        }
+        return asdict(self)
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -889,12 +874,17 @@ class _NormHelper:
     """
 
     def __init__(self) -> None:
-        self.proc: subprocess.Popen | None = None
+        self.proc = None  # the helper's Popen
         self.owner = 0  # the pid that started proc; a forked child starts its own
         self.ready = False
 
     def poll(self) -> bool:
-        """Start the helper if this process has none; True once it has sent its first reply."""
+        """Start the helper if this process has none; True once it has sent its
+        first reply.  The helper's modules are imported here, so a process
+        that never starts one does not load them."""
+        import select
+        import subprocess
+
         if self.proc is None or self.owner != os.getpid():
             self.proc = subprocess.Popen(_helper_argv(), stdin=subprocess.PIPE,
                                          stdout=subprocess.PIPE, start_new_session=True)
@@ -934,6 +924,8 @@ class _NormHelper:
         proc, ready, self.proc, self.ready = self.proc, self.ready, None, False
         if proc is None or self.owner != os.getpid():
             return
+        import subprocess
+
         if kill or not ready:
             proc.kill()
         try:
@@ -978,6 +970,8 @@ def _helper_argv() -> list[str]:
 def _serve_norms() -> None:
     """The helper's loop (see ``_NormHelper``).  A write to a parent that has
     died ends the helper quietly, as SIGPIPE does any filter."""
+    import signal
+
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     requests, replies = sys.stdin.buffer, sys.stdout.buffer
     reply = (None, None)

@@ -81,6 +81,11 @@ def rand_cube(spec: GridSpec, rng: np.random.Generator, min_level=0, max_level=N
     return DyadicCube(level, coords)
 
 
+def cubes_at(spec: GridSpec, level: int) -> list[DyadicCube]:
+    """The cubes of one level, row-major (flat index order)."""
+    return [spec.cube_from_flat(level, r) for r in range(spec.n_cubes(level))]
+
+
 def level_states(seed: int, spec: GridSpec, level: int) -> tuple:
     """The PCG64 ``(state, inc)`` of every cube of one level of a random-kind
     system with ``seed``, as ``accretive._uniform_rows`` takes them."""

@@ -9,8 +9,11 @@ packing ratio of a bare stopping set.  Each reads the package's level engine
 and gives the floats the package once gave; the frozen box and diagonal
 constants come from here (``make_fixtures.py``).  Two references for product
 paths that replaced them are kept here too: the level-by-level kernel plan
-builder, for the whole-plan build, and the cube-by-cube adversarial transform
-search, for the level-by-level one.
+builder, for the whole-plan build, the kernel sweep over the whole cube-sum
+tree, for the one that sums only the levels it reads, and the cube-by-cube
+adversarial transform search, for the level-by-level one.  Per-cube
+coefficients are plain ``{cube: eps}`` dicts (a missing cube counts as 0);
+``level_coefficients`` turns them into the product's per-level arrays.
 """
 
 import itertools
@@ -18,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dytb.grid import GridFunction, coarsen_step, spread
+from dytb.grid import GridFunction, coarsen_step, cube_sum_vector, spread
 from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
-from dytb.twisted import SignChoice, corona_levels
+from dytb.twisted import corona_levels
 from dytb.verify import _check_families
 
 
@@ -42,12 +45,30 @@ def corona_parent(forest, j, cube):
 # -- the twisted context ------------------------------------------------------------
 
 
+def level_coefficients(ctx, eps) -> dict:
+    """``{cube: eps}`` as one coefficient array per level of the derived
+    family (row-major), zero off the family: the argument of ``transform``."""
+    spec, masks = ctx.spec, ctx.q_masks()
+    coeffs = {lev: np.zeros(m.size) for lev, m in masks.items()}
+    for q, e in eps.items():
+        if q.level in coeffs and q.dim == spec.dim:
+            coeffs[q.level][spec.cube_flat(q)] = e
+    return {lev: np.where(masks[lev], c, 0.0) for lev, c in coeffs.items()}
+
+
+def random_signs(cubes, rng) -> dict:
+    """A random sign per cube, drawn as one ``rng.choice([-1.0, 1.0])``: with
+    ``cubes = ctx.q_cubes()``, the draw of ``ctx.random_coefficients``."""
+    cubes = list(cubes)
+    return dict(zip(cubes, rng.choice([-1.0, 1.0], size=len(cubes))))
+
+
 def classical_transform(eps, f, cubes):
     """sum_Q eps_Q sum_{Q' child of Q} (<f>_Q' - <f>_Q) 1_Q'."""
     spec = f.spec
     out = np.zeros(spec.n_cells)
     for q in cubes:
-        e = eps.get(q)
+        e = eps.get(q, 0.0)
         if e == 0.0 or q.level >= spec.depth:
             continue
         base = f.average(q)
@@ -57,7 +78,7 @@ def classical_transform(eps, f, cubes):
 
 
 def _context_rule(ctx, eps, f, rule):
-    return GridFunction(ctx.spec, ctx.levels(f).child_rule(ctx.coefficients(eps), rule))
+    return GridFunction(ctx.spec, ctx.levels(f).child_rule(level_coefficients(ctx, eps), rule))
 
 
 def pi_transform(ctx, eps, f):
@@ -95,7 +116,7 @@ class PerCubeSearch(NamedTuple):
     """The best restart of ``per_cube_transform_search``, signs per cube."""
 
     ratio: float
-    eps: SignChoice
+    eps: dict
     f: GridFunction
     restarts: int
 
@@ -122,7 +143,7 @@ def per_cube_transform_search(ctx, p, n_restarts=8, max_passes=50, seed=0, funct
         levels = ctx.levels(f)
         supports = [(idx, levels.deltas[q.level][idx]) for q, idx in zip(cubes, indices)]
         eps = rng.choice([-1.0, 1.0], len(cubes))
-        cur = levels.transform(ctx.coefficients(SignChoice(dict(zip(cubes, eps)))))
+        cur = levels.transform(level_coefficients(ctx, dict(zip(cubes, eps))))
         for _ in range(max_passes):
             improved = False
             for k, (idx, dv) in enumerate(supports):
@@ -137,7 +158,7 @@ def per_cube_transform_search(ctx, p, n_restarts=8, max_passes=50, seed=0, funct
                 break
         ratio = float(np.sum(np.abs(cur) ** p) * cv) ** (1.0 / p) / fnorm
         if best is None or ratio > best.ratio:
-            best = PerCubeSearch(ratio, SignChoice(dict(zip(cubes, eps))), f, r + 1)
+            best = PerCubeSearch(ratio, dict(zip(cubes, eps.tolist())), f, r + 1)
     return best
 
 
@@ -204,6 +225,22 @@ def set_packing_ratio(members, top) -> float:
 
 
 # -- the kernel plan, level by level ----------------------------------------------------
+
+
+def whole_tree_sweep(kernel, values, start) -> np.ndarray:
+    """``kernels._sweep_from`` reading the cube sums from the whole tree
+    (``cube_sum_vector``), built even from the finest level on."""
+    spec = kernel.spec
+    sums = cube_sum_vector(spec, values)
+    if start >= spec.depth:
+        return np.zeros(spec.n_cells)
+    off, k = spec.offsets, kernel.starts[start]
+    contrib = np.bincount(kernel.dst[k:], kernel.vals[k:] * sums[kernel.src[k:]] * spec.cell_volume,
+                          off[-1])
+    cur = contrib[off[start + 1]:off[start + 2]]
+    for lev in range(start + 2, spec.depth + 1):
+        cur = cur[spec.parents[lev]] + contrib[off[lev]:off[lev + 1]]
+    return cur if start + 2 <= spec.depth else cur.copy()
 
 
 def per_level_kernel(spec, entries) -> PerfectKernel:

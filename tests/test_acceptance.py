@@ -18,7 +18,6 @@ from dytb.corona import TbConfig, build_corona, carleson_constant, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import apply, bilinear, dense_matrix, generate_kernel
 from dytb.twisted import (
-    SignChoice,
     corona_levels,
     make_context,
     measure_comparison_check,
@@ -157,7 +156,7 @@ def test_criterion_4_classical_reductions():
     ratio_worst = 0.0
     for _ in range(200):
         signs = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
-        eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+        eps = ctx.random_coefficients(rng)
         ratio_worst = max(ratio_worst,
                           transform(ctx, eps, signs).lp_norm(2.0) / signs.lp_norm(2.0))
     ok = cellwise <= 1e-12 and ratio_worst <= 1.0 + 1e-10
@@ -204,7 +203,7 @@ def test_criterion_6_measure_comparison():
             system = AccretiveSystem(spec, kind, 2.0, a_const, seed=seed, params=params)
             ctx = make_context(system, spec.root(), delta)
             f = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
-            eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+            eps = ctx.random_coefficients(rng)
             cap = 2.0**spec.dim * delta**-2.0 * a_const**2.0
             excess = measure_comparison_check(ctx, eps, f)
             worst = max(worst, excess / cap)

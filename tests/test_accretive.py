@@ -10,7 +10,7 @@ from dytb import accretive
 from dytb.accretive import AccretiveSystem, validate
 from dytb.grid import DyadicCube, GridFunction, GridSpec, lp_norm
 
-from conftest import level_states, rand_cube
+from conftest import cubes_at, level_states, rand_cube
 
 
 def test_constant_kind_is_indicator():
@@ -342,7 +342,7 @@ def test_level_arrays_match_per_cube_generation(dim, depth):
         sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=11 + depth, params=params)
         for level in range(depth + 1):
             expected = np.zeros(spec.n_cells)
-            for cube in spec.cubes_at(level):
+            for cube in cubes_at(spec, level):
                 b = per_cube_b(sys_, cube)
                 assert sys_.get_b(cube).values.tobytes() == b.tobytes()
                 idx = spec.cell_indices(cube)
@@ -355,7 +355,7 @@ def stitched_per_cube(system, level):
     """One level's cell array stitched from ``per_cube_b`` of each of its cubes."""
     spec = system.spec
     out = np.zeros(spec.n_cells)
-    for cube in spec.cubes_at(level):
+    for cube in cubes_at(spec, level):
         idx = spec.cell_indices(cube)
         out[idx] = per_cube_b(system, cube)[idx]
     return out

@@ -20,7 +20,7 @@ from dytb.corona import (
     packing_ratio,
 )
 from dytb.grid import GridSpec
-from dytb.kernels import generate_kernel, kernel_to_json_dict, load_kernel
+from dytb.kernels import adjoint, generate_kernel, kernel_to_json_dict, load_kernel
 from dytb.verify import ExperimentConfig, _run_trial, operator_norm
 from dytb.verify import testing_constant as measure_tloc
 import make_cli_golden
@@ -337,7 +337,7 @@ def rebuilt_corona(dim, depth, seed, delta="auto", tau_target=0.9):
     kernel = generate_kernel("random", spec, seed=0)
     sys1, sys2 = (AccretiveSystem(spec, "random", 2.0, 1.5, seed=2 * seed + k, params={"amp": 0.4})
                   for k in (1, 2))
-    tloc = max(measure_tloc(kernel, sys1, 2.0, "direct"), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     if delta == "auto":
         cfg = TbConfig(2.0, 2.0, 0.5, 1.5, tloc, tau_target)
         search = choose_delta(spec.root(), sys1, sys2, kernel, cfg)
@@ -573,17 +573,20 @@ def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
 
 
 def test_one_level_reads_build_no_cube_sum_tree(tmp_path, monkeypatch):
-    # a read of one level coarsens to that level only (grid.level_sum)
+    # a read of one level coarsens to that level only (grid.level_sum); every
+    # cube-sum tree counts, whole (cube_sum_vector) or partial (a sweep's)
     trees = []
     for module in (grid, kernels):
-        real = module.cube_sum_vector
-        monkeypatch.setattr(module, "cube_sum_vector",
-                            lambda spec, cells, real=real: trees.append(1) or real(spec, cells))
+        real = module._sum_tree
+        monkeypatch.setattr(module, "_sum_tree",
+                            lambda spec, cells, top, real=real: trees.append(top) or real(spec, cells, top))
     assert _run_trial(ExperimentConfig(dim=2, depth=5, trials=1, seed=1), 0).ok
-    # 36 outside the norm; the Lanczos norm applies T and T* once per step and
+    # 34 outside the norm; the Lanczos norm applies T and T* once per step and
     # runs 36 steps (converged at the 34th, seen at the Ritz check of the 36th)
-    assert len(trees) == 36 + 2 * 36
+    assert len(trees) == 34 + 2 * 36
     trees.clear()
     assert main(["corona", "--dim", "1", "--depth", "12",
                  "--out", str(tmp_path / "forest.json")]) == 0
-    assert len(trees) == 26
+    # the testing constant's sweeps from levels 0..11 on both sides, each
+    # summing the levels below its start only; the finest level's sweep sums none
+    assert sorted(trees) == sorted([*range(1, 13)] * 2)

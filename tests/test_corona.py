@@ -17,10 +17,11 @@ from dytb.corona import (
     terminal_cubes,
 )
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
-from dytb.kernels import apply, dense_matrix, generate_kernel
+from dytb.kernels import adjoint, apply, dense_matrix, generate_kernel
 from dytb.twisted import TwistedContext, _check_owners, make_context
 from dytb.verify import testing_constant as measure_tloc
 
+from conftest import cubes_at
 from oracles import corona_parent, set_packing_ratio
 
 # -- oracles ------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def walked_owner_levels(spec, top, members):
     out = [None] * (spec.depth + 1)
     for level in range(top.level, spec.depth + 1):
         owners = np.full(spec.n_cubes(level), -1)
-        for cube in spec.cubes_at(level):
+        for cube in cubes_at(spec, level):
             cur = cube
             while cur not in members and cur.level > top.level:
                 cur = cur.parent()
@@ -399,8 +400,8 @@ def test_corona_matches_exhaustive_oracle(p1, p2):
     const2 = AccretiveSystem(spec, "constant", p2, 1.5)
     q2 = p2 / (p2 - 1)
     q1 = p1 / (p1 - 1)
-    tloc = max(measure_tloc(kernel, const, q2, "direct"),
-               measure_tloc(kernel, const2, q1, "adjoint"))
+    tloc = max(measure_tloc(kernel, const, q2),
+               measure_tloc(adjoint(kernel), const2, q1))
     cfg = TbConfig(p1, p2, 0.25, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const2, kernel, cfg)
     dense = dense_matrix(kernel)
@@ -413,8 +414,8 @@ def test_corona_random_systems_match_oracle():
     kernel = generate_kernel("random", spec, seed=4)
     s1 = AccretiveSystem(spec, "random", 2.0, 1.8, seed=6, params={"amp": 0.8})
     s2 = AccretiveSystem(spec, "random", 2.0, 1.8, seed=7, params={"amp": 0.8})
-    tloc = max(measure_tloc(kernel, s1, 2.0, "direct"),
-               measure_tloc(kernel, s2, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, s1, 2.0),
+               measure_tloc(adjoint(kernel), s2, 2.0))
     cfg = TbConfig(2.0, 2.0, 0.2, 1.8, Tloc=tloc)
     forest = build_corona(spec.root(), s1, s2, kernel, cfg)
     dense = dense_matrix(kernel)
@@ -531,8 +532,8 @@ def test_choose_delta_signed_needs_smaller_delta():
     for kind in ("signed", "constant"):
         s1 = AccretiveSystem(spec, kind, 2.0, 1.6, seed=10)
         s2 = AccretiveSystem(spec, kind, 2.0, 1.6, seed=11)
-        tloc = max(measure_tloc(kernel, s1, 2.0, "direct"),
-                   measure_tloc(kernel, s2, 2.0, "adjoint"))
+        tloc = max(measure_tloc(kernel, s1, 2.0),
+                   measure_tloc(adjoint(kernel), s2, 2.0))
         cfg = TbConfig(2.0, 2.0, 0.5, 1.6, Tloc=tloc, tau_target=0.6)
         search = choose_delta(spec.root(), s1, s2, kernel, cfg)
         assert search.ok
@@ -544,7 +545,7 @@ def test_choose_delta_trace_is_monotone():
     spec = GridSpec(1, 5)
     kernel = generate_kernel("haar-shift", spec)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.6, seed=1)
-    tloc = measure_tloc(kernel, signed, 2.0, "direct")
+    tloc = measure_tloc(kernel, signed, 2.0)
     cfg = TbConfig(2.0, 2.0, 0.5, 1.6, Tloc=tloc, tau_target=0.55)
     search = choose_delta(spec.root(), signed, signed, kernel, cfg)
     deltas = [t[0] for t in search.trace]
@@ -557,11 +558,11 @@ def test_choose_delta_structured_failure():
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
     cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0, tau_target=0.3)
-    search = choose_delta(spec.root(), signed, signed, generate_kernel("zero", spec), cfg,
-                          floor=2.0**-8)
+    search = choose_delta(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
     assert not search.ok
     assert search.delta is None and search.forest is None
-    assert len(search.trace) == 8
+    # one attempt per delta 2^-1 .. 2^-20 = DELTA_FLOOR
+    assert [t[0] for t in search.trace] == [2.0**-k for k in range(1, 21)]
 
 
 # -- config validation -----------------------------------------------------------------------

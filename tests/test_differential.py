@@ -47,7 +47,6 @@ from dytb.grid import (
 )
 from dytb.kernels import KERNEL_KINDS, adjoint, bilinear, generate_kernel
 from dytb.twisted import (
-    SignChoice,
     _three_term,
     TwistedContext,
     block_context,
@@ -79,8 +78,10 @@ from oracles import (
     box,
     check_forest_blocks,
     corona_parent,
+    level_coefficients,
     per_cube_transform_search,
     pi_transform,
+    random_signs,
 )
 from test_accretive import KIND_SETUPS
 from test_corona import (
@@ -195,7 +196,7 @@ def test_nested_form_level_sweeps_equal_per_block_oracle(grid, kind, kernel_kind
     sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
     sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
     # a lowered Tloc stops more cubes, so more blocks share the form
-    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.25, A, Tloc=tloc))
@@ -236,7 +237,7 @@ def test_pairing_tables_equal_per_pair_oracle(grid, root, kernel_kind, seed):
     A, params = KIND_SETUPS["random"]
     sys1 = AccretiveSystem(spec, "random", 2.0, A, seed=seed, params=params)
     sys2 = AccretiveSystem(spec, "random", 2.0, A, seed=seed + 1, params=params)
-    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     # a root on the finest level has no differences: both tables are empty
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
@@ -272,7 +273,7 @@ def test_forest_rows_from_templates_equal_json_dumps(grid, root, kernel_kind, de
     A, params = KIND_SETUPS["random"]
     sys1 = AccretiveSystem(spec, "random", 2.0, A, seed=seed, params=params)
     sys2 = AccretiveSystem(spec, "random", 2.0, A, seed=seed + 1, params=params)
-    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     if delta == "auto":
@@ -332,17 +333,19 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     for q in ctx.q_cubes() + [spec.cube_from_flat(spec.depth, int(k)) for k in finest]:
         assert ctx.avg_b(q) == ctx.b.average(q)
         assert np.array_equal(twisted_delta(ctx, q, f).values, enumerated_twisted_delta(ctx, q, f))
-        assert np.array_equal(half_transform(ctx, SignChoice({q: 1.0}), f).values,
+        assert np.array_equal(half_transform(ctx, level_coefficients(ctx, {q: 1.0}), f).values,
                               enumerated_half_twisted_D(ctx, q, f))
     # coefficients on every cube of the grid: those off the derived family
-    # (inside terminal cubes, finest level) must not count
+    # (inside terminal cubes, finest level) must not count.  The product
+    # takes the levels of the family whole, off-family entries included
     cubes = list(spec.all_cubes())
     values = np.where(rng.random(len(cubes)) < 0.25, 0.0, rng.uniform(-1.0, 1.0, len(cubes)))
-    eps = SignChoice(dict(zip(cubes, values)))
-    for fast, oracle in ((transform, enumerated_transform),
-                         (half_transform, enumerated_half_transform),
-                         (pi_transform, enumerated_pi_transform)):
-        assert np.array_equal(fast(ctx, eps, f).values, oracle(ctx, eps, f))
+    eps = dict(zip(cubes, values))
+    coeffs = {lev: np.array([eps[spec.cube_from_flat(lev, k)] for k in range(spec.n_cubes(lev))])
+              for lev in ctx.q_masks()}
+    for fast, oracle in ((transform, enumerated_transform), (half_transform, enumerated_half_transform)):
+        assert np.array_equal(fast(ctx, coeffs, f).values, oracle(ctx, eps, f))
+    assert np.array_equal(pi_transform(ctx, eps, f).values, enumerated_pi_transform(ctx, eps, f))
     # the per-cube body squares Python floats through the C library's pow,
     # which is not correctly rounded (x ** 2 != x * x on about 0.1% of
     # doubles), while numpy squares exactly: allow 8 ulps of the summed terms
@@ -351,11 +354,11 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     miss = np.abs(amalgam_transform(ctx, eps, f).values - enumerated_amalgam_transform(ctx, eps, f))
     assert np.all(miss <= 8 * np.finfo(float).eps * size)
     # the checks built on the transforms give the floats of the per-cube formulas
-    assert delta_decomp_check(ctx, eps, f) == enumerated_delta_decomp(ctx, eps, f)
+    assert delta_decomp_check(ctx, coeffs, f) == enumerated_delta_decomp(ctx, eps, f)
     with mock.patch.object(twisted, "half_transform",
-                           lambda c, e, h: GridFunction(spec, enumerated_half_transform(c, e, h))):
-        per_cube = measure_comparison_check(ctx, eps, f)
-    assert measure_comparison_check(ctx, eps, f) == per_cube
+                           lambda c, e, h: GridFunction(spec, enumerated_half_transform(c, eps, h))):
+        per_cube = measure_comparison_check(ctx, coeffs, f)
+    assert measure_comparison_check(ctx, coeffs, f) == per_cube
     # a context missing one terminal cube fails at the first unabsorbed cube
     members = ctx.members
     if members:
@@ -385,10 +388,9 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
     for got, want in ((ctx._levels.b, b), (ctx._levels.b_avg, oracle.b_avg)):
         assert list(got) == list(want)
         assert all(np.array_equal(got[lev], want[lev]) for lev in got)
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
-    coeffs = ctx.coefficients(eps)
-    assert np.array_equal(transform(ctx, eps, f).values, oracle.transform(coeffs))
-    assert np.array_equal(half_transform(ctx, eps, f).values, oracle.child_rule(coeffs, twisted._half_step))
+    coeffs = ctx.random_coefficients(rng)
+    assert np.array_equal(transform(ctx, coeffs, f).values, oracle.transform(coeffs))
+    assert np.array_equal(half_transform(ctx, coeffs, f).values, oracle.child_rule(coeffs, twisted._half_step))
     cubes, terminal = list(spec.all_cubes()), set(ctx.members)
     assert [ctx.is_terminal(q) for q in cubes] == [q in terminal for q in cubes]
     derived = [ctx.s0.contains(q) and not any(m.contains(q) for m in ctx.members) for q in cubes]
@@ -398,7 +400,7 @@ def test_code_built_context_equals_copies(grid, seed, kind, coarsen, sub):
 
 def check_three_term_and_signs(ctx, f, seed):
     """The level ``three_term_check`` against the per-pair oracle, and the
-    split sign draw against ``SignChoice.random_signs``, bit for bit."""
+    split sign draw against one sign per cube of ``q_cubes()``, bit for bit."""
     pairs = [(q, child) for q in ctx.q_cubes() for child in q.children()
              if not ctx.is_terminal(child)]
     per_pair = max((decomposition_identity_check(ctx, *pair, f) for pair in pairs), default=0.0)
@@ -414,7 +416,7 @@ def check_three_term_and_signs(ctx, f, seed):
     seq = np.random.SeedSequence(seed)
     drawn, oracle = np.random.default_rng(seq), np.random.default_rng(seq)
     got = ctx.random_coefficients(drawn)
-    want = ctx.coefficients(SignChoice.random_signs(ctx.q_cubes(), oracle))
+    want = level_coefficients(ctx, random_signs(ctx.q_cubes(), oracle))
     assert list(got) == list(want)
     assert all(got[lev].tobytes() == want[lev].tobytes() for lev in got)
     assert drawn.random() == oracle.random()
@@ -457,7 +459,7 @@ def test_packing_and_carleson_equal_per_member_loops(grid, kind, halvings, tloc_
     A, params = KIND_SETUPS[kind]
     sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
     sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
-    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
@@ -521,7 +523,7 @@ def test_g_telescoping_equals_per_member_loop(grid, kind, halvings, sub, seed):
     A, params = KIND_SETUPS[kind]
     sys1 = AccretiveSystem(spec, kind, 2.0, A, seed=seed, params=params)
     sys2 = AccretiveSystem(spec, kind, 2.0, A, seed=seed + 1, params=params)
-    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(kernel, sys2, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
@@ -621,7 +623,7 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     sys2 = AccretiveSystem(spec, kind, p2, A, seed=seed + 1, params=params)
     # a lowered Tloc makes condition (3) stop cubes too
     tloc = tloc_scale * max(measure_tloc(kernel, sys1, conjugate(p2)),
-                            measure_tloc(kernel, sys2, conjugate(p1), "adjoint"))
+                            measure_tloc(adjoint(kernel), sys2, conjugate(p1)))
     delta = 0.5 / 2**halvings
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
@@ -665,10 +667,10 @@ def assert_same_search(ctx, p, **kwargs):
     # one coefficient array per level, zero off the derived family, whose
     # signs in q_cubes() order are the per-cube search's
     masks = ctx.q_masks()
-    assert list(got.coeffs) == list(masks) and list(want.eps.eps) == ctx.q_cubes()
+    assert list(got.coeffs) == list(masks) and list(want.eps) == ctx.q_cubes()
     assert all(not c[~masks[lev]].any() for lev, c in got.coeffs.items())
     signs = [e for lev, c in got.coeffs.items() for e in c[masks[lev]].tolist()]
-    assert signs == [want.eps.get(q) for q in ctx.q_cubes()]
+    assert signs == [want.eps[q] for q in ctx.q_cubes()]
     assert got.f.values.tobytes() == want.f.values.tobytes()
 
 
@@ -793,4 +795,4 @@ def test_testing_constant_equals_row_mean_oracle(dim, depth):
         system = AccretiveSystem(spec, "random", 2.0, 1.7, seed=dim, params={"amp": 0.6})
         best = max(float(np.mean(np.abs(cube_blocks(spec, level, system.level_sweep(op, level)))
                                  ** 3.0, axis=1).max()) for level in range(depth + 1))
-        assert measure_tloc(kernel, system, 3.0, side) == best ** (1.0 / 3.0), f"{side}, {NUMPY}"
+        assert measure_tloc(op, system, 3.0) == best ** (1.0 / 3.0), f"{side}, {NUMPY}"

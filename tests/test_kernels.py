@@ -29,7 +29,7 @@ from dytb.kernels import (
 )
 
 from conftest import rand_fun
-from oracles import per_level_generate_kernel, per_level_kernel
+from oracles import per_level_generate_kernel, per_level_kernel, whole_tree_sweep
 
 
 def depth1_kernel():
@@ -528,6 +528,30 @@ def gapped_kernel(spec, seed):
     data = kernel_to_json_dict(generate_kernel("random", spec, seed=seed))
     data["entries"] = [e for e in data["entries"] if e["level"] % 2 == 1]
     return kernel_from_json_dict(data)
+
+
+SWEEP_GRIDS = [(1, depth) for depth in range(13)] + [(2, depth) for depth in range(7)]
+
+
+@pytest.mark.parametrize("dim,depth", SWEEP_GRIDS)
+def test_sweep_equals_whole_tree_sweep(dim, depth):
+    # a sweep sums only the levels below its start, and none from the finest
+    # level on: bit for bit the sweep over the whole cube-sum tree, on inputs
+    # with 0.0 and -0.0 cells, for every kernel kind and a file with gaps
+    spec = GridSpec(dim, depth)
+    rng = np.random.default_rng(10 * dim + depth)
+    ts = [generate_kernel(kind, spec, seed=depth) for kind in KERNEL_KINDS] + [gapped_kernel(spec, depth)]
+    u = rng.random(spec.n_cells)
+    mixed = np.where(u < 0.2, 0.0, np.where(u > 0.8, -0.0, rng.uniform(-1.0, 1.0, spec.n_cells)))
+    zeros = np.where(u < 0.5, 0.0, -0.0)
+    for t in ts:
+        for kernel in (t, adjoint(t)):
+            for start in range(spec.depth + 1):
+                for values in (mixed, zeros):
+                    want = whole_tree_sweep(kernel, values, start)
+                    assert _sweep_from(kernel, values, start).tobytes() == want.tobytes()
+                with pytest.raises(ValueError, match=f"expected {spec.n_cells} cell values"):
+                    _sweep_from(kernel, np.zeros(spec.n_cells + 1), start)
 
 
 WHOLE_PLAN_GRIDS = [(1, depth) for depth in range(1, 11)] + [(2, depth) for depth in range(1, 7)]

@@ -219,3 +219,15 @@ def test_helper_exits_when_its_parent_is_killed():
     while helper in live_helpers():
         assert time.monotonic() < deadline, "the helper outlived its killed parent by 5 s"
         time.sleep(0.05)
+
+
+def test_paths_without_a_helper_load_none_of_its_modules():
+    # the helper's modules are imported when a helper starts, not with dytb
+    out = run_python(
+        "import sys\n"
+        "import dytb.cli\n"
+        "loaded = lambda: sorted(m for m in ('subprocess', 'select', 'signal') if m in sys.modules)\n"
+        "print(loaded())\n"
+        "dytb.verify._run_trial(dytb.verify.ExperimentConfig(trials=1), 0)\n"
+        "print(loaded())\n")
+    assert out.stdout.splitlines() == ["[]", "[]"]

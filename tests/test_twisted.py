@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from dytb.corona import TbConfig, build_corona
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import generate_kernel
 from dytb.twisted import (
-    SignChoice,
     TwistedContext,
     block_context,
     corona_levels,
@@ -22,7 +23,7 @@ from dytb.twisted import (
 from dytb.verify import build_instance
 
 from conftest import rand_fun, rand_signs
-from oracles import box, classical_transform, on_cube, proof_operators
+from oracles import box, classical_transform, level_coefficients, on_cube, proof_operators, random_signs
 from test_corona import coarsened_context, family_of
 
 
@@ -203,7 +204,7 @@ def enumerated_half_twisted_D(ctx, cube, f):
 def enumerated_transform(ctx, eps, f, difference=enumerated_twisted_delta):
     out = np.zeros(ctx.spec.n_cells)
     for q in ctx.q_cubes():
-        e = eps.get(q)
+        e = eps.get(q, 0.0)
         if e != 0.0:
             out += e * difference(ctx, q, f)
     return out
@@ -219,7 +220,7 @@ def enumerated_splitting(ctx, eps, f, rule):
     spec = ctx.spec
     out = np.zeros(spec.n_cells)
     for q in ctx.q_cubes():
-        e = eps.get(q)
+        e = eps.get(q, 0.0)
         if e == 0.0:
             continue
         for child in q.children():
@@ -234,7 +235,7 @@ def enumerated_delta_decomp(ctx, eps, f):
     rhs = enumerated_half_transform(ctx, eps, f) * ctx.b.values
     for t in ctx.members:
         parent = t.parent()
-        e = eps.get(parent)
+        e = eps.get(parent, 0.0)
         idx = ctx.spec.cell_indices(t)
         rhs[idx] += e * f.average(t) * ctx.system.get_b(t).values[idx]
         rhs[idx] -= e * (f.average(parent) / ctx.b.average(parent)) * ctx.b.values[idx]
@@ -290,7 +291,7 @@ def test_half_twisted_matches_direct_evaluation(rng):
     ctx = terminal_ctx(depth=5, seed=9)
     f = rand_fun(ctx.spec, rng)
     for q in ctx.q_cubes():
-        got = half_transform(ctx, SignChoice({q: 1.0}), f)
+        got = half_transform(ctx, level_coefficients(ctx, {q: 1.0}), f)
         assert np.allclose(got.values, oracle_half_twisted(ctx, q, f), atol=1e-12)
 
 
@@ -300,7 +301,7 @@ def test_half_twisted_all_children_terminal_is_zero():
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
     ctx = TwistedContext(sys_, root, family_of(spec, root, root.children()), 2.0, 0.4, 1.5)
-    assert np.all(half_transform(ctx, SignChoice({root: 1.0}), sys_.get_b(root)).values == 0.0)
+    assert np.all(half_transform(ctx, {0: np.ones(1)}, sys_.get_b(root)).values == 0.0)
 
 
 # -- transforms ----------------------------------------------------------------------
@@ -309,13 +310,14 @@ def test_half_twisted_all_children_terminal_is_zero():
 def test_transform_zero_eps(rng):
     ctx = terminal_ctx()
     f = rand_fun(ctx.spec, rng)
-    assert np.all(transform(ctx, SignChoice({}), f).values == 0.0)
+    for call in (transform, half_transform):
+        assert np.all(call(ctx, {}, f).values == 0.0)
 
 
 def test_transform_full_telescoping():
     ctx = classical_ctx(depth=4)
     f = GridFunction.indicator(ctx.spec, DyadicCube(3, (5,)))
-    eps = SignChoice.constant(ctx.q_cubes())
+    eps = {lev: m.astype(float) for lev, m in ctx.q_masks().items()}
     out = transform(ctx, eps, f)
     assert np.allclose(out.values, f.values - f.average(), atol=1e-14)
 
@@ -324,25 +326,41 @@ def test_transform_parseval_ceiling(rng):
     ctx = classical_ctx(depth=5)
     for _ in range(20):
         f = rand_fun(ctx.spec, rng)
-        eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+        eps = ctx.random_coefficients(rng)
         assert transform(ctx, eps, f).lp_norm(2.0) <= f.lp_norm(2.0) * (1 + 1e-12)
 
 
 def test_classical_transform_matches_twisted_at_b_one(rng):
     ctx = classical_ctx(depth=4)
     f = rand_fun(ctx.spec, rng)
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
-    a = transform(ctx, eps, f)
+    eps = random_signs(ctx.q_cubes(), rng)
+    a = transform(ctx, level_coefficients(ctx, eps), f)
     b = classical_transform(eps, f, ctx.q_cubes())
     assert np.allclose(a.values, b.values, atol=1e-13)
 
 
-def test_sign_choice_validation():
-    with pytest.raises(ValueError):
-        SignChoice({DyadicCube(0, (0,)): 1.5})
-    for bad in (float("nan"), np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"\|eps\| must be <= 1, got -?(nan|inf) at Q\(0; 0\)"):
-            SignChoice({DyadicCube(0, (0,)): bad})
+def test_coefficient_validation(rng):
+    # every public transform rejects a key off the derived family's levels, an
+    # array of the wrong length and an entry that is not finite with |eps| <= 1,
+    # naming the first bad level (coarse to fine) and flat index
+    ctx = terminal_ctx(depth=5, seed=9)
+    f = rand_fun(ctx.spec, rng)
+    bad_cases = [({5: np.zeros(32)}, r"coefficient level 5 is not a level of the derived family \(0\.\.4\)"),
+                 ({-1: np.zeros(1)}, "coefficient level -1 is not"),
+                 ({"1": np.zeros(2)}, "coefficient level '1' is not"),
+                 ({2: np.zeros(3)}, r"level 2 needs 4 coefficients, got shape \(3,\)"),
+                 ({2: np.zeros((2, 2))}, r"level 2 needs 4 coefficients, got shape \(2, 2\)")]
+    for value in (float("nan"), np.inf, -np.inf, 1 + 1e-12, -1 - 1e-12):
+        c = np.zeros(4)
+        c[3] = value
+        bad_cases.append(({3: np.ones(8), 2: c},
+                          re.escape(f"|eps| must be <= 1, got {value!r} at level 2, flat index 3")))
+    for call in (transform, half_transform, delta_decomp_check, measure_comparison_check):
+        for coeffs, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                call(ctx, coeffs, f)
+        # the bounds themselves pass, and a missing level counts as zero
+        call(ctx, {1: np.array([1.0, -1.0]), 4: -np.ones(16)}, f)
 
 
 # -- three-term decomposition and the factorization ------------------------------------
@@ -378,13 +396,13 @@ def test_three_term_random(rng):
 def test_delta_decomp_no_terminals(rng):
     ctx = classical_ctx(depth=4)
     f = rand_fun(ctx.spec, rng)
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+    eps = ctx.random_coefficients(rng)
     assert delta_decomp_check(ctx, eps, f) <= 1e-12
 
 
 def test_delta_decomp_zero_eps(rng):
     ctx = terminal_ctx()
-    assert delta_decomp_check(ctx, SignChoice({}), rand_fun(ctx.spec, rng)) == 0.0
+    assert delta_decomp_check(ctx, {}, rand_fun(ctx.spec, rng)) == 0.0
 
 
 def test_delta_decomp_with_terminals(rng):
@@ -392,7 +410,7 @@ def test_delta_decomp_with_terminals(rng):
         ctx = terminal_ctx(depth=6, seed=seed)
         assert ctx.members  # want actual terminals in this class
         f = rand_fun(ctx.spec, rng)
-        eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+        eps = ctx.random_coefficients(rng)
         scale = 1.0 + np.abs(transform(ctx, eps, f).values).max()
         assert delta_decomp_check(ctx, eps, f) <= 1e-11 * scale
 
@@ -402,7 +420,7 @@ def test_delta_decomp_with_coarsened_terminals(rng):
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=5, params={"s": 0.8})
     ctx = coarsened_context(sys_, spec.root(), 0.45, np.random.default_rng(1))
     f = rand_fun(spec, rng)
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+    eps = ctx.random_coefficients(rng)
     assert delta_decomp_check(ctx, eps, f) <= 1e-11
 
 
@@ -561,7 +579,7 @@ def test_box_matches_componentwise_recomputation(rng):
 
 def test_proof_operators_annihilated_at_b_one(rng):
     ctx = classical_ctx(depth=4)
-    eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+    eps = random_signs(ctx.q_cubes(), rng)
     pi_img, am_img, norms = proof_operators(ctx, eps, DyadicCube(1, (0,)))
     assert np.all(pi_img.values == 0.0) and np.all(am_img.values == 0.0)
     assert norms == (0.0, 0.0)
@@ -569,7 +587,7 @@ def test_proof_operators_annihilated_at_b_one(rng):
 
 def test_proof_operators_zero_eps(rng):
     ctx = terminal_ctx(depth=5)
-    _, _, norms = proof_operators(ctx, SignChoice({}), ctx.s0)
+    _, _, norms = proof_operators(ctx, {}, ctx.s0)
     assert norms == (0.0, 0.0)
 
 
@@ -582,7 +600,7 @@ def oracle_operator_matrix(ctx, eps, which):
         fcol = np.zeros(n)
         fcol[col] = 1.0
         for q in ctx.q_cubes():
-            e = eps.get(q)
+            e = eps.get(q, 0.0)
             if e == 0.0:
                 continue
             qidx = spec.cell_indices(q)
@@ -602,7 +620,7 @@ def oracle_operator_matrix(ctx, eps, which):
 
 def test_proof_operators_match_dense_oracle(rng):
     ctx = terminal_ctx(depth=5, seed=7)
-    eps = SignChoice.constant(ctx.q_cubes())
+    eps = dict.fromkeys(ctx.q_cubes(), 1.0)
     f_cube = ctx.s0
     pi_img, am_img, norms = proof_operators(ctx, eps, f_cube)
     ind = GridFunction.indicator(ctx.spec, f_cube)
@@ -619,7 +637,7 @@ def test_proof_operators_match_dense_oracle(rng):
 def test_pi_transform_l1_testing_bound(rng):
     # the local L1 size of the splitting operator on indicators, relative to |F|
     ctx = terminal_ctx(depth=6, seed=1)
-    eps = SignChoice.constant(ctx.q_cubes())
+    eps = dict.fromkeys(ctx.q_cubes(), 1.0)
     for level in (0, 1, 2):
         f_cube = DyadicCube(level, (0,))
         _, _, norms = proof_operators(ctx, eps, f_cube)
@@ -633,7 +651,7 @@ def test_measure_comparison_holds_on_random_contexts(rng):
     for seed in range(20):
         ctx = terminal_ctx(depth=6, seed=seed)
         f = rand_signs(ctx.spec, rng)
-        eps = SignChoice.random_signs(ctx.q_cubes(), rng)
+        eps = ctx.random_coefficients(rng)
         cap = 2.0**ctx.spec.dim * ctx.delta**-ctx.p * ctx.A**ctx.p
         assert measure_comparison_check(ctx, eps, f) <= 1e-12 * cap
 

@@ -319,8 +319,8 @@ def test_tloc_depth1_haar_shift():
     spec = GridSpec(1, 1)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     hs = generate_kernel("haar-shift", spec)
-    assert measure_tloc(hs, const, 2.0, "direct") == pytest.approx(0.5)
-    assert measure_tloc(hs, const, 2.0, "adjoint") == pytest.approx(0.5)
+    assert measure_tloc(hs, const, 2.0) == pytest.approx(0.5)
+    assert measure_tloc(adjoint(hs), const, 2.0) == pytest.approx(0.5)
 
 
 def test_tloc_overflowing_exponent_is_a_config_error():
@@ -332,7 +332,7 @@ def test_tloc_overflowing_exponent_is_a_config_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^exponent q=10000000000.0 \(conjugate to 1.0000000001"
                                              r"\d*\) is too large for float64 powers$"):
-            measure_tloc(kernel, const, 1e10, "adjoint")
+            measure_tloc(adjoint(kernel), const, 1e10)
 
 
 def test_tloc_matches_brute_force(rng):
@@ -340,20 +340,19 @@ def test_tloc_matches_brute_force(rng):
     t = generate_kernel("random", spec, seed=12)
     sys_ = AccretiveSystem(spec, "random", 2.0, 1.6, seed=3, params={"amp": 0.6})
     dense = lca_dense_matrix(t)
-    for side, m in (("direct", dense), ("adjoint", dense.T)):
+    for op, m in ((t, dense), (adjoint(t), dense.T)):
         best = 0.0
         for cube in spec.all_cubes():
             b = sys_.get_b(cube)
             tb = m @ b.values
             idx = spec.cell_indices(cube)
             best = max(best, float(np.mean(np.abs(tb[idx]) ** 2)) ** 0.5)
-        assert measure_tloc(t, sys_, 2.0, side) == pytest.approx(best, rel=1e-12)
+        assert measure_tloc(op, sys_, 2.0) == pytest.approx(best, rel=1e-12)
 
 
-def tloc_by_enumeration(kernel, system, qs, side):
+def tloc_by_enumeration(op, system, qs):
     """Reference Tloc per exponent: one full-grid apply of T b_Q per cube Q."""
-    op = kernel if side == "direct" else adjoint(kernel)
-    spec = kernel.spec
+    spec = op.spec
     best = dict.fromkeys(qs, 0.0)
     for cube in spec.all_cubes():
         tb = apply_values(op, system.get_b(cube).values)
@@ -370,10 +369,9 @@ def test_tloc_equals_per_cube_oracle(dim, depth):
     kernels = [generate_kernel(kind, spec, seed=depth + 3) for kind in ("random", "haar-shift", "zero")]
     for kind, (A, params) in KIND_SETUPS.items():
         sys_ = AccretiveSystem(spec, kind, 2.0, A, seed=11 + depth, params=params)
-        for kernel, side in itertools.product(kernels, ("direct", "adjoint")):
-            oracle = tloc_by_enumeration(kernel, sys_, (1.5, 2.0), side)
-            for q, expected in oracle.items():
-                assert measure_tloc(kernel, sys_, q, side) == expected
+        for op in [op for kernel in kernels for op in (kernel, adjoint(kernel))]:
+            for q, expected in tloc_by_enumeration(op, sys_, (1.5, 2.0)).items():
+                assert measure_tloc(op, sys_, q) == expected
 
 
 def test_tloc_memory_stays_level_tiled(monkeypatch):
@@ -386,8 +384,8 @@ def test_tloc_memory_stays_level_tiled(monkeypatch):
         raise AssertionError("testing_constant made a full-grid b copy")
 
     monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
-    measure_tloc(kernel, sys_, 2.0, "direct")
-    measure_tloc(kernel, sys_, 2.0, "adjoint")
+    measure_tloc(kernel, sys_, 2.0)
+    measure_tloc(adjoint(kernel), sys_, 2.0)
     assert sorted(sys_._levels) == list(range(spec.depth + 1))
     assert all(v.shape == (spec.n_cells,) for v in sys_._levels.values())
 
@@ -461,8 +459,8 @@ def test_expansion_classical_ones():
     spec = GridSpec(1, 5)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     kernel = generate_kernel("random", spec, seed=2)
-    tloc = max(measure_tloc(kernel, const, 2.0, "direct"),
-               measure_tloc(kernel, const, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, const, 2.0),
+               measure_tloc(adjoint(kernel), const, 2.0))
     cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     ones = GridFunction.constant(spec, 1.0)
@@ -602,8 +600,8 @@ def test_per_s_single_block_is_whole_form(rng):
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     kernel = generate_kernel("random", spec, seed=3, scale=0.2)
-    tloc = max(measure_tloc(kernel, const, 2.0, "direct"),
-               measure_tloc(kernel, const, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, const, 2.0),
+               measure_tloc(adjoint(kernel), const, 2.0))
     cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     assert set(forest.members(1)) == {spec.root()}
@@ -765,8 +763,8 @@ def test_diagonal_matches_dense_oracle():
     spec = GridSpec(1, 2)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     kernel = generate_kernel("haar-shift", spec)
-    tloc = max(measure_tloc(kernel, const, 2.0, "direct"),
-               measure_tloc(kernel, const, 2.0, "adjoint"))
+    tloc = max(measure_tloc(kernel, const, 2.0),
+               measure_tloc(adjoint(kernel), const, 2.0))
     cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     dense = lca_dense_matrix(kernel)
