@@ -9,7 +9,7 @@ collapses to the classical Haar differences.
 import numpy as np
 
 from dytb import AccretiveSystem, GridFunction, GridSpec
-from dytb import build_instance, delta_decomp_check, decomposition_identity_check
+from dytb import ExperimentConfig, build_instance, delta_decomp_check, decomposition_identity_check
 from dytb import expand, make_context, measure_comparison_check, transform, twisted_delta
 
 rng = np.random.default_rng(1)
@@ -46,7 +46,7 @@ print("measure comparison excess (<= 0 means it holds):",
       measure_comparison_check(ctx, eps, f))
 
 # corona-adapted expansion reconstructs any function exactly
-inst = build_instance(1, 5, seed=42)
+inst = build_instance(ExperimentConfig(dim=1, depth=5), 42)
 h = GridFunction(inst.spec, rng.uniform(-1, 1, inst.spec.n_cells))
 e_top, deltas = expand(inst.forest, 1, inst.sys1, inst.spec.root(), h)
 total = e_top.values + sum(dd.values for _, dd in deltas)

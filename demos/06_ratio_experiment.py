@@ -37,5 +37,5 @@ for p in (1.5, 2.0, 3.0):
     print(f"worst transform ratio at p={p}: {res.ratio:.4f}")
 
 # single instances are reproducible from their seed alone
-inst = build_instance(1, 5, seed=reports[0].seed)
+inst = build_instance(config, reports[0].seed)
 print("\ntrial 0 reproduced:", inst.tloc == reports[0].tloc)

@@ -17,35 +17,35 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .accretive import ACCRETIVE_KINDS, AccretiveSystem, draw_levels
+from .accretive import ACCRETIVE_KINDS, AccretiveSystem
 from .corona import (
     ConfigError,
     TbConfig,
     _member_links,
     build_corona,
     choose_delta,
-    conjugate,
     forest_carleson,
     packing_ratio,
 )
 from .grid import GridSpec
-from .kernels import KERNEL_KINDS, adjoint, generate_kernel, load_kernel, save_kernel, validate_size
+from .kernels import KERNEL_KINDS, generate_kernel, load_kernel, save_kernel, validate_size
 from .twisted import make_context
 from .verify import (
     NORM_METHODS,
     ExperimentConfig,
     VerifierReport,
+    _tloc,
     adversarial_transform_search,
     identity_suite,
     main_theorem_experiment,
     norm_method_for,
     operator_norm,
-    testing_constant,
 )
 
 EXIT_OK = 0
@@ -64,8 +64,10 @@ def _system_params(kind: str, amp: float, s: float) -> dict:
     return {}
 
 
-def _resolved(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _experiment_config(args) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of the flags named after its fields; the rest keep their defaults."""
+    names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
+    return ExperimentConfig(**{name: getattr(args, name) for name in names})
 
 
 def _header_lines(config: dict) -> list[str]:
@@ -116,11 +118,7 @@ def cmd_corona(args) -> int:
         kernel = generate_kernel(args.kernel_kind, spec, seed=args.kernel_seed,
                                  scale=args.kernel_scale)
     sys1, sys2 = _build_systems(args, spec)
-    draw_levels((sys1, sys2))
-    tloc = max(
-        testing_constant(kernel, sys1, conjugate(args.p2)),
-        testing_constant(adjoint(kernel), sys2, conjugate(args.p1)),
-    )
+    tloc = _tloc(kernel, sys1, sys2)
     root = spec.root()
     if args.delta == "auto":
         cfg = TbConfig(args.p1, args.p2, 0.5, args.A, tloc, args.tau_target)
@@ -163,8 +161,7 @@ def cmd_transform_norm(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    keys = ("p1", "p2", "kernel_kind", "kernel_scale", "accretive_kind", "amp", "A")
-    residuals = identity_suite(args.dim, args.depth, args.seed, **_resolved(args, keys))
+    residuals = identity_suite(_experiment_config(args), args.seed)  # --seed: the instance's own
     width = max(len(k) for k in residuals)
     for name, value in residuals.items():
         print(f"{name:<{width}}  {value!r}")
@@ -172,10 +169,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_tb_experiment(args) -> int:
-    keys = ("dim", "depth", "trials", "p1", "p2", "seed", "kernel_kind",
-            "kernel_scale", "accretive_kind", "amp", "A", "tau_target")
-    config = _resolved(args, keys)
-    experiment = ExperimentConfig(**config)
+    experiment = _experiment_config(args)
+    config = asdict(experiment)
     out = Path(args.out)
     for path in (out, out.with_suffix(".json")):  # before the trials, not after them
         _check_writable(path)
@@ -194,7 +189,10 @@ def cmd_report(args) -> int:
     if path.suffix == ".json":
         with open(path) as fh:
             data = json.load(fh)
+        if type(data) is not dict or not {"config", "reports"} <= data.keys():
+            raise ConfigError(f"{path}: a report is a JSON object with 'config' and 'reports'")
         config, rows = data["config"], data["reports"]
+        _check_rows(path, rows)
     else:
         config, rows = read_report_csv(path)
     if args.plot:  # every plot argument is checked before any file is written
@@ -282,6 +280,8 @@ def _forest_json_text(forest) -> str:
 
 
 def read_report_csv(path):
+    """The config and rows of a ``write_report_csv`` file.  A row without a
+    column this reads is a ConfigError naming the row and the column."""
     config = {}
     rows = []
     with open(path, newline="") as fh:
@@ -296,16 +296,31 @@ def read_report_csv(path):
                 header = next(csv.reader([line]))
                 continue
             rec = dict(zip(header, next(csv.reader([line]))))
-            rows.append({
-                "trial": int(rec["trial"]),
-                "seed": int(rec["seed"]),
-                "ok": rec["ok"] == "1",
-                "operator_norm": float(rec["operator_norm"]),
-                "tloc": float(rec["tloc"]),
-                "ratio": float(rec["ratio"]),
-                "delta": float(rec["delta"]) if rec["delta"] else None,
-            })
+            try:
+                rows.append({
+                    "trial": int(rec["trial"]),
+                    "seed": int(rec["seed"]),
+                    "ok": rec["ok"] == "1",
+                    "operator_norm": float(rec["operator_norm"]),
+                    "tloc": float(rec["tloc"]),
+                    "ratio": float(rec["ratio"]),
+                    "delta": float(rec["delta"]) if rec["delta"] else None,
+                })
+            except KeyError as e:  # a column the header or this row lacks
+                raise ConfigError(f"{path}: report row {len(rows)} lacks {e.args[0]!r}") from None
     return config, rows
+
+
+def _check_rows(path, rows) -> None:
+    """Raise ConfigError unless ``rows`` is a list of report rows: objects
+    with what ``summarize`` and the plots read (a bool is no integer)."""
+    if type(rows) is not list:
+        raise ConfigError(f"{path}: report 'reports' is not a list")
+    for n, row in enumerate(rows):
+        for key, kinds, what in (("trial", {int}, "integer"), ("seed", {int}, "integer"),
+                                 ("ok", {bool}, "flag"), ("ratio", {int, float}, "number")):
+            if type(row) is not dict or type(row.get(key)) not in kinds:
+                raise ConfigError(f"{path}: report row {n} has no {what} {key!r}")
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", type=int, default=50)
 
     def add_instance_options(p):
-        # build_instance's options; None leaves A and amp to build_instance
+        # ExperimentConfig's instance fields; None leaves A and amp to build_instance
         p.add_argument("--p1", type=float, default=2.0)
         p.add_argument("--p2", type=float, default=2.0)
         p.add_argument("--A", type=float, default=None)

@@ -125,14 +125,6 @@ def _owner_pass(spec, top: int, mark) -> list[np.ndarray | None]:
     return out
 
 
-def _nearest_marked(spec, top: int, cubes) -> list[np.ndarray | None]:
-    """``_owner_pass`` with the fixed mark set ``cubes``."""
-    flats: dict[int, list[int]] = {}
-    for c in cubes:
-        flats.setdefault(c.level, []).append(spec.cube_flat(c))
-    return _owner_pass(spec, top, lambda level, _inherited: flats.get(level, []))
-
-
 def _cubes_where(spec, masks: dict) -> list[DyadicCube]:
     """The cubes flagged by per-level masks ``{level: mask}``, level by level, row-major."""
     return [spec.cube_from_flat(level, int(flat)) for level, mask in masks.items()
@@ -190,8 +182,8 @@ class CoronaForest:
 
     Immutable once built.  S_j's members are the cubes that own themselves
     (``owners[l] == l``), and a cube's owner level is that of pi_j(Q), the
-    smallest member containing it.  ``members`` and ``stopping_children`` are
-    views of the owner arrays as ``DyadicCube``s, built on their first call.
+    smallest member containing it.  ``members`` is the one view of the owner
+    arrays as ``DyadicCube``s, built anew on each call.
     """
 
     def __init__(self, spec, q0, owners, config):
@@ -199,7 +191,6 @@ class CoronaForest:
         self.q0 = q0
         self.config = config
         self._owners = tuple(owners)
-        self._views: dict[int, tuple[frozenset, dict]] = {}
 
     def owner_levels(self, j: int) -> list[np.ndarray | None]:
         """Per level, the level of pi_j(Q) for every cube Q of that level
@@ -212,24 +203,11 @@ class CoronaForest:
         return sum(int(np.count_nonzero(owners[lev] == lev))
                    for lev in range(self.q0.level, self.spec.depth + 1))
 
-    def members(self, j: int) -> frozenset:
-        return self._view(j)[0]
-
-    def stopping_children(self, j: int, member: DyadicCube) -> tuple[DyadicCube, ...]:
-        return self._view(j)[1][member]
-
-    def _view(self, j: int) -> tuple[frozenset, dict]:
-        """S_j's members and their sorted stopping children as cubes."""
-        if j not in self._views:
-            children: dict[DyadicCube, list[DyadicCube]] = {}
-            for level, coords, parent_level, parent_coords in _member_links(self, j):
-                for c, pl, pc in zip(coords.tolist(), parent_level.tolist(), parent_coords.tolist()):
-                    cube = DyadicCube(level, tuple(c))
-                    children[cube] = []
-                    if pl >= 0:  # parents come first: they are coarser
-                        children[DyadicCube(pl, tuple(pc))].append(cube)
-            self._views[j] = (frozenset(children), {s: tuple(kids) for s, kids in children.items()})
-        return self._views[j]
+    def members(self, j: int) -> list[DyadicCube]:
+        """S_j's members, coarse to fine and row-major (sorted)."""
+        owners = self.owner_levels(j)
+        return _cubes_where(self.spec, {lev: owners[lev] == lev
+                                        for lev in range(self.q0.level, self.spec.depth + 1)})
 
 
 def _member_links(forest: CoronaForest, j: int):

@@ -50,8 +50,7 @@ class DyadicCube:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError(f"negative level {self.level}")
-        top = 1 << self.level
-        if not all(0 <= k < top for k in self.coords):
+        if not all(0 <= k and k >> self.level == 0 for k in self.coords):  # no 2^level is built
             raise ValueError(f"coords {self.coords} out of range at level {self.level}")
 
     @property
@@ -121,7 +120,7 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.depth < 0:
             raise ValueError(f"depth must be non-negative, got {self.depth}")
-        if 2 ** (self.dim * self.depth) > CELL_CAP:
+        if self.dim * self.depth > CELL_CAP.bit_length() - 1:  # CELL_CAP is a power of 2
             raise ValueError(
                 f"2^({self.dim}*{self.depth}) cells exceed the cell cap {CELL_CAP}"
             )

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import reprlib
 from functools import cached_property
 from operator import itemgetter
 
@@ -372,7 +373,20 @@ def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
 # -- serialization -------------------------------------------------------------
 
 
-_ENTRY_FIELDS = ("level", "coords", "i", "j", "value")
+def _int64(x) -> bool:
+    """A JSON integer (a bool is none) that int64 holds."""
+    return type(x) is int and -2**63 <= x < 2**63
+
+
+# per field of a kernel entry: the check of its value as json reads it, and what that asks for
+_ENTRY_FIELDS = {
+    "level": (_int64, "a 64-bit integer"),
+    "coords": (lambda c: type(c) is list and all(map(_int64, c)), "a list of 64-bit integers"),
+    "i": (_int64, "a 64-bit integer"),
+    "j": (_int64, "a 64-bit integer"),
+    # an integer from 2^1024 - 2^970 up rounds past the largest float
+    "value": (lambda x: type(x) is float or type(x) is int and abs(x) < 2**1024 - 2**970, "a number"),
+}
 
 
 def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
@@ -387,14 +401,19 @@ def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
 
 
 def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
-    """The kernel of a ``kernel_to_json_dict`` document.  A missing field, a
-    cube of the wrong dimension or a repeated (level, coords, i, j) entry is a
-    ``ValueError`` naming the first bad entry in file order."""
-    try:
-        spec = GridSpec(int(data["dim"]), int(data["depth"]))
-        rows = data["entries"]
-    except KeyError as e:
-        raise ValueError(f"kernel file lacks {e.args[0]!r}") from None
+    """The kernel of a ``kernel_to_json_dict`` document: ``dim`` and ``depth``
+    JSON integers, ``entries`` a list of objects whose fields pass the checks
+    of ``_ENTRY_FIELDS``; nothing is cast.  Anything else, a cube of the wrong
+    dimension or a repeated (level, coords, i, j) entry is a ``ValueError``
+    naming the first bad entry in file order."""
+    if type(data) is not dict:
+        raise ValueError(f"kernel file holds {reprlib.repr(data)}, not an object")
+    for name, kind, what in (("dim", int, "an integer"), ("depth", int, "an integer"), ("entries", list, "a list")):
+        if name not in data:
+            raise ValueError(f"kernel file lacks {name!r}")
+        if type(data[name]) is not kind:
+            raise ValueError(f"kernel file has {name} {reprlib.repr(data[name])}, not {what}")
+    spec, rows = GridSpec(data["dim"], data["depth"]), data["entries"]
     level, coords, ii, jj, vals, bad = _entry_arrays(spec, rows)
     key = np.column_stack([level, coords, ii, jj])
     order = np.lexsort(key.T[::-1])  # stable: equal keys stay in file order
@@ -404,7 +423,7 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
         raise ValueError(f"kernel entry {n} repeats level {level[n]}, coords "
                          f"{coords[n].tolist()}, pair ({ii[n]}, {jj[n]})")
     if bad < len(rows):
-        raise _entry_error(spec, bad, rows[bad])
+        raise ValueError(f"kernel entry {bad} {_entry_fault(spec, rows[bad])}")
     flats = coords[:, 0] if spec.dim == 1 else (coords[:, 0] << level) | coords[:, 1]
     kernel = PerfectKernel._from(spec, _sorted_plan(spec, np.column_stack([level, flats, ii, jj]), vals))
     if check_size and not validate_size(kernel):
@@ -414,39 +433,54 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
 
 def _entry_arrays(spec: GridSpec, rows: list) -> tuple:
     """(level, coords, i, j, value) as arrays, one row per entry, up to the
-    first entry that lacks a field, has the wrong number of coords or names
-    no dyadic cube; and that entry's index (``len(rows)`` if there is none)."""
+    first entry that has an ``_entry_fault``; and that entry's index
+    (``len(rows)`` if there is none).  The columns are checked whole; only
+    when a check fails are the entries scanned one by one for the first bad one."""
+    arrays = _columns(spec, rows)
+    if arrays is not None:
+        return *arrays, len(rows)
+    end = next(n for n, e in enumerate(rows) if _entry_fault(spec, e))
+    return *_columns(spec, rows[:end]), end
+
+
+def _columns(spec: GridSpec, rows: list):
+    """The arrays of ``_entry_arrays`` for all of ``rows``, or None if an
+    entry has an ``_entry_fault``: the same checks, one column at a time."""
     try:
         cols = [list(map(itemgetter(name), rows)) for name in _ENTRY_FIELDS]
-        end = len(rows)
-    except KeyError:
-        fields = frozenset(_ENTRY_FIELDS)
-        end = next(n for n, e in enumerate(rows) if not fields <= e.keys())
-        cols = [list(map(itemgetter(name), rows[:end])) for name in _ENTRY_FIELDS]
-    end = _first(np.fromiter(map(len, cols[1]), np.int64, end) != spec.dim, end)
-    level, ii, jj = (np.array(c[:end], dtype=np.int64) for c in (cols[0], cols[2], cols[3]))
-    coords = np.fromiter(itertools.chain.from_iterable(cols[1][:end]), np.int64,
-                         end * spec.dim).reshape(end, spec.dim)
+        flat = list(itertools.chain.from_iterable(cols[1]))
+        types = ({int}, {list}, {int}, {int}, {int, float}, {int})  # exact: a bool is no int
+        if not all(set(map(type, c)) <= t for c, t in zip((*cols, flat), types)) \
+                or set(map(len, cols[1])) - {spec.dim}:
+            return None
+        level, ii, jj, coords = (np.array(c, dtype=np.int64) for c in (cols[0], cols[2], cols[3], flat))
+        coords, vals = coords.reshape(-1, spec.dim), np.array(cols[4], dtype=float)
+    except (KeyError, TypeError, OverflowError):  # no object or no field; an integer too large
+        return None
     # DyadicCube's checks; every coordinate fits below 2^level once level > 62
     top = np.left_shift(1, np.clip(level, 0, 62))[:, None]
-    end = _first((level < 0) | np.any((coords < 0) | ((coords >= top) & (level[:, None] <= 62)), axis=1),
-                 end)
-    return level[:end], coords[:end], ii[:end], jj[:end], np.array(cols[4][:end], dtype=float), end
+    if np.any(level < 0) or np.any((coords < 0) | ((coords >= top) & (level[:, None] <= 62))):
+        return None
+    return level, coords, ii, jj, vals
 
 
-def _first(mask: np.ndarray, default: int) -> int:
-    """The index of the first True in ``mask``, ``default`` if there is none."""
-    return int(np.argmax(mask)) if mask.any() else default
-
-
-def _entry_error(spec: GridSpec, n: int, entry: dict) -> ValueError:
-    """The error of entry ``n``, known to lack a field, to have the wrong
-    number of coords or to name no dyadic cube."""
+def _entry_fault(spec: GridSpec, entry) -> str | None:
+    """What makes ``entry`` no entry of a kernel on ``spec``; None if nothing does."""
+    if type(entry) is not dict:
+        return f"is {reprlib.repr(entry)}, not an object"
     missing = [name for name in _ENTRY_FIELDS if name not in entry]
     if missing:
-        return ValueError(f"kernel entry {n} lacks {missing[0]!r}")
-    cube = DyadicCube(int(entry["level"]), tuple(int(c) for c in entry["coords"]))  # may raise
-    return ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
+        return f"lacks {missing[0]!r}"
+    for name, (ok, what) in _ENTRY_FIELDS.items():
+        if not ok(entry[name]):
+            return f"has {name} {reprlib.repr(entry[name])}, not {what}"
+    if len(entry["coords"]) != spec.dim:
+        return f"has {len(entry['coords'])} coords on a dim={spec.dim} grid"
+    try:
+        DyadicCube(entry["level"], tuple(entry["coords"]))
+    except ValueError as e:
+        return f"names no cube: {e}"
+    return None
 
 
 def save_kernel(kernel: PerfectKernel, path) -> None:
@@ -456,6 +490,13 @@ def save_kernel(kernel: PerfectKernel, path) -> None:
 
 
 def load_kernel(path, check_size: bool = True) -> PerfectKernel:
-    """Load a kernel (re-checking the size bound unless told otherwise)."""
+    """Load a kernel (re-checking the size bound unless told otherwise).  A
+    file that is no kernel is a ``ValueError`` that names ``path``, a JSON
+    syntax error as ``path:line:col``."""
     with open(path) as fh:
-        return kernel_from_json_dict(json.load(fh), check_size=check_size)
+        try:
+            return kernel_from_json_dict(json.load(fh), check_size=check_size)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, _cubes_where, _nearest_marked, _subtree_mask, _terminal_owners
+from .corona import CoronaForest, _cubes_where, _owner_pass, _subtree_mask, _terminal_owners
 from .grid import DyadicCube, GridFunction, GridSpec, level_sum, spread
 
 __all__ = [
@@ -178,14 +178,18 @@ def block_context(
     forest: CoronaForest, j: int, system: AccretiveSystem, member: DyadicCube
 ) -> TwistedContext:
     """The corona block of a stopping cube S as a twisted context: base cube S,
-    function b_S, terminal cubes = S's stopping children with their own b."""
+    function b_S, terminal cubes = S's stopping children with their own b,
+    marked by one owner pass: S, then each member of S_j that inherits S."""
     if system.spec != forest.spec:
         raise ValueError("grid mismatch between the system and the forest")
-    if member not in forest.members(j):
+    spec, owners, top = forest.spec, forest.owner_levels(j), member.level
+    if not (spec.contains(member) and forest.q0.contains(member)
+            and owners[top][spec.cube_flat(member)] == top):
         raise ValueError(f"{member} is not a member of S_{j}")
-    owners = _nearest_marked(forest.spec, member.level, (member, *forest.stopping_children(j, member)))
+    block = _owner_pass(spec, top, lambda level, inherited: [spec.cube_flat(member)] if level == top
+                        else (owners[level] == level) & (inherited == top))
     cfg = forest.config
-    return TwistedContext(system, member, owners, cfg.p1 if j == 1 else cfg.p2, cfg.delta, cfg.A)
+    return TwistedContext(system, member, block, cfg.p1 if j == 1 else cfg.p2, cfg.delta, cfg.A)
 
 
 # -- the level engine -------------------------------------------------------------

@@ -260,6 +260,14 @@ def testing_constant(op: PerfectKernel, system: AccretiveSystem, q: float) -> fl
     return best ** (1.0 / q)
 
 
+def _tloc(kernel: PerfectKernel, sys1: AccretiveSystem, sys2: AccretiveSystem) -> float:
+    """Tloc of an instance: both systems drawn together (``draw_levels``), then
+    the larger side, b^1 against T with exponent p2', b^2 against T* with p1'."""
+    draw_levels((sys1, sys2))
+    return max(testing_constant(kernel, sys1, conjugate(sys2.p)),
+               testing_constant(adjoint(kernel), sys2, conjugate(sys1.p)))
+
+
 # -- expansion of the pairing ------------------------------------------------------
 
 
@@ -544,6 +552,28 @@ def _fits(p: float, sums):
 # -- instances and the identity battery ---------------------------------------------
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """An instance's parameters (``build_instance``), and a run's trials and master seed."""
+
+    dim: int = 1
+    depth: int = 6
+    trials: int = 100
+    p1: float = 2.0
+    p2: float = 2.0
+    seed: int = 1
+    kernel_kind: str = "random"
+    kernel_scale: float = 1.0
+    accretive_kind: str = "random"
+    amp: float | None = None
+    A: float | None = None
+    tau_target: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, got {self.trials}")
+
+
 @dataclass
 class Instance:
     """One fully built random instance: kernel, systems, testing constant,
@@ -576,49 +606,36 @@ class Instance:
         return Pairings(self.kernel, self.forest, self.sys1, self.sys2, self.f, self.g)
 
 
-def build_instance(
-    dim: int,
-    depth: int,
-    seed: int,
-    p1: float = 2.0,
-    p2: float = 2.0,
-    kernel_kind: str = "random",
-    kernel_scale: float = 1.0,
-    accretive_kind: str = "random",
-    amp: float | None = None,
-    A: float | None = None,
-    tau_target: float = 0.9,
-) -> Instance:
-    """Deterministically build an instance from a single seed.
+def build_instance(config: ExperimentConfig, seed: int) -> Instance:
+    """Deterministically build the instance that ``config`` describes from one seed.
 
-    Sub-streams (kernel, each system, the sign pair, the amplitude draw) are
-    derived from the seed with fixed spawn keys, so any trial of any run can
-    be reproduced in isolation.
+    ``seed`` is the instance's own seed (a trial's is ``trial_seed(config.seed,
+    trial)``); ``config.seed`` and ``config.trials`` are not read.  Sub-streams
+    (kernel, each system, the sign pair, the amplitude draw) are derived from
+    the seed with fixed spawn keys, so any trial of any run can be reproduced
+    in isolation.
     """
-    spec = GridSpec(dim, depth)
+    spec = GridSpec(config.dim, config.depth)
     _, k_sys1, k_sys2, k_fg, k_amp = [
         np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(5)
     ]
-    kernel = generate_kernel(kernel_kind, spec, seed=seed, scale=kernel_scale)
+    kernel = _instance_kernel(config, seed)
+    kind, amp, A = config.accretive_kind, config.amp, config.A
     params = {}
-    if accretive_kind == "random":
+    if kind == "random":
         if amp is None:
             amp = float(np.random.default_rng(k_amp).uniform(0.2, 0.8))
         params = {"amp": amp}
         if A is None:
             A = 1.0 + amp
-    elif accretive_kind == "two-value":
+    elif kind == "two-value":
         params = {"s": amp if amp is not None else 0.5}
     if A is None:
         A = 1.5
-    sys1 = AccretiveSystem(spec, accretive_kind, p1, A, seed=_seed_int(k_sys1), params=params)
-    sys2 = AccretiveSystem(spec, accretive_kind, p2, A, seed=_seed_int(k_sys2), params=params)
-    draw_levels((sys1, sys2))
-    tloc = max(
-        testing_constant(kernel, sys1, conjugate(p2)),
-        testing_constant(adjoint(kernel), sys2, conjugate(p1)),
-    )
-    cfg = TbConfig(p1=p1, p2=p2, delta=0.5, A=A, Tloc=tloc, tau_target=tau_target)
+    sys1 = AccretiveSystem(spec, kind, config.p1, A, seed=_seed_int(k_sys1), params=params)
+    sys2 = AccretiveSystem(spec, kind, config.p2, A, seed=_seed_int(k_sys2), params=params)
+    tloc = _tloc(kernel, sys1, sys2)
+    cfg = TbConfig(p1=config.p1, p2=config.p2, delta=0.5, A=A, Tloc=tloc, tau_target=config.tau_target)
     q0 = spec.root()
     dsearch = choose_delta(q0, sys1, sys2, kernel, cfg)
     if dsearch.ok:
@@ -627,6 +644,13 @@ def build_instance(
     f = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
     g = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
     return Instance(spec, kernel, sys1, sys2, cfg, tloc, dsearch, f, g, seed)
+
+
+def _instance_kernel(config: ExperimentConfig, seed: int) -> PerfectKernel:
+    """The kernel of ``build_instance(config, seed)``, derived here only: the
+    norm helper builds it from the same request, so it measures this kernel."""
+    return generate_kernel(config.kernel_kind, GridSpec(config.dim, config.depth), seed=seed,
+                           scale=config.kernel_scale)
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -694,35 +718,15 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     return out
 
 
-def identity_suite(dim: int, depth: int, seed: int, **kwargs) -> dict[str, float]:
-    """Build one instance and run the full identity battery on it."""
-    inst = build_instance(dim, depth, seed, **kwargs)
+def identity_suite(config: ExperimentConfig, seed: int) -> dict[str, float]:
+    """Build one instance (``build_instance(config, seed)``) and run the full identity battery on it."""
+    inst = build_instance(config, seed)
     if not inst.ok:
         raise RuntimeError(f"delta search failed on seed {seed}")
     return run_identity_checks(inst)
 
 
 # -- the main experiment -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dim: int = 1
-    depth: int = 6
-    trials: int = 100
-    p1: float = 2.0
-    p2: float = 2.0
-    seed: int = 1
-    kernel_kind: str = "random"
-    kernel_scale: float = 1.0
-    accretive_kind: str = "random"
-    amp: float | None = None
-    A: float | None = None
-    tau_target: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError(f"trials must be non-negative, got {self.trials}")
 
 
 RESIDUAL_FIELDS = (
@@ -787,20 +791,20 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     """One trial: its instance, its norm, then the rest of its report.
 
     The norm needs only the kernel, so a trial that ``_helper_for`` sends to
-    the helper hands it the kernel's parameters first, builds the instance
+    the helper hands it the instance's config and seed first, builds the instance
     and runs the battery meanwhile, and reads the norm last.  Failures keep
     the in-process order: the instance's comes first, then the norm's, then
     the battery's."""
     seed = trial_seed(config.seed, trial)
     helper = _helper_for(GridSpec(config.dim, config.depth))
     if helper is None:
-        inst = _trial_instance(config, seed)
+        inst = build_instance(config, seed)
         norm = operator_norm(inst.kernel)
         return _trial_report(trial, inst, norm, _after_norm(inst))
-    helper.submit((config.kernel_kind, config.dim, config.depth, seed, config.kernel_scale))
+    helper.submit((config, seed))
     inst = None
     try:
-        inst = _trial_instance(config, seed)
+        inst = build_instance(config, seed)
         rest = _after_norm(inst)
     except Exception:
         failure = helper.reply()[1]  # read before raising, so the next trial reads its own
@@ -814,13 +818,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> VerifierReport:
     if failure is not None:
         raise failure
     return _trial_report(trial, inst, norm, rest)
-
-
-def _trial_instance(config: ExperimentConfig, seed: int) -> Instance:
-    return build_instance(config.dim, config.depth, seed, p1=config.p1, p2=config.p2,
-                          kernel_kind=config.kernel_kind, kernel_scale=config.kernel_scale,
-                          accretive_kind=config.accretive_kind, amp=config.amp, A=config.A,
-                          tau_target=config.tau_target)
 
 
 def _after_norm(inst: Instance) -> dict | None:
@@ -866,9 +863,9 @@ class _NormHelper:
     the caller's ``__main__``) that imports dytb from this package's
     directory and inherits the environment, in a session of its own, so a
     terminal's interrupt reaches only this process.  It sends one reply once
-    imported, then answers each request ``(kernel_kind, dim, depth, seed,
-    kernel_scale)`` with ``(norm, None)`` or ``(None, exception)``, pickled on
-    its stdout: the kernel is a pure function of the request, so ``norm`` is
+    imported, then answers each request ``(config, seed)`` with ``(norm,
+    None)`` or ``(None, exception)``, pickled on its stdout: it measures
+    ``_instance_kernel(config, seed)``, the trial's own kernel, so ``norm`` is
     the float ``operator_norm`` gives here.  It exits at EOF of its stdin,
     when ``stop`` closes it or this process dies.
     """
@@ -979,11 +976,10 @@ def _serve_norms() -> None:
         replies.write(pickle.dumps(reply))
         replies.flush()
         try:
-            kind, dim, depth, seed, scale = pickle.load(requests)
+            config, seed = pickle.load(requests)
         except EOFError:
             return
         try:
-            kernel = generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
-            reply = (operator_norm(kernel), None)
+            reply = (operator_norm(_instance_kernel(config, seed)), None)
         except Exception as e:
             reply = (None, e)

@@ -79,7 +79,7 @@ def freeze_delta_regression():
     out = {}
     for k in range(DELTA_REGRESSION_TRIALS):
         seed = trial_seed(DELTA_REGRESSION_MASTER, k)
-        inst = build_instance(1, 8, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=8), seed)
         assert inst.ok, f"delta search failed on regression seed {seed}"
         out[str(seed)] = inst.cfg.delta
     return out
@@ -95,7 +95,7 @@ def freeze_main_ratio():
 def freeze_box_constants():
     out = {}
     for seed in BOX_INSTANCE_SEEDS:
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         for q in BOX_EXPONENTS:
             out[f"seed{seed}|q{q}"] = box_square_function_check(
                 inst.forest, 1, inst.sys1, inst.f, q)
@@ -105,7 +105,7 @@ def freeze_box_constants():
 def freeze_diagonal_constants():
     out = {}
     for seed in DIAGONAL_INSTANCE_SEEDS:
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         worst = max(
             diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2,
                                  cube, inst.tloc)

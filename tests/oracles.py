@@ -7,11 +7,13 @@ martingale transform, the box differences and their square function, the
 diagonal lemma's pairings, the block invariants of a whole forest and the
 packing ratio of a bare stopping set.  Each reads the package's level engine
 and gives the floats the package once gave; the frozen box and diagonal
-constants come from here (``make_fixtures.py``).  Two references for product
+constants come from here (``make_fixtures.py``).  References for product
 paths that replaced them are kept here too: the level-by-level kernel plan
 builder, for the whole-plan build, the kernel sweep over the whole cube-sum
-tree, for the one that sums only the levels it reads, and the cube-by-cube
-adversarial transform search, for the level-by-level one.  Per-cube
+tree, for the one that sums only the levels it reads, the cube-by-cube
+adversarial transform search, for the level-by-level one, and the member
+cubes' forms of a stopping family (``nearest_marked``, ``stopping_children``),
+for the owner pass of ``block_context``.  Per-cube
 coefficients are plain ``{cube: eps}`` dicts (a missing cube counts as 0);
 ``level_coefficients`` turns them into the product's per-level arrays.
 """
@@ -21,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from dytb.corona import _subtree_mask
 from dytb.grid import GridFunction, coarsen_step, cube_sum_vector, spread
 from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
 from dytb.twisted import corona_levels
@@ -40,6 +43,38 @@ def corona_parent(forest, j, cube):
     """pi_j(cube), the smallest member of S_j containing ``cube``, read from
     the owner arrays."""
     return cube.ancestor(int(forest.owner_levels(j)[cube.level][forest.spec.cube_flat(cube)]))
+
+
+def nearest_marked(spec, top, cubes) -> list:
+    """Per level from ``top`` down (None above), for every cube (row-major),
+    the level of its smallest ancestor-or-self among ``cubes``, -1 if none:
+    each of ``cubes``, coarse to fine, stamps its level on every cube inside
+    it.  The owner arrays of a terminal family ``cubes`` = (s0, *terminals)."""
+    out = [None] * top + [np.full(spec.n_cubes(level), -1) for level in range(top, spec.depth + 1)]
+    for cube in sorted(cubes):
+        for level in range(cube.level, spec.depth + 1):
+            out[level][_subtree_mask(spec.dim, cube, level)] = cube.level
+    return out
+
+
+def is_member(forest, j, cube) -> bool:
+    """Whether ``cube`` is a member of S_j: a cube inside q0 that owns itself."""
+    owners = forest.owner_levels(j)
+    return forest.q0.contains(cube) and owners[cube.level][forest.spec.cube_flat(cube)] == cube.level
+
+
+def stopping_children(forest, j, member) -> tuple:
+    """The stopping children of ``member`` in S_j, sorted: the members met
+    first on the walks down from its children, which go on only through
+    cubes that are no members."""
+    kids, below = [], [member]
+    while below:
+        cube = below.pop()
+        if cube != member and is_member(forest, j, cube):
+            kids.append(cube)
+        elif cube.level < forest.spec.depth:
+            below.extend(cube.children())
+    return tuple(sorted(kids))
 
 
 # -- the twisted context ------------------------------------------------------------

@@ -56,7 +56,7 @@ def identity_runs():
     for dim, depths, master in ((1, (4, 5, 6), 1001), (2, (2, 3), 2002)):
         for k in range(100):
             seed = trial_seed(master, k)
-            inst = build_instance(dim, depths[k % len(depths)], seed=seed)
+            inst = build_instance(ExperimentConfig(dim=dim, depth=depths[k % len(depths)]), seed)
             assert inst.ok, f"delta search failed on identity seed {seed}"
             runs.append((inst, run_identity_checks(inst)))
     return runs, time.perf_counter() - start
@@ -175,7 +175,7 @@ def test_criterion_5_corona_structure():
     worst_carleson = 0.0
     blocks = 0
     for k in range(100):
-        inst = build_instance(1, 8, seed=trial_seed(777, k))
+        inst = build_instance(ExperimentConfig(dim=1, depth=8), trial_seed(777, k))
         ok = ok and inst.ok
         forest = inst.forest
         pack = max(packing_ratio(forest, 1), packing_ratio(forest, 2))
@@ -279,8 +279,8 @@ def test_criterion_9_epsilon_bound(identity_runs, experiment_run):
     ok = ok and all(r.epsilon_max <= r.epsilon_bound * (1 + 1e-12) for r in reports)
     worst_classical = 0.0
     for seed in range(10):
-        inst = build_instance(1, 5, seed=trial_seed(909, seed),
-                              accretive_kind="constant", A=1.5)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5, accretive_kind="constant", A=1.5),
+                              trial_seed(909, seed))
         assert inst.ok
         forest = inst.forest
         for s in forest.members(1):

@@ -114,6 +114,74 @@ def test_malformed_kernel_file_is_a_config_error(tmp_path, capsys):
             assert err.startswith("config error:") and message in err
 
 
+ENTRY = {"level": 0, "coords": [0], "i": 0, "j": 1, "value": 0.5}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"dim": 1, "depth": 1, "entries": [dict(ENTRY, level=0.5)]}),
+     "kernel entry 0 has level 0.5, not a 64-bit integer"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": [dict(ENTRY, i=1.9)]}),
+     "kernel entry 0 has i 1.9, not a 64-bit integer"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": [dict(ENTRY, coords=[0.7])]}),
+     "kernel entry 0 has coords [0.7], not a list of 64-bit integers"),
+    (json.dumps({"dim": 1.9, "depth": 3.7, "entries": []}), "kernel file has dim 1.9, not an integer"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": [dict(ENTRY, level=True)]}),
+     "kernel entry 0 has level True, not a 64-bit integer"),
+    (json.dumps([{"dim": 1, "depth": 1, "entries": []}]),
+     "kernel file holds [{'depth': 1, 'dim': 1, 'entries': []}], not an object"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": [ENTRY, 3]}), "kernel entry 1 is 3, not an object"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": [dict(ENTRY, coords=0)]}),
+     "kernel entry 0 has coords 0, not a list of 64-bit integers"),
+    (json.dumps({"dim": 1, "depth": 1, "entries": None}), "kernel file has entries None, not a list"),
+    # neither check builds 2^level or 2^(dim*depth)
+    (json.dumps({"dim": 1, "depth": 2, "entries": [dict(ENTRY, level=2**62, coords=[-1])]}),
+     f"kernel entry 0 names no cube: coords (-1,) out of range at level {2**62}"),
+    (json.dumps({"dim": 1, "depth": 2**40, "entries": []}), f"2^(1*{2**40}) cells exceed the cell cap 1048576"),
+])
+def test_kernel_file_of_another_shape_is_a_config_error(tmp_path, capsys, text, message):
+    # each of these once loaded as a truncated kernel or ended in a TypeError or MemoryError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["validate", "--kernel", str(path)],
+                 ["corona", "--dim", "1", "--depth", "1", "--kernel", str(path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"config error: {path}: {message}\n")
+
+
+def test_kernel_file_syntax_error_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 1,\n "depth": }')
+    assert main(["validate", "--kernel", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:2:11: Expecting value\n"
+
+
+REPORT_ROW = {"trial": 0, "seed": 1, "ok": True, "ratio": 0.5}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("r.json", json.dumps({"reports": []}), "a report is a JSON object with 'config' and 'reports'"),
+    ("r.json", json.dumps({"config": {}}), "a report is a JSON object with 'config' and 'reports'"),
+    ("r.json", json.dumps([REPORT_ROW]), "a report is a JSON object with 'config' and 'reports'"),
+    ("r.json", json.dumps({"config": {}, "reports": [REPORT_ROW, {"trial": 1, "seed": 2, "ok": True}]}),
+     "report row 1 has no number 'ratio'"),
+    ("r.json", json.dumps({"config": {}, "reports": [dict(REPORT_ROW, ratio="0.5")]}),
+     "report row 0 has no number 'ratio'"),
+    ("r.json", json.dumps({"config": {}, "reports": [dict(REPORT_ROW, ok=1)]}), "report row 0 has no flag 'ok'"),
+    ("r.json", json.dumps({"config": {}, "reports": {}}), "report 'reports' is not a list"),
+    ("r.csv", "a,b\n1,2\n", "report row 0 lacks 'trial'"),
+    ("r.csv", "# config: {}\ntrial,seed,operator_norm,tloc,ratio,delta\n0,1,1.0,1.0,0.5,0.5\n",
+     "report row 0 lacks 'ok'"),
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,1,1.0,1.0,0.5,0.5\n0,1,1,1.0,1.0,0.5\n",
+     "report row 1 lacks 'delta'"),
+])
+def test_report_input_of_another_shape_is_a_config_error(tmp_path, capsys, name, text, message):
+    # each of these once ended in a KeyError or TypeError traceback, exit 1
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["report", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {path}: {message}\n")
+
+
 def test_unreadable_or_unwritable_paths_are_config_errors(tmp_path, capsys):
     missing, nodir = tmp_path / "missing.json", tmp_path / "nodir" / "out.json"
     for argv, path in ((["report", "--in", str(missing.with_suffix(".csv"))], missing.with_suffix(".csv")),
@@ -564,10 +632,9 @@ def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
         raise AssertionError("a hot path built the forest's member cubes")
 
     monkeypatch.setattr(CoronaForest, "members", forbidden)
-    monkeypatch.setattr(CoronaForest, "stopping_children", forbidden)
     assert _run_trial(ExperimentConfig(dim=2, depth=4, trials=1), 0).ok
     assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
-    forest = verify.build_instance(1, 4, seed=1).forest
+    forest = verify.build_instance(ExperimentConfig(dim=1, depth=4), 1).forest
     with pytest.raises(AssertionError, match="member cubes"):
         forest.members(1)
 

@@ -8,7 +8,6 @@ from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
     TbConfig,
-    _nearest_marked,
     _subtree_mask,
     build_corona,
     carleson_constant,
@@ -22,7 +21,7 @@ from dytb.twisted import TwistedContext, _check_owners, make_context
 from dytb.verify import testing_constant as measure_tloc
 
 from conftest import cubes_at
-from oracles import corona_parent, set_packing_ratio
+from oracles import corona_parent, nearest_marked, set_packing_ratio, stopping_children
 
 # -- oracles ------------------------------------------------------------------------
 
@@ -155,7 +154,7 @@ def walked_family_error(s0, members):
 
 def family_of(spec, s0, members):
     """The owner arrays of the terminal family ``members`` below ``s0``."""
-    return _nearest_marked(spec, s0.level, (s0, *members))
+    return nearest_marked(spec, s0.level, (s0, *members))
 
 
 def in_q(ctx, cube):
@@ -197,7 +196,7 @@ def per_member_packing_ratio(forest, j):
     """``packing_ratio`` by a loop over the members and their stopping children."""
     best = 0.0
     for s in forest.members(j):
-        kids = forest.stopping_children(j, s)
+        kids = stopping_children(forest, j, s)
         if kids:
             best = max(best, sum(k.volume for k in kids) / s.volume)
     return best
@@ -358,7 +357,7 @@ def test_code_built_family_checks_its_owner_arrays():
     with pytest.raises(ValueError, match=re.escape(f"owned cube {outside} is not inside {s0}")):
         _check_owners(spec, s0, family_of(spec, s0, [DyadicCube(4, (5,)), outside]))
     with pytest.raises(ValueError, match=re.escape(f"base cube {s0} does not own itself")):
-        _check_owners(spec, s0, _nearest_marked(spec, s0.level, [DyadicCube(4, (5,))]))
+        _check_owners(spec, s0, nearest_marked(spec, s0.level, [DyadicCube(4, (5,))]))
 
 
 # -- corona construction -----------------------------------------------------------------
@@ -379,7 +378,7 @@ def test_corona_signed_zero_half_child():
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
     cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
     forest = build_corona(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
-    assert DyadicCube(1, (0,)) in forest.stopping_children(1, spec.root())
+    assert DyadicCube(1, (0,)) in stopping_children(forest, 1, spec.root())
     # the zero-half recursion reaches the finest level
     assert any(m.level == spec.depth for m in forest.members(1))
 
@@ -438,7 +437,7 @@ def test_stopping_ties_stop(depth, kind, params, kernel_kind, cfg, tie):
     kernel = generate_kernel(kernel_kind, spec)
     forest = build_corona(root, system, system, kernel, cfg)
     members, _ = per_member_family(spec, root, system, kernel, 2.0, 2.0, cfg)
-    assert forest.members(1) == members and tie in forest.stopping_children(1, root)
+    assert forest.members(1) == sorted(members) and tie in stopping_children(forest, 1, root)
     if kernel_kind == "zero":  # terminal cubes stop on conditions (1) and (2) alone
         b = system.get_b(root)
         got = terminal_cubes(b, root, cfg.delta, 2.0, cfg.A)
@@ -454,7 +453,7 @@ def test_corona_pi_and_children():
     members = set(forest.members(1))
     ch = derive_children(members, root)
     for m in members:
-        assert sorted(forest.stopping_children(1, m)) == sorted(ch[m])
+        assert sorted(stopping_children(forest, 1, m)) == sorted(ch[m])
     # the owner arrays name a non-member's nearest stopping ancestor
     for cube in spec.all_cubes(root):
         pi = corona_parent(forest, 1, cube)
@@ -616,4 +615,4 @@ def test_forest_json_export():
             assert cube == root
             continue
         parent = DyadicCube(r["parent"]["level"], tuple(r["parent"]["coords"]))
-        assert cube in forest.stopping_children(1, parent)
+        assert cube in stopping_children(forest, 1, parent)

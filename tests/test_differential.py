@@ -26,7 +26,6 @@ from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
     CoronaForest,
     TbConfig,
-    _nearest_marked,
     build_corona,
     carleson_constant,
     choose_delta,
@@ -62,6 +61,7 @@ from dytb.twisted import (
     twisted_delta,
 )
 from dytb.verify import (
+    ExperimentConfig,
     Pairings,
     _epsilon_max,
     _g_telescoping,
@@ -79,9 +79,11 @@ from oracles import (
     check_forest_blocks,
     corona_parent,
     level_coefficients,
+    nearest_marked,
     per_cube_transform_search,
     pi_transform,
     random_signs,
+    stopping_children,
 )
 from test_accretive import KIND_SETUPS
 from test_corona import (
@@ -120,7 +122,7 @@ STOPPING_GRIDS = [(1, depth) for depth in range(1, 11)] + [(2, depth) for depth 
 
 
 def drawn_instance(grid, seed):
-    inst = build_instance(*grid, seed=seed)
+    inst = build_instance(ExperimentConfig(*grid), seed)
     assume(inst.ok)
     return inst
 
@@ -436,7 +438,7 @@ def test_trial_contexts_three_term_and_signs(grid):
     # the contexts the identity battery builds, canonical and coarsened
     terminal = 0
     for seed in range(4):
-        inst = build_instance(*grid, seed=seed)
+        inst = build_instance(ExperimentConfig(*grid), seed)
         if not inst.ok:
             continue
         q0, delta = inst.forest.q0, inst.cfg.delta
@@ -491,7 +493,7 @@ def per_member_forest_json(forest):
         return {"level": c.level, "coords": list(c.coords)}
 
     def family(j):
-        parent_of = {kid: s for s in forest.members(j) for kid in forest.stopping_children(j, s)}
+        parent_of = {kid: s for s in forest.members(j) for kid in stopping_children(forest, j, s)}
         return [{**cube_dict(m), "parent": cube_dict(parent_of[m]) if m in parent_of else None}
                 for m in sorted(forest.members(j))]
 
@@ -546,7 +548,7 @@ def test_terminal_owner_pass_equals_scan(grid, kind, delta, sub, seed):
     level = 1 + seed % spec.depth if sub else 0
     s0 = spec.cube_from_flat(level, seed % spec.n_cubes(level))
     b = GridFunction(spec, system.level_values(s0.level))
-    want = _nearest_marked(spec, s0.level, (s0, *scanned_terminal_cubes(b, s0, delta, 2.0, A)))
+    want = nearest_marked(spec, s0.level, (s0, *scanned_terminal_cubes(b, s0, delta, 2.0, A)))
     got = make_context(system, s0, delta).owners
     assert len(got) == len(want) == spec.depth + 1
     assert all((g is None and w is None) or np.array_equal(g, w) for g, w in zip(got, want))
@@ -564,7 +566,7 @@ def enumerated_block_check(forest, j, system, member):
     budget, else the first unsafe cube of the block, else None."""
     cfg = forest.config
     p = cfg.p1 if j == 1 else cfg.p2
-    kids = forest.stopping_children(j, member)
+    kids = stopping_children(forest, j, member)
     b = system.get_b(member)
     for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
         if (abs(g.integral(cube) - cube.volume) > 1e-12 * cube.volume
@@ -577,7 +579,7 @@ def test_block_check_matches_block_contexts():
     rejected = Counter()
     for grid in ((1, 6), (1, 8), (2, 4), (2, 5)):
         for seed in range(4):
-            inst = build_instance(*grid, seed=seed)
+            inst = build_instance(ExperimentConfig(*grid), seed)
             if not inst.ok:
                 continue
             cfg = inst.forest.config
@@ -632,10 +634,10 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     for j, system, op, p_exp, q_exp in ((1, sys1, kernel, p1, cfg.p2_conj),
                                         (2, sys2, adjoint(kernel), p2, cfg.p1_conj)):
         members, children = per_member_family(spec, q0, system, op, p_exp, q_exp, cfg)
-        assert forest.members(j) == members and forest.member_count(j) == len(members)
+        assert forest.members(j) == sorted(members) and forest.member_count(j) == len(members)
         walked = owner_walk_children(forest, j)
         for s in members:
-            assert forest.stopping_children(j, s) == tuple(sorted(children[s])) == tuple(walked[s])
+            assert stopping_children(forest, j, s) == tuple(sorted(children[s])) == tuple(walked[s])
         for got, want in zip(forest.owner_levels(j), walked_owner_levels(spec, q0, members)):
             assert (got is None and want is None) or np.array_equal(got, want)
     assert json.dumps(forest_to_json_dict(forest)) == json.dumps(per_member_forest_json(forest))

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import reprlib
 from functools import partial
 
 import numpy as np
@@ -231,23 +232,57 @@ def per_entry_to_json_dict(kernel) -> dict:
     return {"dim": kernel.spec.dim, "depth": kernel.spec.depth, "entries": entries}
 
 
-def per_entry_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
-    """The per-entry reader ``kernel_from_json_dict`` replaced: one
-    ``DyadicCube`` and one dict insertion per entry."""
+def is_int64(x) -> bool:
+    return type(x) is int and -2**63 <= x < 2**63
+
+
+def is_float(x) -> bool:
+    if type(x) not in (int, float):
+        return False
     try:
-        spec = GridSpec(int(data["dim"]), int(data["depth"]))
-        rows = data["entries"]
-    except KeyError as e:
-        raise ValueError(f"kernel file lacks {e.args[0]!r}") from None
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+ENTRY_TYPES = {  # field: (check, what the message names)
+    "level": (is_int64, "a 64-bit integer"),
+    "coords": (lambda c: type(c) is list and all(map(is_int64, c)), "a list of 64-bit integers"),
+    "i": (is_int64, "a 64-bit integer"),
+    "j": (is_int64, "a 64-bit integer"),
+    "value": (is_float, "a number"),
+}
+
+
+def per_entry_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
+    """The per-entry reader ``kernel_from_json_dict`` replaced: each field's
+    type check, then one ``DyadicCube`` and one dict insertion per entry."""
+    if type(data) is not dict:
+        raise ValueError(f"kernel file holds {reprlib.repr(data)}, not an object")
+    for name, kind, what in (("dim", int, "an integer"), ("depth", int, "an integer"), ("entries", list, "a list")):
+        if name not in data:
+            raise ValueError(f"kernel file lacks {name!r}")
+        if type(data[name]) is not kind:
+            raise ValueError(f"kernel file has {name} {reprlib.repr(data[name])}, not {what}")
+    spec = GridSpec(data["dim"], data["depth"])
     entries = {}
-    for n, e in enumerate(rows):
-        missing = [name for name in ("level", "coords", "i", "j", "value") if name not in e]
+    for n, e in enumerate(data["entries"]):
+        if type(e) is not dict:
+            raise ValueError(f"kernel entry {n} is {reprlib.repr(e)}, not an object")
+        missing = [name for name in ENTRY_TYPES if name not in e]
         if missing:
             raise ValueError(f"kernel entry {n} lacks {missing[0]!r}")
-        cube = DyadicCube(int(e["level"]), tuple(int(c) for c in e["coords"]))
-        if cube.dim != spec.dim:
-            raise ValueError(f"kernel entry {n} has {cube.dim} coords on a dim={spec.dim} grid")
-        key = (cube.level, spec.cube_flat(cube), int(e["i"]), int(e["j"]))
+        for name, (ok, what) in ENTRY_TYPES.items():
+            if not ok(e[name]):
+                raise ValueError(f"kernel entry {n} has {name} {reprlib.repr(e[name])}, not {what}")
+        if len(e["coords"]) != spec.dim:
+            raise ValueError(f"kernel entry {n} has {len(e['coords'])} coords on a dim={spec.dim} grid")
+        try:
+            cube = DyadicCube(e["level"], tuple(e["coords"]))
+        except ValueError as err:
+            raise ValueError(f"kernel entry {n} names no cube: {err}") from None
+        key = (cube.level, spec.cube_flat(cube), e["i"], e["j"])
         if key in entries:
             raise ValueError(f"kernel entry {n} repeats level {cube.level}, coords "
                              f"{list(cube.coords)}, pair ({key[2]}, {key[3]})")
@@ -745,6 +780,24 @@ def test_kernel_file_errors_are_value_errors(data, message):
         kernel_from_json_dict(data)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_fields_take_only_their_json_types(dim):
+    # no field is cast: a float, a bool, null, a string, a list or an integer
+    # beyond 64 bits is the error of its entry, not a truncated value
+    spec = GridSpec(dim, 2)
+    good = kernel_to_json_dict(generate_kernel("random", spec, seed=1))["entries"][:3]
+    for name in FIELDS:
+        for bad in (0.5, True, False, None, "0", [0], {}, 2**63, -2**63 - 1, 10**400, [0.5] * dim,
+                    [True] * dim, [2**63] * dim):
+            rows = copy.deepcopy(good)
+            rows[1][name] = bad
+            data = {"dim": dim, "depth": 2, "entries": rows}
+            got = kernel_file_outcome(kernel_from_json_dict, data)
+            assert got == kernel_file_outcome(per_entry_from_json_dict, data), (name, bad)
+            if not ENTRY_TYPES[name][0](bad):
+                assert got == f"kernel entry 1 has {name} {reprlib.repr(bad)}, not {ENTRY_TYPES[name][1]}"
+
+
 def test_kernel_load_rechecks_size(tmp_path):
     data = {"dim": 1, "depth": 1, "entries": [
         {"level": 0, "coords": [0], "i": 0, "j": 1, "value": 1.5}]}
@@ -778,7 +831,9 @@ def kernel_file_outcome(read, data):
 
 
 FAULTS = ("drop field", "short coords", "long coords", "coords out of range", "negative coord",
-          "negative level", "repeat", "level too deep", "diagonal pair", "nan", "oversized")
+          "negative level", "repeat", "level too deep", "diagonal pair", "nan", "oversized",
+          "wrong type", "beyond 64 bits", "not an object")
+FIELDS = ("level", "coords", "i", "j", "value")
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -794,8 +849,20 @@ def test_kernel_file_errors_match_per_entry_oracle(grid, seed, faults):
     assume(rows)
     for fault, at in faults:
         e = rows[at % len(rows)]
+        if type(e) is not dict:
+            continue
+        name = FIELDS[at % 5]
         if fault == "drop field":
-            e.pop(("level", "coords", "i", "j", "value")[at % 5], None)
+            e.pop(name, None)
+        elif fault == "wrong type":  # a float, a bool, null, a string or a list
+            e[name] = (0.5, True, None, "0", [0])[at // 5 % 5]
+            if name == "coords" and at // 25 % 2:  # in place of one coordinate
+                e[name] = [0] * (spec.dim - 1) + [(0.5, True, None, "0", [0])[at // 5 % 5]]
+        elif fault == "beyond 64 bits":
+            big = (2**63, -2**63 - 1, 10**400)[at // 5 % 3]
+            e[name] = [0] * (spec.dim - 1) + [big] if name == "coords" else big
+        elif fault == "not an object":
+            rows[at % len(rows)] = (7, [e], "e", None)[at // 5 % 4]
         elif "coords" in e and fault in ("short coords", "long coords"):
             e["coords"] = e["coords"][:-1] if fault == "short coords" else e["coords"] + [0]
         elif "coords" in e and e["coords"] and fault in ("coords out of range", "negative coord"):

@@ -7,13 +7,16 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from dytb import cli, verify
-from dytb.verify import ExperimentConfig, _run_trial, main_theorem_experiment
+from dytb.kernels import _PLAN_FIELDS
+from dytb.verify import ExperimentConfig, _run_trial, build_instance, main_theorem_experiment, trial_seed
 
+import make_cli_golden
 from conftest import live_helpers
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -60,6 +63,16 @@ def test_helper_reports_equal_in_process_reports(norm_helper, monkeypatch, tmp_p
     assert report_bytes(tmp_path, "helper", main_theorem_experiment(config)) == want
 
 
+def test_helper_request_derives_the_trials_own_kernel():
+    # the helper measures _instance_kernel(config, seed): the kernel the trial's instance holds
+    config = ExperimentConfig(dim=2, depth=5, seed=0)  # the 2D d5 golden trials
+    for trial in range(make_cli_golden.TB_TRIALS):
+        seed = trial_seed(config.seed, trial)
+        got, want = verify._instance_kernel(config, seed), build_instance(config, seed).kernel
+        assert got.starts == want.starts
+        assert all(getattr(got, name).tobytes() == getattr(want, name).tobytes() for name in _PLAN_FIELDS)
+
+
 def test_dense_size_trials_never_start_the_helper(monkeypatch):
     monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
     verify._HELPER.stop()
@@ -80,7 +93,7 @@ def test_later_failure_leaves_the_next_norm_in_step(norm_helper, monkeypatch):
             _run_trial(config, 0)
     assert as_text(_run_trial(config, 1)) == as_text(want[1])
     with monkeypatch.context() as mp:
-        mp.setattr(verify, "_trial_instance", lambda config, seed: planted(None))
+        mp.setattr(verify, "build_instance", lambda config, seed: planted(None))
         with pytest.raises(ValueError, match="planted battery failure"):
             _run_trial(config, 0)
     assert as_text(_run_trial(config, 2)) == as_text(want[2])
@@ -91,7 +104,8 @@ def test_norm_failure_wins_over_a_later_failure(norm_helper, monkeypatch, tmp_pa
     real_submit = verify._NormHelper.submit
 
     def bad_kind(self, request):
-        real_submit(self, ("no-such-kind", *request[1:]))
+        config, seed = request
+        real_submit(self, (replace(config, kernel_kind="no-such-kind"), seed))
 
     def planted(inst):
         raise RuntimeError("planted battery failure")

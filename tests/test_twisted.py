@@ -20,10 +20,20 @@ from dytb.twisted import (
     transform,
     twisted_delta,
 )
-from dytb.verify import build_instance
+from dytb.verify import ExperimentConfig, build_instance
 
 from conftest import rand_fun, rand_signs
-from oracles import box, classical_transform, level_coefficients, on_cube, proof_operators, random_signs
+from oracles import (
+    box,
+    classical_transform,
+    is_member,
+    level_coefficients,
+    nearest_marked,
+    on_cube,
+    proof_operators,
+    random_signs,
+    stopping_children,
+)
 from test_corona import coarsened_context, family_of
 
 
@@ -105,8 +115,7 @@ def oracle_corona_delta(forest, j, system, cube, h):
 
 
 def walk_pi(forest, j, cube):
-    members = forest.members(j)
-    while cube not in members:
+    while not is_member(forest, j, cube):
         cube = cube.parent()
     return cube
 
@@ -142,15 +151,14 @@ def enumerated_box(forest, j, system, cube, h):
     out = np.zeros(spec.n_cells)
     if cube.level >= spec.depth:
         return out
-    members = forest.members(j)
     b = system.get_b(walk_pi(forest, j, cube))
     base = h.average(cube) / b.average(cube)
     for child in cube.children():
-        if child in members:
+        if is_member(forest, j, child):
             continue
         out[spec.cell_indices(child)] = h.average(child) / b.average(child) - base
     np.abs(out, out)
-    if any(c in members for c in cube.children()):
+    if any(is_member(forest, j, c) for c in cube.children()):
         out[spec.cell_indices(cube)] += 1.0
     return out
 
@@ -160,11 +168,10 @@ def enumerated_half_twisted_block(forest, j, system, cube, h):
     out = np.zeros(spec.n_cells)
     if cube.level >= spec.depth:
         return out
-    members = forest.members(j)
     b = system.get_b(walk_pi(forest, j, cube))
     out[spec.cell_indices(cube)] = -h.average(cube) / b.average(cube)
     for child in cube.children():
-        if child in members:
+        if is_member(forest, j, child):
             continue
         out[spec.cell_indices(child)] += h.average(child) / b.average(child)
     return out
@@ -449,7 +456,7 @@ def test_corona_delta_annihilates_block_function():
 
 
 def test_corona_delta_matches_oracle_on_random_instance(rng):
-    inst = build_instance(1, 5, seed=31)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 31)
     forest = inst.forest
     h = rand_fun(inst.spec, rng)
     spec = inst.spec
@@ -489,7 +496,7 @@ def test_expand_constant_function():
 
 
 def test_expand_single_cell_indicator():
-    inst = build_instance(1, 5, seed=8)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 8)
     spec = inst.spec
     h = GridFunction.indicator(spec, DyadicCube(spec.depth, (17,)))
     e, deltas = expand(inst.forest, 1, inst.sys1, spec.root(), h)
@@ -498,7 +505,7 @@ def test_expand_single_cell_indicator():
 
 
 def test_expand_random_reconstruction_all_members(rng):
-    inst = build_instance(1, 6, seed=13)
+    inst = build_instance(ExperimentConfig(dim=1, depth=6), 13)
     spec = inst.spec
     h = rand_fun(spec, rng)
     hmax = np.abs(h.values).max()
@@ -538,7 +545,7 @@ def test_box_classical_case(rng):
 
 
 def test_box_indicator_on_stopping_child(rng):
-    inst = build_instance(1, 5, seed=31)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 31)
     forest = inst.forest
     stopped = [s for s in forest.members(1) if s != forest.q0]
     assert stopped
@@ -549,7 +556,7 @@ def test_box_indicator_on_stopping_child(rng):
 
 
 def test_box_matches_componentwise_recomputation(rng):
-    inst = build_instance(1, 5, seed=31)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 31)
     forest, system = inst.forest, inst.sys1
     spec = inst.spec
     members = set(forest.members(1))
@@ -669,13 +676,13 @@ def test_finest_cell_bound(rng):
 
 
 def test_block_context_roundtrip():
-    inst = build_instance(1, 5, seed=31)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 31)
     forest = inst.forest
     deltas = corona_levels(forest, 1, inst.sys1, inst.f).deltas
     for member in forest.members(1):
         ctx = block_context(forest, 1, inst.sys1, member)
         assert ctx.s0 == member
-        assert set(ctx.members) == set(forest.stopping_children(1, member))
+        assert ctx.members == stopping_children(forest, 1, member)
         # block twisted differences agree with corona differences inside the block
         for q in ctx.q_cubes():
             a = twisted_delta(ctx, q, inst.f)
@@ -685,11 +692,52 @@ def test_block_context_roundtrip():
         block_context(forest, 1, finer, forest.q0)
 
 
+def owner_bytes(owners) -> list:
+    return [None if o is None else (o.dtype.str, o.tobytes()) for o in owners]
+
+
+@pytest.mark.parametrize("dim, depths", [(1, range(9)), (2, range(6))])
+def test_block_context_owners_equal_nearest_marked_oracle(dim, depths):
+    # the one owner pass over the forest's arrays against the member cubes'
+    # form: each block's base cube and stopping children stamped cube by cube
+    blocks = 0
+    for depth in depths:
+        for seed in range(3):
+            inst = build_instance(ExperimentConfig(dim=dim, depth=depth), seed)
+            assert inst.ok
+            forest = inst.forest
+            for j, system in ((1, inst.sys1), (2, inst.sys2)):
+                for member in forest.members(j):
+                    ctx = block_context(forest, j, system, member)
+                    kids = stopping_children(forest, j, member)
+                    want = nearest_marked(forest.spec, member.level, (member, *kids))
+                    assert owner_bytes(ctx.owners) == owner_bytes(want)
+                    assert ctx.members == kids
+                    blocks += 1
+    assert blocks > 100
+
+
+def test_block_context_rejects_cubes_outside_the_family():
+    spec = GridSpec(1, 4)
+    signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
+    q0 = DyadicCube(1, (1,))
+    forest = build_corona(q0, signed, signed, generate_kernel("zero", spec),
+                          TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0))
+    members = set(forest.members(1))
+    inside = [c for c in spec.all_cubes(q0) if c not in members]
+    assert q0 in members and inside
+    for cube in (inside[0], spec.root(), DyadicCube(2, (0,)), DyadicCube(1, (1, 0)), DyadicCube(5, (0,))):
+        with pytest.raises(ValueError, match=re.escape(f"{cube} is not a member of S_1")):
+            block_context(forest, 1, signed, cube)
+    for member in sorted(members):
+        assert block_context(forest, 1, signed, member).members == stopping_children(forest, 1, member)
+
+
 @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
 def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
     # every b of a context, the base cube's included, is read from the
     # system's level arrays
-    inst = build_instance(dim, depth, seed=1)
+    inst = build_instance(ExperimentConfig(dim=dim, depth=depth), 1)
     assert inst.ok
     blocks = [(j, system, s) for j, system in ((1, inst.sys1), (2, inst.sys2))
               for s in sorted(inst.forest.members(j))]

@@ -207,7 +207,8 @@ def test_lanczos_reports_nonconvergence():
 def test_scheduled_ritz_checks_match_a_check_at_every_step():
     kernels_ = [generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
                 for dim, depth, kind, seed, scale in LANCZOS_CASES]
-    kernels_ += [build_instance(2, 5, trial_seed(0, trial)).kernel  # the 2D d5 golden trials
+    golden = ExperimentConfig(dim=2, depth=5)  # the 2D d5 golden trials
+    kernels_ += [build_instance(golden, trial_seed(0, trial)).kernel
                  for trial in range(make_cli_golden.TB_TRIALS)]
     for t in kernels_:
         assert lanczos_norm(t) == every_step_lanczos(t), t.spec
@@ -221,7 +222,7 @@ def test_scheduled_ritz_checks_match_a_check_at_every_step():
 
 
 def test_ritz_svd_runs_on_the_schedule(monkeypatch):
-    t = build_instance(2, 5, trial_seed(0, 0)).kernel
+    t = build_instance(ExperimentConfig(dim=2, depth=5), trial_seed(0, 0)).kernel
     res = lanczos_norm(t)
     checks = []
     real = verify._ritz
@@ -281,7 +282,7 @@ def test_trial_at_dense_size_reports_the_dense_norm():
     for dim, depth in ((1, 8), (2, 4)):
         config = ExperimentConfig(dim=dim, depth=depth, trials=1, seed=5)
         [report] = main_theorem_experiment(config)
-        inst = build_instance(dim, depth, trial_seed(5, 0))
+        inst = build_instance(ExperimentConfig(dim=dim, depth=depth), trial_seed(5, 0))
         assert report.operator_norm == operator_norm(inst.kernel, "dense-svd")
 
 
@@ -290,7 +291,7 @@ def test_trial_packing_is_the_max_of_both_packing_ratios():
     for dim, depth, tau_target in ((1, 5, 0.9), (1, 6, 0.3), (2, 3, 0.9), (2, 4, 0.3)):
         config = ExperimentConfig(dim=dim, depth=depth, trials=3, seed=11, tau_target=tau_target)
         for trial, report in enumerate(main_theorem_experiment(config)):
-            inst = build_instance(dim, depth, trial_seed(11, trial), tau_target=tau_target)
+            inst = build_instance(config, trial_seed(11, trial))
             assert report.ok and inst.ok
             forest = inst.forest
             assert report.packing == max(packing_ratio(forest, 1), packing_ratio(forest, 2))
@@ -430,7 +431,7 @@ def test_trial_pairs_each_pair_of_levels_once(monkeypatch):
 
 
 def test_sweep_memo_is_read_only_and_weak():
-    inst = build_instance(2, 4, seed=3)
+    inst = build_instance(ExperimentConfig(dim=2, depth=4), 3)
     for system, op in ((inst.sys1, inst.kernel), (inst.sys2, adjoint(inst.kernel))):
         memo = system._sweeps[op]
         assert sorted(memo) == list(range(inst.spec.depth + 1))
@@ -470,7 +471,7 @@ def test_expansion_classical_ones():
 
 def test_expansion_random_instances():
     for seed in (5, 6, 7):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         residual, _ = bilinear_expansion_check(Pairings(
             inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
         assert residual <= 1e-9
@@ -500,7 +501,7 @@ def test_form_split_depth1_all_in_equal(rng):
 
 
 def test_form_split_matches_double_loop_oracle(rng):
-    inst = build_instance(1, 5, seed=9)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 9)
     spec, forest = inst.spec, inst.forest
     fs = form_split(Pairings(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g))
     assert fs.residual <= 1e-9
@@ -615,7 +616,7 @@ def test_per_s_single_block_is_whole_form(rng):
 
 def test_per_s_aggregation_random_instances():
     for seed in (21, 22):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         _, pullout, _, residual = b_above_aggregation(Pairings(
             inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
         assert residual <= 1e-9
@@ -625,7 +626,7 @@ def test_per_s_aggregation_random_instances():
 def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
     # the nested form takes at most 3 (depth + 1) sweeps (the reference's
     # applies included), however many members and block cubes there are
-    inst = build_instance(1, 12, seed=3)
+    inst = build_instance(ExperimentConfig(dim=1, depth=12), 3)
     forest, depth = inst.forest, inst.spec.depth
     assert len(forest.members(1)) > 3 * (depth + 1)
     sweeps = []
@@ -650,7 +651,7 @@ def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
 def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
     # the twisted context, its signs and the three-term check come from level
     # arrays: no get_b copy, no per-pair check and no list of derived cubes
-    inst = build_instance(1, 12, seed=3)
+    inst = build_instance(ExperimentConfig(dim=1, depth=12), 3)
     ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
     assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
@@ -673,7 +674,7 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
 def test_context_path_builds_no_cubes(grid, monkeypatch):
     # a trial's context is its owner arrays: neither the terminal pass nor
     # the owner and block checks turn a cube index into a DyadicCube
-    inst = build_instance(*grid, seed=3)
+    inst = build_instance(ExperimentConfig(*grid), 3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("make_context built a DyadicCube")
@@ -739,7 +740,7 @@ def test_epsilon_classical_bound(rng):
 
 def test_epsilon_accretive_bound():
     for seed in (31, 32):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         forest = inst.forest
         cap = 2.0 / inst.cfg.delta
         for s in forest.members(1):
@@ -784,7 +785,7 @@ def test_diagonal_matches_dense_oracle():
 
 
 def test_diagonal_finite_on_random_instances():
-    inst = build_instance(1, 5, seed=41)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 41)
     worst = max(
         diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2, q, inst.tloc)
         for q in inst.spec.all_cubes(inst.forest.q0)
@@ -821,7 +822,7 @@ def test_box_square_function_classical_case(rng):
 
 
 def test_box_square_function_finite_on_instances():
-    inst = build_instance(1, 5, seed=51)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 51)
     for q in (1.5, 2.0, 3.0):
         val = box_square_function_check(inst.forest, 1, inst.sys1, inst.f, q)
         assert np.isfinite(val)
@@ -911,15 +912,15 @@ def test_trial_seed_stream_derivation():
 
 
 def test_build_instance_deterministic():
-    a = build_instance(1, 4, seed=99)
-    b = build_instance(1, 4, seed=99)
+    a = build_instance(ExperimentConfig(dim=1, depth=4), 99)
+    b = build_instance(ExperimentConfig(dim=1, depth=4), 99)
     assert a.kernel.entries == b.kernel.entries
     assert a.tloc == b.tloc and a.cfg.delta == b.cfg.delta
     assert np.array_equal(a.f.values, b.f.values)
 
 
 def test_run_identity_checks_keys_and_sizes():
-    inst = build_instance(2, 3, seed=77)
+    inst = build_instance(ExperimentConfig(dim=2, depth=3), 77)
     res = run_identity_checks(inst)
     expected = {
         "representation", "three_term", "delta_decomp", "measure_comparison_excess",
@@ -932,13 +933,13 @@ def test_run_identity_checks_keys_and_sizes():
 
 
 def test_identity_suite_wrapper():
-    res = identity_suite(1, 4, 3)
+    res = identity_suite(ExperimentConfig(dim=1, depth=4), 3)
     assert res["representation"] <= 1e-9
 
 
 def test_identity_battery_with_asymmetric_exponents():
     # nothing ties the two exponents together; conjugates must stay straight
-    inst = build_instance(1, 5, seed=17, p1=1.5, p2=3.0)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5, p1=1.5, p2=3.0), 17)
     assert inst.ok
     res = run_identity_checks(inst)
     for name in RESIDUAL_FIELDS:
@@ -948,7 +949,7 @@ def test_identity_battery_with_asymmetric_exponents():
 
 def test_easy_terms_bounds_hold():
     for seed in (61, 62, 63):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         easy = easy_terms_check(Pairings(inst.kernel, inst.forest, inst.sys1, inst.sys2,
                                          inst.f, inst.g), inst.tloc)
         assert easy["easy1"] <= easy["easy1_bound"] * (1 + 1e-12)
@@ -973,7 +974,7 @@ def test_experiment_haar_depth1_reproduces_constants():
 
 
 def test_forest_blocks_validate():
-    inst = build_instance(1, 5, seed=71)
+    inst = build_instance(ExperimentConfig(dim=1, depth=5), 71)
     n = check_forest_blocks(inst.forest, inst.sys1, inst.sys2)
     assert n == len(inst.forest.members(1)) + len(inst.forest.members(2))
 
@@ -992,7 +993,7 @@ def _fixtures():
 def test_box_square_matches_frozen():
     frozen = _fixtures()["box_square"]
     for seed in (51, 52, 53):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         for q in (1.5, 2.0, 3.0):
             val = box_square_function_check(inst.forest, 1, inst.sys1, inst.f, q)
             assert val == pytest.approx(frozen[f"seed{seed}|q{q}"], rel=1e-12)
@@ -1001,7 +1002,7 @@ def test_box_square_matches_frozen():
 def test_diagonal_matches_frozen():
     frozen = _fixtures()["diagonal_max"]
     for seed in (41, 42, 43):
-        inst = build_instance(1, 5, seed=seed)
+        inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         worst = max(
             diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2, q, inst.tloc)
             for q in inst.spec.all_cubes(inst.forest.q0) if q.level < inst.spec.depth
@@ -1014,5 +1015,5 @@ def test_choose_delta_matches_frozen_regression():
     # spot-check five of the twenty committed seeds (the acceptance suite
     # re-runs the whole packing criterion at this depth anyway)
     for key in sorted(frozen)[:5]:
-        inst = build_instance(1, 8, seed=int(key))
+        inst = build_instance(ExperimentConfig(dim=1, depth=8), int(key))
         assert inst.ok and inst.cfg.delta == frozen[key]
