@@ -15,22 +15,26 @@ between threads.
 
 A level is built in one batch (``_level_blocks``).  The random and two-value
 kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
-generator per cube.  For the random kind the batch reproduces those
-generators bit for bit without building them: the seeding of many cubes is
-one vectorised hash, and the draws of a level are PCG jump-aheads from
-shared power tables.  Every random level goes through one drawer
+generator per cube.  The batch reproduces those generators bit for bit
+without building them: the seeding of many cubes is one vectorised hash, and
+a PCG64 stream is the affine recurrence s -> M s + inc, so the state behind
+a cube's k-th output is s_0 + G_(k+1) w, with w = (M - 1) s_0 + inc per cube
+and G_j = sum_{i<j} M^i from one table shared by every system: one 128-bit
+product per value.  Every random level goes through one drawer
 (``_draw_random``): a level read on its own is a batch of one, and an
 instance's two systems are drawn together (``draw_levels``), one seeding
 pass for the cubes of both, then one batch of rows per level for both, up
-to a size that still fits the core's cache.
+to a size that still fits the core's cache.  The two-value kind shuffles
+the cubes of a level together, one Fisher-Yates swap for every cube at a
+time (``_permutations``), where the level has many more cubes than cells per
+cube; a level of a few large cubes keeps numpy's own permutation per cube.
 Each 128-bit PCG value is a pair of uint64 halves (hi, lo), multiplied by
 (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 on
 numpy's wrapping uint64 products.  The draws run along the longer of
 (cubes, cells per cube): fine levels, with many cubes of a few cells,
-compute cubes-innermost and transpose once into contiguous per-cube rows.  The row means, maxima and norms then go through
-``grid.row_reduce``, which sums short rows column by column in numpy's own
-order.  The two-value kind still builds one generator per cube, since its
-permutation draws a variable number of values.
+compute cubes-innermost and transpose once into contiguous per-cube rows.
+The row means, maxima and norms then go through ``grid.row_reduce``, which
+sums short rows column by column in numpy's own order.
 """
 
 from __future__ import annotations
@@ -169,6 +173,16 @@ class AccretiveSystem:
         if self.kind == "two-value":
             s = float(self.params.get("s", 0.5))
             blocks = np.full((count, n), 1.0 - s)
+            # The batch (``_permutations``) steps through n - 1 swaps at a few
+            # dozen numpy calls a step.  Against one generator per cube it
+            # took 0.26-1.05 times as long at 16 cubes per cell of a cube,
+            # 0.75-2.3 at 4 and 2.5-5 at 1 (1D depth 12-18, 2D depth 6-8).
+            if count >= 16 * n:
+                flats = np.arange(count)
+                perms = _permutations(*_pcg_states([self.seed], np.zeros_like(flats),
+                                                   np.full_like(flats, level), flats), n)
+                blocks[flats, perms[: n // 2]] = 1.0 + s
+                return blocks
             for flat, row in enumerate(blocks):
                 seeds = np.random.SeedSequence(self.seed, spawn_key=(level, flat))
                 row[np.random.default_rng(seeds).permutation(n)[: n // 2]] = 1.0 + s
@@ -266,14 +280,15 @@ def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
 
 # -- batched draws ----------------------------------------------------------------
 #
-# The random kind draws b_Q from PCG64 seeded by SeedSequence(seed,
-# spawn_key=(level, flat)).  NEP 19 fixes both streams, so the seeding and the
-# draws of all cubes can be computed in numpy arithmetic instead of one
-# generator per cube.  A 128-bit PCG value is a pair (hi, lo) of uint64 words
-# (arrays or numpy scalars).  numpy's uint64 array multiply wraps mod 2^64, so
-# (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 leaves
-# only the high word of a_lo b_lo to compute, from 32-bit halves.  At least one
-# operand of every product is an array: a numpy scalar product warns on wrap.
+# The random and two-value kinds draw b_Q from PCG64 seeded by
+# SeedSequence(seed, spawn_key=(level, flat)).  NEP 19 fixes both streams, so
+# the seeding and the draws of all cubes can be computed in numpy arithmetic
+# instead of one generator per cube.  A 128-bit PCG value is a pair (hi, lo)
+# of uint64 words (arrays or numpy scalars).  numpy's uint64 array multiply
+# wraps mod 2^64, so (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi)
+# mod 2^64) 2^64 leaves only the high word of a_lo b_lo to compute, from
+# 32-bit halves.  At least one operand of every product is an array: a numpy
+# scalar product warns on wrap.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
@@ -284,17 +299,17 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # The most cubes one seeding pass and the most values one draw of
 # ``_draw_random`` take.  Batching saves numpy calls, which matters on small
-# grids only.  Past this size the dozen arrays of a draw's 128-bit products
+# grids only.  Past this size the buffers of a draw's 128-bit products
 # (8 bytes a value each) outgrow a 2 MB L2 cache, and a batch of two systems
 # draws slower than each system alone (1D depth 14 and 16, measured).
 _BATCH = 1 << 14
 
-# (M^(k+1), G_(k+1)) for k < size as uint64 (hi, lo) rows of shape (2, size),
-# with M the PCG multiplier and G_j = sum_{i<j} M^i; grown by doubling on
-# demand to the largest cube drawn (32 bytes per cell) and shared by every
-# system: building them once per system would cost about 0.2 ms at 64 cells,
+# G_(k+1) = sum_{i<=k} M^i for k < size, with M the PCG multiplier, as the
+# uint64 (hi, lo) rows of one array of shape (2, size); grown by doubling on
+# demand to the longest stream drawn (16 bytes per cell) and shared by every
+# system: building it once per system would cost about 0.2 ms at 64 cells,
 # near the 0.3 ms of the batched draws of a whole 1D depth-6 system.
-_jumps: tuple[np.ndarray, np.ndarray] | None = None
+_jumps: np.ndarray | None = None
 
 
 def _halves(x: int) -> tuple:
@@ -454,42 +469,113 @@ def _draw_random(groups: list) -> Iterator[tuple]:
         start = stop
 
 
-def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """M^(k+1) and G_(k+1) for k < at least n (see ``_jumps``)."""
+def _jump_table(n: int) -> np.ndarray:
+    """G_(k+1) for k < at least n (see ``_jumps``)."""
     global _jumps
-    tables = _jumps
-    if tables is None:
-        tables = tuple(np.array(_halves(x), dtype=np.uint64)[:, None] for x in (_PCG_MULT, 1))
-    while tables[0].shape[1] < n:
-        # M^(size+k+1) = M^size M^(k+1), G_(size+k+1) = G_size + M^size G_(k+1)
-        powers, sums = tables
-        jump = _halves(pow(_PCG_MULT, powers.shape[1], 1 << 128))
-        grown = (_mul128(jump, powers), _add128(sums[:, -1], _mul128(jump, sums)))
-        tables = tuple(np.concatenate([old, np.array(new)], axis=1)
-                       for old, new in zip(tables, grown))
-        _jumps = tables
-    return tables
+    table = _jumps
+    if table is None:
+        table = np.array(_halves(1), dtype=np.uint64)[:, None]
+    while table.shape[1] < n:
+        # G_(size+k+1) = G_size + M^size G_(k+1)
+        jump = _halves(pow(_PCG_MULT, table.shape[1], 1 << 128))
+        grown = _add128(table[:, -1], _mul128(jump, table))
+        table = np.concatenate([table, np.array(grown)], axis=1)
+        _jumps = table
+    return table
+
+
+def _stream_step(state, inc) -> tuple:
+    """w = (M - 1) state + inc of PCG64 ``(state, inc)`` pairs: the state
+    behind output k is then ``state + G_(k+1) w``, since G_(k+1) (M - 1) =
+    M^(k+1) - 1."""
+    return _add128(_mul128(state, _halves(_PCG_MULT - 1)), inc)
+
+
+def _outputs(state, step, jumps) -> np.ndarray:
+    """PCG64's XSL-RR output from the state ``state + jumps step`` (mod
+    2^128) of (hi, lo) pairs that broadcast together: ``hi ^ lo`` rotated
+    right by ``hi >> 58``.  ``jumps`` and ``step`` are arrays, so no product
+    is of two numpy scalars."""
+    hi, lo = _add128(state, _mul128(jumps, step))
+    lo ^= hi
+    hi >>= 58
+    return lo >> hi | lo << (64 - hi & 63)
 
 
 def _uniform_rows(state, inc, n: int) -> np.ndarray:
     """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` ((hi, lo)
-    pairs of arrays over cubes), one C-contiguous row per cube: draw k outputs
-    the state M^(k+1) state + G_(k+1) inc by PCG's XSL-RR, then ``(out >> 11)
-    2^-53``.
+    pairs of arrays over cubes), one C-contiguous row per cube: draw k is
+    ``(out >> 11) 2^-52 - 1`` of output k (``_outputs``), which is numpy's
+    ``-1 + 2 ((out >> 11) 2^-53)`` bit for bit, both scalings being exact.
 
     Every step is elementwise, so it runs with the longer of (cubes, draws)
     as the inner axis: a fine level of many small cubes computes a
     ``(draws, cubes)`` array and copies its transpose once into rows, which
     the row reductions of ``_level_blocks`` need contiguous."""
-    powers, sums = (table[:, :n] for table in _jump_tables(n))
+    step = _stream_step(state, inc)
+    jumps = _jump_table(n)[:, :n]
     wide = state[0].size > n  # more cubes than draws: cubes along the inner axis
     if wide:
-        state, inc = ([word[None, :] for word in pair] for pair in (state, inc))
-        powers, sums = powers[:, :, None], sums[:, :, None]
+        state, step = ([word[None, :] for word in pair] for pair in (state, step))
+        jumps = jumps[:, :, None]
     else:
-        state, inc = ([word[:, None] for word in pair] for pair in (state, inc))
-    hi, lo = _add128(_mul128(state, powers), _mul128(inc, sums))
-    xor, rot = hi ^ lo, hi >> 58
-    out = xor >> rot | xor << ((64 - rot) & 63)
-    draws = -1.0 + 2.0 * ((out >> 11) * (1.0 / 9007199254740992.0))
+        state, step = ([word[:, None] for word in pair] for pair in (state, step))
+    out = _outputs(state, step, jumps)
+    out >>= 11
+    draws = out.view(np.float64)
+    np.multiply(out, 1.0 / 4503599627370496.0, out=draws)
+    draws -= 1.0
     return np.ascontiguousarray(draws.T) if wide else draws
+
+
+def _permutations(state, inc, n: int) -> np.ndarray:
+    """``Generator.permutation(n)`` of every PCG64 ``(state, inc)`` ((hi, lo)
+    pairs of arrays over cubes), one column per cube: an ``(n, cubes)`` array.
+
+    numpy shuffles ``arange(n)`` by Fisher-Yates from i = n - 1 down to 1,
+    swapping entries i and j = ``random_interval(i)``: the next 32-bit half
+    of the stream (the low half of each output first) under the smallest
+    mask >= i, drawn again while above i.  Here every cube steps through i
+    together, each redraw a round over the cubes that drew above i.  Each
+    cube reads its halves from a window of n outputs (``_outputs``), about
+    1.4 times what one permutation uses; a cube that reaches the end of its
+    window has the next n outputs of its stream drawn into it."""
+    count = state[0].size
+    step = _stream_step(state, inc)
+    cubes = np.arange(count)
+    window = np.empty((count, n), "<u8")
+    halves = window.view("<u4").reshape(-1)  # half h of cube c at c 2n + h
+    rows, width = cubes * 2 * n, 2 * n
+    first = np.zeros(count, np.intp)  # the stream index of each window's first output
+    at = np.zeros(count, np.intp)  # the next half of each window
+
+    def fill(sub, start):
+        """The outputs start, ..., start + n - 1 of the cubes ``sub`` (a
+        slice), computed cubes-innermost and transposed into their windows."""
+        jumps = _jump_table(start + n)[:, start:start + n, None]
+        window[sub] = _outputs([word[None, sub] for word in state],
+                               [word[None, sub] for word in step], jumps).T
+
+    fill(slice(None), 0)
+    perm = np.repeat(np.arange(n)[:, None], count, axis=1)
+    j = np.empty(count, np.intp)
+    for i in range(n - 1, 0, -1):
+        mask, pending = (1 << i.bit_length()) - 1, cubes
+        while pending.size:
+            pos = at[pending]
+            spent = pos == width
+            if spent.any():
+                ended = pending[spent]
+                first[ended] += n
+                for c in ended.tolist():  # rare: about 1e-4 of the cubes at n = 4
+                    fill(slice(c, c + 1), int(first[c]))
+                pos[spent] = 0
+            value = halves[rows[pending] + pos] & mask
+            at[pending] = pos + 1
+            taken = value <= i
+            j[pending[taken]] = value[taken]
+            pending = pending[~taken]
+        top = perm[i].copy()
+        perm[i] = perm[j, cubes]
+        perm[j, cubes] = top
+    return perm

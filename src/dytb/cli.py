@@ -188,7 +188,10 @@ def cmd_report(args) -> int:
     path = Path(args.infile)
     if path.suffix == ".json":
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
         if type(data) is not dict or not {"config", "reports"} <= data.keys():
             raise ConfigError(f"{path}: a report is a JSON object with 'config' and 'reports'")
         config, rows = data["config"], data["reports"]
@@ -279,35 +282,52 @@ def _forest_json_text(forest) -> str:
     return "".join(parts)
 
 
+# The columns ``read_report_csv`` reads: (name, parser, what a bad cell is not).
+_CSV_COLUMNS = (
+    ("trial", int, "integer"),
+    ("seed", int, "integer"),
+    ("ok", {"0": False, "1": True}.__getitem__, "flag"),
+    ("operator_norm", float, "number"),
+    ("tloc", float, "number"),
+    ("ratio", float, "number"),
+    ("delta", lambda cell: float(cell) if cell else None, "number"),
+)
+
+
 def read_report_csv(path):
     """The config and rows of a ``write_report_csv`` file.  A row without a
-    column this reads is a ConfigError naming the row and the column."""
+    column this reads, a cell that column cannot hold, or a cell past the
+    header is a ConfigError naming the row and the column; a ``# config:``
+    line that is no JSON names its line and column in the file."""
     config = {}
     rows = []
     with open(path, newline="") as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.startswith("#"):
-                text = line.lstrip("#").strip()
-                if text.startswith("config:"):
-                    config = json.loads(text[len("config:"):])
+                if line.lstrip("#").strip().startswith("config:"):
+                    at = line.index("config:") + len("config:")
+                    try:
+                        config = json.loads(line[at:])
+                    except json.JSONDecodeError as e:
+                        raise ConfigError(f"{path}:{lineno}:{at + e.colno}: {e.msg}") from None
                 continue
             if header is None:
                 header = next(csv.reader([line]))
                 continue
-            rec = dict(zip(header, next(csv.reader([line]))))
-            try:
-                rows.append({
-                    "trial": int(rec["trial"]),
-                    "seed": int(rec["seed"]),
-                    "ok": rec["ok"] == "1",
-                    "operator_norm": float(rec["operator_norm"]),
-                    "tloc": float(rec["tloc"]),
-                    "ratio": float(rec["ratio"]),
-                    "delta": float(rec["delta"]) if rec["delta"] else None,
-                })
-            except KeyError as e:  # a column the header or this row lacks
-                raise ConfigError(f"{path}: report row {len(rows)} lacks {e.args[0]!r}") from None
+            cells, n = next(csv.reader([line])), len(rows)
+            if len(cells) > len(header):
+                raise ConfigError(f"{path}: report row {n} has {len(cells)} cells, "
+                                  f"past the header's {len(header)} columns")
+            rec, row = dict(zip(header, cells)), {}
+            for key, parse, what in _CSV_COLUMNS:
+                if key not in rec:  # a column the header or this row lacks
+                    raise ConfigError(f"{path}: report row {n} lacks {key!r}")
+                try:
+                    row[key] = parse(rec[key])
+                except (KeyError, ValueError):
+                    raise ConfigError(f"{path}: report row {n} has no {what} {key!r}") from None
+            rows.append(row)
     return config, rows
 
 

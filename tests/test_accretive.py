@@ -298,23 +298,22 @@ def test_non_finite_cell_fails_its_level_first(monkeypatch, dim, depth, kind, va
     assert level not in sys_._levels
 
 
-def per_cube_b(system, cube):
-    """Reference generator: b_Q drawn for one cube, written into a zero array."""
+def per_cube_values(system, cube):
+    """Reference generator: b_Q drawn for one cube from its own generator, the
+    values of its cells in ``cell_indices`` order."""
     spec = system.spec
-    idx = spec.cell_indices(cube)
-    vals = np.zeros(spec.n_cells)
-    n = idx.size
+    n = spec.cell_indices(cube).size
     rng = np.random.default_rng(
         np.random.SeedSequence(system.seed, spawn_key=(cube.level, spec.cube_flat(cube))))
+    vals = np.ones(n)
     if system.kind == "constant" or n == 1:
-        vals[idx] = 1.0
+        pass
     elif system.kind == "two-value":
         s = float(system.params.get("s", 0.5))
-        half = rng.permutation(n)[: n // 2]
-        vals[idx] = 1.0 - s
-        vals[idx[half]] = 1.0 + s
+        vals[:] = 1.0 - s
+        vals[rng.permutation(n)[: n // 2]] = 1.0 + s
     elif system.kind == "signed":
-        vals[idx[n // 2 :]] = 2.0
+        vals[: n // 2], vals[n // 2 :] = 0.0, 2.0
     else:
         amp = float(system.params.get("amp", 0.5))
         w = rng.uniform(-1.0, 1.0, n)
@@ -322,7 +321,14 @@ def per_cube_b(system, cube):
         peak = np.abs(w).max()
         if peak > 1.0:
             w /= peak
-        vals[idx] = 1.0 + amp * w
+        vals = 1.0 + amp * w
+    return vals
+
+
+def per_cube_b(system, cube):
+    """``per_cube_values`` written into a zero full-grid array."""
+    vals = np.zeros(system.spec.n_cells)
+    vals[system.spec.cell_indices(cube)] = per_cube_values(system, cube)
     return vals
 
 
@@ -352,12 +358,11 @@ def test_level_arrays_match_per_cube_generation(dim, depth):
 
 
 def stitched_per_cube(system, level):
-    """One level's cell array stitched from ``per_cube_b`` of each of its cubes."""
+    """One level's cell array stitched from ``per_cube_values`` of each of its cubes."""
     spec = system.spec
     out = np.zeros(spec.n_cells)
     for cube in cubes_at(spec, level):
-        idx = spec.cell_indices(cube)
-        out[idx] = per_cube_b(system, cube)[idx]
+        out[spec.cell_indices(cube)] = per_cube_values(system, cube)
     return out
 
 
@@ -495,26 +500,26 @@ def test_seed_ladder_matches_seed_sequence_and_pcg64(seed):
 
 
 def test_jump_tables_are_powers_of_the_pcg_multiplier():
+    # the table holds G_(k+1) = sum_{i<=k} M^i only: no power M^(k+1) is kept
     mult, mod = accretive._PCG_MULT, 1 << 128
-    powers, sums = accretive._jump_tables(300)
-    assert powers.shape[1] >= 300 and sums.shape == powers.shape
+    sums = accretive._jump_table(300)
+    assert sums.shape[0] == 2 and sums.shape[1] >= 300 and sums.dtype == np.uint64
     as_int = lambda table, k: int(table[0, k]) << 64 | int(table[1, k])
     g = 0
-    for k in range(powers.shape[1]):
+    for k in range(sums.shape[1]):
         g = (g + pow(mult, k, mod)) % mod  # G_(k+1) = sum_{i<=k} M^i
-        assert as_int(powers, k) == pow(mult, k + 1, mod)
         assert as_int(sums, k) == g
 
 
 def test_jump_tables_grow_by_doubling_from_a_small_size(monkeypatch):
-    # a 3-cell draw builds the tables to size 4; a 4097-cell draw doubles
-    # them to 8192; every row must still be numpy's per-cube stream
+    # a 3-cell draw builds the table to size 4; a 4097-cell draw doubles
+    # it to 8192; every row must still be numpy's per-cube stream
     monkeypatch.setattr(accretive, "_jumps", None)
     seed, spec = 5, GridSpec(2, 2)
     for n, size in ((3, 4), (4097, 8192)):
         for level in range(spec.depth):
             rows = accretive._uniform_rows(*level_states(seed, spec, level), n)
-            assert accretive._jumps[0].shape == (2, size)
+            assert accretive._jumps.shape == (2, size)
             for flat, row in enumerate(rows):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))
                 assert row.tobytes() == rng.uniform(-1.0, 1.0, n).tobytes()
@@ -548,6 +553,105 @@ def test_128_bit_product_and_sum_match_python_ints(triples, scalar):
     assert as_ints(accretive._mul128(half, as_pair(b))) == [scalar * y % mod for y in b]
     assert as_ints(accretive._mul128(as_pair(a), half)) == [x * scalar % mod for x in a]
     assert as_ints(accretive._add128(half, as_pair(c))) == [(scalar + z) % mod for z in c]
+
+
+def pcg64_at(state, inc):
+    """A numpy Generator on PCG64 with its 128-bit ``(state, inc)`` set directly."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+odd_u128 = u128.map(lambda x: x | 1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(u128, odd_u128), min_size=1, max_size=5))
+def test_uniform_rows_follow_pcg64_from_any_state(pairs):
+    # the draws of an arbitrary stream, on either side of the table's
+    # doubling at 4096, in the narrow layout (no more cubes than draws) and
+    # the wide one (more cubes, repeated); a wide 4097-draw batch would hold
+    # 4098 rows of 4097 values, so 4097 is drawn narrow only
+    want = {n: [pcg64_at(*pair).uniform(-1.0, 1.0, n).tobytes() for pair in pairs]
+            for n in (2, 3, 4, 4097)}
+    for n, rows in want.items():
+        for count in {min(len(pairs), n), n + 1} if n < 4097 else {len(pairs)}:
+            cubes = [pairs[c % len(pairs)] for c in range(count)]
+            state, inc = (as_pair(col) for col in zip(*cubes))
+            got = accretive._uniform_rows(state, inc, n)
+            assert got.shape == (count, n) and got.flags.c_contiguous
+            assert [row.tobytes() for row in got] == [rows[c % len(pairs)] for c in range(count)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(u128, odd_u128), min_size=1, max_size=6),
+       st.sampled_from([2, 3, 5, 8, 17, 64, 100]))
+def test_permutations_follow_pcg64_from_any_state(pairs, n):
+    state, inc = (as_pair(col) for col in zip(*pairs))
+    got = accretive._permutations(state, inc, n)
+    assert got.shape == (n, len(pairs))
+    for col, pair in zip(got.T, pairs):
+        assert col.tolist() == pcg64_at(*pair).permutation(n).tolist()
+
+
+def test_permutations_refill_a_spent_window(monkeypatch):
+    # a cube reads n outputs (2n halves) before it draws more; at n = 3 a
+    # cube needs more when its first six halves all end in the bits 11,
+    # which about 1 in 4096 streams do
+    rng = np.random.default_rng(4)
+    pairs = [(int(hi) << 64 | int(lo), int(ihi) << 64 | int(ilo) | 1)
+             for hi, lo, ihi, ilo in rng.integers(0, 2**64, (20000, 4), dtype=np.uint64)]
+    calls = []
+    outputs = accretive._outputs
+    monkeypatch.setattr(accretive, "_outputs", lambda *args: calls.append(1) or outputs(*args))
+    got = accretive._permutations(*(as_pair(col) for col in zip(*pairs)), 3)
+    assert len(calls) > 1  # the first window of every cube, then the refills
+    for col, pair in zip(got.T, pairs):
+        assert col.tolist() == pcg64_at(*pair).permutation(3).tolist()
+
+
+TWO_VALUE_DRAWS = [(0, 0.0), (7, 0.5), (2**64 + 5, 0.9)]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, d) for d in range(15)] + [(2, d) for d in range(8)])
+def test_two_value_levels_match_per_cube_permutations(dim, depth):
+    # s moves the values of a cube, not its permutation: the grids of 8192
+    # cells and more take one (seed, s) each, to keep the oracle's one
+    # generator per cube within a few seconds
+    spec = GridSpec(dim, depth)
+    draws = TWO_VALUE_DRAWS if spec.n_cells < 8192 else [TWO_VALUE_DRAWS[depth % 3]]
+    for seed, s in draws:
+        sys_ = AccretiveSystem(spec, "two-value", 2.0, 2.0, seed=seed, params={"s": s})
+        for level in range(depth + 1):
+            assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
+
+
+def test_two_value_batch_builds_no_generator(monkeypatch):
+    # the levels of many more cubes than cells per cube are shuffled in one
+    # batch, with no generator per cube; the others build one per cube
+    spec = GridSpec(1, 12)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(1) or default_rng(*args))
+    batched = []
+    for level in range(spec.depth):
+        count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
+        calls.clear()
+        AccretiveSystem(spec, "two-value", 2.0, 2.0, seed=3, params={"s": 0.9}).level_values(level)
+        assert len(calls) == (0 if count >= 16 * n else count)
+        batched += [level] * (not calls)
+    assert batched == [8, 9, 10, 11]
+
+
+def test_two_value_level_read_alone_equals_draw_levels():
+    spec = GridSpec(1, 12)
+    pair = system_pair(spec, "two-value", 5)
+    accretive.draw_levels(pair)
+    for level in (0, 8, 9, 11):
+        for together, alone in zip(pair, system_pair(spec, "two-value", 5)):
+            assert alone.level_values(level).tobytes() == together.level_values(level).tobytes()
+            assert list(alone._levels) == [level]
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 12), (2, 6)])

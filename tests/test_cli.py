@@ -173,6 +173,16 @@ REPORT_ROW = {"trial": 0, "seed": 1, "ok": True, "ratio": 0.5}
      "report row 0 lacks 'ok'"),
     ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,1,1.0,1.0,0.5,0.5\n0,1,1,1.0,1.0,0.5\n",
      "report row 1 lacks 'delta'"),
+    # an ok cell is 0 or 1, nothing else; a cell past the header is an error, not dropped
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,1,1.0,1.0,0.5,0.5\n1,2,yes,1.0,1.0,0.5,0.5\n",
+     "report row 1 has no flag 'ok'"),
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,,1.0,1.0,0.5,0.5\n", "report row 0 has no flag 'ok'"),
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,0,1.0,1.0,0.5,0.5,7\n",
+     "report row 0 has 8 cells, past the header's 7 columns"),
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,x,0,1.0,1.0,0.5,0.5\n",
+     "report row 0 has no integer 'seed'"),
+    ("r.csv", "trial,seed,ok,operator_norm,tloc,ratio,delta\n0,1,0,1.0,1.0,0.5,half\n",
+     "report row 0 has no number 'delta'"),
 ])
 def test_report_input_of_another_shape_is_a_config_error(tmp_path, capsys, name, text, message):
     # each of these once ended in a KeyError or TypeError traceback, exit 1
@@ -180,6 +190,27 @@ def test_report_input_of_another_shape_is_a_config_error(tmp_path, capsys, name,
     path.write_text(text)
     assert main(["report", "--in", str(path)]) == 2
     assert capsys.readouterr() == ("", f"config error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("r.json", '{"config": {},\n "reports": }', "2:13"),
+    ("r.json", "", "1:1"),
+    ("r.csv", '# dytb 0\n# config: {"a": }\ntrial,seed,ok,operator_norm,tloc,ratio,delta\n', "2:17"),
+])
+def test_report_input_syntax_error_names_its_file_and_line(tmp_path, capsys, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["report", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {path}:{where}: Expecting value\n")
+
+
+def test_report_csv_flags_read_back_as_written(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text("trial,seed,ok,operator_norm,tloc,ratio,delta\n"
+                    "0,1,1,1.0,2.0,0.5,0.25\n1,2,0,1.0,2.0,0.75,\n")
+    assert [row["ok"] for row in cli.read_report_csv(path)[1]] == [True, False]
+    assert main(["report", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_flagged"] == 1
 
 
 def test_unreadable_or_unwritable_paths_are_config_errors(tmp_path, capsys):
