@@ -24,7 +24,7 @@ from dytb.kernels import adjoint, generate_kernel, kernel_to_json_dict, load_ker
 from dytb.verify import ExperimentConfig, _run_trial, operator_norm
 from dytb.verify import testing_constant as measure_tloc
 import make_cli_golden
-from make_cli_golden import GOLDEN_PATH, changed_names, cli_hashes
+from make_cli_golden import changed_names, cli_hashes, read_golden
 
 
 def test_gen_kernel_then_validate(tmp_path, capsys):
@@ -624,7 +624,7 @@ def test_tloc_zero_guard_maps_to_config_error(tmp_path, capsys):
 
 def test_cli_outputs_match_golden_bytes(tmp_path):
     # tb-experiment CSV/JSON and dytb corona stdout/forest JSON, hashed
-    assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
+    assert cli_hashes(tmp_path) == read_golden(demos=False)
 
 
 def test_lanczos_report_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -650,6 +650,7 @@ def test_golden_tool_names_the_changed_hashes(tmp_path, monkeypatch, capsys):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(old))
     monkeypatch.setattr(make_cli_golden, "GOLDEN_PATH", path)
+    monkeypatch.setattr(make_cli_golden, "demo_hashes", dict)
     for hashes, printed in ((old, ["no change"]), ({"a": "1", "b": "9"}, ["changed: b", "changed: c"])):
         monkeypatch.setattr(make_cli_golden, "cli_hashes", lambda workdir, hashes=hashes: hashes)
         make_cli_golden.main()
@@ -664,7 +665,7 @@ def test_trial_and_corona_build_no_member_objects(tmp_path, monkeypatch):
 
     monkeypatch.setattr(CoronaForest, "members", forbidden)
     assert _run_trial(ExperimentConfig(dim=2, depth=4, trials=1), 0).ok
-    assert cli_hashes(tmp_path) == json.loads(GOLDEN_PATH.read_text())
+    assert cli_hashes(tmp_path) == read_golden(demos=False)
     forest = verify.build_instance(ExperimentConfig(dim=1, depth=4), 1).forest
     with pytest.raises(AssertionError, match="member cubes"):
         forest.members(1)

@@ -1,5 +1,6 @@
-"""Smoke test: every script in demos/ runs to completion and prints its
-report, and README's examples run as written."""
+"""Smoke test: every script in demos/ runs to completion and prints the
+report recorded in tests/fixtures/cli_golden.json, and README's examples run
+as written."""
 
 import runpy
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dytb import cli
+from make_cli_golden import demo_key, demo_stdout_sha, read_golden
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,7 +25,9 @@ def test_demo_runs(path, capsys, tmp_path, monkeypatch):
     # every temporary file a demo makes lands in tmp_path and is gone afterwards
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert demo_stdout_sha(out) == read_golden(demos=True)[demo_key(path)]
     assert list(tmp_path.iterdir()) == []
 
 
