@@ -28,7 +28,7 @@ sys2 = AccretiveSystem(spec, "random", p=2.0, A=1.6, seed=2, params={"amp": 0.6}
 tloc = max(testing_constant(kernel, sys1, 2.0), testing_constant(adjoint(kernel), sys2, 2.0))
 print("\ntesting constant:", tloc)
 
-cfg = TbConfig(p1=2.0, p2=2.0, delta=0.5, A=1.6, Tloc=tloc, tau_target=0.9)
+cfg = TbConfig(delta=0.5, Tloc=tloc, tau_target=0.9)
 search = choose_delta(root, sys1, sys2, kernel, cfg)
 print("accepted delta:", search.delta)
 for d, t1, t2 in search.trace:
@@ -42,7 +42,7 @@ for j in (1, 2):
 
 # a signed system stops on half of every cube it owns, all the way down
 signed = AccretiveSystem(spec, "signed", p=2.0, A=1.5)
-cfg0 = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+cfg0 = TbConfig(0.25, Tloc=0.0)
 zero = generate_kernel("zero", spec)
 forest_signed = build_corona(root, signed, signed, zero, cfg0)
 levels = sorted({m.level for m in forest_signed.members(1)})

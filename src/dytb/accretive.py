@@ -53,6 +53,7 @@ from .grid import (DyadicCube, GridFunction, GridSpec, from_cube_blocks, level_s
 __all__ = ["AccretiveSystem", "draw_levels", "validate", "ACCRETIVE_KINDS"]
 
 ACCRETIVE_KINDS = ("constant", "two-value", "signed", "random")
+_PARAM_NAMES = {"two-value": "s", "random": "amp"}  # the one parameter of a kind that takes one
 
 # Generators must keep cell values away from zero (twisted denominators are
 # protected structurally, but tiny values wreck conditioning); only the signed
@@ -72,6 +73,9 @@ class AccretiveSystem:
                  half; the only kind allowed to produce zeros.
       random     1 + amp*w with w mean-zero noise scaled into [-1, 1], so cell
                  values stay inside [1-amp, 1+amp] (param amp in (0, 1-1e-5]).
+
+    A kind's parameter defaults to 0.5; ``params`` holding any other key is a
+    ValueError.
     """
 
     spec: GridSpec
@@ -80,6 +84,7 @@ class AccretiveSystem:
     A: float
     seed: int = 0
     params: dict = field(default_factory=dict)
+    _param: float = field(default=0.5, init=False, repr=False, compare=False)  # s or amp
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _sweeps: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
                                                init=False, repr=False, compare=False)
@@ -93,14 +98,16 @@ class AccretiveSystem:
             raise ValueError(f"p must be finite, got {self.p}")
         if not self.A > 1.0:
             raise ValueError(f"A must be > 1, got {self.A}")
-        if self.kind == "two-value":
-            s = float(self.params.get("s", 0.5))
-            if not 0.0 <= s < 1.0 - MIN_ABS_VALUE:
-                raise ValueError(f"two-value parameter s={s} out of range")
-        if self.kind == "random":
-            amp = float(self.params.get("amp", 0.5))
-            if not 0.0 < amp <= 1.0 - 1e-5:
-                raise ValueError(f"random parameter amp={amp} out of range")
+        name = _PARAM_NAMES.get(self.kind)
+        for key in self.params:
+            if key != name:
+                raise ValueError(f"{self.kind} systems take no parameter {key!r}")
+        if name is not None:
+            self._param = float(self.params.get(name, self._param))
+        if self.kind == "two-value" and not 0.0 <= self._param < 1.0 - MIN_ABS_VALUE:
+            raise ValueError(f"two-value parameter s={self._param} out of range")
+        if self.kind == "random" and not 0.0 < self._param <= 1.0 - 1e-5:
+            raise ValueError(f"random parameter amp={self._param} out of range")
         try:
             math.pow(self.A, self.p)  # the budget of every |b_Q|^p, a cap of the stopping rule
         except OverflowError:
@@ -116,11 +123,11 @@ class AccretiveSystem:
         if self.kind == "constant":
             return 1.0
         if self.kind == "two-value":  # ((1+s)^p/2 + (1-s)^p/2)^(1/p), with no overflow
-            s = float(self.params.get("s", 0.5))
+            s = self._param
             return (1 + s) * ((1 + ((1 - s) / (1 + s)) ** self.p) / 2.0) ** (1.0 / self.p)
         if self.kind == "signed":
             return 2.0 ** (1.0 - 1.0 / self.p)  # (2^p / 2)^(1/p)
-        return 1.0 + float(self.params.get("amp", 0.5))
+        return 1.0 + self._param
 
     def get_b(self, cube: DyadicCube) -> GridFunction:
         """The test function attached to ``cube``, a fresh full-grid copy
@@ -171,7 +178,7 @@ class AccretiveSystem:
             blocks[:, n // 2 :] = 2.0
             return blocks
         if self.kind == "two-value":
-            s = float(self.params.get("s", 0.5))
+            s = self._param
             blocks = np.full((count, n), 1.0 - s)
             # The batch (``_permutations``) steps through n - 1 swaps at a few
             # dozen numpy calls a step.  Against one generator per cube it
@@ -430,7 +437,7 @@ def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> list[np
     count = spec.n_cubes(level)
     out = [w[k * count:(k + 1) * count] for k in range(len(systems))]
     for system, blocks in zip(systems, out):
-        blocks *= float(system.params.get("amp", 0.5))  # 1 + amp w, in place
+        blocks *= system._param  # 1 + amp w, in place
         blocks += 1.0
     return out
 

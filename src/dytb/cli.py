@@ -121,8 +121,7 @@ def cmd_corona(args) -> int:
     tloc = _tloc(kernel, sys1, sys2)
     root = spec.root()
     if args.delta == "auto":
-        cfg = TbConfig(args.p1, args.p2, 0.5, args.A, tloc, args.tau_target)
-        search = choose_delta(root, sys1, sys2, kernel, cfg)
+        search = choose_delta(root, sys1, sys2, kernel, TbConfig(0.5, tloc, args.tau_target))
         if not search.ok:
             print(f"delta search FAILED (floor reached); trace={search.trace}")
             return EXIT_VALIDATION
@@ -131,8 +130,7 @@ def cmd_corona(args) -> int:
         print(f"chosen delta = {delta!r} after {len(search.trace)} attempts")
     else:
         delta = float(args.delta)
-        cfg = TbConfig(args.p1, args.p2, delta, args.A, tloc, args.tau_target)
-        forest = build_corona(root, sys1, sys2, kernel, cfg)
+        forest = build_corona(root, sys1, sys2, kernel, TbConfig(delta, tloc, args.tau_target))
         ratios = packing_ratio(forest, 1), packing_ratio(forest, 2)
     print(f"Tloc = {tloc!r}")
     for j, ratio in zip((1, 2), ratios):

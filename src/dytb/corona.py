@@ -14,7 +14,8 @@ its stopping children are the maximal descendants Q with
     (2) int_Q |b_S|^p >= delta^-1 A^p |Q|
     (3) int_Q |T b_S|^q >= delta^-1 Tloc^q |Q|    (and the integral is positive)
 
-run once with (b^1, p1, q = p2', T) and once with (b^2, p2, q = p1', T*).
+run once with (b^1, p1, q = p2', T) and once with (b^2, p2, q = p1', T*)
+(``_sides``), each with the exponent p and the constant A of its own system.
 
 Both are one top-down pass over per-level owner arrays (``_owner_pass``); the
 corona reads b_S and T b_S of each cube's owner S from two cell arrays stitched
@@ -63,38 +64,27 @@ def conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class TbConfig:
-    """Exponents and constants for the two-system construction.
+    """The stopping parameter delta, the testing constant and the packing
+    target of the two-system construction.  Each system's exponent p and
+    constant A are its own (``AccretiveSystem.p``, ``.A``)."""
 
-    Conjugate exponents are derived, never stored, so they cannot drift out
-    of sync with p1, p2.
-    """
-
-    p1: float
-    p2: float
     delta: float
-    A: float
     Tloc: float = 0.0
     tau_target: float = 0.9
 
     def __post_init__(self) -> None:
-        if not (self.p1 > 1.0 and self.p2 > 1.0):
-            raise ValueError(f"exponents must exceed 1, got p1={self.p1}, p2={self.p2}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.A > 1.0:
-            raise ValueError(f"A must exceed 1, got {self.A}")
         if self.Tloc < 0.0:
             raise ValueError(f"Tloc must be non-negative, got {self.Tloc}")
         if not 0.0 < self.tau_target < 1.0:
             raise ValueError(f"tau_target must lie in (0, 1), got {self.tau_target}")
 
-    @property
-    def p1_conj(self) -> float:
-        return conjugate(self.p1)
 
-    @property
-    def p2_conj(self) -> float:
-        return conjugate(self.p2)
+def _sides(sys1: AccretiveSystem, sys2: AccretiveSystem, kernel: PerfectKernel):
+    """The two sides of the construction as (system, operator, exponent q):
+    b^1 against T with q = p2', and b^2 against T* with q = p1'."""
+    return ((sys1, kernel, conjugate(sys2.p)), (sys2, adjoint(kernel), conjugate(sys1.p)))
 
 
 # -- mask machinery -------------------------------------------------------------
@@ -239,23 +229,23 @@ def _build_family(
     q0: DyadicCube,
     system: AccretiveSystem,
     op: PerfectKernel,
-    p_exp: float,
     q_exp: float,
     cfg: TbConfig,
 ):
     """One stopping family below ``q0`` as the owner arrays of its pass
-    (``CoronaForest.owner_levels``).  A member S of level m stitches that
-    level's b-array and its sweep from level m onto its cells, which equal b_S
-    and T b_S there bit for bit (``kernels._sweep_from``); only those cells
-    take the powers |b|^p and |T b|^q.  The sweeps are the
-    system's memo (``AccretiveSystem.level_sweep``): ``testing_constant`` has
-    already made them, and every ``choose_delta`` attempt reads them again."""
+    (``CoronaForest.owner_levels``); rule (2) reads the system's p and A.  A
+    member S of level m stitches that level's b-array and its sweep from
+    level m onto its cells, which equal b_S and T b_S there bit for bit
+    (``kernels._sweep_from``); only those cells take the powers |b|^p and
+    |T b|^q.  The sweeps are the system's memo (``AccretiveSystem.level_sweep``):
+    ``testing_constant`` has already made them, and every ``choose_delta``
+    attempt reads them again."""
     if cfg.Tloc == 0.0 and len(op) > 0:
         raise ConfigError(
             "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
             "everywhere; compute the testing constant first and pass it in TbConfig"
         )
-    norm_cap = cfg.A**p_exp / cfg.delta
+    norm_cap = system.A**system.p / cfg.delta
     test_cap = cfg.Tloc**q_exp / cfg.delta
     stitched = [np.zeros(spec.n_cells) for _ in range(3)]  # b, |b|^p and |T b|^q
 
@@ -287,7 +277,7 @@ def _build_family(
             inside = spread(spec, level, hits)
             b = system.level_values(level)[inside]
             stitched[0][inside] = b
-            stitched[1][inside] = np.abs(b) ** p_exp
+            stitched[1][inside] = np.abs(b) ** system.p
             stitched[2][inside] = np.abs(system.level_sweep(op, level)[inside]) ** q_exp
         return hits
 
@@ -310,8 +300,7 @@ def build_corona(
     if sys2.spec != spec or kernel.spec != spec:
         raise ValueError("grid mismatch between systems and kernel")
     spec.check(q0)
-    owners = (_build_family(spec, q0, sys1, kernel, cfg.p1, cfg.p2_conj, cfg),
-              _build_family(spec, q0, sys2, adjoint(kernel), cfg.p2, cfg.p1_conj, cfg))
+    owners = [_build_family(spec, q0, system, op, q, cfg) for system, op, q in _sides(sys1, sys2, kernel)]
     return CoronaForest(spec, q0, owners, cfg)
 
 

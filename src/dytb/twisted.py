@@ -71,16 +71,15 @@ class TwistedContext:
     derived family Q(s0, T) = {dyadic Q inside s0, not inside any terminal
     cube} is what the calculus runs over: the cubes that own s0's level.
     b = b_{s0} and every b_T are read from the system's level arrays, which
-    checked support and integral when they were built.  ``members`` is a
-    view of the terminal cubes as ``DyadicCube``s, built on first read.
+    checked support and integral when they were built, and the exponent p and
+    the constant A are the system's.  ``members`` is a view of the terminal
+    cubes as ``DyadicCube``s, built on first read.
     """
 
     system: AccretiveSystem
     s0: DyadicCube
     owners: tuple
-    p: float
     delta: float
-    A: float
 
     @property
     def spec(self) -> GridSpec:
@@ -89,7 +88,7 @@ class TwistedContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "owners", tuple(self.owners))
         _check_owners(self.spec, self.s0, self.owners)
-        _check_blocks(self._levels, self.p, self.delta, self.A)
+        _check_blocks(self._levels, self.system, self.delta)
 
     @cached_property
     def b(self) -> GridFunction:
@@ -171,7 +170,7 @@ def make_context(system: AccretiveSystem, s0: DyadicCube, delta: float) -> Twist
     owners = _terminal_owners(b, s0, delta, system.p, system.A)
     if owners is None:
         raise ValueError(f"base cube {s0} itself triggers the stopping conditions")
-    return TwistedContext(system, s0, owners, system.p, delta, system.A)
+    return TwistedContext(system, s0, owners, delta)
 
 
 def block_context(
@@ -188,8 +187,7 @@ def block_context(
         raise ValueError(f"{member} is not a member of S_{j}")
     block = _owner_pass(spec, top, lambda level, inherited: [spec.cube_flat(member)] if level == top
                         else (owners[level] == level) & (inherited == top))
-    cfg = forest.config
-    return TwistedContext(system, member, block, cfg.p1 if j == 1 else cfg.p2, cfg.delta, cfg.A)
+    return TwistedContext(system, member, block, forest.config.delta)
 
 
 # -- the level engine -------------------------------------------------------------
@@ -238,13 +236,14 @@ def _check_owners(spec: GridSpec, s0: DyadicCube, owners) -> None:
             raise ValueError(f"terminal cubes {inner.ancestor(int(above[flat]))} and {inner} are nested")
 
 
-def _check_blocks(levels: CoronaLevels, p: float, delta: float, A: float) -> None:
+def _check_blocks(levels: CoronaLevels, system: AccretiveSystem, delta: float) -> None:
     """Raise ValueError at the first violation (coarse to fine, row-major) of
-    the invariants that make the averages of B_l safe denominators: every
-    marked cube S carries a b with integral |S| within the norm budget
+    the invariants that make the averages of B_l safe denominators, with the
+    exponent p and the constant A of ``system``, whose b the levels carry:
+    every marked cube S carries a b with integral |S| within the norm budget
     A |S|^(1/p), and every owned cube Q has |<B_l>_Q| > delta and
     <|B_l|^p>_Q < A^p / delta."""
-    spec = levels.spec
+    spec, p, A = levels.spec, system.p, system.A
     for level, cells in levels.b.items():
         avg, owners = levels.b_avg[level], levels.owners[level]
         pows = _average(spec, level, level_sum(spec, np.abs(cells) ** p, level))
@@ -513,8 +512,9 @@ def _measure_excess(ctx: TwistedContext, half: np.ndarray) -> float:
     bf = np.abs(half)
     inside = np.zeros(spec.n_cells, dtype=bool)
     inside[spec.cell_indices(ctx.s0)] = True
-    cap = 2.0**spec.dim * ctx.delta**-ctx.p * ctx.A**ctx.p
-    bp = np.abs(ctx.b.values) ** ctx.p
+    p = ctx.system.p
+    cap = 2.0**spec.dim * ctx.delta**-p * ctx.system.A**p
+    bp = np.abs(ctx.b.values) ** p
     cv = spec.cell_volume
     worst = -np.inf
     for lam in np.linspace(0.0, float(bf[inside].max(initial=0.0)), _N_LAMBDAS):

@@ -29,17 +29,18 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
 
-from .accretive import AccretiveSystem, _overflow, draw_levels
+from .accretive import _PARAM_NAMES, AccretiveSystem, _overflow, draw_levels
 from .corona import (
     CoronaForest,
     DeltaSearch,
     TbConfig,
+    _sides,
     choose_delta,
     conjugate,
     forest_carleson,
@@ -262,10 +263,10 @@ def testing_constant(op: PerfectKernel, system: AccretiveSystem, q: float) -> fl
 
 def _tloc(kernel: PerfectKernel, sys1: AccretiveSystem, sys2: AccretiveSystem) -> float:
     """Tloc of an instance: both systems drawn together (``draw_levels``), then
-    the larger side, b^1 against T with exponent p2', b^2 against T* with p1'."""
+    the larger side (``corona._sides``), b^1 against T with exponent p2', b^2
+    against T* with p1'."""
     draw_levels((sys1, sys2))
-    return max(testing_constant(kernel, sys1, conjugate(sys2.p)),
-               testing_constant(adjoint(kernel), sys2, conjugate(sys1.p)))
+    return max(testing_constant(op, system, q) for system, op, q in _sides(sys1, sys2, kernel))
 
 
 # -- expansion of the pairing ------------------------------------------------------
@@ -322,11 +323,12 @@ def _pairing_table(op, rows: dict, cols: dict) -> np.ndarray:
 
 def easy_terms_check(pairings: Pairings, tloc: float) -> dict:
     """The two rank-one pieces of the expansion with their testing bounds:
-    |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|."""
-    (easy1, easy2), forest = pairings.rank_one, pairings.forest
-    volume = forest.q0.volume
+    |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|,
+    with the A of the second system, whose b_Q0 E g is built from."""
+    easy1, easy2 = pairings.rank_one
+    volume = pairings.forest.q0.volume
     return {"easy1": abs(easy1), "easy1_bound": tloc * volume,
-            "easy2": abs(easy2), "easy2_bound": forest.config.A * tloc * volume}
+            "easy2": abs(easy2), "easy2_bound": pairings.sys2.A * tloc * volume}
 
 
 def bilinear_expansion_check(pairings: Pairings) -> tuple[float, dict]:
@@ -583,7 +585,6 @@ class Instance:
     kernel: PerfectKernel
     sys1: AccretiveSystem
     sys2: AccretiveSystem
-    cfg: TbConfig
     tloc: float
     dsearch: DeltaSearch
     f: GridFunction
@@ -621,29 +622,20 @@ def build_instance(config: ExperimentConfig, seed: int) -> Instance:
     ]
     kernel = _instance_kernel(config, seed)
     kind, amp, A = config.accretive_kind, config.amp, config.A
-    params = {}
-    if kind == "random":
-        if amp is None:
-            amp = float(np.random.default_rng(k_amp).uniform(0.2, 0.8))
-        params = {"amp": amp}
-        if A is None:
-            A = 1.0 + amp
-    elif kind == "two-value":
-        params = {"s": amp if amp is not None else 0.5}
+    if kind == "random" and amp is None:
+        amp = float(np.random.default_rng(k_amp).uniform(0.2, 0.8))
     if A is None:
-        A = 1.5
+        A = 1.0 + amp if kind == "random" else 1.5
+    # amp is the kind's parameter (s of two-value); constant and signed systems reject one
+    params = {} if amp is None else {_PARAM_NAMES.get(kind, "amp"): amp}
     sys1 = AccretiveSystem(spec, kind, config.p1, A, seed=_seed_int(k_sys1), params=params)
     sys2 = AccretiveSystem(spec, kind, config.p2, A, seed=_seed_int(k_sys2), params=params)
     tloc = _tloc(kernel, sys1, sys2)
-    cfg = TbConfig(p1=config.p1, p2=config.p2, delta=0.5, A=A, Tloc=tloc, tau_target=config.tau_target)
-    q0 = spec.root()
-    dsearch = choose_delta(q0, sys1, sys2, kernel, cfg)
-    if dsearch.ok:
-        cfg = replace(cfg, delta=dsearch.delta)
+    dsearch = choose_delta(spec.root(), sys1, sys2, kernel, TbConfig(0.5, tloc, config.tau_target))
     rng = np.random.default_rng(k_fg)
     f = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
     g = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
-    return Instance(spec, kernel, sys1, sys2, cfg, tloc, dsearch, f, g, seed)
+    return Instance(spec, kernel, sys1, sys2, tloc, dsearch, f, g, seed)
 
 
 def _instance_kernel(config: ExperimentConfig, seed: int) -> PerfectKernel:
@@ -657,18 +649,18 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _check_families(forest, lf: CoronaLevels, lg: CoronaLevels) -> int:
+def _check_families(forest, families) -> int:
     """The invariants ``block_context`` validates on every corona block, in
-    one pass per family over the stitched level arrays of both families'
-    level calculus (each cube Q against b_pi(Q); any h, since the invariants
-    read only the owners and the stitched b); returns the number of blocks.
-    A violation raises RuntimeError: the construction guarantees these
-    invariants on every forest it builds, so a failure is a fault of the
-    program, not of its input."""
-    cfg = forest.config
-    for j, levels, p in ((1, lf, cfg.p1), (2, lg, cfg.p2)):
+    one pass per family over the stitched level arrays of its level calculus
+    (each cube Q against b_pi(Q); any h, since the invariants read only the
+    owners and the stitched b), with the p and A of its system:
+    ``families`` is ((sys1, levels of S_1), (sys2, levels of S_2)).  Returns
+    the number of blocks.  A violation raises RuntimeError: the construction
+    guarantees these invariants on every forest it builds, so a failure is a
+    fault of the program, not of its input."""
+    for j, (system, levels) in enumerate(families, 1):
         try:
-            _check_blocks(levels, p, cfg.delta, cfg.A)
+            _check_blocks(levels, system, forest.config.delta)
         except ValueError as e:
             raise RuntimeError(f"corona family S_{j} breaks a block invariant: {e}") from None
     return forest.member_count(1) + forest.member_count(2)
@@ -681,9 +673,9 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     raises RuntimeError (``_check_families``) before any residual.
     """
     forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
-    q0, pairings = forest.q0, inst.pairings
+    q0, pairings, delta = forest.q0, inst.pairings, inst.dsearch.delta
     lf, lg = pairings.lf, pairings.lg
-    _check_families(forest, lf, lg)
+    _check_families(forest, ((sys1, lf), (inst.sys2, lg)))
     out: dict[str, float] = {}
 
     # martingale expansion reconstructs h on the nose
@@ -695,7 +687,7 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
 
     # twisted context checks at the chosen delta, on the context's level
     # arrays: the random signs as per-level coefficients, each transform once
-    ctx = make_context(sys1, q0, inst.cfg.delta)
+    ctx = make_context(sys1, q0, delta)
     rng = np.random.default_rng(np.random.SeedSequence(inst.seed, spawn_key=(17,)))
     coeffs = ctx.random_coefficients(rng)
     tw = ctx.levels(f)
@@ -714,7 +706,7 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
 
     # telescoped coefficients against the 2/delta budget
     out["epsilon_max"] = _epsilon_max(lf)
-    out["epsilon_bound"] = 2.0 / inst.cfg.delta
+    out["epsilon_bound"] = 2.0 / delta
     return out
 
 
@@ -832,7 +824,7 @@ def _after_norm(inst: Instance) -> dict | None:
     eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
     # the rank-one pairings were made by the expansion check: no bilinear call here
     easy = easy_terms_check(inst.pairings, inst.tloc)
-    return {"delta": inst.cfg.delta, "packing": packing, "carleson": carleson,
+    return {"delta": inst.dsearch.delta, "packing": packing, "carleson": carleson,
             "residuals": residuals, "epsilon_max": eps_max, "epsilon_bound": eps_bound,
             "easy": easy}
 

@@ -81,7 +81,7 @@ def freeze_delta_regression():
         seed = trial_seed(DELTA_REGRESSION_MASTER, k)
         inst = build_instance(ExperimentConfig(dim=1, depth=8), seed)
         assert inst.ok, f"delta search failed on regression seed {seed}"
-        out[str(seed)] = inst.cfg.delta
+        out[str(seed)] = inst.dsearch.delta
     return out
 
 

@@ -4,8 +4,9 @@ No trial, CLI command or demo calls these, so they live beside the tests
 instead of in ``dytb``: the splitting operators behind terms (ii) and (iii)
 of the three-term splitting and their L^1 sizes on indicators, the classical
 martingale transform, the box differences and their square function, the
-diagonal lemma's pairings, the block invariants of a whole forest and the
-packing ratio of a bare stopping set.  Each reads the package's level engine
+diagonal lemma's pairings, the block invariants of a whole forest, the
+packing ratio of a bare stopping set and the closed form of the haar-shift
+kernel's testing constant.  Each reads the package's level engine
 and gives the floats the package once gave; the frozen box and diagonal
 constants come from here (``make_fixtures.py``).  References for product
 paths that replaced them are kept here too: the level-by-level kernel plan
@@ -19,13 +20,15 @@ coefficients are plain ``{cube: eps}`` dicts (a missing cube counts as 0);
 """
 
 import itertools
+import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 from dytb.corona import _subtree_mask
 from dytb.grid import GridFunction, coarsen_step, cube_sum_vector, spread
-from dytb.kernels import PerfectKernel, _child_flats, bilinear, size_bound
+from dytb.kernels import PerfectKernel, _child_flats, _pair_radius, bilinear, size_bound
 from dytb.twisted import corona_levels
 from dytb.verify import _check_families
 
@@ -241,8 +244,37 @@ def check_forest_blocks(forest, sys1, sys2) -> int:
     """The block invariants of every corona block of both families (the
     check ``run_identity_checks`` makes first); returns the number of blocks
     and raises RuntimeError at a violation."""
-    return _check_families(forest, corona_levels(forest, 1, sys1, None),
-                           corona_levels(forest, 2, sys2, None))
+    return _check_families(forest, ((sys1, corona_levels(forest, 1, sys1, None)),
+                                    (sys2, corona_levels(forest, 2, sys2, None))))
+
+
+def haar_shift_tloc(dim, depth, q) -> float:
+    """The testing constant of the haar-shift kernel against a constant
+    system (b_Q = 1_Q) at exponent q, in closed form.
+
+    At a point x of Q, T 1_Q(x) sums one value per cube R with x in R inside
+    Q and R above the finest level: with i the child of R holding x, the
+    entries kappa_{R,i,j} = sign(j - i) (2^-(l+1) r_ij)^-dim against
+    |R_j| = 2^-dim(l+1) give v_i = sum_{j != i} sign(j - i) r_ij^-dim, where
+    r_ij is the child pair's radius (``kernels._pair_radius``): +-1/2 in 1D,
+    +-0.525 or +-0.125 in 2D.  A cube R above Q adds nothing, since R_j misses
+    Q.  Over the cells of Q the children i are independent and uniform, so
+    |Q|^-1 int_Q |T b_Q|^q is the q-th moment of a sum of (depth - level)
+    independent values, each uniform on the v_i.  Their mean is zero, so the
+    moment grows with the number of terms (Jensen) and the root's, a sum of
+    ``depth`` values, is the largest.  The adjoint's entries are the
+    negatives, with the same moments.  The moment is summed exactly over the
+    multisets of children, each with its multinomial weight."""
+    n = 2**dim
+    values = [sum(math.copysign(_pair_radius(i, j, dim) ** -dim, j - i) for j in range(n) if j != i)
+              for i in range(n)]
+    moment = 0.0
+    for children in itertools.combinations_with_replacement(range(n), depth):
+        ways = math.factorial(depth)
+        for count in Counter(children).values():
+            ways //= math.factorial(count)
+        moment += ways / n**depth * abs(sum(values[i] for i in children)) ** q
+    return moment ** (1.0 / q)
 
 
 def set_packing_ratio(members, top) -> float:

@@ -140,7 +140,7 @@ def test_criterion_4_classical_reductions():
     spec = GridSpec(1, 6)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     ctx = make_context(const, spec.root(), 0.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     rng = np.random.default_rng(444)
     f = GridFunction(spec, rng.uniform(-1, 1, spec.n_cells))
@@ -167,7 +167,7 @@ def test_criterion_4_classical_reductions():
 def test_criterion_5_corona_structure():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     trivial = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     ok = set(trivial.members(1)) == {spec.root()} and set(trivial.members(2)) == {spec.root()}
 

@@ -142,6 +142,20 @@ def test_parameter_validation():
         AccretiveSystem(spec, "signed", 2.0, 1.01)
 
 
+@pytest.mark.parametrize("kind, own", [("constant", {}), ("two-value", {"s": 0.8}),
+                                       ("signed", {}), ("random", {"amp": 0.8})])
+def test_parameter_keys_of_another_kind_are_rejected(kind, own):
+    # a key the kind does not read, misspelt or another kind's, is named with
+    # the kind instead of leaving the default in place
+    spec = GridSpec(1, 3)
+    system = AccretiveSystem(spec, kind, 2.0, 1.9, seed=3, params=own)
+    assert system._param == own.get("s", own.get("amp", 0.5))
+    for key in ("s", "amp", "S"):
+        if key not in own:
+            with pytest.raises(ValueError, match=f"^{kind} systems take no parameter '{key}'$"):
+                AccretiveSystem(spec, kind, 2.0, 1.9, seed=3, params={**own, key: 0.8})
+
+
 def test_exponents_past_float64_are_config_errors():
     spec = GridSpec(1, 3)
     with pytest.raises(ValueError, match=r"^p must be finite, got inf$"):

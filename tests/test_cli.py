@@ -73,7 +73,7 @@ def test_internal_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
 
 def test_broken_forest_invariant_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # a forest the trial itself built that fails its block check is a program fault
-    def unsafe(levels, p, delta, A):
+    def unsafe(levels, system, delta):
         raise ValueError("denominator safety fails at Q(1; 0)")
 
     monkeypatch.setattr(verify, "_check_blocks", unsafe)
@@ -438,10 +438,10 @@ def rebuilt_corona(dim, depth, seed, delta="auto", tau_target=0.9):
                   for k in (1, 2))
     tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     if delta == "auto":
-        cfg = TbConfig(2.0, 2.0, 0.5, 1.5, tloc, tau_target)
+        cfg = TbConfig(0.5, tloc, tau_target)
         search = choose_delta(spec.root(), sys1, sys2, kernel, cfg)
         return search.forest, search
-    cfg = TbConfig(2.0, 2.0, delta, 1.5, tloc, tau_target)
+    cfg = TbConfig(delta, tloc, tau_target)
     return build_corona(spec.root(), sys1, sys2, kernel, cfg), None
 
 

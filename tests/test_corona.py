@@ -40,10 +40,10 @@ def oracle_terminals(b, s0, delta, p, a_const):
     return {t for t in triggered if not any(o != t and o.contains(t) for o in triggered)}
 
 
-def oracle_family(spec, q0, system, op_dense, p_exp, q_exp, cfg):
+def oracle_family(spec, q0, system, op_dense, q_exp, cfg):
     """Recursive exhaustive recomputation of one stopping family, applying the
-    operator through the dense matrix."""
-    cv = spec.cell_volume
+    operator through the dense matrix, with the system's p and A."""
+    cv, p_exp = spec.cell_volume, system.p
     members = {q0}
     stack = [q0]
     while stack:
@@ -57,7 +57,7 @@ def oracle_family(spec, q0, system, op_dense, p_exp, q_exp, cfg):
             idx = spec.cell_indices(cube)
             vol = cube.volume
             c1 = abs(float(np.sum(b.values[idx])) * cv) <= cfg.delta * vol
-            c2 = float(np.sum(np.abs(b.values[idx]) ** p_exp)) * cv >= cfg.A**p_exp / cfg.delta * vol
+            c2 = float(np.sum(np.abs(b.values[idx]) ** p_exp)) * cv >= system.A**p_exp / cfg.delta * vol
             tpow = float(np.sum(np.abs(tb[idx]) ** q_exp)) * cv
             c3 = tpow >= cfg.Tloc**q_exp / cfg.delta * vol and tpow > 0.0
             if c1 or c2 or c3:
@@ -95,11 +95,13 @@ def scanned_terminal_cubes(b, s0, delta, p, A):
     return maximal_triggered(spec, s0, s0.level, trigger)
 
 
-def per_member_family(spec, q0, system, op, p_exp, q_exp, cfg):
+def per_member_family(spec, q0, system, op, q_exp, cfg):
     """The per-member construction the owner pass replaced: for every member S
     one full-grid b_S, one apply and three level sums, then a scan of S's
-    subtree.  Returns the members and their stopping children."""
-    norm_cap = cfg.A**p_exp / cfg.delta
+    subtree, with the system's p and A.  Returns the members and their
+    stopping children."""
+    p_exp = system.p
+    norm_cap = system.A**p_exp / cfg.delta
     test_cap = cfg.Tloc**q_exp / cfg.delta
     children = {q0: []}
     stack = [q0]
@@ -189,7 +191,7 @@ def coarsened_context(system, s0, delta, rng):
     cubes coarsened at random by ``quadratic_coarsen_terminals``."""
     b = GridFunction(system.spec, system.level_values(s0.level))
     members = quadratic_coarsen_terminals(terminal_cubes(b, s0, delta, system.p, system.A), s0, rng)
-    return TwistedContext(system, s0, family_of(system.spec, s0, members), system.p, delta, system.A)
+    return TwistedContext(system, s0, family_of(system.spec, s0, members), delta)
 
 
 def per_member_packing_ratio(forest, j):
@@ -282,7 +284,7 @@ def test_coarsening_is_legal(rng):
                 assert a == c or not a.contains(c)
         # the context of its owner arrays holds exactly these cubes, and every
         # derived cube (the finest level's included) keeps safe denominators
-        ctx = TwistedContext(sys_, root, family_of(spec, root, members), 2.0, 0.45, 1.7)
+        ctx = TwistedContext(sys_, root, family_of(spec, root, members), 0.45)
         assert ctx.members == tuple(sorted(members))
         for q in spec.all_cubes(root):
             assert in_q(ctx, q) == (not any(m.contains(q) for m in members))
@@ -311,7 +313,7 @@ def test_context_rejects_uncovered_maximal_cube():
     for dropped in members:
         owners = family_of(spec, root, [m for m in members if m != dropped])
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {dropped}:")):
-            TwistedContext(sys_, root, owners, sys_.p, 0.45, sys_.A)
+            TwistedContext(sys_, root, owners, 0.45)
 
 
 @pytest.mark.parametrize("dim,depth,s0_level", [(1, 6, 0), (1, 7, 2), (2, 3, 0), (2, 4, 1)])
@@ -332,7 +334,7 @@ def test_family_checks_match_ancestor_walks(dim, depth, s0_level):
         owners = family_of(spec, s0, members)
         if want is None:
             _check_owners(spec, s0, owners)
-            assert TwistedContext(sys_, s0, owners, 2.0, 0.5, 1.5).members == tuple(sorted(members))
+            assert TwistedContext(sys_, s0, owners, 0.5).members == tuple(sorted(members))
         else:
             with pytest.raises(ValueError, match=re.escape(want)):
                 _check_owners(spec, s0, owners)
@@ -366,7 +368,7 @@ def test_code_built_family_checks_its_owner_arrays():
 def test_corona_trivial_zero_kernel():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     assert set(forest.members(1)) == {spec.root()}
     assert set(forest.members(2)) == {spec.root()}
@@ -376,7 +378,7 @@ def test_corona_trivial_zero_kernel():
 def test_corona_signed_zero_half_child():
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     forest = build_corona(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
     assert DyadicCube(1, (0,)) in stopping_children(forest, 1, spec.root())
     # the zero-half recursion reaches the finest level
@@ -386,7 +388,7 @@ def test_corona_signed_zero_half_child():
 def test_corona_tloc_zero_nonzero_kernel_rejected():
     spec = GridSpec(1, 3)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     with pytest.raises(ConfigError):
         build_corona(spec.root(), const, const, generate_kernel("haar-shift", spec), cfg)
 
@@ -401,11 +403,11 @@ def test_corona_matches_exhaustive_oracle(p1, p2):
     q1 = p1 / (p1 - 1)
     tloc = max(measure_tloc(kernel, const, q2),
                measure_tloc(adjoint(kernel), const2, q1))
-    cfg = TbConfig(p1, p2, 0.25, 1.5, Tloc=tloc)
+    cfg = TbConfig(0.25, Tloc=tloc)
     forest = build_corona(spec.root(), const, const2, kernel, cfg)
     dense = dense_matrix(kernel)
-    assert set(forest.members(1)) == oracle_family(spec, spec.root(), const, dense, p1, q2, cfg)
-    assert set(forest.members(2)) == oracle_family(spec, spec.root(), const2, dense.T, p2, q1, cfg)
+    assert set(forest.members(1)) == oracle_family(spec, spec.root(), const, dense, q2, cfg)
+    assert set(forest.members(2)) == oracle_family(spec, spec.root(), const2, dense.T, q1, cfg)
 
 
 def test_corona_random_systems_match_oracle():
@@ -415,39 +417,39 @@ def test_corona_random_systems_match_oracle():
     s2 = AccretiveSystem(spec, "random", 2.0, 1.8, seed=7, params={"amp": 0.8})
     tloc = max(measure_tloc(kernel, s1, 2.0),
                measure_tloc(adjoint(kernel), s2, 2.0))
-    cfg = TbConfig(2.0, 2.0, 0.2, 1.8, Tloc=tloc)
+    cfg = TbConfig(0.2, Tloc=tloc)
     forest = build_corona(spec.root(), s1, s2, kernel, cfg)
     dense = dense_matrix(kernel)
-    assert set(forest.members(1)) == oracle_family(spec, spec.root(), s1, dense, 2.0, 2.0, cfg)
-    assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, 2.0, cfg)
+    assert set(forest.members(1)) == oracle_family(spec, spec.root(), s1, dense, 2.0, cfg)
+    assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, cfg)
 
 
-@pytest.mark.parametrize("depth,kind,params,kernel_kind,cfg,tie", [
+@pytest.mark.parametrize("depth,kind,params,A,kernel_kind,cfg,tie", [
     # <b>_Q = 1/2 = delta on Q(3; 1)
-    (4, "two-value", {"s": 0.5}, "zero", TbConfig(2.0, 2.0, 0.5, 1.9), DyadicCube(3, (1,))),
+    (4, "two-value", {"s": 0.5}, 1.9, "zero", TbConfig(0.5), DyadicCube(3, (1,))),
     # <|b|^2>_Q = 4 = A^2 / delta on the right half
-    (3, "signed", {}, "zero", TbConfig(2.0, 2.0, 1.0625**2 / 4, 1.0625), DyadicCube(1, (1,))),
+    (3, "signed", {}, 1.5, "zero", TbConfig(1.5**2 / 4), DyadicCube(1, (1,))),
     # <|T b|^2>_Q = 1 = Tloc^2 / delta on both halves
-    (4, "constant", {}, "haar-shift", TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.5), DyadicCube(1, (1,))),
+    (4, "constant", {}, 1.5, "haar-shift", TbConfig(0.25, Tloc=0.5), DyadicCube(1, (1,))),
 ])
-def test_stopping_ties_stop(depth, kind, params, kernel_kind, cfg, tie):
+def test_stopping_ties_stop(depth, kind, params, A, kernel_kind, cfg, tie):
     spec = GridSpec(1, depth)
     root = spec.root()
-    system = AccretiveSystem(spec, kind, 2.0, 1.9, params=params)
+    system = AccretiveSystem(spec, kind, 2.0, A, params=params)
     kernel = generate_kernel(kernel_kind, spec)
     forest = build_corona(root, system, system, kernel, cfg)
-    members, _ = per_member_family(spec, root, system, kernel, 2.0, 2.0, cfg)
+    members, _ = per_member_family(spec, root, system, kernel, 2.0, cfg)
     assert forest.members(1) == sorted(members) and tie in stopping_children(forest, 1, root)
     if kernel_kind == "zero":  # terminal cubes stop on conditions (1) and (2) alone
         b = system.get_b(root)
-        got = terminal_cubes(b, root, cfg.delta, 2.0, cfg.A)
-        assert tie in got and got == scanned_terminal_cubes(b, root, cfg.delta, 2.0, cfg.A)
+        got = terminal_cubes(b, root, cfg.delta, 2.0, A)
+        assert tie in got and got == scanned_terminal_cubes(b, root, cfg.delta, 2.0, A)
 
 
 def test_corona_pi_and_children():
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
     forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
     members = set(forest.members(1))
@@ -477,7 +479,7 @@ def test_packing_trivial_cases():
 def test_packing_matches_direct_recomputation():
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
     forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
     members = set(forest.members(1))
@@ -500,7 +502,7 @@ def test_carleson_trivial_and_geometric():
 def test_carleson_matches_brute_force():
     spec = GridSpec(1, 5)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
     forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
     members = list(forest.members(1))
@@ -517,7 +519,7 @@ def test_carleson_matches_brute_force():
 def test_choose_delta_trivial():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     search = choose_delta(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     assert search.ok and search.delta == 0.5
     assert search.trace == ((0.5, 0.0, 0.0),)
@@ -533,7 +535,7 @@ def test_choose_delta_signed_needs_smaller_delta():
         s2 = AccretiveSystem(spec, kind, 2.0, 1.6, seed=11)
         tloc = max(measure_tloc(kernel, s1, 2.0),
                    measure_tloc(adjoint(kernel), s2, 2.0))
-        cfg = TbConfig(2.0, 2.0, 0.5, 1.6, Tloc=tloc, tau_target=0.6)
+        cfg = TbConfig(0.5, Tloc=tloc, tau_target=0.6)
         search = choose_delta(spec.root(), s1, s2, kernel, cfg)
         assert search.ok
         results[kind] = search.delta
@@ -545,7 +547,7 @@ def test_choose_delta_trace_is_monotone():
     kernel = generate_kernel("haar-shift", spec)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.6, seed=1)
     tloc = measure_tloc(kernel, signed, 2.0)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.6, Tloc=tloc, tau_target=0.55)
+    cfg = TbConfig(0.5, Tloc=tloc, tau_target=0.55)
     search = choose_delta(spec.root(), signed, signed, kernel, cfg)
     deltas = [t[0] for t in search.trace]
     assert deltas == sorted(deltas, reverse=True)
@@ -556,7 +558,7 @@ def test_choose_delta_structured_failure():
     # a signed system can never pack below 1/2: the search must fail cleanly
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0, tau_target=0.3)
+    cfg = TbConfig(0.5, Tloc=0.0, tau_target=0.3)
     search = choose_delta(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
     assert not search.ok
     assert search.delta is None and search.forest is None
@@ -567,17 +569,12 @@ def test_choose_delta_structured_failure():
 # -- config validation -----------------------------------------------------------------------
 
 
-def test_tbconfig_conjugates_and_validation():
-    cfg = TbConfig(1.5, 3.0, 0.25, 1.5)
-    assert cfg.p1_conj == pytest.approx(3.0)
-    assert cfg.p2_conj == pytest.approx(1.5)
+def test_tbconfig_validation():
     for bad in (
-        dict(p1=1.0, p2=2.0, delta=0.5, A=1.5),
-        dict(p1=2.0, p2=2.0, delta=0.0, A=1.5),
-        dict(p1=2.0, p2=2.0, delta=1.0, A=1.5),
-        dict(p1=2.0, p2=2.0, delta=0.5, A=1.0),
-        dict(p1=2.0, p2=2.0, delta=0.5, A=1.5, Tloc=-1.0),
-        dict(p1=2.0, p2=2.0, delta=0.5, A=1.5, tau_target=1.0),
+        dict(delta=0.0),
+        dict(delta=1.0),
+        dict(delta=0.5, Tloc=-1.0),
+        dict(delta=0.5, tau_target=1.0),
     ):
         with pytest.raises(ValueError):
             TbConfig(**bad)
@@ -597,7 +594,7 @@ def test_forest_json_export():
 
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
     forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
     data = forest_to_json_dict(forest)

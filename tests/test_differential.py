@@ -10,6 +10,7 @@ and the adversarial transform search with the cube-by-cube search it replaced
 on 1D grids up to depth 12 and 2D grids up to depth 6.
 """
 
+import copy
 import json
 import re
 from collections import Counter
@@ -201,7 +202,7 @@ def test_nested_form_level_sweeps_equal_per_block_oracle(grid, kind, kernel_kind
     tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.25, A, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.25, Tloc=tloc))
     f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
     args = (kernel, forest, sys1, sys2, f, g)
     total, pullout, reference, residual = b_above_aggregation(Pairings(*args))
@@ -243,7 +244,7 @@ def test_pairing_tables_equal_per_pair_oracle(grid, root, kernel_kind, seed):
     # a root on the finest level has no differences: both tables are empty
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.25, A, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.25, Tloc=tloc))
     f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
     args = (kernel, forest, sys1, sys2, f, g)
     pairings = Pairings(*args)
@@ -279,11 +280,11 @@ def test_forest_rows_from_templates_equal_json_dumps(grid, root, kernel_kind, de
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     if delta == "auto":
-        search = choose_delta(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5, A, Tloc=tloc))
+        search = choose_delta(q0, sys1, sys2, kernel, TbConfig(0.5, Tloc=tloc))
         assume(search.ok)
         forest = search.forest
     else:
-        forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, delta, A, Tloc=tloc))
+        forest = build_corona(q0, sys1, sys2, kernel, TbConfig(delta, Tloc=tloc))
     payload = forest_to_json_dict(forest)
     text = cli._forest_json_text(forest)
     assert text == json.dumps(payload, indent=1, sort_keys=True)
@@ -366,9 +367,9 @@ def test_context_levels_equal_enumeration(grid, seed, kind, coarsen):
     if members:
         dropped = members[int(rng.integers(len(members)))]
         owners = family_of(spec, ctx.s0, tuple(m for m in members if m != dropped))
-        want = unsafe_cube(ctx.b, ctx.s0, owners, ctx.p, ctx.delta, ctx.A)
+        want = unsafe_cube(ctx.b, ctx.s0, owners, ctx.system.p, ctx.delta, ctx.system.A)
         with pytest.raises(ValueError, match=re.escape(f"denominator safety fails at {want}:")):
-            TwistedContext(ctx.system, ctx.s0, owners, ctx.p, ctx.delta, ctx.A)
+            TwistedContext(ctx.system, ctx.s0, owners, ctx.delta)
 
 
 @BOUNDED
@@ -441,7 +442,7 @@ def test_trial_contexts_three_term_and_signs(grid):
         inst = build_instance(ExperimentConfig(*grid), seed)
         if not inst.ok:
             continue
-        q0, delta = inst.forest.q0, inst.cfg.delta
+        q0, delta = inst.forest.q0, inst.dsearch.delta
         for ctx in (make_context(inst.sys1, q0, delta),
                     coarsened_context(inst.sys1, q0, delta, np.random.default_rng(seed))):
             terminal += len(ctx.members)
@@ -464,7 +465,7 @@ def test_packing_and_carleson_equal_per_member_loops(grid, kind, halvings, tloc_
     tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.5 / 2**halvings, Tloc=tloc))
     for j in (1, 2):
         assert packing_ratio(forest, j) == per_member_packing_ratio(forest, j)
         assert forest_carleson(forest, j) == carleson_constant(forest.members(j), q0)
@@ -528,7 +529,7 @@ def test_g_telescoping_equals_per_member_loop(grid, kind, halvings, sub, seed):
     tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(2.0, 2.0, 0.5 / 2**halvings, A, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.5 / 2**halvings, Tloc=tloc))
     for g in (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)),
               GridFunction(spec, rng.uniform(-3.0, 3.0, spec.n_cells))):
         lg = corona_levels(forest, 2, sys2, g)
@@ -560,19 +561,28 @@ def reconfigured(forest, **changes):
     return CoronaForest(forest.spec, forest.q0, owners, replace(forest.config, **changes))
 
 
+def planted(system, **changes):
+    """A shallow copy of ``system`` with ``changes`` set after construction,
+    sharing its checked level arrays: a planted fault that the constructor
+    would reject."""
+    system = copy.copy(system)
+    vars(system).update(changes)
+    return system
+
+
 def enumerated_block_check(forest, j, system, member):
-    """The validation of ``block_context`` cube by cube: the first of the
-    member and its stopping children whose b misses its integral or norm
-    budget, else the first unsafe cube of the block, else None."""
-    cfg = forest.config
-    p = cfg.p1 if j == 1 else cfg.p2
+    """The validation of ``block_context`` cube by cube, with the system's p
+    and A: the first of the member and its stopping children whose b misses
+    its integral or norm budget, else the first unsafe cube of the block,
+    else None."""
+    p, A, delta = system.p, system.A, forest.config.delta
     kids = stopping_children(forest, j, member)
     b = system.get_b(member)
     for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
         if (abs(g.integral(cube) - cube.volume) > 1e-12 * cube.volume
-                or g.lp_norm(p, cube) > cfg.A * cube.volume ** (1 / p) * (1 + 1e-12)):
+                or g.lp_norm(p, cube) > A * cube.volume ** (1 / p) * (1 + 1e-12)):
             return cube
-    return unsafe_cube(b, member, family_of(system.spec, member, kids), p, cfg.delta, cfg.A)
+    return unsafe_cube(b, member, family_of(system.spec, member, kids), p, delta, A)
 
 
 def test_block_check_matches_block_contexts():
@@ -584,12 +594,14 @@ def test_block_check_matches_block_contexts():
                 continue
             cfg = inst.forest.config
             # a raised delta and a lowered A fail the denominator bounds; an A
-            # near 1 fails the members' norm budgets first
-            for mutation, changes in (("none", {}), ("raised delta", {"delta": min(0.9, 4 * cfg.delta)}),
-                                      ("lowered A", {"A": 1.0 + (cfg.A - 1.0) / 4}),
-                                      ("A near 1", {"A": 1.01})):
+            # near 1 fails the members' norm budgets first.  A is lowered on
+            # copies of the systems
+            for mutation, changes, lower_A in (
+                    ("none", {}, None), ("raised delta", {"delta": min(0.9, 4 * cfg.delta)}, None),
+                    ("lowered A", {}, lambda A: 1.0 + (A - 1.0) / 4), ("A near 1", {}, lambda A: 1.01)):
                 forest = reconfigured(inst.forest, **changes)
-                blocks = [(j, system, s) for j, system in ((1, inst.sys1), (2, inst.sys2))
+                systems = [s if lower_A is None else planted(s, A=lower_A(s.A)) for s in (inst.sys1, inst.sys2)]
+                blocks = [(j, system, s) for j, system in zip((1, 2), systems)
                           for s in sorted(forest.members(j))]
                 rejects = [enumerated_block_check(forest, *block) is not None for block in blocks]
                 for block, reject in zip(blocks, rejects):
@@ -601,9 +613,9 @@ def test_block_check_matches_block_contexts():
                 if any(rejects):
                     rejected[mutation] += 1
                     with pytest.raises(RuntimeError, match="breaks a block invariant"):
-                        check_forest_blocks(forest, inst.sys1, inst.sys2)
+                        check_forest_blocks(forest, *systems)
                 else:
-                    assert check_forest_blocks(forest, inst.sys1, inst.sys2) == len(blocks)
+                    assert check_forest_blocks(forest, *systems) == len(blocks)
     assert rejected["none"] == 0
     assert all(rejected[m] > 0 for m in ("raised delta", "lowered A", "A near 1"))
 
@@ -629,11 +641,10 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     delta = 0.5 / 2**halvings
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    cfg = TbConfig(p1, p2, delta, A, Tloc=tloc)
+    cfg = TbConfig(delta, Tloc=tloc)
     forest = build_corona(q0, sys1, sys2, kernel, cfg)
-    for j, system, op, p_exp, q_exp in ((1, sys1, kernel, p1, cfg.p2_conj),
-                                        (2, sys2, adjoint(kernel), p2, cfg.p1_conj)):
-        members, children = per_member_family(spec, q0, system, op, p_exp, q_exp, cfg)
+    for j, system, op, q_exp in ((1, sys1, kernel, conjugate(p2)), (2, sys2, adjoint(kernel), conjugate(p1))):
+        members, children = per_member_family(spec, q0, system, op, q_exp, cfg)
         assert forest.members(j) == sorted(members) and forest.member_count(j) == len(members)
         walked = owner_walk_children(forest, j)
         for s in members:

@@ -51,7 +51,7 @@ def terminal_ctx(depth=6, seed=5, s=0.8, delta=0.45):
 
 def classical_forest(spec):
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     return build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg), const
 
 
@@ -307,7 +307,7 @@ def test_half_twisted_all_children_terminal_is_zero():
     spec = GridSpec(1, 3)
     sys_ = AccretiveSystem(spec, "two-value", 2.0, 1.5, seed=4, params={"s": 0.8})
     root = spec.root()
-    ctx = TwistedContext(sys_, root, family_of(spec, root, root.children()), 2.0, 0.4, 1.5)
+    ctx = TwistedContext(sys_, root, family_of(spec, root, root.children()), 0.4)
     assert np.all(half_transform(ctx, {0: np.ones(1)}, sys_.get_b(root)).values == 0.0)
 
 
@@ -659,7 +659,7 @@ def test_measure_comparison_holds_on_random_contexts(rng):
         ctx = terminal_ctx(depth=6, seed=seed)
         f = rand_signs(ctx.spec, rng)
         eps = ctx.random_coefficients(rng)
-        cap = 2.0**ctx.spec.dim * ctx.delta**-ctx.p * ctx.A**ctx.p
+        cap = 2.0**ctx.spec.dim * ctx.delta**-ctx.system.p * ctx.system.A**ctx.system.p
         assert measure_comparison_check(ctx, eps, f) <= 1e-12 * cap
 
 
@@ -667,7 +667,7 @@ def test_finest_cell_bound(rng):
     # non-terminal finest cells obey |b| < delta^(-1/p) A
     for seed in range(10):
         ctx = terminal_ctx(depth=6, seed=seed)
-        cap = ctx.delta ** (-1.0 / ctx.p) * ctx.A
+        cap = ctx.delta ** (-1.0 / ctx.system.p) * ctx.system.A
         finest = ctx.owners[ctx.spec.depth] == ctx.s0.level
         assert finest.any() and np.all(np.abs(ctx.b.values[finest]) < cap)
 
@@ -722,7 +722,7 @@ def test_block_context_rejects_cubes_outside_the_family():
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
     q0 = DyadicCube(1, (1,))
     forest = build_corona(q0, signed, signed, generate_kernel("zero", spec),
-                          TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=0.0))
+                          TbConfig(0.25, Tloc=0.0))
     members = set(forest.members(1))
     inside = [c for c in spec.all_cubes(q0) if c not in members]
     assert q0 in members and inside
@@ -750,5 +750,5 @@ def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
     for (j, system, s), b in zip(blocks, want):
         assert np.array_equal(block_context(inst.forest, j, system, s).b.values, b)
     for system in (inst.sys1, inst.sys2):
-        make_context(system, inst.forest.q0, inst.cfg.delta)
-        coarsened_context(system, inst.forest.q0, inst.cfg.delta, np.random.default_rng(depth))
+        make_context(system, inst.forest.q0, inst.dsearch.delta)
+        coarsened_context(system, inst.forest.q0, inst.dsearch.delta, np.random.default_rng(depth))

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import pytest
 
 from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, _subtree_mask, build_corona, packing_ratio
+from dytb.corona import TbConfig, _subtree_mask, build_corona, conjugate, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import TwistedContext, corona_levels, make_context, twisted_delta
@@ -37,7 +38,8 @@ from dytb.verify import testing_constant as measure_tloc
 
 from conftest import rand_signs
 import make_cli_golden
-from oracles import box_square_function_check, check_forest_blocks, diagonal_lemma_check, on_cube
+from oracles import (box_square_function_check, check_forest_blocks, diagonal_lemma_check,
+                     haar_shift_tloc, on_cube)
 from test_accretive import GRIDS, KIND_SETUPS
 from test_kernels import lca_dense_matrix
 from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block, walk_pi
@@ -46,7 +48,7 @@ from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block,
 def classical_setup(depth=4, dim=1):
     spec = GridSpec(dim, depth)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=0.0)
+    cfg = TbConfig(0.5, Tloc=0.0)
     forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
     return spec, const, forest
 
@@ -324,6 +326,23 @@ def test_tloc_depth1_haar_shift():
     assert measure_tloc(adjoint(hs), const, 2.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("dim,max_depth", [(1, 16), (2, 8)])
+def test_haar_shift_tloc_has_its_closed_form(dim, max_depth):
+    # constant systems against the haar-shift kernel: an instance's Tloc is a
+    # moment of a sum of independent child values (oracles.haar_shift_tloc),
+    # and with p1 != p2 the larger dual exponent wins
+    for depth in range(max_depth + 1):
+        spec = GridSpec(dim, depth)
+        kernel = generate_kernel("haar-shift", spec)
+        for p1, p2 in ((1.25, 1.25), (2.0, 2.0), (3.0, 3.0), (1.5, 3.0)):
+            sys1, sys2 = (AccretiveSystem(spec, "constant", p, 1.5) for p in (p1, p2))
+            tloc = verify._tloc(kernel, sys1, sys2)
+            assert tloc == pytest.approx(haar_shift_tloc(dim, depth, max(conjugate(p1), conjugate(p2))),
+                                         rel=1e-13, abs=0.0)
+            if dim == 1 and p1 == p2 == 2.0:
+                assert tloc == pytest.approx(math.sqrt(depth) / 2, rel=1e-13, abs=0.0)
+
+
 def test_tloc_overflowing_exponent_is_a_config_error():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
@@ -334,6 +353,15 @@ def test_tloc_overflowing_exponent_is_a_config_error():
         with pytest.raises(ValueError, match=r"^exponent q=10000000000.0 \(conjugate to 1.0000000001"
                                              r"\d*\) is too large for float64 powers$"):
             measure_tloc(adjoint(kernel), const, 1e10)
+
+
+@pytest.mark.parametrize("kind", ["constant", "signed"])
+def test_instance_rejects_amp_of_a_kind_without_one(kind):
+    # an amp that no system would read is an error, not a value in the report's config
+    with pytest.raises(ValueError, match=f"^{kind} systems take no parameter 'amp'$"):
+        build_instance(ExperimentConfig(dim=1, depth=3, accretive_kind=kind, amp=0.3), 0)
+    assert build_instance(ExperimentConfig(dim=1, depth=3, accretive_kind=kind), 0).sys1.params == {}
+    assert cli.main(["identities", "--depth", "3", "--accretive-kind", kind, "--amp", "0.3"]) == cli.EXIT_CONFIG
 
 
 def test_tloc_matches_brute_force(rng):
@@ -462,7 +490,7 @@ def test_expansion_classical_ones():
     kernel = generate_kernel("random", spec, seed=2)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=tloc)
+    cfg = TbConfig(0.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     ones = GridFunction.constant(spec, 1.0)
     residual, _ = bilinear_expansion_check(Pairings(kernel, forest, const, const, ones, ones))
@@ -492,7 +520,7 @@ def test_form_split_depth1_all_in_equal(rng):
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     kernel = PerfectKernel(spec, {(0, 0, 0, 1): 1.0, (0, 0, 1, 0): -1.0})
     tloc = measure_tloc(kernel, const, 2.0)
-    cfg = TbConfig(2.0, 2.0, 0.5, 1.5, Tloc=tloc)
+    cfg = TbConfig(0.5, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
     fs = form_split(Pairings(kernel, forest, const, const, f, g))
@@ -603,7 +631,7 @@ def test_per_s_single_block_is_whole_form(rng):
     kernel = generate_kernel("random", spec, seed=3, scale=0.2)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=tloc)
+    cfg = TbConfig(0.25, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     assert set(forest.members(1)) == {spec.root()}
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
@@ -652,7 +680,7 @@ def test_identity_battery_reads_level_arrays_without_b_copies(monkeypatch):
     # the twisted context, its signs and the three-term check come from level
     # arrays: no get_b copy, no per-pair check and no list of derived cubes
     inst = build_instance(ExperimentConfig(dim=1, depth=12), 3)
-    ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
+    ctx = make_context(inst.sys1, inst.forest.q0, inst.dsearch.delta)
     assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
     def forbidden(what):
@@ -682,7 +710,7 @@ def test_context_path_builds_no_cubes(grid, monkeypatch):
     for module in (corona, twisted):
         monkeypatch.setattr(module, "_cubes_where", forbidden)
     monkeypatch.setattr(GridSpec, "cube_from_flat", forbidden)
-    ctx = make_context(inst.sys1, inst.forest.q0, inst.cfg.delta)
+    ctx = make_context(inst.sys1, inst.forest.q0, inst.dsearch.delta)
     monkeypatch.undo()
     assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
@@ -742,7 +770,7 @@ def test_epsilon_accretive_bound():
     for seed in (31, 32):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         forest = inst.forest
-        cap = 2.0 / inst.cfg.delta
+        cap = 2.0 / inst.dsearch.delta
         for s in forest.members(1):
             for cube in inst.spec.all_cubes(s):
                 if cube == s:
@@ -766,7 +794,7 @@ def test_diagonal_matches_dense_oracle():
     kernel = generate_kernel("haar-shift", spec)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(2.0, 2.0, 0.25, 1.5, Tloc=tloc)
+    cfg = TbConfig(0.25, Tloc=tloc)
     forest = build_corona(spec.root(), const, const, kernel, cfg)
     dense = lca_dense_matrix(kernel)
     cv = spec.cell_volume
@@ -915,7 +943,7 @@ def test_build_instance_deterministic():
     a = build_instance(ExperimentConfig(dim=1, depth=4), 99)
     b = build_instance(ExperimentConfig(dim=1, depth=4), 99)
     assert a.kernel.entries == b.kernel.entries
-    assert a.tloc == b.tloc and a.cfg.delta == b.cfg.delta
+    assert a.tloc == b.tloc and a.dsearch.delta == b.dsearch.delta
     assert np.array_equal(a.f.values, b.f.values)
 
 
@@ -1016,4 +1044,4 @@ def test_choose_delta_matches_frozen_regression():
     # re-runs the whole packing criterion at this depth anyway)
     for key in sorted(frozen)[:5]:
         inst = build_instance(ExperimentConfig(dim=1, depth=8), int(key))
-        assert inst.ok and inst.cfg.delta == frozen[key]
+        assert inst.ok and inst.dsearch.delta == frozen[key]
