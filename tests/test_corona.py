@@ -424,17 +424,18 @@ def test_corona_random_systems_match_oracle():
     assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, cfg)
 
 
-@pytest.mark.parametrize("depth,kind,params,A,kernel_kind,cfg,tie", [
+@pytest.mark.parametrize("depth,kind,params,kernel_kind,cfg,tie", [
     # <b>_Q = 1/2 = delta on Q(3; 1)
-    (4, "two-value", {"s": 0.5}, 1.9, "zero", TbConfig(0.5), DyadicCube(3, (1,))),
+    (4, "two-value", {"s": 0.5}, "zero", TbConfig(0.5), DyadicCube(3, (1,))),
     # <|b|^2>_Q = 4 = A^2 / delta on the right half
-    (3, "signed", {}, 1.5, "zero", TbConfig(1.5**2 / 4), DyadicCube(1, (1,))),
+    (3, "signed", {}, "zero", TbConfig(1.5**2 / 4), DyadicCube(1, (1,))),
     # <|T b|^2>_Q = 1 = Tloc^2 / delta on both halves
-    (4, "constant", {}, 1.5, "haar-shift", TbConfig(0.25, Tloc=0.5), DyadicCube(1, (1,))),
+    (4, "constant", {}, "haar-shift", TbConfig(0.25, Tloc=0.5), DyadicCube(1, (1,))),
 ])
-def test_stopping_ties_stop(depth, kind, params, A, kernel_kind, cfg, tie):
+def test_stopping_ties_stop(depth, kind, params, kernel_kind, cfg, tie):
     spec = GridSpec(1, depth)
     root = spec.root()
+    A = 1.5  # rule (2) ties only in the signed case
     system = AccretiveSystem(spec, kind, 2.0, A, params=params)
     kernel = generate_kernel(kernel_kind, spec)
     forest = build_corona(root, system, system, kernel, cfg)

@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from dytb import cli
-from make_cli_golden import demo_key, demo_stdout_sha, read_golden
+from make_cli_golden import DEMOS, demo_key, demo_stdout_sha, read_golden
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
