@@ -7,7 +7,7 @@ spikes.  Shrinking delta thins the stopping cubes out; the packing ratio and
 the Carleson constant quantify how thin.
 """
 
-from dytb import AccretiveSystem, GridSpec, TbConfig, build_corona, carleson_constant
+from dytb import AccretiveSystem, GridSpec, build_corona, carleson_constant
 from dytb import adjoint, choose_delta, generate_kernel, packing_ratio, terminal_cubes, testing_constant
 
 spec = GridSpec(1, 6)
@@ -28,8 +28,7 @@ sys2 = AccretiveSystem(spec, "random", p=2.0, A=1.6, seed=2, params={"amp": 0.6}
 tloc = max(testing_constant(kernel, sys1, 2.0), testing_constant(adjoint(kernel), sys2, 2.0))
 print("\ntesting constant:", tloc)
 
-cfg = TbConfig(delta=0.5, Tloc=tloc, tau_target=0.9)
-search = choose_delta(root, sys1, sys2, kernel, cfg)
+search = choose_delta(root, sys1, sys2, kernel, tloc, tau_target=0.9)
 print("accepted delta:", search.delta)
 for d, t1, t2 in search.trace:
     print(f"  tried delta={d}: packing S1={t1:.3f}, S2={t2:.3f}")
@@ -42,9 +41,8 @@ for j in (1, 2):
 
 # a signed system stops on half of every cube it owns, all the way down
 signed = AccretiveSystem(spec, "signed", p=2.0, A=1.5)
-cfg0 = TbConfig(0.25, Tloc=0.0)
 zero = generate_kernel("zero", spec)
-forest_signed = build_corona(root, signed, signed, zero, cfg0)
+forest_signed = build_corona(root, signed, signed, zero, delta=0.25, tloc=0.0)
 levels = sorted({m.level for m in forest_signed.members(1)})
 print("\nsigned-system stopping levels:", levels)
 print("packing:", packing_ratio(forest_signed, 1))

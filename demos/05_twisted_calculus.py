@@ -48,7 +48,7 @@ print("measure comparison excess (<= 0 means it holds):",
 # corona-adapted expansion reconstructs any function exactly
 inst = build_instance(ExperimentConfig(dim=1, depth=5), 42)
 h = GridFunction(inst.spec, rng.uniform(-1, 1, inst.spec.n_cells))
-e_top, deltas = expand(inst.forest, 1, inst.sys1, inst.spec.root(), h)
+e_top, deltas = expand(inst.forest, 1, inst.spec.root(), h)
 total = e_top.values + sum(dd.values for _, dd in deltas)
 print("\nexpansion reconstruction error:", np.abs(total - h.values).max())
 print("number of difference terms:", len(deltas))

@@ -35,7 +35,6 @@ from .corona import (
     ConfigError,
     CoronaForest,
     DeltaSearch,
-    TbConfig,
     build_corona,
     carleson_constant,
     choose_delta,

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accretive import ACCRETIVE_KINDS, AccretiveSystem
+from .accretive import _PARAM_NAMES, ACCRETIVE_KINDS, AccretiveSystem
 from .corona import (
     ConfigError,
-    TbConfig,
     _member_links,
     build_corona,
+    check_tau_target,
     choose_delta,
     forest_carleson,
     packing_ratio,
@@ -56,12 +56,18 @@ EXIT_INTERNAL = 3
 PLOT_KINDS = ("ratio-hist", "ratio-vs-seed", "packing-vs-delta")
 
 
-def _system_params(kind: str, amp: float, s: float) -> dict:
-    if kind == "random":
-        return {"amp": amp}
-    if kind == "two-value":
-        return {"s": s}
-    return {}
+def _system_params(args) -> dict:
+    """The one parameter of ``--accretive-kind`` from its flag, None when not
+    given: ``--amp`` of random (default 0.4) or ``--s`` of two-value (default
+    0.5).  A flag given to a kind that does not read it is a ConfigError."""
+    kind, params = args.accretive_kind, {}
+    for name, default in (("amp", 0.4), ("s", 0.5)):
+        value = getattr(args, name)
+        if _PARAM_NAMES.get(kind) == name:
+            params[name] = default if value is None else value
+        elif value is not None:
+            raise ConfigError(f"--{name} is not a parameter of accretive kind {kind!r}")
+    return params
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -102,7 +108,7 @@ def cmd_validate(args) -> int:
 
 
 def _build_systems(args, spec):
-    params = _system_params(args.accretive_kind, args.amp, args.s)
+    params = _system_params(args)
     sys1 = AccretiveSystem(spec, args.accretive_kind, args.p1, args.A,
                            seed=args.seed * 2 + 1, params=params)
     sys2 = AccretiveSystem(spec, args.accretive_kind, args.p2, args.A,
@@ -121,7 +127,7 @@ def cmd_corona(args) -> int:
     tloc = _tloc(kernel, sys1, sys2)
     root = spec.root()
     if args.delta == "auto":
-        search = choose_delta(root, sys1, sys2, kernel, TbConfig(0.5, tloc, args.tau_target))
+        search = choose_delta(root, sys1, sys2, kernel, tloc, args.tau_target)
         if not search.ok:
             print(f"delta search FAILED (floor reached); trace={search.trace}")
             return EXIT_VALIDATION
@@ -130,7 +136,8 @@ def cmd_corona(args) -> int:
         print(f"chosen delta = {delta!r} after {len(search.trace)} attempts")
     else:
         delta = float(args.delta)
-        forest = build_corona(root, sys1, sys2, kernel, TbConfig(delta, tloc, args.tau_target))
+        check_tau_target(args.tau_target)  # no search reads it, but a bad value is an error
+        forest = build_corona(root, sys1, sys2, kernel, delta, tloc)
         ratios = packing_ratio(forest, 1), packing_ratio(forest, 2)
     print(f"Tloc = {tloc!r}")
     for j, ratio in zip((1, 2), ratios):
@@ -145,7 +152,7 @@ def cmd_corona(args) -> int:
 
 def cmd_transform_norm(args) -> int:
     spec = GridSpec(args.dim, args.depth)
-    params = _system_params(args.accretive_kind, args.amp, args.s)
+    params = _system_params(args)
     system = AccretiveSystem(spec, args.accretive_kind, args.p, args.A,
                              seed=args.seed, params=params)
     ctx = make_context(system, spec.root(), args.delta)
@@ -259,7 +266,7 @@ def _forest_json_text(forest) -> str:
     are ``_json_text`` of a row with a ``%d`` for every integer, two spaces
     deeper (the family list's items); every family holds q0."""
     spec, q0 = forest.spec, forest.q0
-    header = _json_text({"delta": forest.config.delta, "depth": spec.depth, "dim": spec.dim,
+    header = _json_text({"delta": forest.delta, "depth": spec.depth, "dim": spec.dim,
                          "q0": {"coords": list(q0.coords), "level": q0.level}})
     cube = {"coords": ["%d"] * spec.dim, "level": "%d"}
     root, linked = (_json_text({**cube, "parent": parent}).replace("\n", "\n  ").replace('"%d"', "%d")
@@ -436,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p2", type=float, default=2.0)
         p.add_argument("--A", type=float, default=1.5)
         p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
-        p.add_argument("--amp", type=float, default=0.4)
-        p.add_argument("--s", type=float, default=0.5)
+        p.add_argument("--amp", type=float, default=None, help="random kind only (default 0.4)")
+        p.add_argument("--s", type=float, default=None, help="two-value kind only (default 0.5)")
         p.add_argument("--tau-target", type=float, default=0.9)
 
     p = sub.add_parser("corona", help="build the stopping families and measure them", allow_abbrev=False)
@@ -455,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--A", type=float, default=1.5)
     p.add_argument("--accretive-kind", choices=ACCRETIVE_KINDS, default="random")
-    p.add_argument("--amp", type=float, default=0.4)
-    p.add_argument("--s", type=float, default=0.5)
+    p.add_argument("--amp", type=float, default=None, help="random kind only (default 0.4)")
+    p.add_argument("--s", type=float, default=None, help="two-value kind only (default 0.5)")
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--passes", type=int, default=50)

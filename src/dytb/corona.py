@@ -29,7 +29,7 @@ which keeps every non-stopping cube's b-average strictly above delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .kernels import PerfectKernel, adjoint
 
 __all__ = [
     "ConfigError",
-    "TbConfig",
     "terminal_cubes",
     "CoronaForest",
     "build_corona",
@@ -60,25 +59,6 @@ class ConfigError(ValueError):
 
 def conjugate(p: float) -> float:
     return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class TbConfig:
-    """The stopping parameter delta, the testing constant and the packing
-    target of the two-system construction.  Each system's exponent p and
-    constant A are its own (``AccretiveSystem.p``, ``.A``)."""
-
-    delta: float
-    Tloc: float = 0.0
-    tau_target: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.Tloc < 0.0:
-            raise ValueError(f"Tloc must be non-negative, got {self.Tloc}")
-        if not 0.0 < self.tau_target < 1.0:
-            raise ValueError(f"tau_target must lie in (0, 1), got {self.tau_target}")
 
 
 def _sides(sys1: AccretiveSystem, sys2: AccretiveSystem, kernel: PerfectKernel):
@@ -166,26 +146,38 @@ def terminal_cubes(
 # -- corona forest (two systems, operator-aware) ---------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class CoronaForest:
-    """Stopping families S_1, S_2 below ``q0``, held as the per-level owner
-    arrays of the pass that built each one (``owner_levels``).
+    """Stopping families S_1, S_2 below ``q0`` with the other inputs of the
+    ``build_corona`` call that built them; each family is held as the
+    per-level owner arrays of its pass (``owner_levels``).
 
-    Immutable once built.  S_j's members are the cubes that own themselves
-    (``owners[l] == l``), and a cube's owner level is that of pi_j(Q), the
-    smallest member containing it.  ``members`` is the one view of the owner
-    arrays as ``DyadicCube``s, built anew on each call.
+    S_j's members are the cubes that own themselves (``owners[l] == l``), and
+    a cube's owner level is that of pi_j(Q), the smallest member containing
+    it.  ``members`` is the one view of the owner arrays as ``DyadicCube``s,
+    built anew on each call.
     """
 
-    def __init__(self, spec, q0, owners, config):
-        self.spec = spec
-        self.q0 = q0
-        self.config = config
-        self._owners = tuple(owners)
+    q0: DyadicCube
+    sys1: AccretiveSystem
+    sys2: AccretiveSystem
+    kernel: PerfectKernel
+    delta: float
+    tloc: float
+    owners: tuple
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.sys1.spec
+
+    def system(self, j: int) -> AccretiveSystem:
+        """The system whose b S_j's members carry: b^1 for S_1, b^2 for S_2."""
+        return (self.sys1, self.sys2)[_jdx(j)]
 
     def owner_levels(self, j: int) -> list[np.ndarray | None]:
         """Per level, the level of pi_j(Q) for every cube Q of that level
         (row-major), -1 outside q0; None above q0's level."""
-        return self._owners[_jdx(j)]
+        return self.owners[_jdx(j)]
 
     def member_count(self, j: int) -> int:
         """The number of members of S_j."""
@@ -224,14 +216,8 @@ def _jdx(j: int) -> int:
     return j - 1
 
 
-def _build_family(
-    spec: GridSpec,
-    q0: DyadicCube,
-    system: AccretiveSystem,
-    op: PerfectKernel,
-    q_exp: float,
-    cfg: TbConfig,
-):
+def _build_family(q0: DyadicCube, system: AccretiveSystem, op: PerfectKernel, q_exp: float,
+                  delta: float, tloc: float):
     """One stopping family below ``q0`` as the owner arrays of its pass
     (``CoronaForest.owner_levels``); rule (2) reads the system's p and A.  A
     member S of level m stitches that level's b-array and its sweep from
@@ -240,13 +226,9 @@ def _build_family(
     |T b|^q.  The sweeps are the system's memo (``AccretiveSystem.level_sweep``):
     ``testing_constant`` has already made them, and every ``choose_delta``
     attempt reads them again."""
-    if cfg.Tloc == 0.0 and len(op) > 0:
-        raise ConfigError(
-            "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
-            "everywhere; compute the testing constant first and pass it in TbConfig"
-        )
-    norm_cap = system.A**system.p / cfg.delta
-    test_cap = cfg.Tloc**q_exp / cfg.delta
+    spec = system.spec
+    norm_cap = system.A**system.p / delta
+    test_cap = tloc**q_exp / delta
     stitched = [np.zeros(spec.n_cells) for _ in range(3)]  # b, |b|^p and |T b|^q
 
     def sums(level: int):
@@ -270,7 +252,7 @@ def _build_family(
         else:
             integ, pows, tpows = (row * spec.cell_volume for row in sums(level))
             vol = 2.0 ** (-spec.dim * level)
-            stopped = ((np.abs(integ) <= cfg.delta * vol) | (pows >= norm_cap * vol)
+            stopped = ((np.abs(integ) <= delta * vol) | (pows >= norm_cap * vol)
                        | ((tpows >= test_cap * vol) & (tpows > 0.0)))
             hits = (inherited >= 0) & stopped
         if hits.any():  # only the newly marked cells change
@@ -284,24 +266,32 @@ def _build_family(
     return _owner_pass(spec, q0.level, mark)
 
 
-def build_corona(
-    q0: DyadicCube,
-    sys1: AccretiveSystem,
-    sys2: AccretiveSystem,
-    kernel: PerfectKernel,
-    cfg: TbConfig,
-) -> CoronaForest:
-    """Run the two-system stopping construction below ``q0``.
+def build_corona(q0: DyadicCube, sys1: AccretiveSystem, sys2: AccretiveSystem,
+                 kernel: PerfectKernel, delta: float, tloc: float) -> CoronaForest:
+    """Run the two-system stopping construction below ``q0`` at stopping
+    parameter ``delta`` against the testing constant ``tloc``.
 
     S_1 uses (b^1, p1, exponent p2' on T b^1_S, the operator itself); S_2 uses
     (b^2, p2, exponent p1' on T* b^2_S, the adjoint).
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if tloc < 0.0:
+        raise ValueError(f"Tloc must be non-negative, got {tloc}")
+    if not np.isfinite(tloc):
+        raise ValueError(f"Tloc must be finite, got {tloc}")
     spec = sys1.spec
     if sys2.spec != spec or kernel.spec != spec:
         raise ValueError("grid mismatch between systems and kernel")
     spec.check(q0)
-    owners = [_build_family(spec, q0, system, op, q, cfg) for system, op, q in _sides(sys1, sys2, kernel)]
-    return CoronaForest(spec, q0, owners, cfg)
+    if tloc == 0.0 and len(kernel) > 0:
+        raise ConfigError(
+            "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
+            "everywhere; compute the testing constant first and pass it as tloc"
+        )
+    owners = tuple(_build_family(q0, system, op, q, delta, tloc)
+                   for system, op, q in _sides(sys1, sys2, kernel))
+    return CoronaForest(q0, sys1, sys2, kernel, delta, tloc, owners)
 
 
 # -- packing and Carleson measurements -------------------------------------------
@@ -378,7 +368,7 @@ def forest_to_json_dict(forest: CoronaForest) -> dict:
         "dim": forest.spec.dim,
         "depth": forest.spec.depth,
         "q0": {"level": forest.q0.level, "coords": list(forest.q0.coords)},
-        "delta": forest.config.delta,
+        "delta": forest.delta,
         "s1": family(1),
         "s2": family(2),
     }
@@ -389,34 +379,43 @@ def forest_to_json_dict(forest: CoronaForest) -> dict:
 
 @dataclass(frozen=True)
 class DeltaSearch:
-    """Outcome of the halving search for a usable delta."""
+    """Outcome of the halving search for a usable delta: the forest of the
+    accepted delta, None when the search reached ``DELTA_FLOOR``."""
 
-    ok: bool
-    delta: float | None
     trace: tuple  # (delta, packing_s1, packing_s2) per attempt
     forest: CoronaForest | None = field(default=None, repr=False)
 
+    @property
+    def ok(self) -> bool:
+        return self.forest is not None
 
-def choose_delta(
-    q0: DyadicCube,
-    sys1: AccretiveSystem,
-    sys2: AccretiveSystem,
-    kernel: PerfectKernel,
-    cfg: TbConfig,
-) -> DeltaSearch:
-    """Halve delta from 1/2 until both packing ratios drop to cfg.tau_target.
+    @property
+    def delta(self) -> float | None:
+        return None if self.forest is None else self.forest.delta
+
+
+def choose_delta(q0: DyadicCube, sys1: AccretiveSystem, sys2: AccretiveSystem,
+                 kernel: PerfectKernel, tloc: float, tau_target: float = 0.9) -> DeltaSearch:
+    """Halve delta from 1/2 until both packing ratios drop to ``tau_target``.
 
     Reaching ``DELTA_FLOOR`` is reported as a structured failure, not an
     exception, so experiment runners can flag the instance and move on.
     """
+    check_tau_target(tau_target)
     trace = []
     delta = 0.5
     while delta >= DELTA_FLOOR:
-        forest = build_corona(q0, sys1, sys2, kernel, replace(cfg, delta=delta))
+        forest = build_corona(q0, sys1, sys2, kernel, delta, tloc)
         t1 = packing_ratio(forest, 1)
         t2 = packing_ratio(forest, 2)
         trace.append((delta, t1, t2))
-        if max(t1, t2) <= cfg.tau_target:
-            return DeltaSearch(True, delta, tuple(trace), forest)
+        if max(t1, t2) <= tau_target:
+            return DeltaSearch(tuple(trace), forest)
         delta /= 2.0
-    return DeltaSearch(False, None, tuple(trace), None)
+    return DeltaSearch(tuple(trace))
+
+
+def check_tau_target(tau_target: float) -> None:
+    """Raise ValueError unless the packing target lies in (0, 1)."""
+    if not 0.0 < tau_target < 1.0:
+        raise ValueError(f"tau_target must lie in (0, 1), got {tau_target}")

@@ -173,21 +173,18 @@ def make_context(system: AccretiveSystem, s0: DyadicCube, delta: float) -> Twist
     return TwistedContext(system, s0, owners, delta)
 
 
-def block_context(
-    forest: CoronaForest, j: int, system: AccretiveSystem, member: DyadicCube
-) -> TwistedContext:
-    """The corona block of a stopping cube S as a twisted context: base cube S,
-    function b_S, terminal cubes = S's stopping children with their own b,
-    marked by one owner pass: S, then each member of S_j that inherits S."""
-    if system.spec != forest.spec:
-        raise ValueError("grid mismatch between the system and the forest")
+def block_context(forest: CoronaForest, j: int, member: DyadicCube) -> TwistedContext:
+    """The corona block of a stopping cube S of S_j as a twisted context:
+    base cube S, function b_S of S_j's system, terminal cubes = S's stopping
+    children with their own b, marked by one owner pass: S, then each member
+    of S_j that inherits S."""
     spec, owners, top = forest.spec, forest.owner_levels(j), member.level
     if not (spec.contains(member) and forest.q0.contains(member)
             and owners[top][spec.cube_flat(member)] == top):
         raise ValueError(f"{member} is not a member of S_{j}")
     block = _owner_pass(spec, top, lambda level, inherited: [spec.cube_flat(member)] if level == top
                         else (owners[level] == level) & (inherited == top))
-    return TwistedContext(system, member, block, forest.config.delta)
+    return TwistedContext(forest.system(j), member, block, forest.delta)
 
 
 # -- the level engine -------------------------------------------------------------
@@ -400,25 +397,21 @@ def half_transform(ctx: TwistedContext, coeffs: dict, f: GridFunction) -> GridFu
 # -- corona-adapted expectations and differences ---------------------------------
 
 
-def corona_levels(
-    forest: CoronaForest, j: int, system: AccretiveSystem, h: GridFunction | None
-) -> CoronaLevels:
+def corona_levels(forest: CoronaForest, j: int, h: GridFunction | None) -> CoronaLevels:
     """The per-level corona calculus of h against S_j: a cube's owner is its
-    corona parent pi_j(Q), whose b the system's level arrays supply."""
-    owners = forest.owner_levels(j)
-    return CoronaLevels(forest.spec, owners, _stitch(forest.spec, owners, system.level_values), h)
+    corona parent pi_j(Q), whose b S_j's system supplies from its level arrays."""
+    spec, owners = forest.spec, forest.owner_levels(j)
+    return CoronaLevels(spec, owners, _stitch(spec, owners, forest.system(j).level_values), h)
 
 
-def expand(
-    forest: CoronaForest, j: int, system: AccretiveSystem, top: DyadicCube, h: GridFunction
-):
+def expand(forest: CoronaForest, j: int, top: DyadicCube, h: GridFunction):
     """The martingale expansion of h below ``top``: returns (E_top h, list of
     (Q, Delta_Q h)); their sum reconstructs h 1_top exactly on the finite grid.
     """
     spec = forest.spec
     if not (spec.contains(top) and forest.q0.contains(top)):
         raise ValueError(f"{top} is not inside {forest.q0}")
-    levels = corona_levels(forest, j, system, h)
+    levels = corona_levels(forest, j, h)
     cubes = spec.all_cubes(top, max_level=spec.depth - 1)
     return (GridFunction(spec, levels.expectations[top.level]).restrict(top),
             [(q, GridFunction(spec, levels.deltas[q.level]).restrict(q)) for q in cubes])

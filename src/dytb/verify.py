@@ -39,8 +39,8 @@ from .accretive import _PARAM_NAMES, AccretiveSystem, _overflow, draw_levels
 from .corona import (
     CoronaForest,
     DeltaSearch,
-    TbConfig,
     _sides,
+    check_tau_target,
     choose_delta,
     conjugate,
     forest_carleson,
@@ -274,43 +274,40 @@ def _tloc(kernel: PerfectKernel, sys1: AccretiveSystem, sys2: AccretiveSystem) -
 
 @dataclass(frozen=True, eq=False)
 class Pairings:
-    """The one input of the battery checks: a kernel, a forest, its two
-    systems and the sign functions f, g.  The corona calculus of f against
-    S_1 (``lf``) and of g against S_2 (``lg``), and what the battery pairs
-    from it, are each built on first read: over the difference levels a, b
-    of Q0 and below, ``table[a, b]`` is <T D_a f, D_b g> and
+    """The one input of the battery checks: a forest, whose kernel T the
+    pairings take, and the sign functions f, g.  The corona calculus of f
+    against S_1 (``lf``) and of g against S_2 (``lg``), and what the battery
+    pairs from it, are each built on first read: over the difference levels
+    a, b of Q0 and below, ``table[a, b]`` is <T D_a f, D_b g> and
     ``adjoint_table[b, a]`` is <T* D_b g, D_a f>."""
 
-    kernel: PerfectKernel
     forest: CoronaForest
-    sys1: AccretiveSystem
-    sys2: AccretiveSystem
     f: GridFunction
     g: GridFunction
 
     @cached_property
     def lf(self) -> CoronaLevels:
-        return corona_levels(self.forest, 1, self.sys1, self.f)
+        return corona_levels(self.forest, 1, self.f)
 
     @cached_property
     def lg(self) -> CoronaLevels:
-        return corona_levels(self.forest, 2, self.sys2, self.g)
+        return corona_levels(self.forest, 2, self.g)
 
     @cached_property
     def rank_one(self) -> tuple[float, float]:
         """<T E f, g> and <T (sum D f), E g>, with E the expectation on Q0."""
-        spec, top = self.lf.spec, min(self.lf.b)
-        return (bilinear(self.kernel, GridFunction(spec, self.lf.expectations[top]), self.lg.h),
-                bilinear(self.kernel, GridFunction(spec, self.lf.delta_sum),
+        kernel, spec, top = self.forest.kernel, self.lf.spec, min(self.lf.b)
+        return (bilinear(kernel, GridFunction(spec, self.lf.expectations[top]), self.lg.h),
+                bilinear(kernel, GridFunction(spec, self.lf.delta_sum),
                          GridFunction(spec, self.lg.expectations[top])))
 
     @cached_property
     def table(self) -> np.ndarray:
-        return _pairing_table(self.kernel, self.lf.deltas, self.lg.deltas)
+        return _pairing_table(self.forest.kernel, self.lf.deltas, self.lg.deltas)
 
     @cached_property
     def adjoint_table(self) -> np.ndarray:
-        return _pairing_table(adjoint(self.kernel), self.lg.deltas, self.lf.deltas)
+        return _pairing_table(adjoint(self.forest.kernel), self.lg.deltas, self.lf.deltas)
 
 
 def _pairing_table(op, rows: dict, cols: dict) -> np.ndarray:
@@ -321,21 +318,22 @@ def _pairing_table(op, rows: dict, cols: dict) -> np.ndarray:
     return swept @ np.reshape(list(cols.values()), (-1, n)).T * op.spec.cell_volume
 
 
-def easy_terms_check(pairings: Pairings, tloc: float) -> dict:
+def easy_terms_check(pairings: Pairings) -> dict:
     """The two rank-one pieces of the expansion with their testing bounds:
     |<T E f, g>| <= Tloc |Q0| and |<T sum-of-differences f, E g>| <= A Tloc |Q0|,
-    with the A of the second system, whose b_Q0 E g is built from."""
+    with the A of the forest's second system, whose b_Q0 E g is built from."""
     easy1, easy2 = pairings.rank_one
-    volume = pairings.forest.q0.volume
-    return {"easy1": abs(easy1), "easy1_bound": tloc * volume,
-            "easy2": abs(easy2), "easy2_bound": pairings.sys2.A * tloc * volume}
+    forest = pairings.forest
+    volume = forest.q0.volume
+    return {"easy1": abs(easy1), "easy1_bound": forest.tloc * volume,
+            "easy2": abs(easy2), "easy2_bound": forest.sys2.A * forest.tloc * volume}
 
 
 def bilinear_expansion_check(pairings: Pairings) -> tuple[float, dict]:
     """Residual of <Tf, g> = <T E f, g> + <T (sum D f), E g> + sum_{P,Q} <T D_P f, D_Q g>
     with every piece computed independently (the last one as the sum of the
     pairing table); relative to 1 + |<Tf, g>|."""
-    total = bilinear(pairings.kernel, pairings.f, pairings.g)
+    total = bilinear(pairings.forest.kernel, pairings.f, pairings.g)
     term1, term2 = pairings.rank_one
     term3 = float(pairings.table.sum())
     residual = abs(total - term1 - term2 - term3) / (1.0 + abs(total))
@@ -363,7 +361,7 @@ def form_split(pairings: Pairings) -> FormSplit:
     spec = pairings.forest.spec
     above, below = (float(np.triu(t, 1).sum()) for t in (pairings.table, pairings.adjoint_table))
     equal = float(np.trace(pairings.table))
-    total = bilinear(pairings.kernel, GridFunction(spec, pairings.lf.delta_sum),
+    total = bilinear(pairings.forest.kernel, GridFunction(spec, pairings.lf.delta_sum),
                      GridFunction(spec, pairings.lg.delta_sum))
     residual = abs(above + equal + below - total) / (1.0 + abs(total))
     return FormSplit(above, equal, below, total, residual)
@@ -395,7 +393,7 @@ def b_above_aggregation(pairings: Pairings):
     over the level differences, the strict upper triangle of the pairing
     table.  Returns (total, pull-out residual, reference, relative residual
     of total against reference)."""
-    kernel, forest, sys1 = pairings.kernel, pairings.forest, pairings.sys1
+    forest, kernel = pairings.forest, pairings.forest.kernel
     spec, top, cv = forest.spec, forest.q0.level, forest.spec.cell_volume
     lf, lg = pairings.lf, pairings.lg
     reference = float(np.triu(pairings.table, 1).sum())
@@ -406,7 +404,7 @@ def b_above_aggregation(pairings: Pairings):
         return {b: row_reduce(np.add, cube_blocks(spec, b, u) * g_blocks[b]) * cv
                 for b in range(first, spec.depth)}
 
-    tb = _stitch(spec, lf.owners, lambda m: sys1.level_sweep(kernel, m))
+    tb = _stitch(spec, lf.owners, lambda m: forest.sys1.level_sweep(kernel, m))
     total = pullout = 0.0
     for a, half in lf.half_twisted.items():
         tbs = paired(tb[a], a)
@@ -422,14 +420,14 @@ def b_above_aggregation(pairings: Pairings):
     return total, pullout, reference, residual
 
 
-def epsilon_coefficient(forest, sys1, f, member, cube) -> float:
+def epsilon_coefficient(forest, f, member, cube) -> float:
     """The telescoped coefficient attached to a cube strictly inside a block:
     the sum over ancestors P of the cube with corona parent ``member`` of the
     block difference's constant value on the child of P towards the cube."""
     if not member.contains(cube) or member == cube:
         raise ValueError(f"{cube} is not strictly inside {member}")
     spec, owners = forest.spec, forest.owner_levels(1)
-    half = corona_levels(forest, 1, sys1, f).half_twisted
+    half = corona_levels(forest, 1, f).half_twisted
     total = 0.0
     for level in range(cube.level - 1, member.level - 1, -1):
         if owners[level][spec.cube_flat(cube.ancestor(level))] == member.level:
@@ -574,6 +572,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
+        check_tau_target(self.tau_target)
 
 
 @dataclass
@@ -604,7 +603,7 @@ class Instance:
     @cached_property
     def pairings(self) -> Pairings:
         """The identity battery's input on this instance, built once."""
-        return Pairings(self.kernel, self.forest, self.sys1, self.sys2, self.f, self.g)
+        return Pairings(self.forest, self.f, self.g)
 
 
 def build_instance(config: ExperimentConfig, seed: int) -> Instance:
@@ -631,7 +630,7 @@ def build_instance(config: ExperimentConfig, seed: int) -> Instance:
     sys1 = AccretiveSystem(spec, kind, config.p1, A, seed=_seed_int(k_sys1), params=params)
     sys2 = AccretiveSystem(spec, kind, config.p2, A, seed=_seed_int(k_sys2), params=params)
     tloc = _tloc(kernel, sys1, sys2)
-    dsearch = choose_delta(spec.root(), sys1, sys2, kernel, TbConfig(0.5, tloc, config.tau_target))
+    dsearch = choose_delta(spec.root(), sys1, sys2, kernel, tloc, config.tau_target)
     rng = np.random.default_rng(k_fg)
     f = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
     g = GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells))
@@ -649,18 +648,17 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _check_families(forest, families) -> int:
+def _check_families(forest, lf, lg) -> int:
     """The invariants ``block_context`` validates on every corona block, in
     one pass per family over the stitched level arrays of its level calculus
-    (each cube Q against b_pi(Q); any h, since the invariants read only the
-    owners and the stitched b), with the p and A of its system:
-    ``families`` is ((sys1, levels of S_1), (sys2, levels of S_2)).  Returns
-    the number of blocks.  A violation raises RuntimeError: the construction
-    guarantees these invariants on every forest it builds, so a failure is a
-    fault of the program, not of its input."""
-    for j, (system, levels) in enumerate(families, 1):
+    (``lf`` of S_1, ``lg`` of S_2: each cube Q against b_pi(Q); any h, since
+    the invariants read only the owners and the stitched b), with the p and A
+    of its system.  Returns the number of blocks.  A violation raises
+    RuntimeError: the construction guarantees these invariants on every
+    forest it builds, so a failure is a fault of the program, not of its input."""
+    for j, levels in ((1, lf), (2, lg)):
         try:
-            _check_blocks(levels, system, forest.config.delta)
+            _check_blocks(levels, forest.system(j), forest.delta)
         except ValueError as e:
             raise RuntimeError(f"corona family S_{j} breaks a block invariant: {e}") from None
     return forest.member_count(1) + forest.member_count(2)
@@ -672,10 +670,10 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
     The corona's block invariants are checked first: a forest that breaks one
     raises RuntimeError (``_check_families``) before any residual.
     """
-    forest, sys1, f, g = inst.forest, inst.sys1, inst.f, inst.g
-    q0, pairings, delta = forest.q0, inst.pairings, inst.dsearch.delta
+    forest, f, g, pairings = inst.forest, inst.f, inst.g, inst.pairings
+    q0, delta = forest.q0, forest.delta
     lf, lg = pairings.lf, pairings.lg
-    _check_families(forest, ((sys1, lf), (inst.sys2, lg)))
+    _check_families(forest, lf, lg)
     out: dict[str, float] = {}
 
     # martingale expansion reconstructs h on the nose
@@ -687,7 +685,7 @@ def run_identity_checks(inst: Instance) -> dict[str, float]:
 
     # twisted context checks at the chosen delta, on the context's level
     # arrays: the random signs as per-level coefficients, each transform once
-    ctx = make_context(sys1, q0, delta)
+    ctx = make_context(forest.sys1, q0, delta)
     rng = np.random.default_rng(np.random.SeedSequence(inst.seed, spawn_key=(17,)))
     coeffs = ctx.random_coefficients(rng)
     tw = ctx.levels(f)
@@ -823,7 +821,7 @@ def _after_norm(inst: Instance) -> dict | None:
     residuals = run_identity_checks(inst)
     eps_max, eps_bound = residuals.pop("epsilon_max"), residuals.pop("epsilon_bound")
     # the rank-one pairings were made by the expansion check: no bilinear call here
-    easy = easy_terms_check(inst.pairings, inst.tloc)
+    easy = easy_terms_check(inst.pairings)
     return {"delta": inst.dsearch.delta, "packing": packing, "carleson": carleson,
             "residuals": residuals, "epsilon_max": eps_max, "epsilon_bound": eps_bound,
             "easy": easy}

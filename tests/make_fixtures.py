@@ -97,8 +97,7 @@ def freeze_box_constants():
     for seed in BOX_INSTANCE_SEEDS:
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         for q in BOX_EXPONENTS:
-            out[f"seed{seed}|q{q}"] = box_square_function_check(
-                inst.forest, 1, inst.sys1, inst.f, q)
+            out[f"seed{seed}|q{q}"] = box_square_function_check(inst.forest, 1, inst.f, q)
     return out
 
 
@@ -107,8 +106,7 @@ def freeze_diagonal_constants():
     for seed in DIAGONAL_INSTANCE_SEEDS:
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         worst = max(
-            diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2,
-                                 cube, inst.tloc)
+            diagonal_lemma_check(inst.forest, cube)
             for cube in inst.spec.all_cubes(inst.forest.q0)
             if cube.level < inst.spec.depth
         )

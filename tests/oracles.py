@@ -214,20 +214,22 @@ def box(levels, level):
     return spread(spec, level + 1, diff + spread(spec, level, parents, level + 1))
 
 
-def box_square_function_check(forest, j, system, f, q) -> float:
+def box_square_function_check(forest, j, f, q) -> float:
     """|| (sum over cubes of box-difference^2)^(1/2) ||_q / |Q0|^(1/q)."""
-    levels = corona_levels(forest, j, system, f)
+    levels = corona_levels(forest, j, f)
     sq = np.zeros(forest.spec.n_cells)
     for level in levels.deltas:
         sq += box(levels, level) ** 2
     return GridFunction(forest.spec, np.sqrt(sq)).lp_norm(q) / forest.q0.volume ** (1.0 / q)
 
 
-def diagonal_lemma_check(kernel, forest, sys1, sys2, cube, tloc) -> float:
+def diagonal_lemma_check(forest, cube) -> float:
     """max over ordered child pairs (Q1, Q2) and the four test-function choices
-    of |<T(b1 1_Q1), b2 1_Q2>| / ((1 + Tloc) |Q|)."""
+    of |<T(b1 1_Q1), b2 1_Q2>| / ((1 + Tloc) |Q|), with the forest's kernel,
+    systems and Tloc."""
     if cube.level >= forest.spec.depth:
         raise ValueError("diagonal check needs a cube with children")
+    kernel, sys1, sys2, tloc = forest.kernel, forest.sys1, forest.sys2, forest.tloc
     b1_choices = lambda q1: (sys1.get_b(corona_parent(forest, 1, cube)), sys1.get_b(q1))
     b2_choices = lambda q2: (sys2.get_b(corona_parent(forest, 2, cube)), sys2.get_b(q2))
     best = 0.0
@@ -240,12 +242,11 @@ def diagonal_lemma_check(kernel, forest, sys1, sys2, cube, tloc) -> float:
     return best
 
 
-def check_forest_blocks(forest, sys1, sys2) -> int:
+def check_forest_blocks(forest) -> int:
     """The block invariants of every corona block of both families (the
     check ``run_identity_checks`` makes first); returns the number of blocks
     and raises RuntimeError at a violation."""
-    return _check_families(forest, ((sys1, corona_levels(forest, 1, sys1, None)),
-                                    (sys2, corona_levels(forest, 2, sys2, None))))
+    return _check_families(forest, corona_levels(forest, 1, None), corona_levels(forest, 2, None))
 
 
 def haar_shift_tloc(dim, depth, q) -> float:

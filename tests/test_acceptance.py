@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, build_corona, carleson_constant, packing_ratio
+from dytb.corona import build_corona, carleson_constant, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import apply, bilinear, dense_matrix, generate_kernel
 from dytb.twisted import (
@@ -140,11 +140,10 @@ def test_criterion_4_classical_reductions():
     spec = GridSpec(1, 6)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     ctx = make_context(const, spec.root(), 0.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
+    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), 0.5, 0.0)
     rng = np.random.default_rng(444)
     f = GridFunction(spec, rng.uniform(-1, 1, spec.n_cells))
-    deltas = corona_levels(forest, 1, const, f).deltas
+    deltas = corona_levels(forest, 1, f).deltas
     cellwise = 0.0
     for q in ctx.q_cubes():
         classical = np.zeros(spec.n_cells)
@@ -167,8 +166,7 @@ def test_criterion_4_classical_reductions():
 def test_criterion_5_corona_structure():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    trivial = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
+    trivial = build_corona(spec.root(), const, const, generate_kernel("zero", spec), 0.5, 0.0)
     ok = set(trivial.members(1)) == {spec.root()} and set(trivial.members(2)) == {spec.root()}
 
     worst_pack = 0.0
@@ -183,7 +181,7 @@ def test_criterion_5_corona_structure():
                    carleson_constant(forest.members(2), forest.q0))
         worst_pack = max(worst_pack, pack)
         worst_carleson = max(worst_carleson, carl)
-        blocks += check_forest_blocks(forest, inst.sys1, inst.sys2)
+        blocks += check_forest_blocks(forest)
     ok = ok and worst_pack <= 0.9 and worst_carleson <= 11.0
     report(5, "corona-structure", ok,
            f"100 depth-8 instances; packing <= {worst_pack:.3f}, Carleson <= "
@@ -287,7 +285,7 @@ def test_criterion_9_epsilon_bound(identity_runs, experiment_run):
             for cube in inst.spec.all_cubes(s):
                 if cube == s:
                     continue
-                val = abs(epsilon_coefficient(forest, inst.sys1, inst.f, s, cube))
+                val = abs(epsilon_coefficient(forest, inst.f, s, cube))
                 worst_classical = max(worst_classical, val)
     ok = ok and worst_classical <= 2.0 + 1e-12
     report(9, "epsilon-coefficient-bound", ok,

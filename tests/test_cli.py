@@ -13,7 +13,6 @@ from dytb.cli import main
 from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     CoronaForest,
-    TbConfig,
     build_corona,
     choose_delta,
     forest_to_json_dict,
@@ -255,6 +254,55 @@ def test_counts_are_validated(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    # an explicit delta runs no search, but its packing target is still checked
+    (["--delta", "0.3", "--tau-target", "5"], "tau_target must lie in (0, 1), got 5.0"),
+    (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
+    (["--tau-target", "0"], "tau_target must lie in (0, 1), got 0.0"),
+    (["--delta", "nan"], "delta must lie in (0, 1), got nan"),
+])
+def test_corona_stopping_parameters_are_config_errors(flags, message, capsys):
+    assert main(["corona", "--depth", "3", *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_experiment_tau_target_is_checked_without_trials(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["tb-experiment", "--trials", "0", "--tau-target", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "config error: tau_target must lie in (0, 1), got 5.0\n")
+    assert list(tmp_path.iterdir()) == []
+    for tau_target in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"tau_target must lie in \(0, 1\)"):
+            ExperimentConfig(trials=0, tau_target=tau_target)
+
+
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["corona", "--s", "0.9"], "--s", "random"),
+    (["corona", "--accretive-kind", "constant", "--amp", "0.7"], "--amp", "constant"),
+    (["transform-norm", "--accretive-kind", "two-value", "--amp", "0.9"], "--amp", "two-value"),
+    (["transform-norm", "--accretive-kind", "signed", "--s", "0.2"], "--s", "signed"),
+])
+def test_parameter_flag_of_another_kind_is_a_config_error(argv, flag, kind, capsys):
+    assert main([*argv, "--depth", "3"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: {flag} is not a parameter of accretive kind {kind!r}\n")
+
+
+@pytest.mark.parametrize("command, kind, flags", [
+    ("corona", "random", ["--amp", "0.4"]),
+    ("corona", "two-value", ["--s", "0.5", "--delta", "0.45"]),
+    ("transform-norm", "random", ["--amp", "0.4"]),
+    ("transform-norm", "two-value", ["--s", "0.5"]),
+])
+def test_kind_parameter_flag_defaults(command, kind, flags, capsys):
+    # without its flag a kind takes the flag's default: the same bytes as with it
+    base = [command, "--depth", "4", "--accretive-kind", kind]
+    assert main([*base, *flags]) == 0
+    given = capsys.readouterr()
+    assert main([*base, *flags[2:]]) == 0
+    assert capsys.readouterr() == given
+
+
 def test_kernel_file_for_another_grid_is_a_config_error(tmp_path, capsys):
     # 1D d8 has the cells of 2D d4, 1D d6 a level too few: both are other grids
     for depth in (8, 6):
@@ -438,11 +486,9 @@ def rebuilt_corona(dim, depth, seed, delta="auto", tau_target=0.9):
                   for k in (1, 2))
     tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     if delta == "auto":
-        cfg = TbConfig(0.5, tloc, tau_target)
-        search = choose_delta(spec.root(), sys1, sys2, kernel, cfg)
+        search = choose_delta(spec.root(), sys1, sys2, kernel, tloc, tau_target)
         return search.forest, search
-    cfg = TbConfig(delta, tloc, tau_target)
-    return build_corona(spec.root(), sys1, sys2, kernel, cfg), None
+    return build_corona(spec.root(), sys1, sys2, kernel, delta, tloc), None
 
 
 def test_json_files_are_the_bytes_of_json_dump(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
-    TbConfig,
     _subtree_mask,
     build_corona,
     carleson_constant,
@@ -40,7 +39,7 @@ def oracle_terminals(b, s0, delta, p, a_const):
     return {t for t in triggered if not any(o != t and o.contains(t) for o in triggered)}
 
 
-def oracle_family(spec, q0, system, op_dense, q_exp, cfg):
+def oracle_family(spec, q0, system, op_dense, q_exp, delta, tloc):
     """Recursive exhaustive recomputation of one stopping family, applying the
     operator through the dense matrix, with the system's p and A."""
     cv, p_exp = spec.cell_volume, system.p
@@ -56,10 +55,10 @@ def oracle_family(spec, q0, system, op_dense, q_exp, cfg):
                 continue
             idx = spec.cell_indices(cube)
             vol = cube.volume
-            c1 = abs(float(np.sum(b.values[idx])) * cv) <= cfg.delta * vol
-            c2 = float(np.sum(np.abs(b.values[idx]) ** p_exp)) * cv >= system.A**p_exp / cfg.delta * vol
+            c1 = abs(float(np.sum(b.values[idx])) * cv) <= delta * vol
+            c2 = float(np.sum(np.abs(b.values[idx]) ** p_exp)) * cv >= system.A**p_exp / delta * vol
             tpow = float(np.sum(np.abs(tb[idx]) ** q_exp)) * cv
-            c3 = tpow >= cfg.Tloc**q_exp / cfg.delta * vol and tpow > 0.0
+            c3 = tpow >= tloc**q_exp / delta * vol and tpow > 0.0
             if c1 or c2 or c3:
                 hits.append(cube)
         maximal = [h for h in hits if not any(o != h and o.contains(h) for o in hits)]
@@ -95,14 +94,14 @@ def scanned_terminal_cubes(b, s0, delta, p, A):
     return maximal_triggered(spec, s0, s0.level, trigger)
 
 
-def per_member_family(spec, q0, system, op, q_exp, cfg):
+def per_member_family(spec, q0, system, op, q_exp, delta, tloc):
     """The per-member construction the owner pass replaced: for every member S
     one full-grid b_S, one apply and three level sums, then a scan of S's
     subtree, with the system's p and A.  Returns the members and their
     stopping children."""
     p_exp = system.p
-    norm_cap = system.A**p_exp / cfg.delta
-    test_cap = cfg.Tloc**q_exp / cfg.delta
+    norm_cap = system.A**p_exp / delta
+    test_cap = tloc**q_exp / delta
     children = {q0: []}
     stack = [q0]
     while stack:
@@ -115,7 +114,7 @@ def per_member_family(spec, q0, system, op, q_exp, cfg):
 
         def trigger(level):
             vol = 2.0 ** (-spec.dim * level)
-            c1 = np.abs(integ[level]) <= cfg.delta * vol
+            c1 = np.abs(integ[level]) <= delta * vol
             c2 = pows[level] >= norm_cap * vol
             c3 = (tpows[level] >= test_cap * vol) & (tpows[level] > 0.0)
             return c1 | c2 | c3
@@ -368,8 +367,7 @@ def test_code_built_family_checks_its_owner_arrays():
 def test_corona_trivial_zero_kernel():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
+    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), 0.5, 0.0)
     assert set(forest.members(1)) == {spec.root()}
     assert set(forest.members(2)) == {spec.root()}
     assert packing_ratio(forest, 1) == 0.0
@@ -378,8 +376,7 @@ def test_corona_trivial_zero_kernel():
 def test_corona_signed_zero_half_child():
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
-    forest = build_corona(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
+    forest = build_corona(spec.root(), signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     assert DyadicCube(1, (0,)) in stopping_children(forest, 1, spec.root())
     # the zero-half recursion reaches the finest level
     assert any(m.level == spec.depth for m in forest.members(1))
@@ -388,9 +385,8 @@ def test_corona_signed_zero_half_child():
 def test_corona_tloc_zero_nonzero_kernel_rejected():
     spec = GridSpec(1, 3)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
     with pytest.raises(ConfigError):
-        build_corona(spec.root(), const, const, generate_kernel("haar-shift", spec), cfg)
+        build_corona(spec.root(), const, const, generate_kernel("haar-shift", spec), 0.25, 0.0)
 
 
 @pytest.mark.parametrize("p1,p2", [(2.0, 2.0), (1.5, 3.0)])
@@ -403,11 +399,10 @@ def test_corona_matches_exhaustive_oracle(p1, p2):
     q1 = p1 / (p1 - 1)
     tloc = max(measure_tloc(kernel, const, q2),
                measure_tloc(adjoint(kernel), const2, q1))
-    cfg = TbConfig(0.25, Tloc=tloc)
-    forest = build_corona(spec.root(), const, const2, kernel, cfg)
+    forest = build_corona(spec.root(), const, const2, kernel, 0.25, tloc)
     dense = dense_matrix(kernel)
-    assert set(forest.members(1)) == oracle_family(spec, spec.root(), const, dense, q2, cfg)
-    assert set(forest.members(2)) == oracle_family(spec, spec.root(), const2, dense.T, q1, cfg)
+    assert set(forest.members(1)) == oracle_family(spec, spec.root(), const, dense, q2, 0.25, tloc)
+    assert set(forest.members(2)) == oracle_family(spec, spec.root(), const2, dense.T, q1, 0.25, tloc)
 
 
 def test_corona_random_systems_match_oracle():
@@ -417,42 +412,41 @@ def test_corona_random_systems_match_oracle():
     s2 = AccretiveSystem(spec, "random", 2.0, 1.8, seed=7, params={"amp": 0.8})
     tloc = max(measure_tloc(kernel, s1, 2.0),
                measure_tloc(adjoint(kernel), s2, 2.0))
-    cfg = TbConfig(0.2, Tloc=tloc)
-    forest = build_corona(spec.root(), s1, s2, kernel, cfg)
+    forest = build_corona(spec.root(), s1, s2, kernel, 0.2, tloc)
     dense = dense_matrix(kernel)
-    assert set(forest.members(1)) == oracle_family(spec, spec.root(), s1, dense, 2.0, cfg)
-    assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, cfg)
+    assert set(forest.members(1)) == oracle_family(spec, spec.root(), s1, dense, 2.0, 0.2, tloc)
+    assert set(forest.members(2)) == oracle_family(spec, spec.root(), s2, dense.T, 2.0, 0.2, tloc)
 
 
-@pytest.mark.parametrize("depth,kind,params,kernel_kind,cfg,tie", [
+@pytest.mark.parametrize("depth,kind,params,kernel_kind,cfg,tie", [  # cfg: (delta, Tloc)
     # <b>_Q = 1/2 = delta on Q(3; 1)
-    (4, "two-value", {"s": 0.5}, "zero", TbConfig(0.5), DyadicCube(3, (1,))),
+    (4, "two-value", {"s": 0.5}, "zero", (0.5, 0.0), DyadicCube(3, (1,))),
     # <|b|^2>_Q = 4 = A^2 / delta on the right half
-    (3, "signed", {}, "zero", TbConfig(1.5**2 / 4), DyadicCube(1, (1,))),
+    (3, "signed", {}, "zero", (1.5**2 / 4, 0.0), DyadicCube(1, (1,))),
     # <|T b|^2>_Q = 1 = Tloc^2 / delta on both halves
-    (4, "constant", {}, "haar-shift", TbConfig(0.25, Tloc=0.5), DyadicCube(1, (1,))),
+    (4, "constant", {}, "haar-shift", (0.25, 0.5), DyadicCube(1, (1,))),
 ])
 def test_stopping_ties_stop(depth, kind, params, kernel_kind, cfg, tie):
+    delta, tloc = cfg
     spec = GridSpec(1, depth)
     root = spec.root()
     A = 1.5  # rule (2) ties only in the signed case
     system = AccretiveSystem(spec, kind, 2.0, A, params=params)
     kernel = generate_kernel(kernel_kind, spec)
-    forest = build_corona(root, system, system, kernel, cfg)
-    members, _ = per_member_family(spec, root, system, kernel, 2.0, cfg)
+    forest = build_corona(root, system, system, kernel, delta, tloc)
+    members, _ = per_member_family(spec, root, system, kernel, 2.0, delta, tloc)
     assert forest.members(1) == sorted(members) and tie in stopping_children(forest, 1, root)
     if kernel_kind == "zero":  # terminal cubes stop on conditions (1) and (2) alone
         b = system.get_b(root)
-        got = terminal_cubes(b, root, cfg.delta, 2.0, A)
-        assert tie in got and got == scanned_terminal_cubes(b, root, cfg.delta, 2.0, A)
+        got = terminal_cubes(b, root, delta, 2.0, A)
+        assert tie in got and got == scanned_terminal_cubes(b, root, delta, 2.0, A)
 
 
 def test_corona_pi_and_children():
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
-    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
+    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     members = set(forest.members(1))
     ch = derive_children(members, root)
     for m in members:
@@ -480,9 +474,8 @@ def test_packing_trivial_cases():
 def test_packing_matches_direct_recomputation():
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
-    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
+    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     members = set(forest.members(1))
     ch = derive_children(members, root)
     direct = max(
@@ -503,9 +496,8 @@ def test_carleson_trivial_and_geometric():
 def test_carleson_matches_brute_force():
     spec = GridSpec(1, 5)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
-    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
+    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     members = list(forest.members(1))
     brute = max(
         sum(s.volume for s in members if q.contains(s)) / q.volume
@@ -520,8 +512,7 @@ def test_carleson_matches_brute_force():
 def test_choose_delta_trivial():
     spec = GridSpec(1, 4)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    search = choose_delta(spec.root(), const, const, generate_kernel("zero", spec), cfg)
+    search = choose_delta(spec.root(), const, const, generate_kernel("zero", spec), 0.0)
     assert search.ok and search.delta == 0.5
     assert search.trace == ((0.5, 0.0, 0.0),)
 
@@ -536,8 +527,7 @@ def test_choose_delta_signed_needs_smaller_delta():
         s2 = AccretiveSystem(spec, kind, 2.0, 1.6, seed=11)
         tloc = max(measure_tloc(kernel, s1, 2.0),
                    measure_tloc(adjoint(kernel), s2, 2.0))
-        cfg = TbConfig(0.5, Tloc=tloc, tau_target=0.6)
-        search = choose_delta(spec.root(), s1, s2, kernel, cfg)
+        search = choose_delta(spec.root(), s1, s2, kernel, tloc, tau_target=0.6)
         assert search.ok
         results[kind] = search.delta
     assert results["signed"] < results["constant"]
@@ -548,8 +538,7 @@ def test_choose_delta_trace_is_monotone():
     kernel = generate_kernel("haar-shift", spec)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.6, seed=1)
     tloc = measure_tloc(kernel, signed, 2.0)
-    cfg = TbConfig(0.5, Tloc=tloc, tau_target=0.55)
-    search = choose_delta(spec.root(), signed, signed, kernel, cfg)
+    search = choose_delta(spec.root(), signed, signed, kernel, tloc, tau_target=0.55)
     deltas = [t[0] for t in search.trace]
     assert deltas == sorted(deltas, reverse=True)
     assert all(a == 2 * b for a, b in zip(deltas, deltas[1:]))
@@ -559,8 +548,8 @@ def test_choose_delta_structured_failure():
     # a signed system can never pack below 1/2: the search must fail cleanly
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0, tau_target=0.3)
-    search = choose_delta(spec.root(), signed, signed, generate_kernel("zero", spec), cfg)
+    zero = generate_kernel("zero", spec)
+    search = choose_delta(spec.root(), signed, signed, zero, 0.0, tau_target=0.3)
     assert not search.ok
     assert search.delta is None and search.forest is None
     # one attempt per delta 2^-1 .. 2^-20 = DELTA_FLOOR
@@ -570,15 +559,32 @@ def test_choose_delta_structured_failure():
 # -- config validation -----------------------------------------------------------------------
 
 
-def test_tbconfig_validation():
-    for bad in (
-        dict(delta=0.0),
-        dict(delta=1.0),
-        dict(delta=0.5, Tloc=-1.0),
-        dict(delta=0.5, tau_target=1.0),
-    ):
-        with pytest.raises(ValueError):
-            TbConfig(**bad)
+def test_stopping_parameter_validation():
+    spec = GridSpec(1, 3)
+    const = AccretiveSystem(spec, "constant", 2.0, 1.5)
+    zero = generate_kernel("zero", spec)
+    for delta, tloc, message in ((0.0, 0.0, "delta must lie in (0, 1), got 0.0"),
+                                 (1.0, 0.0, "delta must lie in (0, 1), got 1.0"),
+                                 (0.5, -1.0, "Tloc must be non-negative, got -1.0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_corona(spec.root(), const, const, zero, delta, tloc)
+    for tau_target in (0.0, 1.0):
+        message = f"tau_target must lie in (0, 1), got {tau_target}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            choose_delta(spec.root(), const, const, zero, 0.0, tau_target)
+
+
+@pytest.mark.parametrize("tloc", [float("nan"), float("inf")])
+def test_non_finite_tloc_is_rejected(tloc):
+    # stopping rule (3) compares against Tloc^q / delta: at NaN or infinity it
+    # would never fire, and the families would lose the cubes it stops
+    spec = GridSpec(1, 6)
+    system = AccretiveSystem(spec, "random", 2.0, 1.5, seed=1, params={"amp": 0.4})
+    kernel = generate_kernel("random", spec, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"Tloc must be finite, got {tloc}")):
+        build_corona(spec.root(), system, system, kernel, 0.5, tloc)
+    with pytest.raises(ValueError, match=re.escape(f"Tloc must be finite, got {tloc}")):
+        choose_delta(spec.root(), system, system, kernel, tloc)
 
 
 def test_make_context_terminals_are_canonical(rng):
@@ -595,9 +601,8 @@ def test_forest_json_export():
 
     spec = GridSpec(1, 3)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
-    cfg = TbConfig(0.25, Tloc=0.0)
     root = spec.root()
-    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), cfg)
+    forest = build_corona(root, signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     data = forest_to_json_dict(forest)
     assert data["dim"] == 1 and data["depth"] == 3 and data["delta"] == 0.25
     assert data["q0"] == {"level": 0, "coords": [0]}

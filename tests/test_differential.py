@@ -25,8 +25,6 @@ from hypothesis import strategies as st
 from dytb import accretive, cli, twisted
 from dytb.accretive import ACCRETIVE_KINDS, AccretiveSystem
 from dytb.corona import (
-    CoronaForest,
-    TbConfig,
     build_corona,
     carleson_constant,
     choose_delta,
@@ -140,27 +138,27 @@ def test_level_arrays_equal_enumeration(grid, seed):
     rng = np.random.default_rng(seed)
     h = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_cells))
     cubes = list(spec.all_cubes(forest.q0))
-    for j, system in ((1, inst.sys1), (2, inst.sys2)):
-        levels = corona_levels(forest, j, system, h)
+    for j in (1, 2):
+        levels = corona_levels(forest, j, h)
         for q in cubes:
             assert corona_parent(forest, j, q) == walk_pi(forest, j, q)
             idx = spec.cell_indices(q)
-            want = enumerated_corona_expectation(forest, j, system, q, h)
+            want = enumerated_corona_expectation(forest, j, q, h)
             assert np.array_equal(levels.expectations[q.level][idx], want[idx])
             if q.level == spec.depth:
                 continue
-            want = enumerated_corona_delta(forest, j, system, q, h)
+            want = enumerated_corona_delta(forest, j, q, h)
             assert np.array_equal(levels.deltas[q.level][idx], want[idx])
-            want = enumerated_half_twisted_block(forest, j, system, q, h)
+            want = enumerated_half_twisted_block(forest, j, q, h)
             got = spread(spec, q.level + 1, levels.half_twisted[q.level])
             assert np.array_equal(got[idx], want[idx])
-            want = enumerated_box(forest, j, system, q, h)
+            want = enumerated_box(forest, j, q, h)
             assert np.array_equal(box(levels, q.level)[idx], want[idx])
         [top] = sample(sorted(forest.members(j)), rng, 1)
-        e_top, deltas = expand(forest, j, system, top, h)
-        assert np.array_equal(e_top.values, enumerated_corona_expectation(forest, j, system, top, h))
+        e_top, deltas = expand(forest, j, top, h)
+        assert np.array_equal(e_top.values, enumerated_corona_expectation(forest, j, top, h))
         for q, d in deltas:
-            assert np.array_equal(d.values, enumerated_corona_delta(forest, j, system, q, h))
+            assert np.array_equal(d.values, enumerated_corona_delta(forest, j, q, h))
 
 
 @BOUNDED
@@ -168,7 +166,7 @@ def test_level_arrays_equal_enumeration(grid, seed):
 def test_nested_form_and_epsilon_match_quadratic_oracles(grid, seed):
     inst = drawn_instance(grid, seed)
     forest, spec, f = inst.forest, inst.spec, inst.f
-    args = (inst.kernel, forest, inst.sys1, inst.sys2, f, inst.g)
+    args = (forest, f, inst.g)
     _, _, reference, _ = b_above_aggregation(Pairings(*args))
     quadratic = quadratic_b_above_reference(*args)
     assert abs(reference - quadratic) <= 1e-12 * (1.0 + abs(quadratic))
@@ -176,12 +174,12 @@ def test_nested_form_and_epsilon_match_quadratic_oracles(grid, seed):
     # with h = b_{Q0} every in-block term vanishes and the stopping-cube terms
     # -<h>_S/<b_S>_S carry the maximum
     pairs = [(s, q) for s in sorted(forest.members(1)) for q in spec.all_cubes(s) if q != s]
-    for h in (f, inst.sys1.get_b(forest.q0)):
-        walked = {pair: epsilon_by_walk(forest, inst.sys1, h, *pair) for pair in pairs}
+    for h in (f, forest.sys1.get_b(forest.q0)):
+        walked = {pair: epsilon_by_walk(forest, h, *pair) for pair in pairs}
         for pair in sample(pairs, np.random.default_rng(seed), 8):
-            assert epsilon_coefficient(forest, inst.sys1, h, *pair) == walked[pair]
+            assert epsilon_coefficient(forest, h, *pair) == walked[pair]
         worst = max((abs(v) for v in walked.values()), default=0.0)
-        telescoped = _epsilon_max(corona_levels(forest, 1, inst.sys1, h))
+        telescoped = _epsilon_max(corona_levels(forest, 1, h))
         assert abs(telescoped - worst) <= 1e-12 * (1.0 + worst)
 
 
@@ -202,9 +200,9 @@ def test_nested_form_level_sweeps_equal_per_block_oracle(grid, kind, kernel_kind
     tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.25, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, 0.25, tloc)
     f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
-    args = (kernel, forest, sys1, sys2, f, g)
+    args = (forest, f, g)
     total, pullout, reference, residual = b_above_aggregation(Pairings(*args))
     blocks = per_block_b_above_all(*args)
     want = sum(block.value for block in blocks)
@@ -219,12 +217,13 @@ def term_size(kernel, f, g):
     return float(np.sum(np.abs(terms))) * kernel.spec.cell_volume**2
 
 
-def per_pair_tables(kernel, forest, sys1, sys2, f, g, pair=bilinear):
+def per_pair_tables(forest, f, g, pair=bilinear):
     """<T D_a f, D_b g> (rows a) and <T* D_b g, D_a f> (rows b) over the
     difference levels, one ``pair`` call per pair of levels."""
-    spec, adj = forest.spec, adjoint(kernel)
-    df = [GridFunction(spec, v) for v in corona_levels(forest, 1, sys1, f).deltas.values()]
-    dg = [GridFunction(spec, v) for v in corona_levels(forest, 2, sys2, g).deltas.values()]
+    spec, kernel = forest.spec, forest.kernel
+    adj = adjoint(kernel)
+    df = [GridFunction(spec, v) for v in corona_levels(forest, 1, f).deltas.values()]
+    dg = [GridFunction(spec, v) for v in corona_levels(forest, 2, g).deltas.values()]
     table = [[pair(kernel, ff, gg) for gg in dg] for ff in df]
     adjoint_table = [[pair(adj, gg, ff) for ff in df] for gg in dg]
     return (np.reshape(table, (len(df), len(dg))), np.reshape(adjoint_table, (len(dg), len(df))))
@@ -244,9 +243,9 @@ def test_pairing_tables_equal_per_pair_oracle(grid, root, kernel_kind, seed):
     # a root on the finest level has no differences: both tables are empty
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.25, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, 0.25, tloc)
     f, g = (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)) for _ in range(2))
-    args = (kernel, forest, sys1, sys2, f, g)
+    args = (forest, f, g)
     pairings = Pairings(*args)
     n = spec.depth - level
     tables = zip((pairings.table, pairings.adjoint_table), per_pair_tables(*args),
@@ -280,11 +279,11 @@ def test_forest_rows_from_templates_equal_json_dumps(grid, root, kernel_kind, de
     level = {"top": 0, "sub": int(rng.integers(1, spec.depth + 1)), "finest": spec.depth}[root]
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
     if delta == "auto":
-        search = choose_delta(q0, sys1, sys2, kernel, TbConfig(0.5, Tloc=tloc))
+        search = choose_delta(q0, sys1, sys2, kernel, tloc)
         assume(search.ok)
         forest = search.forest
     else:
-        forest = build_corona(q0, sys1, sys2, kernel, TbConfig(delta, Tloc=tloc))
+        forest = build_corona(q0, sys1, sys2, kernel, delta, tloc)
     payload = forest_to_json_dict(forest)
     text = cli._forest_json_text(forest)
     assert text == json.dumps(payload, indent=1, sort_keys=True)
@@ -465,7 +464,7 @@ def test_packing_and_carleson_equal_per_member_loops(grid, kind, halvings, tloc_
     tloc = tloc_scale * max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.5 / 2**halvings, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, 0.5 / 2**halvings, tloc)
     for j in (1, 2):
         assert packing_ratio(forest, j) == per_member_packing_ratio(forest, j)
         assert forest_carleson(forest, j) == carleson_constant(forest.members(j), q0)
@@ -499,7 +498,7 @@ def per_member_forest_json(forest):
                 for m in sorted(forest.members(j))]
 
     return {"dim": forest.spec.dim, "depth": forest.spec.depth, "q0": cube_dict(forest.q0),
-            "delta": forest.config.delta, "s1": family(1), "s2": family(2)}
+            "delta": forest.delta, "s1": family(1), "s2": family(2)}
 
 
 def per_member_g_telescoping(forest, lg, g):
@@ -529,10 +528,10 @@ def test_g_telescoping_equals_per_member_loop(grid, kind, halvings, sub, seed):
     tloc = max(measure_tloc(kernel, sys1, 2.0), measure_tloc(adjoint(kernel), sys2, 2.0))
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    forest = build_corona(q0, sys1, sys2, kernel, TbConfig(0.5 / 2**halvings, Tloc=tloc))
+    forest = build_corona(q0, sys1, sys2, kernel, 0.5 / 2**halvings, tloc)
     for g in (GridFunction(spec, rng.choice([-1.0, 1.0], spec.n_cells)),
               GridFunction(spec, rng.uniform(-3.0, 3.0, spec.n_cells))):
-        lg = corona_levels(forest, 2, sys2, g)
+        lg = corona_levels(forest, 2, g)
         assert _g_telescoping(forest, lg, g) == per_member_g_telescoping(forest, lg, g)
 
 
@@ -555,12 +554,6 @@ def test_terminal_owner_pass_equals_scan(grid, kind, delta, sub, seed):
     assert all((g is None and w is None) or np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def reconfigured(forest, **changes):
-    """The same stopping families under a changed configuration."""
-    owners = [forest.owner_levels(j) for j in (1, 2)]
-    return CoronaForest(forest.spec, forest.q0, owners, replace(forest.config, **changes))
-
-
 def planted(system, **changes):
     """A shallow copy of ``system`` with ``changes`` set after construction,
     sharing its checked level arrays: a planted fault that the constructor
@@ -570,12 +563,13 @@ def planted(system, **changes):
     return system
 
 
-def enumerated_block_check(forest, j, system, member):
-    """The validation of ``block_context`` cube by cube, with the system's p
-    and A: the first of the member and its stopping children whose b misses
-    its integral or norm budget, else the first unsafe cube of the block,
-    else None."""
-    p, A, delta = system.p, system.A, forest.config.delta
+def enumerated_block_check(forest, j, member):
+    """The validation of ``block_context`` cube by cube, with the p and A of
+    S_j's system: the first of the member and its stopping children whose b
+    misses its integral or norm budget, else the first unsafe cube of the
+    block, else None."""
+    system = forest.system(j)
+    p, A, delta = system.p, system.A, forest.delta
     kids = stopping_children(forest, j, member)
     b = system.get_b(member)
     for cube, g in ((member, b), *((k, system.get_b(k)) for k in kids)):
@@ -592,17 +586,18 @@ def test_block_check_matches_block_contexts():
             inst = build_instance(ExperimentConfig(*grid), seed)
             if not inst.ok:
                 continue
-            cfg = inst.forest.config
+            delta = inst.forest.delta
             # a raised delta and a lowered A fail the denominator bounds; an A
             # near 1 fails the members' norm budgets first.  A is lowered on
-            # copies of the systems
-            for mutation, changes, lower_A in (
-                    ("none", {}, None), ("raised delta", {"delta": min(0.9, 4 * cfg.delta)}, None),
-                    ("lowered A", {}, lambda A: 1.0 + (A - 1.0) / 4), ("A near 1", {}, lambda A: 1.01)):
-                forest = reconfigured(inst.forest, **changes)
-                systems = [s if lower_A is None else planted(s, A=lower_A(s.A)) for s in (inst.sys1, inst.sys2)]
-                blocks = [(j, system, s) for j, system in zip((1, 2), systems)
-                          for s in sorted(forest.members(j))]
+            # copies of the systems, planted in a copy of the forest
+            for mutation, planted_delta, lower_A in (
+                    ("none", delta, None), ("raised delta", min(0.9, 4 * delta), None),
+                    ("lowered A", delta, lambda A: 1.0 + (A - 1.0) / 4),
+                    ("A near 1", delta, lambda A: 1.01)):
+                sys1, sys2 = (s if lower_A is None else planted(s, A=lower_A(s.A))
+                              for s in (inst.sys1, inst.sys2))
+                forest = replace(inst.forest, delta=planted_delta, sys1=sys1, sys2=sys2)
+                blocks = [(j, s) for j in (1, 2) for s in sorted(forest.members(j))]
                 rejects = [enumerated_block_check(forest, *block) is not None for block in blocks]
                 for block, reject in zip(blocks, rejects):
                     if reject:
@@ -613,9 +608,9 @@ def test_block_check_matches_block_contexts():
                 if any(rejects):
                     rejected[mutation] += 1
                     with pytest.raises(RuntimeError, match="breaks a block invariant"):
-                        check_forest_blocks(forest, *systems)
+                        check_forest_blocks(forest)
                 else:
-                    assert check_forest_blocks(forest, *systems) == len(blocks)
+                    assert check_forest_blocks(forest) == len(blocks)
     assert rejected["none"] == 0
     assert all(rejected[m] > 0 for m in ("raised delta", "lowered A", "A near 1"))
 
@@ -641,10 +636,9 @@ def test_owner_pass_equals_per_member_construction(grid, kind, kernel_kind, ps, 
     delta = 0.5 / 2**halvings
     level = int(rng.integers(1, spec.depth + 1)) if sub else 0
     q0 = spec.cube_from_flat(level, int(rng.integers(spec.n_cubes(level))))
-    cfg = TbConfig(delta, Tloc=tloc)
-    forest = build_corona(q0, sys1, sys2, kernel, cfg)
+    forest = build_corona(q0, sys1, sys2, kernel, delta, tloc)
     for j, system, op, q_exp in ((1, sys1, kernel, conjugate(p2)), (2, sys2, adjoint(kernel), conjugate(p1))):
-        members, children = per_member_family(spec, q0, system, op, q_exp, cfg)
+        members, children = per_member_family(spec, q0, system, op, q_exp, delta, tloc)
         assert forest.members(j) == sorted(members) and forest.member_count(j) == len(members)
         walked = owner_walk_children(forest, j)
         for s in members:

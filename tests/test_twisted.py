@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, build_corona
+from dytb.corona import build_corona
 from dytb.grid import DyadicCube, GridFunction, GridSpec
 from dytb.kernels import generate_kernel
 from dytb.twisted import (
@@ -51,8 +51,7 @@ def terminal_ctx(depth=6, seed=5, s=0.8, delta=0.45):
 
 def classical_forest(spec):
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    return build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg), const
+    return build_corona(spec.root(), const, const, generate_kernel("zero", spec), 0.5, 0.0)
 
 
 # -- oracles ----------------------------------------------------------------------
@@ -84,8 +83,8 @@ def oracle_half_twisted(ctx, cube, f):
     return out
 
 
-def oracle_corona_delta(forest, j, system, cube, h):
-    spec = forest.spec
+def oracle_corona_delta(forest, j, cube, h):
+    spec, system = forest.spec, forest.system(j)
     members = set(forest.members(j))
 
     def pi(c):
@@ -120,8 +119,8 @@ def walk_pi(forest, j, cube):
     return cube
 
 
-def enumerated_corona_expectation(forest, j, system, cube, h):
-    spec = forest.spec
+def enumerated_corona_expectation(forest, j, cube, h):
+    spec, system = forest.spec, forest.system(j)
     b = system.get_b(walk_pi(forest, j, cube))
     coeff = h.average(cube) / b.average(cube)
     out = np.zeros(spec.n_cells)
@@ -130,8 +129,8 @@ def enumerated_corona_expectation(forest, j, system, cube, h):
     return out
 
 
-def enumerated_corona_delta(forest, j, system, cube, h):
-    spec = forest.spec
+def enumerated_corona_delta(forest, j, cube, h):
+    spec, system = forest.spec, forest.system(j)
     out = np.zeros(spec.n_cells)
     if cube.level >= spec.depth:
         return out
@@ -146,8 +145,8 @@ def enumerated_corona_delta(forest, j, system, cube, h):
     return out
 
 
-def enumerated_box(forest, j, system, cube, h):
-    spec = forest.spec
+def enumerated_box(forest, j, cube, h):
+    spec, system = forest.spec, forest.system(j)
     out = np.zeros(spec.n_cells)
     if cube.level >= spec.depth:
         return out
@@ -163,8 +162,8 @@ def enumerated_box(forest, j, system, cube, h):
     return out
 
 
-def enumerated_half_twisted_block(forest, j, system, cube, h):
-    spec = forest.spec
+def enumerated_half_twisted_block(forest, j, cube, h):
+    spec, system = forest.spec, forest.system(j)
     out = np.zeros(spec.n_cells)
     if cube.level >= spec.depth:
         return out
@@ -436,9 +435,9 @@ def test_delta_decomp_with_coarsened_terminals(rng):
 
 def test_corona_delta_classical_case(rng):
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
+    forest = classical_forest(spec)
     h = rand_fun(spec, rng)
-    deltas = corona_levels(forest, 1, const, h).deltas
+    deltas = corona_levels(forest, 1, h).deltas
     for q in spec.all_cubes(spec.root(), max_level=spec.depth - 1):
         want = np.zeros(spec.n_cells)
         base = h.average(q)
@@ -449,10 +448,10 @@ def test_corona_delta_classical_case(rng):
 
 def test_corona_delta_annihilates_block_function():
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
-    b0 = const.get_b(spec.root())
+    forest = classical_forest(spec)
+    b0 = forest.sys1.get_b(spec.root())
     # the root's block is the whole grid: every level array is zero
-    assert all(np.all(d == 0.0) for d in corona_levels(forest, 1, const, b0).deltas.values())
+    assert all(np.all(d == 0.0) for d in corona_levels(forest, 1, b0).deltas.values())
 
 
 def test_corona_delta_matches_oracle_on_random_instance(rng):
@@ -460,21 +459,21 @@ def test_corona_delta_matches_oracle_on_random_instance(rng):
     forest = inst.forest
     h = rand_fun(inst.spec, rng)
     spec = inst.spec
-    for j, system in ((1, inst.sys1), (2, inst.sys2)):
+    for j in (1, 2):
         assert len(forest.members(j)) > 1  # exercise real stopping structure
-        deltas = corona_levels(forest, j, system, h).deltas
+        deltas = corona_levels(forest, j, h).deltas
         for q in spec.all_cubes(forest.q0, max_level=spec.depth - 1):
             got = on_cube(spec, q, deltas[q.level])
-            want = oracle_corona_delta(forest, j, system, q, h)
+            want = oracle_corona_delta(forest, j, q, h)
             assert np.allclose(got, want, atol=1e-11)
             assert abs(got.sum() * spec.cell_volume) <= 1e-12 * (1 + np.abs(h.values).max())
 
 
 def test_corona_orthogonality_classical(rng):
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
+    forest = classical_forest(spec)
     h = rand_fun(spec, rng)
-    levels = corona_levels(forest, 1, const, h)
+    levels = corona_levels(forest, 1, h)
     deltas = [on_cube(spec, q, levels.deltas[q.level])
               for q in spec.all_cubes(spec.root(), max_level=spec.depth - 1)]
     for a in range(len(deltas)):
@@ -488,9 +487,9 @@ def test_corona_orthogonality_classical(rng):
 
 def test_expand_constant_function():
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
+    forest = classical_forest(spec)
     ones = GridFunction.constant(spec, 1.0)
-    e, deltas = expand(forest, 1, const, spec.root(), ones)
+    e, deltas = expand(forest, 1, spec.root(), ones)
     assert np.allclose(e.values, 1.0)
     assert all(np.all(d.values == 0.0) for _, d in deltas)
 
@@ -499,7 +498,7 @@ def test_expand_single_cell_indicator():
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 8)
     spec = inst.spec
     h = GridFunction.indicator(spec, DyadicCube(spec.depth, (17,)))
-    e, deltas = expand(inst.forest, 1, inst.sys1, spec.root(), h)
+    e, deltas = expand(inst.forest, 1, spec.root(), h)
     total = e.values + sum(d.values for _, d in deltas)
     assert np.max(np.abs(total - h.values)) <= 1e-12
 
@@ -509,9 +508,9 @@ def test_expand_random_reconstruction_all_members(rng):
     spec = inst.spec
     h = rand_fun(spec, rng)
     hmax = np.abs(h.values).max()
-    for j, system in ((1, inst.sys1), (2, inst.sys2)):
+    for j in (1, 2):
         for top in list(inst.forest.members(j))[:5]:
-            e, deltas = expand(inst.forest, j, system, top, h)
+            e, deltas = expand(inst.forest, j, top, h)
             total = e.values + sum(d.values for _, d in deltas)
             target = np.zeros(spec.n_cells)
             idx = spec.cell_indices(top)
@@ -522,9 +521,9 @@ def test_expand_random_reconstruction_all_members(rng):
 def test_corona_transform_classical_telescopes(rng):
     # the corona transform with every sign 1 is the sum of the level differences
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
+    forest = classical_forest(spec)
     f = rand_fun(spec, rng)
-    out = corona_levels(forest, 1, const, f).delta_sum
+    out = corona_levels(forest, 1, f).delta_sum
     assert np.allclose(out, f.values - f.average(), atol=1e-13)
 
 
@@ -533,10 +532,10 @@ def test_corona_transform_classical_telescopes(rng):
 
 def test_box_classical_case(rng):
     spec = GridSpec(1, 4)
-    forest, const = classical_forest(spec)
+    forest = classical_forest(spec)
     h = rand_fun(spec, rng)
     q = DyadicCube(1, (0,))
-    got = on_cube(spec, q, box(corona_levels(forest, 1, const, h), q.level))
+    got = on_cube(spec, q, box(corona_levels(forest, 1, h), q.level))
     want = np.zeros(spec.n_cells)
     base = h.average(q)
     for child in q.children():
@@ -550,7 +549,7 @@ def test_box_indicator_on_stopping_child(rng):
     stopped = [s for s in forest.members(1) if s != forest.q0]
     assert stopped
     parent = stopped[0].parent()
-    got = box(corona_levels(forest, 1, inst.sys1, inst.f), parent.level)
+    got = box(corona_levels(forest, 1, inst.f), parent.level)
     idx = inst.spec.cell_indices(parent)
     assert np.all(got[idx] >= 1.0)
 
@@ -561,7 +560,7 @@ def test_box_matches_componentwise_recomputation(rng):
     spec = inst.spec
     members = set(forest.members(1))
     h = rand_fun(spec, rng)
-    levels = corona_levels(forest, 1, system, h)
+    levels = corona_levels(forest, 1, h)
     for q in spec.all_cubes(forest.q0, max_level=spec.depth - 1):
         got = on_cube(spec, q, box(levels, q.level))
         pi = q
@@ -678,18 +677,15 @@ def test_finest_cell_bound(rng):
 def test_block_context_roundtrip():
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 31)
     forest = inst.forest
-    deltas = corona_levels(forest, 1, inst.sys1, inst.f).deltas
+    deltas = corona_levels(forest, 1, inst.f).deltas
     for member in forest.members(1):
-        ctx = block_context(forest, 1, inst.sys1, member)
+        ctx = block_context(forest, 1, member)
         assert ctx.s0 == member
         assert ctx.members == stopping_children(forest, 1, member)
         # block twisted differences agree with corona differences inside the block
         for q in ctx.q_cubes():
             a = twisted_delta(ctx, q, inst.f)
             assert np.allclose(a.values, on_cube(ctx.spec, q, deltas[q.level]), atol=1e-12)
-    finer = AccretiveSystem(GridSpec(1, 6), "constant", 2.0, 1.5)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        block_context(forest, 1, finer, forest.q0)
 
 
 def owner_bytes(owners) -> list:
@@ -706,9 +702,9 @@ def test_block_context_owners_equal_nearest_marked_oracle(dim, depths):
             inst = build_instance(ExperimentConfig(dim=dim, depth=depth), seed)
             assert inst.ok
             forest = inst.forest
-            for j, system in ((1, inst.sys1), (2, inst.sys2)):
+            for j in (1, 2):
                 for member in forest.members(j):
-                    ctx = block_context(forest, j, system, member)
+                    ctx = block_context(forest, j, member)
                     kids = stopping_children(forest, j, member)
                     want = nearest_marked(forest.spec, member.level, (member, *kids))
                     assert owner_bytes(ctx.owners) == owner_bytes(want)
@@ -721,16 +717,15 @@ def test_block_context_rejects_cubes_outside_the_family():
     spec = GridSpec(1, 4)
     signed = AccretiveSystem(spec, "signed", 2.0, 1.5)
     q0 = DyadicCube(1, (1,))
-    forest = build_corona(q0, signed, signed, generate_kernel("zero", spec),
-                          TbConfig(0.25, Tloc=0.0))
+    forest = build_corona(q0, signed, signed, generate_kernel("zero", spec), 0.25, 0.0)
     members = set(forest.members(1))
     inside = [c for c in spec.all_cubes(q0) if c not in members]
     assert q0 in members and inside
     for cube in (inside[0], spec.root(), DyadicCube(2, (0,)), DyadicCube(1, (1, 0)), DyadicCube(5, (0,))):
         with pytest.raises(ValueError, match=re.escape(f"{cube} is not a member of S_1")):
-            block_context(forest, 1, signed, cube)
+            block_context(forest, 1, cube)
     for member in sorted(members):
-        assert block_context(forest, 1, signed, member).members == stopping_children(forest, 1, member)
+        assert block_context(forest, 1, member).members == stopping_children(forest, 1, member)
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
@@ -739,16 +734,15 @@ def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
     # system's level arrays
     inst = build_instance(ExperimentConfig(dim=dim, depth=depth), 1)
     assert inst.ok
-    blocks = [(j, system, s) for j, system in ((1, inst.sys1), (2, inst.sys2))
-              for s in sorted(inst.forest.members(j))]
-    want = [system.get_b(s).values for _, system, s in blocks]
+    blocks = [(j, s) for j in (1, 2) for s in sorted(inst.forest.members(j))]
+    want = [inst.forest.system(j).get_b(s).values for j, s in blocks]
 
     def no_copies(self, cube):
         raise AssertionError("a twisted context made a full-grid b copy")
 
     monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
-    for (j, system, s), b in zip(blocks, want):
-        assert np.array_equal(block_context(inst.forest, j, system, s).b.values, b)
+    for (j, s), b in zip(blocks, want):
+        assert np.array_equal(block_context(inst.forest, j, s).b.values, b)
     for system in (inst.sys1, inst.sys2):
         make_context(system, inst.forest.q0, inst.dsearch.delta)
         coarsened_context(system, inst.forest.q0, inst.dsearch.delta, np.random.default_rng(depth))

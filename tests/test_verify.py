@@ -10,7 +10,7 @@ import pytest
 
 from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import TbConfig, _subtree_mask, build_corona, conjugate, packing_ratio
+from dytb.corona import _subtree_mask, build_corona, conjugate, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import TwistedContext, corona_levels, make_context, twisted_delta
@@ -48,9 +48,8 @@ from test_twisted import enumerated_corona_delta, enumerated_half_twisted_block,
 def classical_setup(depth=4, dim=1):
     spec = GridSpec(dim, depth)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    cfg = TbConfig(0.5, Tloc=0.0)
-    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), cfg)
-    return spec, const, forest
+    forest = build_corona(spec.root(), const, const, generate_kernel("zero", spec), 0.5, 0.0)
+    return spec, forest
 
 
 # -- operator norm ------------------------------------------------------------------
@@ -477,10 +476,9 @@ def test_sweep_memo_is_read_only_and_weak():
 
 
 def test_expansion_zero_kernel(rng):
-    spec, const, forest = classical_setup()
-    residual, parts = bilinear_expansion_check(Pairings(
-        generate_kernel("zero", spec), forest, const, const,
-        rand_signs(spec, rng), rand_signs(spec, rng)))
+    spec, forest = classical_setup()
+    pairings = Pairings(forest, rand_signs(spec, rng), rand_signs(spec, rng))
+    residual, parts = bilinear_expansion_check(pairings)
     assert parts["total"] == 0.0 and residual == 0.0
 
 
@@ -490,18 +488,16 @@ def test_expansion_classical_ones():
     kernel = generate_kernel("random", spec, seed=2)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(0.5, Tloc=tloc)
-    forest = build_corona(spec.root(), const, const, kernel, cfg)
+    forest = build_corona(spec.root(), const, const, kernel, 0.5, tloc)
     ones = GridFunction.constant(spec, 1.0)
-    residual, _ = bilinear_expansion_check(Pairings(kernel, forest, const, const, ones, ones))
+    residual, _ = bilinear_expansion_check(Pairings(forest, ones, ones))
     assert residual <= 1e-10
 
 
 def test_expansion_random_instances():
     for seed in (5, 6, 7):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
-        residual, _ = bilinear_expansion_check(Pairings(
-            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
+        residual, _ = bilinear_expansion_check(Pairings(inst.forest, inst.f, inst.g))
         assert residual <= 1e-9
 
 
@@ -509,9 +505,8 @@ def test_expansion_random_instances():
 
 
 def test_form_split_zero_kernel(rng):
-    spec, const, forest = classical_setup()
-    fs = form_split(Pairings(generate_kernel("zero", spec), forest, const, const,
-                             rand_signs(spec, rng), rand_signs(spec, rng)))
+    spec, forest = classical_setup()
+    fs = form_split(Pairings(forest, rand_signs(spec, rng), rand_signs(spec, rng)))
     assert fs.b_above == fs.b_equal == fs.b_below == fs.total == 0.0
 
 
@@ -520,10 +515,9 @@ def test_form_split_depth1_all_in_equal(rng):
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
     kernel = PerfectKernel(spec, {(0, 0, 0, 1): 1.0, (0, 0, 1, 0): -1.0})
     tloc = measure_tloc(kernel, const, 2.0)
-    cfg = TbConfig(0.5, Tloc=tloc)
-    forest = build_corona(spec.root(), const, const, kernel, cfg)
+    forest = build_corona(spec.root(), const, const, kernel, 0.5, tloc)
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    fs = form_split(Pairings(kernel, forest, const, const, f, g))
+    fs = form_split(Pairings(forest, f, g))
     assert fs.b_above == 0.0 and fs.b_below == 0.0
     assert fs.b_equal == pytest.approx(fs.total, abs=1e-15)
 
@@ -531,12 +525,12 @@ def test_form_split_depth1_all_in_equal(rng):
 def test_form_split_matches_double_loop_oracle(rng):
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 9)
     spec, forest = inst.spec, inst.forest
-    fs = form_split(Pairings(inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g))
+    fs = form_split(Pairings(forest, inst.f, inst.g))
     assert fs.residual <= 1e-9
     dense = lca_dense_matrix(inst.kernel)
     cv = spec.cell_volume
     cubes = list(spec.all_cubes(forest.q0, max_level=spec.depth - 1))
-    lf, lg = corona_levels(forest, 1, inst.sys1, inst.f), corona_levels(forest, 2, inst.sys2, inst.g)
+    lf, lg = corona_levels(forest, 1, inst.f), corona_levels(forest, 2, inst.g)
     df = {q: on_cube(spec, q, lf.deltas[q.level]) for q in cubes}
     dg = {q: on_cube(spec, q, lg.deltas[q.level]) for q in cubes}
     above = equal = below = 0.0
@@ -564,7 +558,7 @@ class PerBlock:
     pullout_residual: float  # worst relative mismatch of the constant pull-out
 
 
-def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
+def per_block_b_above(forest, f, g, member):
     """One corona block's share of the nested form, one full apply per block
     cube P (and one for the member):
 
@@ -575,8 +569,8 @@ def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
     inner pairing is also recomputed in pulled-out form
     <w_P>_{child of P over Q} * <T b_S, D_Q g> and the worst relative
     mismatch reported."""
-    spec = forest.spec
-    lf, lg = corona_levels(forest, 1, sys1, f), corona_levels(forest, 2, sys2, g)
+    spec, kernel = forest.spec, forest.kernel
+    lf, lg = corona_levels(forest, 1, f), corona_levels(forest, 2, g)
     g_blocks = {b: cube_blocks(spec, b, lg.deltas[b]) for b in range(member.level, spec.depth)}
 
     def pairings(u):
@@ -584,7 +578,7 @@ def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
         return {b: np.sum(cube_blocks(spec, b, u) * gv, axis=1) * spec.cell_volume
                 for b, gv in g_blocks.items()}
 
-    bs = sys1.get_b(member).values
+    bs = forest.sys1.get_b(member).values
     tbs = pairings(apply_values(kernel, bs))
     # first piece: telescoped pairing against the block function itself
     value = 0.0
@@ -606,22 +600,20 @@ def per_block_b_above(kernel, forest, sys1, sys2, f, g, member, tloc):
             mismatch = np.abs(direct - pulled) / (1.0 + np.abs(direct))
             pull_res = max(pull_res, float(mismatch.max()))
             value += float(direct.sum())
-    return PerBlock(value, tloc * member.volume, pull_res)
+    return PerBlock(value, forest.tloc * member.volume, pull_res)
 
 
-def per_block_b_above_all(kernel, forest, sys1, sys2, f, g, tloc=0.0):
+def per_block_b_above_all(forest, f, g):
     """``per_block_b_above`` of every member of S_1, in sorted order."""
-    return [per_block_b_above(kernel, forest, sys1, sys2, f, g, s, tloc)
-            for s in sorted(forest.members(1))]
+    return [per_block_b_above(forest, f, g, s) for s in sorted(forest.members(1))]
 
 
 def test_per_s_zero_kernel(rng):
-    spec, const, forest = classical_setup()
-    kernel = generate_kernel("zero", spec)
+    spec, forest = classical_setup()
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    res = per_block_b_above(kernel, forest, const, const, f, g, spec.root(), 0.0)
+    res = per_block_b_above(forest, f, g, spec.root())
     assert res.value == 0.0 and res.bound == 0.0
-    assert b_above_aggregation(Pairings(kernel, forest, const, const, f, g)) == (0.0, 0.0, 0.0, 0.0)
+    assert b_above_aggregation(Pairings(forest, f, g)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_per_s_single_block_is_whole_form(rng):
@@ -631,12 +623,11 @@ def test_per_s_single_block_is_whole_form(rng):
     kernel = generate_kernel("random", spec, seed=3, scale=0.2)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(0.25, Tloc=tloc)
-    forest = build_corona(spec.root(), const, const, kernel, cfg)
+    forest = build_corona(spec.root(), const, const, kernel, 0.25, tloc)
     assert set(forest.members(1)) == {spec.root()}
     f, g = rand_signs(spec, rng), rand_signs(spec, rng)
-    total, _, reference, residual = b_above_aggregation(Pairings(kernel, forest, const, const, f, g))
-    [block] = per_block_b_above_all(kernel, forest, const, const, f, g, tloc)
+    total, _, reference, residual = b_above_aggregation(Pairings(forest, f, g))
+    [block] = per_block_b_above_all(forest, f, g)
     assert block.value == pytest.approx(reference, abs=1e-12)
     assert total == pytest.approx(reference, abs=1e-12)
     assert residual <= 1e-12
@@ -645,8 +636,7 @@ def test_per_s_single_block_is_whole_form(rng):
 def test_per_s_aggregation_random_instances():
     for seed in (21, 22):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
-        _, pullout, _, residual = b_above_aggregation(Pairings(
-            inst.kernel, inst.forest, inst.sys1, inst.sys2, inst.f, inst.g))
+        _, pullout, _, residual = b_above_aggregation(Pairings(inst.forest, inst.f, inst.g))
         assert residual <= 1e-9
         assert pullout <= 1e-12
 
@@ -670,8 +660,7 @@ def test_nested_form_sweeps_per_level_without_b_copies(monkeypatch):
     for module in (kernels, verify):
         monkeypatch.setattr(module, "_sweep_from", counted)
     monkeypatch.setattr(AccretiveSystem, "get_b", no_copies)
-    _, pullout, _, residual = b_above_aggregation(Pairings(
-        inst.kernel, forest, inst.sys1, inst.sys2, inst.f, inst.g))
+    _, pullout, _, residual = b_above_aggregation(Pairings(forest, inst.f, inst.g))
     assert len(sweeps) <= 3 * (depth + 1)
     assert residual <= 1e-9 and pullout <= 1e-12
 
@@ -715,29 +704,29 @@ def test_context_path_builds_no_cubes(grid, monkeypatch):
     assert len(ctx.members) > 3 * (inst.spec.depth + 1)
 
 
-def quadratic_b_above_reference(kernel, forest, sys1, sys2, f, g):
+def quadratic_b_above_reference(forest, f, g):
     """sum over nested pairs P strictly above Q of <T Delta_P f, Delta_Q g>, one
     enumerated difference per cube (O(cubes^2) pairings, for small depths)."""
     spec = forest.spec
     cubes = list(spec.all_cubes(forest.q0, max_level=spec.depth - 1))
-    dg = {q: enumerated_corona_delta(forest, 2, sys2, q, g) for q in cubes}
+    dg = {q: enumerated_corona_delta(forest, 2, q, g) for q in cubes}
     total = 0.0
     for p in cubes:
-        u = apply_values(kernel, enumerated_corona_delta(forest, 1, sys1, p, f))
+        u = apply_values(forest.kernel, enumerated_corona_delta(forest, 1, p, f))
         for q, gv in dg.items():
             if p.contains(q) and q != p:
                 total += float(u @ gv) * spec.cell_volume
     return total
 
 
-def epsilon_by_walk(forest, sys1, f, member, cube):
+def epsilon_by_walk(forest, f, member, cube):
     """The telescoped coefficient summed ancestor by ancestor."""
     spec = forest.spec
     total = 0.0
     p = cube.parent()
     while True:
         if walk_pi(forest, 1, p) == member:
-            wp = enumerated_half_twisted_block(forest, 1, sys1, p, f)
+            wp = enumerated_half_twisted_block(forest, 1, p, f)
             total += float(wp[spec.cell_indices(cube.ancestor(p.level + 1))[0]])
         if p == forest.q0 or p == member:
             break
@@ -749,20 +738,20 @@ def epsilon_by_walk(forest, sys1, f, member, cube):
 
 
 def test_epsilon_constant_f_vanishes():
-    spec, const, forest = classical_setup(depth=4)
+    spec, forest = classical_setup(depth=4)
     ones = GridFunction.constant(spec, 1.0)
     root = spec.root()
     for cube in list(spec.all_cubes(root))[1:20]:
-        assert epsilon_coefficient(forest, const, ones, root, cube) == pytest.approx(0.0, abs=1e-14)
+        assert epsilon_coefficient(forest, ones, root, cube) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_epsilon_classical_bound(rng):
-    spec, const, forest = classical_setup(depth=5)
+    spec, forest = classical_setup(depth=5)
     root = spec.root()
     for _ in range(5):
         f = rand_signs(spec, rng)
         for cube in list(spec.all_cubes(root))[1:]:
-            val = epsilon_coefficient(forest, const, f, root, cube)
+            val = epsilon_coefficient(forest, f, root, cube)
             assert abs(val) <= 2.0 + 1e-12
 
 
@@ -775,7 +764,7 @@ def test_epsilon_accretive_bound():
             for cube in inst.spec.all_cubes(s):
                 if cube == s:
                     continue
-                val = epsilon_coefficient(forest, inst.sys1, inst.f, s, cube)
+                val = epsilon_coefficient(forest, inst.f, s, cube)
                 assert abs(val) <= cap * (1 + 1e-12)
 
 
@@ -783,9 +772,8 @@ def test_epsilon_accretive_bound():
 
 
 def test_diagonal_zero_kernel(rng):
-    spec, const, forest = classical_setup()
-    assert diagonal_lemma_check(generate_kernel("zero", spec), forest, const, const,
-                                spec.root(), 0.0) == 0.0
+    spec, forest = classical_setup()
+    assert diagonal_lemma_check(forest, spec.root()) == 0.0
 
 
 def test_diagonal_matches_dense_oracle():
@@ -794,8 +782,7 @@ def test_diagonal_matches_dense_oracle():
     kernel = generate_kernel("haar-shift", spec)
     tloc = max(measure_tloc(kernel, const, 2.0),
                measure_tloc(adjoint(kernel), const, 2.0))
-    cfg = TbConfig(0.25, Tloc=tloc)
-    forest = build_corona(spec.root(), const, const, kernel, cfg)
+    forest = build_corona(spec.root(), const, const, kernel, 0.25, tloc)
     dense = lca_dense_matrix(kernel)
     cv = spec.cell_volume
     for cube in [spec.root(), DyadicCube(1, (0,))]:
@@ -808,14 +795,14 @@ def test_diagonal_matches_dense_oracle():
                         h2 = b2.restrict(q2).values
                         val = abs(float(h2 @ dense @ h1)) * cv
                         best = max(best, val / ((1 + tloc) * cube.volume))
-        assert diagonal_lemma_check(kernel, forest, const, const, cube, tloc) == \
+        assert diagonal_lemma_check(forest, cube) == \
             pytest.approx(best, rel=1e-12)
 
 
 def test_diagonal_finite_on_random_instances():
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 41)
     worst = max(
-        diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2, q, inst.tloc)
+        diagonal_lemma_check(inst.forest, q)
         for q in inst.spec.all_cubes(inst.forest.q0)
         if q.level < inst.spec.depth
     )
@@ -826,15 +813,15 @@ def test_diagonal_finite_on_random_instances():
 
 
 def test_box_square_function_trivial():
-    spec, const, forest = classical_setup()
+    spec, forest = classical_setup()
     ones = GridFunction.constant(spec, 1.0)
-    assert box_square_function_check(forest, 1, const, ones, 2.0) == 0.0
+    assert box_square_function_check(forest, 1, ones, 2.0) == 0.0
 
 
 def test_box_square_function_classical_case(rng):
-    spec, const, forest = classical_setup(depth=5)
+    spec, forest = classical_setup(depth=5)
     f = rand_signs(spec, rng)
-    got = box_square_function_check(forest, 1, const, f, 2.0)
+    got = box_square_function_check(forest, 1, f, 2.0)
     # classical square function computed directly
     sq = np.zeros(spec.n_cells)
     for q in spec.all_cubes(spec.root()):
@@ -852,7 +839,7 @@ def test_box_square_function_classical_case(rng):
 def test_box_square_function_finite_on_instances():
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 51)
     for q in (1.5, 2.0, 3.0):
-        val = box_square_function_check(inst.forest, 1, inst.sys1, inst.f, q)
+        val = box_square_function_check(inst.forest, 1, inst.f, q)
         assert np.isfinite(val)
 
 
@@ -978,8 +965,7 @@ def test_identity_battery_with_asymmetric_exponents():
 def test_easy_terms_bounds_hold():
     for seed in (61, 62, 63):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
-        easy = easy_terms_check(Pairings(inst.kernel, inst.forest, inst.sys1, inst.sys2,
-                                         inst.f, inst.g), inst.tloc)
+        easy = easy_terms_check(Pairings(inst.forest, inst.f, inst.g))
         assert easy["easy1"] <= easy["easy1_bound"] * (1 + 1e-12)
         assert easy["easy2"] <= easy["easy2_bound"] * (1 + 1e-12)
 
@@ -1003,7 +989,7 @@ def test_experiment_haar_depth1_reproduces_constants():
 
 def test_forest_blocks_validate():
     inst = build_instance(ExperimentConfig(dim=1, depth=5), 71)
-    n = check_forest_blocks(inst.forest, inst.sys1, inst.sys2)
+    n = check_forest_blocks(inst.forest)
     assert n == len(inst.forest.members(1)) + len(inst.forest.members(2))
 
 
@@ -1023,7 +1009,7 @@ def test_box_square_matches_frozen():
     for seed in (51, 52, 53):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         for q in (1.5, 2.0, 3.0):
-            val = box_square_function_check(inst.forest, 1, inst.sys1, inst.f, q)
+            val = box_square_function_check(inst.forest, 1, inst.f, q)
             assert val == pytest.approx(frozen[f"seed{seed}|q{q}"], rel=1e-12)
 
 
@@ -1032,7 +1018,7 @@ def test_diagonal_matches_frozen():
     for seed in (41, 42, 43):
         inst = build_instance(ExperimentConfig(dim=1, depth=5), seed)
         worst = max(
-            diagonal_lemma_check(inst.kernel, inst.forest, inst.sys1, inst.sys2, q, inst.tloc)
+            diagonal_lemma_check(inst.forest, q)
             for q in inst.spec.all_cubes(inst.forest.q0) if q.level < inst.spec.depth
         )
         assert worst == pytest.approx(frozen[f"seed{seed}"], rel=1e-12)
