@@ -14,32 +14,37 @@ lives: (depth+1) more arrays per operator.  A system is not safe to share
 between threads.
 
 A level is built in one batch (``_level_blocks``).  The random and two-value
-kinds draw b_Q from one ``SeedSequence(seed, spawn_key=(level, flat))``
-generator per cube.  The batch reproduces those generators bit for bit
-without building them: the seeding of many cubes is one vectorised hash, and
-a PCG64 stream is the affine recurrence s -> M s + inc, so the state behind
-a cube's k-th output is s_0 + G_(k+1) w, with w = (M - 1) s_0 + inc per cube
-and G_j = sum_{i<j} M^i from one table shared by every system: one 128-bit
-product per value.  Every random level goes through one drawer
+kinds draw b_Q from the PCG64 stream of ``SeedSequence(seed,
+spawn_key=(level, flat))``, one per cube, reproduced bit for bit without a
+SeedSequence per cube: the seeding of many cubes is one vectorised hash
+giving each cube's PCG64 ``(state, inc)``.  A cube of many cells runs its
+stream on numpy's own PCG64, one generator per thread with that state set
+(``_streams``).  Cubes of a few cells are drawn in numpy arithmetic instead,
+since a PCG64 stream is the affine recurrence s -> M s + inc: the state
+behind a cube's k-th output is s_0 + G_(k+1) w, with w = (M - 1) s_0 + inc
+per cube and G_j = sum_{i<j} M^i from one table shared by every system, one
+128-bit product per value.  Every random level goes through one drawer
 (``_draw_random``): a level read on its own is a batch of one, and an
 instance's two systems are drawn together (``draw_levels``), one seeding
 pass for the cubes of both, then one batch of rows per level for both, up
-to a size that still fits the core's cache.  The two-value kind shuffles
-the cubes of a level together, one Fisher-Yates swap for every cube at a
-time (``_permutations``), where the level has many more cubes than cells per
-cube; a level of a few large cubes keeps numpy's own permutation per cube.
-Each 128-bit PCG value is a pair of uint64 halves (hi, lo), multiplied by
-(a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 on
-numpy's wrapping uint64 products.  The draws run along the longer of
-(cubes, cells per cube): fine levels, with many cubes of a few cells,
-compute cubes-innermost and transpose once into contiguous per-cube rows.
-The row means, maxima and norms then go through ``grid.row_reduce``, which
-sums short rows column by column in numpy's own order.
+to a size that still fits the core's cache, checked for both in one pass
+(``_store``).  The two-value kind shuffles the cubes of a level together,
+one Fisher-Yates swap for every cube at a time (``_permutations``), where
+the level has many more small cubes than cells per cube, and by numpy's own
+permutation per cube elsewhere.  Each 128-bit PCG value is a pair of uint64
+halves (hi, lo), multiplied by (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo +
+a_lo b_hi) mod 2^64) 2^64 on numpy's wrapping uint64 products.  The
+emulated draws run along the longer of (cubes, cells per cube): fine
+levels, with many cubes of a few cells, compute cubes-innermost and
+transpose once into contiguous per-cube rows.  The row means, maxima and
+norms then go through ``grid.row_reduce``, which sums short rows column by
+column in numpy's own order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -149,7 +154,8 @@ class AccretiveSystem:
             if not 0 <= level <= self.spec.depth:
                 raise ValueError(f"level {level} outside [0, {self.spec.depth}]")
             n = self.spec.n_cells // self.spec.n_cubes(level)
-            vals = self._store(level, self._level_blocks(level, n))
+            _store(level, [self], self._level_blocks(level, n))
+            vals = self._levels[level]
         return vals
 
     def level_sweep(self, op: kernels.PerfectKernel, level: int) -> np.ndarray:
@@ -180,70 +186,79 @@ class AccretiveSystem:
         if self.kind == "two-value":
             s = self._param
             blocks = np.full((count, n), 1.0 - s)
-            # The batch (``_permutations``) steps through n - 1 swaps at a few
-            # dozen numpy calls a step.  Against one generator per cube it
-            # took 0.26-1.05 times as long at 16 cubes per cell of a cube,
-            # 0.75-2.3 at 4 and 2.5-5 at 1 (1D depth 12-18, 2D depth 6-8).
-            if count >= 16 * n:
-                flats = np.arange(count)
-                perms = _permutations(*_pcg_states([self.seed], np.zeros_like(flats),
-                                                   np.full_like(flats, level), flats), n)
-                blocks[flats, perms[: n // 2]] = 1.0 + s
+            flats = np.arange(count)
+            states = _pcg_states([self.seed], np.zeros_like(flats), np.full_like(flats, level), flats)
+            # the batch steps through n - 1 swaps at a few dozen numpy calls
+            # a step, over every cube; numpy's permutation per cube costs a
+            # state set and a call (``_TWO_VALUE_BATCH``)
+            if n <= _TWO_VALUE_BATCH <= count // n:
+                blocks[flats, _permutations(*states, n)[: n // 2]] = 1.0 + s
                 return blocks
-            for flat, row in enumerate(blocks):
-                seeds = np.random.SeedSequence(self.seed, spawn_key=(level, flat))
-                row[np.random.default_rng(seeds).permutation(n)[: n // 2]] = 1.0 + s
+            for row, rng in zip(blocks, _streams(*states)):
+                row[rng.permutation(n)[: n // 2]] = 1.0 + s
             return blocks
         ((_, _, blocks),) = _draw_random([(self, level)])
         return blocks
 
-    def _store(self, level: int, blocks: np.ndarray) -> np.ndarray:
-        """Check one level's blocks (``_level_blocks``) and keep them as that
-        level's read-only cell array."""
-        vals = from_cube_blocks(self.spec, level, blocks)
-        self._check_level(level, vals, blocks)
-        vals.setflags(write=False)
-        self._levels[level] = vals
-        return vals
 
-    def _check_level(self, level: int, vals: np.ndarray, blocks: np.ndarray) -> None:
-        """The per-cube invariants of every b_Q of one level, vectorised: finite
-        cells, mean, norm budget, and (for every kind but ``signed``) no cell
-        below ``MIN_ABS_VALUE``, checked in that order.  A failure raises
-        RuntimeError naming the first bad cube (row-major) of the first failed
-        check, except a norm budget failed by sums of |b_Q|^p that overflow
-        float64 while the budget A^p |Q| / cell_volume overflows too: that is
-        the exponent's fault, a ValueError.  The finite and near-zero checks
-        are one maximum and one minimum over the whole level; the per-cube
-        reductions, slow row-wise on rows of a few cells, are taken only when
-        one fails, to name the cube.  The finite check comes first because NaN
-        compares False in every other."""
-        spec = self.spec
-        volume = 2.0 ** (-spec.dim * level)
-        mags = np.abs(blocks)
-        overflow = False
-        if not np.isfinite(mags.max()):
-            checks = [(~np.isfinite(mags).all(axis=1), "non-finite cell value")]
-        else:
-            with np.errstate(over="ignore"):
-                powers = row_reduce(np.add, mags**self.p)
-                budget = np.float64(self.A) ** self.p * mags.shape[1]
-            overflow = powers.max() == np.inf and budget == np.inf
-            checks = [
-                # the same bottom-up sums that get_b(Q).integral(Q) reports
-                (np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume,
-                 "mean of b_Q off"),
-                ((powers * spec.cell_volume) ** (1.0 / self.p)
-                 > self.A * volume ** (1.0 / self.p) * (1 + 1e-12), "norm budget exceeded"),
-            ]
-            if self.kind != "signed" and mags.min() < MIN_ABS_VALUE:
-                checks.append((mags.min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
+def _store(level: int, systems: list, blocks: np.ndarray) -> None:
+    """Check the b_Q of ``systems`` (all on one grid) at one ``level`` and keep
+    each system's as its read-only level array.  ``blocks`` stacks the
+    systems' blocks (``_level_blocks``): system k's cube ``flat`` is row k
+    cubes + flat.
+
+    The per-cube invariants are checked for every system in one pass: finite
+    cells, mean, norm budget, and (for every kind but ``signed``) no cell
+    below ``MIN_ABS_VALUE``.  A failure raises RuntimeError naming the first
+    bad cube (row-major) of the first failed check of the first system that
+    fails one, as if each system were checked on its own in turn, and the
+    systems before it are kept; except a norm budget failed by sums of
+    |b_Q|^p that overflow float64 while the budget A^p |Q| / cell_volume
+    overflows too: that is the exponent's fault, a ValueError.  The finite
+    and near-zero checks are one maximum and one minimum over the whole
+    stack; the per-cube reductions, slow row-wise on rows of a few cells, are
+    taken only when one fails, to name the cube.  The finite check comes
+    first because NaN compares False in every other, so a stack with a
+    non-finite cell is checked one system at a time."""
+    spec = systems[0].spec
+    count = spec.n_cubes(level)
+    rows = [slice(k * count, (k + 1) * count) for k in range(len(systems))]
+    mags = np.abs(blocks)
+    if not np.isfinite(mags.max()):
+        if len(systems) > 1:
+            for system, row in zip(systems, rows):
+                _store(level, [system], blocks[row])
+            return
+        bad = ~np.isfinite(mags).all(axis=1)
+        raise RuntimeError(f"generator bug: non-finite cell value on "
+                           f"{spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))}")
+    near = mags.min() < MIN_ABS_VALUE
+    vals = from_cube_blocks(spec, level, blocks.reshape(len(systems), count, -1))
+    vals.setflags(write=False)
+    volume = 2.0 ** (-spec.dim * level)
+    # the same bottom-up sums that get_b(Q).integral(Q) reports
+    means = np.abs(level_sum(spec, vals, level) * spec.cell_volume - volume) > 1e-12 * volume
+    with np.errstate(over="ignore"):
+        for system, row in zip(systems, rows):
+            power = mags[row]  # |b_Q|^p in place
+            power **= system.p
+        powers = row_reduce(np.add, mags)
+    for system, row, mean, cells in zip(systems, rows, means, vals):
+        checks = [(mean, "mean of b_Q off"),
+                  ((powers[row] * spec.cell_volume) ** (1.0 / system.p)
+                   > system.A * volume ** (1.0 / system.p) * (1 + 1e-12), "norm budget exceeded")]
+        if system.kind != "signed" and near:
+            checks.append((np.abs(blocks[row]).min(axis=1) < MIN_ABS_VALUE, "near-zero cell value"))
         for bad, what in checks:
             if bad.any():
-                if what == "norm budget exceeded" and overflow:
-                    raise _overflow(self.p)
+                if what == "norm budget exceeded":
+                    with np.errstate(over="ignore"):
+                        budget = np.float64(system.A) ** system.p * blocks.shape[1]
+                    if powers[row].max() == np.inf and budget == np.inf:
+                        raise _overflow(system.p)
                 cube = spec.cube_from_flat(level, int(np.flatnonzero(bad)[0]))
                 raise RuntimeError(f"generator bug: {what} on {cube}")
+        system._levels[level] = cells
 
 
 def _overflow(p: float) -> ValueError:
@@ -255,15 +270,16 @@ def draw_levels(systems) -> None:
     """Build every level of every system in ``systems`` (all on one grid),
     level by level.  The levels of the random kind not built yet are drawn
     for all systems together, through the drawer ``level_values`` uses for
-    one level (``_draw_random``) and with the same check per system and
-    level; the other kinds build as in ``level_values``."""
+    one level (``_draw_random``), and the systems drawn together at a level
+    are checked and kept in one ``_store``; the other kinds build as in
+    ``level_values``."""
     spec = systems[0].spec
     if any(system.spec != spec for system in systems):
         raise ValueError("grid mismatch between systems")
     groups = [(system, level) for level in range(spec.depth) for system in systems
               if system.kind == "random" and level not in system._levels]
-    for system, level, blocks in _draw_random(groups) if groups else ():
-        system._store(level, blocks)
+    for level, drawn, blocks in _draw_random(groups) if groups else ():
+        _store(level, drawn, blocks)
     for level in range(spec.depth + 1):
         for system in systems:
             system.level_values(level)
@@ -289,13 +305,13 @@ def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
 #
 # The random and two-value kinds draw b_Q from PCG64 seeded by
 # SeedSequence(seed, spawn_key=(level, flat)).  NEP 19 fixes both streams, so
-# the seeding and the draws of all cubes can be computed in numpy arithmetic
-# instead of one generator per cube.  A 128-bit PCG value is a pair (hi, lo)
-# of uint64 words (arrays or numpy scalars).  numpy's uint64 array multiply
-# wraps mod 2^64, so (a b) mod 2^128 = a_lo b_lo + ((a_hi b_lo + a_lo b_hi)
-# mod 2^64) 2^64 leaves only the high word of a_lo b_lo to compute, from
-# 32-bit halves.  At least one operand of every product is an array: a numpy
-# scalar product warns on wrap.
+# the seeding of all cubes, and the draws of small cubes, can be computed in
+# numpy arithmetic instead of one seeded generator per cube.  A 128-bit PCG
+# value is a pair (hi, lo) of uint64 words (arrays or numpy scalars).  numpy's
+# uint64 array multiply wraps mod 2^64, so (a b) mod 2^128 = a_lo b_lo +
+# ((a_hi b_lo + a_lo b_hi) mod 2^64) 2^64 leaves only the high word of a_lo
+# b_lo to compute, from 32-bit halves.  At least one operand of every product
+# is an array: a numpy scalar product warns on wrap.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
@@ -304,18 +320,49 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# The most cubes one seeding pass and the most values one draw of
-# ``_draw_random`` take.  Batching saves numpy calls, which matters on small
-# grids only.  Past this size the buffers of a draw's 128-bit products
-# (8 bytes a value each) outgrow a 2 MB L2 cache, and a batch of two systems
-# draws slower than each system alone (1D depth 14 and 16, measured).
+# The most cubes one seeding pass, the most values one draw of
+# ``_draw_random`` and the most values one run of ``_emulated_rows`` take.
+# Batching saves numpy calls, which matters on small grids only.  Past this
+# size the buffers of a draw's 128-bit products (8 bytes a value each)
+# outgrow a 2 MB L2 cache: a batch of two systems drew slower than each
+# system alone (1D depth 14 and 16), and one emulated run of 2^16 values
+# took 40-45 ns a value against 21 ns in runs of 2^14 (1D depth 16 and 18).
 _BATCH = 1 << 14
+
+# The fewest cells per cube whose random draws run on numpy's own generator
+# (``_native_rows``, a state set and a call per cube) instead of the 128-bit
+# emulation (``_emulated_rows``, about 21 ns a value).  One level's draw as
+# ``_draw_random`` makes it, emulated / native in us (min of 7, 2-core
+# sandbox, numpy 2.4); at 128 cells neither wins everywhere:
+#   cells per cube      64            128           256
+#   1D depth 12      188 / 351     191 / 191     180 / 109
+#   1D depth 14      480 / 718     467 / 397     455 / 217
+#   1D depth 16     1818 / 2928   1768 / 1641   1750 / 942
+#   1D depth 18     5760 / 11755  5617 / 6487   5430 / 3646
+#   2D depth 6       196 / 357                   185 / 115
+#   2D depth 8      1387 / 2877                 1352 / 936
+#   2D depth 9      5783 / 11070                5459 / 3722
+_NATIVE_CELLS = 256
+
+# A two-value level is shuffled in one batch (``_permutations``) where its
+# cubes hold at most this many cells and number at least this many per cell
+# of a cube; otherwise by numpy's permutation per cube (``_streams``).  The
+# batch's time over the per-cube one, one level (min of 5, same sandbox):
+#   cubes per cell of a cube      4          16          64         256
+#   cells per cube 2-8        1.16-1.56  0.65-0.78  0.26-0.35     0.14
+#   cells per cube 16            3.12    0.80-0.86  0.45-0.75  0.11-0.30
+#   cells per cube 32                       1.27       0.97       0.82
+#   cells per cube 64                    1.64-2.04     1.69
+# (1D depth 6-18, 2D depth 3-8; a 2D level has 4^k cubes per cell.)
+_TWO_VALUE_BATCH = 16
+
+_local = threading.local()  # each thread's one reused generator (``_streams``)
 
 # G_(k+1) = sum_{i<=k} M^i for k < size, with M the PCG multiplier, as the
 # uint64 (hi, lo) rows of one array of shape (2, size); grown by doubling on
-# demand to the longest stream drawn (16 bytes per cell) and shared by every
-# system: building it once per system would cost about 0.2 ms at 64 cells,
-# near the 0.3 ms of the batched draws of a whole 1D depth-6 system.
+# demand to the longest emulated stream (16 bytes per cell) and shared by
+# every system: building it once per system would cost about 0.2 ms at 64
+# cells, near the 0.3 ms of the batched draws of a whole 1D depth-6 system.
 _jumps: np.ndarray | None = None
 
 
@@ -422,12 +469,12 @@ def _pcg_states(seeds: list[int], which: np.ndarray, level: np.ndarray,
     return _add128(_mul128(_add128(s, inc), _halves(_PCG_MULT)), inc), inc
 
 
-def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> list[np.ndarray]:
+def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> np.ndarray:
     """The blocks of b_Q (as ``_level_blocks`` gives them) of ``systems`` at
-    ``level``, from the PCG64 ``(state, inc)`` of their cubes, system after
-    system: one ``_uniform_rows`` call, recentred as one block of rows.
-    Every step is per row, so each row is that of its cube's own generator,
-    bit for bit."""
+    ``level``, from the PCG64 ``(state, inc)`` of their cubes, stacked
+    system after system (``_store``): one ``_uniform_rows`` call, recentred
+    as one block of rows.  Every step is per row, so each row is that of its
+    cube's own generator, bit for bit."""
     n = spec.n_cells // spec.n_cubes(level)
     w = _uniform_rows(state, inc, n)
     w -= (row_reduce(np.add, w) / n)[:, None]  # w.mean(axis=1, keepdims=True)
@@ -435,19 +482,20 @@ def _draw_rows(spec: GridSpec, level: int, systems: list, state, inc) -> list[np
     peak = row_reduce(np.maximum, np.abs(w))[:, None]
     np.divide(w, peak, out=w, where=peak > 1.0)
     count = spec.n_cubes(level)
-    out = [w[k * count:(k + 1) * count] for k in range(len(systems))]
-    for system, blocks in zip(systems, out):
+    for k, system in enumerate(systems):
+        blocks = w[k * count:(k + 1) * count]
         blocks *= system._param  # 1 + amp w, in place
         blocks += 1.0
-    return out
+    return w
 
 
 def _draw_random(groups: list) -> Iterator[tuple]:
     """b_Q of the random kind for every ``(system, level)`` of ``groups`` (in
-    level order, levels below the finest), yielded as ``(system, level,
-    blocks)``.  The groups are seeded in passes of up to ``_BATCH`` cubes,
-    and the groups of one level drawn together, up to ``_BATCH`` values a
-    draw (each pass and draw takes at least one group)."""
+    level order, levels below the finest), yielded as ``(level, systems,
+    blocks)`` with the blocks of the systems drawn together stacked
+    (``_draw_rows``).  The groups are seeded in passes of up to ``_BATCH``
+    cubes, and the groups of one level drawn together, up to ``_BATCH``
+    values a draw (each pass and draw takes at least one group)."""
     spec = groups[0][0].spec
     ends = np.cumsum([0] + [spec.n_cubes(level) for _, level in groups])
     per_draw = max(1, _BATCH // spec.n_cells)  # every group draws n_cells values
@@ -470,8 +518,7 @@ def _draw_random(groups: list) -> Iterator[tuple]:
             systems = [system for system, _ in batch[first:last]]
             lo, hi = bounds[first], bounds[last]
             words = ([word[lo:hi] for word in pair] for pair in (state, inc))
-            for system, blocks in zip(systems, _draw_rows(spec, level, systems, *words)):
-                yield system, level, blocks
+            yield level, systems, _draw_rows(spec, level, systems, *words)
             first = last
         start = stop
 
@@ -509,16 +556,60 @@ def _outputs(state, step, jumps) -> np.ndarray:
     return lo >> hi | lo << (64 - hi & 63)
 
 
+def _streams(state, inc) -> Iterator[np.random.Generator]:
+    """numpy's own Generator on PCG64, yielded once for every ``(state, inc)``
+    ((hi, lo) pairs of arrays over cubes) with that state set: one generator
+    per thread, reused, so no cube builds a SeedSequence.  Each yield is
+    valid until the next."""
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator, words = rng.bit_generator, {}
+    full = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in zip(*(word.tolist() for pair in (state, inc) for word in pair)):
+        words["state"], words["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bit_generator.state = full
+        yield rng
+
+
 def _uniform_rows(state, inc, n: int) -> np.ndarray:
     """``Generator.uniform(-1, 1, n)`` of every PCG64 ``(state, inc)`` ((hi, lo)
-    pairs of arrays over cubes), one C-contiguous row per cube: draw k is
+    pairs of arrays over cubes), one C-contiguous row per cube: from numpy's
+    own generator (``_native_rows``) at ``_NATIVE_CELLS`` draws or more, from
+    the 128-bit emulation (``_emulated_rows``) below."""
+    return (_native_rows if n >= _NATIVE_CELLS else _emulated_rows)(state, inc, n)
+
+
+def _native_rows(state, inc, n: int) -> np.ndarray:
+    """``_uniform_rows`` on numpy's own PCG64, one cube at a time
+    (``_streams``): ``random`` writes each row, and ``2 x - 1`` is
+    ``uniform``'s ``-1 + 2 x`` bit for bit, the doubling being exact."""
+    draws = np.empty((state[0].size, n))
+    for row, rng in zip(draws, _streams(state, inc)):
+        rng.random(out=row)
+    draws *= 2.0
+    draws -= 1.0
+    return draws
+
+
+def _emulated_rows(state, inc, n: int) -> np.ndarray:
+    """``_uniform_rows`` in numpy arithmetic on 128-bit values: draw k is
     ``(out >> 11) 2^-52 - 1`` of output k (``_outputs``), which is numpy's
     ``-1 + 2 ((out >> 11) 2^-53)`` bit for bit, both scalings being exact.
 
     Every step is elementwise, so it runs with the longer of (cubes, draws)
     as the inner axis: a fine level of many small cubes computes a
     ``(draws, cubes)`` array and copies its transpose once into rows, which
-    the row reductions of ``_level_blocks`` need contiguous."""
+    the row reductions of ``_draw_rows`` need contiguous.  More than
+    ``_BATCH`` values are drawn in runs of cubes of up to that many, so that
+    the 128-bit products stay in cache."""
+    count, per = state[0].size, max(1, _BATCH // n)
+    if count > per:
+        rows = np.empty((count, n))
+        for lo in range(0, count, per):
+            rows[lo:lo + per] = _emulated_rows(
+                *([word[lo:lo + per] for word in pair] for pair in (state, inc)), n)
+        return rows
     step = _stream_step(state, inc)
     jumps = _jump_table(n)[:, :n]
     wide = state[0].size > n  # more cubes than draws: cubes along the inner axis

@@ -28,6 +28,7 @@ from .corona import (
     ConfigError,
     _member_links,
     build_corona,
+    check_delta,
     check_tau_target,
     choose_delta,
     forest_carleson,
@@ -118,6 +119,11 @@ def _build_systems(args, spec):
 
 def cmd_corona(args) -> int:
     spec = GridSpec(args.dim, args.depth)
+    # the stopping parameters first: a bad one costs no kernel, draw or Tloc
+    delta = None if args.delta == "auto" else float(args.delta)
+    check_tau_target(args.tau_target)  # an explicit delta runs no search, but a bad target is an error
+    if delta is not None:
+        check_delta(delta)
     if args.kernel:
         kernel = load_kernel(args.kernel)
     else:
@@ -126,7 +132,7 @@ def cmd_corona(args) -> int:
     sys1, sys2 = _build_systems(args, spec)
     tloc = _tloc(kernel, sys1, sys2)
     root = spec.root()
-    if args.delta == "auto":
+    if delta is None:
         search = choose_delta(root, sys1, sys2, kernel, tloc, args.tau_target)
         if not search.ok:
             print(f"delta search FAILED (floor reached); trace={search.trace}")
@@ -135,8 +141,6 @@ def cmd_corona(args) -> int:
         ratios = search.trace[-1][1:]  # the packing ratios of this forest
         print(f"chosen delta = {delta!r} after {len(search.trace)} attempts")
     else:
-        delta = float(args.delta)
-        check_tau_target(args.tau_target)  # no search reads it, but a bad value is an error
         forest = build_corona(root, sys1, sys2, kernel, delta, tloc)
         ratios = packing_ratio(forest, 1), packing_ratio(forest, 2)
     print(f"Tloc = {tloc!r}")

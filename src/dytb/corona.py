@@ -274,8 +274,7 @@ def build_corona(q0: DyadicCube, sys1: AccretiveSystem, sys2: AccretiveSystem,
     S_1 uses (b^1, p1, exponent p2' on T b^1_S, the operator itself); S_2 uses
     (b^2, p2, exponent p1' on T* b^2_S, the adjoint).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     if tloc < 0.0:
         raise ValueError(f"Tloc must be non-negative, got {tloc}")
     if not np.isfinite(tloc):
@@ -413,6 +412,12 @@ def choose_delta(q0: DyadicCube, sys1: AccretiveSystem, sys2: AccretiveSystem,
             return DeltaSearch(tuple(trace), forest)
         delta /= 2.0
     return DeltaSearch(tuple(trace))
+
+
+def check_delta(delta: float) -> None:
+    """Raise ValueError unless the stopping parameter lies in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def check_tau_target(tau_target: float) -> None:

@@ -305,8 +305,13 @@ def level_sum(spec: GridSpec, cell_values: np.ndarray, level: int) -> np.ndarray
     """Cube sums of a finest-cell array at one ``level``, indexed by flat cube:
     the ``coarsen_step`` passes of ``cube_sum_vector`` from the finest level
     up to ``level`` only, so bit-identical to ``level_sums(...)[level]``.  At
-    ``level == depth`` that is the cell array itself (as floats, not copied)."""
-    vals = _cells(spec, cell_values)
+    ``level == depth`` that is the cell array itself (as floats, not copied).
+    A 2D ``cell_values`` is a stack of cell arrays, each summed as on its own."""
+    vals = np.asarray(cell_values, dtype=float)
+    if vals.ndim != 2:
+        vals = _cells(spec, vals)
+    elif vals.shape[1] != spec.n_cells:
+        raise ValueError(f"expected {spec.n_cells} cell values, got shape {vals.shape}")
     if not 0 <= level <= spec.depth:
         raise ValueError(f"level {level} is outside 0..{spec.depth}")
     for _ in range(spec.depth - level):
@@ -345,11 +350,14 @@ def cube_blocks(spec: GridSpec, level: int, cell_values: np.ndarray) -> np.ndarr
 
 
 def from_cube_blocks(spec: GridSpec, level: int, blocks: np.ndarray) -> np.ndarray:
-    """Inverse of ``cube_blocks``: per-cube rows back into one finest-cell array."""
+    """Inverse of ``cube_blocks``: per-cube rows back into one finest-cell
+    array.  Leading axes (a stack of levels' blocks) are kept: ``(..., cubes,
+    cells per cube)`` in, ``(..., cells)`` out."""
+    lead = blocks.shape[:-2]
     if spec.dim == 1:
-        return blocks.reshape(spec.n_cells)
+        return blocks.reshape(*lead, spec.n_cells)
     m, s = 1 << level, 1 << (spec.depth - level)
-    return blocks.reshape(m, m, s, s).transpose(0, 2, 1, 3).reshape(spec.n_cells)
+    return blocks.reshape(*lead, m, m, s, s).swapaxes(-3, -2).reshape(*lead, spec.n_cells)
 
 
 @dataclass(frozen=True)

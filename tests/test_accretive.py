@@ -464,15 +464,16 @@ def plant_random(row, check):
 def test_planted_bad_level_fails_alike_drawn_together_or_alone(monkeypatch, dim, depth, level, check):
     spec = GridSpec(dim, depth)
     flat = spec.n_cubes(level) // 2
-    store = AccretiveSystem._store
+    draw_rows = accretive._draw_rows
 
-    def planted(system, lev, blocks):
-        if system.seed == 3 and lev == level:  # the second system of the pair only
-            blocks = blocks.copy()
-            plant_random(blocks[flat], check)
-        return store(system, lev, blocks)
+    def planted(spec_, lev, systems, state, inc):
+        blocks = draw_rows(spec_, lev, systems, state, inc)
+        for k, system in enumerate(systems):
+            if system.seed == 3 and lev == level:  # the second system of the pair only
+                plant_random(blocks[k * spec.n_cubes(lev) + flat], check)
+        return blocks
 
-    monkeypatch.setattr(AccretiveSystem, "_store", planted)
+    monkeypatch.setattr(accretive, "_draw_rows", planted)
     want = f"generator bug: {check} on {spec.cube_from_flat(level, flat)}"
     first, second = system_pair(spec, "random", 1)
     with pytest.raises(RuntimeError) as together:
@@ -487,6 +488,97 @@ def test_planted_bad_level_fails_alike_drawn_together_or_alone(monkeypatch, dim,
     with pytest.raises(RuntimeError) as single:
         alone.level_values(level)
     assert str(single.value) == want
+
+
+def plant_draws(monkeypatch, faults):
+    """Break the random-kind draws: ``faults`` maps (seed, level) to (flat,
+    fault), the fault ``"non-finite cell value"`` or one of LEVEL_CHECKS,
+    planted in that system's cube ``flat`` of that level whether the level
+    is drawn alone or with other systems.  The norm fault moves every cell
+    by 3 (half up, half down), over budget at any cube size."""
+    draw_rows = accretive._draw_rows
+
+    def planted(spec, level, systems, state, inc):
+        blocks = draw_rows(spec, level, systems, state, inc)
+        for k, system in enumerate(systems):
+            flat, fault = faults.get((system.seed, level), (0, None))
+            row = blocks[k * spec.n_cubes(level) + flat]
+            if fault == "non-finite cell value":
+                row[0] = np.nan
+            elif fault == "norm budget exceeded":
+                row[0::2] += 3.0
+                row[1::2] -= 3.0
+            elif fault is not None:
+                plant_random(row, fault)
+        return blocks
+
+    monkeypatch.setattr(accretive, "_draw_rows", planted)
+
+
+FAULTS = ("non-finite cell value",) + LEVEL_CHECKS
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("dim,depth,level", [(1, 9, 1), (1, 9, 7), (2, 5, 0), (2, 5, 3)])
+def test_joint_check_reports_faults_in_level_then_system_order(monkeypatch, dim, depth, level, fault):
+    # a fault in system 2 at one level and in system 1 at the next: both the
+    # instance's draw and each lazy read name the fault they meet first
+    spec = GridSpec(dim, depth)
+    first, second = system_pair(spec, "random", 1)  # seeds 1 and 3
+    flat2, flat1 = spec.n_cubes(level) - 1, spec.n_cubes(level + 1) // 3
+    plant_draws(monkeypatch, {(3, level): (flat2, fault), (1, level + 1): (flat1, fault)})
+    want2 = f"generator bug: {fault} on {spec.cube_from_flat(level, flat2)}"
+    want1 = f"generator bug: {fault} on {spec.cube_from_flat(level + 1, flat1)}"
+    with pytest.raises(RuntimeError) as err:
+        accretive.draw_levels((first, second))
+    assert str(err.value) == want2
+    assert sorted(first._levels) == list(range(level + 1)) and sorted(second._levels) == list(range(level))
+    for system, lev, want in ((second, level, want2), (first, level + 1, want1)):
+        alone = replace(system)
+        with pytest.raises(RuntimeError) as err:
+            alone.level_values(lev)
+        assert str(err.value) == want and list(alone._levels) == []
+    # system 1 keeps its good level; its bad one fails on its own read too
+    with pytest.raises(RuntimeError) as err:
+        first.level_values(level + 1)
+    assert str(err.value) == want1
+
+
+@pytest.mark.parametrize("first_fault, second_fault", [
+    ("near-zero cell value", "non-finite cell value"),
+    ("norm budget exceeded", "mean of b_Q off"),
+    ("mean of b_Q off", "non-finite cell value"),
+])
+@pytest.mark.parametrize("dim,depth,level", [(1, 8, 3), (2, 4, 2)])
+def test_joint_check_names_the_first_system_before_an_earlier_check(monkeypatch, dim, depth, level,
+                                                                    first_fault, second_fault):
+    # both systems fail one level: system 1's fault is named, although
+    # system 2's fails a check that comes earlier, and no level is kept
+    spec = GridSpec(dim, depth)
+    first, second = system_pair(spec, "random", 1)
+    plant_draws(monkeypatch, {(1, level): (2, first_fault), (3, level): (1, second_fault)})
+    with pytest.raises(RuntimeError) as err:
+        accretive.draw_levels((first, second))
+    assert str(err.value) == f"generator bug: {first_fault} on {spec.cube_from_flat(level, 2)}"
+    assert level not in first._levels and level not in second._levels
+    with pytest.raises(RuntimeError) as err:
+        second.level_values(level)
+    assert str(err.value) == f"generator bug: {second_fault} on {spec.cube_from_flat(level, 1)}"
+
+
+def test_joint_check_names_an_overflowing_exponent(monkeypatch):
+    # A^p fits float64 but A^p times the cells of a cube does not: a norm
+    # budget failed by |b_Q|^p sums that overflow is the exponent's fault,
+    # a ValueError, drawn together or alone
+    spec = GridSpec(1, 6)
+    first = AccretiveSystem(spec, "random", 2.0, 1.7, seed=1, params={"amp": 0.6})
+    second = AccretiveSystem(spec, "random", 1337.0, 1.7, seed=3, params={"amp": 0.6})
+    plant_draws(monkeypatch, {(3, 2): (1, "norm budget exceeded")})
+    for read in (lambda: accretive.draw_levels((first, second)), lambda: replace(second).level_values(2)):
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == "exponent p=1337.0 is too large for float64 powers"
+    assert sorted(first._levels) == [0, 1, 2] and sorted(second._levels) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", SEED_LADDER)
@@ -526,13 +618,15 @@ def test_jump_tables_are_powers_of_the_pcg_multiplier():
 
 
 def test_jump_tables_grow_by_doubling_from_a_small_size(monkeypatch):
-    # a 3-cell draw builds the table to size 4; a 4097-cell draw doubles
-    # it to 8192; every row must still be numpy's per-cube stream
+    # a 3-cell emulated draw builds the table to size 4; a 4097-cell one
+    # doubles it to 8192 (a draw that long runs on numpy's own generator, so
+    # the emulation is called directly); every row must still be numpy's
+    # per-cube stream
     monkeypatch.setattr(accretive, "_jumps", None)
     seed, spec = 5, GridSpec(2, 2)
     for n, size in ((3, 4), (4097, 8192)):
         for level in range(spec.depth):
-            rows = accretive._uniform_rows(*level_states(seed, spec, level), n)
+            rows = accretive._emulated_rows(*level_states(seed, spec, level), n)
             assert accretive._jumps.shape == (2, size)
             for flat, row in enumerate(rows):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))
@@ -583,19 +677,39 @@ odd_u128 = u128.map(lambda x: x | 1)
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.lists(st.tuples(u128, odd_u128), min_size=1, max_size=5))
 def test_uniform_rows_follow_pcg64_from_any_state(pairs):
-    # the draws of an arbitrary stream, on either side of the table's
-    # doubling at 4096, in the narrow layout (no more cubes than draws) and
-    # the wide one (more cubes, repeated); a wide 4097-draw batch would hold
-    # 4098 rows of 4097 values, so 4097 is drawn narrow only
+    # the emulated draws of an arbitrary stream, on either side of the
+    # table's doubling at 4096, in the narrow layout (no more cubes than
+    # draws) and the wide one (more cubes, repeated); a wide 4097-draw batch
+    # would hold 4098 rows of 4097 values, so 4097 is drawn narrow only, and
+    # by the emulation directly, since ``_uniform_rows`` draws that many on
+    # numpy's own generator
     want = {n: [pcg64_at(*pair).uniform(-1.0, 1.0, n).tobytes() for pair in pairs]
             for n in (2, 3, 4, 4097)}
     for n, rows in want.items():
         for count in {min(len(pairs), n), n + 1} if n < 4097 else {len(pairs)}:
             cubes = [pairs[c % len(pairs)] for c in range(count)]
             state, inc = (as_pair(col) for col in zip(*cubes))
-            got = accretive._uniform_rows(state, inc, n)
-            assert got.shape == (count, n) and got.flags.c_contiguous
-            assert [row.tobytes() for row in got] == [rows[c % len(pairs)] for c in range(count)]
+            for draw in (accretive._uniform_rows, accretive._emulated_rows):
+                got = draw(state, inc, n)
+                assert got.shape == (count, n) and got.flags.c_contiguous
+                assert [row.tobytes() for row in got] == [rows[c % len(pairs)] for c in range(count)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(u128, odd_u128), min_size=1, max_size=5),
+       st.sampled_from([1, 2, 7, accretive._NATIVE_CELLS // 2, accretive._NATIVE_CELLS,
+                        2 * accretive._NATIVE_CELLS]))
+def test_native_rows_follow_pcg64_from_any_state(pairs, n):
+    # numpy's own generator with an arbitrary state set, at any length, equals
+    # the emulation and a fresh generator at that state; a stream repeated
+    # in one batch draws the same row again
+    pairs = pairs + pairs[:1]
+    state, inc = (as_pair(col) for col in zip(*pairs))
+    got = accretive._native_rows(state, inc, n)
+    assert got.shape == (len(pairs), n) and got.flags.c_contiguous
+    assert got.tobytes() == accretive._emulated_rows(state, inc, n).tobytes()
+    assert [row.tobytes() for row in got] == [
+        pcg64_at(*pair).uniform(-1.0, 1.0, n).tobytes() for pair in pairs]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -641,21 +755,52 @@ def test_two_value_levels_match_per_cube_permutations(dim, depth):
             assert sys_.level_values(level).tobytes() == stitched_per_cube(sys_, level).tobytes()
 
 
+def counted_streams(monkeypatch, calls):
+    """Count, in ``calls``, every per-cube state set of ``accretive._streams``."""
+    streams = accretive._streams
+
+    def counted(state, inc):
+        for rng in streams(state, inc):
+            calls.append(1)
+            yield rng
+
+    monkeypatch.setattr(accretive, "_streams", counted)
+
+
 def test_two_value_batch_builds_no_generator(monkeypatch):
-    # the levels of many more cubes than cells per cube are shuffled in one
-    # batch, with no generator per cube; the others build one per cube
+    # the levels of many more small cubes than cells per cube are shuffled in
+    # one batch, with no per-cube state; the others set one state per cube
     spec = GridSpec(1, 12)
     calls = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(1) or default_rng(*args))
+    counted_streams(monkeypatch, calls)
     batched = []
     for level in range(spec.depth):
         count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
         calls.clear()
         AccretiveSystem(spec, "two-value", 2.0, 2.0, seed=3, params={"s": 0.9}).level_values(level)
-        assert len(calls) == (0 if count >= 16 * n else count)
+        assert len(calls) == (0 if count >= 16 * n and n <= 16 else count)
         batched += [level] * (not calls)
     assert batched == [8, 9, 10, 11]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 12), (2, 6)])
+@pytest.mark.parametrize("kind", ["random", "two-value"])
+def test_draw_levels_seeds_no_generator_per_cube(monkeypatch, dim, depth, kind):
+    # no SeedSequence and no default_rng: the cubes' states come from the
+    # batched seeding, and a random level of large cubes sets one state per
+    # cube on the reused generator
+    calls, states = [], []
+    for name in ("SeedSequence", "default_rng"):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name, lambda *args, real=real, **kw: calls.append(1) or real(*args, **kw))
+    counted_streams(monkeypatch, states)
+    spec = GridSpec(dim, depth)
+    pair = system_pair(spec, kind, 7)
+    accretive.draw_levels(pair)
+    assert calls == [] and all(len(system._levels) == depth + 1 for system in pair)
+    if kind == "random":  # both systems' cubes of at least _NATIVE_CELLS cells
+        assert len(states) == 2 * sum(spec.n_cubes(level) for level in range(depth)
+                                      if spec.n_cells >= accretive._NATIVE_CELLS * spec.n_cubes(level))
 
 
 def test_two_value_level_read_alone_equals_draw_levels():

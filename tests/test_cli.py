@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dytb import cli, grid, kernels, verify
+from dytb import accretive, cli, grid, kernels, verify
 from dytb.cli import main
 from dytb.accretive import AccretiveSystem
 from dytb.corona import (
@@ -263,6 +263,22 @@ def test_counts_are_validated(tmp_path, capsys):
 ])
 def test_corona_stopping_parameters_are_config_errors(flags, message, capsys):
     assert main(["corona", "--depth", "3", *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
+    (["--delta", "0.3", "--tau-target", "5"], "tau_target must lie in (0, 1), got 5.0"),
+    (["--tau-target", "5"], "tau_target must lie in (0, 1), got 5.0"),
+])
+def test_corona_checks_stopping_parameters_before_any_work(monkeypatch, flags, message, capsys):
+    # no kernel is generated and no system drawn before the flags are checked
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the stopping parameters were checked")
+
+    for module, name in ((accretive, "draw_levels"), (verify, "draw_levels"), (cli, "generate_kernel")):
+        monkeypatch.setattr(module, name, no_work)
+    assert main(["corona", "--depth", "16", *flags]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 

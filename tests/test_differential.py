@@ -794,6 +794,57 @@ def test_uniform_rows_and_levels_equal_per_cube_generators(dim, depth):
     assert wide_pairwise >= 1
 
 
+@pytest.mark.parametrize("batch", [1, 5, 64, 1 << 10])
+def test_emulated_rows_in_runs_equal_per_cube_generators(monkeypatch, batch):
+    # a draw of more than _BATCH values is emulated in runs of whole cubes,
+    # one cube a run at the smallest sizes, in both layouts
+    spec, seed = GridSpec(1, 11), 2**64 + 5
+    monkeypatch.setattr(accretive, "_BATCH", batch)
+    for level in range(spec.depth):
+        count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
+        rows = accretive._emulated_rows(*level_states(seed, spec, level), n)
+        assert rows.flags.c_contiguous, f"level {level}"
+        assert rows.tobytes() == per_cube_draws(seed, level, count, n).tobytes(), f"level {level}, {NUMPY}"
+
+
+def per_cube_generators(seed, level, count):
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, flat)))
+            for flat in range(count)]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, d) for d in range(15)] + [(2, d) for d in range(8)])
+def test_drawn_levels_equal_per_cube_generators_at_any_cut_over(monkeypatch, dim, depth):
+    # every level of both drawn kinds equals numpy's per-cube generators byte
+    # for byte, with each cut-over (numpy's own generator against the
+    # emulation for random draws, per-cube against batched permutations for
+    # two-value shuffles) at half, once and twice its size; grids of 4096
+    # cells and more take one seed each, to keep the oracle within seconds
+    spec, amp, s = GridSpec(dim, depth), 0.6, 0.7
+    native, batch = accretive._NATIVE_CELLS, accretive._TWO_VALUE_BATCH
+    for seed in (0, 7, 2**64 + 5) if spec.n_cells < 4096 else (2**64 + 5,):
+        for level in range(depth + 1):
+            count, n = spec.n_cubes(level), spec.n_cells // spec.n_cubes(level)
+            draws = per_cube_draws(seed, level, count, n)
+            w = draws - draws.mean(axis=1, keepdims=True)
+            peak = np.abs(w).max(axis=1, keepdims=True)
+            np.divide(w, peak, out=w, where=peak > 1.0)
+            halves = np.full((count, n), 1.0 - s)
+            for row, rng in zip(halves, per_cube_generators(seed, level, count)):
+                row[rng.permutation(n)[: n // 2]] = 1.0 + s
+            want = {"random": 1.0 + amp * w, "two-value": halves}
+            for scale in (0.5, 1, 2):
+                monkeypatch.setattr(accretive, "_NATIVE_CELLS", int(native * scale))
+                monkeypatch.setattr(accretive, "_TWO_VALUE_BATCH", int(batch * scale))
+                msg = f"seed {seed}, level {level}, cut-overs x{scale}, {NUMPY}"
+                rows = accretive._uniform_rows(*level_states(seed, spec, level), n)
+                assert rows.tobytes() == draws.tobytes() and rows.flags.c_contiguous, msg
+                for kind, blocks in want.items():
+                    system = AccretiveSystem(spec, kind, 2.0, 1.7, seed=seed,
+                                             params={"amp": amp} if kind == "random" else {"s": s})
+                    cells = from_cube_blocks(spec, level, blocks if n > 1 else np.ones((count, 1)))
+                    assert system.level_values(level).tobytes() == cells.tobytes(), f"{kind}, {msg}"
+
+
 @pytest.mark.parametrize("dim,depth", [(1, 9), (2, 5)])
 def test_testing_constant_equals_row_mean_oracle(dim, depth):
     spec = GridSpec(dim, depth)
