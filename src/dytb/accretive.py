@@ -113,10 +113,11 @@ class AccretiveSystem:
             raise ValueError(f"two-value parameter s={self._param} out of range")
         if self.kind == "random" and not 0.0 < self._param <= 1.0 - 1e-5:
             raise ValueError(f"random parameter amp={self._param} out of range")
-        try:
-            math.pow(self.A, self.p)  # the budget of every |b_Q|^p, a cap of the stopping rule
-        except OverflowError:
-            raise _overflow(self.p) from None
+        with np.errstate(over="ignore"):  # A^p, the budget of every |b_Q|^p and a stopping cap
+            budget, cells = np.float64(self.A) ** self.p, np.float64(2.0) ** self.p
+        if budget == np.inf:  # every kind's cells are at most 2: if 2^p fits, A is at fault
+            raise _overflow(self.p) if cells == np.inf else ValueError(
+                f"constant A={self.A!r} is too large for float64 powers: A^p overflows at p={self.p!r}")
         worst = self.worst_constant()
         if worst > self.A * (1 + 1e-9):
             raise ValueError(

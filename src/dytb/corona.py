@@ -1,30 +1,28 @@
 """Stopping-time constructions: terminal cubes, corona forests, packing numbers.
 
-Two related constructions live here.  ``terminal_cubes`` finds, below a base
-cube S0 carrying a single test function b, the maximal dyadic cubes T with
-
-    |int_T b| <= delta |T|   or   int_T |b|^p >= delta^-1 A^p |T|,
-
-i.e. the cubes where b loses its usable average or blows up in norm.  The
-``build_corona`` construction iterates the same idea against a whole accretive
-system and an operator: starting from Q0, each stopping cube S owns b_S and
-its stopping children are the maximal descendants Q with
+One stopping rule, ``stopping_rule``, decides every construction here: below
+a stopping cube S carrying b_S, a dyadic cube Q stops when
 
     (1) |int_Q b_S| <= delta |Q|
     (2) int_Q |b_S|^p >= delta^-1 A^p |Q|
     (3) int_Q |T b_S|^q >= delta^-1 Tloc^q |Q|    (and the integral is positive)
 
-run once with (b^1, p1, q = p2', T) and once with (b^2, p2, q = p1', T*)
-(``_sides``), each with the exponent p and the constant A of its own system.
+``terminal_cubes`` finds the maximal cubes below a base cube S0 carrying a
+single function b that meet (1) or (2), where b loses its usable average or
+blows up in norm; the block check of a twisted context reads the same two.
+``build_corona`` iterates all three against a whole accretive system and an
+operator from Q0, once with (b^1, p1, q = p2', T) and once with (b^2, p2,
+q = p1', T*) (``_sides``), each with the p and A of its own system.
 
 Both are one top-down pass over per-level owner arrays (``_owner_pass``); the
 corona reads b_S and T b_S of each cube's owner S from two cell arrays stitched
 from the system's level arrays, with no full-grid function or apply per member.
 
-Comparisons are inclusive as written, so ties stop; the positivity guard in
-(3) only matters for the zero kernel, whose testing constant is 0 and which
-must not stop anywhere.  Stopping cubes may occur down to the finest level,
-which keeps every non-stopping cube's b-average strictly above delta.
+Comparisons are inclusive as written, so ties stop.  An input whose testing
+constant is 0 has T b_S = 0 on every cube, and the positivity guard keeps (3)
+from stopping any; Tloc = 0 against a cube where T b_S is not zero is a
+ConfigError.  Stopping cubes may occur down to the finest level, which keeps
+every non-stopping cube's b-average strictly above delta.
 """
 
 from __future__ import annotations
@@ -101,42 +99,51 @@ def _cubes_where(spec, masks: dict) -> list[DyadicCube]:
             for flat in np.flatnonzero(mask)]
 
 
-# -- terminal cubes (single function) -------------------------------------------
+# -- the stopping rule and terminal cubes (single function) ---------------------
+
+
+def stopping_rule(spec: GridSpec, level: int, integ: np.ndarray, pows: np.ndarray, delta: float,
+                  A: float, p: float, tpows: np.ndarray | None = None, tloc: float | None = None,
+                  q: float | None = None) -> np.ndarray:
+    """The mask of the level-``level`` cubes Q (row-major) that meet stopping
+    condition (1) or (2) from ``integ`` = int_Q b and ``pows`` = int_Q |b|^p,
+    or, when ``tpows`` = int_Q |T b_S|^q is given, (3) with ``tloc`` and
+    ``q``.  At Tloc = 0, (3) would stop every cube where T b_S is not zero:
+    the first such cube is a ConfigError."""
+    check_delta(delta)
+    vol = 2.0 ** (-spec.dim * level)
+    stopped = (np.abs(integ) <= delta * vol) | (pows >= A**p / delta * vol)
+    if tpows is not None:
+        moved = tpows > 0.0
+        if tloc == 0.0 and moved.any():
+            cube = spec.cube_from_flat(level, int(np.flatnonzero(moved)[0]))
+            raise ConfigError(f"Tloc = 0 makes stopping condition (3) stop {cube}, where T b_S is "
+                              f"not zero; compute the testing constant first and pass it as tloc")
+        stopped |= (tpows >= tloc**q / delta * vol) & moved
+    return stopped
 
 
 def _terminal_owners(b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float):
     """The owner pass of the terminal construction: per level from s0's (None
     above), the level of each cube's smallest ancestor-or-self among s0 and
-    the maximal cubes strictly inside s0 with |int_T b| <= delta |T| or
-    int_T |b|^p >= delta^-1 A^p |T|; -1 outside s0.  None when s0 itself
-    meets a stopping condition."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    the maximal cubes strictly inside s0 that meet stopping condition (1) or
+    (2) (``stopping_rule``); -1 outside s0.  None when s0 itself meets one."""
+    check_delta(delta)
     spec = b.spec
     spec.check(s0)
-    integ = [s * spec.cell_volume for s in b.cube_sums]
-    pows = [s * spec.cell_volume for s in level_sums(spec, np.abs(b.values) ** p)]
-    norm_cap = A**p / delta
-
-    def stopped(level: int) -> np.ndarray:
-        vol = 2.0 ** (-spec.dim * level)
-        return (np.abs(integ[level]) <= delta * vol) | (pows[level] >= norm_cap * vol)
-
-    top, flat = s0.level, spec.cube_flat(s0)
-    if stopped(top)[flat]:
+    top, flat, cv = s0.level, spec.cube_flat(s0), spec.cell_volume
+    pows = level_sums(spec, np.abs(b.values) ** p)
+    stopped = {level: stopping_rule(spec, level, b.cube_sums[level] * cv, pows[level] * cv, delta, A, p)
+               for level in range(top, spec.depth + 1)}
+    if stopped[top][flat]:
         return None
     return _owner_pass(spec, top, lambda level, inherited:
-                       [flat] if level == top else stopped(level) & (inherited == top))
+                       [flat] if level == top else stopped[level] & (inherited == top))
 
 
-def terminal_cubes(
-    b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float
-) -> list[DyadicCube]:
-    """Maximal cubes T inside ``s0`` (including s0 itself) with
-    |int_T b| <= delta |T| or int_T |b|^p >= delta^-1 A^p |T|.
-
-    Finest cells may be returned but are never subdivided further.
-    """
+def terminal_cubes(b: GridFunction, s0: DyadicCube, delta: float, p: float, A: float) -> list[DyadicCube]:
+    """Maximal cubes T inside ``s0`` (including s0 itself) that meet stopping condition
+    (1) or (2); finest cells may be returned but are never subdivided further."""
     owners = _terminal_owners(b, s0, delta, p, A)
     if owners is None:
         return [s0]
@@ -227,8 +234,6 @@ def _build_family(q0: DyadicCube, system: AccretiveSystem, op: PerfectKernel, q_
     ``testing_constant`` has already made them, and every ``choose_delta``
     attempt reads them again."""
     spec = system.spec
-    norm_cap = system.A**system.p / delta
-    test_cap = tloc**q_exp / delta
     stitched = [np.zeros(spec.n_cells) for _ in range(3)]  # b, |b|^p and |T b|^q
 
     def sums(level: int):
@@ -251,10 +256,8 @@ def _build_family(q0: DyadicCube, system: AccretiveSystem, op: PerfectKernel, q_
             hits = _subtree_mask(spec.dim, q0, level)
         else:
             integ, pows, tpows = (row * spec.cell_volume for row in sums(level))
-            vol = 2.0 ** (-spec.dim * level)
-            stopped = ((np.abs(integ) <= delta * vol) | (pows >= norm_cap * vol)
-                       | ((tpows >= test_cap * vol) & (tpows > 0.0)))
-            hits = (inherited >= 0) & stopped
+            hits = (inherited >= 0) & stopping_rule(spec, level, integ, pows, delta, system.A,
+                                                    system.p, tpows, tloc, q_exp)
         if hits.any():  # only the newly marked cells change
             inside = spread(spec, level, hits)
             b = system.level_values(level)[inside]
@@ -283,11 +286,6 @@ def build_corona(q0: DyadicCube, sys1: AccretiveSystem, sys2: AccretiveSystem,
     if sys2.spec != spec or kernel.spec != spec:
         raise ValueError("grid mismatch between systems and kernel")
     spec.check(q0)
-    if tloc == 0.0 and len(kernel) > 0:
-        raise ConfigError(
-            "Tloc = 0 with a nonzero kernel makes stopping condition (3) trigger "
-            "everywhere; compute the testing constant first and pass it as tloc"
-        )
     owners = tuple(_build_family(q0, system, op, q, delta, tloc)
                    for system, op, q in _sides(sys1, sys2, kernel))
     return CoronaForest(q0, sys1, sys2, kernel, delta, tloc, owners)

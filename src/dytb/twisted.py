@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, _cubes_where, _owner_pass, _subtree_mask, _terminal_owners
+from .corona import CoronaForest, _cubes_where, _owner_pass, _subtree_mask, _terminal_owners, stopping_rule
 from .grid import DyadicCube, GridFunction, GridSpec, level_sum, spread
 
 __all__ = [
@@ -238,16 +238,18 @@ def _check_blocks(levels: CoronaLevels, system: AccretiveSystem, delta: float) -
     the invariants that make the averages of B_l safe denominators, with the
     exponent p and the constant A of ``system``, whose b the levels carry:
     every marked cube S carries a b with integral |S| within the norm budget
-    A |S|^(1/p), and every owned cube Q has |<B_l>_Q| > delta and
-    <|B_l|^p>_Q < A^p / delta."""
+    A |S|^(1/p), and no owned cube Q meets stopping condition (1) or (2) with
+    B_l (``corona.stopping_rule``), so |<B_l>_Q| > delta.  The integrals are
+    the averages times |Q|, a power of two, so they are exact."""
     spec, p, A = levels.spec, system.p, system.A
     for level, cells in levels.b.items():
         avg, owners = levels.b_avg[level], levels.owners[level]
         pows = _average(spec, level, level_sum(spec, np.abs(cells) ** p, level))
         budget = (np.abs(avg - 1.0) > 1e-12) | (pows ** (1 / p) > A * (1 + 1e-12))
+        vol = 2.0 ** (-spec.dim * level)
         for bad, message in (
             (budget & (owners == level), "b on {} misses its integral |S| or norm budget"),
-            ((owners >= 0) & ((np.abs(avg) <= delta) | (pows >= A**p / delta)),
+            ((owners >= 0) & stopping_rule(spec, level, avg * vol, pows * vol, delta, A, p),
              "denominator safety fails at {}: the terminal family does not absorb all stopped cubes"),
         ):
             if bad.any():

@@ -733,7 +733,8 @@ RESIDUAL_FIELDS = (
 
 @dataclass
 class VerifierReport:
-    """One row of the experiment: norms, ratio, structure and residuals."""
+    """One row of the experiment: norms, ratio, structure and residuals.  A
+    flagged trial (not ``ok``) fills only the first six and ``delta_trace``: the rest are None or empty."""
 
     trial: int
     seed: int
@@ -741,12 +742,12 @@ class VerifierReport:
     operator_norm: float
     tloc: float
     ratio: float
-    delta: float | None
-    packing: float
-    carleson: float
+    delta: float | None = None
+    packing: float | None = None
+    carleson: float | None = None
     residuals: dict = field(default_factory=dict)
-    epsilon_max: float = 0.0
-    epsilon_bound: float = 0.0
+    epsilon_max: float | None = None
+    epsilon_bound: float | None = None
     easy: dict = field(default_factory=dict)
     delta_trace: tuple = ()
 
@@ -828,12 +829,8 @@ def _after_norm(inst: Instance) -> dict | None:
 
 
 def _trial_report(trial: int, inst: Instance, norm: float, rest: dict | None) -> VerifierReport:
-    ratio = norm / (1.0 + inst.tloc)
-    if rest is None:
-        return VerifierReport(trial, inst.seed, False, norm, inst.tloc, ratio, None,
-                              float("nan"), float("nan"), delta_trace=inst.dsearch.trace)
-    return VerifierReport(trial, inst.seed, True, norm, inst.tloc, ratio,
-                          delta_trace=inst.dsearch.trace, **rest)
+    return VerifierReport(trial, inst.seed, rest is not None, norm, inst.tloc, norm / (1.0 + inst.tloc),
+                          delta_trace=inst.dsearch.trace, **(rest or {}))
 
 
 def main_theorem_experiment(config: ExperimentConfig) -> list[VerifierReport]:

@@ -163,6 +163,12 @@ def test_exponents_past_float64_are_config_errors():
     # A^p, the budget of every |b_Q|^p, overflows
     with pytest.raises(ValueError, match=r"^exponent p=2000.0 is too large for float64 powers$"):
         AccretiveSystem(spec, "signed", 2000.0, 1.9)
+    # A^p overflows while 2^p, above every cell's power, fits: A is named
+    with pytest.raises(ValueError, match=r"^constant A=1e\+200 is too large for float64 powers: "
+                                         r"A\^p overflows at p=2.0$"):
+        AccretiveSystem(spec, "random", 2.0, 1e200)
+    with pytest.raises(ValueError, match=r"^constant A=inf is too large"):  # rule (2) could never fire
+        AccretiveSystem(spec, "constant", 2.0, np.inf)
     # the budget A^p = 2^1023.6 fits, the cells' powers 2^p = 2^1024.5 do not
     sys_ = AccretiveSystem(spec, "signed", 1024.5, 2.0 ** (1023.6 / 1024.5))
     with warnings.catch_warnings():

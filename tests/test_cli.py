@@ -350,6 +350,25 @@ def test_overflowing_exponents_are_config_errors(argv, exponent, capsys):
     assert err.startswith("config error: ") and exponent in err and "Warning" not in out + err, err
 
 
+A_OVERFLOW = "constant A=1e+200 is too large for float64 powers: A^p overflows at p=2.0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["corona"], A_OVERFLOW),
+    (["transform-norm"], A_OVERFLOW),
+    (["identities"], A_OVERFLOW),
+    (["tb-experiment", "--trials", "1", "--out", "r.csv"], A_OVERFLOW),
+    # 2^p overflows too, so the cells' own powers may not fit: the exponent is named
+    (["corona", "--p1", "2000"], "exponent p=2000.0 is too large for float64 powers"),
+])
+def test_overflowing_constant_is_named(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--depth", "3", "--A", "1e200"]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"config error: {message}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("command, config, message", [
     (["corona"], {"depth": 3.5}, "argument --depth: invalid int value: '3.5'"),
     (["corona"], {"depth": True}, "argument --depth: invalid int value: 'true'"),
@@ -678,10 +697,98 @@ def test_bad_flags_exit_config(capsys):
 
 
 def test_tloc_zero_guard_maps_to_config_error(tmp_path, capsys):
-    # corona with an explicit delta and a nonzero kernel: Tloc is computed, so
-    # this succeeds; force the guard through a zero testing constant instead
-    assert main(["corona", "--dim", "1", "--depth", "3", "--kernel-kind", "zero",
-                 "--accretive-kind", "constant", "--delta", "0.25"]) == 0
+    # dytb corona computes Tloc, so rule (3) never meets Tloc = 0 on a cube
+    # where T b_S moves: a zero kernel and a kernel at scale 0 both run
+    for kernel in (["--kernel-kind", "zero"], ["--kernel-scale", "0"]):
+        assert main(["corona", "--dim", "1", "--depth", "3", *kernel,
+                     "--accretive-kind", "constant", "--delta", "0.25"]) == 0
+
+
+@pytest.mark.parametrize("grid", [["--dim", "1", "--depth", "6"], ["--dim", "1", "--depth", "10"],
+                                  ["--dim", "2", "--depth", "4"]])
+def test_corona_at_kernel_scale_zero_prints_the_zero_kernel_bytes(grid, capsys):
+    outs = []
+    for kernel in (["--kernel-scale", "0"], ["--kernel-kind", "zero"]):
+        assert main(["corona", *grid, "--seed", "5", *kernel]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "Tloc = 0.0\n" in outs[0]
+
+
+def test_identities_and_experiment_run_at_kernel_scale_zero(tmp_path, capsys):
+    assert main(["identities", "--depth", "3", "--kernel-scale", "0"]) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert all(float(printed[name]) <= 1e-9 for name in verify.RESIDUAL_FIELDS)
+    out = tmp_path / "r.csv"
+    assert main(["tb-experiment", "--depth", "3", "--trials", "2", "--kernel-scale", "0",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())["reports"]
+    assert [r["ok"] for r in rows] == [True, True] and all(r["tloc"] == 0.0 for r in rows)
+    assert all(r["residuals"][name] <= 1e-9 for r in rows for name in verify.RESIDUAL_FIELDS)
+
+
+def test_kernel_without_t1_runs_on_constant_systems(tmp_path, capsys):
+    # per cube, kappa = c on the cyclic child pairs (0,1), (1,2), (2,3), (3,0),
+    # -c on their reverses and no entry on (0,2) or (1,3), with c half the
+    # level's smallest size bound: T1 = T*1 = 0, so Tloc on constant systems is 0
+    spec = GridSpec(2, 3)
+    entries = {}
+    for level in range(spec.depth):
+        c = min(kernels.size_bound(level, i, j, 2) for i in range(4) for j in range(4) if i != j) / 2
+        for flat in range(spec.n_cubes(level)):
+            for i in range(4):
+                entries[(level, flat, i, (i + 1) % 4)] = c
+                entries[(level, flat, (i + 1) % 4, i)] = -c
+    path = tmp_path / "k.json"
+    kernels.save_kernel(kernels.PerfectKernel(spec, entries), path)
+    assert main(["validate", "--kernel", str(path)]) == 0
+    head, norm = capsys.readouterr().out.split(" = ")
+    assert head.endswith("entries=168; operator norm (dense-svd)") and float(norm) == pytest.approx(0.125)
+    assert main(["corona", "--kernel", str(path), "--dim", "2", "--depth", "3",
+                 "--accretive-kind", "constant"]) == 0
+    assert "Tloc = 0.0\n" in capsys.readouterr().out
+
+
+# signed systems can never pack below 1/2, so every delta search to 0.3 fails
+FLAGGED = ["--dim", "1", "--depth", "4", "--accretive-kind", "signed", "--tau-target", "0.3"]
+
+
+def test_corona_failed_delta_search_exits_1(capsys):
+    assert main(["corona", *FLAGGED]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("delta search FAILED (floor reached); trace=((0.5, ")
+    assert out[0].endswith(f"({2.0**-20!r}, 0.5, 0.5))")
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_flagged_trials_write_standard_reports(tmp_path, capsys):
+    # a flagged trial measures no delta, packing, Carleson constant,
+    # residual, coefficient or easy term: an empty cell and a JSON null each
+    out = tmp_path / "r.csv"
+    assert main(["tb-experiment", "--trials", "2", *FLAGGED, "--out", str(out)]) == 0
+    assert "2 trials, 2 flagged; no usable trials" in capsys.readouterr().out
+    rows = _strict_json(out.with_suffix(".json").read_text())["reports"]
+    assert [r["ok"] for r in rows] == [False, False]
+    for r in rows:
+        assert [r[k] for k in ("delta", "packing", "carleson", "epsilon_max", "epsilon_bound")] == [None] * 5
+        assert r["residuals"] == {} and r["easy"] == {} and len(r["delta_trace"]) == 20
+    lines = out.read_text().splitlines()
+    header = lines[2].split(",")
+    assert len(lines) == 5
+    for line in lines[3:]:
+        cells = dict(zip(header, line.split(",")))
+        assert cells["ok"] == "0" and all(float(cells[k]) >= 0.0 for k in ("operator_norm", "tloc", "ratio"))
+        assert all(cells[k] == "" for k in header[6:])
+    for path in (out, out.with_suffix(".json")):
+        summary = tmp_path / "summary.json"
+        assert main(["report", "--in", str(path), "--out", str(summary)]) == 0
+        data = _strict_json(summary.read_text())
+        assert (data["n_trials"], data["n_ok"], data["n_flagged"]) == (2, 0, 2)
 
 
 def test_cli_outputs_match_golden_bytes(tmp_path):

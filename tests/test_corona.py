@@ -12,6 +12,7 @@ from dytb.corona import (
     carleson_constant,
     choose_delta,
     packing_ratio,
+    stopping_rule,
     terminal_cubes,
 )
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
@@ -383,10 +384,61 @@ def test_corona_signed_zero_half_child():
 
 
 def test_corona_tloc_zero_nonzero_kernel_rejected():
+    # a hand-passed Tloc = 0 against a kernel that moves b: rule (3) names the
+    # first cube where T b_S is not zero
     spec = GridSpec(1, 3)
     const = AccretiveSystem(spec, "constant", 2.0, 1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("stopping condition (3) stop Q(1; 0)")):
         build_corona(spec.root(), const, const, generate_kernel("haar-shift", spec), 0.25, 0.0)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 6), (1, 10), (2, 4)])
+def test_corona_of_a_zero_scale_kernel_is_that_of_the_zero_kernel(dim, depth):
+    # a random kernel at scale 0 has entries but moves nothing: its computed
+    # Tloc is 0, and rule (3) stops nothing, as for the kernel without entries
+    spec = GridSpec(dim, depth)
+    s1 = AccretiveSystem(spec, "random", 2.0, 1.5, seed=1, params={"amp": 0.4})
+    s2 = AccretiveSystem(spec, "random", 3.0, 1.5, seed=2, params={"amp": 0.4})
+    scaled, zero = generate_kernel("random", spec, seed=3, scale=0.0), generate_kernel("zero", spec)
+    assert len(scaled) > 0
+    tloc = max(measure_tloc(scaled, s1, 1.5), measure_tloc(adjoint(scaled), s2, 2.0))
+    assert tloc == 0.0
+    for delta in (0.5, 0.125):
+        got = build_corona(spec.root(), s1, s2, scaled, delta, tloc)
+        want = build_corona(spec.root(), s1, s2, zero, delta, tloc)
+        for j in (1, 2):
+            assert all(a is None and b is None or np.array_equal(a, b)
+                       for a, b in zip(got.owner_levels(j), want.owner_levels(j)))
+
+
+def test_stopping_rule_reads_integrals_and_averages_alike(rng):
+    # the block check feeds the rule averages times |Q|: scaling by a power of
+    # two is exact, so every decision is that of the average form, ties included
+    spec = GridSpec(2, 4)
+    delta, A, p = 0.25, 1.5, 3.0
+    for level in range(spec.depth + 1):
+        n = spec.n_cubes(level)
+        vol = 2.0 ** (-spec.dim * level)
+        avg = np.where(rng.random(n) < 0.3, delta * rng.choice([-1.0, 1.0], n), rng.uniform(-1, 1, n))
+        pows = np.where(rng.random(n) < 0.3, A**p / delta, rng.uniform(0, 2 * A**p / delta, n))
+        want = (np.abs(avg) <= delta) | (pows >= A**p / delta)
+        got = stopping_rule(spec, level, avg * vol, pows * vol, delta, A, p)
+        assert np.array_equal(got, want)
+
+
+def test_stopping_rule_three_needs_a_moved_cube():
+    spec = GridSpec(1, 3)
+    integ, pows = np.ones(4) / 4, np.ones(4) / 4
+    quiet = np.zeros(4)
+    # T b_S = 0 on every cube: rule (3) stops nothing, at any Tloc
+    for tloc in (0.0, 1.0):
+        assert not stopping_rule(spec, 2, integ, pows, 0.5, 1.5, 2.0, quiet, tloc, 2.0).any()
+    moved = np.array([0.0, 0.0, 1.0, 0.25])  # against Tloc^2 / delta |Q| = 0.5
+    assert list(stopping_rule(spec, 2, integ, pows, 0.5, 1.5, 2.0, moved, 1.0, 2.0)) == [0, 0, 1, 0]
+    with pytest.raises(ConfigError, match=re.escape("stop Q(2; 2), where T b_S is not zero")):
+        stopping_rule(spec, 2, integ, pows, 0.5, 1.5, 2.0, moved, 0.0, 2.0)
+    with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1), got 1.0")):
+        stopping_rule(spec, 2, integ, pows, 1.0, 1.5, 2.0)
 
 
 @pytest.mark.parametrize("p1,p2", [(2.0, 2.0), (1.5, 3.0)])

@@ -300,6 +300,23 @@ def test_trial_packing_is_the_max_of_both_packing_ratios():
     assert max(attempts) > 1  # some search kept the last of several forests
 
 
+def test_failed_delta_search_has_no_forest_and_no_battery():
+    # signed systems can never pack below 1/2: the search to 0.3 reaches the floor
+    config = ExperimentConfig(depth=4, trials=1, accretive_kind="signed", tau_target=0.3)
+    seed = trial_seed(config.seed, 0)
+    inst = build_instance(config, seed)
+    assert not inst.ok and len(inst.dsearch.trace) == 20
+    with pytest.raises(RuntimeError, match="delta search failed; no forest on this instance"):
+        inst.forest
+    with pytest.raises(RuntimeError, match=f"delta search failed on seed {seed}"):
+        identity_suite(config, seed)
+    [report] = main_theorem_experiment(config)
+    assert not report.ok and report.ratio == report.operator_norm / (1.0 + inst.tloc)
+    assert (report.delta, report.packing, report.carleson, report.epsilon_max,
+            report.epsilon_bound) == (None,) * 5
+    assert report.residuals == {} and report.easy == {} and report.delta_trace == inst.dsearch.trace
+
+
 def test_dense_norm_guard():
     spec = GridSpec(1, 13)
     t = generate_kernel("zero", spec)
