@@ -71,6 +71,20 @@ def _system_params(args) -> dict:
     return params
 
 
+def _kernel_options(args) -> dict:
+    """The ``generate_kernel`` options of ``dytb corona`` from its flags, None
+    when not given: ``--kernel-kind`` (default random), ``--kernel-seed``
+    (default 0) and ``--kernel-scale`` (default 1.0).  A kernel file is not
+    generated, so with ``--kernel`` any of them is a ConfigError naming it."""
+    options = {}
+    for name, default in (("kind", "random"), ("seed", 0), ("scale", 1.0)):
+        value = getattr(args, "kernel_" + name)
+        if args.kernel and value is not None:
+            raise ConfigError(f"--kernel-{name} is not read with --kernel")
+        options[name] = default if value is None else value
+    return options
+
+
 def _experiment_config(args) -> ExperimentConfig:
     """The ``ExperimentConfig`` of the flags named after its fields; the rest keep their defaults."""
     names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
@@ -119,16 +133,21 @@ def _build_systems(args, spec):
 
 def cmd_corona(args) -> int:
     spec = GridSpec(args.dim, args.depth)
-    # the stopping parameters first: a bad one costs no kernel, draw or Tloc
+    # the stopping parameters and kernel flags first: a bad one costs no kernel, draw or Tloc
     delta = None if args.delta == "auto" else float(args.delta)
     check_tau_target(args.tau_target)  # an explicit delta runs no search, but a bad target is an error
     if delta is not None:
         check_delta(delta)
+    options = _kernel_options(args)
     if args.kernel:
         kernel = load_kernel(args.kernel)
+        if kernel.spec != spec:
+            raise ConfigError(
+                f"grid mismatch: {args.kernel} holds a kernel on the dim={kernel.spec.dim} "
+                f"depth={kernel.spec.depth} grid, not on the dim={spec.dim} depth={spec.depth} "
+                "grid of --dim/--depth")
     else:
-        kernel = generate_kernel(args.kernel_kind, spec, seed=args.kernel_seed,
-                                 scale=args.kernel_scale)
+        kernel = generate_kernel(spec=spec, **options)
     sys1, sys2 = _build_systems(args, spec)
     tloc = _tloc(kernel, sys1, sys2)
     root = spec.root()
@@ -454,10 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corona", help="build the stopping families and measure them", allow_abbrev=False)
     add_common(p)
     add_tb_options(p)
-    p.add_argument("--kernel", default=None, help="kernel file (overrides --kernel-kind)")
-    p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default="random")
-    p.add_argument("--kernel-seed", type=int, default=0)
-    p.add_argument("--kernel-scale", type=float, default=1.0)
+    p.add_argument("--kernel", default=None,
+                   help="kernel file; its grid must be that of --dim/--depth, and --kernel-kind, "
+                        "--kernel-seed and --kernel-scale are rejected with it")
+    p.add_argument("--kernel-kind", choices=KERNEL_KINDS, default=None, help="default random")
+    p.add_argument("--kernel-seed", type=int, default=None, help="default 0")
+    p.add_argument("--kernel-scale", type=float, default=None, help="default 1.0")
     p.add_argument("--delta", default="auto", help='stopping parameter or "auto"')
     p.add_argument("--out", default=None, help="write the forest as JSON")
 

@@ -6,15 +6,17 @@ rectangles are exactly child_i(R) x child_j(R) over all grid cubes R below the
 finest level and ordered pairs i != j of their children, so a kernel is the
 sparse map (R, i, j) -> kappa.
 
-Storage: one whole-plan set of entry arrays per kernel, built and validated
-once at construction.  The entries of all levels sit in level order, each
-level sorted by (flat, i, j), with the entry bounds of every level.  Beside
-(flat, i, j, kappa), each entry holds where its child_j (read from) and
-child_i (added to) sit in one vector of the cubes of every level
-(``GridSpec.offsets``), so a sweep is one gather-multiply and one bincount
-over a slice of the plan, ``bilinear`` one product and ``validate_size`` one
-comparison; ``dense_matrix`` and the file writer slice the arrays by level.
-The dict ``PerfectKernel.entries`` is built only on first access.
+Storage: one whole-plan set of entry arrays per kernel, validated once.  The
+entries of all levels sit in level order, each level sorted by (flat, i, j),
+with the entry bounds of every level.  Beside (flat, i, j, kappa), each entry
+holds where its child_j (read from) and child_i (added to) sit in one vector
+of the cubes of every level (``GridSpec.offsets``), so a sweep is one
+gather-multiply and one bincount over a slice of the plan, ``bilinear`` one
+product and ``validate_size`` one comparison; ``dense_matrix`` and the file
+writer slice the arrays by level.  All but the values form the kernel's
+``_Plan``, which also owns the adjoint's entry order; the kernels generated
+on one grid share one plan.  The dict ``PerfectKernel.entries`` is built
+only on first access.
 
 Orientation: in the pairing <Tf, g> = integral K(x, y) f(y) g(x) dy dx, the
 x-variable (paired with g) ranges over child_i and the y-variable (paired
@@ -76,9 +78,53 @@ def _pair_radius(i: int, j: int, dim: int) -> float:
     return math.sqrt(sum(g * g for g in gaps))
 
 
-# A kernel's whole-plan entry arrays in ``_plan`` order.  ``src`` (child_j, where f is read)
-# and ``dst`` (child_i, where the value is added) index the all-level vector of cubes.
+# A kernel's whole-plan entry arrays in ``_plan`` order: its plan's ``_INDEX_FIELDS`` and its
+# own ``vals``.  ``src`` (child_j, where f is read) and ``dst`` (child_i, where the value is
+# added) index the all-level vector of cubes.
 _PLAN_FIELDS = ("flats", "ii", "jj", "vals", "src", "dst")
+_INDEX_FIELDS = ("flats", "ii", "jj", "src", "dst")
+
+
+class _Plan:
+    """Where a kernel's entries sit, without their values: the grid ``spec``,
+    the entry bounds ``starts`` of every level and the read-only
+    ``_INDEX_FIELDS`` arrays, as ``_plan`` gives them.  Every kernel generated
+    on a grid shares that grid's plan (``_grid_plan``); a dict or file kernel
+    has one of its own."""
+
+    def __init__(self, spec: GridSpec, starts, *arrays: np.ndarray) -> None:
+        self.spec = spec
+        self.starts = tuple(starts)
+        for name, arr in zip(_INDEX_FIELDS, arrays):
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+
+    def levels(self) -> np.ndarray:
+        """The level of every entry."""
+        return np.repeat(np.arange(self.spec.depth), np.diff(self.starts))
+
+    def adjoint(self) -> tuple[_Plan, np.ndarray]:
+        """The adjoint's plan and ``order``, which takes a kernel's values to
+        its adjoint's (``vals[order]``), built on the first call."""
+        plan, order = self._adjoint
+        return plan or self, order
+
+    @cached_property
+    def _adjoint(self) -> tuple[_Plan | None, np.ndarray]:
+        """``adjoint``, with None for this plan itself (so that no cycle keeps
+        a plan alive): the entries with i and j (so ``src`` and ``dst``)
+        swapped, re-sorted by cube, then the swapped pair.  The keys are
+        distinct integers, increasing with the level, so each level and each
+        cube keeps its place, and with it ``flats``.  A plan that holds the
+        swap of each of its pairs (every generated one) is its own adjoint's."""
+        nch = 2**self.spec.dim
+        cubes = np.array(self.spec.offsets, dtype=np.int64)[self.levels()] + self.flats
+        order = np.argsort((cubes * nch + self.jj) * nch + self.ii, kind="stable")
+        order.flags.writeable = False
+        ii, jj = self.jj[order], self.ii[order]
+        if np.array_equal(ii, self.ii) and np.array_equal(jj, self.jj):
+            return None, order
+        return _Plan(self.spec, self.starts, self.flats, ii, jj, self.dst[order], self.src[order]), order
 
 
 class PerfectKernel:
@@ -87,55 +133,46 @@ class PerfectKernel:
     ``PerfectKernel(spec, {(level, flat, i, j): kappa})`` builds it from a
     dict; absent entries are zero.  The entries of every level sit in level
     order in ``flats``, ``ii``, ``jj``, ``vals``, ``src`` and ``dst``, level
-    ``l`` at ``starts[l]:starts[l + 1]`` sorted by (flat, i, j).  Every entry
-    is validated once, at construction.  Immutable afterwards (the arrays are
-    read-only); ``apply`` and ``bilinear`` are pure functions, so kernels can
-    be shared across threads.
+    ``l`` at ``starts[l]:starts[l + 1]`` sorted by (flat, i, j); all but
+    ``vals`` are those of its ``plan``.  Every entry is validated once, at
+    construction.  Immutable afterwards (the arrays are read-only); ``apply``
+    and ``bilinear`` are pure functions, so kernels can be shared across
+    threads.
     """
 
     def __init__(self, spec: GridSpec, entries: dict | None = None) -> None:
         entries = entries or {}
         keys = np.array(list(entries), dtype=np.int64).reshape(-1, 4)
-        self._set(spec, *_sorted_plan(spec, keys, np.array(list(entries.values()), dtype=float)))
+        self._set(*_sorted_plan(spec, keys, np.array(list(entries.values()), dtype=float)))
 
     @classmethod
-    def _from(cls, spec: GridSpec, plan: tuple) -> PerfectKernel:
-        """A kernel from a validated plan: ``starts`` and the entry arrays, as
-        ``_plan`` gives them."""
+    def _from(cls, plan: _Plan, vals: np.ndarray) -> PerfectKernel:
+        """The kernel of a validated plan with finite values in its order."""
         kernel = cls.__new__(cls)
-        kernel._set(spec, *plan)
+        kernel._set(plan, vals)
         return kernel
 
-    def _set(self, spec: GridSpec, starts, *arrays: np.ndarray) -> None:
-        """Install whole-plan arrays in ``_PLAN_FIELDS`` order, read-only."""
-        self.spec = spec
-        self.starts = tuple(starts)
-        for name, arr in zip(_PLAN_FIELDS, arrays):
-            arr.flags.writeable = False
-            setattr(self, name, arr)
-
-    def _entry_levels(self) -> np.ndarray:
-        """The level of every entry."""
-        return np.repeat(np.arange(self.spec.depth), np.diff(self.starts))
+    def _set(self, plan: _Plan, vals: np.ndarray) -> None:
+        """Install the plan's arrays and ``vals``, read-only."""
+        self.plan, self.spec, self.starts = plan, plan.spec, plan.starts
+        for name in _INDEX_FIELDS:
+            setattr(self, name, getattr(plan, name))
+        vals.flags.writeable = False
+        self.vals = vals
 
     @cached_property
     def entries(self) -> dict:
         """The entries as a dict {(level, flat, i, j): kappa}, built on first access."""
-        keys = zip(self._entry_levels().tolist(), self.flats.tolist(), self.ii.tolist(),
+        keys = zip(self.plan.levels().tolist(), self.flats.tolist(), self.ii.tolist(),
                    self.jj.tolist())
         return dict(zip(keys, self.vals.tolist()))
 
     @cached_property
     def _adjoint(self) -> PerfectKernel:
-        """The adjoint kernel, built on the first ``adjoint`` call: the entries
-        with i and j (so ``src`` and ``dst``) swapped, re-sorted by cube, then
-        the swapped pair.  The keys are distinct integers, increasing with the
-        level, so each level keeps its place."""
-        nch = 2**self.spec.dim
-        cubes = np.array(self.spec.offsets, dtype=np.int64)[self._entry_levels()] + self.flats
-        o = np.argsort((cubes * nch + self.jj) * nch + self.ii, kind="stable")
-        return PerfectKernel._from(self.spec, (self.starts, self.flats[o], self.jj[o], self.ii[o],
-                                               self.vals[o], self.dst[o], self.src[o]))
+        """The adjoint kernel, built on the first ``adjoint`` call: its plan's
+        adjoint plan with this kernel's values in that plan's order."""
+        plan, order = self.plan.adjoint()
+        return PerfectKernel._from(plan, self.vals[order])
 
     def value(self, cube: DyadicCube, i: int, j: int) -> float:
         return self.entries.get((cube.level, self.spec.cube_flat(cube), i, j), 0.0)
@@ -144,25 +181,27 @@ class PerfectKernel:
         return len(self.vals)
 
 
-def _sorted_plan(spec: GridSpec, keys: np.ndarray, vals: np.ndarray) -> tuple:
+def _sorted_plan(spec: GridSpec, keys: np.ndarray, vals: np.ndarray) -> tuple[_Plan, np.ndarray]:
     """``_plan`` of distinct (level, flat, i, j) rows and their values, in any
-    order.  A level outside the grid is reported where a level-by-level check
-    would meet it: a negative one first, one past the finest only after every
-    entry of the levels in range has passed."""
+    order, and the values in the plan's order.  A level outside the grid is
+    reported where a level-by-level check would meet it: a negative one
+    first, one past the finest only after every entry of the levels in range
+    has passed."""
     order = np.lexsort(keys.T[::-1])  # by level, then flat, i, j
     level, flats, ii, jj = (keys[order, column] for column in range(4))
     inside = 0 if len(level) and level[0] < 0 else int(np.searchsorted(level, spec.depth))
+    vals = vals[order[:inside]]
     plan = _plan(spec, np.bincount(level[:inside], minlength=spec.depth), flats[:inside],
-                 ii[:inside], jj[:inside], vals[order[:inside]])
+                 ii[:inside], jj[:inside], vals)
     if inside < len(level):
         raise ValueError(f"entry level {level[inside]} outside [0, {spec.depth})")
-    return plan
+    return plan, vals
 
 
-def _plan(spec: GridSpec, counts, flats, ii, jj, vals) -> tuple:
+def _plan(spec: GridSpec, counts, flats, ii, jj, vals=None) -> _Plan:
     """Validate whole-plan entries sorted by (level, flat, i, j), ``counts[l]``
-    of them at level l, and attach the places of their children in the
-    all-level vector: the ``starts`` and ``_PLAN_FIELDS`` arrays of the kernel.
+    of them at level l, and their ``vals`` when given, and attach the places
+    of their children in the all-level vector: the kernel's ``_Plan``.
 
     Each check runs once on the whole plan; a failure names the first bad
     entry of the first level that has one, the checks of a level taken in
@@ -185,15 +224,15 @@ def _plan(spec: GridSpec, counts, flats, ii, jj, vals) -> tuple:
     if bad.any():
         n = int(np.argmax(bad))
         faults.append((_level_of(starts, n), 1, f"bad child pair ({ii[n]}, {jj[n]})"))
-    finite = np.isfinite(vals)
-    if not finite.all():
-        faults.append((_level_of(starts, int(np.argmin(finite))), 2, "non-finite kernel value"))
+    if vals is not None and not np.isfinite(vals).all():
+        n = int(np.argmin(np.isfinite(vals)))
+        faults.append((_level_of(starts, n), 2, "non-finite kernel value"))
     if faults:
         raise ValueError(min(faults)[2])
     off = np.repeat(np.array(spec.offsets[1:spec.depth + 1], dtype=np.int64), counts)
     level = np.repeat(np.arange(spec.depth), counts) if spec.dim > 1 else None
-    return (starts.tolist(), flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
-            off + _child_flats(spec, level, flats, ii))
+    return _Plan(spec, starts.tolist(), flats, ii, jj, off + _child_flats(spec, level, flats, jj),
+                 off + _child_flats(spec, level, flats, ii))
 
 
 def _level_of(starts: np.ndarray, n: int) -> int:
@@ -300,7 +339,36 @@ def _bound_tables(depth: int, dim: int) -> np.ndarray:
 def validate_size(kernel: PerfectKernel) -> bool:
     """True iff every entry obeys the size bound for its child rectangle."""
     tables = _bound_tables(kernel.spec.depth, kernel.spec.dim)
-    return not np.any(np.abs(kernel.vals) > tables[kernel._entry_levels(), kernel.ii, kernel.jj])
+    return not np.any(np.abs(kernel.vals) > tables[kernel.plan.levels(), kernel.ii, kernel.jj])
+
+
+# The plan of the last grid a kernel was generated on (``_grid_plan``), shared by every
+# kernel generated there and by their adjoints.  Only one grid's is held: it pins 40 bytes
+# per entry, 48 once its adjoint order is built (4.2 MB per array at 1D depth 18).
+_last_plan: _Plan | None = None
+
+
+def _child_pairs(dim: int) -> np.ndarray:
+    """The child pairs (i, j), i != j, of a cube, in (i, j) order, as two rows."""
+    nch = 2**dim
+    return np.array([(i, j) for i in range(nch) for j in range(nch) if i != j]).T
+
+
+def _grid_plan(spec: GridSpec) -> _Plan:
+    """The plan of every kernel generated on ``spec``: every cube below the
+    finest level, level by level, holds one entry per child pair.  Built and
+    validated on the first kernel of a grid, and kept until a kernel is
+    generated on another one."""
+    global _last_plan
+    plan = _last_plan
+    if plan is None or plan.spec != spec:
+        pi, pj = _child_pairs(spec.dim)
+        ncubes = [spec.n_cubes(level) for level in range(spec.depth)]
+        cubes = np.concatenate([np.arange(0), *map(np.arange, ncubes)])  # flat of every cube, level by level
+        plan = _plan(spec, [len(pi) * count for count in ncubes], np.repeat(cubes, len(pi)),
+                     np.tile(pi, len(cubes)), np.tile(pj, len(cubes)))
+        _last_plan = plan
+    return plan
 
 
 def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0) -> PerfectKernel:
@@ -312,11 +380,10 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
     [-scale*bound, +scale*bound].  The result passes validate_size by
     construction and is a pure function of (kind, spec, seed, scale).
 
-    The plan is built in one pass: every cube below the finest level, level
-    by level, holds one entry per child pair.  The random kind draws all
-    values in one ``rng.uniform(-1, 1, entries)`` call, the stream of one
-    ``(pairs x cubes)`` block per level in level order, each block then laid
-    out cube by cube.
+    A generated kernel is its grid's shared plan (``_grid_plan``) and its own
+    values.  The random kind draws all values in one ``rng.uniform(-1, 1,
+    entries)`` call, the stream of one ``(pairs x cubes)`` block per level in
+    level order, each block then laid out cube by cube.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
@@ -324,16 +391,15 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
         raise ValueError(f"scale must lie in [0, 1], got {scale}")
     if kind == "zero":
         return PerfectKernel(spec)
-    nch = 2**spec.dim
-    pi, pj = np.array([(i, j) for i in range(nch) for j in range(nch) if i != j]).T
+    plan = _grid_plan(spec)
+    pi, pj = _child_pairs(spec.dim)
     ncubes = [spec.n_cubes(level) for level in range(spec.depth)]
-    cubes = np.concatenate([np.arange(0), *map(np.arange, ncubes)])  # flat of every cube, level by level
     bounds = _bound_tables(spec.depth, spec.dim)[:, pi, pj]  # [level, pair]
     if kind == "haar-shift":
         vals = np.repeat(np.where(pi < pj, bounds, -bounds), ncubes, axis=0).ravel()
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        draws = rng.uniform(-1.0, 1.0, len(pi) * len(cubes))
+        draws = rng.uniform(-1.0, 1.0, len(plan.flats))
         vals = np.empty_like(draws)
         lo = 0
         for level, count in enumerate(ncubes):
@@ -342,9 +408,9 @@ def generate_kernel(kind: str, spec: GridSpec, seed: int = 0, scale: float = 1.0
             vals[lo:hi].reshape(count, len(pi))[...] = (
                 (scale * bounds[level])[:, None] * draws[lo:hi].reshape(len(pi), count)).T
             lo = hi
-    return PerfectKernel._from(spec, _plan(spec, [len(pi) * count for count in ncubes],
-                                           np.repeat(cubes, len(pi)), np.tile(pi, len(cubes)),
-                                           np.tile(pj, len(cubes)), vals))
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite kernel value")
+    return PerfectKernel._from(plan, vals)
 
 
 def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
@@ -425,7 +491,7 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
     if bad < len(rows):
         raise ValueError(f"kernel entry {bad} {_entry_fault(spec, rows[bad])}")
     flats = coords[:, 0] if spec.dim == 1 else (coords[:, 0] << level) | coords[:, 1]
-    kernel = PerfectKernel._from(spec, _sorted_plan(spec, np.column_stack([level, flats, ii, jj]), vals))
+    kernel = PerfectKernel._from(*_sorted_plan(spec, np.column_stack([level, flats, ii, jj]), vals))
     if check_size and not validate_size(kernel):
         raise ValueError("kernel file violates the size bound")
     return kernel

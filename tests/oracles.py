@@ -28,7 +28,7 @@ import numpy as np
 
 from dytb.corona import _subtree_mask
 from dytb.grid import GridFunction, coarsen_step, cube_sum_vector, spread
-from dytb.kernels import PerfectKernel, _child_flats, _pair_radius, bilinear, size_bound
+from dytb.kernels import PerfectKernel, _child_flats, _Plan, _pair_radius, bilinear, size_bound
 from dytb.twisted import corona_levels
 from dytb.verify import _check_families
 
@@ -368,6 +368,5 @@ def _per_level_build(spec, levels) -> PerfectKernel:
         parts.append((flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
                       off + _child_flats(spec, level, flats, ii)))
         counts[level + 1] = len(vals)
-    kernel = PerfectKernel.__new__(PerfectKernel)
-    kernel._set(spec, itertools.accumulate(counts), *map(np.concatenate, zip(*parts)))
-    return kernel
+    flats, ii, jj, vals, src, dst = map(np.concatenate, zip(*parts))
+    return PerfectKernel._from(_Plan(spec, itertools.accumulate(counts), flats, ii, jj, src, dst), vals)

@@ -329,6 +329,89 @@ def test_kernel_file_for_another_grid_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: grid mismatch")
 
 
+def test_kernel_file_grid_is_checked_before_any_draw(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "k4.json"
+    assert main(["gen-kernel", "--depth", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a system was drawn before the kernel file's grid was checked")
+
+    for module in (accretive, verify):
+        monkeypatch.setattr(module, "draw_levels", no_draw)
+    assert main(["corona", "--depth", "5", "--kernel", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: grid mismatch: {path} holds a kernel on the "
+                                       "dim=1 depth=4 grid, not on the dim=1 depth=5 grid of --dim/--depth\n")
+
+
+@pytest.mark.parametrize("flags", [["--kernel-kind", "haar-shift"], ["--kernel-seed", "9"],
+                                   ["--kernel-scale", "0.25"], ["--kernel-scale", "1.0"]])
+def test_generated_kernel_flags_are_rejected_with_a_kernel_file(tmp_path, flags, capsys):
+    # each flag, even at its default, on the command line or from a config file
+    path, cfg = tmp_path / "k4.json", tmp_path / "c.json"
+    assert main(["gen-kernel", "--depth", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    run = ["corona", "--depth", "4", "--kernel", str(path)]
+    assert main(run) == 0
+    alone = capsys.readouterr()
+    rejected = ("", f"config error: {flags[0]} is not read with --kernel\n")
+    assert main([*run, *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == rejected
+    cfg.write_text(json.dumps({flags[0][2:]: flags[1]}))
+    assert main([*run, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == rejected
+    cfg.write_text(json.dumps({flags[0][2:]: None}))  # null leaves the flag unset
+    assert main([*run, "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_generated_kernel_flag_defaults(capsys):
+    # unset, the flags take their defaults: the same bytes as when given
+    run = ["corona", "--dim", "2", "--depth", "4", "--seed", "3"]
+    assert main(run) == 0
+    unset = capsys.readouterr()
+    assert main([*run, "--kernel-kind", "random", "--kernel-seed", "0", "--kernel-scale", "1"]) == 0
+    assert capsys.readouterr() == unset
+
+
+@pytest.mark.parametrize("dim, depth, seed", [(1, 10, 3), (2, 5, 4)])
+def test_kernel_file_drives_corona_to_the_generated_kernel_bytes(tmp_path, dim, depth, seed, capsys):
+    # the file's kernel has a plan of its own, with its own adjoint order; the
+    # generated one shares its grid's: the same stdout and forest bytes
+    grid = ["--dim", str(dim), "--depth", str(depth), "--seed", str(seed)]
+    path = tmp_path / "k.json"
+    assert main(["gen-kernel", *grid, "--out", str(path)]) == 0
+    capsys.readouterr()
+    runs = []
+    for name, kernel in (("generated", ["--kernel-seed", str(seed)]), ("file", ["--kernel", str(path)])):
+        forest = tmp_path / f"{name}.json"
+        assert main(["corona", *grid, *kernel, "--out", str(forest)]) == 0
+        runs.append((capsys.readouterr().out.replace(str(forest), "FOREST"), forest.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("dim, depth, seed", [(1, 14, 1), (2, 7, 5)])
+def test_power_of_two_kernel_scale_is_exact_at_sizes_no_oracle_reaches(tmp_path, dim, depth, seed, capsys):
+    # kappa -> 2^-k kappa scales every sum of T by exactly 2^-k: so do the
+    # norm and Tloc (q = 2), and no stopping decision moves
+    spec = GridSpec(dim, depth)
+    grid = ["--dim", str(dim), "--depth", str(depth), "--seed", str(seed), "--kernel-seed", str(seed)]
+    runs = {}
+    for scale in (1.0, 0.5, 0.25):
+        norm = operator_norm(generate_kernel("random", spec, seed=seed, scale=scale))
+        forest = tmp_path / f"forest-{scale}.json"
+        assert main(["corona", *grid, "--kernel-scale", repr(scale), "--out", str(forest)]) == 0
+        lines = capsys.readouterr().out.replace(str(forest), "FOREST").splitlines()
+        tloc = [float(line.removeprefix("Tloc = ")) for line in lines if line.startswith("Tloc = ")]
+        lines = [line for line in lines if not line.startswith("Tloc = ")]
+        assert len(tloc) == 1 and lines[0].startswith("chosen delta = ") and len(lines) == 4
+        runs[scale] = norm, tloc[0], lines, forest.read_bytes()
+    norm, tloc, lines, forest = runs[1.0]
+    assert tloc > 0
+    for scale in (0.5, 0.25):
+        assert runs[scale] == (scale * norm, scale * tloc, lines, forest)
+
+
 @pytest.mark.parametrize("argv, exponent", [
     (["corona", "--p1", "1.0000000001"], "1.0000000001"),  # |T b|^q at q = p1' ~ 1e10
     (["identities", "--p1", "1e6"], "p=1000000.0"),

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import reprlib
+import weakref
 from functools import partial
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dytb import kernels
 from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import (
     KERNEL_KINDS,
+    _INDEX_FIELDS,
     _PLAN_FIELDS,
     PerfectKernel,
     _child_flats,
@@ -421,6 +424,72 @@ def test_adjoint_is_built_once_per_kernel(dim, depth, rng):
         assert adjoint(t) is ts
         fresh = adjoint(PerfectKernel(spec, t.entries))  # a new kernel's first build
         assert fresh is not ts and plans_equal(ts, fresh)
+        assert plans_equal(adjoint(ts), t)
+
+
+# -- one plan per grid ---------------------------------------------------------------------
+
+
+def shares_plan(a: PerfectKernel, b: PerfectKernel) -> bool:
+    """``a`` and ``b`` hold the same plan: its arrays themselves, not copies."""
+    return a.plan is b.plan and a.starts is b.starts and all(
+        getattr(a, name) is getattr(b, name) for name in _INDEX_FIELDS)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 1), (1, 7), (2, 1), (2, 4)])
+def test_generated_kernels_and_their_adjoints_share_the_grid_plan(dim, depth):
+    # every kind but zero, any seed and scale: one plan, and one for the adjoints
+    made = [generate_kernel(kind, GridSpec(dim, depth), seed=seed, scale=scale)
+            for kind, seed, scale in (("random", 1, 1.0), ("random", 2, 0.25),
+                                      ("haar-shift", 0, 1.0), ("haar-shift", 9, 0.5))]
+    first = made[0]
+    for t in made[1:]:
+        assert shares_plan(t, first) and t.vals is not first.vals
+        assert shares_plan(adjoint(t), adjoint(first))
+        assert adjoint(t).vals.tobytes() == dict_adjoint_kernel(t).vals.tobytes()
+
+
+def dict_adjoint_kernel(t: PerfectKernel) -> PerfectKernel:
+    """The adjoint of ``t`` built from its swapped entries, through a plan of its own."""
+    return PerfectKernel(t.spec, dict_adjoint(t.entries))
+
+
+def test_generating_on_another_grid_and_back_gives_the_same_bytes():
+    spec = GridSpec(2, 4)
+    made = [generate_kernel("random", spec, seed=3, scale=0.5), generate_kernel("haar-shift", spec)]
+    before = [(t, adjoint(t)) for t in made]
+    generate_kernel("random", GridSpec(1, 8), seed=3)
+    again = [generate_kernel("random", spec, seed=3, scale=0.5), generate_kernel("haar-shift", spec)]
+    assert again[0].plan is not made[0].plan  # built anew, not kept
+    for (t, ts), u in zip(before, again):
+        assert_same_kernel(u, t)
+        assert_same_kernel(adjoint(u), ts)
+
+
+def test_only_the_last_grid_plan_is_held():
+    grids = [GridSpec(1, 5), GridSpec(2, 3), GridSpec(1, 6)]
+    plans = []
+    for spec in grids:
+        t = generate_kernel("random", spec)
+        adjoint(t)  # its order, held by the plan
+        plans.append(weakref.ref(t.plan))
+        del t
+    assert [plan() is None for plan in plans] == [True, True, False]
+    assert kernels._last_plan is plans[-1]()
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 3)])
+def test_dict_and_file_kernels_reach_the_dict_adjoint_through_their_own_plans(dim, depth, rng, tmp_path):
+    spec = GridSpec(dim, depth)
+    entries = sparse_entries(generate_kernel("random", spec, seed=depth).entries, rng)
+    path = tmp_path / "k.json"
+    save_kernel(PerfectKernel(spec, entries), path)
+    shared = generate_kernel("random", spec).plan
+    for t in (PerfectKernel(spec, entries), load_kernel(path)):
+        assert t.plan is not shared
+        ts = adjoint(t)
+        assert ts.plan is t.plan.adjoint()[0]
+        assert_plan_equals(ts, dict_adjoint(entries))
         assert plans_equal(adjoint(ts), t)
 
 
