@@ -138,8 +138,7 @@ class AccretiveSystem:
     def get_b(self, cube: DyadicCube) -> GridFunction:
         """The test function attached to ``cube``, a fresh full-grid copy
         (deterministic, not memoised)."""
-        self.spec.check(cube)
-        idx = self.spec.cell_indices(cube)
+        idx = self.spec.cell_indices(cube)  # which checks the cube
         vals = np.zeros(self.spec.n_cells)
         vals[idx] = self.level_values(cube.level)[idx]
         return GridFunction(self.spec, vals)
@@ -293,8 +292,7 @@ def validate(system: AccretiveSystem, cube: DyadicCube) -> tuple[bool, float]:
     |Q| to 1e-12 relative, and measured <= declared A.
     """
     b = system.get_b(cube)
-    inside = np.zeros(system.spec.n_cells, dtype=bool)
-    inside[system.spec.cell_indices(cube)] = True
+    inside = system.spec.subtree_mask(cube, system.spec.depth)
     support_ok = bool(np.all(b.values[~inside] == 0.0))
     mean_ok = abs(b.integral(cube) - cube.volume) <= 1e-12 * cube.volume
     measured = lp_norm(b, system.p, cube) / cube.volume ** (1.0 / system.p)

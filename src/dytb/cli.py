@@ -299,11 +299,11 @@ def _forest_json_text(forest) -> str:
         rows = []
         for level, coords, parent_level, parent_coords in _member_links(forest, j):
             # the sorted keys' order: coords, level, then the parent's coords and level
-            cols = [*coords.T.tolist(), [level] * len(coords)]
+            cols = [*(c.tolist() for c in coords), [level] * len(parent_level)]
             if level == q0.level:  # q0 alone
                 rows += map(root.__mod__, zip(*cols))
             else:
-                cols += [*parent_coords.T.tolist(), parent_level.tolist()]
+                cols += [*(c.tolist() for c in parent_coords), parent_level.tolist()]
                 rows += map(linked.__mod__, zip(*cols))
         parts.append(f',\n "{key}": [\n  ' + ",\n  ".join(rows) + "\n ]")
     parts.append("\n}")

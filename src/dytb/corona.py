@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, level_sums, spread
+from .grid import DyadicCube, GridFunction, GridSpec, coarsen_step, flat_of, level_sums, spread
 from .kernels import PerfectKernel, adjoint
 
 __all__ = [
@@ -66,18 +66,6 @@ def _sides(sys1: AccretiveSystem, sys2: AccretiveSystem, kernel: PerfectKernel):
 
 
 # -- mask machinery -------------------------------------------------------------
-
-
-def _subtree_mask(dim: int, top: DyadicCube, level: int) -> np.ndarray:
-    """Boolean mask over level-``level`` cubes (row-major): contained in ``top``."""
-    n = 2 ** (dim * level)
-    shift = level - top.level
-    idx = np.arange(n)
-    if dim == 1:
-        return (idx >> shift) == top.coords[0]
-    k0 = idx >> level
-    k1 = idx & ((1 << level) - 1)
-    return ((k0 >> shift) == top.coords[0]) & ((k1 >> shift) == top.coords[1])
 
 
 def _owner_pass(spec, top: int, mark) -> list[np.ndarray | None]:
@@ -186,6 +174,11 @@ class CoronaForest:
         (row-major), -1 outside q0; None above q0's level."""
         return self.owners[_jdx(j)]
 
+    def is_member(self, j: int, cube: DyadicCube) -> bool:
+        """Whether ``cube`` is a member of S_j: a grid cube inside q0 that owns itself."""
+        return (self.spec.contains(cube) and self.q0.contains(cube)
+                and self.owner_levels(j)[cube.level][self.spec.cube_flat(cube)] == cube.level)
+
     def member_count(self, j: int) -> int:
         """The number of members of S_j."""
         owners = self.owner_levels(j)
@@ -201,20 +194,18 @@ class CoronaForest:
 
 def _member_links(forest: CoronaForest, j: int):
     """S_j's members level by level from q0's, row-major (the sorted
-    ``DyadicCube`` order), as per-level arrays ``(level, coords,
-    parent_level, parent_coords)`` with one row per member.  A member's
-    corona parent is the member at level ``owners[l-1][parent flat]``
-    containing it; q0 has parent level -1 (and meaningless parent coords)."""
+    ``DyadicCube`` order), as per-level arrays ``(level, coords, parent_level,
+    parent_coords)``, the coordinates one array per axis.  A member's corona
+    parent is the member at level ``owners[l-1][parent flat]`` containing it;
+    q0 has parent level -1 (and meaningless parent coords)."""
     spec, owners, top = forest.spec, forest.owner_levels(j), forest.q0.level
     for level in range(top, spec.depth + 1):
         coords = spec.coords_from_flats(level, np.flatnonzero(owners[level] == level))
         if level == top:
-            parent_level = np.full(len(coords), -1)
+            parent_level = np.full(len(coords[0]), -1)
         else:
-            up = coords >> 1
-            flats = up[:, 0] if spec.dim == 1 else (up[:, 0] << (level - 1)) | up[:, 1]
-            parent_level = owners[level - 1][flats]
-        yield level, coords, parent_level, coords >> (level - parent_level)[:, None]
+            parent_level = owners[level - 1][spec.flats_of(level - 1, [c >> 1 for c in coords])]
+        yield level, coords, parent_level, [c >> (level - parent_level) for c in coords]
 
 
 def _jdx(j: int) -> int:
@@ -253,7 +244,7 @@ def _build_family(q0: DyadicCube, system: AccretiveSystem, op: PerfectKernel, q_
 
     def mark(level: int, inherited: np.ndarray) -> np.ndarray:
         if level == q0.level:
-            hits = _subtree_mask(spec.dim, q0, level)
+            hits = spec.subtree_mask(q0, level)
         else:
             integ, pows, tpows = (row * spec.cell_volume for row in sums(level))
             hits = (inherited >= 0) & stopping_rule(spec, level, integ, pows, delta, system.A,
@@ -323,8 +314,7 @@ def carleson_constant(members, q0: DyadicCube) -> float:
     for m in members:
         if not q0.contains(m):
             raise ValueError(f"member {m} is not inside {q0}")
-        flat = m.coords[0] if dim == 1 else (m.coords[0] << m.level) | m.coords[1]
-        own[m.level][flat] += m.volume
+        own[m.level][flat_of(m.level, m.coords)] += m.volume
     return _carleson(dim, q0.level, own)
 
 
@@ -356,7 +346,8 @@ def forest_to_json_dict(forest: CoronaForest) -> dict:
     def family(j: int) -> list[dict]:
         rows = []
         for level, coords, parent_level, parent_coords in _member_links(forest, j):
-            for c, pl, pc in zip(coords.tolist(), parent_level.tolist(), parent_coords.tolist()):
+            for c, pl, pc in zip(np.column_stack(coords).tolist(), parent_level.tolist(),
+                                 np.column_stack(parent_coords).tolist()):
                 rows.append({"level": level, "coords": c,
                              "parent": {"level": pl, "coords": pc} if pl >= 0 else None})
         return rows

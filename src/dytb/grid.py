@@ -4,7 +4,12 @@ Everything lives on [0,1)^n with n in {1, 2}, subdivided dyadically down to a
 finest level L ("depth").  Functions are constant on the finest-level cells,
 so integrals, averages and L^p norms are finite sums evaluated exactly up to
 float roundoff.  Cells are ordered row-major by integer coordinates; that
-order is part of the serialization contract.
+order is part of the serialization contract.  So is the flat index of a
+level-l cube: its coordinates read as base-2^l digits, the first most
+significant, which is numpy's C order on the shape ``(2^l,) * dim``.  One
+encoder (``flat_of``, ``GridSpec.flats_of``) and one decoder (``coords_of``,
+``GridSpec.coords_from_flats``) serve both dimensions; every other index here
+is composed from them.
 
 All objects here are immutable after construction and safe to share between
 threads for read-only use.
@@ -58,10 +63,6 @@ class DyadicCube:
         return len(self.coords)
 
     @property
-    def side(self) -> float:
-        return 2.0**-self.level
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (-self.dim * self.level)
 
@@ -79,13 +80,9 @@ class DyadicCube:
 
     def children(self) -> list[DyadicCube]:
         """The 2^dim dyadic children, ordered row-major by offset."""
-        out = []
-        for off in range(2**self.dim):
-            offs = _child_offset(off, self.dim)
-            out.append(
-                DyadicCube(self.level + 1, tuple(2 * k + o for k, o in zip(self.coords, offs)))
-            )
-        return out
+        offsets = (coords_of(1, i, self.dim) for i in range(2**self.dim))
+        return [DyadicCube(self.level + 1, tuple(2 * k + o for k, o in zip(self.coords, off)))
+                for off in offsets]
 
     def contains(self, other: DyadicCube) -> bool:
         """Whether ``other`` is contained in (possibly equal to) this cube."""
@@ -98,11 +95,21 @@ class DyadicCube:
         return f"Q({self.level}; {','.join(str(k) for k in self.coords)})"
 
 
-def _child_offset(index: int, dim: int) -> tuple[int, ...]:
-    """Row-major child offset vector for child ``index`` in {0, ..., 2^dim - 1}."""
-    if dim == 1:
-        return (index,)
-    return (index >> 1, index & 1)
+def flat_of(level: int, coords) -> int:
+    """The flat index of the cube with integer ``coords`` at ``level``: the
+    coordinates read as base-2^level digits, the first most significant."""
+    flat = 0
+    for k in coords:
+        flat = flat << level | k
+    return flat
+
+
+def coords_of(level: int, flat: int, dim: int) -> tuple[int, ...]:
+    """``flat_of`` inverted; the first coordinate keeps the digits left over,
+    so ``DyadicCube`` rejects a flat index out of range.  Child ``i`` of a
+    cube sits at offset ``coords_of(1, i, dim)``."""
+    mask = (1 << level) - 1
+    return (flat >> level * (dim - 1), *(flat >> level * a & mask for a in range(dim - 2, -1, -1)))
 
 
 @dataclass(frozen=True)
@@ -160,11 +167,7 @@ class GridSpec:
         parent of cube ``flat`` of level ``l`` (read-only; empty at level 0)."""
         out = [np.zeros(0, dtype=np.int64)]
         for level in range(1, self.depth + 1):
-            flats = np.arange(self.n_cubes(level))
-            if self.dim == 1:
-                up = flats >> 1
-            else:
-                up = ((flats >> (level + 1)) << (level - 1)) | ((flats & ((1 << level) - 1)) >> 1)
+            up = spread(self, level - 1, np.arange(self.n_cubes(level - 1)), level)
             up.setflags(write=False)
             out.append(up)
         return tuple(out)
@@ -175,22 +178,50 @@ class GridSpec:
         return [vector[off[level]:off[level + 1]] for level in range(self.depth + 1)]
 
     def cube_flat(self, cube: DyadicCube) -> int:
-        """Row-major flat index of ``cube`` among cubes of its level."""
-        if self.dim == 1:
-            return cube.coords[0]
-        return (cube.coords[0] << cube.level) | cube.coords[1]
+        """Flat index of ``cube`` among cubes of its level (``flat_of``)."""
+        return flat_of(cube.level, cube.coords)
 
     def cube_from_flat(self, level: int, flat: int) -> DyadicCube:
-        if self.dim == 1:
-            return DyadicCube(level, (flat,))
-        return DyadicCube(level, (flat >> level, flat & ((1 << level) - 1)))
+        return DyadicCube(level, coords_of(level, flat, self.dim))
 
-    def coords_from_flats(self, level: int, flats: np.ndarray) -> np.ndarray:
-        """``cube_from_flat`` for an array of flat indices: one row of integer
-        coordinates per index."""
-        if self.dim == 1:
-            return flats[:, None]
-        return np.column_stack([flats >> level, flats & ((1 << level) - 1)])
+    def flats_of(self, level, coords) -> np.ndarray:
+        """``flat_of`` of coordinate arrays, one per axis as ``np.ravel_multi_index``
+        takes them, at one ``level`` or at one level per entry."""
+        flats = coords[0]
+        for axis in coords[1:]:
+            flats = flats << level | axis
+        return flats
+
+    def coords_from_flats(self, level, flats: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``coords_of`` of ``flats``, at one ``level`` or one per index: one array per
+        axis as ``np.unravel_index`` gives them (in 1D ``flats`` itself)."""
+        coords = []
+        for _ in range(self.dim - 1):
+            coords.append(flats & (1 << level) - 1)
+            flats = flats >> level
+        return (flats, *reversed(coords))
+
+    def child_flats(self, level, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
+        """Flat indices at ``level + 1`` of child ``child`` (in the order of
+        ``DyadicCube.children``) of each cube ``flats`` at ``level`` (one
+        level, or one per cube)."""
+        kids = zip(self.coords_from_flats(level, flats), self.coords_from_flats(1, child))
+        return self.flats_of(level + 1, [k << 1 | o for k, o in kids])
+
+    def _descendants(self, cube: DyadicCube, level: int) -> list[np.ndarray]:
+        """The coordinates of the level-``level`` cubes inside ``cube``, row-major."""
+        shift = level - cube.level
+        local = self.coords_from_flats(shift, np.arange(self.n_cubes(shift)))
+        return [c | k << shift for c, k in zip(local, cube.coords)]
+
+    def subtree_mask(self, top: DyadicCube, level: int) -> np.ndarray:
+        """Boolean mask over the level-``level`` cubes (row-major): contained in
+        ``top``.  Those cubes are one box of the ``(2^level,) * dim`` view."""
+        self.check(top)
+        shift = level - top.level
+        mask = np.zeros((1 << level,) * self.dim, dtype=bool)
+        mask[tuple(slice(k << shift, k + 1 << shift) for k in top.coords)] = True
+        return mask.reshape(-1)
 
     def all_cubes(self, top: DyadicCube | None = None, max_level: int | None = None):
         """Iterate cubes contained in ``top`` (default the root), coarse to fine."""
@@ -199,28 +230,13 @@ class GridSpec:
         self.check(top)
         stop = self.depth if max_level is None else max_level
         for level in range(top.level, stop + 1):
-            shift = level - top.level
-            for local in range(2 ** (self.dim * shift)):
-                if self.dim == 1:
-                    yield DyadicCube(level, ((top.coords[0] << shift) | local,))
-                else:
-                    r0 = local >> shift
-                    r1 = local & ((1 << shift) - 1)
-                    yield DyadicCube(
-                        level, ((top.coords[0] << shift) | r0, (top.coords[1] << shift) | r1)
-                    )
+            for coords in zip(*(axis.tolist() for axis in self._descendants(top, level))):
+                yield DyadicCube(level, coords)
 
     def cell_indices(self, cube: DyadicCube) -> np.ndarray:
         """Flat indices of the finest cells covered by ``cube`` (row-major order)."""
         self.check(cube)
-        shift = self.depth - cube.level
-        if self.dim == 1:
-            k = cube.coords[0]
-            return np.arange(k << shift, (k + 1) << shift)
-        side = 1 << self.depth
-        rows = np.arange(cube.coords[0] << shift, (cube.coords[0] + 1) << shift)
-        cols = np.arange(cube.coords[1] << shift, (cube.coords[1] + 1) << shift)
-        return (rows[:, None] * side + cols[None, :]).ravel()
+        return self.flats_of(self.depth, self._descendants(cube, self.depth))
 
 
 def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -241,6 +257,7 @@ def coarsen_step(dim: int, fine: np.ndarray, out: np.ndarray | None = None) -> n
 
     Leading axes are a stack of level arrays, each coarsened as on its own,
     bit for bit."""
+    # no generic step adds in numpy's 2D order above, and the frozen constants depend on it
     if dim == 1:
         return np.add(fine[..., 0::2], fine[..., 1::2], out=out)
     lead = fine.shape[:-1]
@@ -329,6 +346,7 @@ def spread(spec: GridSpec, level: int, values, to_level: int | None = None) -> n
     """Replicate per-cube values at ``level`` onto the cubes of the finer
     ``to_level`` (default: the finest cells), row-major at both levels."""
     s = 1 << ((spec.depth if to_level is None else to_level) - level)
+    # a repeat per axis of the (2^level,) * dim view would serve 1D too, but is slower in both
     if spec.dim == 1:
         return np.repeat(values, s)
     m = 1 << level
@@ -343,6 +361,7 @@ def cube_blocks(spec: GridSpec, level: int, cell_values: np.ndarray) -> np.ndarr
     order of ``cell_indices``; a view in 1D, a copy in 2D.
     """
     vals = np.asarray(cell_values)
+    # regrouping the axes of a (m, s) * dim view would serve 1D too, but is slower in both
     if spec.dim == 1:
         return vals.reshape(spec.n_cubes(level), -1)
     m, s = 1 << level, 1 << (spec.depth - level)
@@ -354,7 +373,7 @@ def from_cube_blocks(spec: GridSpec, level: int, blocks: np.ndarray) -> np.ndarr
     array.  Leading axes (a stack of levels' blocks) are kept: ``(..., cubes,
     cells per cube)`` in, ``(..., cells)`` out."""
     lead = blocks.shape[:-2]
-    if spec.dim == 1:
+    if spec.dim == 1:  # one reshape, as in ``cube_blocks``
         return blocks.reshape(*lead, spec.n_cells)
     m, s = 1 << level, 1 << (spec.depth - level)
     return blocks.reshape(*lead, m, m, s, s).swapaxes(-3, -2).reshape(*lead, spec.n_cells)
@@ -462,8 +481,7 @@ def lp_norm(f: GridFunction, p: float, cube: DyadicCube | None = None) -> float:
     if cube is None:
         vals = f.values
     else:
-        f.spec.check(cube)
-        vals = f.values[f.spec.cell_indices(cube)]
+        vals = f.values[f.spec.cell_indices(cube)]  # which checks the cube
     return float(np.sum(np.abs(vals) ** p) * f.spec.cell_volume) ** (1.0 / p)
 
 

@@ -39,7 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, GridSpec, _cells, _child_offset, _sum_tree
+from .grid import DyadicCube, GridFunction, GridSpec, _cells, _sum_tree, coords_of
 
 __all__ = [
     "PerfectKernel",
@@ -74,14 +74,13 @@ def size_bound(level: int, i: int, j: int, dim: int) -> float:
 def _pair_radius(i: int, j: int, dim: int) -> float:
     """The sup distance between the closed boxes of children i and j of a
     cube of side 2, so that of a level-l cube times 2^-(l+1)."""
-    gaps = [abs(a - b) + 1 for a, b in zip(_child_offset(i, dim), _child_offset(j, dim))]
+    gaps = [abs(a - b) + 1 for a, b in zip(coords_of(1, i, dim), coords_of(1, j, dim))]
     return math.sqrt(sum(g * g for g in gaps))
 
 
-# A kernel's whole-plan entry arrays in ``_plan`` order: its plan's ``_INDEX_FIELDS`` and its
-# own ``vals``.  ``src`` (child_j, where f is read) and ``dst`` (child_i, where the value is
-# added) index the all-level vector of cubes.
-_PLAN_FIELDS = ("flats", "ii", "jj", "vals", "src", "dst")
+# A plan's entry arrays in ``_plan`` order; a kernel adds its own ``vals``.  ``src`` (child_j,
+# where f is read) and ``dst`` (child_i, where the value is added) index the all-level vector
+# of cubes.
 _INDEX_FIELDS = ("flats", "ii", "jj", "src", "dst")
 
 
@@ -230,26 +229,14 @@ def _plan(spec: GridSpec, counts, flats, ii, jj, vals=None) -> _Plan:
     if faults:
         raise ValueError(min(faults)[2])
     off = np.repeat(np.array(spec.offsets[1:spec.depth + 1], dtype=np.int64), counts)
-    level = np.repeat(np.arange(spec.depth), counts) if spec.dim > 1 else None
-    return _Plan(spec, starts.tolist(), flats, ii, jj, off + _child_flats(spec, level, flats, jj),
-                 off + _child_flats(spec, level, flats, ii))
+    level = np.repeat(np.arange(spec.depth), counts)
+    return _Plan(spec, starts.tolist(), flats, ii, jj, off + spec.child_flats(level, flats, jj),
+                 off + spec.child_flats(level, flats, ii))
 
 
 def _level_of(starts: np.ndarray, n: int) -> int:
     """The level of entry ``n`` of a plan with level bounds ``starts``."""
     return int(np.searchsorted(starts, n, side="right")) - 1
-
-
-def _child_flats(spec: GridSpec, level, flats: np.ndarray, child: np.ndarray) -> np.ndarray:
-    """Flat indices at level+1 of the given children of cubes ``flats`` at
-    ``level`` (one level, or one per cube; 1D does not read it)."""
-    if spec.dim == 1:
-        return 2 * flats + child
-    k0 = flats >> level
-    k1 = flats & (np.left_shift(1, level) - 1)
-    o0 = child >> 1
-    o1 = child & 1
-    return ((2 * k0 + o0) << (level + 1)) | (2 * k1 + o1)
 
 
 def bilinear(kernel: PerfectKernel, f: GridFunction, g: GridFunction) -> float:
@@ -428,8 +415,7 @@ def dense_matrix(kernel: PerfectKernel) -> np.ndarray:
         k, h = 2 << level, 1 << (spec.depth - level - 1)  # children and cells per child, per axis
         index: list = []
         for c in (kernel.dst[lo:hi], kernel.src[lo:hi]):  # rows on child_i, columns on child_j
-            c = c - spec.offsets[level + 1]
-            for axis in [c] if spec.dim == 1 else [c >> (level + 1), c & (k - 1)]:
+            for axis in spec.coords_from_flats(level + 1, c - spec.offsets[level + 1]):
                 index += [axis, slice(None)]
         m.reshape((k, h) * 2 * spec.dim)[tuple(index)] += kernel.vals[lo:hi].reshape((-1,) + (1,) * 2 * spec.dim)
     m *= spec.cell_volume
@@ -459,7 +445,7 @@ def kernel_to_json_dict(kernel: PerfectKernel) -> dict:
     """The entries in (level, flat, i, j) order, sliced by level off the plan."""
     entries = []
     for level, (lo, hi) in enumerate(zip(kernel.starts, kernel.starts[1:])):
-        coords = kernel.spec.coords_from_flats(level, kernel.flats[lo:hi])
+        coords = np.column_stack(kernel.spec.coords_from_flats(level, kernel.flats[lo:hi]))
         entries += [{"level": level, "coords": c, "i": i, "j": j, "value": v} for c, i, j, v
                     in zip(coords.tolist(), kernel.ii[lo:hi].tolist(), kernel.jj[lo:hi].tolist(),
                            kernel.vals[lo:hi].tolist())]
@@ -490,7 +476,7 @@ def kernel_from_json_dict(data: dict, check_size: bool = True) -> PerfectKernel:
                          f"{coords[n].tolist()}, pair ({ii[n]}, {jj[n]})")
     if bad < len(rows):
         raise ValueError(f"kernel entry {bad} {_entry_fault(spec, rows[bad])}")
-    flats = coords[:, 0] if spec.dim == 1 else (coords[:, 0] << level) | coords[:, 1]
+    flats = spec.flats_of(level, coords.T)
     kernel = PerfectKernel._from(*_sorted_plan(spec, np.column_stack([level, flats, ii, jj]), vals))
     if check_size and not validate_size(kernel):
         raise ValueError("kernel file violates the size bound")

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .accretive import AccretiveSystem
-from .corona import CoronaForest, _cubes_where, _owner_pass, _subtree_mask, _terminal_owners, stopping_rule
+from .corona import CoronaForest, _cubes_where, _owner_pass, _terminal_owners, stopping_rule
 from .grid import DyadicCube, GridFunction, GridSpec, level_sum, spread
 
 __all__ = [
@@ -178,10 +178,9 @@ def block_context(forest: CoronaForest, j: int, member: DyadicCube) -> TwistedCo
     base cube S, function b_S of S_j's system, terminal cubes = S's stopping
     children with their own b, marked by one owner pass: S, then each member
     of S_j that inherits S."""
-    spec, owners, top = forest.spec, forest.owner_levels(j), member.level
-    if not (spec.contains(member) and forest.q0.contains(member)
-            and owners[top][spec.cube_flat(member)] == top):
+    if not forest.is_member(j, member):
         raise ValueError(f"{member} is not a member of S_{j}")
+    spec, owners, top = forest.spec, forest.owner_levels(j), member.level
     block = _owner_pass(spec, top, lambda level, inherited: [spec.cube_flat(member)] if level == top
                         else (owners[level] == level) & (inherited == top))
     return TwistedContext(forest.system(j), member, block, forest.delta)
@@ -220,7 +219,7 @@ def _check_owners(spec: GridSpec, s0: DyadicCube, owners) -> None:
     if owners[s0.level][spec.cube_flat(s0)] != s0.level:
         raise ValueError(f"base cube {s0} does not own itself")
     for level in range(s0.level, spec.depth + 1):
-        outside = (owners[level] >= 0) & ~_subtree_mask(spec.dim, s0, level)
+        outside = (owners[level] >= 0) & ~spec.subtree_mask(s0, level)
         if outside.any():
             cube = spec.cube_from_flat(level, int(np.flatnonzero(outside)[0]))
             raise ValueError(f"owned cube {cube} is not inside {s0}")
@@ -273,6 +272,10 @@ class CoronaLevels:
     owners: list
     b: dict
     h: GridFunction | None
+
+    def __post_init__(self) -> None:
+        if self.h is not None and self.h.spec != self.spec:
+            raise ValueError("grid mismatch")
 
     def of(self, h: GridFunction) -> CoronaLevels:
         """The calculus of ``h`` on the same stitched arrays, sharing their averages."""
@@ -441,6 +444,8 @@ def decomposition_identity_check(
           + (<b>_Q - <b>_Q')^2 <f>_Q' / (<b>_Q' <b>_Q^2)             (iii)
 
     an exact rational identity; returns |lhs - (i)-(ii)-(iii)| as floats."""
+    if f.spec != ctx.spec:
+        raise ValueError("grid mismatch")
     ctx.check_in_q(cube)
     if ctx.is_terminal(child) or child.parent() != cube:
         raise ValueError(f"{child} is not a non-terminal child of {cube}")
@@ -505,8 +510,7 @@ def _measure_excess(ctx: TwistedContext, half: np.ndarray) -> float:
     """``measure_comparison_check`` from the cell array of Bf."""
     spec = ctx.spec
     bf = np.abs(half)
-    inside = np.zeros(spec.n_cells, dtype=bool)
-    inside[spec.cell_indices(ctx.s0)] = True
+    inside = spec.subtree_mask(ctx.s0, spec.depth)
     p = ctx.system.p
     cap = 2.0**spec.dim * ctx.delta**-p * ctx.system.A**p
     bp = np.abs(ctx.b.values) ** p

@@ -424,9 +424,12 @@ def epsilon_coefficient(forest, f, member, cube) -> float:
     """The telescoped coefficient attached to a cube strictly inside a block:
     the sum over ancestors P of the cube with corona parent ``member`` of the
     block difference's constant value on the child of P towards the cube."""
+    spec, owners = forest.spec, forest.owner_levels(1)
+    if not forest.is_member(1, member):
+        raise ValueError(f"{member} is not a member of S_1")
+    spec.check(cube)
     if not member.contains(cube) or member == cube:
         raise ValueError(f"{cube} is not strictly inside {member}")
-    spec, owners = forest.spec, forest.owner_levels(1)
     half = corona_levels(forest, 1, f).half_twisted
     total = 0.0
     for level in range(cube.level - 1, member.level - 1, -1):
@@ -648,20 +651,19 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _check_families(forest, lf, lg) -> int:
+def _check_families(forest, lf, lg) -> None:
     """The invariants ``block_context`` validates on every corona block, in
     one pass per family over the stitched level arrays of its level calculus
     (``lf`` of S_1, ``lg`` of S_2: each cube Q against b_pi(Q); any h, since
     the invariants read only the owners and the stitched b), with the p and A
-    of its system.  Returns the number of blocks.  A violation raises
-    RuntimeError: the construction guarantees these invariants on every
-    forest it builds, so a failure is a fault of the program, not of its input."""
+    of its system.  A violation raises RuntimeError: the construction
+    guarantees these invariants on every forest it builds, so a failure is a
+    fault of the program, not of its input."""
     for j, levels in ((1, lf), (2, lg)):
         try:
             _check_blocks(levels, forest.system(j), forest.delta)
         except ValueError as e:
             raise RuntimeError(f"corona family S_{j} breaks a block invariant: {e}") from None
-    return forest.member_count(1) + forest.member_count(2)
 
 
 def run_identity_checks(inst: Instance) -> dict[str, float]:

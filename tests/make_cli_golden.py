@@ -129,9 +129,9 @@ def read_golden(demos: bool) -> dict[str, str]:
             if name.startswith(DEMO_PREFIX) == demos}
 
 
-def changed_names(old: dict[str, str], new: dict[str, str]) -> list[str]:
-    """The names whose hash differs between two fixtures, added and dropped
-    names included."""
+def changed_names(old: dict, new: dict) -> list[str]:
+    """The names whose value (a hash here, a constant in ``make_fixtures``)
+    differs between two fixtures, added and dropped names included."""
     return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
 
 

@@ -6,7 +6,9 @@ class, the max experiment ratio over the fixed seed suite, chosen deltas for
 the depth-8 corona regression, and the box/diagonal measured constants.  Each
 value is computed once here (cross-checked against an independent evaluation
 where one exists) and committed; the acceptance suite reruns the deterministic
-pipelines and compares against these numbers.
+pipelines and compares against these numbers.  Regenerate only when a value
+is meant to change; the script then names every constant that changed
+against the file it overwrites (or prints "no change").
 
 Usage: python tests/make_fixtures.py
 """
@@ -27,6 +29,7 @@ from dytb.verify import (
     trial_seed,
 )
 
+from make_cli_golden import changed_names
 from oracles import box_square_function_check, diagonal_lemma_check
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "frozen_constants.json"
@@ -114,6 +117,18 @@ def freeze_diagonal_constants():
     return out
 
 
+def constants(data: dict) -> dict:
+    """Every constant of a fixture by name: ``key`` for a single value,
+    ``key/entry`` for an entry of a table."""
+    out = {}
+    for key, val in data.items():
+        if isinstance(val, dict):
+            out.update((f"{key}/{name}", v) for name, v in val.items())
+        else:
+            out[key] = val
+    return out
+
+
 def main():
     data = {
         "search_ratio_max": freeze_search_constants(),
@@ -122,15 +137,13 @@ def main():
         "box_square": freeze_box_constants(),
         "diagonal_max": freeze_diagonal_constants(),
     }
+    old = json.loads(FIXTURE_PATH.read_text()) if FIXTURE_PATH.exists() else {}
     FIXTURE_PATH.parent.mkdir(exist_ok=True)
     with open(FIXTURE_PATH, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
-    print(f"wrote {FIXTURE_PATH}")
-    for key, val in data.items():
-        if isinstance(val, dict):
-            print(f"  {key}: {len(val)} entries")
-        else:
-            print(f"  {key}: {val!r}")
+    print(f"wrote {FIXTURE_PATH}: {len(constants(data))} constants")
+    changed = changed_names(constants(old), constants(data))
+    print("\n".join(f"changed: {name}" for name in changed) or "no change")
 
 
 if __name__ == "__main__":

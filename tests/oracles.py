@@ -26,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dytb.corona import _subtree_mask
 from dytb.grid import GridFunction, coarsen_step, cube_sum_vector, spread
-from dytb.kernels import PerfectKernel, _child_flats, _Plan, _pair_radius, bilinear, size_bound
+from dytb.kernels import PerfectKernel, _Plan, _pair_radius, bilinear, size_bound
 from dytb.twisted import corona_levels
 from dytb.verify import _check_families
 
@@ -56,7 +55,7 @@ def nearest_marked(spec, top, cubes) -> list:
     out = [None] * top + [np.full(spec.n_cubes(level), -1) for level in range(top, spec.depth + 1)]
     for cube in sorted(cubes):
         for level in range(cube.level, spec.depth + 1):
-            out[level][_subtree_mask(spec.dim, cube, level)] = cube.level
+            out[level][spec.subtree_mask(cube, level)] = cube.level
     return out
 
 
@@ -246,7 +245,8 @@ def check_forest_blocks(forest) -> int:
     """The block invariants of every corona block of both families (the
     check ``run_identity_checks`` makes first); returns the number of blocks
     and raises RuntimeError at a violation."""
-    return _check_families(forest, corona_levels(forest, 1, None), corona_levels(forest, 2, None))
+    _check_families(forest, corona_levels(forest, 1, None), corona_levels(forest, 2, None))
+    return forest.member_count(1) + forest.member_count(2)
 
 
 def haar_shift_tloc(dim, depth, q) -> float:
@@ -365,8 +365,8 @@ def _per_level_build(spec, levels) -> PerfectKernel:
         if not np.isfinite(vals).all():
             raise ValueError("non-finite kernel value")
         off = spec.offsets[level + 1]
-        parts.append((flats, ii, jj, vals, off + _child_flats(spec, level, flats, jj),
-                      off + _child_flats(spec, level, flats, ii)))
+        parts.append((flats, ii, jj, vals, off + spec.child_flats(level, flats, jj),
+                      off + spec.child_flats(level, flats, ii)))
         counts[level + 1] = len(vals)
     flats, ii, jj, vals, src, dst = map(np.concatenate, zip(*parts))
     return PerfectKernel._from(_Plan(spec, itertools.accumulate(counts), flats, ii, jj, src, dst), vals)

@@ -7,7 +7,6 @@ import pytest
 from dytb.accretive import AccretiveSystem
 from dytb.corona import (
     ConfigError,
-    _subtree_mask,
     build_corona,
     carleson_constant,
     choose_delta,
@@ -74,7 +73,7 @@ def maximal_triggered(spec, top, start_level, trigger):
     found = []
     blocked = np.zeros(spec.n_cubes(start_level), dtype=bool) if start_level <= spec.depth else None
     for level in range(start_level, spec.depth + 1):
-        hits = trigger(level) & _subtree_mask(spec.dim, top, level) & ~blocked
+        hits = trigger(level) & spec.subtree_mask(top, level) & ~blocked
         for flat in np.nonzero(hits)[0]:
             found.append(spec.cube_from_flat(level, int(flat)))
         if level < spec.depth:

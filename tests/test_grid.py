@@ -5,8 +5,10 @@ from dytb.grid import (
     DyadicCube,
     GridFunction,
     GridSpec,
+    coords_of,
     cube_blocks,
     dyadic_maximal,
+    flat_of,
     from_cube_blocks,
     level_sum,
     level_sums,
@@ -38,7 +40,6 @@ def test_gridspec_rejects_bad_dims_and_cap():
 
 def test_cube_geometry():
     q = DyadicCube(2, (1, 3))
-    assert q.side == 0.25
     assert q.volume == 0.0625
     assert q.parent() == DyadicCube(1, (0, 1))
     kids = q.children()
@@ -47,6 +48,64 @@ def test_cube_geometry():
     assert all(q.contains(k) for k in kids)
     with pytest.raises(ValueError):
         DyadicCube(1, (2,))  # coords out of range
+
+
+def numpy_cubes(dim: int, level: int) -> list[DyadicCube]:
+    """The cubes of one level in numpy's C order, from ``np.unravel_index`` alone."""
+    coords = np.unravel_index(np.arange(2 ** (dim * level)), (2**level,) * dim)
+    return [DyadicCube(level, tuple(map(int, c))) for c in zip(*coords)]
+
+
+@pytest.mark.parametrize("dim,depth", [*((1, depth) for depth in range(11)), *((2, depth) for depth in range(7))])
+def test_index_path_is_c_order_and_matches_the_per_cube_forms(dim, depth):
+    spec = GridSpec(dim, depth)
+    cubes = [numpy_cubes(dim, level) for level in range(depth + 1)]
+    flat_at = [{cube: flat for flat, cube in enumerate(at)} for at in cubes]
+    every = {"level": [], "flats": [], "coords": [], "child": [], "kids": []}  # rows of all levels
+    for level, at in enumerate(cubes):
+        shape, flats = (2**level,) * dim, np.arange(len(at))
+        coords = np.unravel_index(flats, shape)
+        assert np.array_equal(spec.coords_from_flats(level, flats), coords)
+        assert np.array_equal(spec.flats_of(level, coords), np.ravel_multi_index(coords, shape))
+        assert [flat_of(level, c.coords) for c in at] == [spec.cube_flat(c) for c in at] == flats.tolist()
+        assert [coords_of(level, k, dim) for k in flats.tolist()] == [c.coords for c in at]
+        assert [spec.cube_from_flat(level, k) for k in flats.tolist()] == at
+        if level:
+            assert spec.parents[level].tolist() == [flat_at[level - 1][c.parent()] for c in at]
+        for i in range(2**dim) if level < depth else ():
+            offset = np.unravel_index(i, (2,) * dim)
+            kids = [DyadicCube(level + 1, tuple(2 * k + int(o) for k, o in zip(c.coords, offset))) for c in at]
+            assert [c.children()[i] for c in at] == kids
+            want = [flat_at[level + 1][kid] for kid in kids]
+            assert spec.child_flats(level, flats, np.full(len(at), i)).tolist() == want
+            for key, rows in (("level", [level] * len(at)), ("flats", flats), ("child", [i] * len(at)),
+                              ("kids", want)):
+                every[key] += list(rows)
+        every["coords"].append(coords)
+    # one level per row, the rows of every level at once
+    levels, flats = np.array(every["level"], dtype=np.int64), np.array(every["flats"], dtype=np.int64)
+    assert spec.child_flats(levels, flats, np.array(every["child"], dtype=np.int64)).tolist() == every["kids"]
+    levels = np.repeat(np.arange(depth + 1), [len(at) for at in cubes])
+    flats = np.concatenate([np.arange(len(at)) for at in cubes])
+    coords = [np.concatenate(axis) for axis in zip(*every["coords"])]
+    assert np.array_equal(spec.coords_from_flats(levels, flats), coords)
+    assert np.array_equal(spec.flats_of(levels, coords), flats)
+    # the first, a middle and the last cube of each level as the top of a subtree
+    for top_level, at in enumerate(cubes):
+        for top in dict.fromkeys((at[0], at[len(at) // 2], at[-1])):
+            inside = [[top.contains(c) for c in cubes[level]] for level in range(top_level, depth + 1)]
+            for level, want in enumerate(inside, top_level):
+                assert spec.subtree_mask(top, level).tolist() == want
+            assert spec.cell_indices(top).tolist() == np.flatnonzero(inside[-1]).tolist()
+            below = [[c for c, hit in zip(cubes[level], want) if hit]
+                     for level, want in enumerate(inside, top_level)]
+            assert list(spec.all_cubes(top)) == [c for cs in below for c in cs]
+            assert list(spec.all_cubes(top, max_level=depth - 1)) == [c for cs in below[:-1] for c in cs]
+
+
+def test_subtree_mask_rejects_a_cube_of_another_dimension():
+    with pytest.raises(ValueError, match=r"^cube Q\(1; 1\) does not fit a dim=2 depth=2 grid$"):
+        GridSpec(2, 2).subtree_mask(DyadicCube(1, (1,)), 1)
 
 
 def test_cell_indices_2d_row_major():

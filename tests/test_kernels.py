@@ -15,9 +15,7 @@ from dytb.grid import DyadicCube, GridFunction, GridSpec, level_sums, spread
 from dytb.kernels import (
     KERNEL_KINDS,
     _INDEX_FIELDS,
-    _PLAN_FIELDS,
     PerfectKernel,
-    _child_flats,
     _sweep_from,
     adjoint,
     apply,
@@ -132,8 +130,8 @@ def add_at_sweep(spec, entries: dict, values, start):
     for level, (flats, ii, jj, vals) in dict_levels(entries).items():
         if level < start:
             continue
-        src = _child_flats(spec, level, flats, jj)
-        dst = _child_flats(spec, level, flats, ii)
+        src = spec.child_flats(level, flats, jj)
+        dst = spec.child_flats(level, flats, ii)
         np.add.at(contrib[level + 1], dst, vals * sums[level + 1][src] * cv)
     cur = contrib[start + 1]
     for lev in range(start + 2, spec.depth + 1):
@@ -172,8 +170,8 @@ def per_level_sweep(kernel, values, start):
     contrib = {lev: np.zeros(spec.n_cubes(lev)) for lev in range(start + 1, spec.depth + 1)}
     for level, s in level_slices(kernel).items():
         if level >= start:
-            src = _child_flats(spec, level, kernel.flats[s], kernel.jj[s])
-            dst = _child_flats(spec, level, kernel.flats[s], kernel.ii[s])
+            src = spec.child_flats(level, kernel.flats[s], kernel.jj[s])
+            dst = spec.child_flats(level, kernel.flats[s], kernel.ii[s])
             weights = kernel.vals[s] * sums[level + 1][src] * cv
             contrib[level + 1] = np.bincount(dst, weights, spec.n_cubes(level + 1))
     cur = contrib[start + 1]
@@ -189,8 +187,8 @@ def per_level_bilinear(kernel, f, g) -> float:
     intf, intg = per_level_sums(spec, f.values), per_level_sums(spec, g.values)
     total = 0.0
     for level, s in level_slices(kernel).items():
-        src = _child_flats(spec, level, kernel.flats[s], kernel.jj[s])
-        dst = _child_flats(spec, level, kernel.flats[s], kernel.ii[s])
+        src = spec.child_flats(level, kernel.flats[s], kernel.jj[s])
+        dst = spec.child_flats(level, kernel.flats[s], kernel.ii[s])
         total += float(np.sum(kernel.vals[s] * intf[level + 1][src] * intg[level + 1][dst])) * cv * cv
     return total
 
@@ -412,7 +410,7 @@ def test_adjoint_identity_50_pairs(rng):
 
 def plans_equal(a: PerfectKernel, b: PerfectKernel) -> bool:
     return a.starts == b.starts and all(
-        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in _PLAN_FIELDS)
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in (*_INDEX_FIELDS, "vals"))
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 1), (1, 7), (2, 1), (2, 4)])
@@ -576,7 +574,7 @@ def test_construction_validation_messages(entries, message):
 
 def test_plan_is_read_only():
     t = generate_kernel("random", GridSpec(2, 2), seed=1)
-    for name in _PLAN_FIELDS:
+    for name in (*_INDEX_FIELDS, "vals"):
         arr = getattr(t, name)
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -689,7 +687,7 @@ def test_whole_plan_sweep_and_bilinear_equal_per_level_bodies(dim, depth):
 def assert_same_kernel(got, want):
     """Equal starts and plan arrays, dtypes and bits (signed zeros too)."""
     assert got.spec == want.spec and got.starts == want.starts
-    for name in _PLAN_FIELDS:
+    for name in (*_INDEX_FIELDS, "vals"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert a.flags.c_contiguous and not a.flags.writeable, name

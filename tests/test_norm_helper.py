@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from dytb import cli, verify
-from dytb.kernels import _PLAN_FIELDS
+from dytb.kernels import _INDEX_FIELDS
 from dytb.verify import ExperimentConfig, _run_trial, build_instance, main_theorem_experiment, trial_seed
 
 import make_cli_golden
@@ -70,7 +70,8 @@ def test_helper_request_derives_the_trials_own_kernel():
         seed = trial_seed(config.seed, trial)
         got, want = verify._instance_kernel(config, seed), build_instance(config, seed).kernel
         assert got.starts == want.starts
-        assert all(getattr(got, name).tobytes() == getattr(want, name).tobytes() for name in _PLAN_FIELDS)
+        assert all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                   for name in (*_INDEX_FIELDS, "vals"))
 
 
 def test_dense_size_trials_never_start_the_helper(monkeypatch):

@@ -728,6 +728,46 @@ def test_block_context_rejects_cubes_outside_the_family():
         assert block_context(forest, 1, member).members == stopping_children(forest, 1, member)
 
 
+@pytest.fixture(scope="module")
+def forest_and_context():
+    forest = build_instance(ExperimentConfig(dim=1, depth=6), 5).forest
+    return forest, make_context(forest.sys1, forest.q0, forest.delta)
+
+
+def _non_terminal_pair(ctx):
+    return next((q, c) for q in ctx.q_cubes() for c in q.children() if not ctx.is_terminal(c))
+
+
+def _signs(ctx):
+    return ctx.random_coefficients(np.random.default_rng(0))
+
+
+# every entry point of the twisted calculus that takes a function, on (forest, context, f)
+FUNCTION_CALLS = {
+    "transform": lambda forest, ctx, f: transform(ctx, _signs(ctx), f),
+    "half_transform": lambda forest, ctx, f: half_transform(ctx, _signs(ctx), f),
+    "twisted_delta": lambda forest, ctx, f: twisted_delta(ctx, ctx.s0, f),
+    "delta_decomp_check": lambda forest, ctx, f: delta_decomp_check(ctx, _signs(ctx), f),
+    "measure_comparison_check": lambda forest, ctx, f: measure_comparison_check(ctx, _signs(ctx), f),
+    "expand": lambda forest, ctx, f: expand(forest, 1, forest.q0, f),
+    "corona_levels": lambda forest, ctx, f: corona_levels(forest, 1, f),
+    "levels": lambda forest, ctx, f: ctx.levels(f),
+    "decomposition_identity_check":
+        lambda forest, ctx, f: decomposition_identity_check(ctx, *_non_terminal_pair(ctx), f),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTION_CALLS)
+def test_a_function_on_another_grid_is_a_grid_mismatch(forest_and_context, name):
+    forest, ctx = forest_and_context
+    call = FUNCTION_CALLS[name]
+    call(forest, ctx, GridFunction.constant(ctx.spec, 1.0))  # the context's own grid works
+    # coarser, finer, and another dimension with the same 64 cells
+    for spec in (GridSpec(1, 5), GridSpec(1, 7), GridSpec(2, 3)):
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            call(forest, ctx, GridFunction.constant(spec, 1.0))
+
+
 @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
 def test_contexts_make_no_b_copies(monkeypatch, dim, depth):
     # every b of a context, the base cube's included, is read from the

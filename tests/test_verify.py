@@ -10,7 +10,7 @@ import pytest
 
 from dytb import cli, corona, kernels, twisted, verify
 from dytb.accretive import AccretiveSystem
-from dytb.corona import _subtree_mask, build_corona, conjugate, packing_ratio
+from dytb.corona import build_corona, conjugate, packing_ratio
 from dytb.grid import DyadicCube, GridFunction, GridSpec, cube_blocks, spread
 from dytb.kernels import PerfectKernel, adjoint, apply_values, generate_kernel
 from dytb.twisted import TwistedContext, corona_levels, make_context, twisted_delta
@@ -600,7 +600,7 @@ def per_block_b_above(forest, f, g, member):
     # first piece: telescoped pairing against the block function itself
     value = 0.0
     if member != forest.q0:
-        acc = sum(float(v[_subtree_mask(spec.dim, member, b)].sum()) for b, v in tbs.items())
+        acc = sum(float(v[spec.subtree_mask(member, b)].sum()) for b, v in tbs.items())
         value += f.average(member) * acc
     # second piece: per-cube differences inside the block
     pull_res = 0.0
@@ -608,10 +608,10 @@ def per_block_b_above(forest, f, g, member):
         if walk_pi(forest, 1, p) != member:
             continue
         half = lf.half_twisted[p.level]
-        w = spread(spec, p.level + 1, half) * spread(spec, p.level, _subtree_mask(spec.dim, p, p.level))
+        w = spread(spec, p.level + 1, half) * spread(spec, p.level, spec.subtree_mask(p, p.level))
         u = pairings(apply_values(kernel, bs * w))
         for b in range(p.level + 1, spec.depth):
-            inside = _subtree_mask(spec.dim, p, b)
+            inside = spec.subtree_mask(p, b)
             direct = u[b][inside]
             pulled = spread(spec, p.level + 1, half, b)[inside] * tbs[b][inside]
             mismatch = np.abs(direct - pulled) / (1.0 + np.abs(direct))
@@ -783,6 +783,18 @@ def test_epsilon_accretive_bound():
                     continue
                 val = epsilon_coefficient(forest, inst.f, s, cube)
                 assert abs(val) <= cap * (1 + 1e-12)
+
+
+def test_epsilon_rejects_a_non_member_and_a_cube_off_the_grid():
+    inst = build_instance(ExperimentConfig(dim=1, depth=6), 5)
+    forest, f = inst.forest, inst.f
+    outsider = DyadicCube(1, (0,))
+    for call in (lambda: twisted.block_context(forest, 1, outsider),
+                 lambda: epsilon_coefficient(forest, f, outsider, DyadicCube(3, (0,)))):
+        with pytest.raises(ValueError, match=r"^Q\(1; 0\) is not a member of S_1$"):
+            call()
+    with pytest.raises(ValueError, match=r"^cube Q\(9; 3\) does not fit a dim=1 depth=6 grid$"):
+        epsilon_coefficient(forest, f, forest.q0, DyadicCube(9, (3,)))
 
 
 # -- diagonal lemma ----------------------------------------------------------------------------
